@@ -7,6 +7,9 @@
 //! cargo run --release -p resoftmax-bench --bin ctrl_sim [-- out.json] [--smoke]
 //! ```
 //!
+//! Without an explicit path, `--smoke` writes
+//! `target/bench-smoke/BENCH_ctrl.json` instead of the checked-in file.
+//!
 //! Every scenario pins one arrival trace (via `phased_arrivals`) and runs
 //! it through static fleets — one per scheduling policy on the base replica
 //! set — and through an adaptive fleet: the same base replicas plus standby
@@ -361,7 +364,14 @@ fn main() {
         .iter()
         .find(|a| !a.starts_with("--"))
         .cloned()
-        .unwrap_or_else(|| "BENCH_ctrl.json".to_owned());
+        .unwrap_or_else(|| {
+            if !smoke {
+                return "BENCH_ctrl.json".to_owned();
+            }
+            // Smoke-scale rows never overwrite the checked-in results.
+            std::fs::create_dir_all("target/bench-smoke").expect("create target/bench-smoke");
+            "target/bench-smoke/BENCH_ctrl.json".to_owned()
+        });
 
     let scale = if smoke { Scale::smoke() } else { Scale::full() };
     let bench = if smoke {

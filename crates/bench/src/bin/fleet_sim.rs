@@ -9,6 +9,9 @@
 //! cargo run --release -p resoftmax-bench --bin fleet_sim [-- out.json] [--smoke]
 //! ```
 //!
+//! Without an explicit path, `--smoke` writes
+//! `target/bench-smoke/BENCH_fleet.json` instead of the checked-in file.
+//!
 //! The *knee* is the first swept arrival rate whose TTFT p99 exceeds the SLO
 //! (1 simulated second): below it admission keeps up, above it queues grow
 //! without bound and tail latency explodes. All metrics live on the
@@ -251,7 +254,14 @@ fn main() {
         .iter()
         .find(|a| !a.starts_with("--"))
         .cloned()
-        .unwrap_or_else(|| "BENCH_fleet.json".to_owned());
+        .unwrap_or_else(|| {
+            if !smoke {
+                return "BENCH_fleet.json".to_owned();
+            }
+            // Smoke-scale rows never overwrite the checked-in results.
+            std::fs::create_dir_all("target/bench-smoke").expect("create target/bench-smoke");
+            "target/bench-smoke/BENCH_fleet.json".to_owned()
+        });
 
     let scale = if smoke { Scale::smoke() } else { Scale::full() };
     let bench = if smoke {

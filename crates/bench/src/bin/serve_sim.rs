@@ -15,7 +15,7 @@
 
 use resoftmax_gpusim::DeviceSpec;
 use resoftmax_model::{ModelConfig, RunParams, SoftmaxStrategy};
-use resoftmax_serve::{kv_bytes_per_token, run_serve, Policy, ServeConfig, ServeReport};
+use resoftmax_serve::{kv_bytes_per_token, FleetBuilder, Policy, ServeConfig, ServeReport};
 
 const PAPER_CTX: usize = 4096;
 
@@ -46,9 +46,15 @@ fn run_grid() -> Vec<ServeReport> {
     let device = DeviceSpec::a100();
     let cells = grid();
     resoftmax_parallel::parallel_map(&cells, |_, &(strategy, policy)| {
-        let params = RunParams::new(PAPER_CTX).strategy(strategy);
-        run_serve(&model, &device, &params, &config(&model, policy))
+        FleetBuilder::new()
+            .model(model.clone())
+            .params(RunParams::new(PAPER_CTX).strategy(strategy))
+            .replica(device.clone())
+            .workload(config(&model, policy))
+            .build()
+            .and_then(|fleet| fleet.run())
             .expect("serve simulation launches")
+            .serve_report()
     })
 }
 

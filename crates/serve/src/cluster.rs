@@ -7,17 +7,16 @@
 //! [`Fleet`] that builds always runs to completion or returns a typed
 //! [`Error`].
 //!
-//! The run itself is a discrete-event loop over five event sources: fault
-//! injections (fail/drain), workload arrivals, prefill→decode KV-handoff
-//! completions, control-plane activity (scale-up activations and
-//! [`ControlPlane`] decisions, when one is attached), and replica engine
-//! steps. Each replica owns its simulated clock (busy-until time); the
-//! fleet always advances whichever source is earliest, breaking exact ties
-//! in the fixed order *fault ≤ arrival ≤ handoff ≤ ctrl ≤ step* (handoffs
-//! and activations tie on enqueue order, steps on the lowest replica id).
-//! All time is simulated GPU/interconnect time, so a fleet report —
-//! decision log included — is bit-identical across host thread counts and
-//! reruns.
+//! The run itself is a discrete-event loop. One `EventQueue` — a min-heap
+//! on (time, `Source`, enqueue seq) — holds fault injections (fail/drain),
+//! workload arrivals, prefill→decode KV-handoff landings, scale-up
+//! activations and [`ControlPlane`] decisions; the variant order of
+//! `Source` is the tie order for equal times. Replica engine steps are not
+//! queued: each replica owns its simulated clock (busy-until time), and the
+//! loop scans for the earliest step, which fires only when the queue head
+//! is strictly later (ties go to the lowest replica id). All time is
+//! simulated GPU/interconnect time, so a fleet report — decision log
+//! included — is bit-identical across host thread counts and reruns.
 //!
 //! Disaggregation: replicas carry a [`Role`]. Fresh arrivals (and displaced
 //! requests that owe prefill work) route over the *prefill-capable* subset;
@@ -40,6 +39,8 @@ use crate::request::{poisson_arrivals, Arrival, ServeConfig};
 use crate::router::{ReplicaView, Router, RouterPolicy};
 use resoftmax_gpusim::{DeviceSpec, Timeline};
 use resoftmax_model::{decode_error_bound, AttentionKind, ModelConfig, RunParams, SoftmaxStrategy};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 static BASELINE: BaselinePlanner = BaselinePlanner;
 
@@ -151,27 +152,21 @@ impl<'a> FleetBuilder<'a> {
     /// heterogeneous fleet.
     #[must_use]
     pub fn replica(self, device: DeviceSpec) -> Self {
-        self.replica_with_role(device, Role::Unified)
+        self.add(1, device, Role::Unified, false)
     }
 
     /// Adds `n` [`Role::Unified`] replicas of the same `device`.
     #[must_use]
-    pub fn replicas(mut self, n: usize, device: &DeviceSpec) -> Self {
-        for _ in 0..n {
-            self = self.replica_with_role(device.clone(), Role::Unified);
-        }
-        self
+    pub fn replicas(self, n: usize, device: &DeviceSpec) -> Self {
+        self.add(n, device.clone(), Role::Unified, false)
     }
 
     /// Adds one replica with an explicit serving [`Role`]. Replica ids follow
     /// declaration order regardless of role, so faults, planners, and report
     /// rows keep addressing replicas by the order they were added.
     #[must_use]
-    pub fn replica_with_role(mut self, device: DeviceSpec, role: Role) -> Self {
-        self.replicas.push(device);
-        self.roles.push(role);
-        self.standby.push(false);
-        self
+    pub fn replica_with_role(self, device: DeviceSpec, role: Role) -> Self {
+        self.add(1, device, role, false)
     }
 
     /// Adds one *standby* replica: provisioned (its KV capacity is
@@ -183,30 +178,29 @@ impl<'a> FleetBuilder<'a> {
     /// do not count toward the capability checks (a fleet whose only
     /// decode-capable replica is standby is still rejected).
     #[must_use]
-    pub fn standby_replica_with_role(mut self, device: DeviceSpec, role: Role) -> Self {
-        self.replicas.push(device);
-        self.roles.push(role);
-        self.standby.push(true);
+    pub fn standby_replica_with_role(self, device: DeviceSpec, role: Role) -> Self {
+        self.add(1, device, role, true)
+    }
+
+    /// Adds `n` replicas of `device` with `role`, parked when `standby`.
+    fn add(mut self, n: usize, device: DeviceSpec, role: Role, standby: bool) -> Self {
+        self.replicas.extend(std::iter::repeat_n(device, n));
+        self.roles.extend(std::iter::repeat_n(role, n));
+        self.standby.extend(std::iter::repeat_n(standby, n));
         self
     }
 
     /// Adds `n` standby [`Role::Unified`] replicas of the same `device`.
     #[must_use]
-    pub fn standby_replicas(mut self, n: usize, device: &DeviceSpec) -> Self {
-        for _ in 0..n {
-            self = self.standby_replica_with_role(device.clone(), Role::Unified);
-        }
-        self
+    pub fn standby_replicas(self, n: usize, device: &DeviceSpec) -> Self {
+        self.add(n, device.clone(), Role::Unified, true)
     }
 
     /// Adds `n` standby [`Role::Decode`] replicas of the same `device` —
     /// the auto-scaling pool of a disaggregated fleet.
     #[must_use]
-    pub fn standby_decode_replicas(mut self, n: usize, device: &DeviceSpec) -> Self {
-        for _ in 0..n {
-            self = self.standby_replica_with_role(device.clone(), Role::Decode);
-        }
-        self
+    pub fn standby_decode_replicas(self, n: usize, device: &DeviceSpec) -> Self {
+        self.add(n, device.clone(), Role::Decode, true)
     }
 
     /// Adds `n` dedicated prefill replicas of the same `device`. A fleet
@@ -238,21 +232,15 @@ impl<'a> FleetBuilder<'a> {
     /// # Ok::<(), resoftmax_serve::Error>(())
     /// ```
     #[must_use]
-    pub fn prefill_replicas(mut self, n: usize, device: &DeviceSpec) -> Self {
-        for _ in 0..n {
-            self = self.replica_with_role(device.clone(), Role::Prefill);
-        }
-        self
+    pub fn prefill_replicas(self, n: usize, device: &DeviceSpec) -> Self {
+        self.add(n, device.clone(), Role::Prefill, false)
     }
 
     /// Adds `n` dedicated decode replicas of the same `device`: they take no
     /// fresh arrivals and receive handed-off KV from the prefill side.
     #[must_use]
-    pub fn decode_replicas(mut self, n: usize, device: &DeviceSpec) -> Self {
-        for _ in 0..n {
-            self = self.replica_with_role(device.clone(), Role::Decode);
-        }
-        self
+    pub fn decode_replicas(self, n: usize, device: &DeviceSpec) -> Self {
+        self.add(n, device.clone(), Role::Decode, false)
     }
 
     /// Sets the routing policy (default: [`RouterPolicy::RoundRobin`]).
@@ -667,29 +655,89 @@ pub struct Fleet<'a> {
     migrate_on_evict: bool,
 }
 
-/// The six things the fleet can do next; ordering on equal times is
-/// fault ≤ arrival ≤ handoff ≤ ctrl ≤ step, and within ctrl a scale-up
-/// activation lands before the decision (a decision at the same instant
-/// sees the fresh replica).
-enum Action {
+/// Where a queued event comes from. The variant order *is* the fleet's tie
+/// order: at equal times a fault fires before an arrival, an arrival before
+/// a handoff landing, a handoff before a scale-up activation, and an
+/// activation before a control decision (so a decision at the same instant
+/// sees the fresh replica). Replica steps are not queued; they fire after
+/// every queued event of the same time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Source {
+    /// A scripted fault; the payload indexes the fleet's time-sorted faults.
     Fault,
+    /// A workload arrival; the payload is the request id.
     Arrival,
-    /// Index into the pending-handoff queue.
-    Handoff(usize),
-    /// Index into the pending scale-up activation queue.
-    Activate(usize),
-    /// A control-plane decision fires.
+    /// A prefill→decode KV transfer lands; the payload is the request id.
+    Handoff,
+    /// A scale-up warm-up completes; the payload is the replica id.
+    Activate,
+    /// A control-plane decision fires (no payload).
     Decide,
-    Step(usize),
 }
 
-/// A prefill→decode KV transfer in flight over the link.
-#[derive(Debug, Clone, Copy)]
-struct Handoff {
-    /// Request id.
-    id: usize,
-    /// Simulated time the last KV page lands on the decode side.
+/// One queued event, ordered by (time, [`Source`], enqueue seq). `id` is the
+/// payload and never decides the order: seq is unique.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Event {
     at_s: f64,
+    source: Source,
+    seq: u64,
+    id: usize,
+}
+
+impl Ord for Event {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // `+ 0.0` folds -0.0 into +0.0: `total_cmp` alone would order them
+        // apart, while the step comparison treats them as one instant.
+        (self.at_s + 0.0)
+            .total_cmp(&(other.at_s + 0.0))
+            .then(self.source.cmp(&other.source))
+            .then(self.seq.cmp(&other.seq))
+    }
+}
+
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Eq for Event {}
+
+/// Every pending event except replica steps, as one min-heap. The global
+/// enqueue counter keeps same-time, same-source events in enqueue order:
+/// faults in declaration order, arrivals in trace order, handoffs and
+/// activations in the order they were issued.
+#[derive(Default)]
+struct EventQueue {
+    heap: BinaryHeap<Reverse<Event>>,
+    seq: u64,
+}
+
+impl EventQueue {
+    fn push(&mut self, at_s: f64, source: Source, id: usize) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Reverse(Event {
+            at_s,
+            source,
+            seq,
+            id,
+        }));
+    }
+
+    /// Pops the earliest event if it fires no later than `t`.
+    fn pop_until(&mut self, t: f64) -> Option<Event> {
+        if self.heap.peek()?.0.at_s > t {
+            return None;
+        }
+        self.heap.pop().map(|Reverse(ev)| ev)
+    }
+
+    /// Queued events of `source`.
+    fn pending(&self, source: Source) -> usize {
+        self.heap.iter().filter(|e| e.0.source == source).count()
+    }
 }
 
 /// Which subset of the fleet a piece of work routes over.
@@ -710,32 +758,6 @@ fn phase_of(st: &ReqState) -> Phase {
         Phase::Decode
     } else {
         Phase::Prefill
-    }
-}
-
-/// One router instance per routing phase, built from the same policy. The
-/// *state* is per-phase on purpose: a stateful policy (round-robin's cursor)
-/// cycling the prefill subset must not perturb the decode subset's rotation
-/// — with a shared cursor, alternating arrival/handoff traffic in a
-/// disaggregated fleet would pin each subset to one replica.
-struct Routers {
-    prefill: Box<dyn Router>,
-    decode: Box<dyn Router>,
-}
-
-impl Routers {
-    fn new(policy: RouterPolicy) -> Self {
-        Routers {
-            prefill: policy.build(),
-            decode: policy.build(),
-        }
-    }
-
-    fn route(&mut self, phase: Phase, session: u64, views: &[ReplicaView]) -> usize {
-        match phase {
-            Phase::Prefill => self.prefill.route(session, views),
-            Phase::Decode => self.decode.route(session, views),
-        }
     }
 }
 
@@ -772,29 +794,95 @@ impl Fleet<'_> {
     /// # Errors
     ///
     /// [`Error::Config`] when fault events leave work outstanding with no
-    /// accepting replica, [`Error::Model`] / [`Error::Analysis`] when an
-    /// iteration's schedule fails to launch or analyze.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cfg.max_iterations` is exceeded — the loop-termination
-    /// backstop, which validated configurations do not hit.
+    /// accepting replica, [`Error::Stalled`] when work is outstanding but
+    /// nothing can run or `cfg.max_iterations` is exceeded, and
+    /// [`Error::Model`] / [`Error::Analysis`] when an iteration's schedule
+    /// fails to launch or analyze.
     pub fn run(&self) -> Result<FleetReport, Error> {
-        let cfg = &self.cfg;
-        let arrivals = match &self.arrivals {
-            Some(trace) => trace.clone(),
-            None => poisson_arrivals(cfg),
-        };
-        let bytes_per_token = kv_bytes_per_token(&self.model);
+        let anchor_us = resoftmax_obs::recorder().now_us();
+        let mut st = FleetState::new(self)?;
+        // Engine steps and control decisions count against the backstop,
+        // so a controller that stalls the fleet still trips it.
+        let mut iterations = 0usize;
+        while st.acc.completed < self.cfg.requests {
+            if iterations >= self.cfg.max_iterations {
+                let why = format!("exceeded {} iterations", self.cfg.max_iterations);
+                return Err(st.stalled(&why));
+            }
+            // Replica steps stay a scan (a replica's next time derives from
+            // queues every other event mutates): the queue head fires when
+            // it is no later than the earliest step, else the step does.
+            let step = st.earliest_step();
+            if let Some(ev) = st.queue.pop_until(step.map_or(f64::INFINITY, |(_, t)| t)) {
+                iterations += usize::from(ev.source == Source::Decide);
+                st.fire(ev)?;
+            } else if let Some((i, when)) = step {
+                st.step(i, when)?;
+                iterations += 1;
+            } else {
+                return Err(st.stalled("no queued event and no runnable replica"));
+            }
+        }
+        Ok(st.into_report(anchor_us))
+    }
+}
+
+/// Everything one [`Fleet::run`] mutates.
+struct FleetState<'f> {
+    fleet: &'f Fleet<'f>,
+    bytes_per_token: u64,
+    queue: EventQueue,
+    replicas: Vec<Replica>,
+    states: Vec<ReqState>,
+    /// One router per [`Phase`], built from the same policy. The *state*
+    /// is per-phase on purpose: a stateful policy (round-robin's cursor)
+    /// cycling the prefill subset must not perturb the decode subset's
+    /// rotation — with a shared cursor, alternating arrival/handoff traffic
+    /// in a disaggregated fleet would pin each subset to one replica.
+    routers: [Box<dyn Router>; 2],
+    acc: StepAcc,
+    /// Working copy of the workload config: the knobs a control plane may
+    /// actuate.
+    live_cfg: ServeConfig,
+    /// Token-bucket admission control, once a control plane arms it.
+    admission: Option<TokenBucket>,
+    /// TTFT and TBT signal windows (only with a control plane attached).
+    signal_windows: Option<(SlidingWindow, SlidingWindow)>,
+    decisions: Vec<ControlRecord>,
+    migrations: usize,
+    migration_drops: usize,
+    kv_migrated_bytes: u64,
+    migration_time_s: f64,
+    kv_handoff_bytes: u64,
+    kv_handoff_time_s: f64,
+    scale_ups: usize,
+    scale_downs: usize,
+}
+
+impl<'f> FleetState<'f> {
+    /// Fresh run state: every replica idle, and the queue holding every
+    /// fault, every arrival, and the first control decision. `begin` resets
+    /// the controller so reruns of the same `Fleet` stay bit-identical.
+    fn new(fleet: &'f Fleet<'f>) -> Result<Self, Error> {
+        let cfg = &fleet.cfg;
+        let arrivals = fleet
+            .arrivals
+            .clone()
+            .unwrap_or_else(|| poisson_arrivals(cfg));
+        let bytes_per_token = kv_bytes_per_token(&fleet.model);
         let sessions = if cfg.sessions == 0 {
             arrivals.len() as u64
         } else {
             cfg.sessions as u64
         };
-        let mut states: Vec<ReqState> = arrivals
-            .iter()
-            .enumerate()
-            .map(|(id, a)| ReqState {
+        let mut queue = EventQueue::default();
+        for (k, ev) in fleet.events.iter().enumerate() {
+            queue.push(ev.at_s(), Source::Fault, k);
+        }
+        let mut states = Vec::with_capacity(arrivals.len());
+        for (id, a) in arrivals.iter().enumerate() {
+            queue.push(a.at_s, Source::Arrival, id);
+            states.push(ReqState {
                 arrival_s: a.at_s,
                 session: id as u64 % sessions,
                 prompt: a.prompt,
@@ -805,19 +893,18 @@ impl Fleet<'_> {
                 ready_s: a.at_s,
                 first_token_s: None,
                 last_token_s: a.at_s,
-            })
-            .collect();
+            });
+        }
 
         let trace = resoftmax_obs::trace_enabled();
-        let anchor_us = resoftmax_obs::recorder().now_us();
-        let mut replicas: Vec<Replica> = self
+        let replicas = fleet
             .devices
             .iter()
             .enumerate()
             .map(|(i, d)| {
-                let pool = KvPool::new(self.pool_caps[i], cfg.kv_block_tokens, bytes_per_token);
-                let mut r = Replica::new(i, d.clone(), self.roles[i], pool);
-                if self.standby[i] {
+                let pool = KvPool::new(fleet.pool_caps[i], cfg.kv_block_tokens, bytes_per_token);
+                let mut r = Replica::new(i, d.clone(), fleet.roles[i], pool);
+                if fleet.standby[i] {
                     r.standby = true;
                     r.accepting = false;
                 }
@@ -827,27 +914,9 @@ impl Fleet<'_> {
                 r
             })
             .collect();
-        let mut routers = Routers::new(self.router);
 
-        let mut next_event = 0usize;
-        let mut next_arrival = 0usize;
-        let mut acc = StepAcc::default();
-        let mut total_iterations = 0usize;
-        let mut migrations = 0usize;
-        let mut migration_drops = 0usize;
-        let mut kv_migrated_bytes = 0u64;
-        let mut migration_time_s = 0.0f64;
-        let mut pending_handoffs: Vec<Handoff> = Vec::new();
-        let mut kv_handoff_bytes = 0u64;
-        let mut kv_handoff_time_s = 0.0f64;
-
-        // Control-plane state. `begin` resets the controller so reruns of
-        // the same `Fleet` stay bit-identical; the knobs it may actuate
-        // live on a working copy of the workload config.
-        let mut live_cfg = cfg.clone();
-        let mut ctrl_next = f64::INFINITY;
-        let mut signal_windows: Option<(SlidingWindow, SlidingWindow)> = None;
-        if let Some(control) = self.control {
+        let mut signal_windows = None;
+        if let Some(control) = fleet.control {
             let init = control.begin(cfg);
             if !(init.window_s > 0.0 && init.window_s.is_finite()) {
                 return Err(Error::Config {
@@ -859,394 +928,441 @@ impl Fleet<'_> {
                 });
             }
             if init.first_decision_s.is_finite() {
-                ctrl_next = init.first_decision_s;
+                queue.push(init.first_decision_s, Source::Decide, 0);
             }
             signal_windows = Some((
                 SlidingWindow::new(init.window_s, SIGNAL_WINDOW_CAP),
                 SlidingWindow::new(init.window_s, SIGNAL_WINDOW_CAP),
             ));
         }
-        // Scale-ups warming toward activation: (replica, activation time),
-        // enqueue order (same-time ties resolve to the earliest enqueued).
-        let mut pending_activations: Vec<(usize, f64)> = Vec::new();
-        let mut admission: Option<TokenBucket> = None;
-        let mut decisions: Vec<ControlRecord> = Vec::new();
-        let mut scale_ups = 0usize;
-        let mut scale_downs = 0usize;
 
-        while acc.completed < cfg.requests {
-            assert!(
-                total_iterations < cfg.max_iterations,
-                "fleet loop exceeded {} iterations with {}/{} requests done",
-                cfg.max_iterations,
-                acc.completed,
-                cfg.requests
-            );
+        Ok(FleetState {
+            fleet,
+            bytes_per_token,
+            queue,
+            replicas,
+            states,
+            routers: [fleet.router.build(), fleet.router.build()],
+            acc: StepAcc::default(),
+            live_cfg: cfg.clone(),
+            admission: None,
+            signal_windows,
+            decisions: Vec::new(),
+            migrations: 0,
+            migration_drops: 0,
+            kv_migrated_bytes: 0,
+            migration_time_s: 0.0,
+            kv_handoff_bytes: 0,
+            kv_handoff_time_s: 0.0,
+            scale_ups: 0,
+            scale_downs: 0,
+        })
+    }
 
-            // Pick the earliest of: next fault, next arrival, earliest
-            // handoff completion, control plane (scale-up activation, then
-            // decision), earliest replica step. Ties resolve
-            // fault ≤ arrival ≤ handoff ≤ ctrl ≤ step; steps tie on the
-            // lowest replica id, handoffs and activations on enqueue order
-            // (strict `<` in those scans).
-            let mut when = f64::INFINITY;
-            let mut action: Option<Action> = None;
-            for (i, r) in replicas.iter().enumerate() {
-                if let Some(t) = r.next_time(&states) {
-                    if t < when {
-                        when = t;
-                        action = Some(Action::Step(i));
-                    }
-                }
-            }
-            if ctrl_next <= when {
-                when = ctrl_next;
-                action = Some(Action::Decide);
-            }
-            let mut activation: Option<(usize, f64)> = None;
-            for (ai, &(_, t)) in pending_activations.iter().enumerate() {
-                if activation.is_none_or(|(_, best)| t < best) {
-                    activation = Some((ai, t));
-                }
-            }
-            if let Some((ai, t)) = activation {
-                if t <= when {
-                    when = t;
-                    action = Some(Action::Activate(ai));
-                }
-            }
-            let mut handoff: Option<(usize, f64)> = None;
-            for (hi, h) in pending_handoffs.iter().enumerate() {
-                if handoff.is_none_or(|(_, t)| h.at_s < t) {
-                    handoff = Some((hi, h.at_s));
-                }
-            }
-            if let Some((hi, t)) = handoff {
-                if t <= when {
-                    when = t;
-                    action = Some(Action::Handoff(hi));
-                }
-            }
-            if next_arrival < arrivals.len() && arrivals[next_arrival].at_s <= when {
-                when = arrivals[next_arrival].at_s;
-                action = Some(Action::Arrival);
-            }
-            if next_event < self.events.len() && self.events[next_event].at_s() <= when {
-                when = self.events[next_event].at_s();
-                action = Some(Action::Fault);
-            }
-            let Some(action) = action else {
-                unreachable!(
-                    "fleet stalled: {}/{} requests done with no arrivals, faults, or \
-                     runnable replicas left",
-                    acc.completed, cfg.requests
-                );
-            };
+    /// The typed stall error, with the run's progress.
+    fn stalled(&self, why: &str) -> Error {
+        Error::Stalled {
+            reason: format!(
+                "{why} with {}/{} requests done",
+                self.acc.completed,
+                self.states.len()
+            ),
+        }
+    }
 
-            match action {
-                Action::Fault => {
-                    let ev = self.events[next_event];
-                    next_event += 1;
-                    self.apply_fault(
-                        ev,
-                        &mut replicas,
-                        &mut states,
-                        &mut routers,
-                        &mut migrations,
-                        &mut migration_drops,
-                        &mut kv_migrated_bytes,
-                        &mut migration_time_s,
-                        bytes_per_token,
-                    )?;
-                }
-                Action::Arrival => {
-                    let id = next_arrival;
-                    next_arrival += 1;
-                    let views = accepting_views(&replicas, &states, usize::MAX, Phase::Prefill);
-                    if views.is_empty() {
-                        return Err(Error::Config {
-                            reason: format!(
-                                "request {id} arrived at {when:.3}s with every \
-                                 prefill-capable replica drained or failed"
-                            ),
-                        });
-                    }
-                    let dest = routers.route(Phase::Prefill, states[id].session, &views);
-                    replicas[dest].waiting.push(id);
-                    // Token-bucket admission control (when armed): the
-                    // arrival pays its prompt tokens; past the burst its
-                    // ready time is pushed to when the refill covers it.
-                    if let Some(bucket) = &mut admission {
-                        let admit_at = bucket.admit(when, states[id].prompt as f64);
-                        if admit_at > when {
-                            states[id].ready_s = states[id].ready_s.max(admit_at);
-                            resoftmax_obs::counter("ctrl.admission_delays").incr();
-                        }
-                    }
-                }
-                Action::Handoff(hi) => {
-                    // `remove` (not `swap_remove`) keeps enqueue order for
-                    // the remaining in-flight transfers, so same-time ties
-                    // stay deterministic.
-                    let h = pending_handoffs.remove(hi);
-                    let id = h.id;
-                    let views = accepting_views(&replicas, &states, usize::MAX, Phase::Decode);
-                    if views.is_empty() {
-                        return Err(Error::Config {
-                            reason: format!(
-                                "request {id} finished its KV handoff at {when:.3}s \
-                                 with every decode-capable replica drained or failed"
-                            ),
-                        });
-                    }
-                    let dest = routers.route(Phase::Decode, states[id].session, &views);
-                    // Reserve the landed pages up front when the pool has
-                    // room; otherwise the request queues with no reservation
-                    // and admission allocates (possibly reclaiming parked
-                    // reservations) later — the cache itself is preserved
-                    // either way, so decode proceeds without re-prefill.
-                    let need = replicas[dest].pool.blocks_for(states[id].cached);
-                    if replicas[dest].pool.try_alloc(need) {
-                        states[id].blocks = need;
-                    }
-                    states[id].ready_s = h.at_s;
-                    replicas[dest].waiting.push(id);
-                    replicas[dest].note_handoff_in();
-                }
-                Action::Step(i) => {
-                    replicas[i].clock_s = when;
-                    let (nt, nb) = (acc.ttft.len(), acc.tbt.len());
-                    let outcome = replicas[i].step(
-                        &mut states,
-                        &live_cfg,
-                        &self.model,
-                        &self.params,
-                        self.planner(i),
-                        &mut acc,
-                    )?;
-                    total_iterations += 1;
-                    // Feed the step's fresh latency samples into the
-                    // control-plane signal windows, stamped at the
-                    // replica's post-step clock.
-                    if let Some((tw, bw)) = &mut signal_windows {
-                        for &v in &acc.ttft[nt..] {
-                            tw.push(replicas[i].clock_s, v);
-                        }
-                        for &v in &acc.tbt[nb..] {
-                            bw.push(replicas[i].clock_s, v);
-                        }
-                    }
-                    for victim in outcome.evicted {
-                        self.place_displaced(
-                            victim,
-                            i,
-                            replicas[i].clock_s,
-                            &mut replicas,
-                            &mut states,
-                            &mut routers,
-                            &mut migrations,
-                            &mut migration_drops,
-                            &mut kv_migrated_bytes,
-                            &mut migration_time_s,
-                            bytes_per_token,
-                        );
-                    }
-                    for id in outcome.handoffs {
-                        // Price the finished prefill's KV pages across the
-                        // link; the request re-enters the fleet when the
-                        // transfer lands (the Handoff action above).
-                        let bytes = states[id].cached as u64 * bytes_per_token;
-                        let transfer = self.link.transfer_time_s(bytes);
-                        kv_handoff_bytes += bytes;
-                        kv_handoff_time_s += transfer;
-                        pending_handoffs.push(Handoff {
-                            id,
-                            at_s: replicas[i].clock_s + transfer,
-                        });
-                    }
-                }
-                Action::Activate(ai) => {
-                    // `remove` (not `swap_remove`) keeps enqueue order for
-                    // the remaining in-flight warm-ups.
-                    let (r, at) = pending_activations.remove(ai);
-                    replicas[r].warming = false;
-                    // A fault that landed mid-warm-up wins: the weight
-                    // transfer is discarded and the replica stays out.
-                    if !replicas[r].failed && !replicas[r].drained {
-                        replicas[r].standby = false;
-                        replicas[r].accepting = true;
-                        replicas[r].clock_s = replicas[r].clock_s.max(at);
-                        scale_ups += 1;
-                        resoftmax_obs::counter("ctrl.scale_ups").incr();
-                    }
-                }
-                Action::Decide => {
-                    let control = self
-                        .control
-                        .expect("Decide fires only with a control plane attached");
-                    let queue_depth: usize = replicas.iter().map(|r| r.waiting.len()).sum();
-                    let handoff_backlog = pending_handoffs.len();
-                    let active = replicas.iter().filter(|r| r.accepting).count();
-                    let kv_occupancy = if active > 0 {
-                        replicas
-                            .iter()
-                            .filter(|r| r.accepting)
-                            .map(|r| r.pool.occupancy())
-                            .sum::<f64>()
-                            / active as f64
-                    } else {
-                        0.0
-                    };
-                    let (ttft, tbt) = match &signal_windows {
-                        Some((tw, bw)) => (tw.stats(when), bw.stats(when)),
-                        None => (None, None),
-                    };
-                    let signals = FleetSignals {
-                        now_s: when,
-                        arrived: next_arrival,
-                        completed: acc.completed,
-                        queue_depth,
-                        handoff_backlog,
-                        max_batch: live_cfg.max_batch,
-                        ttft,
-                        tbt,
-                        replicas: replicas
-                            .iter()
-                            .map(|r| ReplicaSignal {
-                                id: r.id,
-                                role: r.role,
-                                accepting: r.accepting,
-                                standby: r.standby,
-                                warming: r.warming,
-                                queue_len: r.waiting.len(),
-                                running: r.running.len(),
-                                kv_occupancy: r.pool.occupancy(),
-                            })
-                            .collect(),
-                    };
-                    let decision = control.decide(&signals);
-                    let mut applied = Vec::with_capacity(decision.actions.len());
-                    for a in &decision.actions {
-                        let ok = match *a {
-                            ControlAction::SetPolicy(p) => {
-                                live_cfg.policy = p;
-                                true
-                            }
-                            ControlAction::SetPrefillChunk(c) => {
-                                if c > 0 {
-                                    live_cfg.prefill_chunk = c;
-                                }
-                                c > 0
-                            }
-                            ControlAction::SetAdmission {
-                                tokens_per_s,
-                                burst_tokens,
-                            } => {
-                                let valid = tokens_per_s > 0.0
-                                    && tokens_per_s.is_finite()
-                                    && burst_tokens > 0.0
-                                    && burst_tokens.is_finite();
-                                if valid {
-                                    admission =
-                                        Some(TokenBucket::new(tokens_per_s, burst_tokens, when));
-                                }
-                                valid
-                            }
-                            ControlAction::ClearAdmission => admission.take().is_some(),
-                            ControlAction::ScaleUp { replica: r } => {
-                                let valid = r < replicas.len()
-                                    && replicas[r].standby
-                                    && !replicas[r].warming
-                                    && !replicas[r].failed
-                                    && !replicas[r].drained;
-                                if valid {
-                                    replicas[r].warming = true;
-                                    // Warm-up is the model weights streaming
-                                    // over the link; the replica activates
-                                    // when the transfer lands.
-                                    let warm = self.link.transfer_time_s(weight_bytes(&self.model));
-                                    pending_activations.push((r, when + warm));
-                                }
-                                valid
-                            }
-                            ControlAction::ScaleDown { replica: r } => {
-                                let survives = |capable: fn(Role) -> bool| {
-                                    replicas
-                                        .iter()
-                                        .any(|o| o.accepting && o.id != r && capable(o.role))
-                                };
-                                let valid = r < replicas.len()
-                                    && replicas[r].accepting
-                                    && survives(Role::prefill_capable)
-                                    && survives(Role::decode_capable);
-                                if valid {
-                                    replicas[r].accepting = false;
-                                    replicas[r].standby = true;
-                                    self.displace_all(
-                                        r,
-                                        when,
-                                        "scaled down",
-                                        &mut replicas,
-                                        &mut states,
-                                        &mut routers,
-                                        &mut migrations,
-                                        &mut migration_drops,
-                                        &mut kv_migrated_bytes,
-                                        &mut migration_time_s,
-                                        bytes_per_token,
-                                    )?;
-                                    scale_downs += 1;
-                                    resoftmax_obs::counter("ctrl.scale_downs").incr();
-                                }
-                                valid
-                            }
-                        };
-                        applied.push(ok);
-                    }
-                    decisions.push(ControlRecord {
-                        seq: decisions.len(),
-                        at_s: when,
-                        regime: decision.regime,
-                        actions: decision.actions,
-                        applied,
-                        queue_depth,
-                        active_replicas: active,
-                        kv_occupancy,
-                        handoff_backlog,
-                        ttft,
-                        tbt,
-                    });
-                    if !decision.next_s.is_finite() {
-                        ctrl_next = f64::INFINITY;
-                    } else if decision.next_s <= when {
-                        return Err(Error::Config {
-                            reason: format!(
-                                "control plane scheduled its next decision at {} from \
-                                 {when}: must be strictly later",
-                                decision.next_s
-                            ),
-                        });
-                    } else {
-                        ctrl_next = decision.next_s;
-                    }
-                    // Decisions count against the iteration backstop so a
-                    // controller that stalls the fleet still trips it.
-                    total_iterations += 1;
+    /// The replica whose next step is earliest (lowest id on a tie), and
+    /// that step's time.
+    fn earliest_step(&self) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, r) in self.replicas.iter().enumerate() {
+            if let Some(t) = r.next_time(&self.states) {
+                if best.is_none_or(|(_, b)| t < b) {
+                    best = Some((i, t));
                 }
             }
         }
+        best
+    }
 
-        assert_eq!(
-            acc.completed, cfg.requests,
-            "scheduler bug: loop exited with requests outstanding"
-        );
+    /// Routes request `id` over the accepting `phase`-capable replicas other
+    /// than `exclude`; `None` when there are none.
+    fn route(&mut self, id: usize, exclude: usize, phase: Phase) -> Option<usize> {
+        let views = accepting_views(&self.replicas, &self.states, exclude, phase);
+        if views.is_empty() {
+            return None;
+        }
+        Some(self.routers[phase as usize].route(self.states[id].session, &views))
+    }
+
+    /// Applies one queued event at its simulated time.
+    fn fire(&mut self, ev: Event) -> Result<(), Error> {
+        let (id, when) = (ev.id, ev.at_s);
+        match ev.source {
+            Source::Fault => self.apply_fault(self.fleet.events[id]),
+            Source::Arrival => self.arrive(id, when),
+            Source::Handoff => self.land_handoff(id, when),
+            Source::Activate => {
+                self.activate(id, when);
+                Ok(())
+            }
+            Source::Decide => self.decide(when),
+        }
+    }
+
+    /// Routes a fresh arrival over the prefill-capable subset.
+    fn arrive(&mut self, id: usize, when: f64) -> Result<(), Error> {
+        let Some(dest) = self.route(id, usize::MAX, Phase::Prefill) else {
+            return Err(Error::Config {
+                reason: format!(
+                    "request {id} arrived at {when:.3}s with every prefill-capable \
+                     replica drained or failed"
+                ),
+            });
+        };
+        self.replicas[dest].waiting.push(id);
+        // Token-bucket admission control (when armed): the arrival pays its
+        // prompt tokens; past the burst its ready time is pushed to when the
+        // refill covers it.
+        if let Some(bucket) = &mut self.admission {
+            let admit_at = bucket.admit(when, self.states[id].prompt as f64);
+            if admit_at > when {
+                self.states[id].ready_s = self.states[id].ready_s.max(admit_at);
+                resoftmax_obs::counter("ctrl.admission_delays").incr();
+            }
+        }
+        Ok(())
+    }
+
+    /// A finished prefill's KV has landed: route the request over the
+    /// decode-capable subset.
+    fn land_handoff(&mut self, id: usize, when: f64) -> Result<(), Error> {
+        let Some(dest) = self.route(id, usize::MAX, Phase::Decode) else {
+            return Err(Error::Config {
+                reason: format!(
+                    "request {id} finished its KV handoff at {when:.3}s with every \
+                     decode-capable replica drained or failed"
+                ),
+            });
+        };
+        // Reserve the landed pages up front when the pool has room;
+        // otherwise the request queues with no reservation and admission
+        // allocates (possibly reclaiming parked reservations) later — the
+        // cache itself is preserved either way, so decode proceeds without
+        // re-prefill.
+        let need = self.replicas[dest].pool.blocks_for(self.states[id].cached);
+        if self.replicas[dest].pool.try_alloc(need) {
+            self.states[id].blocks = need;
+        }
+        self.states[id].ready_s = when;
+        self.replicas[dest].waiting.push(id);
+        self.replicas[dest].note_handoff_in();
+        Ok(())
+    }
+
+    /// A scale-up warm-up has landed: the replica enters rotation — unless a
+    /// fault landed mid-warm-up, which wins (the weight transfer is
+    /// discarded and the replica stays out).
+    fn activate(&mut self, r: usize, when: f64) {
+        let rep = &mut self.replicas[r];
+        rep.warming = false;
+        if !rep.failed && !rep.drained {
+            rep.standby = false;
+            rep.accepting = true;
+            rep.clock_s = rep.clock_s.max(when);
+            self.scale_ups += 1;
+            resoftmax_obs::counter("ctrl.scale_ups").incr();
+        }
+    }
+
+    /// Runs replica `i`'s next engine iteration at `when`, then re-homes its
+    /// evictions and puts its finished prefills on the link.
+    fn step(&mut self, i: usize, when: f64) -> Result<(), Error> {
+        let fleet = self.fleet;
+        self.replicas[i].clock_s = when;
+        let (nt, nb) = (self.acc.ttft.len(), self.acc.tbt.len());
+        let outcome = self.replicas[i].step(
+            &mut self.states,
+            &self.live_cfg,
+            &fleet.model,
+            &fleet.params,
+            fleet.planner(i),
+            &mut self.acc,
+        )?;
+        let now_s = self.replicas[i].clock_s;
+        // Feed the step's fresh latency samples into the control-plane
+        // signal windows, stamped at the replica's post-step clock.
+        if let Some((tw, bw)) = &mut self.signal_windows {
+            for &v in &self.acc.ttft[nt..] {
+                tw.push(now_s, v);
+            }
+            for &v in &self.acc.tbt[nb..] {
+                bw.push(now_s, v);
+            }
+        }
+        for victim in outcome.evicted {
+            self.place_displaced(victim, i, now_s);
+        }
+        for id in outcome.handoffs {
+            // Price the finished prefill's KV pages across the link; the
+            // request re-enters the fleet when the transfer lands.
+            let bytes = self.states[id].cached as u64 * self.bytes_per_token;
+            let transfer = fleet.link.transfer_time_s(bytes);
+            self.kv_handoff_bytes += bytes;
+            self.kv_handoff_time_s += transfer;
+            self.queue.push(now_s + transfer, Source::Handoff, id);
+        }
+        Ok(())
+    }
+
+    /// Samples the fleet's signals, asks the control plane to decide,
+    /// applies the actions it can, logs the decision, and queues the next.
+    fn decide(&mut self, when: f64) -> Result<(), Error> {
+        let Some(control) = self.fleet.control else {
+            return Ok(());
+        };
+        let active = self.replicas.iter().filter(|r| r.accepting).count();
+        let kv_occupancy = if active > 0 {
+            self.replicas
+                .iter()
+                .filter(|r| r.accepting)
+                .map(|r| r.pool.occupancy())
+                .sum::<f64>()
+                / active as f64
+        } else {
+            0.0
+        };
+        let (ttft, tbt) = match &self.signal_windows {
+            Some((tw, bw)) => (tw.stats(when), bw.stats(when)),
+            None => (None, None),
+        };
+        let signals = FleetSignals {
+            now_s: when,
+            arrived: self.states.len() - self.queue.pending(Source::Arrival),
+            completed: self.acc.completed,
+            queue_depth: self.replicas.iter().map(|r| r.waiting.len()).sum(),
+            handoff_backlog: self.queue.pending(Source::Handoff),
+            max_batch: self.live_cfg.max_batch,
+            ttft,
+            tbt,
+            replicas: self
+                .replicas
+                .iter()
+                .map(|r| ReplicaSignal {
+                    id: r.id,
+                    role: r.role,
+                    accepting: r.accepting,
+                    standby: r.standby,
+                    warming: r.warming,
+                    queue_len: r.waiting.len(),
+                    running: r.running.len(),
+                    kv_occupancy: r.pool.occupancy(),
+                })
+                .collect(),
+        };
+        let decision = control.decide(&signals);
+        let applied = decision
+            .actions
+            .iter()
+            .map(|a| self.apply_action(a, when))
+            .collect::<Result<Vec<bool>, Error>>()?;
+        self.decisions.push(ControlRecord {
+            seq: self.decisions.len(),
+            at_s: when,
+            regime: decision.regime,
+            actions: decision.actions,
+            applied,
+            queue_depth: signals.queue_depth,
+            active_replicas: active,
+            kv_occupancy,
+            handoff_backlog: signals.handoff_backlog,
+            ttft: signals.ttft,
+            tbt: signals.tbt,
+        });
+        if !decision.next_s.is_finite() {
+            return Ok(());
+        }
+        if decision.next_s <= when {
+            return Err(Error::Config {
+                reason: format!(
+                    "control plane scheduled its next decision at {} from {when}: \
+                     must be strictly later",
+                    decision.next_s
+                ),
+            });
+        }
+        self.queue.push(decision.next_s, Source::Decide, 0);
+        Ok(())
+    }
+
+    /// Applies one control action at `when`; `Ok(false)` when the fleet's
+    /// state makes it invalid.
+    fn apply_action(&mut self, action: &ControlAction, when: f64) -> Result<bool, Error> {
+        Ok(match *action {
+            ControlAction::SetPolicy(p) => {
+                self.live_cfg.policy = p;
+                true
+            }
+            ControlAction::SetPrefillChunk(c) => {
+                if c > 0 {
+                    self.live_cfg.prefill_chunk = c;
+                }
+                c > 0
+            }
+            ControlAction::SetAdmission {
+                tokens_per_s,
+                burst_tokens,
+            } => {
+                let valid = tokens_per_s > 0.0
+                    && tokens_per_s.is_finite()
+                    && burst_tokens > 0.0
+                    && burst_tokens.is_finite();
+                if valid {
+                    self.admission = Some(TokenBucket::new(tokens_per_s, burst_tokens, when));
+                }
+                valid
+            }
+            ControlAction::ClearAdmission => self.admission.take().is_some(),
+            ControlAction::ScaleUp { replica: r } => {
+                let valid = self
+                    .replicas
+                    .get(r)
+                    .is_some_and(|rep| rep.standby && !rep.warming && !rep.failed && !rep.drained);
+                if valid {
+                    // Warm-up is the model weights streaming over the link;
+                    // the replica activates when the transfer lands.
+                    self.replicas[r].warming = true;
+                    let warm = self
+                        .fleet
+                        .link
+                        .transfer_time_s(weight_bytes(&self.fleet.model));
+                    self.queue.push(when + warm, Source::Activate, r);
+                }
+                valid
+            }
+            ControlAction::ScaleDown { replica: r } => {
+                let survives = |capable: fn(Role) -> bool| {
+                    self.replicas
+                        .iter()
+                        .any(|o| o.accepting && o.id != r && capable(o.role))
+                };
+                let valid = self.replicas.get(r).is_some_and(|rep| rep.accepting)
+                    && survives(Role::prefill_capable)
+                    && survives(Role::decode_capable);
+                if valid {
+                    self.replicas[r].accepting = false;
+                    self.replicas[r].standby = true;
+                    self.displace_all(r, when, "scaled down")?;
+                    self.scale_downs += 1;
+                    resoftmax_obs::counter("ctrl.scale_downs").incr();
+                }
+                valid
+            }
+        })
+    }
+
+    /// Re-homes a request displaced from `source` (eviction overflow, drain,
+    /// failure). Attempts a KV migration over the link when the request has
+    /// resident cache, migration is enabled, and a sibling has pool room;
+    /// otherwise the cache is dropped and the request re-prefills at its
+    /// destination.
+    fn place_displaced(&mut self, id: usize, source: usize, now_s: f64) {
+        debug_assert_eq!(self.states[id].blocks, 0, "displaced with blocks held");
+        let had_cache = self.states[id].cached > 0;
+        if self.fleet.migrate_on_evict && had_cache {
+            // Migrate toward the subset that can run the request's next
+            // phase: a decode-ready cache goes to the decode side, a partial
+            // prefill back to the prefill side.
+            if let Some(dest) = self.route(id, source, phase_of(&self.states[id])) {
+                let need = self.replicas[dest].pool.blocks_for(self.states[id].cached);
+                if self.replicas[dest].pool.try_alloc(need) {
+                    let bytes = self.states[id].cached as u64 * self.bytes_per_token;
+                    let transfer = self.fleet.link.transfer_time_s(bytes);
+                    let st = &mut self.states[id];
+                    st.blocks = need;
+                    st.ready_s = st.ready_s.max(now_s) + transfer;
+                    self.replicas[dest].waiting.push(id);
+                    self.replicas[source].note_migration_out();
+                    self.replicas[dest].note_migration_in();
+                    resoftmax_obs::counter("serve.migrations").incr();
+                    self.migrations += 1;
+                    self.kv_migrated_bytes += bytes;
+                    self.migration_time_s += transfer;
+                    return;
+                }
+            }
+        }
+        // No migration path: the cache is dropped and the request re-queues
+        // wherever the router sends it (the source included, if accepting).
+        // With no cache left it owes prefill work, so it routes over the
+        // prefill-capable subset.
+        let st = &mut self.states[id];
+        st.cached = 0;
+        st.ready_s = st.ready_s.max(now_s);
+        if had_cache {
+            self.migration_drops += 1;
+            resoftmax_obs::counter("serve.migration_drops").incr();
+        }
+        // With every replica out of rotation the request parks back on the
+        // source, so the stall surfaces as a typed error, not a lost request.
+        let dest = self.route(id, usize::MAX, Phase::Prefill).unwrap_or(source);
+        self.replicas[dest].waiting.push(id);
+    }
+
+    /// Applies one scripted fault at its simulated time.
+    fn apply_fault(&mut self, ev: FleetEvent) -> Result<(), Error> {
+        let i = ev.replica();
+        let rep = &mut self.replicas[i];
+        rep.accepting = false;
+        match ev {
+            FleetEvent::Drain { .. } => rep.drained = true,
+            FleetEvent::Fail { .. } => rep.failed = true,
+        }
+        let what = if rep.failed { "failed" } else { "drained" };
+        self.displace_all(i, ev.at_s(), what)
+    }
+
+    /// Displaces every request resident on replica `i` after it left
+    /// rotation (fault, drain, or control-plane scale-down). Running
+    /// requests go first, then the waiting queue, so seniority is preserved
+    /// at the destinations; `what` labels the no-survivor error.
+    fn displace_all(&mut self, i: usize, at_s: f64, what: &str) -> Result<(), Error> {
+        // The replica finishes its in-flight iteration first (clock_s is its
+        // busy-until time): displacement happens at the later of the two.
+        let now_s = at_s.max(self.replicas[i].clock_s);
+        let displaced: Vec<usize> = std::mem::take(&mut self.replicas[i].running)
+            .into_iter()
+            .chain(std::mem::take(&mut self.replicas[i].waiting))
+            .collect();
+        if displaced.is_empty() {
+            return Ok(());
+        }
+        if !self.replicas.iter().any(|r| r.accepting) {
+            return Err(Error::Config {
+                reason: format!(
+                    "replica {i} {what} at {at_s:.3}s with {} requests resident and no \
+                     accepting replica left",
+                    displaced.len()
+                ),
+            });
+        }
+        for id in displaced {
+            self.replicas[i].release(&mut self.states, id);
+            if self.replicas[i].failed {
+                // The pool died with the replica: the cache is gone before
+                // any migration question arises.
+                self.states[id].cached = 0;
+            }
+            self.place_displaced(id, i, now_s);
+        }
+        Ok(())
+    }
+
+    /// Aggregates the finished run into its report, exporting each
+    /// replica's kernel timeline as a trace stream when tracing is on.
+    fn into_report(self, anchor_us: f64) -> FleetReport {
+        let (fleet, replicas, acc) = (self.fleet, &self.replicas, &self.acc);
         let sim_time_s = acc.last_completion_s;
-        let iterations: usize = replicas.iter().map(|r| r.iterations).sum();
-        let evictions: usize = replicas.iter().map(|r| r.evictions).sum();
-        let prefill_tokens: u64 = replicas.iter().map(|r| r.prefill_tokens).sum();
         let decode_tokens: u64 = replicas.iter().map(|r| r.decode_tokens).sum();
-        let handoffs: usize = replicas.iter().map(|r| r.handoffs_out).sum();
-        let preemptions: usize = replicas.iter().map(|r| r.preemptions).sum();
         // Prefill rows run on a dedicated decode replica only when a
         // handed-off request later loses its cache to memory pressure: the
         // disaggregation contract's "no re-prefill" is this staying zero.
@@ -1288,226 +1404,45 @@ impl Fleet<'_> {
             })
             .collect();
 
-        if trace {
-            for r in &replicas {
-                if let Some(tl) = &r.timeline {
-                    if !tl.is_empty() {
-                        resoftmax_obs::recorder().add_sim_stream(
-                            format!("serve.replica.{}/{}", r.id, r.device.name),
-                            anchor_us,
-                            resoftmax_gpusim::chrome_trace::to_obs_events(tl),
-                        );
-                    }
-                }
+        for r in replicas {
+            if let Some(tl) = r.timeline.as_ref().filter(|tl| !tl.is_empty()) {
+                resoftmax_obs::recorder().add_sim_stream(
+                    format!("serve.replica.{}/{}", r.id, r.device.name),
+                    anchor_us,
+                    resoftmax_gpusim::chrome_trace::to_obs_events(tl),
+                );
             }
         }
 
-        Ok(FleetReport {
-            strategy: format!("{:?}", self.params.strategy).to_lowercase(),
-            policy: cfg.policy.name().to_owned(),
-            router: self.router.name().to_owned(),
-            link: self.link.name.clone(),
-            submitted: arrivals.len(),
+        FleetReport {
+            strategy: format!("{:?}", fleet.params.strategy).to_lowercase(),
+            policy: fleet.cfg.policy.name().to_owned(),
+            router: fleet.router.name().to_owned(),
+            link: fleet.link.name.clone(),
+            submitted: self.states.len(),
             completed: acc.completed,
-            iterations,
-            evictions,
-            migrations,
-            migration_drops,
-            kv_migrated_bytes,
-            migration_time_s,
-            handoffs,
-            kv_handoff_bytes,
-            kv_handoff_time_s,
+            iterations: replicas.iter().map(|r| r.iterations).sum(),
+            evictions: replicas.iter().map(|r| r.evictions).sum(),
+            migrations: self.migrations,
+            migration_drops: self.migration_drops,
+            kv_migrated_bytes: self.kv_migrated_bytes,
+            migration_time_s: self.migration_time_s,
+            handoffs: replicas.iter().map(|r| r.handoffs_out).sum(),
+            kv_handoff_bytes: self.kv_handoff_bytes,
+            kv_handoff_time_s: self.kv_handoff_time_s,
             decode_side_prefill_tokens,
             sim_time_s,
-            prefill_tokens,
+            prefill_tokens: replicas.iter().map(|r| r.prefill_tokens).sum(),
             decode_tokens,
             decode_tokens_per_s: decode_tokens as f64 / sim_time_s,
             ttft: Percentiles::from_samples(&acc.ttft),
             tbt: Percentiles::from_samples(&acc.tbt),
-            preemptions,
-            scale_ups,
-            scale_downs,
-            decisions,
+            preemptions: replicas.iter().map(|r| r.preemptions).sum(),
+            scale_ups: self.scale_ups,
+            scale_downs: self.scale_downs,
+            decisions: self.decisions,
             replicas: replica_stats,
-        })
-    }
-
-    /// Re-homes a request displaced from `source` (eviction overflow, drain,
-    /// failure). Attempts a KV migration over the link when the request has
-    /// resident cache, migration is enabled, and a sibling has pool room;
-    /// otherwise the cache is dropped and the request re-prefills at its
-    /// destination.
-    #[allow(clippy::too_many_arguments)]
-    fn place_displaced(
-        &self,
-        id: usize,
-        source: usize,
-        now_s: f64,
-        replicas: &mut [Replica],
-        states: &mut [ReqState],
-        routers: &mut Routers,
-        migrations: &mut usize,
-        migration_drops: &mut usize,
-        kv_migrated_bytes: &mut u64,
-        migration_time_s: &mut f64,
-        bytes_per_token: u64,
-    ) {
-        debug_assert_eq!(states[id].blocks, 0, "displaced requests hold no blocks");
-        let had_cache = states[id].cached > 0;
-        if self.migrate_on_evict && had_cache {
-            // Migrate toward the subset that can run the request's next
-            // phase: a decode-ready cache goes to the decode side, a partial
-            // prefill back to the prefill side.
-            let phase = phase_of(&states[id]);
-            let views = accepting_views(replicas, states, source, phase);
-            if !views.is_empty() {
-                let dest = routers.route(phase, states[id].session, &views);
-                let need = replicas[dest].pool.blocks_for(states[id].cached);
-                if replicas[dest].pool.try_alloc(need) {
-                    let bytes = states[id].cached as u64 * bytes_per_token;
-                    let transfer = self.link.transfer_time_s(bytes);
-                    states[id].blocks = need;
-                    states[id].ready_s = states[id].ready_s.max(now_s) + transfer;
-                    replicas[dest].waiting.push(id);
-                    replicas[source].note_migration_out();
-                    replicas[dest].note_migration_in();
-                    resoftmax_obs::counter("serve.migrations").incr();
-                    *migrations += 1;
-                    *kv_migrated_bytes += bytes;
-                    *migration_time_s += transfer;
-                    return;
-                }
-            }
         }
-        // No migration path: the cache is dropped and the request re-queues
-        // wherever the router sends it (the source included, if accepting).
-        // With no cache left it owes prefill work, so it routes over the
-        // prefill-capable subset.
-        states[id].cached = 0;
-        states[id].ready_s = states[id].ready_s.max(now_s);
-        if had_cache {
-            *migration_drops += 1;
-            resoftmax_obs::counter("serve.migration_drops").incr();
-        }
-        let views = accepting_views(replicas, states, usize::MAX, Phase::Prefill);
-        let dest = if views.is_empty() {
-            // Every replica is out of rotation; park the request back on the
-            // source so the stall surfaces as the typed no-accepting-replica
-            // error (or the iteration backstop), not a lost request.
-            source
-        } else {
-            routers.route(Phase::Prefill, states[id].session, &views)
-        };
-        replicas[dest].waiting.push(id);
-    }
-
-    /// Applies one scripted fault at its simulated time.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_fault(
-        &self,
-        ev: FleetEvent,
-        replicas: &mut [Replica],
-        states: &mut [ReqState],
-        routers: &mut Routers,
-        migrations: &mut usize,
-        migration_drops: &mut usize,
-        kv_migrated_bytes: &mut u64,
-        migration_time_s: &mut f64,
-        bytes_per_token: u64,
-    ) -> Result<(), Error> {
-        let i = ev.replica();
-        let at_s = ev.at_s();
-        match ev {
-            FleetEvent::Drain { .. } => {
-                replicas[i].accepting = false;
-                replicas[i].drained = true;
-            }
-            FleetEvent::Fail { .. } => {
-                replicas[i].accepting = false;
-                replicas[i].failed = true;
-            }
-        }
-        let what = if replicas[i].failed {
-            "failed"
-        } else {
-            "drained"
-        };
-        self.displace_all(
-            i,
-            at_s,
-            what,
-            replicas,
-            states,
-            routers,
-            migrations,
-            migration_drops,
-            kv_migrated_bytes,
-            migration_time_s,
-            bytes_per_token,
-        )
-    }
-
-    /// Displaces every request resident on replica `i` after it left
-    /// rotation (fault, drain, or control-plane scale-down). Running
-    /// requests go first, then the waiting queue, so seniority is preserved
-    /// at the destinations; `what` labels the no-survivor error.
-    #[allow(clippy::too_many_arguments)]
-    fn displace_all(
-        &self,
-        i: usize,
-        at_s: f64,
-        what: &str,
-        replicas: &mut [Replica],
-        states: &mut [ReqState],
-        routers: &mut Routers,
-        migrations: &mut usize,
-        migration_drops: &mut usize,
-        kv_migrated_bytes: &mut u64,
-        migration_time_s: &mut f64,
-        bytes_per_token: u64,
-    ) -> Result<(), Error> {
-        // The replica finishes its in-flight iteration first (clock_s is its
-        // busy-until time): displacement happens at the later of the two.
-        let now_s = at_s.max(replicas[i].clock_s);
-        let displaced: Vec<usize> = std::mem::take(&mut replicas[i].running)
-            .into_iter()
-            .chain(std::mem::take(&mut replicas[i].waiting))
-            .collect();
-        if displaced.is_empty() {
-            return Ok(());
-        }
-        if !replicas.iter().any(|r| r.accepting) {
-            return Err(Error::Config {
-                reason: format!(
-                    "replica {i} {what} at {at_s:.3}s with {} requests resident and no \
-                     accepting replica left",
-                    displaced.len()
-                ),
-            });
-        }
-        for id in displaced {
-            replicas[i].release(states, id);
-            if replicas[i].failed {
-                // The pool died with the replica: the cache is gone before
-                // any migration question arises.
-                states[id].cached = 0;
-            }
-            self.place_displaced(
-                id,
-                i,
-                now_s,
-                replicas,
-                states,
-                routers,
-                migrations,
-                migration_drops,
-                kv_migrated_bytes,
-                migration_time_s,
-                bytes_per_token,
-            );
-        }
-        Ok(())
     }
 }
 
@@ -1545,4 +1480,39 @@ fn accepting_views(
             clock_s: r.clock_s,
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn event_queue_pops_ties_in_source_order_then_enqueue_order() {
+        let mut q = EventQueue::default();
+        // One instant, pushed in reverse source order (ids mark enqueue
+        // order), plus a fault after the horizon.
+        for (source, id) in [
+            (Source::Decide, 0),
+            (Source::Activate, 1),
+            (Source::Activate, 2),
+            (Source::Handoff, 3),
+            (Source::Handoff, 4),
+            (Source::Arrival, 5),
+            (Source::Fault, 6),
+        ] {
+            q.push(1.0, source, id);
+        }
+        q.push(2.0, Source::Fault, 7);
+        let ids: Vec<usize> = std::iter::from_fn(|| q.pop_until(1.0))
+            .map(|e| e.id)
+            .collect();
+        assert_eq!(ids, [6, 5, 3, 4, 1, 2, 0]);
+        assert_eq!(q.pending(Source::Fault), 1);
+        assert_eq!(q.pop_until(f64::INFINITY).map(|e| e.id), Some(7));
+
+        // -0.0 and +0.0 are one instant: source order decides.
+        q.push(-0.0, Source::Arrival, 8);
+        q.push(0.0, Source::Fault, 9);
+        assert_eq!(q.pop_until(0.0).map(|e| e.id), Some(9));
+    }
 }

@@ -1,25 +1,6 @@
-//! The single-replica serving entry points and the iteration-planner hook.
-//!
-//! `run_serve` / `run_serve_with` predate the fleet API and are kept as
-//! documented legacy wrappers: each delegates to a one-replica
-//! [`FleetBuilder`](crate::FleetBuilder) fleet and returns the legacy
-//! [`ServeReport`] view of its [`FleetReport`](crate::FleetReport). New code
-//! should use [`FleetBuilder`](crate::FleetBuilder) directly — it exposes
-//! the same engine plus routing, interconnect modeling, heterogeneous
-//! devices, and fault scenarios.
-//!
-//! Migration note: the wrappers now return [`crate::Error`] instead of
-//! `LaunchError`, and configurations that used to panic (a KV pool below one
-//! worst-case request, a degenerate workload range) surface as
-//! [`Error::Admission`](crate::Error::Admission) /
-//! [`Error::Config`](crate::Error::Config).
+//! The iteration-planner hook: how each engine iteration is priced.
 
-use crate::cluster::FleetBuilder;
-use crate::error::Error;
-use crate::metrics::ServeReport;
-use crate::request::ServeConfig;
-use resoftmax_gpusim::DeviceSpec;
-use resoftmax_model::{ModelConfig, RunParams};
+use resoftmax_model::RunParams;
 
 /// Chooses the run parameters used to price one fused engine iteration.
 ///
@@ -46,130 +27,5 @@ pub struct BaselinePlanner;
 impl IterationPlanner for BaselinePlanner {
     fn plan(&self, _ctxs: &[usize], base: &RunParams) -> RunParams {
         base.clone()
-    }
-}
-
-/// Runs the serving simulation on a single replica and aggregates the
-/// report. Legacy wrapper: equivalent to (and implemented as) a one-replica
-/// [`FleetBuilder`](crate::FleetBuilder) fleet.
-///
-/// Deterministic in `cfg.seed`: the clock is the simulated GPU timeline, so
-/// the report is bit-identical regardless of host threading.
-///
-/// # Errors
-///
-/// [`Error::Config`] for a degenerate workload, [`Error::Admission`] when
-/// the KV pool cannot hold one worst-case request end-to-end, and the model
-/// layer's errors when an iteration fails to analyze or launch.
-pub fn run_serve(
-    model: &ModelConfig,
-    device: &DeviceSpec,
-    params: &RunParams,
-    cfg: &ServeConfig,
-) -> Result<ServeReport, Error> {
-    run_serve_with(model, device, params, cfg, &BaselinePlanner)
-}
-
-/// [`run_serve`] with an explicit [`IterationPlanner`]: every engine
-/// iteration (chunked prefill fused with batched decode) is priced with the
-/// parameters the planner returns for that iteration's row mix.
-///
-/// # Errors
-///
-/// As [`run_serve`].
-pub fn run_serve_with(
-    model: &ModelConfig,
-    device: &DeviceSpec,
-    params: &RunParams,
-    cfg: &ServeConfig,
-    planner: &dyn IterationPlanner,
-) -> Result<ServeReport, Error> {
-    let report = FleetBuilder::new()
-        .model(model.clone())
-        .params(params.clone())
-        .replica(device.clone())
-        .planner(planner)
-        .workload(cfg.clone())
-        .build()?
-        .run()?;
-    Ok(report.serve_report())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::kv::kv_bytes_per_token;
-    use resoftmax_model::SoftmaxStrategy;
-
-    fn small_cfg() -> ServeConfig {
-        ServeConfig {
-            requests: 6,
-            arrival_rate_hz: 64.0,
-            prompt_tokens: (64, 192),
-            decode_tokens: (4, 12),
-            max_batch: 4,
-            prefill_chunk: 64,
-            ..ServeConfig::default()
-        }
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "end-to-end simulation is too slow under miri")]
-    fn completes_all_requests_and_is_deterministic() {
-        let m = ModelConfig::gpt_neo_1_3b();
-        let cfg = small_cfg();
-        let a = run_serve(&m, &DeviceSpec::a100(), &RunParams::new(4096), &cfg).unwrap();
-        let b = run_serve(&m, &DeviceSpec::a100(), &RunParams::new(4096), &cfg).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.completed, cfg.requests);
-        assert_eq!(a.ttft.n, cfg.requests);
-        assert!(a.sim_time_s > 0.0);
-        assert!(a.decode_tokens_per_s > 0.0);
-        assert!(a.tbt.p50_s > 0.0);
-        assert!(a.kv_peak_occupancy > 0.0 && a.kv_peak_occupancy <= 1.0);
-        // Every request owes decode - 1 TBT samples (the first token is the
-        // TTFT sample).
-        assert!(a.tbt.n >= cfg.requests * (cfg.decode_tokens.0 - 1));
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "end-to-end simulation is too slow under miri")]
-    fn tiny_pool_forces_evictions_yet_completes() {
-        let m = ModelConfig::gpt_neo_1_3b();
-        let mut cfg = small_cfg();
-        // Two requests fit at admission (prompts alone), but their decode
-        // growth overflows the pool: eviction must kick in, and the
-        // oldest-never-evicted rule still drains the queue.
-        cfg.prompt_tokens = (64, 96);
-        cfg.decode_tokens = (16, 32);
-        cfg.kv_capacity_bytes = Some(kv_bytes_per_token(&m) * 192);
-        let r = run_serve(&m, &DeviceSpec::a100(), &RunParams::new(4096), &cfg).unwrap();
-        assert_eq!(r.completed, cfg.requests);
-        assert!(r.evictions > 0, "a 192-token pool must evict: {r:?}");
-        assert!(r.kv_peak_occupancy > 0.5);
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "end-to-end simulation is too slow under miri")]
-    fn recomposed_strategy_serves_too() {
-        let m = ModelConfig::gpt_neo_1_3b();
-        let cfg = ServeConfig {
-            requests: 3,
-            ..small_cfg()
-        };
-        let params = RunParams::new(4096).strategy(SoftmaxStrategy::Recomposed);
-        let r = run_serve(&m, &DeviceSpec::a100(), &params, &cfg).unwrap();
-        assert_eq!(r.completed, 3);
-        assert_eq!(r.strategy, "recomposed");
-    }
-
-    #[test]
-    fn pool_below_one_request_rejected() {
-        let m = ModelConfig::gpt_neo_1_3b();
-        let mut cfg = small_cfg();
-        cfg.kv_capacity_bytes = Some(kv_bytes_per_token(&m) * 64);
-        let e = run_serve(&m, &DeviceSpec::a100(), &RunParams::new(4096), &cfg).unwrap_err();
-        assert!(matches!(e, Error::Admission { .. }), "{e}");
-        assert!(e.to_string().contains("worst-case request"), "{e}");
     }
 }

@@ -3,8 +3,7 @@
 use std::fmt;
 
 /// Everything that can go wrong when configuring or running a serving
-/// simulation through the [`FleetBuilder`](crate::FleetBuilder) API (and the
-/// legacy [`run_serve`](crate::run_serve) wrappers that delegate to it).
+/// simulation through the [`FleetBuilder`](crate::FleetBuilder) API.
 ///
 /// Marked `#[non_exhaustive]`: future versions may add variants (match with
 /// a wildcard arm).
@@ -40,6 +39,13 @@ pub enum Error {
         /// The rendered diagnostic report.
         report: String,
     },
+    /// A run stopped with requests outstanding: nothing was queued and no
+    /// replica could step, or the run exceeded `max_iterations` (the
+    /// loop-termination backstop a stalling control plane can trip).
+    Stalled {
+        /// Why, with the completed/total request counts.
+        reason: String,
+    },
     /// The model layer rejected or failed a run: an invalid
     /// model/device/parameter combination, a failed analyzer gate, or a
     /// kernel that cannot launch on the simulated device.
@@ -51,6 +57,7 @@ impl fmt::Display for Error {
         match self {
             Error::Config { reason } => write!(f, "invalid fleet configuration: {reason}"),
             Error::Admission { reason } => write!(f, "KV admission infeasible: {reason}"),
+            Error::Stalled { reason } => write!(f, "fleet stalled: {reason}"),
             Error::Analysis { errors, report } => write!(
                 f,
                 "schedule failed static analysis ({errors} errors):\n{report}"

@@ -67,7 +67,7 @@ pub use control::{
     ControlAction, ControlDecision, ControlInit, ControlPlane, ControlRecord, FleetSignals,
     ReplicaSignal,
 };
-pub use engine::{run_serve, run_serve_with, BaselinePlanner, IterationPlanner};
+pub use engine::{BaselinePlanner, IterationPlanner};
 pub use error::Error;
 pub use kv::{kv_bytes_per_token, weight_bytes, KvPool};
 pub use link::LinkSpec;
@@ -86,7 +86,7 @@ pub mod prelude {
         ControlAction, ControlDecision, ControlInit, ControlPlane, ControlRecord, FleetSignals,
         ReplicaSignal,
     };
-    pub use crate::engine::{run_serve, run_serve_with, BaselinePlanner, IterationPlanner};
+    pub use crate::engine::{BaselinePlanner, IterationPlanner};
     pub use crate::error::Error;
     pub use crate::link::LinkSpec;
     pub use crate::metrics::{FleetReport, Percentiles, ReplicaStats, ServeReport, SlidingWindow};

@@ -160,9 +160,8 @@ impl SlidingWindow {
     }
 }
 
-/// The outcome of one serving simulation on a single replica — the legacy
-/// report shape of [`run_serve`](crate::run_serve), and the per-fleet
-/// aggregate embedded in [`FleetReport`].
+/// The outcome of one serving simulation on a single replica
+/// ([`FleetReport::serve_report`]).
 ///
 /// **TTFT definition.** `ttft` measures the *first decoded token*: under
 /// chunked prefill the final prompt chunk's forward pass produces the
@@ -333,9 +332,8 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// The single-replica view of this report, in the legacy
-    /// [`ServeReport`] shape. This is what [`run_serve`](crate::run_serve)
-    /// returns for a one-replica fleet; calling it on a larger fleet folds
+    /// The single-replica view of this report, in the [`ServeReport`]
+    /// shape. Calling it on a fleet of more than one replica folds
     /// the per-replica KV occupancies by taking replica 0's (the aggregate
     /// latency/throughput fields are fleet-wide either way).
     pub fn serve_report(&self) -> ServeReport {

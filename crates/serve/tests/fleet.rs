@@ -1,13 +1,13 @@
 //! Integration tests for the fleet serving simulator: determinism across
 //! host thread counts, fault scenarios, prefill/decode disaggregation,
-//! KV-pool conservation, legacy-wrapper equivalence, and the TTFT
+//! KV-pool conservation, event tie order, the typed stall, and the TTFT
 //! definition under chunked prefill.
 
 use resoftmax_gpusim::{DeviceSpec, Gpu};
-use resoftmax_model::{build_batched_decode_schedule, ModelConfig, RunParams};
+use resoftmax_model::{build_batched_decode_schedule, ModelConfig, RunParams, SoftmaxStrategy};
 use resoftmax_serve::{
-    kv_bytes_per_token, poisson_arrivals, run_serve, Error, FleetBuilder, FleetReport, LinkSpec,
-    Policy, Role, RouterPolicy, ServeConfig,
+    kv_bytes_per_token, poisson_arrivals, Arrival, Error, FleetBuilder, FleetReport, LinkSpec,
+    Policy, Role, RouterPolicy, ServeConfig, ServeReport,
 };
 
 fn model() -> ModelConfig {
@@ -24,6 +24,74 @@ fn small_cfg() -> ServeConfig {
         prefill_chunk: 64,
         ..ServeConfig::default()
     }
+}
+
+/// `cfg` served on one A100 replica, in the single-replica report shape.
+fn one_replica(params: RunParams, cfg: &ServeConfig) -> ServeReport {
+    FleetBuilder::new()
+        .model(model())
+        .params(params)
+        .replica(DeviceSpec::a100())
+        .workload(cfg.clone())
+        .build()
+        .unwrap()
+        .run()
+        .unwrap()
+        .serve_report()
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "end-to-end simulation is too slow under miri")]
+fn one_replica_completes_all_requests_deterministically() {
+    let cfg = ServeConfig {
+        requests: 6,
+        ..small_cfg()
+    };
+    let a = one_replica(RunParams::new(4096), &cfg);
+    assert_eq!(a, one_replica(RunParams::new(4096), &cfg));
+    assert_eq!(a.completed, cfg.requests);
+    assert_eq!(a.ttft.n, cfg.requests);
+    assert!(a.sim_time_s > 0.0);
+    assert!(a.decode_tokens_per_s > 0.0);
+    assert!(a.tbt.p50_s > 0.0);
+    assert!(a.kv_peak_occupancy > 0.0 && a.kv_peak_occupancy <= 1.0);
+    // Every request owes decode - 1 TBT samples (the first token is the
+    // TTFT sample).
+    assert!(a.tbt.n >= cfg.requests * (cfg.decode_tokens.0 - 1));
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "end-to-end simulation is too slow under miri")]
+fn one_replica_tiny_pool_forces_evictions_yet_completes() {
+    // Two requests fit at admission (prompts alone), but their decode
+    // growth overflows the pool: eviction must kick in, and the
+    // oldest-never-evicted rule still drains the queue.
+    let cfg = ServeConfig {
+        requests: 6,
+        prompt_tokens: (64, 96),
+        decode_tokens: (16, 32),
+        kv_capacity_bytes: Some(kv_bytes_per_token(&model()) * 192),
+        ..small_cfg()
+    };
+    let r = one_replica(RunParams::new(4096), &cfg);
+    assert_eq!(r.completed, cfg.requests);
+    assert!(r.evictions > 0, "a 192-token pool must evict: {r:?}");
+    assert!(r.kv_peak_occupancy > 0.5);
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "end-to-end simulation is too slow under miri")]
+fn one_replica_serves_the_recomposed_strategy() {
+    let cfg = ServeConfig {
+        requests: 3,
+        ..small_cfg()
+    };
+    let r = one_replica(
+        RunParams::new(4096).strategy(SoftmaxStrategy::Recomposed),
+        &cfg,
+    );
+    assert_eq!(r.completed, 3);
+    assert_eq!(r.strategy, "recomposed");
 }
 
 #[test]
@@ -141,28 +209,65 @@ fn failure_loses_kv_but_the_fleet_recovers() {
 
 #[test]
 #[cfg_attr(miri, ignore = "end-to-end simulation is too slow under miri")]
-fn legacy_wrappers_match_a_one_replica_fleet() {
+fn a_drain_tied_with_an_arrival_fires_first() {
+    // Round-robin sends request 0 to replica 0 and request 1 to replica 1,
+    // so request 2 is replica 0's turn. Replica 0 drains at exactly request
+    // 2's arrival: the fault fires first, so request 2 never lands on
+    // replica 0 and the run matches a drain an instant earlier. A drain an
+    // instant later lets request 2 land on replica 0 first, to be displaced
+    // behind its in-flight iteration.
+    let t = 1e-4;
     let cfg = ServeConfig {
-        requests: 8,
+        requests: 3,
+        prompt_tokens: (16, 192),
         ..small_cfg()
     };
-    let params = RunParams::new(4096);
-    let legacy = run_serve(&model(), &DeviceSpec::a100(), &params, &cfg).unwrap();
-    let fleet = FleetBuilder::new()
+    let at = |at_s, prompt| Arrival {
+        at_s,
+        prompt,
+        decode: 8,
+    };
+    let trace = vec![at(0.0, 192), at(0.0, 16), at(t, 64)];
+    let run = |drain_s: f64| {
+        let report = FleetBuilder::new()
+            .model(model())
+            .params(RunParams::new(4096))
+            .replicas(2, &DeviceSpec::a100())
+            .router(RouterPolicy::RoundRobin)
+            .workload(cfg.clone())
+            .arrivals(trace.clone())
+            .drain_at(0, drain_s)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+        serde_json::to_string(&report).unwrap()
+    };
+    let tied = run(t);
+    assert_eq!(
+        tied,
+        run(t.next_down()),
+        "the drain must fire before the arrival"
+    );
+    assert_ne!(tied, run(t.next_up()), "the tie must be observable");
+}
+
+#[test]
+fn exceeding_max_iterations_is_a_typed_stall() {
+    let e = FleetBuilder::new()
         .model(model())
-        .params(params)
+        .params(RunParams::new(4096))
         .replica(DeviceSpec::a100())
-        .workload(cfg)
+        .workload(ServeConfig {
+            max_iterations: 2,
+            ..small_cfg()
+        })
         .build()
         .unwrap()
         .run()
-        .unwrap()
-        .serve_report();
-    assert_eq!(
-        serde_json::to_string(&legacy).unwrap(),
-        serde_json::to_string(&fleet).unwrap(),
-        "run_serve must be byte-identical to a one-replica fleet"
-    );
+        .unwrap_err();
+    assert!(matches!(e, Error::Stalled { .. }), "{e}");
+    assert!(e.to_string().contains("0/16 requests done"), "{e}");
 }
 
 #[test]
@@ -271,6 +376,7 @@ fn builder_rejects_bad_configurations() {
         .build()
         .unwrap_err();
     assert!(matches!(e, Error::Admission { .. }), "{e}");
+    assert!(e.to_string().contains("worst-case request"), "{e}");
 
     // Sparse models have no decode cost model.
     let e = FleetBuilder::new()

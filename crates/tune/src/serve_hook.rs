@@ -39,8 +39,7 @@ const LONG_TAIL_CTX: usize = 2048;
 /// Prices serving iterations with tuned schedules. Construct with
 /// [`TunedPlanner::new`] (one device) or [`TunedPlanner::for_fleet`] (one
 /// planner per replica) and pass to
-/// [`resoftmax_serve::FleetBuilder::planner`] or
-/// [`resoftmax_serve::run_serve_with`].
+/// [`resoftmax_serve::FleetBuilder::planner`].
 pub struct TunedPlanner<'a> {
     tuner: &'a Tuner,
     model: ModelConfig,
@@ -121,7 +120,7 @@ mod tests {
     use crate::search::SearchMode;
     use crate::space::SearchSpace;
     use resoftmax_serve::{
-        run_serve, run_serve_with, FleetBuilder, IterationPlanner, RouterPolicy, ServeConfig,
+        BaselinePlanner, FleetBuilder, IterationPlanner, RouterPolicy, ServeConfig, ServeReport,
     };
 
     fn cfg() -> ServeConfig {
@@ -145,14 +144,27 @@ mod tests {
         let tuner = Tuner::new(SearchSpace::smoke(), SearchMode::Exhaustive);
         let planner = TunedPlanner::new(&tuner, &model, &device);
 
-        let baseline = run_serve(&model, &device, &params, &cfg()).unwrap();
-        let tuned = run_serve_with(&model, &device, &params, &cfg(), &planner).unwrap();
+        let serve = |planner: &dyn IterationPlanner| -> ServeReport {
+            FleetBuilder::new()
+                .model(model.clone())
+                .params(params.clone())
+                .replica(device.clone())
+                .planner(planner)
+                .workload(cfg())
+                .build()
+                .unwrap()
+                .run()
+                .unwrap()
+                .serve_report()
+        };
+        let baseline = serve(&BaselinePlanner);
+        let tuned = serve(&planner);
         assert_eq!(tuned.completed, cfg().requests);
         assert!(tuned.sim_time_s <= baseline.sim_time_s);
         // The run touches few buckets; repeats must hit the cache.
         assert!(tuner.entries() >= 1);
         let hits = resoftmax_obs::counter("tune.cache_hits").get();
-        let rerun = run_serve_with(&model, &device, &params, &cfg(), &planner).unwrap();
+        let rerun = serve(&planner);
         assert_eq!(rerun, tuned);
         assert!(resoftmax_obs::counter("tune.cache_hits").get() > hits);
     }

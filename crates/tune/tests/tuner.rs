@@ -5,7 +5,7 @@
 
 use resoftmax_gpusim::DeviceSpec;
 use resoftmax_model::{ModelConfig, RunParams, Session};
-use resoftmax_serve::{run_serve, run_serve_with, ServeConfig};
+use resoftmax_serve::{BaselinePlanner, FleetBuilder, IterationPlanner, ServeConfig, ServeReport};
 use resoftmax_tune::{
     evaluate, precheck, precheck_decode, SearchMode, SearchSpace, SessionTuneExt, TuneWorkload,
     TunedPlanner, Tuner,
@@ -169,12 +169,25 @@ fn tuned_serving_is_deterministic_and_no_slower() {
         prefill_chunk: 64,
         ..ServeConfig::default()
     };
-    let baseline = run_serve(&model, &device, &params, &cfg).unwrap();
+    let serve = |planner: &dyn IterationPlanner| -> ServeReport {
+        FleetBuilder::new()
+            .model(model.clone())
+            .params(params.clone())
+            .replica(device.clone())
+            .planner(planner)
+            .workload(cfg.clone())
+            .build()
+            .unwrap()
+            .run()
+            .unwrap()
+            .serve_report()
+    };
+    let baseline = serve(&BaselinePlanner);
 
     let tuner = Tuner::new(SearchSpace::smoke(), SearchMode::Exhaustive);
     let planner = TunedPlanner::new(&tuner, &model, &device);
-    let a = run_serve_with(&model, &device, &params, &cfg, &planner).unwrap();
-    let b = run_serve_with(&model, &device, &params, &cfg, &planner).unwrap();
+    let a = serve(&planner);
+    let b = serve(&planner);
     assert_eq!(a, b, "tuned serving must be deterministic");
     assert_eq!(a.completed, cfg.requests);
     assert!(a.sim_time_s <= baseline.sim_time_s);

@@ -12,9 +12,9 @@
 //! * [`sparse`] — block-sparse layouts and attention patterns.
 //! * [`kernels`] — the kernel catalog: numerics + cost profiles.
 //! * [`model`] — transformer configs, schedules, the inference engine.
-//! * [`serve`] — the continuous-batching serving simulator: single-replica
-//!   `run_serve` plus the [`serve::FleetBuilder`] multi-replica cluster
-//!   (routing, KV migration over a modeled interconnect, fault scenarios).
+//! * [`serve`] — the continuous-batching serving simulator: the
+//!   [`serve::FleetBuilder`] cluster, from one replica up (routing, KV
+//!   migration over a modeled interconnect, fault scenarios).
 //! * [`core`] — the paper-facing API: recomposition, verification,
 //!   experiment drivers for every table and figure.
 //!
@@ -56,8 +56,8 @@ pub mod prelude {
     // `Error` already names the model error above; the serve error keeps its
     // crate prefix as `ServeError`.
     pub use resoftmax_serve::{
-        run_serve, run_serve_with, Error as ServeError, Fleet, FleetBuilder, FleetEvent,
-        FleetReport, LinkSpec, ReplicaStats, RouterPolicy, ServeConfig, ServeReport,
+        Error as ServeError, Fleet, FleetBuilder, FleetEvent, FleetReport, LinkSpec, ReplicaStats,
+        RouterPolicy, ServeConfig, ServeReport,
     };
     pub use resoftmax_sparse::{
         block_sparse_softmax, pattern, sddmm, spmm, BigBirdConfig, BlockLayout, BlockSparseMatrix,
