@@ -60,6 +60,13 @@ impl L2Cache {
         self.resident.iter().map(|(_, b)| *b).sum()
     }
 
+    /// The resident buffers as `(id, bytes)`, least recently used first.
+    pub fn resident(&self) -> impl ExactSizeIterator<Item = (&str, u64)> + '_ {
+        self.resident
+            .iter()
+            .map(|(id, bytes)| (id.as_str(), *bytes))
+    }
+
     /// Returns `true` if the named buffer is fully resident.
     pub fn contains(&self, id: &str) -> bool {
         self.resident.iter().any(|(k, _)| k == id)

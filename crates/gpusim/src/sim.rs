@@ -131,6 +131,11 @@ impl Gpu {
         &self.device
     }
 
+    /// The current L2 state (read-only).
+    pub fn l2(&self) -> &L2Cache {
+        &self.l2
+    }
+
     /// The execution record so far.
     pub fn timeline(&self) -> &Timeline {
         &self.timeline
@@ -162,6 +167,31 @@ impl Gpu {
     ///
     /// Returns [`LaunchError`] if a single thread block exceeds SM resources.
     pub fn launch(&mut self, kernel: &KernelDesc) -> Result<KernelStats, LaunchError> {
+        self.execute(kernel)?;
+        Ok(self
+            .timeline
+            .kernels()
+            .last()
+            .expect("execute appended this kernel's stats")
+            .clone())
+    }
+
+    /// Executes a sequence of kernels in order.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`LaunchError`] encountered.
+    pub fn run(&mut self, kernels: &[KernelDesc]) -> Result<(), LaunchError> {
+        let _span = resoftmax_obs::span!("Gpu::run", "gpusim");
+        for k in kernels {
+            self.execute(k)?;
+        }
+        Ok(())
+    }
+
+    /// Prices one kernel against the current L2 state and appends its stats
+    /// to the timeline.
+    fn execute(&mut self, kernel: &KernelDesc) -> Result<(), LaunchError> {
         let occ = occupancy(&self.device, &kernel.shape)?;
         if resoftmax_obs::metrics_enabled() {
             resoftmax_obs::counter("sim.kernels_launched").incr();
@@ -232,7 +262,7 @@ impl Gpu {
 
         let flops = kernel.tbs.total_flops();
         let dram_bytes = traffic.dram_read_bytes + traffic.dram_write_bytes;
-        let stats = KernelStats {
+        self.timeline.push(KernelStats {
             name: kernel.name.clone(),
             category: kernel.category,
             time_s,
@@ -251,21 +281,7 @@ impl Gpu {
             },
             energy_j: (dram_bytes * self.device.dram_pj_per_byte + flops * self.device.flop_pj)
                 * 1e-12,
-        };
-        self.timeline.push(stats.clone());
-        Ok(stats)
-    }
-
-    /// Executes a sequence of kernels in order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`LaunchError`] encountered.
-    pub fn run(&mut self, kernels: &[KernelDesc]) -> Result<(), LaunchError> {
-        let _span = resoftmax_obs::span!("Gpu::run", "gpusim");
-        for k in kernels {
-            self.launch(k)?;
-        }
+        });
         Ok(())
     }
 

@@ -183,3 +183,61 @@ proptest! {
         prop_assert!(t_fast <= t_slow * 1.001, "fast {t_fast} > slow {t_slow}");
     }
 }
+
+/// A kernel over buffers of a shared pool: it reads the pool entries
+/// `reads` and writes `writes`, spreading their bytes over `count` blocks.
+fn pool_kernel(
+    ids: &[String],
+    sizes: &[u64],
+    reads: &[usize],
+    writes: &[usize],
+    count: u64,
+) -> KernelDesc {
+    let total = |bufs: &[usize]| bufs.iter().map(|&b| sizes[b]).sum::<u64>() as f64;
+    let mut b = KernelDesc::builder("pool", KernelCategory::Other);
+    b.shape(TbShape::new(256, 4096, 32)).uniform(
+        count,
+        TbWork::memory(total(reads) / count as f64, total(writes) / count as f64),
+    );
+    for &r in reads {
+        b.reads(ids[r].clone(), sizes[r]);
+    }
+    for &w in writes {
+        b.writes(ids[w].clone(), sizes[w]);
+    }
+    b.build()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Renaming every buffer id injectively changes nothing the simulator
+    /// reports: each kernel's L2-filtered traffic and the whole timeline
+    /// stay bit-identical. The L2 model compares ids only for equality —
+    /// the premise of pricing a decode step's repeated layers once.
+    #[test]
+    fn injective_renaming_is_invisible(
+        sizes in proptest::collection::vec(1u64..(96 << 20), 6),
+        program in proptest::collection::vec(
+            (
+                proptest::collection::vec(0usize..6, 0..4),
+                proptest::collection::vec(0usize..6, 0..3),
+                1u64..4096,
+            ),
+            1..12,
+        ),
+    ) {
+        let ids: Vec<String> = (0..6).map(|i| format!("l{i}.buf")).collect();
+        let renamed: Vec<String> = (0..6).map(|i| format!("other/{}", 5 - i)).collect();
+        let (mut a, mut b) = (Gpu::new(DeviceSpec::a100()), Gpu::new(DeviceSpec::a100()));
+        for (reads, writes, count) in &program {
+            let ka = pool_kernel(&ids, &sizes, reads, writes, *count);
+            let kb = pool_kernel(&renamed, &sizes, reads, writes, *count);
+            let (ta, tb) = (a.peek_traffic(&ka), b.peek_traffic(&kb));
+            prop_assert_eq!(format!("{ta:?}"), format!("{tb:?}"));
+            a.launch(&ka).unwrap();
+            b.launch(&kb).unwrap();
+        }
+        prop_assert_eq!(format!("{:?}", a.timeline()), format!("{:?}", b.timeline()));
+    }
+}

@@ -20,13 +20,14 @@ use crate::engine::RunReport;
 use crate::schedule::{RunParams, SoftmaxStrategy};
 use resoftmax_analyzer::{error_model, DecodeSpec, ErrorBound, ScheduleSpec, StrategyKind};
 use resoftmax_gpusim::{
-    AccumFormat, DeviceSpec, KernelCategory, KernelDesc, KernelDescBuilder, KernelMeta,
-    LaunchError, ParallelSplit, TbGroup, TbShape, TbWork,
+    AccumFormat, DeviceSpec, Gpu, KernelCategory, KernelDesc, KernelDescBuilder, KernelMeta,
+    LaunchError, ParallelSplit, TbGroup, TbShape, TbWork, Timeline,
 };
 use resoftmax_kernels::costs::{
     buf, common, row_threads, EXP_FLOP_EQUIV, FP16_BYTES, SOFTMAX_PHASE_EFFICIENCY,
     STREAM_EFFICIENCY,
 };
+use std::borrow::Cow;
 
 /// Attaches one thread block per attention instance to the builder: `heads`
 /// TBs per row, each sized by that row's context length. Adjacent rows with
@@ -56,79 +57,107 @@ fn per_row_tbs(
     }
 }
 
-/// Builds the kernel schedule for ONE engine iteration that generates one
-/// token per entry of `ctxs`, each attending a KV cache of that length.
-///
-/// Every attention kernel is launched once for the whole batch (continuous
-/// batching: heterogeneous rows share a grid); the feed-forward stack runs
-/// as `ctxs.len()`-row GEMMs. `params` supplies the strategy and the
-/// sub-vector tile width; its `batch`/`seq_len` are ignored here — the row
-/// count is `ctxs.len()`.
-///
-/// # Panics
-///
-/// Panics for non-dense models (decode with block-sparse caches is not
-/// modeled), for the online-fused strategy, and for empty or zero contexts.
-pub fn build_batched_decode_schedule(
-    model: &ModelConfig,
-    ctxs: &[usize],
-    params: &RunParams,
-) -> Vec<KernelDesc> {
-    assert!(
-        matches!(model.attention, AttentionKind::Dense { .. }),
-        "decode cost model covers dense attention only"
-    );
-    assert!(
-        params.strategy != SoftmaxStrategy::OnlineFused,
-        "decode attention is a single row; online fusion is the GEMV itself"
-    );
-    assert!(
-        !ctxs.is_empty(),
-        "decode batch must contain at least one row"
-    );
-    assert!(
-        ctxs.iter().all(|&c| c > 0),
-        "decode context lengths must be nonzero"
-    );
-    let recomposed = matches!(
-        params.strategy,
-        SoftmaxStrategy::Recomposed | SoftmaxStrategy::RecomposedFp16
-    );
-    // The LS epilogue's partial-sum accumulation format (the GEMV dot
-    // products themselves always accumulate in binary32).
-    let ls_accum = if params.strategy == SoftmaxStrategy::RecomposedFp16 {
-        AccumFormat::Fp16
-    } else {
-        AccumFormat::Fp32
-    };
-    let rows = ctxs.len();
-    let d_model = model.d_model;
-    let heads = model.heads;
-    let d_head = model.d_head();
-    let h = heads as u64;
-    let inst = h * rows as u64;
-    let t_sub = params.tile.n.max(1);
-    let n_sv = |ctx: usize| ctx.div_ceil(t_sub);
-    let max_ctx = *ctxs.iter().max().expect("nonempty batch");
-
+/// The per-iteration constants every layer of a batched-decode schedule
+/// shares, validated and computed once; [`Self::layer`] stamps out one
+/// layer's kernels from them.
+struct DecodeLayers<'a> {
+    model: &'a ModelConfig,
+    ctxs: &'a [usize],
+    params: &'a RunParams,
+    recomposed: bool,
+    /// The LS epilogue's partial-sum accumulation format (the GEMV dot
+    /// products themselves always accumulate in binary32).
+    ls_accum: AccumFormat,
+    t_sub: usize,
+    max_ctx: usize,
     // Batch-wide byte totals for the buffer declarations (all `heads`
     // instances of all rows).
-    let cache_total: u64 = ctxs
-        .iter()
-        .map(|&c| (c * d_head * FP16_BYTES) as u64)
-        .sum::<u64>()
-        * h;
-    let row_total: u64 = ctxs.iter().map(|&c| (c * FP16_BYTES) as u64).sum::<u64>() * h;
-    let sv_total: u64 = ctxs
-        .iter()
-        .map(|&c| (n_sv(c) * FP16_BYTES) as u64)
-        .sum::<u64>()
-        * h;
-    let qkv_total = (rows * d_model * FP16_BYTES) as u64;
+    cache_total: u64,
+    row_total: u64,
+    sv_total: u64,
+    qkv_total: u64,
+}
 
-    let mut kernels = Vec::new();
-    for layer in 0..model.layers {
+impl<'a> DecodeLayers<'a> {
+    fn new(model: &'a ModelConfig, ctxs: &'a [usize], params: &'a RunParams) -> Self {
+        assert!(
+            matches!(model.attention, AttentionKind::Dense { .. }),
+            "decode cost model covers dense attention only"
+        );
+        assert!(
+            params.strategy != SoftmaxStrategy::OnlineFused,
+            "decode attention is a single row; online fusion is the GEMV itself"
+        );
+        assert!(
+            !ctxs.is_empty(),
+            "decode batch must contain at least one row"
+        );
+        assert!(
+            ctxs.iter().all(|&c| c > 0),
+            "decode context lengths must be nonzero"
+        );
+        let h = model.heads as u64;
+        let d_head = model.d_head();
+        let t_sub = params.tile.n.max(1);
+        let n_sv = |ctx: usize| ctx.div_ceil(t_sub);
+        DecodeLayers {
+            model,
+            ctxs,
+            params,
+            recomposed: matches!(
+                params.strategy,
+                SoftmaxStrategy::Recomposed | SoftmaxStrategy::RecomposedFp16
+            ),
+            ls_accum: if params.strategy == SoftmaxStrategy::RecomposedFp16 {
+                AccumFormat::Fp16
+            } else {
+                AccumFormat::Fp32
+            },
+            t_sub,
+            max_ctx: *ctxs.iter().max().expect("nonempty batch"),
+            cache_total: ctxs
+                .iter()
+                .map(|&c| (c * d_head * FP16_BYTES) as u64)
+                .sum::<u64>()
+                * h,
+            row_total: ctxs.iter().map(|&c| (c * FP16_BYTES) as u64).sum::<u64>() * h,
+            sv_total: ctxs
+                .iter()
+                .map(|&c| (n_sv(c) * FP16_BYTES) as u64)
+                .sum::<u64>()
+                * h,
+            qkv_total: (ctxs.len() * model.d_model * FP16_BYTES) as u64,
+        }
+    }
+
+    /// Layer `layer`'s kernels. Every buffer id carries the `l{layer}.`
+    /// prefix (the closing LayerNorm writes the next layer's `l{layer+1}.x`)
+    /// and no kernel name carries the index, so layer `l + 1` is layer `l`
+    /// with every id's layer advanced by one.
+    fn layer(&self, layer: usize) -> Vec<KernelDesc> {
+        let DecodeLayers {
+            model,
+            ctxs,
+            params,
+            recomposed,
+            ls_accum,
+            t_sub,
+            max_ctx,
+            cache_total,
+            row_total,
+            sv_total,
+            qkv_total,
+        } = *self;
+        let n_sv = |ctx: usize| ctx.div_ceil(t_sub);
+        let rows = ctxs.len();
+        let d_model = model.d_model;
+        let heads = model.heads;
+        let d_head = model.d_head();
+        let h = heads as u64;
+        let inst = h * rows as u64;
         let prefix = format!("l{layer}");
+
+        let mut kernels = Vec::new();
         // QKV projections: `rows`-row GEMVs, weight-streaming bound.
         for out in ["q", "k", "v"] {
             kernels.push(common::fc(
@@ -359,9 +388,55 @@ pub fn build_batched_decode_schedule(
             &format!("{prefix}.ff2"),
             &format!("l{}.x", layer + 1),
         ));
-    }
 
-    crate::schedule::apply_ls_split(params, &mut kernels);
+        crate::schedule::apply_ls_split(params, &mut kernels);
+        kernels
+    }
+}
+
+/// Builds the kernels of decoder layer `layer` for ONE engine iteration
+/// that generates one token per entry of `ctxs` — one period of
+/// [`build_batched_decode_schedule`], which is the concatenation of this
+/// over `0..model.layers`.
+///
+/// # Panics
+///
+/// Panics on the inputs [`build_batched_decode_schedule`] rejects, and when
+/// `layer >= model.layers`.
+pub fn decode_layer(
+    model: &ModelConfig,
+    ctxs: &[usize],
+    params: &RunParams,
+    layer: usize,
+) -> Vec<KernelDesc> {
+    assert!(
+        layer < model.layers,
+        "layer {layer} out of range for a {}-layer model",
+        model.layers
+    );
+    DecodeLayers::new(model, ctxs, params).layer(layer)
+}
+
+/// Builds the kernel schedule for ONE engine iteration that generates one
+/// token per entry of `ctxs`, each attending a KV cache of that length.
+///
+/// Every attention kernel is launched once for the whole batch (continuous
+/// batching: heterogeneous rows share a grid); the feed-forward stack runs
+/// as `ctxs.len()`-row GEMMs. `params` supplies the strategy and the
+/// sub-vector tile width; its `batch`/`seq_len` are ignored here — the row
+/// count is `ctxs.len()`.
+///
+/// # Panics
+///
+/// Panics for non-dense models (decode with block-sparse caches is not
+/// modeled), for the online-fused strategy, and for empty or zero contexts.
+pub fn build_batched_decode_schedule(
+    model: &ModelConfig,
+    ctxs: &[usize],
+    params: &RunParams,
+) -> Vec<KernelDesc> {
+    let layers = DecodeLayers::new(model, ctxs, params);
+    let kernels: Vec<KernelDesc> = (0..model.layers).flat_map(|l| layers.layer(l)).collect();
 
     #[cfg(debug_assertions)]
     {
@@ -373,6 +448,110 @@ pub fn build_batched_decode_schedule(
         );
     }
     kernels
+}
+
+/// `id` with its layer prefix advanced by one (`l3.q` → `l4.q`); an id
+/// without a canonical `l{k}.` prefix is returned unchanged, so the map is
+/// injective.
+fn shift_layer(id: &str) -> Cow<'_, str> {
+    let Some(rest) = id.strip_prefix('l') else {
+        return Cow::Borrowed(id);
+    };
+    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+    let canonical = digits == 1 || (digits > 1 && !rest.starts_with('0'));
+    match rest[..digits]
+        .parse::<usize>()
+        .ok()
+        .and_then(|k| k.checked_add(1))
+    {
+        Some(next) if canonical && rest[digits..].starts_with('.') => {
+            Cow::Owned(format!("l{next}{}", &rest[digits..]))
+        }
+        _ => Cow::Borrowed(id),
+    }
+}
+
+/// Prices one batched-decode iteration on `gpu` and drains its timeline
+/// (flushing L2, as [`Gpu::take_timeline`] does).
+///
+/// The result is exactly — every `f64` bit for bit — what
+/// `gpu.run(&build_batched_decode_schedule(model, ctxs, params))` followed
+/// by `gpu.take_timeline()` returns, but most layers are never built or
+/// simulated. Layers are launched one at a time, and after each the L2
+/// residency (ids and bytes, in LRU order) is compared with the residency
+/// the layer started from, every id's layer advanced by one. Once they
+/// match, the state the next layer starts from is the state this one
+/// started from under that renaming; since layer `l + 1` is layer `l` with
+/// ids renamed, the L2 model compares ids only for equality, and kernel
+/// names carry no layer index, every remaining layer yields this layer's
+/// stats. They are appended without being simulated.
+///
+/// Debug builds also build the full schedule (running its analyzer gate)
+/// and assert the result against a full run on a clone of `gpu`.
+///
+/// # Errors
+///
+/// Returns [`LaunchError`] if a kernel cannot launch, as the full run
+/// would.
+///
+/// # Panics
+///
+/// Panics on the inputs [`build_batched_decode_schedule`] rejects.
+pub fn price_batched_decode(
+    gpu: &mut Gpu,
+    model: &ModelConfig,
+    ctxs: &[usize],
+    params: &RunParams,
+) -> Result<Timeline, LaunchError> {
+    #[cfg(debug_assertions)]
+    let reference = {
+        let mut full = gpu.clone();
+        full.run(&build_batched_decode_schedule(model, ctxs, params))
+            .map(|()| full.take_timeline())
+    };
+    let priced = price_layers(gpu, model, ctxs, params).map(|(timeline, _)| timeline);
+    #[cfg(debug_assertions)]
+    assert!(
+        priced == reference,
+        "layer-periodic decode pricing diverged from the full schedule"
+    );
+    priced
+}
+
+/// [`price_batched_decode`], also returning how many layers were simulated.
+fn price_layers(
+    gpu: &mut Gpu,
+    model: &ModelConfig,
+    ctxs: &[usize],
+    params: &RunParams,
+) -> Result<(Timeline, usize), LaunchError> {
+    let layers = DecodeLayers::new(model, ctxs, params);
+    let residency = |gpu: &Gpu| -> Vec<(String, u64)> {
+        gpu.l2()
+            .resident()
+            .map(|(id, bytes)| (shift_layer(id).into_owned(), bytes))
+            .collect()
+    };
+    // The residency this layer starts from, ids already advanced a layer.
+    let mut start = residency(gpu);
+    for layer in 0..model.layers {
+        let first = gpu.timeline().len();
+        gpu.run(&layers.layer(layer))?;
+        let repeats =
+            (gpu.l2().resident()).eq(start.iter().map(|(id, bytes)| (id.as_str(), *bytes)));
+        if repeats {
+            let mut timeline = gpu.take_timeline();
+            let period = timeline.kernels()[first..].to_vec();
+            for _ in layer + 1..model.layers {
+                for stats in &period {
+                    timeline.push(stats.clone());
+                }
+            }
+            return Ok((timeline, layer + 1));
+        }
+        start = residency(gpu);
+    }
+    Ok((gpu.take_timeline(), model.layers))
 }
 
 /// Builds the kernel schedule for generating ONE token per sequence of the
@@ -687,5 +866,65 @@ mod tests {
             four.total_time_s(),
             4.0 * one.total_time_s()
         );
+    }
+
+    #[test]
+    fn shift_layer_advances_canonical_prefixes_only() {
+        assert_eq!(shift_layer("l0.x"), "l1.x");
+        assert_eq!(shift_layer("l9.ff2.w"), "l10.ff2.w");
+        assert_eq!(shift_layer("l23.k_cache"), "l24.k_cache");
+        for unchanged in ["x", "ln1", "l.x", "l03.x", "lx.3", "l7"] {
+            assert_eq!(shift_layer(unchanged), unchanged);
+        }
+    }
+
+    /// Layer `l + 1` is layer `l` with every buffer id's layer advanced by
+    /// one, and the full schedule is the layers in order: the premise of
+    /// `price_batched_decode`'s shortcut.
+    #[test]
+    fn decode_layers_are_shifted_copies() {
+        let m = ModelConfig::gpt_neo_1_3b();
+        let ctxs = [260, 1000, 1000, 4096];
+        for strategy in [SoftmaxStrategy::Baseline, SoftmaxStrategy::Recomposed] {
+            let params = RunParams::new(4096).strategy(strategy);
+            for l in [0, 5, 22] {
+                let shifted: Vec<KernelDesc> = decode_layer(&m, &ctxs, &params, l)
+                    .into_iter()
+                    .map(|mut k| {
+                        for b in k.reads.iter_mut().chain(k.writes.iter_mut()) {
+                            b.id = shift_layer(&b.id).into_owned();
+                        }
+                        k
+                    })
+                    .collect();
+                assert_eq!(
+                    decode_layer(&m, &ctxs, &params, l + 1),
+                    shifted,
+                    "{strategy:?} layer {l}"
+                );
+            }
+            let layers: Vec<KernelDesc> = (0..m.layers)
+                .flat_map(|l| decode_layer(&m, &ctxs, &params, l))
+                .collect();
+            assert_eq!(build_batched_decode_schedule(&m, &ctxs, &params), layers);
+        }
+    }
+
+    /// GPT-Neo on an A100 reaches its repeating L2 state after two layers,
+    /// so an L2 change that silently defeats the shortcut fails here rather
+    /// than only slowing the fleets down.
+    #[test]
+    fn gpt_neo_on_a100_simulates_two_layers() {
+        let m = ModelConfig::gpt_neo_1_3b();
+        let mut gpu = Gpu::new(DeviceSpec::a100());
+        let prefill_and_decode: Vec<usize> = (1..=256).chain([300, 4096]).collect();
+        for strategy in [SoftmaxStrategy::Baseline, SoftmaxStrategy::Recomposed] {
+            let params = RunParams::new(4096).strategy(strategy);
+            for ctxs in [&[4096][..], &[260, 1000, 1000, 4096], &prefill_and_decode] {
+                let (timeline, simulated) = price_layers(&mut gpu, &m, ctxs, &params).unwrap();
+                assert_eq!(simulated, 2, "{strategy:?} with {} rows", ctxs.len());
+                assert_eq!(timeline.len(), 11 * m.layers);
+            }
+        }
     }
 }

@@ -45,7 +45,7 @@ mod workload;
 pub use config::{AttentionKind, ModelConfig};
 pub use decode::{
     build_batched_decode_schedule, build_decode_schedule, check_decode_schedule,
-    decode_analysis_spec, decode_error_bound, run_decode_step,
+    decode_analysis_spec, decode_error_bound, decode_layer, price_batched_decode, run_decode_step,
 };
 pub use engine::{run_inference, RunReport};
 pub use error::Error;

@@ -40,10 +40,12 @@ pub enum Error {
         report: String,
     },
     /// A run stopped with requests outstanding: nothing was queued and no
-    /// replica could step, or the run exceeded `max_iterations` (the
-    /// loop-termination backstop a stalling control plane can trip).
+    /// replica could step, the run exceeded `max_iterations` (the
+    /// loop-termination backstop a stalling control plane can trip), or a
+    /// replica's engine step broke a scheduler invariant (it had no
+    /// runnable row, or its oldest request could not grow its KV cache).
     Stalled {
-        /// Why, with the completed/total request counts.
+        /// Why: the completed/total request counts, or the replica id.
         reason: String,
     },
     /// The model layer rejected or failed a run: an invalid

@@ -25,7 +25,7 @@ use crate::error::Error;
 use crate::kv::KvPool;
 use crate::request::{Policy, ServeConfig};
 use resoftmax_gpusim::{DeviceSpec, Gpu, Timeline};
-use resoftmax_model::{build_batched_decode_schedule, ModelConfig, RunParams};
+use resoftmax_model::{price_batched_decode, ModelConfig, RunParams};
 use resoftmax_obs::Counter;
 
 /// A replica's serving role in a (possibly disaggregated) fleet.
@@ -465,12 +465,19 @@ impl Replica {
                         evicted.push(victim);
                     } else if self.reclaim_waiting_blocks(states, id) {
                         // Waiting reservations are the only holders left.
-                    } else {
-                        // Nobody left to evict. The build-time capacity
-                        // check guarantees the oldest (i == 0) can always
-                        // grow, so this request merely waits.
-                        assert!(i > 0, "oldest request starved despite capacity check");
+                    } else if i > 0 {
+                        // Nobody left to evict; this request merely waits.
                         break;
+                    } else {
+                        // The build-time capacity check guarantees the
+                        // oldest request can always grow.
+                        return Err(Error::Stalled {
+                            reason: format!(
+                                "replica {}: oldest request {id} starved despite the \
+                                 capacity check",
+                                self.id
+                            ),
+                        });
                     }
                 }
                 if granted {
@@ -480,20 +487,18 @@ impl Replica {
             }
             i += 1;
         }
-        assert!(
-            !ctxs.is_empty(),
-            "replica {} stepped with no runnable rows (scheduler bug)",
-            self.id
-        );
+        if ctxs.is_empty() {
+            return Err(Error::Stalled {
+                reason: format!("replica {} stepped with no runnable rows", self.id),
+            });
+        }
 
-        // Price the fused iteration on this replica's GPU. `take_timeline`
-        // drains cost state (and flushes L2) so one `Gpu` serves the whole
-        // run without re-paying construction per iteration.
+        // Price the fused iteration on this replica's GPU. Pricing drains
+        // cost state (and flushes L2) so one `Gpu` serves the whole run
+        // without re-paying construction per iteration.
         let span = resoftmax_obs::span("serve.iteration", "serve");
         let iter_params = planner.plan(&ctxs, params);
-        self.gpu
-            .run(&build_batched_decode_schedule(model, &ctxs, &iter_params))?;
-        let timeline = self.gpu.take_timeline();
+        let timeline = price_batched_decode(&mut self.gpu, model, &ctxs, &iter_params)?;
         let dt = timeline.total_time_s();
         drop(span);
         if let Some(acc_tl) = &mut self.timeline {

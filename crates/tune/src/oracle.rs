@@ -24,7 +24,7 @@
 
 use crate::TuneError;
 use resoftmax_analyzer::{ErrorBound, CERT_BUDGET_REL};
-use resoftmax_gpusim::{DeviceSpec, Gpu, ParallelSplit};
+use resoftmax_gpusim::{DeviceSpec, Gpu, KernelDesc, ParallelSplit};
 use resoftmax_model::{
     build_batched_decode_schedule, build_schedule, check_decode_schedule, check_schedule,
     decode_error_bound, static_error_bound, AttentionKind, ModelConfig, RunParams, Session,
@@ -154,10 +154,12 @@ fn check_numerics(bound: Option<ErrorBound>) -> Result<(), Skip> {
 }
 
 /// Statically validates a full-sequence candidate without simulating it:
-/// knob legality, buildability, and a clean analyzer report. This is the
-/// same pruning helper the tuner's search uses; bench bins reuse it to
-/// skip-with-reason instead of panicking on bad grid points.
-pub fn precheck(model: &ModelConfig, params: &RunParams) -> Result<(), Skip> {
+/// knob legality, buildability, and a clean analyzer report. Returns the
+/// schedule it built and analyzed, so a caller that goes on to price the
+/// candidate does not build it again. This is the same pruning helper the
+/// tuner's search uses; bench bins reuse it to skip-with-reason instead of
+/// panicking on bad grid points.
+pub fn precheck(model: &ModelConfig, params: &RunParams) -> Result<Vec<KernelDesc>, Skip> {
     check_ls_split(params)?;
     check_numerics(static_error_bound(model, params))?;
     // Session::build performs the dimensional validation (nonzero dims,
@@ -175,7 +177,7 @@ pub fn precheck(model: &ModelConfig, params: &RunParams) -> Result<(), Skip> {
     if report.has_errors() {
         return Err(Skip::Analysis(report.render()));
     }
-    Ok(())
+    Ok(schedule)
 }
 
 /// [`precheck`] for a batched-decode candidate.
@@ -183,7 +185,7 @@ pub fn precheck_decode(
     model: &ModelConfig,
     ctxs: &[usize],
     params: &RunParams,
-) -> Result<(), Skip> {
+) -> Result<Vec<KernelDesc>, Skip> {
     check_ls_split(params)?;
     if !matches!(model.attention, AttentionKind::Dense { .. }) {
         return Err(Skip::InvalidConfig(format!(
@@ -210,7 +212,7 @@ pub fn precheck_decode(
     if report.has_errors() {
         return Err(Skip::Analysis(report.render()));
     }
-    Ok(())
+    Ok(schedule)
 }
 
 thread_local! {
@@ -223,7 +225,7 @@ thread_local! {
     static ORACLE_GPU: RefCell<Option<Gpu>> = const { RefCell::new(None) };
 }
 
-fn simulate(device: &DeviceSpec, schedule: &[resoftmax_gpusim::KernelDesc]) -> Result<f64, Skip> {
+fn simulate(device: &DeviceSpec, schedule: &[KernelDesc]) -> Result<f64, Skip> {
     ORACLE_GPU.with(|slot| {
         let mut slot = slot.borrow_mut();
         if slot.as_ref().is_none_or(|gpu| gpu.device() != device) {
@@ -252,13 +254,9 @@ pub fn evaluate(
                 seq_len: *seq_len,
                 ..params
             };
-            precheck(model, &params)?;
-            simulate(device, &build_schedule(model, &params))
+            simulate(device, &precheck(model, &params)?)
         }
-        TuneWorkload::Decode { ctxs } => {
-            precheck_decode(model, ctxs, params)?;
-            simulate(device, &build_batched_decode_schedule(model, ctxs, params))
-        }
+        TuneWorkload::Decode { ctxs } => simulate(device, &precheck_decode(model, ctxs, params)?),
     }
 }
 
@@ -366,9 +364,8 @@ mod tests {
                 );
                 continue;
             }
-            assert_eq!(precheck(&model, &params), Ok(()), "{split:?}");
-            // And the built schedule carries the override.
-            let schedule = resoftmax_model::build_schedule(&model, &params);
+            // The schedule precheck built carries the override.
+            let schedule = precheck(&model, &params).expect("legal split");
             assert!(schedule
                 .iter()
                 .filter(|k| k.category == KernelCategory::LocalSoftmax)
@@ -428,7 +425,7 @@ mod tests {
         let e = precheck(&model, &wide).unwrap_err();
         assert!(matches!(e, Skip::Numerics(_)), "{e}");
         let narrow = wide.clone().tile(TileConfig::new(64, 16));
-        assert_eq!(precheck(&model, &narrow), Ok(()));
+        assert!(precheck(&model, &narrow).is_ok());
         let w = TuneWorkload::Prefill {
             seq_len: 4096,
             batch: 1,
@@ -439,6 +436,6 @@ mod tests {
         let m = ModelConfig::gpt_neo_1_3b();
         let e = precheck_decode(&m, &[512], &wide).unwrap_err();
         assert!(matches!(e, Skip::Numerics(_)), "{e}");
-        assert_eq!(precheck_decode(&m, &[512], &narrow), Ok(()));
+        assert!(precheck_decode(&m, &[512], &narrow).is_ok());
     }
 }

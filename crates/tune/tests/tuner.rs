@@ -59,10 +59,8 @@ fn winners_are_analyzer_clean_and_never_slower() {
         // The winner re-analyzes clean for its bucket.
         match &tuned.workload {
             TuneWorkload::Prefill { .. } => precheck(&model, &tuned.params).unwrap(),
-            TuneWorkload::Decode { ctxs } => {
-                precheck_decode(&model, ctxs, &tuned.params).unwrap();
-            }
-        }
+            TuneWorkload::Decode { ctxs } => precheck_decode(&model, ctxs, &tuned.params).unwrap(),
+        };
         // And re-pricing it reproduces the recorded cost exactly.
         assert_eq!(
             evaluate(&model, &device, &tuned.workload, &tuned.params).unwrap(),
