@@ -69,36 +69,62 @@ pub fn local_softmax<T: Scalar>(
     x: &Matrix<T>,
     t: usize,
 ) -> Result<LocalSoftmaxOutput<T>, ShapeError> {
+    local_softmax_with(x, t, |e| {
+        let d = e.iter().fold(0.0f64, |d, &ej| d + ej);
+        (d, T::from_f64(d))
+    })
+}
+
+/// The LS body shared by [`local_softmax`] and
+/// [`local_softmax_narrow_accum`]. `normalizer` folds one sub-vector's
+/// rounded exponentials (widened, in order) into the divisor the values are
+/// normalized by and the `d'` that is stored.
+///
+/// Each element is widened once and its exponential evaluated once. Rows
+/// are independent — each owns a disjoint row of all three outputs — so
+/// they run on the pool with bit-identical per-row arithmetic.
+fn local_softmax_with<T: Scalar>(
+    x: &Matrix<T>,
+    t: usize,
+    normalizer: impl Fn(&[f64]) -> (f64, T) + Sync,
+) -> Result<LocalSoftmaxOutput<T>, ShapeError> {
     let n_sv = check_subvector(x.cols(), t)?;
     let mut x_prime = Matrix::zeros(x.rows(), x.cols());
     let mut m_prime = Matrix::zeros(x.rows(), n_sv);
     let mut d_prime = Matrix::zeros(x.rows(), n_sv);
-    for r in 0..x.rows() {
-        for k in 0..n_sv {
-            let base = k * t;
-            let mut m = f64::NEG_INFINITY;
-            for j in 0..t {
-                m = m.max(x.get(r, base + j).to_f64());
+    resoftmax_parallel::parallel_chunks_mut3(
+        x_prime.as_mut_slice(),
+        x.cols().max(1),
+        m_prime.as_mut_slice(),
+        n_sv.max(1),
+        d_prime.as_mut_slice(),
+        n_sv.max(1),
+        |r, x_row, m_row, d_row| {
+            let mut e = vec![0.0f64; t];
+            let tiles = x.row(r).chunks(t).zip(x_row.chunks_mut(t));
+            for (k, (x_tile, out)) in tiles.enumerate() {
+                for (ej, v) in e.iter_mut().zip(x_tile) {
+                    *ej = v.to_f64();
+                }
+                let m = e.iter().fold(f64::NEG_INFINITY, |a, &v| a.max(v));
+                if m == f64::NEG_INFINITY {
+                    // Fully masked sub-vector: d' = 0, values 0; IR treats it
+                    // as contributing nothing.
+                    m_row[k] = T::neg_infinity();
+                    continue;
+                }
+                for ej in &mut e {
+                    *ej = T::from_f64((*ej - m).exp()).to_f64();
+                }
+                let (d, d_stored) = normalizer(&e);
+                for (o, &ej) in out.iter_mut().zip(&e) {
+                    *o = T::from_f64(ej / d);
+                }
+                m_row[k] = T::from_f64(m);
+                d_row[k] = d_stored;
             }
-            if m == f64::NEG_INFINITY {
-                // Fully masked sub-vector: d' = 0, values 0; IR treats it as
-                // contributing nothing.
-                m_prime.set(r, k, T::neg_infinity());
-                continue;
-            }
-            let mut d = 0.0f64;
-            for j in 0..t {
-                let e = T::from_f64((x.get(r, base + j).to_f64() - m).exp());
-                d += e.to_f64();
-            }
-            for j in 0..t {
-                let e = T::from_f64((x.get(r, base + j).to_f64() - m).exp());
-                x_prime.set(r, base + j, T::from_f64(e.to_f64() / d));
-            }
-            m_prime.set(r, k, T::from_f64(m));
-            d_prime.set(r, k, T::from_f64(d));
-        }
-    }
+        },
+    );
     Ok(LocalSoftmaxOutput {
         x_prime,
         m_prime,
@@ -123,40 +149,13 @@ pub fn local_softmax_narrow_accum<T: Scalar>(
     x: &Matrix<T>,
     t: usize,
 ) -> Result<LocalSoftmaxOutput<T>, ShapeError> {
-    let n_sv = check_subvector(x.cols(), t)?;
-    let mut x_prime = Matrix::zeros(x.rows(), x.cols());
-    let mut m_prime = Matrix::zeros(x.rows(), n_sv);
-    let mut d_prime = Matrix::zeros(x.rows(), n_sv);
-    for r in 0..x.rows() {
-        for k in 0..n_sv {
-            let base = k * t;
-            let mut m = f64::NEG_INFINITY;
-            for j in 0..t {
-                m = m.max(x.get(r, base + j).to_f64());
-            }
-            if m == f64::NEG_INFINITY {
-                m_prime.set(r, k, T::neg_infinity());
-                continue;
-            }
-            // The accumulator lives at working precision: every partial sum
-            // rounds to `T` before the next add.
-            let mut d = T::zero();
-            for j in 0..t {
-                let e = T::from_f64((x.get(r, base + j).to_f64() - m).exp());
-                d = T::from_f64(d.to_f64() + e.to_f64());
-            }
-            for j in 0..t {
-                let e = T::from_f64((x.get(r, base + j).to_f64() - m).exp());
-                x_prime.set(r, base + j, T::from_f64(e.to_f64() / d.to_f64()));
-            }
-            m_prime.set(r, k, T::from_f64(m));
-            d_prime.set(r, k, d);
-        }
-    }
-    Ok(LocalSoftmaxOutput {
-        x_prime,
-        m_prime,
-        d_prime,
+    local_softmax_with(x, t, |e| {
+        // The accumulator lives at working precision: every partial sum
+        // rounds to `T` before the next add.
+        let d = e
+            .iter()
+            .fold(T::zero(), |d, &ej| T::from_f64(d.to_f64() + ej));
+        (d.to_f64(), d)
     })
 }
 
@@ -255,11 +254,11 @@ pub fn global_scale<T: Scalar>(
     }
     let mut y = Matrix::zeros(x_prime.rows(), x_prime.cols());
     for r in 0..x_prime.rows() {
-        for k in 0..n_sv {
-            let rk = r_prime.get(r, k);
-            for j in 0..t {
-                let c = k * t + j;
-                y.set(r, c, T::from_f64(x_prime.get(r, c).to_f64() * rk.to_f64()));
+        let tiles = x_prime.row(r).chunks(t).zip(r_prime.row(r));
+        for (y_tile, (x_tile, rk)) in y.row_mut(r).chunks_mut(t).zip(tiles) {
+            let rk = rk.to_f64();
+            for (o, x) in y_tile.iter_mut().zip(x_tile) {
+                *o = T::from_f64(x.to_f64() * rk);
             }
         }
     }

@@ -16,10 +16,14 @@
 //! tight half-precision bounds — the paper's correctness claim ("the
 //! decomposed softmax sub-layers perform identically to the existing softmax
 //! layer in terms of mathematics") plus honest rounding.
+//!
+//! Each operand is widened once per call and every product accumulates as a
+//! row update, leaving each output's rounding sequence unchanged.
 
 use crate::decomposed::{check_subvector, inter_reduce, InterReductionOutput};
+use crate::softmax::check_mask;
 use rayon::prelude::*;
-use resoftmax_tensor::{Matrix, Scalar, ShapeError};
+use resoftmax_tensor::{row_update, transpose, Matrix, Scalar, ShapeError};
 
 /// Output of the fused `Q·Kᵀ` + Scale + Mask + LS kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,12 +44,8 @@ pub struct FusedQkLsOutput<T: Scalar> {
 ///
 /// # Errors
 ///
-/// Returns [`ShapeError`] if `q`/`k` disagree on `d_head`, rows differ, or
-/// `t` does not divide `L`.
-///
-/// # Panics
-///
-/// Panics if `mask` is given with the wrong length.
+/// Returns [`ShapeError`] if `q`/`k` disagree on `d_head`, rows differ, `t`
+/// does not divide `L`, or `mask` is given with a length other than `L²`.
 pub fn fused_qk_ls<T: Scalar>(
     q: &Matrix<T>,
     k: &Matrix<T>,
@@ -62,20 +62,19 @@ pub fn fused_qk_ls<T: Scalar>(
     }
     let l = q.rows();
     let n_sv = check_subvector(l, t)?;
-    if let Some(m) = mask {
-        assert_eq!(m.len(), l * l, "mask length mismatch");
-    }
-    let d_head = q.cols();
+    check_mask(mask, l * l)?;
     let _span = resoftmax_obs::span!("fused_qk_ls", "kernels");
+    let q_wide = q.map(Scalar::to_f32);
+    let kt_wide = transpose(k).map(Scalar::to_f32);
 
     let mut x_prime = Matrix::zeros(l, l);
     let mut m_prime = Matrix::zeros(l, n_sv);
     let mut d_prime = Matrix::zeros(l, n_sv);
 
-    // One "thread block" per (row-tile is irrelevant numerically) output tile
-    // of width t: compute the f32 accumulator column strip, then the epilogue.
-    // Rows are independent — each owns a disjoint row of all three outputs —
-    // so they parallelize in lockstep with bit-identical per-row arithmetic.
+    // A row's f32 accumulators, then the epilogue per output tile of width
+    // t. Rows are independent — each owns a disjoint row of all three
+    // outputs — so they parallelize in lockstep with bit-identical per-row
+    // arithmetic.
     resoftmax_parallel::parallel_chunks_mut3(
         x_prime.as_mut_slice(),
         l.max(1),
@@ -84,20 +83,13 @@ pub fn fused_qk_ls<T: Scalar>(
         d_prime.as_mut_slice(),
         n_sv.max(1),
         |r, x_row, m_row, d_row| {
-            for sv in 0..n_sv {
-                // MatMul inner product in f32 (tensor-core accumulate).
-                let mut acc = vec![0.0f32; t];
-                for (j, a) in acc.iter_mut().enumerate() {
-                    let c = sv * t + j;
-                    let mut s = 0.0f32;
-                    for p in 0..d_head {
-                        s += q.get(r, p).to_f32() * k.get(c, p).to_f32();
-                    }
-                    *a = s;
-                }
+            // MatMul inner products in f32 (tensor-core accumulate).
+            let mut acc = vec![0.0f32; l];
+            row_update(&mut acc, q_wide.row(r), &kt_wide, 0);
+            for (sv, (tile, x_tile)) in acc.chunks_mut(t).zip(x_row.chunks_mut(t)).enumerate() {
                 // Epilogue in f32: scale, mask, local max/normalizer, exp.
                 let mut m = f32::NEG_INFINITY;
-                for (j, a) in acc.iter_mut().enumerate() {
+                for (j, a) in tile.iter_mut().enumerate() {
                     *a *= scale as f32;
                     if let Some(mk) = mask {
                         if !mk[r * l + sv * t + j] {
@@ -111,12 +103,13 @@ pub fn fused_qk_ls<T: Scalar>(
                     continue;
                 }
                 let mut d = 0.0f32;
-                for a in &acc {
-                    d += (a - m).exp();
+                for a in tile.iter_mut() {
+                    *a = (*a - m).exp();
+                    d += *a;
                 }
-                for (j, a) in acc.iter().enumerate() {
+                for (x, e) in x_tile.iter_mut().zip(tile.iter()) {
                     // Single rounding to T on the way to off-chip storage.
-                    x_row[sv * t + j] = T::from_f64(((a - m).exp() / d) as f64);
+                    *x = T::from_f64((e / d) as f64);
                 }
                 m_row[sv] = T::from_f64(m as f64);
                 d_row[sv] = T::from_f64(d as f64);
@@ -162,22 +155,25 @@ pub fn fused_gs_pv<T: Scalar>(
     }
     let d_head = v.cols();
     let _span = resoftmax_obs::span!("fused_gs_pv", "kernels");
+    let v_wide = v.map(Scalar::to_f32);
     let mut out = Matrix::zeros(l, d_head);
     out.as_mut_slice()
         .par_chunks_mut(d_head.max(1))
         .enumerate()
         .for_each(|(r, o_row)| {
             let mut acc = vec![0.0f32; d_head];
-            for k in 0..x_prime.cols() {
-                let rk = r_prime.get(r, k / t).to_f32();
-                // GS in f32, rounded once to feed the MMA.
-                let p = T::from_f32(x_prime.get(r, k).to_f32() * rk);
-                let pf = p.to_f32();
-                if pf == 0.0 {
-                    continue;
-                }
-                for (j, a) in acc.iter_mut().enumerate() {
-                    *a += pf * v.get(k, j).to_f32();
+            let tiles = x_prime.row(r).chunks(t).zip(r_prime.row(r));
+            for (sv, (x_tile, rk)) in tiles.enumerate() {
+                let rk = rk.to_f32();
+                for (j, x) in x_tile.iter().enumerate() {
+                    // GS in f32, rounded once to feed the MMA.
+                    let pf = T::from_f32(x.to_f32() * rk).to_f32();
+                    if pf == 0.0 {
+                        continue;
+                    }
+                    for (a, &vk) in acc.iter_mut().zip(v_wide.row(sv * t + j)) {
+                        *a += pf * vk;
+                    }
                 }
             }
             for (o, a) in o_row.iter_mut().zip(&acc) {
@@ -216,7 +212,8 @@ pub fn recomposed_attention<T: Scalar>(
 ///
 /// # Errors
 ///
-/// Returns [`ShapeError`] on any dimension mismatch.
+/// Returns [`ShapeError`] on any dimension mismatch, including a `mask`
+/// whose length is not `q.rows() · k.rows()`.
 pub fn reference_attention<T: Scalar>(
     q: &Matrix<T>,
     k: &Matrix<T>,
@@ -228,6 +225,14 @@ pub fn reference_attention<T: Scalar>(
     use resoftmax_tensor::{matmul_transpose_b, scale as scale_op};
 
     let _span = resoftmax_obs::span!("reference_attention", "kernels");
+    if v.rows() != k.rows() {
+        return Err(ShapeError::new(format!(
+            "v rows {} vs L {}",
+            v.rows(),
+            k.rows()
+        )));
+    }
+    check_mask(mask, q.rows() * k.rows())?;
     let scores = matmul_transpose_b(q, k)?;
     let scaled = scale_op(&scores, scale);
     let masked = match mask {
@@ -236,28 +241,21 @@ pub fn reference_attention<T: Scalar>(
     };
     let p = softmax_rows(&masked);
     // P·V with f32 accumulation.
-    let l = p.rows();
     let d_head = v.cols();
-    if v.rows() != p.cols() {
-        return Err(ShapeError::new(format!(
-            "v rows {} vs L {}",
-            v.rows(),
-            p.cols()
-        )));
-    }
-    let mut out = Matrix::zeros(l, d_head);
+    let v_wide = v.map(Scalar::to_f32);
+    let mut out = Matrix::zeros(p.rows(), d_head);
     out.as_mut_slice()
         .par_chunks_mut(d_head.max(1))
         .enumerate()
         .for_each(|(r, o_row)| {
             let mut acc = vec![0.0f32; d_head];
-            for c in 0..p.cols() {
-                let pv = p.get(r, c).to_f32();
+            for (c, pv) in p.row(r).iter().enumerate() {
+                let pv = pv.to_f32();
                 if pv == 0.0 {
                     continue;
                 }
-                for (j, a) in acc.iter_mut().enumerate() {
-                    *a += pv * v.get(c, j).to_f32();
+                for (a, &vc) in acc.iter_mut().zip(v_wide.row(c)) {
+                    *a += pv * vc;
                 }
             }
             for (o, a) in o_row.iter_mut().zip(&acc) {
@@ -368,13 +366,22 @@ mod tests {
         let rp = Matrix::<f64>::zeros(16, 4);
         let v_bad = Matrix::<f64>::zeros(8, 8);
         assert!(fused_gs_pv(&xp, &rp, &v_bad, 4).is_err());
+        assert!(reference_attention(&q, &k, &v_bad, 1.0, None).is_err());
     }
 
     #[test]
-    #[should_panic(expected = "mask length mismatch")]
-    fn wrong_mask_length_panics() {
+    fn wrong_mask_length_is_an_error() {
         let q = randn_matrix::<f64>(8, 4, 1.0, 0);
         let k = randn_matrix::<f64>(8, 4, 1.0, 1);
-        let _ = fused_qk_ls(&q, &k, 4, 1.0, Some(&[true; 3]));
+        let v = randn_matrix::<f64>(8, 4, 1.0, 2);
+        let short = [true; 3];
+        assert!(fused_qk_ls(&q, &k, 4, 1.0, Some(&short)).is_err());
+        assert!(reference_attention(&q, &k, &v, 1.0, Some(&short)).is_err());
+        assert!(crate::online_attention(&q, &k, &v, 4, 1.0, Some(&short)).is_err());
+        // The right length still runs.
+        let full = [true; 64];
+        assert!(fused_qk_ls(&q, &k, 4, 1.0, Some(&full)).is_ok());
+        assert!(reference_attention(&q, &k, &v, 1.0, Some(&full)).is_ok());
+        assert!(crate::online_attention(&q, &k, &v, 4, 1.0, Some(&full)).is_ok());
     }
 }

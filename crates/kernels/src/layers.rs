@@ -7,7 +7,7 @@
 //! once at the working precision; reductions accumulate wide.
 
 use rayon::prelude::*;
-use resoftmax_tensor::{Matrix, Scalar, ShapeError};
+use resoftmax_tensor::{row_update, Matrix, Scalar, ShapeError};
 
 /// Fully connected layer: `y = x · w + b` with `f32`-style wide accumulation
 /// (`x`: rows × d_in, `w`: d_in × d_out, `b`: length d_out).
@@ -30,19 +30,19 @@ pub fn linear<T: Scalar>(x: &Matrix<T>, w: &Matrix<T>, b: &[T]) -> Result<Matrix
             w.cols()
         )));
     }
-    let (d_in, d_out) = (w.rows(), w.cols());
+    let d_out = w.cols();
+    // `w` is `d_in × d_out`: already the `Bᵀ` layout a row update streams.
+    let x_wide = x.map(Scalar::to_f32);
+    let w_wide = w.map(Scalar::to_f32);
     let mut y = Matrix::zeros(x.rows(), d_out);
     y.as_mut_slice()
         .par_chunks_mut(d_out.max(1))
         .enumerate()
         .for_each(|(r, out)| {
-            let xr = x.row(r);
-            for (j, o) in out.iter_mut().enumerate() {
-                let mut acc = 0.0f32;
-                for (p, x) in xr.iter().enumerate().take(d_in) {
-                    acc += x.to_f32() * w.get(p, j).to_f32();
-                }
-                *o = T::from_f64(acc as f64 + b[j].to_f64());
+            let mut acc = vec![0.0f32; d_out];
+            row_update(&mut acc, x_wide.row(r), &w_wide, 0);
+            for ((o, a), bj) in out.iter_mut().zip(&acc).zip(b) {
+                *o = T::from_f64(*a as f64 + bj.to_f64());
             }
         });
     Ok(y)

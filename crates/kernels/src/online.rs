@@ -19,8 +19,9 @@
 //! only. Mathematically it is yet another regrouping of Eq. 2 and agrees
 //! with the reference to the same precision as the SDF pipeline.
 
+use crate::softmax::check_mask;
 use rayon::prelude::*;
-use resoftmax_tensor::{Matrix, Scalar, ShapeError};
+use resoftmax_tensor::{row_update, transpose, Matrix, Scalar, ShapeError};
 
 /// Fully-fused attention via online softmax: computes
 /// `softmax(scale · mask(Q·Kᵀ)) · V` in one pass over K/V tiles of width
@@ -30,12 +31,8 @@ use resoftmax_tensor::{Matrix, Scalar, ShapeError};
 ///
 /// # Errors
 ///
-/// Returns [`ShapeError`] if shapes are inconsistent or `t` does not divide
-/// `L`.
-///
-/// # Panics
-///
-/// Panics if `mask` has the wrong length.
+/// Returns [`ShapeError`] if shapes are inconsistent, `t` does not divide
+/// `L`, or `mask` is given with a length other than `L²`.
 pub fn online_attention<T: Scalar>(
     q: &Matrix<T>,
     k: &Matrix<T>,
@@ -56,13 +53,13 @@ pub fn online_attention<T: Scalar>(
     if t == 0 || !l.is_multiple_of(t) {
         return Err(ShapeError::new(format!("tile {t} must divide L {l}")));
     }
+    check_mask(mask, l * l)?;
     let _span = resoftmax_obs::span!("online_attention", "kernels");
-    if let Some(m) = mask {
-        assert_eq!(m.len(), l * l, "mask length mismatch");
-    }
-    let d_head = q.cols();
     let d_out = v.cols();
     let n_tiles = l / t;
+    let q_wide = q.map(Scalar::to_f32);
+    let kt_wide = transpose(k).map(Scalar::to_f32);
+    let v_wide = v.map(Scalar::to_f32);
 
     let mut out = Matrix::zeros(l, d_out);
     // Rows are independent: parallelize (the per-row online recurrence is
@@ -74,25 +71,22 @@ pub fn online_attention<T: Scalar>(
             let mut m_run = f32::NEG_INFINITY;
             let mut d_run = 0.0f32;
             let mut acc = vec![0.0f32; d_out];
+            let mut s = vec![0.0f32; t];
+            let mut pv = vec![0.0f32; d_out];
 
             for tile in 0..n_tiles {
                 // Scores for this K tile (f32 accumulate, scale, mask).
-                let mut s = vec![0.0f32; t];
+                s.fill(0.0);
+                row_update(&mut s, q_wide.row(r), &kt_wide, tile * t);
                 let mut m_tile = f32::NEG_INFINITY;
                 for (j, sj) in s.iter_mut().enumerate() {
-                    let c = tile * t + j;
-                    let mut dot = 0.0f32;
-                    for p in 0..d_head {
-                        dot += q.get(r, p).to_f32() * k.get(c, p).to_f32();
-                    }
-                    dot *= scale as f32;
+                    *sj *= scale as f32;
                     if let Some(mk) = mask {
                         if !mk[r * l + tile * t + j] {
-                            dot = f32::NEG_INFINITY;
+                            *sj = f32::NEG_INFINITY;
                         }
                     }
-                    *sj = dot;
-                    m_tile = m_tile.max(dot);
+                    m_tile = m_tile.max(*sj);
                 }
                 if m_tile == f32::NEG_INFINITY {
                     continue; // fully masked tile contributes nothing
@@ -105,16 +99,15 @@ pub fn online_attention<T: Scalar>(
                     (m_run - m_new).exp()
                 };
                 let mut d_tile = 0.0f32;
-                let mut pv = vec![0.0f32; d_out];
+                pv.fill(0.0);
                 for (j, &sj) in s.iter().enumerate() {
                     if sj == f32::NEG_INFINITY {
                         continue;
                     }
                     let e = (sj - m_new).exp();
                     d_tile += e;
-                    let c = tile * t + j;
-                    for (o, p) in pv.iter_mut().enumerate() {
-                        *p += e * v.get(c, o).to_f32();
+                    for (p, &vc) in pv.iter_mut().zip(v_wide.row(tile * t + j)) {
+                        *p += e * vc;
                     }
                 }
                 d_run = d_run * alpha + d_tile;
@@ -280,10 +273,12 @@ pub fn bs_online_attention<T: Scalar>(
     }
     let _span = resoftmax_obs::span!("bs_online_attention", "kernels");
     let b = layout.block();
-    let d_head = q.cols();
     let d_out = v.cols();
     let row_ptr = layout.row_ptr();
     let blocks: Vec<(usize, usize)> = layout.iter_blocks().collect();
+    let q_wide = q.map(Scalar::to_f32);
+    let kt_wide = transpose(k).map(Scalar::to_f32);
+    let v_wide = v.map(Scalar::to_f32);
 
     let mut out = Matrix::zeros(l, d_out);
     out.as_mut_slice()
@@ -294,17 +289,15 @@ pub fn bs_online_attention<T: Scalar>(
             let mut m_run = f32::NEG_INFINITY;
             let mut d_run = 0.0f32;
             let mut acc = vec![0.0f32; d_out];
+            let mut s = vec![0.0f32; b];
+            let mut pv = vec![0.0f32; d_out];
             for &(_, bc) in &blocks[row_ptr[br]..row_ptr[br + 1]] {
                 // Scores for this retained block's columns.
-                let mut s = vec![0.0f32; b];
+                s.fill(0.0);
+                row_update(&mut s, q_wide.row(r), &kt_wide, bc * b);
                 let mut m_tile = f32::NEG_INFINITY;
-                for (j, sj) in s.iter_mut().enumerate() {
-                    let c = bc * b + j;
-                    let mut dot = 0.0f32;
-                    for p in 0..d_head {
-                        dot += q.get(r, p).to_f32() * k.get(c, p).to_f32();
-                    }
-                    *sj = dot * scale as f32;
+                for sj in &mut s {
+                    *sj *= scale as f32;
                     m_tile = m_tile.max(*sj);
                 }
                 let m_new = m_run.max(m_tile);
@@ -314,13 +307,12 @@ pub fn bs_online_attention<T: Scalar>(
                     (m_run - m_new).exp()
                 };
                 let mut d_tile = 0.0f32;
-                let mut pv = vec![0.0f32; d_out];
+                pv.fill(0.0);
                 for (j, &sj) in s.iter().enumerate() {
                     let e = (sj - m_new).exp();
                     d_tile += e;
-                    let c = bc * b + j;
-                    for (o, p) in pv.iter_mut().enumerate() {
-                        *p += e * v.get(c, o).to_f32();
+                    for (p, &vc) in pv.iter_mut().zip(v_wide.row(bc * b + j)) {
+                        *p += e * vc;
                     }
                 }
                 d_run = d_run * alpha + d_tile;

@@ -8,7 +8,7 @@
 //! element, like CUDA softmax kernels that keep partial sums in registers.
 
 use rayon::prelude::*;
-use resoftmax_tensor::{Matrix, Scalar};
+use resoftmax_tensor::{Matrix, Scalar, ShapeError};
 
 /// Safe softmax along each row (paper Eq. 1):
 /// `y_i = e^{x_i - m} / Σ_j e^{x_j - m}` with `m = max_i x_i`.
@@ -40,9 +40,11 @@ pub fn softmax_rows<T: Scalar>(x: &Matrix<T>) -> Matrix<T> {
         .par_chunks_mut(cols.max(1))
         .enumerate()
         .for_each(|(r, out)| {
-            let row = x.row(r);
+            // The row widened once; sweep 2 overwrites it with the rounded
+            // exponentials, which sweep 3 reuses.
+            let mut e: Vec<f64> = x.row(r).iter().map(|v| v.to_f64()).collect();
             // Sweep 1: row max, in working precision.
-            let m = row.iter().fold(f64::NEG_INFINITY, |a, v| a.max(v.to_f64()));
+            let m = e.iter().fold(f64::NEG_INFINITY, |a, &v| a.max(v));
             if m == f64::NEG_INFINITY {
                 return; // fully masked row -> zeros
             }
@@ -52,14 +54,13 @@ pub fn softmax_rows<T: Scalar>(x: &Matrix<T>) -> Matrix<T> {
             // oracle while the F16 instantiation still rounds every stored
             // element).
             let mut d = 0.0f64;
-            for v in row {
-                let e = T::from_f64((v.to_f64() - m).exp());
-                d += e.to_f64();
+            for v in &mut e {
+                *v = T::from_f64((*v - m).exp()).to_f64();
+                d += *v;
             }
             // Sweep 3: normalize.
-            for (o, v) in out.iter_mut().zip(row) {
-                let e = T::from_f64((v.to_f64() - m).exp());
-                *o = T::from_f64(e.to_f64() / d);
+            for (o, &v) in out.iter_mut().zip(&e) {
+                *o = T::from_f64(v / d);
             }
         });
     y
@@ -101,6 +102,17 @@ pub fn apply_mask<T: Scalar>(x: &Matrix<T>, mask: &[bool]) -> Matrix<T> {
             T::neg_infinity()
         }
     })
+}
+
+/// Checks that an optional row-major element mask covers `len` scores.
+pub(crate) fn check_mask(mask: Option<&[bool]>, len: usize) -> Result<(), ShapeError> {
+    match mask {
+        Some(m) if m.len() != len => Err(ShapeError::new(format!(
+            "mask length {} vs {len} scores",
+            m.len()
+        ))),
+        _ => Ok(()),
+    }
 }
 
 /// Causal (autoregressive) element mask for an `l × l` attention matrix:

@@ -14,8 +14,8 @@ use std::sync::Mutex;
 
 use resoftmax_fp16::F16;
 use resoftmax_kernels::{
-    bs_online_attention, bs_recomposed_attention, fused_gs_pv, fused_qk_ls, online_attention,
-    recomposed_attention, reference_attention,
+    bs_online_attention, bs_recomposed_attention, fused_gs_pv, fused_qk_ls, linear, local_softmax,
+    online_attention, recomposed_attention, reference_attention, softmax_rows,
 };
 use resoftmax_parallel::set_thread_override;
 use resoftmax_sparse::{block_sparse_softmax, pattern, sddmm, spmm, BlockSparseMatrix};
@@ -91,7 +91,14 @@ fn matmul_tiled_is_thread_invariant() {
 
 #[test]
 fn fused_qk_ls_is_thread_invariant() {
-    for &(l, d, t) in &[(16usize, 8usize, 4usize), (24, 16, 8), (40, 8, 8)] {
+    // The last shape is past the pool's 4096-element serial cutoff, with odd
+    // d and T so the row updates run their vector tails.
+    for &(l, d, t) in &[
+        (16usize, 8usize, 4usize),
+        (24, 16, 8),
+        (40, 8, 8),
+        (72, 13, 9),
+    ] {
         let q = randn_matrix::<F16>(l, d, 0.5, 1);
         let k = randn_matrix::<F16>(l, d, 0.5, 2);
         let scale = 1.0 / (d as f64).sqrt();
@@ -121,7 +128,9 @@ fn fused_gs_pv_is_thread_invariant() {
 
 #[test]
 fn attention_pipelines_are_thread_invariant() {
-    let (l, d, t) = (48usize, 16usize, 8usize);
+    // L·d is past the pool's 4096-element serial cutoff; d and T are odd, so
+    // the row updates and the P·V loops run their vector tails.
+    let (l, d, t) = (333usize, 13usize, 9usize);
     let q = randn_matrix::<F16>(l, d, 0.5, 11);
     let k = randn_matrix::<F16>(l, d, 0.5, 12);
     let v = randn_matrix::<F16>(l, d, 0.5, 13);
@@ -140,6 +149,24 @@ fn attention_pipelines_are_thread_invariant() {
     bitwise_invariant("online_attention", || {
         bits(&online_attention(&q, &k, &v, t, scale, None).unwrap())
     });
+}
+
+#[test]
+fn softmax_and_layers_are_thread_invariant() {
+    // Each output is past the pool's 4096-element serial cutoff.
+    let x = randn_matrix::<F16>(70, 72, 2.0, 51);
+    bitwise_invariant("softmax_rows", || bits(&softmax_rows(&x)));
+    bitwise_invariant("local_softmax", || {
+        let ls = local_softmax(&x, 9).unwrap();
+        let mut all = bits(&ls.x_prime);
+        all.extend(bits(&ls.m_prime));
+        all.extend(bits(&ls.d_prime));
+        all
+    });
+    let h = randn_matrix::<F16>(96, 45, 1.0, 52);
+    let w = randn_matrix::<F16>(45, 43, 0.3, 53);
+    let b = randn_matrix::<F16>(1, 43, 0.1, 54);
+    bitwise_invariant("linear", || bits(&linear(&h, &w, b.row(0)).unwrap()));
 }
 
 #[test]

@@ -34,7 +34,7 @@ mod tile;
 pub use matrix::{Matrix, ShapeError};
 pub use ops::{
     add, elementwise_binary, elementwise_unary, frobenius_norm, matmul, matmul_tiled,
-    matmul_transpose_b, max_abs_diff, row_max, row_sum, scale, transpose,
+    matmul_transpose_b, max_abs_diff, row_max, row_sum, row_update, scale, transpose,
 };
 pub use random::{randn_matrix, uniform_matrix};
 pub use scalar::Scalar;

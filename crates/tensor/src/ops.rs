@@ -14,10 +14,14 @@
 //! The tiled variant exists so kernels in `resoftmax-kernels` share its exact
 //! accumulation order — making "fused epilogue" results bit-comparable to
 //! "separate kernel" results in tests.
+//!
+//! Fast paths widen each operand once per call and accumulate with
+//! [`row_update`], leaving every output's rounding sequence unchanged.
 
 use crate::matrix::{Matrix, ShapeError};
 use crate::scalar::Scalar;
 use crate::tile::TileDims;
+use core::ops::{AddAssign, Mul};
 use rayon::prelude::*;
 
 /// Naive matrix multiply `A (m×k) · B (k×n)` with `f64` accumulation.
@@ -73,21 +77,45 @@ pub fn matmul_transpose_b<T: Scalar>(
             b.cols()
         )));
     }
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    let mut out = Matrix::zeros(m, n);
+    let n = b.rows();
+    let a_wide = a.map(Scalar::to_f64);
+    let bt_wide = transpose(b).map(Scalar::to_f64);
+    let mut out = Matrix::zeros(a.rows(), n);
     out.as_mut_slice()
         .par_chunks_mut(n.max(1))
         .enumerate()
         .for_each(|(i, row)| {
-            for (j, o) in row.iter_mut().enumerate() {
-                let mut acc = 0.0f64;
-                for p in 0..k {
-                    acc += a.get(i, p).to_f64() * b.get(j, p).to_f64();
-                }
-                *o = T::from_f64(acc);
+            let mut acc = vec![0.0f64; n];
+            row_update(&mut acc, a_wide.row(i), &bt_wide, 0);
+            for (o, &s) in row.iter_mut().zip(&acc) {
+                *o = T::from_f64(s);
             }
         });
     Ok(out)
+}
+
+/// Row update `acc[j] += Σ_p a[p] · bt[p][start + j]` for `p = 0, 1, …` in
+/// order: the dot products of `a` with columns `start..start + acc.len()`
+/// of `bt`, computed as one scaled row add per `p`.
+///
+/// Every `acc[j]` goes through exactly the additions of the scalar loop
+/// `for p { acc[j] += a[p] * bt[p][start + j] }`, in the same order, so the
+/// result is bit-identical to it; the inner loop runs over independent
+/// outputs in contiguous memory, which the compiler vectorizes.
+///
+/// # Panics
+///
+/// Panics if `a.len() > bt.rows()` or `start + acc.len() > bt.cols()`.
+pub fn row_update<W>(acc: &mut [W], a: &[W], bt: &Matrix<W>, start: usize)
+where
+    W: Scalar + Mul<Output = W> + AddAssign,
+{
+    let cols = start..start + acc.len();
+    for (p, &ap) in a.iter().enumerate() {
+        for (s, &b) in acc.iter_mut().zip(&bt.row(p)[cols.clone()]) {
+            *s += ap * b;
+        }
+    }
 }
 
 /// Tiled matrix multiply with the GPU outer-product dataflow and `f32`
@@ -150,7 +178,8 @@ pub fn matmul_tiled<T: Scalar>(
     Ok(out)
 }
 
-/// Transposes a matrix.
+/// Transposes a matrix. The fast paths use it once per call to lay out the
+/// `Bᵀ` operand (`Kᵀ`, `d × L`, in attention) that [`row_update`] streams.
 pub fn transpose<T: Scalar>(m: &Matrix<T>) -> Matrix<T> {
     Matrix::from_fn(m.cols(), m.rows(), |r, c| m.get(c, r))
 }
