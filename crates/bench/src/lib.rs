@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 mod tune_bin;
 
-pub use tune_bin::{run_grid, tune_main, TUNE_CACHE_PATH};
+pub use tune_bin::{tune_main, TUNE_CACHE_PATH};
 
 /// The common CLI surface of the experiment binaries: `--smoke` (reduced
 /// grid plus the 1-vs-4-worker-thread determinism gate), `--out <path>` or

@@ -83,10 +83,8 @@ fn grid(smoke: bool) -> Vec<(ModelConfig, TuneWorkload)> {
 }
 
 /// Tunes the whole grid with `tuner`, verifying per-bucket invariants and
-/// returning the report rows (deterministic order and content). Exposed so
-/// the `sim_speed` bin can replay the exact `tune --smoke` workload under
-/// different pricing-cache configurations.
-pub fn run_grid(tuner: &Tuner, device: &DeviceSpec, smoke: bool) -> (Vec<BenchRow>, Vec<Tuned>) {
+/// returning the report rows (deterministic order and content).
+fn run_grid(tuner: &Tuner, device: &DeviceSpec, smoke: bool) -> (Vec<BenchRow>, Vec<Tuned>) {
     let mut rows = Vec::new();
     let mut results = Vec::new();
     for (model, workload) in grid(smoke) {

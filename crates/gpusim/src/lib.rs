@@ -17,11 +17,13 @@
 //!   exposing load imbalance and tail waves.
 //! * **Accounting** ([`Timeline`] / [`Breakdown`]): per-kernel time, traffic
 //!   and energy aggregated per category, mirroring the paper's figures.
-//! * **Pricing cache** ([`sim_cache_stats`] / [`set_sim_cache_enabled`]): a
-//!   process-global, content-addressed memo of kernel durations and
-//!   wave-class dt sequences — repeated kernels anywhere (tuner candidates,
-//!   serve iterations, sweeps) price in O(lookup) with bit-identical
-//!   timelines. `RESOFTMAX_SIM_CACHE=0` disables it.
+//! * **Pricing memo** ([`sim_cache_stats`] / [`clear_sim_cache`]): a
+//!   process-global, content-addressed memo of fluid-simulated kernel
+//!   durations — a repeated heterogeneous kernel anywhere (tuner candidates,
+//!   serve iterations, sweeps) prices in O(lookup) with a bit-identical
+//!   timeline. Uniform grids skip it: their closed form is cheaper than the
+//!   lookup. [`Gpu::reference`] bypasses it, and the wave fast path, for
+//!   equivalence tests.
 //!
 //! # Example
 //!
@@ -45,7 +47,6 @@
 
 pub mod bandwidth;
 pub mod chrome_trace;
-pub mod compare;
 mod device;
 mod kernel;
 mod l2;
@@ -62,9 +63,6 @@ pub use kernel::{
 };
 pub use l2::{FilteredTraffic, L2Cache};
 pub use occupancy::{occupancy, LaunchError, Occupancy, OccupancyLimiter};
-pub use pricing::{
-    clear_sim_cache, set_sim_cache_enabled, sim_cache_enabled, sim_cache_stats, SimCacheStats,
-    MAX_CLASS_ENTRIES, MAX_KERNEL_ENTRIES,
-};
+pub use pricing::{clear_sim_cache, sim_cache_stats, SimCacheStats, MAX_KERNEL_ENTRIES};
 pub use sim::Gpu;
 pub use trace::{Breakdown, CategoryTotals, KernelStats, Timeline};

@@ -8,22 +8,22 @@
 //!   resident blocks are identical, so each wave's duration is closed-form
 //!   and a kernel is `full_waves × t_full + t_tail`. This keeps 65 536-block
 //!   elementwise kernels O(1).
-//! * **Heterogeneous grids** ([`TbSet::PerTb`], block-sparse kernels) run an
-//!   event-driven fluid simulation: blocks are dispatched breadth-first to
-//!   the least-loaded SM, SM compute is shared between resident blocks,
-//!   global DRAM bandwidth is shared between memory-active blocks (scaled by
-//!   the utilization model), and the makespan naturally exposes the
-//!   load-imbalance / tail-wave effects the paper discusses for sparse
-//!   attention (§5.2: larger batches → more TBs → less imbalance).
+//! * **Heterogeneous grids** ([`TbSet::PerTb`], [`TbSet::Grouped`],
+//!   block-sparse kernels) run an event-driven fluid simulation: blocks are
+//!   dispatched breadth-first to the least-loaded SM, SM compute is shared
+//!   between resident blocks, global DRAM bandwidth is shared between
+//!   memory-active blocks (scaled by the utilization model), and the makespan
+//!   naturally exposes the load-imbalance / tail-wave effects the paper
+//!   discusses for sparse attention (§5.2: larger batches → more TBs → less
+//!   imbalance). Its results are memoized across runs (see `pricing`).
 
 use crate::bandwidth::{effective_bandwidth, utilization};
 use crate::device::DeviceSpec;
-use crate::kernel::{KernelDesc, TbGroup, TbSet, TbWork};
+use crate::kernel::{KernelDesc, TbGroup, TbSet, TbShape, TbWork};
 use crate::l2::{FilteredTraffic, L2Cache};
 use crate::occupancy::{occupancy, LaunchError, Occupancy};
-use crate::pricing::{self, GridRef, KernelPrice};
+use crate::pricing;
 use crate::trace::{KernelStats, Timeline};
-use std::sync::Arc;
 
 /// Residual work below this is treated as finished (guards FP residues left
 /// by the `(work - rate * dt).max(0.0)` decrements).
@@ -87,8 +87,8 @@ pub struct Gpu {
     device_fp: u128,
     l2: L2Cache,
     timeline: Timeline,
-    wave_fast_path: bool,
-    sim_cache: bool,
+    /// Set by [`Gpu::reference`]: step every event, bypass the memo.
+    reference: bool,
 }
 
 impl Gpu {
@@ -101,29 +101,19 @@ impl Gpu {
             device_fp,
             l2,
             timeline: Timeline::new(),
-            wave_fast_path: true,
-            sim_cache: true,
+            reference: false,
         }
     }
 
-    /// Enables or disables the wave-class fast path of the event-driven
-    /// simulation (on by default). The fast path recognizes full waves drawn
-    /// from a single run of identical thread blocks and replays one exactly
-    /// simulated wave instead of re-stepping each — results are bit-identical
-    /// either way (a test asserts this over the full evaluation sweep); the
-    /// toggle exists so that equivalence stays checkable.
-    pub fn set_wave_fast_path(&mut self, enabled: bool) {
-        self.wave_fast_path = enabled;
-    }
-
-    /// Enables or disables this instance's use of the process-global
-    /// kernel-pricing cache (on by default; see [`crate::sim_cache_enabled`]
-    /// for the process-wide switch — both must be on for caching to apply).
-    /// The toggle exists for the same reason as [`Self::set_wave_fast_path`]:
-    /// cached and fresh pricing are bit-identical, and tests compare the two
-    /// in one process to keep that equivalence checkable.
-    pub fn set_sim_cache(&mut self, enabled: bool) {
-        self.sim_cache = enabled;
+    /// Creates a GPU that prices the plain way: the fluid simulation steps
+    /// every event (no wave replay) and the process-global pricing memo is
+    /// never read or written. Its results are bit-identical to
+    /// [`Gpu::new`]'s; it exists so tests can check that they stay so.
+    pub fn reference(device: DeviceSpec) -> Self {
+        Gpu {
+            reference: true,
+            ..Gpu::new(device)
+        }
     }
 
     /// The device being simulated.
@@ -214,49 +204,14 @@ impl Gpu {
             1.0
         };
 
-        // Canonical grid form: `PerTb` coalesces to the exact group sequence
-        // the fluid simulation walks, so it shares pricing fingerprints with
-        // its equivalent `Grouped` form.
-        let coalesced: Vec<TbGroup>;
-        let grid = match &kernel.tbs {
-            TbSet::Uniform { count, work } => GridRef::Uniform {
-                count: *count,
-                work,
-            },
-            TbSet::PerTb(tbs) => {
-                coalesced = coalesce(tbs);
-                GridRef::Groups(&coalesced)
+        // `PerTb` coalesces to the exact group sequence the fluid simulation
+        // walks, so it shares memo entries with its equivalent `Grouped` form.
+        let exec_s = match &kernel.tbs {
+            TbSet::Uniform { count, work } => {
+                self.uniform_time(*count, work, kernel.shape.threads, read_scale, occ)
             }
-            TbSet::Grouped(groups) => GridRef::Groups(groups),
-        };
-
-        let use_cache = self.sim_cache && pricing::sim_cache_enabled();
-        let exec_s = if use_cache {
-            let key = pricing::kernel_key(
-                self.device_fp,
-                self.wave_fast_path,
-                &kernel.shape,
-                occ.tbs_per_sm,
-                read_scale,
-                grid,
-            );
-            if let Some(price) = pricing::lookup_kernel(key) {
-                price.time_s
-            } else {
-                let (t, event_steps, fast_path_waves) =
-                    self.execute_time(kernel, grid, read_scale, occ, true);
-                pricing::insert_kernel(
-                    key,
-                    KernelPrice {
-                        time_s: t,
-                        event_steps,
-                        fast_path_waves,
-                    },
-                );
-                t
-            }
-        } else {
-            self.execute_time(kernel, grid, read_scale, occ, false).0
+            TbSet::PerTb(tbs) => self.groups_time(&coalesce(tbs), &kernel.shape, read_scale, occ),
+            TbSet::Grouped(groups) => self.groups_time(groups, &kernel.shape, read_scale, occ),
         };
         let time_s = exec_s + self.device.kernel_launch_overhead_us * 1e-6;
 
@@ -285,28 +240,26 @@ impl Gpu {
         Ok(())
     }
 
-    /// Prices one kernel fresh (excluding launch overhead), returning the
-    /// duration plus the event-step / fast-path-wave counts performed —
-    /// recorded in the pricing cache so later hits can account for the
-    /// stepping they avoid.
-    fn execute_time(
+    /// Duration of a heterogeneous grid (excluding launch overhead): the
+    /// memoized price if there is one, else the fluid simulation's, stored
+    /// for next time. The reference GPU always simulates.
+    fn groups_time(
         &self,
-        kernel: &KernelDesc,
-        grid: GridRef<'_>,
+        groups: &[TbGroup],
+        shape: &TbShape,
         read_scale: f64,
         occ: Occupancy,
-        use_class_cache: bool,
-    ) -> (f64, u64, u64) {
-        match grid {
-            GridRef::Uniform { count, work } => (
-                self.uniform_time(count, work, kernel.shape.threads, read_scale, occ),
-                0,
-                0,
-            ),
-            GridRef::Groups(groups) => {
-                self.fluid_time(groups, kernel, read_scale, occ, use_class_cache)
-            }
+    ) -> f64 {
+        if self.reference {
+            return self.fluid_time(groups, shape.threads, read_scale, occ);
         }
+        let key = pricing::kernel_key(self.device_fp, shape, occ.tbs_per_sm, read_scale, groups);
+        if let Some(t) = pricing::lookup_kernel(key) {
+            return t;
+        }
+        let t = self.fluid_time(groups, shape.threads, read_scale, occ);
+        pricing::insert_kernel(key, t);
+        t
     }
 
     /// Wave-analytic duration of a uniform grid (excluding launch overhead).
@@ -371,19 +324,8 @@ impl Gpu {
     /// dispatch limit without tracking individual SMs. DRAM bandwidth is a
     /// global pool split proportionally to each block's memory-active thread
     /// count and scaled by the utilization model.
-    ///
-    /// Returns `(duration, event_steps, fast_path_waves)`; the step count
-    /// covers only freshly stepped events (wave-class replays — whether from
-    /// this kernel's own fast path or the cross-run dt cache — are excluded).
-    fn fluid_time(
-        &self,
-        groups: &[TbGroup],
-        kernel: &KernelDesc,
-        read_scale: f64,
-        occ: Occupancy,
-        use_class_cache: bool,
-    ) -> (f64, u64, u64) {
-        let threads = f64::from(kernel.shape.threads);
+    fn fluid_time(&self, groups: &[TbGroup], threads: u32, read_scale: f64, occ: Occupancy) -> f64 {
+        let threads = f64::from(threads);
         let slots = (self.device.num_sms as u64 * occ.tbs_per_sm as u64).max(1);
 
         let mut queue: std::collections::VecDeque<TbGroup> =
@@ -405,7 +347,7 @@ impl Gpu {
             // same `now += dt` additions, in the same order, the event loop
             // would perform. Cost becomes O(distinct TB classes), not
             // O(blocks); the heterogeneous tail still takes the event loop.
-            while self.wave_fast_path && active.is_empty() && in_flight == 0 {
+            while !self.reference && active.is_empty() && in_flight == 0 {
                 let Some(&front) = queue.front() else {
                     break;
                 };
@@ -419,40 +361,16 @@ impl Gpu {
                         if full_waves == 0 {
                             break;
                         }
-                        // Cross-run reuse: one full wave of this TB class is a
-                        // pure function of (device, threads, slots, read
-                        // scale, work), so its exactly stepped dt sequence can
-                        // come from the global cache — the replay below is the
-                        // same additions in the same order either way.
-                        let class_key = use_class_cache.then(|| {
-                            pricing::class_key(
-                                self.device_fp,
-                                kernel.shape.threads,
-                                slots,
-                                read_scale,
-                                &front.work,
-                            )
-                        });
-                        let cached = class_key.and_then(pricing::lookup_class);
-                        let dts = if let Some(dts) = cached {
-                            dts
-                        } else {
-                            let mut wave = vec![wave_tb.with_count(slots as f64)];
-                            let mut wave_in_flight = slots;
-                            let mut dts = Vec::new();
-                            while !wave.is_empty() {
-                                dts.push(self.event_step(&mut wave, &mut wave_in_flight));
-                            }
-                            event_steps += dts.len() as u64;
-                            let dts = Arc::new(dts);
-                            if let Some(key) = class_key {
-                                pricing::insert_class(key, Arc::clone(&dts));
-                            }
-                            dts
-                        };
+                        let mut wave = vec![wave_tb.with_count(slots as f64)];
+                        let mut wave_in_flight = slots;
+                        let mut dts = Vec::new();
+                        while !wave.is_empty() {
+                            dts.push(self.event_step(&mut wave, &mut wave_in_flight));
+                        }
+                        event_steps += dts.len() as u64;
                         fast_path_waves += full_waves;
                         for _ in 0..full_waves {
-                            for &dt in dts.iter() {
+                            for &dt in &dts {
                                 now += dt;
                             }
                         }
@@ -493,7 +411,7 @@ impl Gpu {
             resoftmax_obs::counter("sim.event_steps").add(event_steps);
             resoftmax_obs::counter("sim.wave_fast_path_waves").add(fast_path_waves);
         }
-        (now, event_steps, fast_path_waves)
+        now
     }
 
     /// One event of the fluid simulation: computes per-block rates for the

@@ -1,36 +1,33 @@
 //! Bit-identity of memoized pricing: for arbitrary kernel streams, a `Gpu`
-//! answering from the cross-run pricing cache (cold or warm) must produce
-//! exactly the stats a cache-disabled `Gpu` computes fresh — including
-//! streams with L2 reuse between kernels, where `read_scale` varies with
-//! shared cache state and must be part of the fingerprint.
+//! answering from the cross-run pricing memo (cold or warm) must produce
+//! exactly the stats `Gpu::reference` computes fresh — including streams
+//! with L2 reuse between kernels, where `read_scale` varies with shared
+//! cache state and must be part of the fingerprint.
 
 use resoftmax_gpusim::{
     DeviceSpec, Gpu, KernelCategory, KernelDesc, KernelStats, TbGroup, TbShape, TbWork,
 };
 
-/// Launches the stream on a fresh `Gpu` with the pricing cache on or off,
-/// returning every per-kernel stat.
-fn run(device: &DeviceSpec, kernels: &[KernelDesc], cache: bool) -> Vec<KernelStats> {
-    let mut gpu = Gpu::new(device.clone());
-    gpu.set_sim_cache(cache);
+/// Launches the stream on `gpu`, returning every per-kernel stat.
+fn run(mut gpu: Gpu, kernels: &[KernelDesc]) -> Vec<KernelStats> {
     kernels
         .iter()
         .map(|k| gpu.launch(k).expect("launch"))
         .collect()
 }
 
-/// Cache-off, cache-on-cold, and cache-on-warm runs must agree to the bit.
+/// Reference, memo-cold and memo-warm runs must agree to the bit.
 fn assert_cache_transparent(device: &DeviceSpec, kernels: &[KernelDesc]) {
-    let fresh = run(device, kernels, false);
-    let cold = run(device, kernels, true);
-    let warm = run(device, kernels, true);
-    assert_eq!(fresh, cold, "cold cached run diverges from fresh");
-    assert_eq!(fresh, warm, "warm cached run diverges from fresh");
+    let fresh = run(Gpu::reference(device.clone()), kernels);
+    let cold = run(Gpu::new(device.clone()), kernels);
+    let warm = run(Gpu::new(device.clone()), kernels);
+    assert_eq!(fresh, cold, "cold memoized run diverges from the reference");
+    assert_eq!(fresh, warm, "warm memoized run diverges from the reference");
 }
 
 /// A deterministic stream covering all three grid forms and an L2
 /// producer/consumer pair. Small enough to run under miri, where it is the
-/// end-to-end exercise of the cache module's lookup/insert paths.
+/// end-to-end exercise of the memo's lookup/insert paths.
 #[test]
 fn deterministic_stream_is_cache_transparent() {
     let shape = TbShape::new(256, 0, 32);
@@ -85,35 +82,6 @@ fn deterministic_stream_is_cache_transparent() {
             ],
         );
     }
-}
-
-/// The same kernel launched with the fast path off must not answer from an
-/// entry priced with it on (and vice versa): the fingerprint separates the
-/// modes, so each stays self-consistent and equivalence tests really compare
-/// two compute paths.
-#[test]
-fn cache_entries_do_not_cross_simulation_modes() {
-    let k = KernelDesc::builder("modes", KernelCategory::Softmax)
-        .shape(TbShape::new(256, 0, 32))
-        .grouped(vec![TbGroup::new(TbWork::memory(40_000.0, 4_000.0), 5_000)])
-        .build();
-    let device = DeviceSpec::rtx3090();
-    // Warm the fast-path entry, then price with the fast path off: both
-    // configurations must still agree with their own fresh baselines.
-    let mut fast = Gpu::new(device.clone());
-    let fast_stats = fast.launch(&k).expect("launch");
-    let mut slow = Gpu::new(device.clone());
-    slow.set_wave_fast_path(false);
-    let slow_stats = slow.launch(&k).expect("launch");
-    let mut slow_fresh = Gpu::new(device);
-    slow_fresh.set_wave_fast_path(false);
-    slow_fresh.set_sim_cache(false);
-    let slow_fresh_stats = slow_fresh.launch(&k).expect("launch");
-    assert_eq!(slow_stats, slow_fresh_stats);
-    assert_eq!(
-        fast_stats, slow_stats,
-        "paths agree (bit-identity invariant)"
-    );
 }
 
 #[cfg(not(miri))]

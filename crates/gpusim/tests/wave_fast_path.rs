@@ -1,24 +1,20 @@
 //! Bit-identity tests for the execution shortcuts: `Gpu::launch` must
-//! produce exactly the same `KernelStats` whether the wave-class fast path
-//! is enabled (the default) or disabled, and whether the cross-run pricing
-//! cache is enabled (the default) or disabled — for homogeneous grids,
-//! heterogeneous tails, zero-work blocks, and mixed compute/memory work.
+//! produce exactly the same `KernelStats` as `Gpu::reference`, which steps
+//! every event and never touches the pricing memo — with the memo cold and
+//! warm, for homogeneous grids, heterogeneous tails, zero-work blocks, and
+//! mixed compute/memory work. Homogeneous grids are built as single-group
+//! `.grouped(..)` grids: a `.uniform(..)` grid is priced by its closed form
+//! on both sides and would reach neither shortcut.
 
 #![cfg(not(miri))] // event-driven sims are far too slow under miri
 
-use resoftmax_gpusim::{DeviceSpec, Gpu, KernelCategory, KernelDesc, KernelStats, TbShape, TbWork};
+use resoftmax_gpusim::{
+    DeviceSpec, Gpu, KernelCategory, KernelDesc, KernelStats, TbGroup, TbShape, TbWork,
+};
 
-/// Launches `kernels` in order on a fresh GPU with the given shortcut
-/// toggles, returning per-kernel stats and the timeline total.
-fn run(
-    device: &DeviceSpec,
-    kernels: &[KernelDesc],
-    fast: bool,
-    cache: bool,
-) -> (Vec<KernelStats>, f64) {
-    let mut gpu = Gpu::new(device.clone());
-    gpu.set_wave_fast_path(fast);
-    gpu.set_sim_cache(cache);
+/// Launches `kernels` in order on `gpu`, returning per-kernel stats and the
+/// timeline total.
+fn run(mut gpu: Gpu, kernels: &[KernelDesc]) -> (Vec<KernelStats>, f64) {
     let stats = kernels
         .iter()
         .map(|k| gpu.launch(k).expect("launch"))
@@ -27,20 +23,14 @@ fn run(
     (stats, total)
 }
 
-/// Runs `kernels` through the whole {fast path} × {pricing cache} matrix —
-/// plus a warm repeat of the fully-enabled configuration, which answers from
-/// the global cache populated by the earlier legs — and asserts every
-/// per-kernel stat and timeline total is bit-identical to the reference
-/// (both shortcuts off).
+/// Prices `kernels` on `Gpu::new` twice and asserts every per-kernel stat
+/// and timeline total is bit-identical to `Gpu::reference`. No other test
+/// launches these kernels, so the first leg simulates them (taking the fast
+/// path) and the second answers from the memo the first one filled.
 fn assert_paths_identical(device: &DeviceSpec, kernels: &[KernelDesc]) {
-    let (ref_stats, ref_total) = run(device, kernels, false, false);
-    for (fast, cache, leg) in [
-        (true, false, "fast path"),
-        (false, true, "cache"),
-        (true, true, "fast path + cache"),
-        (true, true, "fast path + warm cache"),
-    ] {
-        let (stats, total) = run(device, kernels, fast, cache);
+    let (ref_stats, ref_total) = run(Gpu::reference(device.clone()), kernels);
+    for leg in ["fast path", "warm memo"] {
+        let (stats, total) = run(Gpu::new(device.clone()), kernels);
         for (s, r) in stats.iter().zip(&ref_stats) {
             assert_eq!(s, r, "stats diverge on {leg} for kernel {:?}", r.name);
         }
@@ -55,19 +45,28 @@ fn assert_paths_identical(device: &DeviceSpec, kernels: &[KernelDesc]) {
 fn memory_kernel(name: &str, count: u64, bytes: f64) -> KernelDesc {
     KernelDesc::builder(name, KernelCategory::Softmax)
         .shape(TbShape::new(256, 0, 32))
-        .uniform(count, TbWork::memory(bytes, bytes / 4.0))
+        .grouped(vec![TbGroup::new(
+            TbWork::memory(bytes, bytes / 4.0),
+            count,
+        )])
         .build()
 }
 
 /// Homogeneous grid far larger than the machine: many full waves replayed.
 #[test]
 fn homogeneous_many_waves() {
+    resoftmax_obs::set_metrics_enabled(Some(true));
+    let replayed = resoftmax_obs::counter("sim.wave_fast_path_waves");
+    let before = replayed.get();
     for count in [1, 7, 216, 217, 5000, 100_000] {
         assert_paths_identical(
             &DeviceSpec::a100(),
-            &[memory_kernel("uniform", count, 64_000.0)],
+            &[memory_kernel("homogeneous", count, 64_000.0)],
         );
     }
+    // The replay was really taken: 100,000 blocks alone fill the A100's 864
+    // slots (108 SMs × 8 blocks of 256 threads) 115 times.
+    assert!(replayed.get() - before >= 100_000 / 864);
 }
 
 /// Compute-bound and mixed compute/memory homogeneous grids.
@@ -83,7 +82,7 @@ fn homogeneous_compute_and_mixed() {
     };
     let k = KernelDesc::builder("mixed", KernelCategory::FusedAttention)
         .shape(TbShape::new(512, 48 * 1024, 32))
-        .uniform(10_000, mixed)
+        .grouped(vec![TbGroup::new(mixed, 10_000)])
         .build();
     assert_paths_identical(&DeviceSpec::a100(), &[k]);
 }
@@ -129,12 +128,18 @@ fn l2_interaction_sequence() {
     let small = 8 * 1024 * 1024u64;
     let producer = KernelDesc::builder("p", KernelCategory::InterReduction)
         .shape(TbShape::new(256, 0, 32))
-        .uniform(20_000, TbWork::memory(0.0, small as f64 / 20_000.0))
+        .grouped(vec![TbGroup::new(
+            TbWork::memory(0.0, small as f64 / 20_000.0),
+            20_000,
+        )])
         .writes("r'", small)
         .build();
     let consumer = KernelDesc::builder("c", KernelCategory::GlobalScaling)
         .shape(TbShape::new(256, 0, 32))
-        .uniform(20_000, TbWork::memory(small as f64 / 20_000.0, 0.0))
+        .grouped(vec![TbGroup::new(
+            TbWork::memory(small as f64 / 20_000.0, 0.0),
+            20_000,
+        )])
         .reads("r'", small)
         .build();
     assert_paths_identical(&DeviceSpec::a100(), &[producer, consumer]);

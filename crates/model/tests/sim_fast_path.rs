@@ -1,8 +1,9 @@
-//! Full-sweep equivalence check for the simulator's wave-class fast path:
-//! replaying whole waves of identical thread blocks must leave every
-//! per-kernel statistic bit-identical to the plain event loop, across the
-//! complete evaluation schedules (all models × strategies, dense and
-//! block-sparse, including the heterogeneous block-sparse tails).
+//! Full-sweep equivalence check for the simulator's shortcuts: replaying
+//! whole waves of identical thread blocks and answering from the pricing
+//! memo must leave every per-kernel statistic bit-identical to
+//! `Gpu::reference` (the plain event loop), across the complete evaluation
+//! schedules (all models × strategies, dense and block-sparse, including the
+//! heterogeneous block-sparse tails).
 
 use resoftmax_gpusim::{DeviceSpec, Gpu};
 use resoftmax_model::{build_schedule, ModelConfig, RunParams, SoftmaxStrategy};
@@ -32,8 +33,7 @@ fn fast_path_matches_event_loop_on_full_sweep() {
         for (model, params) in sweep_points() {
             let kernels = build_schedule(&model, &params);
             let mut fast = Gpu::new(device.clone());
-            let mut slow = Gpu::new(device.clone());
-            slow.set_wave_fast_path(false);
+            let mut slow = Gpu::reference(device.clone());
             for k in &kernels {
                 let sf = fast.launch(k).expect("fast launch");
                 let ss = slow.launch(k).expect("slow launch");

@@ -11,36 +11,47 @@ use resoftmax_gpusim::DeviceSpec;
 use resoftmax_model::ModelConfig;
 use resoftmax_tune::{SearchMode, SearchSpace, TuneWorkload, Tuned, Tuner};
 
-fn workloads() -> Vec<TuneWorkload> {
+fn workloads() -> Vec<(ModelConfig, TuneWorkload)> {
     vec![
-        TuneWorkload::Prefill {
-            seq_len: 512,
-            batch: 1,
-        },
-        TuneWorkload::Prefill {
-            seq_len: 1024,
-            batch: 4,
-        },
-        TuneWorkload::Decode {
-            ctxs: vec![700, 300, 1500],
-        },
+        (
+            ModelConfig::bert_base(),
+            TuneWorkload::Prefill {
+                seq_len: 512,
+                batch: 1,
+            },
+        ),
+        (
+            ModelConfig::bert_base(),
+            TuneWorkload::Prefill {
+                seq_len: 1024,
+                batch: 4,
+            },
+        ),
+        // Block-sparse, so every candidate's kernels include fluid-simulated
+        // grids, which go through the pricing memo.
+        (
+            ModelConfig::longformer_large(),
+            TuneWorkload::Prefill {
+                seq_len: 1024,
+                batch: 1,
+            },
+        ),
+        (
+            ModelConfig::gpt_neo_1_3b(),
+            TuneWorkload::Decode {
+                ctxs: vec![700, 300, 1500],
+            },
+        ),
     ]
 }
 
 fn run_all(mode: &SearchMode, threads: Option<usize>) -> Vec<String> {
     resoftmax_parallel::set_thread_override(threads);
     let tuner = Tuner::new(SearchSpace::smoke(), mode.clone());
-    let model = ModelConfig::bert_base();
-    let decode_model = ModelConfig::gpt_neo_1_3b();
     let device = DeviceSpec::a100();
     let rows = workloads()
         .iter()
-        .map(|w| {
-            let m = if matches!(w, TuneWorkload::Decode { .. }) {
-                &decode_model
-            } else {
-                &model
-            };
+        .map(|(m, w)| {
             let Tuned {
                 params,
                 cost_s,
@@ -79,19 +90,17 @@ fn annealed_is_bit_identical_across_thread_counts_and_reruns() {
     assert_eq!(run_all(&SearchMode::annealed(43), None), other);
 }
 
-/// A warm kernel-pricing cache (populated by an earlier full pass) must
-/// reproduce the fresh-pricing rows bit for bit, at 1 and 4 workers. This
-/// is the tuning-level face of the simulator cache's bit-identity contract.
+/// A warm kernel-pricing memo (populated by an earlier full pass) must
+/// reproduce the rows priced from a cold memo bit for bit, at 1 and 4
+/// workers. This is the tuning-level face of the simulator memo's
+/// bit-identity contract.
 #[test]
 fn warm_pricing_cache_is_bit_identical_across_workers() {
     let mode = SearchMode::Exhaustive;
-    resoftmax_gpusim::set_sim_cache_enabled(Some(false));
-    let fresh = run_all(&mode, Some(1));
-    resoftmax_gpusim::set_sim_cache_enabled(Some(true));
-    let _warm_up = run_all(&mode, Some(1)); // populates the global cache
+    resoftmax_gpusim::clear_sim_cache();
+    let fresh = run_all(&mode, Some(1)); // also populates the global memo
     let one = run_all(&mode, Some(1));
     let four = run_all(&mode, Some(4));
-    resoftmax_gpusim::set_sim_cache_enabled(None);
     assert_eq!(one, fresh, "warm cache diverges from fresh pricing");
     assert_eq!(four, fresh, "warm cache diverges at 4 workers");
 }

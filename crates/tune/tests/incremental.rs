@@ -1,7 +1,9 @@
-//! Incremental re-simulation: with the kernel-pricing cache warm, pricing a
+//! Incremental re-simulation: with the kernel-pricing memo warm, pricing a
 //! single-knob neighbor of an already-priced candidate re-simulates only
 //! the kernels that knob actually changes — everything else answers from
-//! the cache.
+//! the memo. The model is block-sparse: the memo holds fluid-simulated
+//! (heterogeneous-grid) kernels only, and a dense model's uniform grids are
+//! priced by their closed form without a lookup.
 //!
 //! Kept in its own (single-test) binary: the assertions read deltas of the
 //! process-global pricing-cache statistics, which concurrent tests would
@@ -15,15 +17,16 @@ use resoftmax_tune::{evaluate, TuneWorkload};
 
 #[test]
 fn neighbor_candidates_reprice_only_changed_kernels() {
-    let model = resoftmax_model::ModelConfig::bert_base();
+    let model = resoftmax_model::ModelConfig::longformer_large();
     let device = DeviceSpec::a100();
     let w = TuneWorkload::Prefill {
-        seq_len: 512,
+        seq_len: 1024,
         batch: 1,
     };
-    let a = RunParams::new(512);
+    let a = RunParams::new(1024);
     // A single-knob neighbor: recomposing the softmax replaces the softmax
-    // kernels but leaves the matmul/elementwise kernels untouched.
+    // kernels but leaves the rest untouched — among the memoized kernels,
+    // the block-sparse P·V matmul.
     let b = a.clone().strategy(SoftmaxStrategy::Decomposed);
 
     clear_sim_cache();
