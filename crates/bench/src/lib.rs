@@ -1,74 +1,215 @@
-//! Shared helpers for the experiment binaries (`src/bin/*`) and criterion
-//! benches that regenerate every table and figure of the paper.
+//! What every experiment of the `resoftmax-bench` driver shares: the
+//! command-line grammar ([`BenchArgs`]), the output rule
+//! ([`BenchArgs::out_path`]), report writing ([`write_report`]), the
+//! `{bin, config, metric, value}` row schema ([`BenchRow`]), the
+//! determinism gate ([`determinism_gate`]) and the static-analysis grid
+//! ([`analysis_grid`]).
 //!
-//! Run any experiment with, e.g.:
+//! The driver runs one experiment per invocation, or all of them:
 //!
 //! ```text
-//! cargo run --release -p resoftmax-bench --bin fig8_sd_sdf
-//! cargo run --release -p resoftmax-bench --bin fig9_sweeps -- seq
-//! cargo run --release -p resoftmax-bench --bin fig2_breakdown -- t4
+//! cargo run --release -p resoftmax-bench -- fig8_sd_sdf
+//! cargo run --release -p resoftmax-bench -- fig9_sweeps seq
+//! cargo run --release -p resoftmax-bench -- fig2_breakdown t4
+//! cargo run --release -p resoftmax-bench -- reproduce --smoke
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt;
+
 use resoftmax_gpusim::DeviceSpec;
 use resoftmax_model::{LibraryProfile, ModelConfig, RunParams, SoftmaxStrategy};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
-mod tune_bin;
+/// Paper's evaluation sequence length.
+pub const PAPER_SEQ_LEN: usize = 4096;
 
-pub use tune_bin::{tune_main, TUNE_CACHE_PATH};
+/// The Fig. 9(a) sequence lengths.
+pub const FIG9_SEQ_LENS: [usize; 5] = [512, 1024, 2048, 4096, 8192];
 
-/// The common CLI surface of the experiment binaries: `--smoke` (reduced
-/// grid plus the 1-vs-4-worker-thread determinism gate), `--out <path>` or
-/// a bare positional path (report destination), everything else passed
-/// through (device names, sweep selectors).
+/// The Fig. 9(b) batch sizes.
+pub const FIG9_BATCHES: [usize; 4] = [1, 2, 4, 8];
+
+/// Where a run other than the one a checked-in result holds (`--smoke`,
+/// another device) writes its report, so it never overwrites that result.
+const SMOKE_DIR: &str = "target/bench-smoke";
+
+/// Why a bench command failed.
+#[derive(Debug)]
+pub enum Error {
+    /// The command line is malformed: the driver prints its usage and
+    /// exits 2.
+    Usage(String),
+    /// The experiment failed: the driver prints the error and exits 1.
+    Failed(Box<dyn std::error::Error>),
+}
+
+impl Error {
+    /// A failure described by `msg` alone.
+    pub fn failed(msg: impl Into<String>) -> Self {
+        Error::Failed(msg.into().into())
+    }
+}
+
+impl<E: std::error::Error + 'static> From<E> for Error {
+    fn from(e: E) -> Self {
+        Error::Failed(Box::new(e))
+    }
+}
+
+impl fmt::Display for Error {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Error::Usage(msg) => write!(f, "{msg}"),
+            Error::Failed(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+fn usage(msg: impl Into<String>) -> Error {
+    Error::Usage(msg.into())
+}
+
+/// The command line after the experiment name. Flags may appear anywhere;
+/// every other argument is a positional selector the experiment itself
+/// interprets (a device name, a sweep, a sequence length, ...).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BenchArgs {
-    /// Reduced grid + determinism gate requested (`--smoke`).
+    /// `--smoke`: the reduced grid and the determinism gate, where the
+    /// experiment has them. Every experiment accepts it, so `reproduce
+    /// --smoke` can pass it to all of them.
     pub smoke: bool,
-    /// Report destination (`--out <path>` or a bare non-flag argument).
+    /// `--out <path>`: where to write the report (see
+    /// [`out_path`](Self::out_path)).
     pub out: Option<String>,
-    /// Remaining arguments, in order, for bin-specific parsing.
-    pub rest: Vec<String>,
+    /// `--json`: print the experiment's rows as JSON instead of a table.
+    pub json: bool,
+    /// `--numerics`: `analyze` also certifies every schedule's numeric
+    /// error bound.
+    pub numerics: bool,
+    /// The positional selectors, in order.
+    pub positionals: Vec<String>,
 }
 
 impl BenchArgs {
-    /// Parses the process arguments (everything after the binary name).
-    pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1).collect())
-    }
-
-    /// Parses an explicit argument list (testable form of [`parse`](Self::parse)).
-    pub fn from_args(args: Vec<String>) -> Self {
-        let mut out = BenchArgs::default();
+    /// Parses the arguments that follow the experiment name. An unknown
+    /// flag, `--out` without a path, or `--out` given twice is a usage
+    /// error.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, Error> {
+        let mut parsed = BenchArgs::default();
         let mut iter = args.into_iter();
-        while let Some(a) = iter.next() {
-            match a.as_str() {
-                "--smoke" => out.smoke = true,
-                "--out" => out.out = iter.next(),
-                _ if !a.starts_with("--") && out.out.is_none() && a.ends_with(".json") => {
-                    out.out = Some(a);
+        while let Some(arg) = iter.next() {
+            match arg.as_str() {
+                "--smoke" => parsed.smoke = true,
+                "--json" => parsed.json = true,
+                "--numerics" => parsed.numerics = true,
+                "--out" => {
+                    let path = iter
+                        .next()
+                        .filter(|p| !p.starts_with('-'))
+                        .ok_or_else(|| usage("--out needs a path"))?;
+                    if parsed.out.replace(path).is_some() {
+                        return Err(usage("--out given twice"));
+                    }
                 }
-                _ => out.rest.push(a),
+                _ if arg.starts_with('-') => return Err(usage(format!("unknown flag `{arg}`"))),
+                _ => parsed.positionals.push(arg),
             }
         }
-        out
+        Ok(parsed)
     }
 
-    /// The report path, or `default` when none was given.
-    pub fn out_or(&self, default: &str) -> String {
-        self.out.clone().unwrap_or_else(|| default.to_owned())
+    /// Checks that the experiment takes every flag given besides `--smoke`:
+    /// `takes` lists them as spelled on the command line (`"--out"`,
+    /// `"--json"`, `"--numerics"`). Any other is a usage error, so no flag is
+    /// silently ignored.
+    pub fn accept_flags(&self, takes: &[&str]) -> Result<(), Error> {
+        let given = [
+            ("--out", self.out.is_some()),
+            ("--json", self.json),
+            ("--numerics", self.numerics),
+        ];
+        match given
+            .iter()
+            .find(|&&(flag, on)| on && !takes.contains(&flag))
+        {
+            Some((flag, _)) => Err(usage(format!("this experiment takes no `{flag}`"))),
+            None => Ok(()),
+        }
+    }
+
+    /// Checks that `accept` takes every positional; the first one it
+    /// rejects is a usage error.
+    pub fn accept_positionals(&self, accept: impl Fn(&str) -> bool) -> Result<(), Error> {
+        match self.positionals.iter().find(|a| !accept(a)) {
+            Some(a) => Err(usage(format!("unknown argument `{a}`"))),
+            None => Ok(()),
+        }
+    }
+
+    /// The device the positionals name (the A100 when none does), for an
+    /// experiment whose only selector is the device.
+    pub fn device(&self) -> Result<DeviceSpec, Error> {
+        self.device_and(|_| false)
+    }
+
+    /// Like [`device`](Self::device), for an experiment that also takes
+    /// the positionals `other` accepts.
+    pub fn device_and(&self, other: impl Fn(&str) -> bool) -> Result<DeviceSpec, Error> {
+        self.accept_positionals(|a| device_named(a).is_some() || other(a))?;
+        Ok(self
+            .positionals
+            .iter()
+            .find_map(|a| device_named(a))
+            .unwrap_or_else(DeviceSpec::a100))
+    }
+
+    /// Where an experiment writes its checked-in result `file`: the `--out`
+    /// path when given; otherwise `file` itself for the run it holds (full
+    /// scale, on the A100); otherwise, under `--smoke` or for another
+    /// device, `target/bench-smoke/<file>`.
+    pub fn out_path(&self, file: &str) -> String {
+        let other_device = self
+            .positionals
+            .iter()
+            .filter_map(|a| device_named(a))
+            .any(|d| d != DeviceSpec::a100());
+        match &self.out {
+            Some(out) => out.clone(),
+            None if self.smoke || other_device => format!("{SMOKE_DIR}/{file}"),
+            None => file.to_owned(),
+        }
+    }
+
+    /// Under `--json`, prints `rows` as pretty JSON and returns `true` (the
+    /// experiment then skips its table); otherwise returns `false`.
+    pub fn print_json<T: Serialize>(&self, rows: &T) -> Result<bool, Error> {
+        if self.json {
+            println!("{}", serde_json::to_string_pretty(rows)?);
+        }
+        Ok(self.json)
+    }
+}
+
+/// The device preset `name` selects: `a100`, `3090` or `rtx3090`, `t4`
+/// (any case).
+pub fn device_named(name: &str) -> Option<DeviceSpec> {
+    match name.to_lowercase().as_str() {
+        "a100" => Some(DeviceSpec::a100()),
+        "3090" | "rtx3090" => Some(DeviceSpec::rtx3090()),
+        "t4" => Some(DeviceSpec::t4()),
+        _ => None,
     }
 }
 
 /// One row of a machine-readable benchmark report — the schema shared by
-/// every migrated experiment binary, so downstream tooling can concatenate
-/// `BENCH_*.json` files without per-bin parsers.
+/// the flat `BENCH_*.json` files, so downstream tooling can concatenate
+/// them without per-experiment parsers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchRow {
-    /// The producing binary (`"tune"`, `"ablation_tile_size"`, …).
+    /// The producing experiment (`"tune"`, `"ablation_tile_size"`, …).
     pub bin: String,
     /// The grid point, e.g. `"bert-large/A100/prefill/L4096/b1"`.
     pub config: String,
@@ -95,76 +236,107 @@ impl BenchRow {
     }
 }
 
-/// Writes a benchmark report as pretty JSON (the `BENCH_*.json` convention)
-/// and logs the destination.
-pub fn write_report(path: &str, rows: &[BenchRow]) {
-    let json = serde_json::to_string_pretty(&rows).expect("benchmark rows serialize");
-    std::fs::write(path, format!("{json}\n")).expect("writable benchmark report path");
-    println!("report written to {path} ({} rows)", rows.len());
-}
-
-/// Resolves a device name from an optional CLI argument
-/// (`a100` default, `3090`, `t4`).
-pub fn device_from_args(args: &[String]) -> DeviceSpec {
-    match args
-        .iter()
-        .map(|s| s.to_lowercase())
-        .find(|s| matches!(s.as_str(), "a100" | "3090" | "rtx3090" | "t4"))
-    {
-        None => DeviceSpec::a100(),
-        Some(s) => match s.as_str() {
-            "a100" => DeviceSpec::a100(),
-            "3090" | "rtx3090" => DeviceSpec::rtx3090(),
-            "t4" => DeviceSpec::t4(),
-            _ => unreachable!(),
-        },
+/// Flattens experiment records into rows, one per `f64` field. A record's
+/// string and integer fields, in field order, form each of its rows'
+/// `config` (integers as `name=value`); the float field's name is the
+/// `metric`. Any other field shape is an error.
+pub fn rows_of<T: Serialize>(bin: &str, records: &[T]) -> Result<Vec<BenchRow>, Error> {
+    let mut rows = Vec::new();
+    for record in records {
+        let value = record.to_value();
+        let fields = value
+            .as_object()
+            .ok_or_else(|| Error::failed(format!("{bin}: a record is not a struct")))?;
+        let mut config = Vec::new();
+        let mut metrics = Vec::new();
+        for (name, field) in fields {
+            match field {
+                Value::Str(s) => config.push(s.clone()),
+                Value::U64(n) => config.push(format!("{name}={n}")),
+                Value::I64(n) => config.push(format!("{name}={n}")),
+                Value::F64(x) => metrics.push((name, *x)),
+                _ => {
+                    return Err(Error::failed(format!(
+                        "{bin}: field `{name}` is not a string, an integer or a float"
+                    )))
+                }
+            }
+        }
+        let config = config.join("/");
+        rows.extend(
+            metrics
+                .into_iter()
+                .map(|(metric, x)| BenchRow::new(bin, &config, metric.as_str(), x)),
+        );
     }
+    Ok(rows)
 }
 
-/// Paper's evaluation sequence length.
-pub const PAPER_SEQ_LEN: usize = 4096;
-
-/// `true` if the CLI args request machine-readable output (`--json`).
-pub fn json_requested(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--json")
+/// Writes `contents` to `path`, creating the parent directory first.
+pub fn write_file(path: &str, contents: &str) -> std::io::Result<()> {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(path, contents)
 }
 
-/// Serializes experiment rows as pretty JSON for scripting against the
-/// binaries (`fig8_sd_sdf -- --json | jq ...`).
-pub fn print_json<T: serde::Serialize>(rows: &T) {
-    println!(
-        "{}",
-        serde_json::to_string_pretty(rows).expect("experiment rows serialize")
+/// Writes `report` to `path` as pretty JSON with a trailing newline (the
+/// `BENCH_*.json` convention) and logs the destination.
+pub fn write_report<T: Serialize>(path: &str, report: &T) -> Result<(), Error> {
+    let json = serde_json::to_string_pretty(report)?;
+    write_file(path, &format!("{json}\n"))?;
+    match report.to_value().as_array() {
+        Some(rows) => println!("report written to {path} ({} rows)", rows.len()),
+        None => println!("report written to {path}"),
+    }
+    Ok(())
+}
+
+/// The determinism gate of the simulated-clock experiments: empties the
+/// kernel-pricing memo, runs `run` at 1 and at 4 worker threads, then once
+/// more with the memo warm from the first two, asserts that all three
+/// results serialize to the same JSON, and returns the first. Emptying the
+/// memo first keeps the first leg cold, and the memo counts it prints its
+/// own, even when other experiments ran earlier in the process
+/// (`reproduce`). `what` names the experiment in the assertion messages.
+pub fn determinism_gate<T: Serialize>(
+    what: &str,
+    run: impl Fn() -> Result<T, Error>,
+) -> Result<T, Error> {
+    resoftmax_gpusim::clear_sim_cache();
+    let [serial, parallel] = [1, 4].map(|threads| {
+        resoftmax_parallel::set_thread_override(Some(threads));
+        run()
+    });
+    resoftmax_parallel::set_thread_override(None);
+    let serial = serial?;
+    let ser = serde_json::to_string(&serial)?;
+    assert_eq!(
+        ser,
+        serde_json::to_string(&parallel?)?,
+        "{what} rows must be identical at 1 vs 4 threads"
     );
+    println!("smoke: rows bit-identical at 1 and 4 worker threads");
+    assert_eq!(
+        ser,
+        serde_json::to_string(&run()?)?,
+        "{what} rows must be identical with a warm cache"
+    );
+    let stats = resoftmax_gpusim::sim_cache_stats();
+    println!(
+        "smoke: warm-cache leg bit-identical (pricing cache: {} entries, \
+         {} hits, {} misses)",
+        stats.kernel_entries, stats.hits, stats.misses
+    );
+    Ok(serial)
 }
 
-/// If tracing is on (`RESOFTMAX_TRACE`, or forced programmatically), writes
-/// the merged chrome-trace of everything recorded so far to the trace output
-/// path and returns it; does nothing when tracing is off.
-///
-/// Every experiment binary calls this on exit, so
-/// `RESOFTMAX_TRACE=out.json cargo run --bin fig8_sd_sdf` yields one JSON
-/// file merging the wall-clock spans (engine, simulator, parallel runtime)
-/// with the simulated kernel timeline of every run, viewable in
-/// `chrome://tracing` or <https://ui.perfetto.dev>.
-pub fn write_trace_if_enabled() -> Option<String> {
-    let path = resoftmax_obs::trace_output_path()?;
-    let rec = resoftmax_obs::recorder();
-    rec.write(&resoftmax_obs::ChromeTraceSink, &path)
-        .expect("writable trace output path");
-    let (spans, streams) = (rec.spans().len(), rec.sim_streams().len());
-    eprintln!("trace: wrote {path} ({spans} wall-clock spans, {streams} simulated streams)");
-    Some(path)
-}
-
-/// The complete static-analysis grid the `analyze` binary (and the
-/// `perf_baseline` harness) sweeps: the evaluation models (plus the two
-/// extra presets) × the four softmax strategies × the Fig. 9 sequence
-/// lengths, the Fig. 7 library line-up at the paper's default length, and
-/// the Fig. 9 batch sweep — in deterministic reporting order.
+/// The complete static-analysis grid the `analyze` experiment sweeps: the
+/// evaluation models (plus the two extra presets) × the four softmax
+/// strategies × the Fig. 9 sequence lengths, the Fig. 7 library line-up at
+/// the paper's default length, and the Fig. 9 batch sweep — in
+/// deterministic reporting order.
 pub fn analysis_grid() -> Vec<(ModelConfig, RunParams)> {
-    const SEQ_LENS: [usize; 5] = [512, 1024, 2048, 4096, 8192];
-    const BATCHES: [usize; 4] = [1, 2, 4, 8];
     const STRATEGIES: [SoftmaxStrategy; 4] = [
         SoftmaxStrategy::Baseline,
         SoftmaxStrategy::Decomposed,
@@ -182,7 +354,7 @@ pub fn analysis_grid() -> Vec<(ModelConfig, RunParams)> {
     // Strategy × sequence-length grid (Fig. 8/9), paper-baseline library.
     for model in &models {
         for &strategy in &STRATEGIES {
-            for &seq_len in &SEQ_LENS {
+            for &seq_len in &FIG9_SEQ_LENS {
                 combos.push((model.clone(), RunParams::new(seq_len).strategy(strategy)));
             }
         }
@@ -202,7 +374,7 @@ pub fn analysis_grid() -> Vec<(ModelConfig, RunParams)> {
     }
     // Batch sweep (Fig. 9 right).
     for model in &models {
-        for &batch in &BATCHES {
+        for &batch in &FIG9_BATCHES {
             for &strategy in &STRATEGIES {
                 combos.push((
                     model.clone(),
@@ -220,6 +392,14 @@ pub fn analysis_grid() -> Vec<(ModelConfig, RunParams)> {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<BenchArgs, Error> {
+        BenchArgs::from_args(args.iter().map(|&a| a.to_owned()))
+    }
+
+    fn is_usage(r: &Result<impl fmt::Debug, Error>) -> bool {
+        matches!(r, Err(Error::Usage(_)))
+    }
+
     #[test]
     fn analysis_grid_shape() {
         let grid = analysis_grid();
@@ -229,13 +409,115 @@ mod tests {
     }
 
     #[test]
-    fn device_parsing() {
-        assert_eq!(device_from_args(&[]).name, "A100");
-        assert_eq!(device_from_args(&["t4".into()]).name, "T4");
-        assert_eq!(device_from_args(&["3090".into()]).name, "RTX 3090");
+    fn flags_and_positionals_parse_in_any_order() {
+        let args = parse(&[
+            "t4",
+            "--smoke",
+            "--out",
+            "x.json",
+            "seq",
+            "--json",
+            "--numerics",
+        ])
+        .expect("valid command line");
         assert_eq!(
-            device_from_args(&["seq".into(), "a100".into()]).name,
-            "A100"
+            args,
+            BenchArgs {
+                smoke: true,
+                out: Some("x.json".into()),
+                json: true,
+                numerics: true,
+                positionals: vec!["t4".into(), "seq".into()],
+            }
         );
+        assert_eq!(parse(&[]).expect("empty is valid"), BenchArgs::default());
+        // A bare `.json` argument is a positional like any other, never a
+        // report path.
+        assert_eq!(
+            parse(&["out.json"]).expect("parses").positionals,
+            ["out.json"]
+        );
+    }
+
+    #[test]
+    fn malformed_flags_are_usage_errors() {
+        assert!(is_usage(&parse(&["--smok"])));
+        assert!(is_usage(&parse(&["--trace"])));
+        assert!(is_usage(&parse(&["-v"])));
+        assert!(is_usage(&parse(&["--out"])));
+        assert!(is_usage(&parse(&["--out", "--smoke"])));
+        assert!(is_usage(&parse(&["--out", "a.json", "--out", "b.json"])));
+    }
+
+    #[test]
+    fn device_selection() {
+        let device = |args: &[&str]| parse(args).expect("parses").device().map(|d| d.name);
+        assert_eq!(device(&[]).expect("default"), "A100");
+        assert_eq!(device(&["t4"]).expect("t4"), "T4");
+        assert_eq!(device(&["3090"]).expect("3090"), "RTX 3090");
+        assert_eq!(device(&["RTX3090"]).expect("any case"), "RTX 3090");
+        assert!(is_usage(&device(&["v100"])));
+        assert!(is_usage(&device(&["seq"])));
+        let with_sweep = parse(&["seq", "a100"])
+            .expect("parses")
+            .device_and(|a| a == "seq")
+            .expect("seq is accepted");
+        assert_eq!(with_sweep.name, "A100");
+    }
+
+    #[test]
+    fn output_rule() {
+        let out = |args: &[&str]| parse(args).expect("parses").out_path("BENCH_x.json");
+        assert_eq!(out(&[]), "BENCH_x.json");
+        assert_eq!(out(&["--smoke"]), "target/bench-smoke/BENCH_x.json");
+        assert_eq!(out(&["--smoke", "--out", "y.json"]), "y.json");
+        assert_eq!(out(&["--out", "y.json"]), "y.json");
+        // Only the A100 run is checked in: another device never overwrites it.
+        assert_eq!(out(&["a100"]), "BENCH_x.json");
+        assert_eq!(out(&["t4"]), "target/bench-smoke/BENCH_x.json");
+        assert_eq!(out(&["seq", "3090"]), "target/bench-smoke/BENCH_x.json");
+        assert_eq!(out(&["t4", "--out", "y.json"]), "y.json");
+    }
+
+    #[test]
+    fn flags_an_experiment_does_not_take_are_usage_errors() {
+        let accept =
+            |args: &[&str], takes: &[&str]| parse(args).expect("parses").accept_flags(takes);
+        assert!(accept(&["--smoke", "t4"], &[]).is_ok());
+        assert!(accept(&["--json", "--out", "y.json"], &["--out", "--json"]).is_ok());
+        assert!(accept(&["--numerics"], &["--numerics"]).is_ok());
+        assert!(is_usage(&accept(&["--out", "y.json"], &[])));
+        assert!(is_usage(&accept(&["--json"], &["--out"])));
+        assert!(is_usage(&accept(&["--numerics"], &["--json"])));
+    }
+
+    #[derive(Serialize)]
+    struct Point {
+        model: String,
+        seq_len: usize,
+        speedup: f64,
+        frac: f64,
+    }
+
+    #[test]
+    fn records_flatten_to_one_row_per_float_field() {
+        let rows = rows_of(
+            "sweep",
+            &[Point {
+                model: "BERT".into(),
+                seq_len: 512,
+                speedup: 1.5,
+                frac: 0.25,
+            }],
+        )
+        .expect("flat record");
+        assert_eq!(
+            rows,
+            [
+                BenchRow::new("sweep", "BERT/seq_len=512", "speedup", 1.5),
+                BenchRow::new("sweep", "BERT/seq_len=512", "frac", 0.25),
+            ]
+        );
+        assert!(rows_of("nested", &[vec![1.0]]).is_err());
     }
 }
