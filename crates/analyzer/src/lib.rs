@@ -42,7 +42,7 @@
 //! [`ScheduleSpec`] describing the run (dimensions, strategy, library
 //! overhead factors, block-sparse layout). The model crate wires this in as
 //! a debug-mode assertion on every schedule build, and
-//! `cargo run -p resoftmax-bench --bin analyze` sweeps the full evaluation
+//! `cargo run -p resoftmax-bench -- analyze` sweeps the full evaluation
 //! grid in CI.
 
 #![forbid(unsafe_code)]

@@ -577,7 +577,7 @@ fn ctrl_bench(scale: &CtrlScale) -> Result<CtrlBench, Error> {
     // Scenario 1 — steady parity guard: comfortable constant rate; the
     // controller must not scale, and must match the static fleet.
     let steady_cfg = ctrl_workload(scale.steady);
-    let steady_trace = phased_arrivals(&steady_cfg, &[(1.0, 5.0)]);
+    let steady_trace = phased_arrivals(&steady_cfg, &[(1.0, 5.0)])?;
     for p in statics {
         rows.push(run_static("steady", p, &steady_cfg, &steady_trace)?);
     }
@@ -598,7 +598,7 @@ fn ctrl_bench(scale: &CtrlScale) -> Result<CtrlBench, Error> {
     // replicas; the controller recruits the standbys each burst and
     // releases them each valley.
     let burst_cfg = ctrl_workload(scale.burst);
-    let burst_trace = phased_arrivals(&burst_cfg, &[(4.0, 5.0), (2.0, 36.0)]);
+    let burst_trace = phased_arrivals(&burst_cfg, &[(4.0, 5.0), (2.0, 36.0)])?;
     for p in statics {
         rows.push(run_static("burst", p, &burst_cfg, &burst_trace)?);
     }
@@ -624,7 +624,7 @@ fn ctrl_bench(scale: &CtrlScale) -> Result<CtrlBench, Error> {
             (2.0, 10.0),
             (2.0, 5.0),
         ],
-    );
+    )?;
     for p in statics {
         rows.push(run_static("diurnal", p, &diurnal_cfg, &diurnal_trace)?);
     }
@@ -671,7 +671,7 @@ fn ctrl_bench(scale: &CtrlScale) -> Result<CtrlBench, Error> {
     // The spike has to outrun the controller's scale-up (one replica per
     // cooldown) for the classifier to reach overload before capacity
     // catches up — hence 64 req/s, an order of magnitude over base.
-    let overload_trace = phased_arrivals(&overload_cfg, &[(1.0, 5.0), (1.5, 64.0), (60.0, 3.0)]);
+    let overload_trace = phased_arrivals(&overload_cfg, &[(1.0, 5.0), (1.5, 64.0), (60.0, 3.0)])?;
     for p in statics {
         rows.push(run_static("overload", p, &overload_cfg, &overload_trace)?);
     }

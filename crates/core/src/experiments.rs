@@ -1,9 +1,9 @@
 //! Experiment drivers: one function per table/figure of the paper.
 //!
 //! Each driver runs the simulated experiments and returns typed rows; the
-//! `resoftmax-bench` binaries print them, and the integration tests assert
-//! the paper's qualitative claims on them. See `EXPERIMENTS.md` for the
-//! paper-vs-measured record.
+//! `resoftmax-bench` driver's subcommands print them, and the integration
+//! tests assert the paper's qualitative claims on them. See `EXPERIMENTS.md`
+//! for the paper-vs-measured record.
 
 use resoftmax_gpusim::{DeviceSpec, KernelCategory, LaunchError};
 use resoftmax_model::{run_inference, LibraryProfile, ModelConfig, RunParams, SoftmaxStrategy};

@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the experiment binaries.
+//! Plain-text table rendering for the `resoftmax-bench` subcommands.
 
 /// Renders rows as a fixed-width text table with a header and rule.
 ///

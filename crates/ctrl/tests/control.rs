@@ -24,7 +24,7 @@ fn burst_cfg() -> ServeConfig {
 /// trickling while the backlog drains, so the controller sees low-load
 /// decisions before the run ends.
 fn burst_trace(cfg: &ServeConfig) -> Vec<resoftmax_serve::Arrival> {
-    phased_arrivals(cfg, &[(1.0, 4.0), (2.0, 40.0), (60.0, 2.0)])
+    phased_arrivals(cfg, &[(1.0, 4.0), (2.0, 40.0), (60.0, 2.0)]).unwrap()
 }
 
 fn run_controlled(cfg: &ServeConfig, controller: &Controller) -> FleetReport {

@@ -19,7 +19,7 @@ fn cfg() -> ServeConfig {
 
 fn run_with(control: &dyn ControlPlane) -> FleetReport {
     let cfg = cfg();
-    let trace = phased_arrivals(&cfg, &[(1.0, 4.0), (1.5, 32.0), (60.0, 2.0)]);
+    let trace = phased_arrivals(&cfg, &[(1.0, 4.0), (1.5, 32.0), (60.0, 2.0)]).unwrap();
     FleetBuilder::new()
         .model(ModelConfig::gpt_neo_1_3b())
         .params(RunParams::new(4096))

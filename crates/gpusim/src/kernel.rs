@@ -470,7 +470,8 @@ impl KernelDesc {
     }
 }
 
-/// Builder for [`KernelDesc`] (non-consuming setters, terminal [`build`]).
+/// Builder for [`KernelDesc`]: `&mut self` setters, then one [`build`] that
+/// moves the parts into the kernel.
 ///
 /// [`build`]: KernelDescBuilder::build
 #[derive(Debug, Clone)]
@@ -527,16 +528,19 @@ impl KernelDescBuilder {
         self
     }
 
-    /// Finishes the description.
-    pub fn build(&self) -> KernelDesc {
+    /// Finishes the description, moving the name, grid, buffer lists and
+    /// metadata into it instead of cloning them. Those fields of the builder
+    /// are left empty (an empty name, an empty per-block grid, no buffers,
+    /// default metadata), so build each kernel from its own builder.
+    pub fn build(&mut self) -> KernelDesc {
         KernelDesc {
-            name: self.name.clone(),
+            name: std::mem::take(&mut self.name),
             category: self.category,
             shape: self.shape,
-            tbs: self.tbs.clone(),
-            reads: self.reads.clone(),
-            writes: self.writes.clone(),
-            meta: self.meta.clone(),
+            tbs: std::mem::replace(&mut self.tbs, TbSet::PerTb(Vec::new())),
+            reads: std::mem::take(&mut self.reads),
+            writes: std::mem::take(&mut self.writes),
+            meta: std::mem::take(&mut self.meta),
         }
     }
 }

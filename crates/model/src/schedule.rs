@@ -15,6 +15,7 @@ use crate::library::{LibraryProfile, SparseSupport};
 use resoftmax_analyzer::{error_model, ErrorBound, ScheduleSpec, SparseSpec, StrategyKind};
 use resoftmax_gpusim::{AccumFormat, KernelCategory, KernelDesc, ParallelSplit, TbSet};
 use resoftmax_kernels::costs::{common, dense, sparse, AttnDims, TileConfig};
+use resoftmax_sparse::BlockLayout;
 use serde::{Deserialize, Serialize};
 
 /// Work multiplier gather/scatter-based sparse implementations pay on every
@@ -162,6 +163,12 @@ fn scale_work(desc: &mut KernelDesc, factor: f64) {
     }
 }
 
+/// Whether `model`'s attention runs on block-sparse kernels under `profile`:
+/// sparse models do, unless the profile falls back to dense kernels.
+pub(crate) fn uses_sparse_kernels(model: &ModelConfig, profile: &LibraryProfile) -> bool {
+    model.attention.is_sparse() && !matches!(profile.sparse_support, SparseSupport::DenseFallback)
+}
+
 /// Builds the complete kernel schedule of one inference iteration.
 ///
 /// # Panics
@@ -169,6 +176,19 @@ fn scale_work(desc: &mut KernelDesc, factor: f64) {
 /// Panics if `seq_len` is incompatible with the model's sparse block size or
 /// the tile width does not divide the sequence length.
 pub fn build_schedule(model: &ModelConfig, params: &RunParams) -> Vec<KernelDesc> {
+    let layout =
+        uses_sparse_kernels(model, &params.profile).then(|| model.attention.layout(params.seq_len));
+    build_schedule_on(model, params, layout.as_ref())
+}
+
+/// [`build_schedule`] on a sparse layout the caller built once for the whole
+/// schedule: `model.attention.layout(params.seq_len)` where
+/// [`uses_sparse_kernels`] holds, else `None`.
+pub(crate) fn build_schedule_on(
+    model: &ModelConfig,
+    params: &RunParams,
+    layout: Option<&BlockLayout>,
+) -> Vec<KernelDesc> {
     let rows = params.seq_len * params.batch;
     let d_model = model.d_model;
     let profile = &params.profile;
@@ -189,7 +209,7 @@ pub fn build_schedule(model: &ModelConfig, params: &RunParams) -> Vec<KernelDesc
     for layer in 0..model.layers {
         let prefix = format!("l{layer}");
         let next_x = format!("l{}.x", layer + 1);
-        build_layer(model, params, &prefix, rows, &next_x, &mut kernels);
+        build_layer(model, params, layout, &prefix, rows, &next_x, &mut kernels);
     }
 
     // Apply library efficiency overheads.
@@ -208,7 +228,7 @@ pub fn build_schedule(model: &ModelConfig, params: &RunParams) -> Vec<KernelDesc
 
     // Debug builds statically verify every schedule they hand out: fusion
     // legality, buffer dataflow, and traffic conservation (release builds
-    // skip the pass; `resoftmax-bench`'s `analyze` binary covers CI).
+    // skip the pass; the `resoftmax-bench analyze` subcommand covers CI).
     #[cfg(debug_assertions)]
     {
         let report = check_schedule(model, params, &kernels);
@@ -243,8 +263,7 @@ pub(crate) fn apply_ls_split(params: &RunParams, kernels: &mut [KernelDesc]) {
 /// layout that [`build_schedule`] bakes into its kernels.
 pub fn analysis_spec(model: &ModelConfig, params: &RunParams) -> ScheduleSpec {
     let profile = &params.profile;
-    let use_sparse = model.attention.is_sparse()
-        && !matches!(profile.sparse_support, SparseSupport::DenseFallback);
+    let use_sparse = uses_sparse_kernels(model, profile);
     let sparse = use_sparse.then(|| {
         let layout = model.attention.layout(params.seq_len);
         SparseSpec {
@@ -314,9 +333,7 @@ pub fn check_schedule(
 /// [`resoftmax_analyzer::analyze_certified`] reports on the built schedule;
 /// a test pins that correspondence across strategies and tiles.
 pub fn static_error_bound(model: &ModelConfig, params: &RunParams) -> Option<ErrorBound> {
-    let use_sparse = model.attention.is_sparse()
-        && !matches!(params.profile.sparse_support, SparseSupport::DenseFallback);
-    if use_sparse || params.seq_len == 0 {
+    if uses_sparse_kernels(model, &params.profile) || params.seq_len == 0 {
         return None;
     }
     let (ctx, t) = (params.seq_len, params.tile.n);
@@ -335,6 +352,7 @@ pub fn static_error_bound(model: &ModelConfig, params: &RunParams) -> Option<Err
 fn build_layer(
     model: &ModelConfig,
     params: &RunParams,
+    layout: Option<&BlockLayout>,
     prefix: &str,
     rows: usize,
     next_x: &str,
@@ -371,7 +389,7 @@ fn build_layer(
     }
 
     // The SDA block.
-    build_attention(model, params, prefix, kernels);
+    build_attention(model, params, layout, prefix, kernels);
 
     // Output projection + residual + LayerNorm.
     kernels.push(common::fc(
@@ -453,9 +471,12 @@ fn build_layer(
     ));
 }
 
+/// Emits one layer's SDA block: on `layout`'s block-sparse kernels when it is
+/// given, else on the dense kernels.
 fn build_attention(
     model: &ModelConfig,
     params: &RunParams,
+    layout: Option<&BlockLayout>,
     prefix: &str,
     kernels: &mut Vec<KernelDesc>,
 ) {
@@ -463,11 +484,7 @@ fn build_attention(
     let profile = &params.profile;
     let t = params.tile.n;
 
-    let use_sparse = model.attention.is_sparse()
-        && !matches!(profile.sparse_support, SparseSupport::DenseFallback);
-
-    if use_sparse {
-        let layout = model.attention.layout(params.seq_len);
+    if let Some(layout) = layout {
         // Gather-based implementations move the data an extra time around
         // every attention kernel.
         let gather_penalty = match profile.sparse_support {
@@ -477,18 +494,18 @@ fn build_attention(
         let start = kernels.len();
         match params.strategy {
             SoftmaxStrategy::OnlineFused => {
-                kernels.push(sparse::bs_fused_mha_online(&layout, &dims, prefix));
+                kernels.push(sparse::bs_fused_mha_online(layout, &dims, prefix));
             }
             SoftmaxStrategy::Baseline => {
                 kernels.push(sparse::bs_matmul_qk(
-                    &layout,
+                    layout,
                     &dims,
                     prefix,
                     sparse::BsQkEpilogue::ScaleMask,
                 ));
-                kernels.push(sparse::bs_softmax_baseline(&layout, &dims, prefix));
+                kernels.push(sparse::bs_softmax_baseline(layout, &dims, prefix));
                 kernels.push(sparse::bs_matmul_pv(
-                    &layout,
+                    layout,
                     &dims,
                     prefix,
                     sparse::BsPvPrologue::None,
@@ -496,16 +513,16 @@ fn build_attention(
             }
             SoftmaxStrategy::Decomposed => {
                 kernels.push(sparse::bs_matmul_qk(
-                    &layout,
+                    layout,
                     &dims,
                     prefix,
                     sparse::BsQkEpilogue::ScaleMask,
                 ));
-                kernels.push(sparse::bs_local_softmax(&layout, &dims, prefix));
-                kernels.push(sparse::bs_inter_reduction(&layout, &dims, prefix));
-                kernels.push(sparse::bs_global_scaling(&layout, &dims, prefix));
+                kernels.push(sparse::bs_local_softmax(layout, &dims, prefix));
+                kernels.push(sparse::bs_inter_reduction(layout, &dims, prefix));
+                kernels.push(sparse::bs_global_scaling(layout, &dims, prefix));
                 kernels.push(sparse::bs_matmul_pv(
-                    &layout,
+                    layout,
                     &dims,
                     prefix,
                     sparse::BsPvPrologue::None,
@@ -513,14 +530,14 @@ fn build_attention(
             }
             SoftmaxStrategy::Recomposed => {
                 kernels.push(sparse::bs_matmul_qk(
-                    &layout,
+                    layout,
                     &dims,
                     prefix,
                     sparse::BsQkEpilogue::ScaleMaskLocalSoftmax,
                 ));
-                kernels.push(sparse::bs_inter_reduction(&layout, &dims, prefix));
+                kernels.push(sparse::bs_inter_reduction(layout, &dims, prefix));
                 kernels.push(sparse::bs_matmul_pv(
-                    &layout,
+                    layout,
                     &dims,
                     prefix,
                     sparse::BsPvPrologue::GlobalScaling,

@@ -17,9 +17,9 @@
 //! the same §5.1 utilization pathology as the forward one, so recomposition
 //! gains even more in sparse training than dense.
 
-use crate::config::{AttentionKind, ModelConfig};
+use crate::config::ModelConfig;
 use crate::engine::RunReport;
-use crate::schedule::{build_schedule, RunParams, SoftmaxStrategy};
+use crate::schedule::{build_schedule_on, uses_sparse_kernels, RunParams, SoftmaxStrategy};
 use resoftmax_gpusim::{DeviceSpec, Gpu, KernelCategory, KernelDesc, LaunchError};
 use resoftmax_kernels::costs::{common, sparse_training, training, AttnDims};
 
@@ -42,9 +42,20 @@ pub fn build_training_schedule(model: &ModelConfig, params: &RunParams) -> Vec<K
     let dims = AttnDims::new(params.seq_len, model.d_head(), model.heads, params.batch);
     let tile = params.tile;
 
+    // One sparse layout serves both passes. The backward chain is
+    // block-sparse for every sparse model; the forward pass only where the
+    // profile runs block-sparse kernels.
+    let layout = model
+        .attention
+        .is_sparse()
+        .then(|| model.attention.layout(params.seq_len));
+    let forward_layout = layout
+        .as_ref()
+        .filter(|_| uses_sparse_kernels(model, &params.profile));
+
     // Forward pass (identical to inference; activations stay resident in the
     // cost model via the same buffer ids the backward kernels reference).
-    let mut kernels = build_schedule(model, params);
+    let mut kernels = build_schedule_on(model, params, forward_layout);
 
     // Backward pass, reverse layer order.
     for layer in (0..model.layers).rev() {
@@ -131,7 +142,26 @@ pub fn build_training_schedule(model: &ModelConfig, params: &RunParams) -> Vec<K
         ));
 
         // The attention backward chain (the §6 heart).
-        if let AttentionKind::Dense { .. } = model.attention {
+        if let Some(layout) = &layout {
+            kernels.push(sparse_training::bs_matmul_dv(
+                layout, &dims, &prefix, recomposed,
+            ));
+            kernels.push(sparse_training::bs_matmul_dp(
+                layout, &dims, &prefix, recomposed,
+            ));
+            if recomposed {
+                kernels.push(sparse_training::bs_rowdot_reduction(layout, &dims, &prefix));
+                kernels.push(sparse_training::bs_ds_elementwise(layout, &dims, &prefix));
+            } else {
+                kernels.push(sparse_training::bs_softmax_backward(layout, &dims, &prefix));
+            }
+            kernels.push(sparse_training::bs_matmul_dq_or_dk(
+                layout, &dims, &prefix, "d_q",
+            ));
+            kernels.push(sparse_training::bs_matmul_dq_or_dk(
+                layout, &dims, &prefix, "d_k",
+            ));
+        } else {
             kernels.push(training::matmul_dv(&dims, tile, &prefix, recomposed));
             kernels.push(training::matmul_dp(&dims, tile, &prefix, recomposed));
             if recomposed {
@@ -142,30 +172,6 @@ pub fn build_training_schedule(model: &ModelConfig, params: &RunParams) -> Vec<K
             }
             kernels.push(training::matmul_dq_or_dk(&dims, tile, &prefix, "d_q", "k"));
             kernels.push(training::matmul_dq_or_dk(&dims, tile, &prefix, "d_k", "q"));
-        } else {
-            let layout = model.attention.layout(params.seq_len);
-            kernels.push(sparse_training::bs_matmul_dv(
-                &layout, &dims, &prefix, recomposed,
-            ));
-            kernels.push(sparse_training::bs_matmul_dp(
-                &layout, &dims, &prefix, recomposed,
-            ));
-            if recomposed {
-                kernels.push(sparse_training::bs_rowdot_reduction(
-                    &layout, &dims, &prefix,
-                ));
-                kernels.push(sparse_training::bs_ds_elementwise(&layout, &dims, &prefix));
-            } else {
-                kernels.push(sparse_training::bs_softmax_backward(
-                    &layout, &dims, &prefix,
-                ));
-            }
-            kernels.push(sparse_training::bs_matmul_dq_or_dk(
-                &layout, &dims, &prefix, "d_q",
-            ));
-            kernels.push(sparse_training::bs_matmul_dq_or_dk(
-                &layout, &dims, &prefix, "d_k",
-            ));
         }
 
         // QKV projection backward: 3 × (dgrad + wgrad).
@@ -203,8 +209,7 @@ pub fn build_training_schedule(model: &ModelConfig, params: &RunParams) -> Vec<K
 ///
 /// # Panics
 ///
-/// Panics for sparse models or the online-fused strategy (see
-/// [`build_training_schedule`]).
+/// Panics for the online-fused strategy (see [`build_training_schedule`]).
 pub fn run_training_iteration(
     model: &ModelConfig,
     params: &RunParams,
@@ -225,6 +230,7 @@ pub fn run_training_iteration(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::build_schedule;
 
     #[test]
     fn training_schedule_is_superset_of_inference() {

@@ -24,8 +24,8 @@
 //!
 //! * `RESOFTMAX_TRACE` — spans + sim-stream recording. Set to `1` (or any
 //!   value other than `0`/empty) to enable; a value ending in `.json` also
-//!   names the output path the bench binaries write the merged trace to
-//!   (default `resoftmax_trace.json`).
+//!   names the output path the `resoftmax-bench` driver writes the merged
+//!   trace to (default `resoftmax_trace.json`).
 //! * `RESOFTMAX_METRICS` — counter updates.
 //!
 //! Both can be overridden programmatically ([`set_trace_enabled`],
@@ -33,9 +33,10 @@
 //! opts a process in without touching the environment.
 //!
 //! When disabled, every instrumentation site costs one relaxed atomic load
-//! and a predictable branch — the `perf_baseline` binary measures the full
-//! experiment suite with instrumentation force-disabled vs force-enabled to
-//! keep that claim honest.
+//! and a predictable branch. No measurement backs that cost claim; the
+//! closest check is `resoftmax-bench figures --smoke`, which reruns the
+//! figures with tracing and metrics on and requires bit-identical rows (it
+//! checks output identity and times nothing).
 //!
 //! # Example
 //!
@@ -155,7 +156,7 @@ pub fn set_metrics_enabled(v: Option<bool>) {
 /// `RESOFTMAX_TRACE=out.json` (any value ending in `.json`) names the path;
 /// any other truthy value yields the default `resoftmax_trace.json`. Returns
 /// `None` when tracing is disabled. The library never writes files itself —
-/// binaries consult this and write at exit.
+/// the `resoftmax-bench` driver consults this and writes at exit.
 pub fn trace_output_path() -> Option<String> {
     if !trace_enabled() {
         return None;

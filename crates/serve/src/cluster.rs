@@ -410,7 +410,7 @@ impl<'a> FleetBuilder<'a> {
             return config(format!("interconnect invalid: {e}"));
         }
 
-        // Workload sanity — everything `poisson_arrivals` would panic on,
+        // Workload sanity — everything `poisson_arrivals` would reject,
         // plus the metric-shape requirements.
         if let Err(reason) = cfg.validate() {
             return config(reason);
@@ -865,10 +865,10 @@ impl<'f> FleetState<'f> {
     /// the controller so reruns of the same `Fleet` stay bit-identical.
     fn new(fleet: &'f Fleet<'f>) -> Result<Self, Error> {
         let cfg = &fleet.cfg;
-        let arrivals = fleet
-            .arrivals
-            .clone()
-            .unwrap_or_else(|| poisson_arrivals(cfg));
+        let arrivals = match &fleet.arrivals {
+            Some(trace) => trace.clone(),
+            None => poisson_arrivals(cfg)?,
+        };
         let bytes_per_token = kv_bytes_per_token(&fleet.model);
         let sessions = if cfg.sessions == 0 {
             arrivals.len() as u64
@@ -902,7 +902,7 @@ impl<'f> FleetState<'f> {
             .iter()
             .enumerate()
             .map(|(i, d)| {
-                let pool = KvPool::new(fleet.pool_caps[i], cfg.kv_block_tokens, bytes_per_token);
+                let pool = KvPool::new(fleet.pool_caps[i], cfg.kv_block_tokens, bytes_per_token)?;
                 let mut r = Replica::new(i, d.clone(), fleet.roles[i], pool);
                 if fleet.standby[i] {
                     r.standby = true;
@@ -911,9 +911,9 @@ impl<'f> FleetState<'f> {
                 if trace {
                     r.timeline = Some(Timeline::new());
                 }
-                r
+                Ok(r)
             })
-            .collect();
+            .collect::<Result<_, Error>>()?;
 
         let mut signal_windows = None;
         if let Some(control) = fleet.control {

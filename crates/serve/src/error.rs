@@ -54,6 +54,15 @@ pub enum Error {
     Model(resoftmax_model::Error),
 }
 
+/// Fails with `Error::Config { reason }` unless `ok`.
+pub(crate) fn require(ok: bool, reason: impl FnOnce() -> String) -> Result<(), Error> {
+    if ok {
+        Ok(())
+    } else {
+        Err(Error::Config { reason: reason() })
+    }
+}
+
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

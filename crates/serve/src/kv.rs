@@ -6,6 +6,7 @@
 //! request's resident context. Only the *accounting* is simulated here — the
 //! timing model already charges the cache-streaming traffic per kernel.
 
+use crate::error::{require, Error};
 use resoftmax_kernels::costs::FP16_BYTES;
 use resoftmax_model::ModelConfig;
 
@@ -39,26 +40,34 @@ impl KvPool {
     /// Builds a pool of `capacity_bytes` carved into blocks of
     /// `block_tokens` tokens at `bytes_per_token`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the parameters produce zero usable blocks — a pool that
-    /// can never admit anything is a configuration error, not a state.
-    pub fn new(capacity_bytes: u64, block_tokens: usize, bytes_per_token: u64) -> Self {
-        assert!(block_tokens > 0, "KV block size must be nonzero");
-        assert!(bytes_per_token > 0, "KV bytes per token must be nonzero");
+    /// Returns [`Error::Config`] when `block_tokens` or `bytes_per_token` is
+    /// zero, or the parameters produce zero usable blocks — a pool that can
+    /// never admit anything is a configuration error, not a state.
+    pub fn new(
+        capacity_bytes: u64,
+        block_tokens: usize,
+        bytes_per_token: u64,
+    ) -> Result<Self, Error> {
+        require(block_tokens > 0, || {
+            "KV block size must be nonzero".to_owned()
+        })?;
+        require(bytes_per_token > 0, || {
+            "KV bytes per token must be nonzero".to_owned()
+        })?;
         let block_bytes = block_tokens as u64 * bytes_per_token;
         let total_blocks = capacity_bytes / block_bytes;
-        assert!(
-            total_blocks > 0,
-            "KV pool capacity {capacity_bytes}B is below one {block_bytes}B block"
-        );
-        KvPool {
+        require(total_blocks > 0, || {
+            format!("KV pool capacity {capacity_bytes}B is below one {block_bytes}B block")
+        })?;
+        Ok(KvPool {
             block_bytes,
             block_tokens,
             total_blocks,
             used_blocks: 0,
             peak_blocks: 0,
-        }
+        })
     }
 
     /// Blocks required to hold `tokens` of context.
@@ -129,7 +138,7 @@ mod tests {
 
     #[test]
     fn pool_allocates_and_frees_block_granular() {
-        let mut p = KvPool::new(1000, 4, 10); // 40B blocks → 25 blocks
+        let mut p = KvPool::new(1000, 4, 10).unwrap(); // 40B blocks → 25 blocks
         assert_eq!(p.total_blocks(), 25);
         assert_eq!(p.blocks_for(1), 1);
         assert_eq!(p.blocks_for(4), 1);
@@ -145,9 +154,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "below one")]
     fn zero_block_pool_rejected() {
-        let _ = KvPool::new(10, 4, 10);
+        let e = KvPool::new(10, 4, 10).unwrap_err();
+        assert!(matches!(e, Error::Config { .. }), "{e}");
+        assert!(e.to_string().contains("below one"), "{e}");
+    }
+
+    #[test]
+    fn zero_block_size_rejected() {
+        let e = KvPool::new(1000, 0, 10).unwrap_err();
+        assert!(matches!(e, Error::Config { .. }), "{e}");
+        assert!(e.to_string().contains("block size must be nonzero"), "{e}");
+    }
+
+    #[test]
+    fn zero_bytes_per_token_rejected() {
+        let e = KvPool::new(1000, 4, 0).unwrap_err();
+        assert!(matches!(e, Error::Config { .. }), "{e}");
+        assert!(
+            e.to_string().contains("bytes per token must be nonzero"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Workload description: request arrivals and scheduler configuration.
 
+use crate::error::{require, Error};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -82,8 +83,8 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Workload sanity checks — everything [`poisson_arrivals`] would panic
-    /// on, plus the metric-shape requirements. `FleetBuilder::build` calls
+    /// Workload sanity checks — everything [`poisson_arrivals`] would reject,
+    /// plus the metric-shape requirements. `FleetBuilder::build` calls
     /// this and wraps the message in `Error::Config`.
     ///
     /// # Errors
@@ -145,27 +146,38 @@ impl Default for ServeConfig {
     }
 }
 
+/// Checks the token ranges both samplers draw from: nonempty, with
+/// nonzero lower bounds.
+fn check_token_ranges(cfg: &ServeConfig) -> Result<(), Error> {
+    let ((p_lo, p_hi), (d_lo, d_hi)) = (cfg.prompt_tokens, cfg.decode_tokens);
+    require(p_lo > 0 && p_lo <= p_hi, || {
+        format!("bad prompt range {p_lo}..={p_hi}")
+    })?;
+    require(d_lo > 0 && d_lo <= d_hi, || {
+        format!("bad decode range {d_lo}..={d_hi}")
+    })
+}
+
 /// Samples the request trace: exponential inter-arrival gaps at
 /// `arrival_rate_hz`, uniform prompt/decode lengths. Deterministic in
 /// `cfg.seed`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on degenerate configs (zero requests, non-positive rate, empty
-/// or zero token ranges).
-pub fn poisson_arrivals(cfg: &ServeConfig) -> Vec<Arrival> {
-    assert!(cfg.requests > 0, "trace needs at least one request");
-    assert!(
-        cfg.arrival_rate_hz > 0.0,
-        "arrival rate must be positive, got {}",
-        cfg.arrival_rate_hz
-    );
+/// Returns [`Error::Config`] on degenerate configs (zero requests,
+/// non-positive rate, empty or zero token ranges).
+pub fn poisson_arrivals(cfg: &ServeConfig) -> Result<Vec<Arrival>, Error> {
+    require(cfg.requests > 0, || {
+        "trace needs at least one request".to_owned()
+    })?;
+    require(cfg.arrival_rate_hz > 0.0, || {
+        format!("arrival rate must be positive, got {}", cfg.arrival_rate_hz)
+    })?;
+    check_token_ranges(cfg)?;
     let ((p_lo, p_hi), (d_lo, d_hi)) = (cfg.prompt_tokens, cfg.decode_tokens);
-    assert!(p_lo > 0 && p_lo <= p_hi, "bad prompt range {p_lo}..={p_hi}");
-    assert!(d_lo > 0 && d_lo <= d_hi, "bad decode range {d_lo}..={d_hi}");
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let mut now = 0.0f64;
-    (0..cfg.requests)
+    Ok((0..cfg.requests)
         .map(|_| {
             // Inverse-CDF exponential gap; 1-u keeps the log argument in (0, 1].
             let u: f64 = rng.gen_range(0.0..1.0);
@@ -176,7 +188,7 @@ pub fn poisson_arrivals(cfg: &ServeConfig) -> Vec<Arrival> {
                 decode: rng.gen_range(d_lo..d_hi + 1),
             }
         })
-        .collect()
+        .collect())
 }
 
 /// Samples a *phase-shifting* request trace: a piecewise-constant-rate
@@ -192,35 +204,33 @@ pub fn poisson_arrivals(cfg: &ServeConfig) -> Vec<Arrival> {
 /// exponential), so the instantaneous rate within every segment is exactly
 /// that segment's `rate_hz`. Deterministic in `cfg.seed`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on degenerate configs (zero requests, empty or zero token ranges,
-/// empty `phases`, non-positive durations or rates).
-pub fn phased_arrivals(cfg: &ServeConfig, phases: &[(f64, f64)]) -> Vec<Arrival> {
-    assert!(cfg.requests > 0, "trace needs at least one request");
-    assert!(
-        !phases.is_empty(),
-        "phase schedule needs at least one phase"
-    );
+/// Returns [`Error::Config`] on degenerate configs (zero requests, empty or
+/// zero token ranges, empty `phases`, non-positive durations or rates).
+pub fn phased_arrivals(cfg: &ServeConfig, phases: &[(f64, f64)]) -> Result<Vec<Arrival>, Error> {
+    require(cfg.requests > 0, || {
+        "trace needs at least one request".to_owned()
+    })?;
+    require(!phases.is_empty(), || {
+        "phase schedule needs at least one phase".to_owned()
+    })?;
     for &(dur_s, rate_hz) in phases {
-        assert!(
-            dur_s > 0.0 && dur_s.is_finite(),
-            "phase duration must be positive and finite, got {dur_s}"
-        );
-        assert!(
-            rate_hz > 0.0 && rate_hz.is_finite(),
-            "phase rate must be positive and finite, got {rate_hz}"
-        );
+        require(dur_s > 0.0 && dur_s.is_finite(), || {
+            format!("phase duration must be positive and finite, got {dur_s}")
+        })?;
+        require(rate_hz > 0.0 && rate_hz.is_finite(), || {
+            format!("phase rate must be positive and finite, got {rate_hz}")
+        })?;
     }
+    check_token_ranges(cfg)?;
     let ((p_lo, p_hi), (d_lo, d_hi)) = (cfg.prompt_tokens, cfg.decode_tokens);
-    assert!(p_lo > 0 && p_lo <= p_hi, "bad prompt range {p_lo}..={p_hi}");
-    assert!(d_lo > 0 && d_lo <= d_hi, "bad decode range {d_lo}..={d_hi}");
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let mut now = 0.0f64;
     let mut phase = 0usize;
     // Simulated time already elapsed inside the current phase.
     let mut into_phase = 0.0f64;
-    (0..cfg.requests)
+    Ok((0..cfg.requests)
         .map(|_| {
             let u: f64 = rng.gen_range(0.0..1.0);
             // One unit-rate exponential, consumed across phase boundaries.
@@ -245,7 +255,7 @@ pub fn phased_arrivals(cfg: &ServeConfig, phases: &[(f64, f64)]) -> Vec<Arrival>
                 decode: rng.gen_range(d_lo..d_hi + 1),
             }
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -255,8 +265,8 @@ mod tests {
     #[test]
     fn arrivals_are_deterministic_and_ordered() {
         let cfg = ServeConfig::default();
-        let a = poisson_arrivals(&cfg);
-        let b = poisson_arrivals(&cfg);
+        let a = poisson_arrivals(&cfg).unwrap();
+        let b = poisson_arrivals(&cfg).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.len(), cfg.requests);
         assert!(a.windows(2).all(|w| w[0].at_s <= w[1].at_s));
@@ -299,8 +309,8 @@ mod tests {
         };
         // Square wave: 10 s at 4 Hz, 10 s at 40 Hz, repeating.
         let phases = [(10.0, 4.0), (10.0, 40.0)];
-        let a = phased_arrivals(&cfg, &phases);
-        assert_eq!(a, phased_arrivals(&cfg, &phases));
+        let a = phased_arrivals(&cfg, &phases).unwrap();
+        assert_eq!(a, phased_arrivals(&cfg, &phases).unwrap());
         assert!(a.windows(2).all(|w| w[0].at_s <= w[1].at_s));
         // Count arrivals inside low vs high segments of the first full
         // cycles; rates should be ~10x apart (loose bounds, it is random).
@@ -333,18 +343,105 @@ mod tests {
             requests: 256,
             ..ServeConfig::default()
         };
-        let homogeneous = poisson_arrivals(&cfg);
-        let phased = phased_arrivals(&cfg, &[(f64::MAX, cfg.arrival_rate_hz)]);
+        let homogeneous = poisson_arrivals(&cfg).unwrap();
+        let phased = phased_arrivals(&cfg, &[(f64::MAX, cfg.arrival_rate_hz)]).unwrap();
         assert_eq!(homogeneous, phased);
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = poisson_arrivals(&ServeConfig::default());
+        let a = poisson_arrivals(&ServeConfig::default()).unwrap();
         let b = poisson_arrivals(&ServeConfig {
             seed: 1,
             ..ServeConfig::default()
-        });
+        })
+        .unwrap();
         assert_ne!(a, b);
+    }
+
+    /// The default config with one field changed by `f`.
+    fn broken(f: fn(&mut ServeConfig)) -> ServeConfig {
+        let mut cfg = ServeConfig::default();
+        f(&mut cfg);
+        cfg
+    }
+
+    /// The reason of the `Error::Config` a sampler returned.
+    fn config_reason(trace: Result<Vec<Arrival>, Error>) -> String {
+        match trace {
+            Err(Error::Config { reason }) => reason,
+            other => panic!("expected Error::Config, got {other:?}"),
+        }
+    }
+
+    const PHASES: [(f64, f64); 2] = [(1.0, 4.0), (2.0, 40.0)];
+
+    #[test]
+    fn poisson_rejects_zero_requests() {
+        let trace = poisson_arrivals(&broken(|c| c.requests = 0));
+        assert_eq!(config_reason(trace), "trace needs at least one request");
+    }
+
+    #[test]
+    fn poisson_rejects_non_positive_rate() {
+        let trace = poisson_arrivals(&broken(|c| c.arrival_rate_hz = 0.0));
+        assert_eq!(config_reason(trace), "arrival rate must be positive, got 0");
+    }
+
+    #[test]
+    fn poisson_rejects_empty_prompt_range() {
+        let trace = poisson_arrivals(&broken(|c| c.prompt_tokens = (8, 4)));
+        assert_eq!(config_reason(trace), "bad prompt range 8..=4");
+    }
+
+    #[test]
+    fn poisson_rejects_zero_decode_lower_bound() {
+        let trace = poisson_arrivals(&broken(|c| c.decode_tokens = (0, 4)));
+        assert_eq!(config_reason(trace), "bad decode range 0..=4");
+    }
+
+    #[test]
+    fn phased_rejects_zero_requests() {
+        let trace = phased_arrivals(&broken(|c| c.requests = 0), &PHASES);
+        assert_eq!(config_reason(trace), "trace needs at least one request");
+    }
+
+    #[test]
+    fn phased_rejects_an_empty_phase_schedule() {
+        let trace = phased_arrivals(&ServeConfig::default(), &[]);
+        assert_eq!(
+            config_reason(trace),
+            "phase schedule needs at least one phase"
+        );
+    }
+
+    #[test]
+    fn phased_rejects_a_non_positive_duration() {
+        let trace = phased_arrivals(&ServeConfig::default(), &[(1.0, 4.0), (0.0, 40.0)]);
+        assert_eq!(
+            config_reason(trace),
+            "phase duration must be positive and finite, got 0"
+        );
+    }
+
+    #[test]
+    fn phased_rejects_a_non_finite_rate() {
+        let trace = phased_arrivals(&ServeConfig::default(), &[(1.0, f64::INFINITY)]);
+        assert_eq!(
+            config_reason(trace),
+            "phase rate must be positive and finite, got inf"
+        );
+    }
+
+    #[test]
+    fn phased_rejects_empty_prompt_range() {
+        let trace = phased_arrivals(&broken(|c| c.prompt_tokens = (0, 4)), &PHASES);
+        assert_eq!(config_reason(trace), "bad prompt range 0..=4");
+    }
+
+    #[test]
+    fn phased_rejects_empty_decode_range() {
+        let trace = phased_arrivals(&broken(|c| c.decode_tokens = (9, 3)), &PHASES);
+        assert_eq!(config_reason(trace), "bad decode range 9..=3");
     }
 }

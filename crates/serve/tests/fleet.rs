@@ -299,7 +299,7 @@ fn ttft_is_the_final_prompt_chunk_not_the_first_decode() {
 
     // Price the same five iterations by hand, accumulating the clock the
     // same way the engine does so the comparison is exact.
-    let t0 = resoftmax_serve::poisson_arrivals(&cfg)[0].at_s;
+    let t0 = resoftmax_serve::poisson_arrivals(&cfg).unwrap()[0].at_s;
     let mut gpu = Gpu::new(DeviceSpec::a100());
     let mut price = |ctxs: Vec<usize>| -> f64 {
         gpu.run(&build_batched_decode_schedule(&m, &ctxs, &params))
@@ -740,7 +740,11 @@ fn preemptive_priority_preempts_decodes_without_losing_work() {
         "the burst must trigger preemptions: {report:?}"
     );
     assert_eq!(report.preemptions, report.replicas[0].preemptions);
-    let prompt_total: u64 = poisson_arrivals(&cfg).iter().map(|a| a.prompt as u64).sum();
+    let prompt_total: u64 = poisson_arrivals(&cfg)
+        .unwrap()
+        .iter()
+        .map(|a| a.prompt as u64)
+        .sum();
     assert_eq!(
         report.prefill_tokens, prompt_total,
         "preempted requests re-prefilled: resident KV was not preserved"

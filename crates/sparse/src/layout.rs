@@ -23,11 +23,20 @@ impl std::error::Error for LayoutError {}
 /// The grid is `n_blocks × n_blocks` where `n_blocks = L / block`; a `true`
 /// mask entry means the block is retained (computed / stored), `false` means
 /// skipped entirely.
+///
+/// The layout also keeps the number of retained blocks in each block-row,
+/// current through every constructor and [`set`](BlockLayout::set), so the
+/// count queries ([`row_counts`](BlockLayout::row_counts),
+/// [`nnz_blocks`](BlockLayout::nnz_blocks), [`row_ptr`](BlockLayout::row_ptr),
+/// ...) never rescan the mask. The counts follow from the mask, so two
+/// layouts with equal masks compare equal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockLayout {
     block: usize,
     n_blocks: usize,
     mask: Vec<bool>,
+    /// Retained blocks in each block-row (`n_blocks` long).
+    row_counts: Vec<usize>,
 }
 
 impl BlockLayout {
@@ -48,11 +57,25 @@ impl BlockLayout {
                 n_blocks
             )));
         }
-        Ok(BlockLayout {
+        Ok(BlockLayout::counted(block, n_blocks, mask))
+    }
+
+    /// Wraps a validated mask, counting each block-row once.
+    fn counted(block: usize, n_blocks: usize, mask: Vec<bool>) -> Self {
+        let row_counts = (0..n_blocks)
+            .map(|br| {
+                mask[br * n_blocks..(br + 1) * n_blocks]
+                    .iter()
+                    .filter(|&&set| set)
+                    .count()
+            })
+            .collect();
+        BlockLayout {
             block,
             n_blocks,
             mask,
-        })
+            row_counts,
+        }
     }
 
     /// Fully dense layout for an `L × L` matrix.
@@ -66,6 +89,7 @@ impl BlockLayout {
             block,
             n_blocks: n,
             mask: vec![true; n * n],
+            row_counts: vec![n; n],
         }
     }
 
@@ -80,6 +104,7 @@ impl BlockLayout {
             block,
             n_blocks: n,
             mask: vec![false; n * n],
+            row_counts: vec![0; n],
         }
     }
 
@@ -115,7 +140,7 @@ impl BlockLayout {
         self.mask[br * self.n_blocks + bc]
     }
 
-    /// Sets block `(br, bc)`.
+    /// Sets block `(br, bc)`, keeping its block-row's count current.
     ///
     /// # Panics
     ///
@@ -126,12 +151,20 @@ impl BlockLayout {
             br < self.n_blocks && bc < self.n_blocks,
             "block index out of range"
         );
-        self.mask[br * self.n_blocks + bc] = value;
+        let cell = &mut self.mask[br * self.n_blocks + bc];
+        if *cell != value {
+            *cell = value;
+            if value {
+                self.row_counts[br] += 1;
+            } else {
+                self.row_counts[br] -= 1;
+            }
+        }
     }
 
     /// Number of retained blocks.
     pub fn nnz_blocks(&self) -> usize {
-        self.mask.iter().filter(|&&b| b).count()
+        self.row_counts.iter().sum()
     }
 
     /// Retained blocks in block-row `br`, as column indices.
@@ -143,9 +176,7 @@ impl BlockLayout {
 
     /// Number of retained blocks per block-row.
     pub fn row_counts(&self) -> Vec<usize> {
-        (0..self.n_blocks)
-            .map(|br| self.row_blocks(br).len())
-            .collect()
+        self.row_counts.clone()
     }
 
     /// Fraction of blocks retained, in `[0, 1]`.
@@ -178,8 +209,8 @@ impl BlockLayout {
         let mut ptr = Vec::with_capacity(self.n_blocks + 1);
         ptr.push(0);
         let mut acc = 0;
-        for br in 0..self.n_blocks {
-            acc += self.row_blocks(br).len();
+        for &count in &self.row_counts {
+            acc += count;
             ptr.push(acc);
         }
         ptr
@@ -213,11 +244,7 @@ impl BlockLayout {
             .zip(&other.mask)
             .map(|(&a, &b)| a || b)
             .collect();
-        BlockLayout {
-            block: self.block,
-            n_blocks: self.n_blocks,
-            mask,
-        }
+        BlockLayout::counted(self.block, self.n_blocks, mask)
     }
 
     /// Keeps only blocks on or below the diagonal (autoregressive masking, in

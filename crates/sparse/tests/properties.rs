@@ -70,6 +70,50 @@ proptest! {
         }
     }
 
+    /// The per-row counts a layout keeps agree with its mask after every
+    /// mutation, and equal masks make equal layouts whichever constructors
+    /// built them.
+    #[test]
+    fn row_counts_track_the_mask(
+        (n, block) in geometry(),
+        bits in proptest::collection::vec(any::<bool>(), 81),
+        other_bits in proptest::collection::vec(any::<bool>(), 81),
+        sets in proptest::collection::vec((0usize..9, 0usize..9, any::<bool>()), 0..40),
+    ) {
+        let mut l = BlockLayout::from_mask(block, n, bits[..n * n].to_vec()).unwrap();
+        counts_match(&l)?;
+        for (r, c, value) in sets {
+            let (r, c) = (r % n, c % n);
+            l.set(r, c, value);
+            counts_match(&l)?;
+            // Setting a block to the value it already has changes nothing.
+            l.set(r, c, value);
+            counts_match(&l)?;
+            prop_assert_eq!(&l, &rebuilt(&l));
+        }
+        let other = BlockLayout::from_mask(block, n, other_bits[..n * n].to_vec()).unwrap();
+        let u = l.union(&other);
+        counts_match(&u)?;
+        prop_assert_eq!(&u, &rebuilt(&u));
+        let c = u.causal();
+        counts_match(&c)?;
+        prop_assert_eq!(&c, &rebuilt(&c));
+
+        let seq_len = n * block;
+        let mut filled = BlockLayout::empty(seq_len, block);
+        for r in 0..n {
+            for col in 0..n {
+                filled.set(r, col, true);
+            }
+        }
+        prop_assert_eq!(&filled, &BlockLayout::dense(seq_len, block));
+        prop_assert_eq!(&rebuilt(&filled), &BlockLayout::dense(seq_len, block));
+        prop_assert_eq!(
+            &BlockLayout::from_mask(block, n, vec![false; n * n]).unwrap(),
+            &BlockLayout::empty(seq_len, block)
+        );
+    }
+
     /// element_mask cardinality equals nnz_elements.
     #[test]
     fn element_mask_cardinality((n, block) in geometry(), seed in 0u64..1000) {
@@ -129,6 +173,31 @@ proptest! {
         let bs2 = BlockSparseMatrix::from_dense(&back, layout).unwrap();
         prop_assert_eq!(bs, bs2);
     }
+}
+
+/// Checks a layout's kept counts against a recount of its mask:
+/// `row_counts` per block-row, `nnz_blocks` against the retained-block
+/// iterator, and `row_ptr` as the counts' prefix sum.
+fn counts_match(l: &BlockLayout) -> Result<(), String> {
+    let n = l.n_blocks();
+    let recount: Vec<usize> = (0..n)
+        .map(|r| (0..n).filter(|&c| l.is_set(r, c)).count())
+        .collect();
+    prop_assert_eq!(l.row_counts(), recount.clone());
+    prop_assert_eq!(l.nnz_blocks(), l.iter_blocks().count());
+    let mut prefix = vec![0];
+    for count in &recount {
+        prefix.push(prefix[prefix.len() - 1] + count);
+    }
+    prop_assert_eq!(l.row_ptr(), prefix);
+    Ok(())
+}
+
+/// The same mask, rebuilt through `from_mask`.
+fn rebuilt(l: &BlockLayout) -> BlockLayout {
+    let n = l.n_blocks();
+    let mask = (0..n * n).map(|i| l.is_set(i / n, i % n)).collect();
+    BlockLayout::from_mask(l.block(), n, mask).unwrap()
 }
 
 /// Local dense softmax reference (avoiding a circular dev-dependency on
