@@ -6,17 +6,18 @@ use resoftmax_bench::{write_report, BenchArgs, BenchRow, Error, PAPER_SEQ_LEN};
 use resoftmax_core::format::{pct, render_table, speedup};
 use resoftmax_gpusim::{bandwidth, DeviceSpec};
 use resoftmax_kernels::costs::TileConfig;
-use resoftmax_model::{run_inference, AttentionKind, ModelConfig, RunParams, SoftmaxStrategy};
+use resoftmax_model::{AttentionKind, ModelConfig, RunParams, Session, SoftmaxStrategy};
 
 /// Baseline over recomposed (SDF) total time for `model` at the paper's
 /// sequence length.
 fn sdf_speedup(model: &ModelConfig, device: &DeviceSpec) -> Result<f64, Error> {
-    let base = run_inference(model, &RunParams::new(PAPER_SEQ_LEN), device.clone())?;
-    let sdf = run_inference(
+    let base = Session::new(model, &RunParams::new(PAPER_SEQ_LEN), device)?.run()?;
+    let sdf = Session::new(
         model,
         &RunParams::new(PAPER_SEQ_LEN).strategy(SoftmaxStrategy::Recomposed),
-        device.clone(),
-    )?;
+        device,
+    )?
+    .run()?;
     Ok(base.total_time_s() / sdf.total_time_s())
 }
 
@@ -41,7 +42,7 @@ pub fn ablation_tile_size(args: &BenchArgs) -> Result<(), Error> {
         &[16, 32, 48, 64, 128, 256]
     };
 
-    let base = run_inference(&model, &RunParams::new(PAPER_SEQ_LEN), device.clone())?;
+    let base = Session::new(&model, &RunParams::new(PAPER_SEQ_LEN), &device)?.run()?;
 
     let mut rows = Vec::new();
     let mut report = Vec::new();
@@ -60,7 +61,7 @@ pub fn ablation_tile_size(args: &BenchArgs) -> Result<(), Error> {
             ]);
             continue;
         }
-        let sdf = run_inference(&model, &params, device.clone())?;
+        let sdf = Session::new(&model, &params, &device)?.run()?;
         let intermediates_mb = {
             // m' + d' + r': 3 values per (row, sub-vector) per instance
             let n_sv = PAPER_SEQ_LEN / t;
@@ -131,12 +132,13 @@ pub fn ablation_head_dim(args: &BenchArgs) -> Result<(), Error> {
             d_ff: 4096,
             attention: AttentionKind::Dense { causal: false },
         };
-        let base = run_inference(&model, &RunParams::new(PAPER_SEQ_LEN), device.clone())?;
-        let sdf = run_inference(
+        let base = Session::new(&model, &RunParams::new(PAPER_SEQ_LEN), &device)?.run()?;
+        let sdf = Session::new(
             &model,
             &RunParams::new(PAPER_SEQ_LEN).strategy(SoftmaxStrategy::Recomposed),
-            device.clone(),
-        )?;
+            &device,
+        )?
+        .run()?;
         rows.push(vec![
             format!("{d_head}"),
             format!("{heads}"),
@@ -172,12 +174,13 @@ pub fn ablation_l2(args: &BenchArgs) -> Result<(), Error> {
     for l2_mb in [4.0f64, 40.0, 256.0, 1024.0] {
         let mut device = DeviceSpec::a100();
         device.l2_mb = l2_mb;
-        let base = run_inference(&model, &RunParams::new(PAPER_SEQ_LEN), device.clone())?;
-        let sdf = run_inference(
+        let base = Session::new(&model, &RunParams::new(PAPER_SEQ_LEN), &device)?.run()?;
+        let sdf = Session::new(
             &model,
             &RunParams::new(PAPER_SEQ_LEN).strategy(SoftmaxStrategy::Recomposed),
-            device,
-        )?;
+            &device,
+        )?
+        .run()?;
         rows.push(vec![
             format!("{l2_mb:.0} MB"),
             format!("{:.2} GB", base.total_dram_bytes() / 1e9),
@@ -239,12 +242,13 @@ pub fn ablation_utilization(args: &BenchArgs) -> Result<(), Error> {
                 // removing the allocation-granularity effect.
                 device.mem_saturation_threads = 1.0;
             }
-            let base = run_inference(&model, &RunParams::new(PAPER_SEQ_LEN), device.clone())?;
-            let sd = run_inference(
+            let base = Session::new(&model, &RunParams::new(PAPER_SEQ_LEN), &device)?.run()?;
+            let sd = Session::new(
                 &model,
                 &RunParams::new(PAPER_SEQ_LEN).strategy(SoftmaxStrategy::Decomposed),
-                device,
-            )?;
+                &device,
+            )?
+            .run()?;
             cells.push(speedup(base.total_time_s() / sd.total_time_s()));
         }
         rows.push(cells);

@@ -5,8 +5,8 @@ use resoftmax_bench::{BenchArgs, Error, PAPER_SEQ_LEN};
 use resoftmax_core::format::{ms, pct, render_table, speedup};
 use resoftmax_gpusim::roofline::classify_timeline;
 use resoftmax_model::{
-    run_decode_step, run_inference, run_seq2seq, run_training_iteration, ModelConfig, RunParams,
-    Seq2SeqConfig, SoftmaxStrategy, Workload, WorkloadConfig,
+    run_seq2seq, ModelConfig, RunParams, Seq2SeqConfig, Session, SoftmaxStrategy, Workload,
+    WorkloadConfig,
 };
 
 /// Roofline report: how much of each model's schedule is memory-bound —
@@ -21,11 +21,12 @@ pub fn roofline_report(args: &BenchArgs) -> Result<(), Error> {
     let mut rows = Vec::new();
     for model in ModelConfig::all_eval_models() {
         for strategy in [SoftmaxStrategy::Baseline, SoftmaxStrategy::Recomposed] {
-            let r = run_inference(
+            let r = Session::new(
                 &model,
                 &RunParams::new(PAPER_SEQ_LEN).strategy(strategy),
-                device.clone(),
-            )?;
+                &device,
+            )?
+            .run()?;
             let report = classify_timeline(&device, &r.timeline);
             rows.push(vec![
                 model.name.clone(),
@@ -71,17 +72,15 @@ pub fn extension_online_softmax(args: &BenchArgs) -> Result<(), Error> {
     for model in ModelConfig::all_eval_models() {
         for l in [1024usize, 4096, 8192] {
             let p = RunParams::new(l);
-            let base = run_inference(&model, &p, device.clone())?;
-            let sdf = run_inference(
+            let base = Session::new(&model, &p, &device)?.run()?;
+            let sdf = Session::new(
                 &model,
                 &p.clone().strategy(SoftmaxStrategy::Recomposed),
-                device.clone(),
-            )?;
-            let online = run_inference(
-                &model,
-                &p.strategy(SoftmaxStrategy::OnlineFused),
-                device.clone(),
-            )?;
+                &device,
+            )?
+            .run()?;
+            let online =
+                Session::new(&model, &p.strategy(SoftmaxStrategy::OnlineFused), &device)?.run()?;
             rows.push(vec![
                 model.name.clone(),
                 format!("{l}"),
@@ -136,18 +135,16 @@ pub fn extension_training(args: &BenchArgs) -> Result<(), Error> {
         ModelConfig::longformer_large(),
     ] {
         let p = RunParams::new(PAPER_SEQ_LEN);
-        let base = run_training_iteration(&model, &p, device.clone())?;
-        let sdf = run_training_iteration(
+        let base = Session::new(&model, &p, &device)?.train()?;
+        let sdf = Session::new(
             &model,
             &p.clone().strategy(SoftmaxStrategy::Recomposed),
-            device.clone(),
-        )?;
-        let inf_base = run_inference(&model, &p, device.clone())?;
-        let inf_sdf = run_inference(
-            &model,
-            &p.strategy(SoftmaxStrategy::Recomposed),
-            device.clone(),
-        )?;
+            &device,
+        )?
+        .train()?;
+        let inf_base = Session::new(&model, &p, &device)?.run()?;
+        let inf_sdf =
+            Session::new(&model, &p.strategy(SoftmaxStrategy::Recomposed), &device)?.run()?;
         rows.push(vec![
             model.name.clone(),
             ms(base.total_time_s() * 1e3),
@@ -199,13 +196,9 @@ pub fn extension_decode(args: &BenchArgs) -> Result<(), Error> {
     let mut rows = Vec::new();
     for ctx in [512usize, 2048, 8192] {
         let p = RunParams::new(ctx);
-        let base = run_decode_step(&model, ctx, &p, device.clone())?;
-        let sdf = run_decode_step(
-            &model,
-            ctx,
-            &p.strategy(SoftmaxStrategy::Recomposed),
-            device.clone(),
-        )?;
+        let base = Session::new(&model, &p, &device)?.decode_step(ctx)?;
+        let sdf = Session::new(&model, &p.strategy(SoftmaxStrategy::Recomposed), &device)?
+            .decode_step(ctx)?;
         rows.push(vec![
             format!("{ctx}"),
             format!("{:.2} ms", base.total_time_s() * 1e3),
@@ -316,11 +309,12 @@ pub fn extension_serving(args: &BenchArgs) -> Result<(), Error> {
     let corpus_time = |plan: &[(usize, usize)], strategy: SoftmaxStrategy| -> Result<f64, Error> {
         let mut total = 0.0;
         for &(l, iters) in plan {
-            let r = run_inference(
+            let r = Session::new(
                 &model,
                 &RunParams::new(l).batch(batch).strategy(strategy),
-                device.clone(),
-            )?;
+                &device,
+            )?
+            .run()?;
             total += r.total_time_s() * iters as f64;
         }
         Ok(total)

@@ -13,7 +13,7 @@ use resoftmax_core::format::{gb, ms, pct, render_table, speedup};
 use resoftmax_core::verify::{verify_backward, verify_decomposition, verify_fusion, verify_online};
 use resoftmax_gpusim::{DeviceSpec, KernelCategory};
 use resoftmax_kernels::costs::AttnDims;
-use resoftmax_model::{run_inference, ModelConfig, RunParams, SoftmaxStrategy};
+use resoftmax_model::{ModelConfig, RunParams, Session, SoftmaxStrategy};
 
 /// Numeric verification of the decomposition (Eq. 1/2), the fused
 /// pipeline (Fig. 6), the backward pass (Eq. 3) and online softmax against
@@ -288,11 +288,12 @@ pub fn fig8_sd_sdf(args: &BenchArgs) -> Result<(), Error> {
             SoftmaxStrategy::Decomposed,
             SoftmaxStrategy::Recomposed,
         ] {
-            let r = run_inference(
+            let r = Session::new(
                 &model,
                 &RunParams::new(PAPER_SEQ_LEN).strategy(strategy),
-                device.clone(),
-            )?;
+                &device,
+            )?
+            .run()?;
             let b = r.breakdown();
             if reconcile {
                 for c in &b.categories {

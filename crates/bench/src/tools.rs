@@ -262,13 +262,8 @@ pub fn export_trace(args: &BenchArgs) -> Result<(), Error> {
         .unwrap_or(SoftmaxStrategy::Recomposed);
     let path = args.out.as_deref().unwrap_or("trace.json");
 
-    let report = Session::builder()
-        .model(model.clone())
-        .device(device.clone())
-        .params(RunParams::new(PAPER_SEQ_LEN))
-        .strategy(strategy)
-        .build()?
-        .run()?;
+    let params = RunParams::new(PAPER_SEQ_LEN).strategy(strategy);
+    let report = Session::new(&model, &params, &device)?.run()?;
     write_file(path, &to_chrome_trace(&report.timeline))?;
     println!(
         "wrote {path}: {} kernels, {:.2} ms simulated on {} ({}, {})",

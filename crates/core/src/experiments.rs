@@ -5,13 +5,20 @@
 //! tests assert the paper's qualitative claims on them. See `EXPERIMENTS.md`
 //! for the paper-vs-measured record.
 
-use resoftmax_gpusim::{DeviceSpec, KernelCategory, LaunchError};
-use resoftmax_model::{run_inference, LibraryProfile, ModelConfig, RunParams, SoftmaxStrategy};
+use resoftmax_gpusim::{DeviceSpec, KernelCategory};
+use resoftmax_model::{
+    Error, LibraryProfile, ModelConfig, RunParams, RunReport, Session, SoftmaxStrategy,
+};
 use resoftmax_parallel::parallel_map;
 use serde::{Deserialize, Serialize};
 
 /// The paper's default evaluation point: L = 4096, batch 1 (§4).
 pub const DEFAULT_SEQ_LEN: usize = 4096;
+
+/// Simulates one inference iteration of `model` on `device`.
+fn run(model: &ModelConfig, params: &RunParams, device: &DeviceSpec) -> Result<RunReport, Error> {
+    Session::new(model, params, device)?.run()
+}
 
 /// One bar group of Fig. 2: a model's execution-time breakdown.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -38,11 +45,11 @@ pub struct Fig2Row {
 ///
 /// # Errors
 ///
-/// Returns [`LaunchError`] if a kernel cannot launch on the device.
-pub fn fig2_breakdown(device: &DeviceSpec, seq_len: usize) -> Result<Vec<Fig2Row>, LaunchError> {
+/// Returns the [`Error`] of the first run that fails.
+pub fn fig2_breakdown(device: &DeviceSpec, seq_len: usize) -> Result<Vec<Fig2Row>, Error> {
     let models = ModelConfig::all_eval_models();
     parallel_map(&models, |_, model| {
-        let r = run_inference(model, &RunParams::new(seq_len), device.clone())?;
+        let r = run(model, &RunParams::new(seq_len), device)?;
         let b = r.breakdown();
         let total = b.total_time_s();
         let frac = |cats: &[KernelCategory]| -> f64 {
@@ -92,14 +99,14 @@ pub struct Fig5Row {
 ///
 /// # Errors
 ///
-/// Returns [`LaunchError`] if a kernel cannot launch.
-pub fn fig5_sublayers(device: &DeviceSpec, seq_len: usize) -> Result<Vec<Fig5Row>, LaunchError> {
+/// Returns the [`Error`] of the first run that fails.
+pub fn fig5_sublayers(device: &DeviceSpec, seq_len: usize) -> Result<Vec<Fig5Row>, Error> {
     let models = ModelConfig::all_eval_models();
     parallel_map(&models, |_, model| {
-        let r = run_inference(
+        let r = run(
             model,
             &RunParams::new(seq_len).strategy(SoftmaxStrategy::Decomposed),
-            device.clone(),
+            device,
         )?;
         let b = r.breakdown();
         let (ls_t, ir_t, gs_t) = (
@@ -144,8 +151,8 @@ pub struct Fig7Row {
 ///
 /// # Errors
 ///
-/// Returns [`LaunchError`] if a kernel cannot launch.
-pub fn fig7_libraries(device: &DeviceSpec, seq_len: usize) -> Result<Vec<Fig7Row>, LaunchError> {
+/// Returns the [`Error`] of the first run that fails.
+pub fn fig7_libraries(device: &DeviceSpec, seq_len: usize) -> Result<Vec<Fig7Row>, Error> {
     let mut lineup = LibraryProfile::fig7_lineup();
     lineup.push(LibraryProfile::autotvm());
     let mut combos = Vec::new();
@@ -155,10 +162,10 @@ pub fn fig7_libraries(device: &DeviceSpec, seq_len: usize) -> Result<Vec<Fig7Row
         }
     }
     parallel_map(&combos, |_, (model, profile)| {
-        let r = run_inference(
+        let r = run(
             model,
             &RunParams::new(seq_len).profile(profile.clone()),
-            device.clone(),
+            device,
         )?;
         Ok(Fig7Row {
             library: profile.name.clone(),
@@ -203,12 +210,12 @@ pub struct Fig8Row {
 ///
 /// # Errors
 ///
-/// Returns [`LaunchError`] if a kernel cannot launch.
+/// Returns the [`Error`] of the first run that fails.
 pub fn fig8_sd_sdf(
     device: &DeviceSpec,
     seq_len: usize,
     batch: usize,
-) -> Result<Vec<Fig8Row>, LaunchError> {
+) -> Result<Vec<Fig8Row>, Error> {
     // Fan out over model × strategy (12 independent runs), then regroup the
     // three reports of each model into its row.
     let models = ModelConfig::all_eval_models();
@@ -221,11 +228,11 @@ pub fn fig8_sd_sdf(
         .iter()
         .flat_map(|m| strategies.iter().map(move |&s| (m.clone(), s)))
         .collect();
-    let reports: Vec<resoftmax_model::RunReport> = parallel_map(&combos, |_, (model, s)| {
-        run_inference(
+    let reports: Vec<RunReport> = parallel_map(&combos, |_, (model, s)| {
+        run(
             model,
             &RunParams::new(seq_len).batch(batch).strategy(*s),
-            device.clone(),
+            device,
         )
     })
     .into_iter()
@@ -237,7 +244,7 @@ pub fn fig8_sd_sdf(
         // Softmax-boundary traffic: everything that crosses between the
         // softmax layer and its adjacent MatMuls — the QK output stream, the
         // softmax kernels' own traffic, and the PV input stream.
-        let boundary = |r: &resoftmax_model::RunReport| -> f64 {
+        let boundary = |r: &RunReport| -> f64 {
             r.timeline
                 .kernels()
                 .iter()
@@ -287,11 +294,8 @@ pub struct SweepPoint {
 ///
 /// # Errors
 ///
-/// Returns [`LaunchError`] if a kernel cannot launch.
-pub fn fig9_seq_sweep(
-    device: &DeviceSpec,
-    seq_lens: &[usize],
-) -> Result<Vec<SweepPoint>, LaunchError> {
+/// Returns the [`Error`] of the first run that fails.
+pub fn fig9_seq_sweep(device: &DeviceSpec, seq_lens: &[usize]) -> Result<Vec<SweepPoint>, Error> {
     let combos: Vec<(ModelConfig, usize)> = ModelConfig::all_eval_models()
         .iter()
         .flat_map(|m| seq_lens.iter().map(move |&l| (m.clone(), l)))
@@ -305,12 +309,12 @@ pub fn fig9_seq_sweep(
 ///
 /// # Errors
 ///
-/// Returns [`LaunchError`] if a kernel cannot launch.
+/// Returns the [`Error`] of the first run that fails.
 pub fn fig9_batch_sweep(
     device: &DeviceSpec,
     seq_len: usize,
     batches: &[usize],
-) -> Result<Vec<SweepPoint>, LaunchError> {
+) -> Result<Vec<SweepPoint>, Error> {
     let combos: Vec<(ModelConfig, usize)> = ModelConfig::all_eval_models()
         .iter()
         .flat_map(|m| batches.iter().map(move |&b| (m.clone(), b)))
@@ -327,14 +331,14 @@ fn sweep_point(
     model: &ModelConfig,
     seq_len: usize,
     batch: usize,
-) -> Result<SweepPoint, LaunchError> {
-    let base = run_inference(model, &RunParams::new(seq_len).batch(batch), device.clone())?;
-    let sdf = run_inference(
+) -> Result<SweepPoint, Error> {
+    let base = run(model, &RunParams::new(seq_len).batch(batch), device)?;
+    let sdf = run(
         model,
         &RunParams::new(seq_len)
             .batch(batch)
             .strategy(SoftmaxStrategy::Recomposed),
-        device.clone(),
+        device,
     )?;
     Ok(SweepPoint {
         model: model.name.clone(),
@@ -362,8 +366,8 @@ pub struct GpuSpeedupRow {
 ///
 /// # Errors
 ///
-/// Returns [`LaunchError`] if a kernel cannot launch.
-pub fn gpu_speedup_matrix(seq_len: usize) -> Result<Vec<GpuSpeedupRow>, LaunchError> {
+/// Returns the [`Error`] of the first run that fails.
+pub fn gpu_speedup_matrix(seq_len: usize) -> Result<Vec<GpuSpeedupRow>, Error> {
     let combos: Vec<(DeviceSpec, ModelConfig)> = DeviceSpec::all_presets()
         .iter()
         .flat_map(|d| {
@@ -577,13 +581,13 @@ pub struct GridPoint {
 ///
 /// # Errors
 ///
-/// Returns [`LaunchError`] if any cell cannot launch.
+/// Returns the [`Error`] of the first cell that fails.
 pub fn full_grid_sweep(
     devices: &[DeviceSpec],
     seq_lens: &[usize],
     batches: &[usize],
     strategies: &[SoftmaxStrategy],
-) -> Result<Vec<GridPoint>, LaunchError> {
+) -> Result<Vec<GridPoint>, Error> {
     let mut combos = Vec::new();
     for device in devices {
         for model in ModelConfig::all_eval_models() {
@@ -597,11 +601,7 @@ pub fn full_grid_sweep(
         }
     }
     parallel_map(&combos, |_, (device, model, l, b, s)| {
-        let r = run_inference(
-            model,
-            &RunParams::new(*l).batch(*b).strategy(*s),
-            device.clone(),
-        )?;
+        let r = run(model, &RunParams::new(*l).batch(*b).strategy(*s), device)?;
         Ok(GridPoint {
             device: device.name.clone(),
             model: model.name.clone(),

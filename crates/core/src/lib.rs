@@ -9,7 +9,8 @@
 //!   fused pipeline of Fig. 6 (`Q·Kᵀ`+LS epilogue → IR → GS+`P·V` prologue).
 //! * **Strategies over whole models** — re-exported from `resoftmax-model`:
 //!   [`SoftmaxStrategy`] selects Baseline / SD / SDF when building a kernel
-//!   schedule, and [`run_inference`] executes it on a simulated GPU.
+//!   schedule, and a [`Session`] validates a run and executes it on a
+//!   simulated GPU.
 //! * **Verification** ([`verify`]): measured error of every mathematical
 //!   claim (decomposition exactness, fusion exactness, the Eq. 3 backward).
 //! * **Experiments** ([`experiments`]): one driver per table/figure of the
@@ -30,7 +31,7 @@
 //! // paper's L = 4096 evaluation point.
 //! let rows = fig8_sd_sdf(&DeviceSpec::a100(), 4096, 1)?;
 //! assert!(rows.iter().all(|r| r.sdf_speedup > 1.0));
-//! # Ok::<(), resoftmax_gpusim::LaunchError>(())
+//! # Ok::<(), resoftmax_model::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,6 +50,6 @@ pub use resoftmax_kernels::{
     reference_attention, softmax_backward, softmax_rows,
 };
 pub use resoftmax_model::{
-    build_schedule, run_inference, LibraryProfile, ModelConfig, RunParams, RunReport,
-    SoftmaxStrategy, Workload, WorkloadConfig,
+    build_schedule, LibraryProfile, ModelConfig, RunParams, RunReport, Session, SoftmaxStrategy,
+    Workload, WorkloadConfig,
 };

@@ -16,12 +16,11 @@
 //! KV cache of its own length.
 
 use crate::config::{AttentionKind, ModelConfig};
-use crate::engine::RunReport;
 use crate::schedule::{RunParams, SoftmaxStrategy};
 use resoftmax_analyzer::{error_model, DecodeSpec, ErrorBound, ScheduleSpec, StrategyKind};
 use resoftmax_gpusim::{
-    AccumFormat, DeviceSpec, Gpu, KernelCategory, KernelDesc, KernelDescBuilder, KernelMeta,
-    LaunchError, ParallelSplit, TbGroup, TbShape, TbWork, Timeline,
+    AccumFormat, Gpu, KernelCategory, KernelDesc, KernelDescBuilder, KernelMeta, LaunchError,
+    ParallelSplit, TbGroup, TbShape, TbWork, Timeline,
 };
 use resoftmax_kernels::costs::{
     buf, common, row_threads, EXP_FLOP_EQUIV, FP16_BYTES, SOFTMAX_PHASE_EFFICIENCY,
@@ -652,39 +651,22 @@ pub fn decode_error_bound(ctxs: &[usize], params: &RunParams) -> Option<ErrorBou
     })
 }
 
-/// Simulates generating one token at context length `ctx`.
-///
-/// Legacy free-function entry point. Prefer
-/// [`Session::decode_step`](crate::Session::decode_step), which checks the
-/// dense-attention and strategy preconditions up front and returns
-/// [`Error::InvalidConfig`](crate::Error::InvalidConfig) instead of
-/// panicking.
-///
-/// # Errors
-///
-/// Returns [`LaunchError`] if a kernel cannot launch.
-///
-/// # Panics
-///
-/// Panics for non-dense models or the online-fused strategy.
-pub fn run_decode_step(
-    model: &ModelConfig,
-    ctx: usize,
-    params: &RunParams,
-    device: DeviceSpec,
-) -> Result<RunReport, LaunchError> {
-    let schedule = build_decode_schedule(model, ctx, params);
-    crate::engine::simulate_schedule("decode_step", model, params, device, &schedule)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use resoftmax_gpusim::DeviceSpec;
+
+    fn decode_step(m: &ModelConfig, params: &RunParams) -> crate::RunReport {
+        crate::Session::new(m, params, &DeviceSpec::a100())
+            .unwrap()
+            .decode_step(4096)
+            .unwrap()
+    }
 
     #[test]
     fn decode_runs_and_is_fast() {
         let m = ModelConfig::gpt_neo_1_3b();
-        let r = run_decode_step(&m, 4096, &RunParams::new(4096), DeviceSpec::a100()).unwrap();
+        let r = decode_step(&m, &RunParams::new(4096));
         // single token: tens of ms at worst (GEMV parallelism desert), far
         // from the ~140ms of full-sequence inference
         assert!(r.total_time_s() < 0.04, "{}", r.total_time_s());
@@ -696,14 +678,11 @@ mod tests {
         // The paper's win vanishes when the attention matrix is one row:
         // speedup within a few percent of 1.0.
         let m = ModelConfig::gpt_neo_1_3b();
-        let base = run_decode_step(&m, 4096, &RunParams::new(4096), DeviceSpec::a100()).unwrap();
-        let sdf = run_decode_step(
+        let base = decode_step(&m, &RunParams::new(4096));
+        let sdf = decode_step(
             &m,
-            4096,
             &RunParams::new(4096).strategy(SoftmaxStrategy::Recomposed),
-            DeviceSpec::a100(),
-        )
-        .unwrap();
+        );
         let speedup = base.total_time_s() / sdf.total_time_s();
         assert!(
             (0.95..1.10).contains(&speedup),
@@ -714,7 +693,7 @@ mod tests {
     #[test]
     fn decode_softmax_fraction_is_tiny() {
         let m = ModelConfig::gpt_neo_1_3b();
-        let r = run_decode_step(&m, 4096, &RunParams::new(4096), DeviceSpec::a100()).unwrap();
+        let r = decode_step(&m, &RunParams::new(4096));
         assert!(
             r.softmax_time_fraction() < 0.1,
             "decode softmax frac {}",
@@ -846,7 +825,7 @@ mod tests {
         let device = DeviceSpec::a100();
         let one = crate::engine::simulate_schedule(
             "decode_batch",
-            &m,
+            &m.name,
             &params,
             device.clone(),
             &build_batched_decode_schedule(&m, &[2048], &params),
@@ -854,7 +833,7 @@ mod tests {
         .unwrap();
         let four = crate::engine::simulate_schedule(
             "decode_batch",
-            &m,
+            &m.name,
             &params,
             device,
             &build_batched_decode_schedule(&m, &[2048; 4], &params),

@@ -1,8 +1,7 @@
 //! The inference engine: builds a schedule, executes it on a simulated GPU,
 //! and packages the results for the reporting layer.
 
-use crate::config::ModelConfig;
-use crate::schedule::{build_schedule, RunParams};
+use crate::schedule::RunParams;
 use resoftmax_gpusim::{
     Breakdown, DeviceSpec, Gpu, KernelCategory, KernelDesc, LaunchError, Timeline,
 };
@@ -71,53 +70,17 @@ impl RunReport {
     }
 }
 
-/// Simulates one inference iteration of `model` on `device`.
-///
-/// Legacy free-function entry point, kept for existing callers and quick
-/// scripts. Prefer [`Session`](crate::Session): it validates the
-/// model/device/parameter combination up front, runs the static analyzer,
-/// and reports everything through the unified [`Error`](crate::Error) type.
-///
-/// # Errors
-///
-/// Returns [`LaunchError`] if any kernel's thread block exceeds the device's
-/// SM resources (e.g. a monolithic softmax whose worst-case row no longer
-/// fits in shared memory).
-///
-/// # Example
-///
-/// ```
-/// use resoftmax_model::{run_inference, ModelConfig, RunParams};
-/// use resoftmax_gpusim::DeviceSpec;
-///
-/// let report = run_inference(
-///     &ModelConfig::bert_large(),
-///     &RunParams::new(512),
-///     DeviceSpec::a100(),
-/// )?;
-/// assert!(report.total_time_s() > 0.0);
-/// # Ok::<(), resoftmax_gpusim::LaunchError>(())
-/// ```
-pub fn run_inference(
-    model: &ModelConfig,
-    params: &RunParams,
-    device: DeviceSpec,
-) -> Result<RunReport, LaunchError> {
-    let schedule = build_schedule(model, params);
-    simulate_schedule("run_inference", model, params, device, &schedule)
-}
-
-/// Shared execution path of [`run_inference`], `run_decode_step` and the
-/// [`Session`](crate::Session) API: executes `schedule` on a fresh GPU and
-/// packages the report, recording observability state when enabled —
-/// a `"model"`-category span around the run, the simulated kernel timeline
-/// as a [`resoftmax_obs::SimStream`] anchored at the run's wall-clock start,
-/// and per-category DRAM-byte counters (exactly one accumulation of each
-/// category's breakdown total per run, so counters reconcile bit-exactly
-/// against [`RunReport::breakdown`]).
+/// The execution path of every simulated run ([`Session`](crate::Session)
+/// and [`run_seq2seq`](crate::run_seq2seq)): executes `schedule` on a fresh
+/// GPU and packages the report for the model called `name`, recording
+/// observability state when enabled — a `"model"`-category span around the
+/// run, the simulated kernel timeline as a [`resoftmax_obs::SimStream`]
+/// anchored at the run's wall-clock start, and per-category DRAM-byte
+/// counters (exactly one accumulation of each category's breakdown total per
+/// run, so counters reconcile bit-exactly against [`RunReport::breakdown`]).
 pub(crate) fn simulate_schedule(
     kind: &'static str,
-    model: &ModelConfig,
+    name: &str,
     params: &RunParams,
     device: DeviceSpec,
     schedule: &[KernelDesc],
@@ -126,7 +89,7 @@ pub(crate) fn simulate_schedule(
     let _span = if resoftmax_obs::trace_enabled() {
         let label = format!(
             "{}/{}/L{}b{}",
-            model.name,
+            name,
             params.strategy.label(),
             params.seq_len,
             params.batch
@@ -149,7 +112,7 @@ pub(crate) fn simulate_schedule(
         );
     }
     Ok(RunReport {
-        model: model.name.clone(),
+        model: name.to_owned(),
         device: device_name,
         params: params.clone(),
         timeline,
@@ -159,16 +122,18 @@ pub(crate) fn simulate_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::SoftmaxStrategy;
+    use crate::{ModelConfig, Session, SoftmaxStrategy};
+
+    fn run(model: &ModelConfig, params: &RunParams) -> RunReport {
+        Session::new(model, params, &DeviceSpec::a100())
+            .unwrap()
+            .run()
+            .unwrap()
+    }
 
     #[test]
     fn bert_baseline_runs() {
-        let r = run_inference(
-            &ModelConfig::bert_large(),
-            &RunParams::new(4096),
-            DeviceSpec::a100(),
-        )
-        .unwrap();
+        let r = run(&ModelConfig::bert_large(), &RunParams::new(4096));
         assert!(r.total_time_s() > 0.0);
         assert!(r.total_dram_bytes() > 0.0);
         assert!(r.total_energy_j() > 0.0);
@@ -179,12 +144,7 @@ mod tests {
     fn fig2_shape_softmax_fraction_bert() {
         // Paper Fig. 2: at L=4096 on A100, softmax ≈ 36% of BERT's time and
         // the SDA block ≈ 68%.
-        let r = run_inference(
-            &ModelConfig::bert_large(),
-            &RunParams::new(4096),
-            DeviceSpec::a100(),
-        )
-        .unwrap();
+        let r = run(&ModelConfig::bert_large(), &RunParams::new(4096));
         let sf = r.softmax_time_fraction();
         assert!(
             (0.25..0.45).contains(&sf),
@@ -200,12 +160,7 @@ mod tests {
     #[test]
     fn fig2_shape_softmax_fraction_gpt_neo() {
         // Paper: GPT-Neo softmax ≈ 18% (bigger FC/FF share at d_model 2048).
-        let r = run_inference(
-            &ModelConfig::gpt_neo_1_3b(),
-            &RunParams::new(4096),
-            DeviceSpec::a100(),
-        )
-        .unwrap();
+        let r = run(&ModelConfig::gpt_neo_1_3b(), &RunParams::new(4096));
         let sf = r.softmax_time_fraction();
         assert!(
             (0.10..0.30).contains(&sf),
@@ -215,18 +170,11 @@ mod tests {
 
     #[test]
     fn sdf_beats_baseline_on_bert() {
-        let base = run_inference(
-            &ModelConfig::bert_large(),
-            &RunParams::new(4096),
-            DeviceSpec::a100(),
-        )
-        .unwrap();
-        let sdf = run_inference(
+        let base = run(&ModelConfig::bert_large(), &RunParams::new(4096));
+        let sdf = run(
             &ModelConfig::bert_large(),
             &RunParams::new(4096).strategy(SoftmaxStrategy::Recomposed),
-            DeviceSpec::a100(),
-        )
-        .unwrap();
+        );
         let speedup = base.total_time_s() / sdf.total_time_s();
         assert!(
             (1.1..1.5).contains(&speedup),
@@ -237,18 +185,11 @@ mod tests {
     #[test]
     fn sd_alone_hurts_dense() {
         // Paper §5.1: SD alone is 0.94× on BERT (slower).
-        let base = run_inference(
-            &ModelConfig::bert_large(),
-            &RunParams::new(4096),
-            DeviceSpec::a100(),
-        )
-        .unwrap();
-        let sd = run_inference(
+        let base = run(&ModelConfig::bert_large(), &RunParams::new(4096));
+        let sd = run(
             &ModelConfig::bert_large(),
             &RunParams::new(4096).strategy(SoftmaxStrategy::Decomposed),
-            DeviceSpec::a100(),
-        )
-        .unwrap();
+        );
         assert!(
             sd.total_time_s() > base.total_time_s(),
             "SD must be slower on dense: {} vs {}",
@@ -260,18 +201,11 @@ mod tests {
     #[test]
     fn sd_alone_helps_sparse() {
         // Paper §5.1: SD alone is 1.44×/1.49× on BigBird/Longformer.
-        let base = run_inference(
-            &ModelConfig::bigbird_large(),
-            &RunParams::new(4096),
-            DeviceSpec::a100(),
-        )
-        .unwrap();
-        let sd = run_inference(
+        let base = run(&ModelConfig::bigbird_large(), &RunParams::new(4096));
+        let sd = run(
             &ModelConfig::bigbird_large(),
             &RunParams::new(4096).strategy(SoftmaxStrategy::Decomposed),
-            DeviceSpec::a100(),
-        )
-        .unwrap();
+        );
         let speedup = base.total_time_s() / sd.total_time_s();
         assert!(
             speedup > 1.15,
@@ -281,18 +215,11 @@ mod tests {
 
     #[test]
     fn sdf_reduces_traffic() {
-        let base = run_inference(
-            &ModelConfig::bert_large(),
-            &RunParams::new(4096),
-            DeviceSpec::a100(),
-        )
-        .unwrap();
-        let sdf = run_inference(
+        let base = run(&ModelConfig::bert_large(), &RunParams::new(4096));
+        let sdf = run(
             &ModelConfig::bert_large(),
             &RunParams::new(4096).strategy(SoftmaxStrategy::Recomposed),
-            DeviceSpec::a100(),
-        )
-        .unwrap();
+        );
         assert!(
             sdf.total_dram_bytes() < 0.75 * base.total_dram_bytes(),
             "SDF traffic {} vs baseline {}",

@@ -4,28 +4,22 @@
 //! published dimensions ([`ModelConfig`]), library schedule profiles
 //! ([`LibraryProfile`], Fig. 7), the kernel-schedule builder implementing the
 //! Baseline / SD / SDF configurations ([`build_schedule`], Fig. 6), the
-//! engine that executes a schedule on the GPU simulator ([`run_inference`]),
-//! and the synthetic long-document workload ([`Workload`], the TriviaQA
-//! substitute).
+//! [`Session`] that validates a run and executes its schedule on the GPU
+//! simulator, and the synthetic long-document workload ([`Workload`], the
+//! TriviaQA substitute).
 //!
 //! # Example
 //!
 //! ```
-//! use resoftmax_model::{run_inference, ModelConfig, RunParams, SoftmaxStrategy};
+//! use resoftmax_model::{ModelConfig, RunParams, Session, SoftmaxStrategy};
 //! use resoftmax_gpusim::DeviceSpec;
 //!
-//! let base = run_inference(
-//!     &ModelConfig::bigbird_large(),
-//!     &RunParams::new(1024),
-//!     DeviceSpec::a100(),
-//! )?;
-//! let sdf = run_inference(
-//!     &ModelConfig::bigbird_large(),
-//!     &RunParams::new(1024).strategy(SoftmaxStrategy::Recomposed),
-//!     DeviceSpec::a100(),
-//! )?;
+//! let (model, device) = (ModelConfig::bigbird_large(), DeviceSpec::a100());
+//! let base = Session::new(&model, &RunParams::new(1024), &device)?.run()?;
+//! let sdf_params = RunParams::new(1024).strategy(SoftmaxStrategy::Recomposed);
+//! let sdf = Session::new(&model, &sdf_params, &device)?.run()?;
 //! assert!(sdf.total_time_s() < base.total_time_s());
-//! # Ok::<(), resoftmax_gpusim::LaunchError>(())
+//! # Ok::<(), resoftmax_model::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,9 +39,9 @@ mod workload;
 pub use config::{AttentionKind, ModelConfig};
 pub use decode::{
     build_batched_decode_schedule, build_decode_schedule, check_decode_schedule,
-    decode_analysis_spec, decode_error_bound, decode_layer, price_batched_decode, run_decode_step,
+    decode_analysis_spec, decode_error_bound, decode_layer, price_batched_decode,
 };
-pub use engine::{run_inference, RunReport};
+pub use engine::RunReport;
 pub use error::Error;
 pub use library::{LibraryProfile, SparseSupport};
 pub use resoftmax_gpusim::ParallelSplit;
@@ -55,18 +49,18 @@ pub use schedule::{
     analysis_spec, build_schedule, check_schedule, static_error_bound, RunParams, SoftmaxStrategy,
 };
 pub use seq2seq::{build_seq2seq_schedule, run_seq2seq, Seq2SeqConfig};
-pub use session::{Session, SessionBuilder};
-pub use training::{build_training_schedule, run_training_iteration};
+pub use session::{validate_decode, validate_prefill, Session};
+pub use training::build_training_schedule;
 pub use workload::{Document, Workload, WorkloadConfig};
 
 /// The items almost every user of this crate needs, importable in one line:
 /// `use resoftmax_model::prelude::*;`.
 pub mod prelude {
     pub use crate::config::ModelConfig;
-    pub use crate::engine::{run_inference, RunReport};
+    pub use crate::engine::RunReport;
     pub use crate::error::Error;
     pub use crate::library::LibraryProfile;
     pub use crate::schedule::{RunParams, SoftmaxStrategy};
-    pub use crate::session::{Session, SessionBuilder};
+    pub use crate::session::Session;
     pub use resoftmax_gpusim::DeviceSpec;
 }

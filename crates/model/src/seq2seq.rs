@@ -9,9 +9,9 @@
 //! unchanged: the LS tiling only cares about the attention matrix's tile
 //! structure, not its squareness.
 
-use crate::engine::RunReport;
+use crate::engine::{simulate_schedule, RunReport};
 use crate::schedule::{RunParams, SoftmaxStrategy};
-use resoftmax_gpusim::{DeviceSpec, Gpu, KernelCategory, KernelDesc, LaunchError};
+use resoftmax_gpusim::{DeviceSpec, KernelCategory, KernelDesc, LaunchError};
 use resoftmax_kernels::costs::{common, dense, AttnDims};
 use serde::{Deserialize, Serialize};
 
@@ -290,15 +290,7 @@ pub fn run_seq2seq(
     device: DeviceSpec,
 ) -> Result<RunReport, LaunchError> {
     let schedule = build_seq2seq_schedule(cfg, src_len, tgt_len, params);
-    let device_name = device.name.clone();
-    let mut gpu = Gpu::new(device);
-    gpu.run(&schedule)?;
-    Ok(RunReport {
-        model: cfg.name.clone(),
-        device: device_name,
-        params: params.clone(),
-        timeline: gpu.into_timeline(),
-    })
+    simulate_schedule("run_seq2seq", &cfg.name, params, device, &schedule)
 }
 
 #[cfg(test)]

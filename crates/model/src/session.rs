@@ -1,37 +1,36 @@
-//! The builder-style [`Session`] API — the recommended way to run simulated
-//! inference.
+//! [`Session`] — the one way to simulate a [`ModelConfig`] — and the
+//! legality rules every simulated run is held to.
 //!
-//! A session bundles a validated `(model, device, params)` triple. Building
-//! one checks every precondition the free functions would panic on
-//! (sequence length vs block size, tile divisibility, zero batch, decode
-//! support), and running one routes the schedule through the static analyzer
-//! before it reaches the simulator — so every failure mode surfaces as a
-//! typed [`Error`] instead of a panic or a silent bad schedule.
+//! A session bundles a validated `(model, params, device)` triple.
+//! [`Session::new`] applies the prefill rules ([`validate_prefill`]:
+//! sequence length vs block size, tile divisibility, zero batch, the
+//! certified numerics budget), the decode entry points apply the decode
+//! rules ([`validate_decode`]), and every inference run routes its schedule
+//! through the static analyzer before it reaches the simulator — so every
+//! failure mode surfaces as a typed [`Error`] instead of a panic or a silent
+//! bad schedule. The serving fleet and the tuner call the same two rule
+//! functions, so each rule is written once.
 
 use crate::config::{AttentionKind, ModelConfig};
+use crate::decode::{build_batched_decode_schedule, check_decode_schedule, decode_error_bound};
 use crate::engine::{simulate_schedule, RunReport};
 use crate::error::Error;
 use crate::library::SparseSupport;
 use crate::schedule::{
     build_schedule, check_schedule, static_error_bound, RunParams, SoftmaxStrategy,
 };
-use resoftmax_analyzer::CERT_BUDGET_REL;
-use resoftmax_gpusim::DeviceSpec;
+use crate::training::build_training_schedule;
+use resoftmax_analyzer::{Report, Severity, CERT_BUDGET_REL};
+use resoftmax_gpusim::{DeviceSpec, KernelDesc};
 
-/// A validated, ready-to-run inference configuration.
-///
-/// Construct through [`Session::builder`]:
+/// A validated, ready-to-run simulation of one model on one device.
 ///
 /// ```
 /// use resoftmax_model::{ModelConfig, RunParams, Session, SoftmaxStrategy};
 /// use resoftmax_gpusim::DeviceSpec;
 ///
-/// let session = Session::builder()
-///     .model(ModelConfig::bert_large())
-///     .device(DeviceSpec::a100())
-///     .params(RunParams::new(1024))
-///     .strategy(SoftmaxStrategy::Recomposed)
-///     .build()?;
+/// let params = RunParams::new(1024).strategy(SoftmaxStrategy::Recomposed);
+/// let session = Session::new(&ModelConfig::bert_large(), &params, &DeviceSpec::a100())?;
 /// let report = session.run()?;
 /// assert!(report.total_time_s() > 0.0);
 /// # Ok::<(), resoftmax_model::Error>(())
@@ -41,29 +40,159 @@ pub struct Session {
     model: ModelConfig,
     device: DeviceSpec,
     params: RunParams,
-    analyze: bool,
 }
 
-/// Builder for [`Session`]; see [`Session::builder`].
-#[derive(Debug, Clone, Default)]
-pub struct SessionBuilder {
-    model: Option<ModelConfig>,
-    device: Option<DeviceSpec>,
-    params: Option<RunParams>,
-    strategy: Option<SoftmaxStrategy>,
-    analyze: bool,
-    instrument: Option<bool>,
+fn invalid<T>(reason: String) -> Result<T, Error> {
+    Err(Error::InvalidConfig { reason })
+}
+
+/// The prefill legality rules: whether `(model, params)` can build and
+/// certify a full-sequence schedule. [`Session::new`] applies them; the
+/// serving fleet and the tuner call them directly.
+///
+/// # Errors
+///
+/// [`Error::InvalidConfig`] for a zero batch or sequence length, a sequence
+/// length that is not a multiple of a sparse model's block size, a tile
+/// width that does not divide the sequence length, SDF16 on block-sparse
+/// kernels, or a certified error bound over the budget.
+pub fn validate_prefill(model: &ModelConfig, params: &RunParams) -> Result<(), Error> {
+    if params.batch == 0 {
+        return invalid("batch must be nonzero".to_owned());
+    }
+    if params.seq_len == 0 {
+        return invalid("sequence length must be nonzero".to_owned());
+    }
+    if model.attention.is_sparse() {
+        let block = model.attention.block_size();
+        if !params.seq_len.is_multiple_of(block) {
+            return invalid(format!(
+                "sequence length {} must be a multiple of model '{}' block size {block}",
+                params.seq_len, model.name
+            ));
+        }
+    }
+    if params.tile.n == 0 || !params.seq_len.is_multiple_of(params.tile.n) {
+        return invalid(format!(
+            "tile width {} must divide sequence length {}",
+            params.tile.n, params.seq_len
+        ));
+    }
+    if params.strategy == SoftmaxStrategy::RecomposedFp16
+        && model.attention.is_sparse()
+        && !matches!(params.profile.sparse_support, SparseSupport::DenseFallback)
+    {
+        return invalid(format!(
+            "strategy SDF16 has no block-sparse implementation (no certified \
+             bound exists for it); model '{}' needs a dense-fallback profile \
+             or an fp32-accumulation strategy",
+            model.name
+        ));
+    }
+    // Numerics gate: reject combinations whose certified worst-case softmax
+    // error exceeds the budget the verify tolerances are derived from.
+    // Checked statically — `build_schedule` debug-asserts its own analysis,
+    // so an uncertifiable point must never reach the builder.
+    if let Some(bound) = static_error_bound(model, params) {
+        if !bound.certifies(CERT_BUDGET_REL) {
+            return invalid(format!(
+                "strategy {} at T={} over L={} has certified relative error \
+                 bound {:.3e}, exceeding the {:.1e} budget; use a narrower \
+                 tile or an fp32-accumulation strategy",
+                params.strategy.label(),
+                params.tile.n,
+                params.seq_len,
+                bound.rel,
+                CERT_BUDGET_REL,
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The decode legality rules: whether `(model, params)` can build and
+/// certify one batched-decode iteration over the contexts `ctxs`.
+/// [`Session::decode_batch`] applies them; the serving fleet (at its
+/// workload's worst context) and the tuner call them directly.
+///
+/// # Errors
+///
+/// [`Error::InvalidConfig`] for the combinations the decode cost model does
+/// not cover (sparse attention, the online-fused strategy, an empty batch,
+/// a zero context) and for a certified error bound over the budget at the
+/// longest context. The bound is independent of the session's sequence
+/// length: decode contexts are not bounded by it.
+pub fn validate_decode(
+    model: &ModelConfig,
+    ctxs: &[usize],
+    params: &RunParams,
+) -> Result<(), Error> {
+    if !matches!(model.attention, AttentionKind::Dense { .. }) {
+        return invalid(format!(
+            "decode cost model covers dense attention only; model '{}' is sparse",
+            model.name
+        ));
+    }
+    if params.strategy == SoftmaxStrategy::OnlineFused {
+        return invalid(
+            "decode attention is a single row; online fusion is the GEMV itself".to_owned(),
+        );
+    }
+    if ctxs.is_empty() {
+        return invalid("decode batch must contain at least one row".to_owned());
+    }
+    if ctxs.contains(&0) {
+        return invalid("decode context length must be nonzero".to_owned());
+    }
+    // Applied statically, like the prefill gate: the decode builder
+    // debug-asserts its own analysis.
+    if let Some(bound) = decode_error_bound(ctxs, params) {
+        if !bound.certifies(CERT_BUDGET_REL) {
+            return invalid(format!(
+                "strategy {} at T={} over decode context {} has certified \
+                 relative error bound {:.3e}, exceeding the {:.1e} budget; \
+                 use a narrower tile or an fp32-accumulation strategy",
+                params.strategy.label(),
+                params.tile.n,
+                bound.ctx,
+                bound.rel,
+                CERT_BUDGET_REL,
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Turns an analyzer report with errors into [`Error::Analysis`].
+fn analyzer_gate(report: &Report) -> Result<(), Error> {
+    if report.has_errors() {
+        return Err(Error::Analysis {
+            errors: report.count(Severity::Error),
+            report: report.render(),
+        });
+    }
+    Ok(())
 }
 
 impl Session {
-    /// Starts building a session. [`model`](SessionBuilder::model) and
-    /// [`params`](SessionBuilder::params) are required; the device defaults
-    /// to the A100.
-    pub fn builder() -> SessionBuilder {
-        SessionBuilder {
-            analyze: true,
-            ..SessionBuilder::default()
-        }
+    /// Validates `(model, params)` against the prefill rules
+    /// ([`validate_prefill`]) and builds the session.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] when the combination cannot run; see
+    /// [`validate_prefill`].
+    pub fn new(
+        model: &ModelConfig,
+        params: &RunParams,
+        device: &DeviceSpec,
+    ) -> Result<Session, Error> {
+        validate_prefill(model, params)?;
+        Ok(Session {
+            model: model.clone(),
+            device: device.clone(),
+            params: params.clone(),
+        })
     }
 
     /// The model this session runs.
@@ -81,366 +210,124 @@ impl Session {
         &self.params
     }
 
-    /// The process-wide observability recorder (spans, simulated streams);
-    /// export it through a [`resoftmax_obs::Sink`] after running.
-    pub fn recorder(&self) -> &'static resoftmax_obs::Recorder {
-        resoftmax_obs::recorder()
-    }
-
     /// Simulates one full-sequence inference iteration.
     ///
     /// # Errors
     ///
-    /// [`Error::Analysis`] if the built schedule fails static analysis (and
-    /// analysis was not disabled), [`Error::Launch`] if a kernel cannot
-    /// launch on the device.
+    /// [`Error::Analysis`] if the built schedule fails static analysis,
+    /// [`Error::Launch`] if a kernel cannot launch on the device.
     pub fn run(&self) -> Result<RunReport, Error> {
         let schedule = build_schedule(&self.model, &self.params);
-        if self.analyze {
-            let report = check_schedule(&self.model, &self.params, &schedule);
-            if report.has_errors() {
-                return Err(Error::Analysis {
-                    errors: report.count(resoftmax_analyzer::Severity::Error),
-                    report: report.render(),
-                });
-            }
-        }
-        Ok(simulate_schedule(
-            "Session::run",
-            &self.model,
-            &self.params,
-            self.device.clone(),
-            &schedule,
-        )?)
+        analyzer_gate(&check_schedule(&self.model, &self.params, &schedule))?;
+        self.simulate("Session::run", &schedule)
     }
 
-    /// Simulates generating one token at context length `ctx` (KV cache
-    /// already populated).
+    /// Simulates generating one token per sequence of the batch at context
+    /// length `ctx` (KV cache already populated).
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] for the combinations the decode cost model
-    /// does not cover (sparse attention, the online-fused strategy, zero
-    /// `ctx`); [`Error::Analysis`] if the schedule fails static analysis
-    /// (and analysis was not disabled); [`Error::Launch`] if a kernel cannot
-    /// launch.
+    /// As [`Session::decode_batch`].
     pub fn decode_step(&self, ctx: usize) -> Result<RunReport, Error> {
-        if ctx == 0 {
-            return Err(Error::InvalidConfig {
-                reason: "decode context length must be nonzero".to_owned(),
-            });
-        }
         self.decode_batch(&vec![ctx; self.params.batch])
     }
 
     /// Simulates one continuous-batching engine iteration: one token is
     /// generated per entry of `ctxs`, each row attending a KV cache of that
-    /// (possibly different) length. This is the entry point the serving
-    /// scheduler drives; `ctxs.len()` overrides the session batch size.
+    /// (possibly different) length. `ctxs.len()` overrides the session batch
+    /// size.
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] for the combinations the decode cost model
-    /// does not cover (sparse attention, the online-fused strategy, an empty
-    /// batch, a zero context); [`Error::Analysis`] if the schedule fails
-    /// static analysis (and analysis was not disabled); [`Error::Launch`] if
-    /// a kernel cannot launch.
+    /// [`Error::InvalidConfig`] when the decode rules reject the iteration
+    /// (see [`validate_decode`]); [`Error::Analysis`] if the schedule fails
+    /// static analysis; [`Error::Launch`] if a kernel cannot launch.
     pub fn decode_batch(&self, ctxs: &[usize]) -> Result<RunReport, Error> {
-        if !matches!(self.model.attention, AttentionKind::Dense { .. }) {
-            return Err(Error::InvalidConfig {
-                reason: format!(
-                    "decode cost model covers dense attention only; model '{}' is sparse",
-                    self.model.name
-                ),
-            });
-        }
-        if self.params.strategy == SoftmaxStrategy::OnlineFused {
-            return Err(Error::InvalidConfig {
-                reason: "decode attention is a single row; online fusion is the GEMV itself"
-                    .to_owned(),
-            });
-        }
-        if ctxs.is_empty() {
-            return Err(Error::InvalidConfig {
-                reason: "decode batch must contain at least one row".to_owned(),
-            });
-        }
-        if ctxs.contains(&0) {
-            return Err(Error::InvalidConfig {
-                reason: "decode context length must be nonzero".to_owned(),
-            });
-        }
-        // Numerics gate, applied statically (the decode builder debug-asserts
-        // its own analysis, so an uncertifiable point must never reach it).
-        // Independent of the session-build gate: decode contexts are not
-        // bounded by the session's sequence length.
-        if let Some(bound) = crate::decode::decode_error_bound(ctxs, &self.params) {
-            if !bound.certifies(CERT_BUDGET_REL) {
-                return Err(Error::InvalidConfig {
-                    reason: format!(
-                        "strategy {} at T={} over decode context {} has certified \
-                         relative error bound {:.3e}, exceeding the {:.1e} budget; \
-                         use a narrower tile or an fp32-accumulation strategy",
-                        self.params.strategy.label(),
-                        self.params.tile.n,
-                        bound.ctx,
-                        bound.rel,
-                        CERT_BUDGET_REL,
-                    ),
-                });
-            }
-        }
-        let schedule =
-            crate::decode::build_batched_decode_schedule(&self.model, ctxs, &self.params);
-        if self.analyze {
-            let report =
-                crate::decode::check_decode_schedule(&self.model, ctxs, &self.params, &schedule);
-            if report.has_errors() {
-                return Err(Error::Analysis {
-                    errors: report.count(resoftmax_analyzer::Severity::Error),
-                    report: report.render(),
-                });
-            }
-        }
-        Ok(simulate_schedule(
-            "Session::decode_step",
+        validate_decode(&self.model, ctxs, &self.params)?;
+        let schedule = build_batched_decode_schedule(&self.model, ctxs, &self.params);
+        analyzer_gate(&check_decode_schedule(
             &self.model,
+            ctxs,
+            &self.params,
+            &schedule,
+        ))?;
+        self.simulate("Session::decode_step", &schedule)
+    }
+
+    /// Simulates one training iteration: the forward pass plus the backward
+    /// pass of [`build_training_schedule`] (§6).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] for the online-fused strategy (its backward
+    /// would be a recompute-based FlashAttention backward, out of scope);
+    /// [`Error::Launch`] if a kernel cannot launch.
+    pub fn train(&self) -> Result<RunReport, Error> {
+        if self.params.strategy == SoftmaxStrategy::OnlineFused {
+            return invalid(
+                "training covers the baseline, SD, SDF and SDF16 strategies; the \
+                 online-fused backward is out of scope"
+                    .to_owned(),
+            );
+        }
+        let schedule = build_training_schedule(&self.model, &self.params);
+        self.simulate("Session::train", &schedule)
+    }
+
+    fn simulate(&self, kind: &'static str, schedule: &[KernelDesc]) -> Result<RunReport, Error> {
+        Ok(simulate_schedule(
+            kind,
+            &self.model.name,
             &self.params,
             self.device.clone(),
-            &schedule,
+            schedule,
         )?)
-    }
-}
-
-impl SessionBuilder {
-    /// Sets the model (required).
-    #[must_use]
-    pub fn model(mut self, model: ModelConfig) -> Self {
-        self.model = Some(model);
-        self
-    }
-
-    /// Sets the simulated device (default: [`DeviceSpec::a100`]).
-    #[must_use]
-    pub fn device(mut self, device: DeviceSpec) -> Self {
-        self.device = Some(device);
-        self
-    }
-
-    /// Sets the run parameters (required).
-    #[must_use]
-    pub fn params(mut self, params: RunParams) -> Self {
-        self.params = Some(params);
-        self
-    }
-
-    /// Overrides the softmax strategy of the run parameters.
-    #[must_use]
-    pub fn strategy(mut self, strategy: SoftmaxStrategy) -> Self {
-        self.strategy = Some(strategy);
-        self
-    }
-
-    /// Enables or disables the static-analysis gate in [`Session::run`]
-    /// (enabled by default).
-    #[must_use]
-    pub fn analyze(mut self, analyze: bool) -> Self {
-        self.analyze = analyze;
-        self
-    }
-
-    /// Opts the **process** in to (or out of) observability: forces both the
-    /// trace and metrics switches, exactly like setting `RESOFTMAX_TRACE` /
-    /// `RESOFTMAX_METRICS`. The recorder and counters are process-wide
-    /// singletons shared by every session.
-    #[must_use]
-    pub fn instrument(mut self, on: bool) -> Self {
-        self.instrument = Some(on);
-        self
-    }
-
-    /// Validates the configuration and builds the [`Session`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidConfig`] when the combination cannot run: missing
-    /// model or parameters, zero batch or sequence length, a sequence length
-    /// that is not a multiple of a sparse model's block size, or a tile
-    /// width that does not divide the sequence length.
-    pub fn build(self) -> Result<Session, Error> {
-        let invalid = |reason: String| Err(Error::InvalidConfig { reason });
-        let Some(model) = self.model else {
-            return invalid("a model is required: Session::builder().model(..)".to_owned());
-        };
-        let Some(mut params) = self.params else {
-            return invalid(
-                "run parameters are required: Session::builder().params(..)".to_owned(),
-            );
-        };
-        if let Some(strategy) = self.strategy {
-            params.strategy = strategy;
-        }
-        if params.batch == 0 {
-            return invalid("batch must be nonzero".to_owned());
-        }
-        if params.seq_len == 0 {
-            return invalid("sequence length must be nonzero".to_owned());
-        }
-        if model.attention.is_sparse() {
-            let block = model.attention.block_size();
-            if !params.seq_len.is_multiple_of(block) {
-                return invalid(format!(
-                    "sequence length {} must be a multiple of model '{}' block size {block}",
-                    params.seq_len, model.name
-                ));
-            }
-        }
-        if params.tile.n == 0 || !params.seq_len.is_multiple_of(params.tile.n) {
-            return invalid(format!(
-                "tile width {} must divide sequence length {}",
-                params.tile.n, params.seq_len
-            ));
-        }
-        if params.strategy == SoftmaxStrategy::RecomposedFp16
-            && model.attention.is_sparse()
-            && !matches!(params.profile.sparse_support, SparseSupport::DenseFallback)
-        {
-            return invalid(format!(
-                "strategy SDF16 has no block-sparse implementation (no certified \
-                 bound exists for it); model '{}' needs a dense-fallback profile \
-                 or an fp32-accumulation strategy",
-                model.name
-            ));
-        }
-        // Numerics gate: reject combinations whose certified worst-case
-        // softmax error exceeds the budget the verify tolerances are derived
-        // from. Checked statically — `build_schedule` debug-asserts its own
-        // analysis, so an uncertifiable point must never reach the builder.
-        if let Some(bound) = static_error_bound(&model, &params) {
-            if !bound.certifies(CERT_BUDGET_REL) {
-                return invalid(format!(
-                    "strategy {} at T={} over L={} has certified relative error \
-                     bound {:.3e}, exceeding the {:.1e} budget; use a narrower \
-                     tile or an fp32-accumulation strategy",
-                    params.strategy.label(),
-                    params.tile.n,
-                    params.seq_len,
-                    bound.rel,
-                    CERT_BUDGET_REL,
-                ));
-            }
-        }
-        if let Some(on) = self.instrument {
-            resoftmax_obs::set_trace_enabled(Some(on));
-            resoftmax_obs::set_metrics_enabled(Some(on));
-        }
-        Ok(Session {
-            model,
-            device: self.device.unwrap_or_else(DeviceSpec::a100),
-            params,
-            analyze: self.analyze,
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use resoftmax_kernels::costs::TileConfig;
 
-    #[test]
-    fn builder_requires_model_and_params() {
-        let e = Session::builder().build().unwrap_err();
-        assert!(matches!(e, Error::InvalidConfig { .. }));
-        let e = Session::builder()
-            .model(ModelConfig::bert_large())
-            .build()
-            .unwrap_err();
-        assert!(e.to_string().contains("parameters"));
+    fn session(model: &ModelConfig, params: &RunParams) -> Result<Session, Error> {
+        Session::new(model, params, &DeviceSpec::a100())
     }
 
     #[test]
-    fn builder_rejects_bad_combinations() {
+    fn new_rejects_bad_combinations() {
         // Sequence length incompatible with BigBird's block size.
-        let e = Session::builder()
-            .model(ModelConfig::bigbird_large())
-            .params(RunParams::new(1000))
-            .build()
-            .unwrap_err();
+        let e = session(&ModelConfig::bigbird_large(), &RunParams::new(1000)).unwrap_err();
         assert!(e.to_string().contains("block size"), "{e}");
 
         // Tile width not dividing the sequence length.
         let mut p = RunParams::new(1024);
         p.tile.n = 192;
-        let e = Session::builder()
-            .model(ModelConfig::bert_large())
-            .params(p)
-            .build()
-            .unwrap_err();
+        let e = session(&ModelConfig::bert_large(), &p).unwrap_err();
         assert!(e.to_string().contains("tile width"), "{e}");
 
         // Zero batch.
-        let e = Session::builder()
-            .model(ModelConfig::bert_large())
-            .params(RunParams::new(1024).batch(0))
-            .build()
-            .unwrap_err();
+        let p = RunParams::new(1024).batch(0);
+        let e = session(&ModelConfig::bert_large(), &p).unwrap_err();
         assert!(e.to_string().contains("batch"), "{e}");
     }
 
     #[test]
-    fn strategy_override_applies() {
-        let s = Session::builder()
-            .model(ModelConfig::bert_large())
-            .params(RunParams::new(512))
-            .strategy(SoftmaxStrategy::OnlineFused)
-            .build()
-            .unwrap();
-        assert_eq!(s.params().strategy, SoftmaxStrategy::OnlineFused);
-    }
-
-    #[test]
-    fn session_runs_and_matches_free_function() {
-        let model = ModelConfig::bert_large();
-        let params = RunParams::new(512);
-        let s = Session::builder()
-            .model(model.clone())
-            .params(params.clone())
-            .build()
-            .unwrap();
-        let via_session = s.run().unwrap();
-        let via_free = crate::engine::run_inference(&model, &params, DeviceSpec::a100()).unwrap();
-        assert_eq!(via_session.total_time_s(), via_free.total_time_s());
-        assert_eq!(via_session.total_dram_bytes(), via_free.total_dram_bytes());
-    }
-
-    #[test]
     fn decode_rejects_unsupported_combinations() {
-        let sparse = Session::builder()
-            .model(ModelConfig::bigbird_large())
-            .params(RunParams::new(1024))
-            .build()
-            .unwrap();
+        let sparse = session(&ModelConfig::bigbird_large(), &RunParams::new(1024)).unwrap();
         assert!(matches!(
             sparse.decode_step(1024),
             Err(Error::InvalidConfig { .. })
         ));
 
-        let online = Session::builder()
-            .model(ModelConfig::gpt_neo_1_3b())
-            .params(RunParams::new(1024))
-            .strategy(SoftmaxStrategy::OnlineFused)
-            .build()
-            .unwrap();
+        let online = RunParams::new(1024).strategy(SoftmaxStrategy::OnlineFused);
+        let online = session(&ModelConfig::gpt_neo_1_3b(), &online).unwrap();
         assert!(matches!(
             online.decode_step(1024),
             Err(Error::InvalidConfig { .. })
         ));
 
-        let dense = Session::builder()
-            .model(ModelConfig::gpt_neo_1_3b())
-            .params(RunParams::new(1024))
-            .build()
-            .unwrap();
+        let dense = session(&ModelConfig::gpt_neo_1_3b(), &RunParams::new(1024)).unwrap();
         assert!(dense.decode_step(1024).is_ok());
         assert!(matches!(
             dense.decode_step(0),
@@ -457,47 +344,41 @@ mod tests {
     }
 
     #[test]
-    fn fp16_recomposition_gated_by_certified_bound() {
-        use resoftmax_kernels::costs::TileConfig;
-        // Uncertifiable at the default 64-wide tile: typed rejection.
-        let e = Session::builder()
-            .model(ModelConfig::bert_large())
-            .params(RunParams::new(4096))
-            .strategy(SoftmaxStrategy::RecomposedFp16)
-            .build()
+    fn training_rejects_online_fusion() {
+        let online = RunParams::new(1024).strategy(SoftmaxStrategy::OnlineFused);
+        let e = session(&ModelConfig::bert_large(), &online)
+            .unwrap()
+            .train()
             .unwrap_err();
+        assert!(matches!(e, Error::InvalidConfig { .. }), "{e}");
+        assert!(e.to_string().contains("out of scope"), "{e}");
+    }
+
+    #[test]
+    fn fp16_recomposition_gated_by_certified_bound() {
+        // Uncertifiable at the default 64-wide tile: typed rejection.
+        let wide = RunParams::new(4096).strategy(SoftmaxStrategy::RecomposedFp16);
+        let e = session(&ModelConfig::bert_large(), &wide).unwrap_err();
         assert!(e.to_string().contains("certified"), "{e}");
 
         // Certifiable at T=16: builds and runs.
-        let s = Session::builder()
-            .model(ModelConfig::bert_large())
-            .params(RunParams::new(4096).tile(TileConfig::new(64, 16)))
-            .strategy(SoftmaxStrategy::RecomposedFp16)
-            .build()
-            .unwrap();
+        let narrow = wide.tile(TileConfig::new(64, 16));
+        let s = session(&ModelConfig::bert_large(), &narrow).unwrap();
         assert!(s.run().unwrap().total_time_s() > 0.0);
 
         // No block-sparse implementation exists: typed rejection, not the
         // builder's panic.
-        let e = Session::builder()
-            .model(ModelConfig::bigbird_large())
-            .params(RunParams::new(4096).tile(TileConfig::new(64, 16)))
-            .strategy(SoftmaxStrategy::RecomposedFp16)
-            .build()
-            .unwrap_err();
+        let e = session(&ModelConfig::bigbird_large(), &narrow).unwrap_err();
         assert!(e.to_string().contains("block-sparse"), "{e}");
     }
 
     #[test]
     fn decode_numerics_gate_is_independent_of_session_length() {
-        use resoftmax_kernels::costs::TileConfig;
         // T=32 certifies at the session's own length (bound ~1.90e-2)...
-        let s = Session::builder()
-            .model(ModelConfig::gpt_neo_1_3b())
-            .params(RunParams::new(1024).tile(TileConfig::new(64, 32)))
-            .strategy(SoftmaxStrategy::RecomposedFp16)
-            .build()
-            .unwrap();
+        let params = RunParams::new(1024)
+            .tile(TileConfig::new(64, 32))
+            .strategy(SoftmaxStrategy::RecomposedFp16);
+        let s = session(&ModelConfig::gpt_neo_1_3b(), &params).unwrap();
         assert!(s.decode_batch(&[1024]).is_ok());
         // ...but a decode context long enough to push the inter-reduction
         // term over budget is rejected before any schedule is built.
@@ -508,11 +389,7 @@ mod tests {
 
     #[test]
     fn decode_batch_accepts_heterogeneous_contexts() {
-        let s = Session::builder()
-            .model(ModelConfig::gpt_neo_1_3b())
-            .params(RunParams::new(1024))
-            .build()
-            .unwrap();
+        let s = session(&ModelConfig::gpt_neo_1_3b(), &RunParams::new(1024)).unwrap();
         let r = s.decode_batch(&[260, 1000, 4096]).unwrap();
         assert!(r.total_time_s() > 0.0);
     }

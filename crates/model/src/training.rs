@@ -18,9 +18,8 @@
 //! gains even more in sparse training than dense.
 
 use crate::config::ModelConfig;
-use crate::engine::RunReport;
 use crate::schedule::{build_schedule_on, uses_sparse_kernels, RunParams, SoftmaxStrategy};
-use resoftmax_gpusim::{DeviceSpec, Gpu, KernelCategory, KernelDesc, LaunchError};
+use resoftmax_gpusim::{KernelCategory, KernelDesc};
 use resoftmax_kernels::costs::{common, sparse_training, training, AttnDims};
 
 /// Builds the kernel schedule of one training iteration (forward + backward),
@@ -30,13 +29,17 @@ use resoftmax_kernels::costs::{common, sparse_training, training, AttnDims};
 ///
 /// Panics if the strategy is [`SoftmaxStrategy::OnlineFused`] (its backward
 /// would be a recompute-based FlashAttention backward, out of scope for the
-/// §6 extension).
+/// §6 extension); [`Session::train`](crate::Session::train) rejects it with
+/// a typed error instead.
 pub fn build_training_schedule(model: &ModelConfig, params: &RunParams) -> Vec<KernelDesc> {
     assert!(
         params.strategy != SoftmaxStrategy::OnlineFused,
         "online-fused backward is out of scope"
     );
-    let recomposed = params.strategy == SoftmaxStrategy::Recomposed;
+    let recomposed = matches!(
+        params.strategy,
+        SoftmaxStrategy::Recomposed | SoftmaxStrategy::RecomposedFp16
+    );
     let rows = params.seq_len * params.batch;
     let d_model = model.d_model;
     let dims = AttnDims::new(params.seq_len, model.d_head(), model.heads, params.batch);
@@ -201,36 +204,20 @@ pub fn build_training_schedule(model: &ModelConfig, params: &RunParams) -> Vec<K
     kernels
 }
 
-/// Simulates one training iteration.
-///
-/// # Errors
-///
-/// Returns [`LaunchError`] if any kernel cannot launch.
-///
-/// # Panics
-///
-/// Panics for the online-fused strategy (see [`build_training_schedule`]).
-pub fn run_training_iteration(
-    model: &ModelConfig,
-    params: &RunParams,
-    device: DeviceSpec,
-) -> Result<RunReport, LaunchError> {
-    let schedule = build_training_schedule(model, params);
-    let device_name = device.name.clone();
-    let mut gpu = Gpu::new(device);
-    gpu.run(&schedule)?;
-    Ok(RunReport {
-        model: model.name.clone(),
-        device: device_name,
-        params: params.clone(),
-        timeline: gpu.into_timeline(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schedule::build_schedule;
+    use crate::{RunReport, Session};
+    use resoftmax_gpusim::DeviceSpec;
+
+    fn session(m: &ModelConfig, params: &RunParams) -> Session {
+        Session::new(m, params, &DeviceSpec::a100()).unwrap()
+    }
+
+    fn train(m: &ModelConfig, params: &RunParams) -> RunReport {
+        session(m, params).train().unwrap()
+    }
 
     #[test]
     fn training_schedule_is_superset_of_inference() {
@@ -246,13 +233,11 @@ mod tests {
     #[test]
     fn recomposition_speeds_up_training() {
         let m = ModelConfig::bert_large();
-        let base = run_training_iteration(&m, &RunParams::new(4096), DeviceSpec::a100()).unwrap();
-        let sdf = run_training_iteration(
+        let base = train(&m, &RunParams::new(4096));
+        let sdf = train(
             &m,
             &RunParams::new(4096).strategy(SoftmaxStrategy::Recomposed),
-            DeviceSpec::a100(),
-        )
-        .unwrap();
+        );
         let speedup = base.total_time_s() / sdf.total_time_s();
         assert!(
             speedup > 1.1,
@@ -265,44 +250,24 @@ mod tests {
     fn backward_roughly_doubles_cost() {
         let m = ModelConfig::bert_large();
         let p = RunParams::new(4096);
-        let fwd = crate::engine::run_inference(&m, &p, DeviceSpec::a100()).unwrap();
-        let train = run_training_iteration(&m, &p, DeviceSpec::a100()).unwrap();
-        let ratio = train.total_time_s() / fwd.total_time_s();
+        let fwd = session(&m, &p).run().unwrap();
+        let training = train(&m, &p);
+        let ratio = training.total_time_s() / fwd.total_time_s();
         assert!((1.8..3.5).contains(&ratio), "train/inference ratio {ratio}");
     }
 
     #[test]
     fn sparse_training_gains_exceed_dense() {
-        let dense = {
-            let base = run_training_iteration(
-                &ModelConfig::bert_large(),
-                &RunParams::new(4096),
-                DeviceSpec::a100(),
-            )
-            .unwrap();
-            let sdf = run_training_iteration(
-                &ModelConfig::bert_large(),
+        let gain = |m: &ModelConfig| {
+            let base = train(m, &RunParams::new(4096));
+            let sdf = train(
+                m,
                 &RunParams::new(4096).strategy(SoftmaxStrategy::Recomposed),
-                DeviceSpec::a100(),
-            )
-            .unwrap();
+            );
             base.total_time_s() / sdf.total_time_s()
         };
-        let sparse = {
-            let base = run_training_iteration(
-                &ModelConfig::bigbird_large(),
-                &RunParams::new(4096),
-                DeviceSpec::a100(),
-            )
-            .unwrap();
-            let sdf = run_training_iteration(
-                &ModelConfig::bigbird_large(),
-                &RunParams::new(4096).strategy(SoftmaxStrategy::Recomposed),
-                DeviceSpec::a100(),
-            )
-            .unwrap();
-            base.total_time_s() / sdf.total_time_s()
-        };
+        let dense = gain(&ModelConfig::bert_large());
+        let sparse = gain(&ModelConfig::bigbird_large());
         assert!(sparse > 1.1, "sparse training speedup {sparse}");
         assert!(
             sparse > dense,

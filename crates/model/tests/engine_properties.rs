@@ -3,7 +3,13 @@
 
 use proptest::prelude::*;
 use resoftmax_gpusim::DeviceSpec;
-use resoftmax_model::{build_schedule, run_inference, ModelConfig, RunParams, SoftmaxStrategy};
+use resoftmax_model::{
+    build_schedule, ModelConfig, RunParams, RunReport, Session, SoftmaxStrategy,
+};
+
+fn run(model: &ModelConfig, params: &RunParams, device: &DeviceSpec) -> RunReport {
+    Session::new(model, params, device).unwrap().run().unwrap()
+}
 
 fn any_model() -> impl Strategy<Value = ModelConfig> {
     prop_oneof![
@@ -48,8 +54,8 @@ proptest! {
         let a = build_schedule(&model, &params);
         let b = build_schedule(&model, &params);
         prop_assert_eq!(&a, &b);
-        let ra = run_inference(&model, &params, DeviceSpec::a100()).unwrap();
-        let rb = run_inference(&model, &params, DeviceSpec::a100()).unwrap();
+        let ra = run(&model, &params, &DeviceSpec::a100());
+        let rb = run(&model, &params, &DeviceSpec::a100());
         prop_assert_eq!(ra.total_time_s(), rb.total_time_s());
         prop_assert_eq!(ra.total_dram_bytes(), rb.total_dram_bytes());
     }
@@ -64,12 +70,8 @@ proptest! {
     ) {
         let l1 = k * 512;
         let l2 = (k + 1) * 512;
-        let t1 = run_inference(&model, &RunParams::new(l1).strategy(s), device.clone())
-            .unwrap()
-            .total_time_s();
-        let t2 = run_inference(&model, &RunParams::new(l2).strategy(s), device)
-            .unwrap()
-            .total_time_s();
+        let t1 = run(&model, &RunParams::new(l1).strategy(s), &device).total_time_s();
+        let t2 = run(&model, &RunParams::new(l2).strategy(s), &device).total_time_s();
         prop_assert!(t2 > t1, "{}: L {l1}->{l2}: {t1} -> {t2}", model.name);
     }
 
@@ -77,12 +79,8 @@ proptest! {
     /// (batching can only amortize, never multiply, fixed costs).
     #[test]
     fn batch_scaling_bounded(model in any_model(), b in 2usize..8) {
-        let t1 = run_inference(&model, &RunParams::new(1024), DeviceSpec::a100())
-            .unwrap()
-            .total_time_s();
-        let tb = run_inference(&model, &RunParams::new(1024).batch(b), DeviceSpec::a100())
-            .unwrap()
-            .total_time_s();
+        let t1 = run(&model, &RunParams::new(1024), &DeviceSpec::a100()).total_time_s();
+        let tb = run(&model, &RunParams::new(1024).batch(b), &DeviceSpec::a100()).total_time_s();
         let ratio = tb / t1;
         prop_assert!(ratio <= b as f64 * 1.05, "{}: batch {b} ratio {ratio}", model.name);
         prop_assert!(ratio >= 0.5 * b as f64, "{}: batch {b} ratio {ratio}", model.name);
@@ -92,8 +90,8 @@ proptest! {
     #[test]
     fn a100_beats_t4(model in any_model(), s in any_strategy(), l in any_seq_len()) {
         let params = RunParams::new(l).strategy(s);
-        let ta = run_inference(&model, &params, DeviceSpec::a100()).unwrap().total_time_s();
-        let tt = run_inference(&model, &params, DeviceSpec::t4()).unwrap().total_time_s();
+        let ta = run(&model, &params, &DeviceSpec::a100()).total_time_s();
+        let tt = run(&model, &params, &DeviceSpec::t4()).total_time_s();
         prop_assert!(ta < tt, "{} {}: A100 {ta} vs T4 {tt}", model.name, s.label());
     }
 
@@ -103,8 +101,8 @@ proptest! {
     #[test]
     fn traffic_weakly_decreases_with_l2(model in any_model(), s in any_strategy()) {
         let params = RunParams::new(1024).strategy(s);
-        let big = run_inference(&model, &params, DeviceSpec::a100()).unwrap().total_dram_bytes();
-        let small = run_inference(&model, &params, DeviceSpec::t4()).unwrap().total_dram_bytes();
+        let big = run(&model, &params, &DeviceSpec::a100()).total_dram_bytes();
+        let small = run(&model, &params, &DeviceSpec::t4()).total_dram_bytes();
         prop_assert!(big <= small * 1.001, "{}: 40MB L2 {big} vs 4MB L2 {small}", model.name);
     }
 }

@@ -6,7 +6,9 @@
 //! test takes the file-local lock first and leaves the switches off.
 
 use resoftmax_gpusim::DeviceSpec;
-use resoftmax_model::{run_inference, ModelConfig, RunParams, Session, SoftmaxStrategy};
+use resoftmax_model::{
+    run_seq2seq, ModelConfig, RunParams, RunReport, Seq2SeqConfig, Session, SoftmaxStrategy,
+};
 use std::sync::{Mutex, PoisonError};
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -35,12 +37,11 @@ fn merged_trace_has_spans_from_three_crates_and_sim_streams() {
     // up a `parallel` span alongside the `model` and `gpusim` ones.
     let strategies = [SoftmaxStrategy::Baseline, SoftmaxStrategy::Recomposed];
     let reports = resoftmax_parallel::parallel_map(&strategies, |_, s| {
-        run_inference(
-            &ModelConfig::bert_large(),
-            &RunParams::new(1024).strategy(*s),
-            DeviceSpec::a100(),
-        )
-        .unwrap()
+        let params = RunParams::new(1024).strategy(*s);
+        Session::new(&ModelConfig::bert_large(), &params, &DeviceSpec::a100())
+            .unwrap()
+            .run()
+            .unwrap()
     });
     assert_eq!(reports.len(), 2);
 
@@ -86,35 +87,48 @@ fn merged_trace_has_spans_from_three_crates_and_sim_streams() {
 #[test]
 fn dram_counters_reconcile_exactly_with_report_breakdown() {
     let _g = lock();
-    fresh_enabled();
     // Single-threaded so sweep sums are deterministic run-ordered adds.
     resoftmax_parallel::set_thread_override(Some(1));
 
-    let report = Session::builder()
-        .model(ModelConfig::bert_large())
-        .device(DeviceSpec::a100())
-        .params(RunParams::new(2048))
-        .strategy(SoftmaxStrategy::Recomposed)
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
+    let params = RunParams::new(2048).strategy(SoftmaxStrategy::Recomposed);
+    let session = Session::new(&ModelConfig::bert_large(), &params, &DeviceSpec::a100()).unwrap();
+    let seq2seq = || {
+        let cfg = Seq2SeqConfig::vanilla_transformer_big();
+        run_seq2seq(&cfg, 1024, 512, &params, DeviceSpec::a100()).unwrap()
+    };
+    let runs: [(&str, &dyn Fn() -> RunReport); 3] = [
+        ("inference", &|| session.run().unwrap()),
+        ("training", &|| session.train().unwrap()),
+        ("seq2seq", &seq2seq),
+    ];
+    for (label, run) in runs {
+        fresh_enabled();
+        let report = run();
 
-    let snap = resoftmax_obs::metrics_snapshot();
-    let breakdown = report.breakdown();
-    assert!(!breakdown.categories.is_empty());
-    for c in &breakdown.categories {
-        let counter = snap.value(&format!("sim.dram_bytes.{}", c.category.label()));
+        let snap = resoftmax_obs::metrics_snapshot();
+        let breakdown = report.breakdown();
+        assert!(!breakdown.categories.is_empty(), "{label}");
+        for c in &breakdown.categories {
+            let counter = snap.value(&format!("sim.dram_bytes.{}", c.category.label()));
+            assert!(
+                counter == c.dram_bytes(),
+                "{label}: category {} counter {counter} != breakdown {}",
+                c.category.label(),
+                c.dram_bytes()
+            );
+        }
         assert!(
-            counter == c.dram_bytes(),
-            "category {} counter {counter} != breakdown {}",
-            c.category.label(),
-            c.dram_bytes()
+            snap.value("sim.dram_bytes.total") == breakdown.total_dram_bytes(),
+            "{label}"
         );
+        assert!(
+            snap.value("sim.time_s.total") == report.total_time_s(),
+            "{label}"
+        );
+        assert!(snap.count("sim.kernels_launched") > 0, "{label}");
+        let streams = resoftmax_obs::recorder().sim_streams();
+        assert_eq!(streams.len(), 1, "{label}: one sim stream per run");
     }
-    assert!(snap.value("sim.dram_bytes.total") == breakdown.total_dram_bytes());
-    assert!(snap.value("sim.time_s.total") == report.total_time_s());
-    assert!(snap.count("sim.kernels_launched") > 0);
 
     resoftmax_parallel::set_thread_override(None);
     disable();
@@ -126,11 +140,13 @@ fn disabled_switches_record_nothing() {
     disable();
     resoftmax_obs::reset();
 
-    run_inference(
+    Session::new(
         &ModelConfig::bert_large(),
         &RunParams::new(512),
-        DeviceSpec::a100(),
+        &DeviceSpec::a100(),
     )
+    .unwrap()
+    .run()
     .unwrap();
 
     assert!(resoftmax_obs::recorder().spans().is_empty());

@@ -6,6 +6,7 @@
 //! disable inter-kernel forwarding; this suite makes that a test failure.
 
 use resoftmax_gpusim::{DeviceSpec, Gpu, KernelDesc};
+use resoftmax_kernels::costs::TileConfig;
 use resoftmax_model::{
     build_decode_schedule, build_schedule, build_seq2seq_schedule, build_training_schedule,
     LibraryProfile, ModelConfig, RunParams, Seq2SeqConfig, SoftmaxStrategy,
@@ -79,27 +80,30 @@ fn inference_schedules_are_fully_wired() {
     }
 }
 
+/// Every strategy `Session::train` accepts, at a tile width where SDF16
+/// certifies (T = 16).
 #[test]
 fn training_and_decode_and_seq2seq_wiring() {
-    for s in [SoftmaxStrategy::Baseline, SoftmaxStrategy::Recomposed] {
-        let ks = build_training_schedule(
-            &ModelConfig::bert_large(),
-            &RunParams::new(1024).strategy(s),
-        );
+    for s in [
+        SoftmaxStrategy::Baseline,
+        SoftmaxStrategy::Decomposed,
+        SoftmaxStrategy::Recomposed,
+        SoftmaxStrategy::RecomposedFp16,
+    ] {
+        let params = RunParams::new(1024)
+            .strategy(s)
+            .tile(TileConfig::new(64, 16));
+        let ks = build_training_schedule(&ModelConfig::bert_large(), &params);
         check_wiring(&ks, true);
 
-        let ks = build_decode_schedule(
-            &ModelConfig::gpt_neo_1_3b(),
-            1024,
-            &RunParams::new(1024).strategy(s),
-        );
+        let ks = build_decode_schedule(&ModelConfig::gpt_neo_1_3b(), 1024, &params);
         check_wiring(&ks, true);
 
         let ks = build_seq2seq_schedule(
             &Seq2SeqConfig::vanilla_transformer_big(),
             1024,
             512,
-            &RunParams::new(1024).strategy(s),
+            &params,
         );
         check_wiring(&ks, true);
     }

@@ -29,8 +29,9 @@
 //! * `RESOFTMAX_METRICS` — counter updates.
 //!
 //! Both can be overridden programmatically ([`set_trace_enabled`],
-//! [`set_metrics_enabled`]), which is how `Session::builder().instrument(..)`
-//! opts a process in without touching the environment.
+//! [`set_metrics_enabled`]), which is how the bench driver's
+//! `figures --smoke` gate opts a process in without touching the
+//! environment.
 //!
 //! When disabled, every instrumentation site costs one relaxed atomic load
 //! and a predictable branch. No measurement backs that cost claim; the

@@ -18,7 +18,7 @@ const MAX_STREAMS: usize = 4096;
 /// One completed wall-clock span.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
-    /// Span name (e.g. `"run_inference"`, or a kernel name).
+    /// Span name (e.g. `"Session::run"`, or a kernel name).
     pub name: Cow<'static, str>,
     /// Category, by convention the instrumented crate's name.
     pub category: &'static str,

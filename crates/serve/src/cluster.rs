@@ -2,10 +2,12 @@
 //!
 //! [`FleetBuilder`] is the serving crate's public entry point. It validates
 //! the whole configuration at build time — replica devices, KV capacity
-//! against the model's weight footprint, decode legality and the certified
-//! numerics budget (the same analyzer gate `Session` applies) — so a
-//! [`Fleet`] that builds always runs to completion or returns a typed
-//! [`Error`].
+//! against the model's weight footprint, and the model layer's prefill and
+//! decode legality rules, certified numerics budget included (the
+//! [`validate_prefill`](resoftmax_model::validate_prefill) and
+//! [`validate_decode`](resoftmax_model::validate_decode) that `Session`
+//! applies) — so a [`Fleet`] that builds always runs to completion or
+//! returns a typed [`Error`].
 //!
 //! The run itself is a discrete-event loop. One `EventQueue` — a min-heap
 //! on (time, `Source`, enqueue seq) — holds fault injections (fail/drain),
@@ -38,7 +40,7 @@ use crate::replica::{Replica, ReqState, Role, StepAcc};
 use crate::request::{poisson_arrivals, Arrival, ServeConfig};
 use crate::router::{ReplicaView, Router, RouterPolicy};
 use resoftmax_gpusim::{DeviceSpec, Timeline};
-use resoftmax_model::{decode_error_bound, AttentionKind, ModelConfig, RunParams, SoftmaxStrategy};
+use resoftmax_model::{ModelConfig, RunParams};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
@@ -121,7 +123,6 @@ pub struct FleetBuilder<'a> {
     planners: Vec<&'a dyn IterationPlanner>,
     control: Option<&'a dyn ControlPlane>,
     migrate_on_evict: Option<bool>,
-    analyze: Option<bool>,
 }
 
 impl<'a> FleetBuilder<'a> {
@@ -325,14 +326,6 @@ impl<'a> FleetBuilder<'a> {
         self
     }
 
-    /// Enables or disables the static-analysis gate on the decode schedule
-    /// shape (enabled by default, exactly like `Session`).
-    #[must_use]
-    pub fn analyze(mut self, analyze: bool) -> Self {
-        self.analyze = Some(analyze);
-        self
-    }
-
     /// Validates the whole configuration and builds the [`Fleet`].
     ///
     /// # Errors
@@ -342,9 +335,11 @@ impl<'a> FleetBuilder<'a> {
     /// decode-capable or zero prefill-capable replicas, fault events leaving
     /// either capability without a survivor, planner count mismatched
     /// against the declared roles), [`Error::Admission`] when a replica's
-    /// KV pool cannot hold one worst-case request end-to-end, and the
-    /// analyzer-gate errors `Session` would raise for the `(model, params)`
-    /// pair (decode legality, certified numerics budget).
+    /// KV pool cannot hold one worst-case request end-to-end, and
+    /// [`Error::Model`] when the model layer's rules reject the
+    /// `(model, params)` pair: the prefill rules, or the decode rules
+    /// (decode legality, certified numerics budget) at the workload's worst
+    /// context — with the reason `Session` would give.
     pub fn build(self) -> Result<Fleet<'a>, Error> {
         let config = |reason: String| Err(Error::Config { reason });
         let Some(model) = self.model else {
@@ -510,50 +505,13 @@ impl<'a> FleetBuilder<'a> {
             );
         }
 
-        // The same gates `Session` applies: build-time validation of the
-        // (model, params) pair per distinct device, decode legality, and the
-        // certified-numerics budget at the worst decode context the workload
-        // can reach.
-        let analyze = self.analyze.unwrap_or(true);
-        let mut seen: Vec<&str> = Vec::new();
-        for d in &self.replicas {
-            if seen.contains(&d.name.as_str()) {
-                continue;
-            }
-            seen.push(&d.name);
-            resoftmax_model::Session::builder()
-                .model(model.clone())
-                .device(d.clone())
-                .params(params.clone())
-                .analyze(analyze)
-                .build()?;
-        }
-        if !matches!(model.attention, AttentionKind::Dense { .. }) {
-            return config(format!(
-                "serving covers dense attention only; model '{}' is sparse",
-                model.name
-            ));
-        }
-        if params.strategy == SoftmaxStrategy::OnlineFused {
-            return config(
-                "decode attention is a single row; online fusion is the GEMV itself".to_owned(),
-            );
-        }
+        // The model layer's legality rules, the ones `Session` applies: the
+        // prefill rules for the (model, params) pair, then the decode rules
+        // (dense attention, no online fusion, the certified-numerics budget)
+        // at the worst decode context the workload can reach.
+        resoftmax_model::validate_prefill(&model, &params)?;
         let worst_ctx = cfg.prompt_tokens.1 + cfg.decode_tokens.1;
-        if let Some(bound) = decode_error_bound(&[worst_ctx], &params) {
-            if !bound.certifies(resoftmax_analyzer::CERT_BUDGET_REL) {
-                return config(format!(
-                    "strategy {} at T={} over the workload's worst decode context {} \
-                     has certified relative error bound {:.3e}, exceeding the {:.1e} \
-                     budget; use a narrower tile or an fp32-accumulation strategy",
-                    params.strategy.label(),
-                    params.tile.n,
-                    bound.ctx,
-                    bound.rel,
-                    resoftmax_analyzer::CERT_BUDGET_REL,
-                ));
-            }
-        }
+        resoftmax_model::validate_decode(&model, &[worst_ctx], &params)?;
 
         // Per-replica KV capacity: the weights must fit, and the remainder
         // must hold one worst-case request end-to-end (otherwise the oldest

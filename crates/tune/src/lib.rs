@@ -24,19 +24,18 @@
 //!   counters `tune.cache_hits` / `tune.cache_misses`; a miss seeds its
 //!   search with winners cached for the same question on *other* devices
 //!   (`tune.transfer_candidates` / `tune.transfer_survivors`).
-//! * [`SessionTuneExt`] / [`SessionBuilderTuneExt`] — `.tuned(&tuner)` on a
-//!   session or builder.
+//! * [`SessionTuneExt`] — `.tuned(&tuner)` on a session.
 //! * [`TunedPlanner`] — a [`resoftmax_serve::IterationPlanner`] that serves
 //!   every continuous-batching iteration with its tuned schedule.
 //!
 //! ```
+//! use resoftmax_gpusim::DeviceSpec;
 //! use resoftmax_model::{ModelConfig, RunParams, Session};
-//! use resoftmax_tune::{SearchMode, SearchSpace, SessionBuilderTuneExt, Tuner};
+//! use resoftmax_tune::{SearchMode, SearchSpace, SessionTuneExt, Tuner};
 //!
 //! let tuner = Tuner::new(SearchSpace::smoke(), SearchMode::Exhaustive);
-//! let session = Session::builder()
-//!     .model(ModelConfig::bert_base())
-//!     .params(RunParams::new(512))
+//! let params = RunParams::new(512);
+//! let session = Session::new(&ModelConfig::bert_base(), &params, &DeviceSpec::a100())?
 //!     .tuned(&tuner)?;
 //! let report = session.run()?;
 //! assert!(report.total_time_s() > 0.0);
@@ -60,6 +59,6 @@ pub use oracle::{
 };
 pub use search::{search, SearchMode, SearchOutcome};
 pub use serve_hook::TunedPlanner;
-pub use session_ext::{SessionBuilderTuneExt, SessionTuneExt};
+pub use session_ext::SessionTuneExt;
 pub use space::{has_standalone_ls, SearchSpace};
 pub use tuner::{TuneError, Tuned, Tuner};

@@ -27,8 +27,8 @@ use resoftmax_analyzer::{ErrorBound, CERT_BUDGET_REL};
 use resoftmax_gpusim::{DeviceSpec, Gpu, KernelDesc, ParallelSplit};
 use resoftmax_model::{
     build_batched_decode_schedule, build_schedule, check_decode_schedule, check_schedule,
-    decode_error_bound, static_error_bound, AttentionKind, ModelConfig, RunParams, Session,
-    SoftmaxStrategy,
+    decode_error_bound, static_error_bound, validate_decode, validate_prefill, ModelConfig,
+    RunParams,
 };
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -153,6 +153,14 @@ fn check_numerics(bound: Option<ErrorBound>) -> Result<(), Skip> {
     }
 }
 
+/// A rejection by the model layer's legality rules, as a [`Skip`].
+fn invalid_config(e: resoftmax_model::Error) -> Skip {
+    match e {
+        resoftmax_model::Error::InvalidConfig { reason } => Skip::InvalidConfig(reason),
+        other => Skip::InvalidConfig(other.to_string()),
+    }
+}
+
 /// Statically validates a full-sequence candidate without simulating it:
 /// knob legality, buildability, and a clean analyzer report. Returns the
 /// schedule it built and analyzed, so a caller that goes on to price the
@@ -162,16 +170,9 @@ fn check_numerics(bound: Option<ErrorBound>) -> Result<(), Skip> {
 pub fn precheck(model: &ModelConfig, params: &RunParams) -> Result<Vec<KernelDesc>, Skip> {
     check_ls_split(params)?;
     check_numerics(static_error_bound(model, params))?;
-    // Session::build performs the dimensional validation (nonzero dims,
-    // sparse block size, tile divisibility) with typed errors.
-    Session::builder()
-        .model(model.clone())
-        .params(params.clone())
-        .build()
-        .map_err(|e| match e {
-            resoftmax_model::Error::InvalidConfig { reason } => Skip::InvalidConfig(reason),
-            other => Skip::InvalidConfig(other.to_string()),
-        })?;
+    // The prefill rules `Session::new` applies: nonzero dims, sparse block
+    // size, tile divisibility.
+    validate_prefill(model, params).map_err(invalid_config)?;
     let schedule = build_schedule(model, params);
     let report = check_schedule(model, params, &schedule);
     if report.has_errors() {
@@ -180,33 +181,20 @@ pub fn precheck(model: &ModelConfig, params: &RunParams) -> Result<Vec<KernelDes
     Ok(schedule)
 }
 
-/// [`precheck`] for a batched-decode candidate.
+/// [`precheck`] for a batched-decode candidate. The numerics gate runs
+/// before the decode rules `Session::decode_batch` applies, so an
+/// uncertifiable candidate is classed [`Skip::Numerics`].
 pub fn precheck_decode(
     model: &ModelConfig,
     ctxs: &[usize],
     params: &RunParams,
 ) -> Result<Vec<KernelDesc>, Skip> {
     check_ls_split(params)?;
-    if !matches!(model.attention, AttentionKind::Dense { .. }) {
-        return Err(Skip::InvalidConfig(format!(
-            "decode cost model covers dense attention only; model '{}' is sparse",
-            model.name
-        )));
-    }
-    if params.strategy == SoftmaxStrategy::OnlineFused {
-        return Err(Skip::InvalidConfig(
-            "decode attention is a single row; online fusion is the GEMV itself".to_owned(),
-        ));
-    }
-    if ctxs.is_empty() || ctxs.contains(&0) {
-        return Err(Skip::InvalidConfig(
-            "decode batch must be nonempty with nonzero contexts".to_owned(),
-        ));
-    }
+    check_numerics(decode_error_bound(ctxs, params))?;
+    validate_decode(model, ctxs, params).map_err(invalid_config)?;
     if params.tile.n == 0 {
         return Err(Skip::InvalidConfig("tile width must be nonzero".to_owned()));
     }
-    check_numerics(decode_error_bound(ctxs, params))?;
     let schedule = build_batched_decode_schedule(model, ctxs, params);
     let report = check_decode_schedule(model, ctxs, params, &schedule);
     if report.has_errors() {
@@ -289,6 +277,7 @@ mod tests {
     use super::*;
     use resoftmax_gpusim::KernelCategory;
     use resoftmax_kernels::costs::TileConfig;
+    use resoftmax_model::SoftmaxStrategy;
 
     #[test]
     fn buckets_round_up_to_powers_of_two() {
@@ -342,7 +331,6 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "builds full schedules; covered by native runs")]
     fn legal_splits_agree_with_analyzer() {
-        use resoftmax_model::SoftmaxStrategy;
         let model = ModelConfig::bert_base();
         for split in [
             ParallelSplit::OutputRows,

@@ -1,10 +1,9 @@
-//! Session integration: extension traits that retune an existing
-//! [`Session`] or build one directly from a [`Tuner`].
+//! Session integration: an extension trait that retunes an existing
+//! [`Session`] through a [`Tuner`].
 //!
 //! `resoftmax-model` cannot depend on this crate (the tuner sits above the
-//! model layer), so the integration is a pair of extension traits: bring
-//! [`SessionTuneExt`] / [`SessionBuilderTuneExt`] into scope and every
-//! session grows a `.tuned(..)`.
+//! model layer), so the integration is an extension trait: bring
+//! [`SessionTuneExt`] into scope and every session grows a `.tuned(..)`.
 //!
 //! Only the schedule *knobs* transfer from the tuning result — strategy,
 //! tile, and LS split; the session keeps its own workload dimensions and
@@ -15,7 +14,7 @@
 //! `tune.fallbacks` — tuning never turns a runnable session into a broken
 //! one.
 
-use resoftmax_model::{RunParams, Session, SessionBuilder};
+use resoftmax_model::{RunParams, Session};
 
 use crate::oracle::{precheck, TuneWorkload};
 use crate::tuner::{TuneError, Tuner};
@@ -58,30 +57,7 @@ impl SessionTuneExt for Session {
             resoftmax_obs::counter("tune.fallbacks").incr();
             self.params().clone()
         };
-        Ok(Session::builder()
-            .model(self.model().clone())
-            .device(self.device().clone())
-            .params(params)
-            .build()?)
-    }
-}
-
-/// Adds [`tuned`](SessionBuilderTuneExt::tuned) to [`SessionBuilder`].
-pub trait SessionBuilderTuneExt {
-    /// Like [`SessionBuilder::build`], then retunes the resulting session
-    /// through `tuner` — `Session::builder()...tuned(&tuner)?` is the
-    /// one-line way to get a tuned session.
-    ///
-    /// # Errors
-    ///
-    /// [`TuneError::Model`] if the builder itself fails validation, plus
-    /// everything [`SessionTuneExt::tuned`] can return.
-    fn tuned(self, tuner: &Tuner) -> Result<Session, TuneError>;
-}
-
-impl SessionBuilderTuneExt for SessionBuilder {
-    fn tuned(self, tuner: &Tuner) -> Result<Session, TuneError> {
-        self.build()?.tuned(tuner)
+        Ok(Session::new(self.model(), &params, self.device())?)
     }
 }
 
@@ -97,34 +73,15 @@ mod tests {
     #[cfg_attr(miri, ignore = "end-to-end simulation is too slow under miri")]
     fn tuned_session_is_no_slower() {
         let tuner = Tuner::new(SearchSpace::smoke(), SearchMode::Exhaustive);
-        let session = Session::builder()
-            .model(ModelConfig::bert_base())
-            .device(DeviceSpec::a100())
-            .params(RunParams::new(512))
-            .build()
-            .unwrap();
+        let session = Session::new(
+            &ModelConfig::bert_base(),
+            &RunParams::new(512),
+            &DeviceSpec::a100(),
+        )
+        .unwrap();
         let baseline = session.run().unwrap().total_time_s();
         let tuned = session.tuned(&tuner).unwrap();
         assert!(tuned.run().unwrap().total_time_s() <= baseline);
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "end-to-end simulation is too slow under miri")]
-    fn builder_tuned_matches_session_tuned() {
-        let tuner = Tuner::new(SearchSpace::smoke(), SearchMode::Exhaustive);
-        let a = Session::builder()
-            .model(ModelConfig::bert_base())
-            .params(RunParams::new(512))
-            .tuned(&tuner)
-            .unwrap();
-        let b = Session::builder()
-            .model(ModelConfig::bert_base())
-            .params(RunParams::new(512))
-            .build()
-            .unwrap()
-            .tuned(&tuner)
-            .unwrap();
-        assert_eq!(a.params(), b.params());
     }
 
     #[test]
@@ -139,11 +96,9 @@ mod tests {
             ..SearchSpace::smoke()
         };
         let tuner = Tuner::new(space, SearchMode::Exhaustive);
-        let session = Session::builder()
-            .model(ModelConfig::bert_base())
-            .params(RunParams::new(96).tile(resoftmax_kernels::costs::TileConfig::new(64, 32)))
-            .build()
-            .unwrap();
+        let params = RunParams::new(96).tile(resoftmax_kernels::costs::TileConfig::new(64, 32));
+        let session =
+            Session::new(&ModelConfig::bert_base(), &params, &DeviceSpec::a100()).unwrap();
         let before = resoftmax_obs::counter("tune.fallbacks").get();
         let tuned = session.tuned(&tuner).unwrap();
         assert!(resoftmax_obs::counter("tune.fallbacks").get() > before);

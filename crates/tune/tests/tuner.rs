@@ -4,11 +4,12 @@
 #![cfg(not(miri))] // end-to-end simulation is too slow under miri
 
 use resoftmax_gpusim::DeviceSpec;
-use resoftmax_model::{ModelConfig, RunParams, Session};
+use resoftmax_kernels::costs::TileConfig;
+use resoftmax_model::{ModelConfig, RunParams, Session, SoftmaxStrategy};
 use resoftmax_serve::{BaselinePlanner, FleetBuilder, IterationPlanner, ServeConfig, ServeReport};
 use resoftmax_tune::{
-    evaluate, precheck, precheck_decode, SearchMode, SearchSpace, SessionTuneExt, TuneWorkload,
-    TunedPlanner, Tuner,
+    evaluate, precheck, precheck_decode, SearchMode, SearchSpace, SessionTuneExt, Skip,
+    TuneWorkload, TunedPlanner, Tuner,
 };
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -135,20 +136,80 @@ fn cache_does_not_cross_spaces_or_modes() {
 }
 
 /// Session integration: `.tuned()` returns a session that runs no slower,
-/// and the tuned knobs survive the round trip through the builder.
+/// and the tuned knobs survive the round trip through `Session::new`.
 #[test]
 fn tuned_session_runs_no_slower() {
     let tuner = Tuner::new(SearchSpace::smoke(), SearchMode::Exhaustive);
-    let session = Session::builder()
-        .model(ModelConfig::bert_large())
-        .device(DeviceSpec::a100())
-        .params(RunParams::new(1024))
-        .build()
-        .unwrap();
+    let session = Session::new(
+        &ModelConfig::bert_large(),
+        &RunParams::new(1024),
+        &DeviceSpec::a100(),
+    )
+    .unwrap();
     let base_t = session.run().unwrap().total_time_s();
     let tuned = session.tuned(&tuner).unwrap();
     let tuned_t = tuned.run().unwrap().total_time_s();
     assert!(tuned_t <= base_t, "tuned {tuned_t} > baseline {base_t}");
+}
+
+/// One decode gate, one answer: each illegal decode configuration is
+/// rejected by `Session::decode_batch`, by `FleetBuilder::build` (at the
+/// workload's worst context) and by `precheck_decode`; the session and the
+/// fleet give the same reason, and the tuner classes it.
+#[test]
+fn decode_gate_gives_one_answer_on_every_path() {
+    let dense = ModelConfig::gpt_neo_1_3b();
+    let sdf16 = RunParams::new(1024)
+        .tile(TileConfig::new(64, 32))
+        .strategy(SoftmaxStrategy::RecomposedFp16);
+    let cases = [
+        (ModelConfig::bigbird_large(), RunParams::new(1024), 1024),
+        (
+            dense.clone(),
+            RunParams::new(1024).strategy(SoftmaxStrategy::OnlineFused),
+            1024,
+        ),
+        // Certifies at the session's own length, not over this context.
+        (dense, sdf16, 1 << 24),
+    ];
+    let mut classes = Vec::new();
+    for (model, params, ctx) in cases {
+        let label = format!("{} / {} / ctx {ctx}", model.name, params.strategy.label());
+        let session = Session::new(&model, &params, &DeviceSpec::a100()).unwrap();
+        let session_reason = match session.decode_batch(&[ctx]) {
+            Err(resoftmax_model::Error::InvalidConfig { reason }) => reason,
+            other => panic!("{label}: session gave {other:?}"),
+        };
+
+        let workload = ServeConfig {
+            requests: 2,
+            prompt_tokens: (64, ctx - 16),
+            decode_tokens: (4, 16),
+            ..ServeConfig::default()
+        };
+        let fleet = FleetBuilder::new()
+            .model(model.clone())
+            .params(params.clone())
+            .replica(DeviceSpec::a100())
+            .workload(workload)
+            .build();
+        let fleet_reason = match fleet {
+            Err(resoftmax_serve::Error::Model(resoftmax_model::Error::InvalidConfig {
+                reason,
+            })) => reason,
+            Err(other) => panic!("{label}: fleet gave {other}"),
+            Ok(_) => panic!("{label}: fleet built"),
+        };
+        assert_eq!(session_reason, fleet_reason, "{label}");
+
+        match precheck_decode(&model, &[ctx], &params) {
+            Err(Skip::InvalidConfig(_)) => classes.push("InvalidConfig"),
+            Err(Skip::Numerics(_)) => classes.push("Numerics"),
+            Err(other) => panic!("{label}: precheck_decode gave {other}"),
+            Ok(_) => panic!("{label}: precheck_decode accepted"),
+        }
+    }
+    assert_eq!(classes, ["InvalidConfig", "InvalidConfig", "Numerics"]);
 }
 
 /// Serve integration: the tuned planner completes the same workload in no

@@ -40,12 +40,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for device in devices {
         device.validate()?;
-        let base = run_inference(&model, &RunParams::new(4096), device.clone())?;
-        let sdf = run_inference(
+        let base = Session::new(&model, &RunParams::new(4096), &device)?.run()?;
+        let sdf = Session::new(
             &model,
             &RunParams::new(4096).strategy(SoftmaxStrategy::Recomposed),
-            device.clone(),
-        )?;
+            &device,
+        )?
+        .run()?;
         println!(
             "{:<20} {:>7.2} ms {:>13.1}% {:>12.2}x",
             device.name,

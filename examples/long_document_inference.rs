@@ -40,12 +40,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ModelConfig::bigbird_large(),
     ] {
         for l in [512usize, 4096] {
-            let base = run_inference(&model, &RunParams::new(l), device.clone())?;
-            let sdf = run_inference(
+            let base = Session::new(&model, &RunParams::new(l), &device)?.run()?;
+            let sdf = Session::new(
                 &model,
                 &RunParams::new(l).strategy(SoftmaxStrategy::Recomposed),
-                device.clone(),
-            )?;
+                &device,
+            )?
+            .run()?;
             println!(
                 "{:<18} {:>6} {:>9.2} ms {:>9.2} ms {:>8.2}x",
                 model.name,
@@ -61,14 +62,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = ModelConfig::longformer_large();
     let batch = 8;
     let iters = corpus.iterations(batch);
-    let base = run_inference(&model, &RunParams::new(4096).batch(batch), device.clone())?;
-    let sdf = run_inference(
+    let base = Session::new(&model, &RunParams::new(4096).batch(batch), &device)?.run()?;
+    let sdf = Session::new(
         &model,
         &RunParams::new(4096)
             .batch(batch)
             .strategy(SoftmaxStrategy::Recomposed),
-        device,
-    )?;
+        &device,
+    )?
+    .run()?;
     println!("\ncorpus sweep ({iters} iterations of batch {batch}, Longformer-large, L=4096):");
     println!(
         "  baseline  {:.1} s   recomposed {:.1} s   ({:.2}x, {:.1} GB less off-chip traffic per pass)",

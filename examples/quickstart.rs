@@ -42,20 +42,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. The performance (paper Fig. 8): run BERT-large at L = 4096 on a
     //    simulated A100 with and without recomposition.
     // ------------------------------------------------------------------
-    let model = ModelConfig::bert_large();
-    let baseline = Session::builder()
-        .model(model.clone())
-        .device(DeviceSpec::a100())
-        .params(RunParams::new(4096))
-        .build()?
-        .run()?;
-    let sdf = Session::builder()
-        .model(model)
-        .device(DeviceSpec::a100())
-        .params(RunParams::new(4096))
-        .strategy(SoftmaxStrategy::Recomposed)
-        .build()?
-        .run()?;
+    let (model, device) = (ModelConfig::bert_large(), DeviceSpec::a100());
+    let params = RunParams::new(4096);
+    let baseline = Session::new(&model, &params, &device)?.run()?;
+    let params = params.strategy(SoftmaxStrategy::Recomposed);
+    let sdf = Session::new(&model, &params, &device)?.run()?;
     println!(
         "\nBERT-large, L=4096, A100 (simulated):\n  baseline {:.2} ms ({:.0}% in softmax), recomposed {:.2} ms -> {:.2}x speedup",
         baseline.total_time_s() * 1e3,

@@ -66,12 +66,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ModelConfig::bigbird_large(),
         ModelConfig::longformer_large(),
     ] {
-        let base = run_inference(&m, &RunParams::new(4096), device.clone())?;
-        let sd = run_inference(
+        let base = Session::new(&m, &RunParams::new(4096), &device)?.run()?;
+        let sd = Session::new(
             &m,
             &RunParams::new(4096).strategy(SoftmaxStrategy::Decomposed),
-            device.clone(),
-        )?;
+            &device,
+        )?
+        .run()?;
         println!(
             "  {:<18} SD alone: {:.2}x speedup despite {:.2}x the softmax traffic",
             m.name,

@@ -11,7 +11,8 @@
 //!   paper's A100 / RTX 3090 / T4 (see `DESIGN.md`).
 //! * [`sparse`] — block-sparse layouts and attention patterns.
 //! * [`kernels`] — the kernel catalog: numerics + cost profiles.
-//! * [`model`] — transformer configs, schedules, the inference engine.
+//! * [`model`] — transformer configs, schedules, and the [`model::Session`]
+//!   that validates a run and simulates it.
 //! * [`serve`] — the continuous-batching serving simulator: the
 //!   [`serve::FleetBuilder`] cluster, from one replica up (routing, KV
 //!   migration over a modeled interconnect, fault scenarios).
@@ -33,6 +34,12 @@ pub use resoftmax_serve as serve;
 pub use resoftmax_sparse as sparse;
 pub use resoftmax_tensor as tensor;
 
+/// The README's Rust blocks, compiled as doctests so they cannot drift from
+/// the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 /// The items almost every user of the library needs.
 pub mod prelude {
     pub use resoftmax_core::experiments;
@@ -45,9 +52,8 @@ pub mod prelude {
         recomposed_attention, reference_attention, softmax_backward, softmax_rows,
     };
     pub use resoftmax_model::{
-        build_schedule, run_decode_step, run_inference, run_seq2seq, run_training_iteration, Error,
-        LibraryProfile, ModelConfig, RunParams, RunReport, Seq2SeqConfig, Session, SessionBuilder,
-        SoftmaxStrategy, Workload, WorkloadConfig,
+        build_schedule, run_seq2seq, Error, LibraryProfile, ModelConfig, RunParams, RunReport,
+        Seq2SeqConfig, Session, SoftmaxStrategy, Workload, WorkloadConfig,
     };
     pub use resoftmax_obs::{
         counter, float_counter, metrics_snapshot, recorder, span, ChromeTraceSink, JsonMetricsSink,

@@ -3,7 +3,7 @@
 //! preset, trace export, and failure handling at the system boundary.
 
 use resoftmax::gpusim::chrome_trace::to_chrome_trace;
-use resoftmax::model::{build_training_schedule, run_training_iteration};
+use resoftmax::model::build_training_schedule;
 use resoftmax::prelude::*;
 
 const L: usize = 4096;
@@ -12,23 +12,28 @@ fn a100() -> DeviceSpec {
     DeviceSpec::a100()
 }
 
+/// A validated A100 session for `model` at `params`.
+fn a100_session(model: &ModelConfig, params: &RunParams) -> Session {
+    Session::new(model, params, &a100()).unwrap()
+}
+
 /// The online-softmax strategy dominates SDF at long sequences on dense
 /// models (the FlashAttention headroom), and both beat the baseline.
 #[test]
 fn online_dominates_sdf_at_long_sequences() {
     let model = ModelConfig::bert_large();
-    let base = run_inference(&model, &RunParams::new(L), a100()).unwrap();
-    let sdf = run_inference(
+    let base = a100_session(&model, &RunParams::new(L)).run().unwrap();
+    let sdf = a100_session(
         &model,
         &RunParams::new(L).strategy(SoftmaxStrategy::Recomposed),
-        a100(),
     )
+    .run()
     .unwrap();
-    let online = run_inference(
+    let online = a100_session(
         &model,
         &RunParams::new(L).strategy(SoftmaxStrategy::OnlineFused),
-        a100(),
     )
+    .run()
     .unwrap();
     assert!(sdf.total_time_s() < base.total_time_s());
     assert!(online.total_time_s() < sdf.total_time_s());
@@ -56,12 +61,12 @@ fn online_numerics_through_prelude() {
 #[test]
 fn training_iteration_gains() {
     let model = ModelConfig::bert_large();
-    let base = run_training_iteration(&model, &RunParams::new(L), a100()).unwrap();
-    let sdf = run_training_iteration(
+    let base = a100_session(&model, &RunParams::new(L)).train().unwrap();
+    let sdf = a100_session(
         &model,
         &RunParams::new(L).strategy(SoftmaxStrategy::Recomposed),
-        a100(),
     )
+    .train()
     .unwrap();
     assert!(base.total_time_s() / sdf.total_time_s() > 1.05);
     // no Softmax-category kernel remains anywhere in the recomposed schedule
@@ -86,18 +91,18 @@ fn training_iteration_gains() {
 #[test]
 fn sparse_transformer_model_works() {
     let model = ModelConfig::sparse_transformer();
-    let base = run_inference(&model, &RunParams::new(L), a100()).unwrap();
-    let sd = run_inference(
+    let base = a100_session(&model, &RunParams::new(L)).run().unwrap();
+    let sd = a100_session(
         &model,
         &RunParams::new(L).strategy(SoftmaxStrategy::Decomposed),
-        a100(),
     )
+    .run()
     .unwrap();
-    let sdf = run_inference(
+    let sdf = a100_session(
         &model,
         &RunParams::new(L).strategy(SoftmaxStrategy::Recomposed),
-        a100(),
     )
+    .run()
     .unwrap();
     assert!(
         sd.total_time_s() < base.total_time_s(),
@@ -110,7 +115,9 @@ fn sparse_transformer_model_works() {
 /// whole schedule.
 #[test]
 fn trace_export_is_complete() {
-    let report = run_inference(&ModelConfig::bert_large(), &RunParams::new(1024), a100()).unwrap();
+    let report = a100_session(&ModelConfig::bert_large(), &RunParams::new(1024))
+        .run()
+        .unwrap();
     let json = to_chrome_trace(&report.timeline);
     let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
     let events = parsed.as_array().unwrap();
@@ -125,16 +132,18 @@ fn trace_export_is_complete() {
     assert!((total_dur - report.total_time_s()).abs() < 1e-6);
 }
 
-/// A device too small for a kernel's thread block produces a LaunchError,
-/// not a wrong simulation.
+/// A device too small for a kernel's thread block produces a typed launch
+/// error, not a wrong simulation.
 #[test]
 fn undersized_device_errors_cleanly() {
     let mut tiny = DeviceSpec::t4();
     tiny.l1_kb_per_sm = 4; // monolithic softmax at L=4096 needs 8KB shared
-    let result = run_inference(&ModelConfig::bert_large(), &RunParams::new(L), tiny);
-    assert!(result.is_err());
-    let msg = result.unwrap_err().to_string();
-    assert!(msg.contains("does not fit"), "{msg}");
+    let e = Session::new(&ModelConfig::bert_large(), &RunParams::new(L), &tiny)
+        .unwrap()
+        .run()
+        .unwrap_err();
+    assert!(matches!(e, Error::Launch(_)), "{e}");
+    assert!(e.to_string().contains("does not fit"), "{e}");
 }
 
 /// Workload statistics drive the documented motivation numbers.
@@ -184,12 +193,12 @@ fn seq2seq_gains_grow_with_source_length() {
 #[test]
 fn sparse_training_gains() {
     let speedup = |model: &ModelConfig| -> f64 {
-        let base = run_training_iteration(model, &RunParams::new(L), a100()).unwrap();
-        let sdf = run_training_iteration(
+        let base = a100_session(model, &RunParams::new(L)).train().unwrap();
+        let sdf = a100_session(
             model,
             &RunParams::new(L).strategy(SoftmaxStrategy::Recomposed),
-            a100(),
         )
+        .train()
         .unwrap();
         base.total_time_s() / sdf.total_time_s()
     };

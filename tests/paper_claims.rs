@@ -10,10 +10,14 @@ fn a100() -> DeviceSpec {
     DeviceSpec::a100()
 }
 
+/// Simulates one inference of `model` at `params` on `device`.
+fn run(model: &ModelConfig, params: &RunParams, device: &DeviceSpec) -> RunReport {
+    Session::new(model, params, device).unwrap().run().unwrap()
+}
+
 fn speedup(model: &ModelConfig, strategy: SoftmaxStrategy, device: &DeviceSpec) -> f64 {
-    let base = run_inference(model, &RunParams::new(L), device.clone()).unwrap();
-    let variant =
-        run_inference(model, &RunParams::new(L).strategy(strategy), device.clone()).unwrap();
+    let base = run(model, &RunParams::new(L), device);
+    let variant = run(model, &RunParams::new(L).strategy(strategy), device);
     base.total_time_s() / variant.total_time_s()
 }
 
@@ -41,7 +45,7 @@ fn headline_speedups_within_bands() {
 /// the softmax layer ~36%; even sparse models keep softmax above 40%.
 #[test]
 fn breakdown_fractions_match_fig2() {
-    let bert = run_inference(&ModelConfig::bert_large(), &RunParams::new(L), a100()).unwrap();
+    let bert = run(&ModelConfig::bert_large(), &RunParams::new(L), &a100());
     assert!(
         (bert.sda_time_fraction() - 0.68).abs() < 0.08,
         "{}",
@@ -53,7 +57,7 @@ fn breakdown_fractions_match_fig2() {
         ModelConfig::bigbird_large(),
         ModelConfig::longformer_large(),
     ] {
-        let r = run_inference(&sparse, &RunParams::new(L), a100()).unwrap();
+        let r = run(&sparse, &RunParams::new(L), &a100());
         assert!(
             r.softmax_time_fraction() > 0.37,
             "{}: softmax frac {}",
@@ -133,23 +137,21 @@ fn average_latency_and_energy_reductions() {
 fn speedup_grows_with_sequence_length() {
     for model in ModelConfig::all_eval_models() {
         let s2k = {
-            let base = run_inference(&model, &RunParams::new(2048), a100()).unwrap();
-            let sdf = run_inference(
+            let base = run(&model, &RunParams::new(2048), &a100());
+            let sdf = run(
                 &model,
                 &RunParams::new(2048).strategy(SoftmaxStrategy::Recomposed),
-                a100(),
-            )
-            .unwrap();
+                &a100(),
+            );
             base.total_time_s() / sdf.total_time_s()
         };
         let s8k = {
-            let base = run_inference(&model, &RunParams::new(8192), a100()).unwrap();
-            let sdf = run_inference(
+            let base = run(&model, &RunParams::new(8192), &a100());
+            let sdf = run(
                 &model,
                 &RunParams::new(8192).strategy(SoftmaxStrategy::Recomposed),
-                a100(),
-            )
-            .unwrap();
+                &a100(),
+            );
             base.total_time_s() / sdf.total_time_s()
         };
         assert!(s8k > s2k, "{}: {s2k} -> {s8k}", model.name);
