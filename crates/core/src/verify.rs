@@ -5,23 +5,22 @@
 //! reports the observed error, so examples, tests and the README can *show*
 //! — not assert — that the recomposition is exact.
 
-use resoftmax_analyzer::error_model;
 use resoftmax_fp16::{ulp_distance, F16};
-use resoftmax_gpusim::AccumFormat;
 use resoftmax_kernels::{
     decomposed_softmax, recomposed_attention, reference_attention, softmax_backward, softmax_rows,
     softmax_rows_f64,
 };
+use resoftmax_model::SoftmaxStrategy;
 use resoftmax_tensor::{max_abs_diff, randn_matrix, Matrix};
 use serde::{Deserialize, Serialize};
 
 /// Binary16 comparison tolerances for a decomposed-softmax pipeline over
 /// rows of length `l` split into `t`-wide sub-vectors, derived from the
-/// analyzer's certified error model ([`resoftmax_analyzer::error_model`])
-/// instead of hand-picked constants. The static bound is worst-case, so it
-/// is a sound acceptance threshold for any measured error — the
-/// `resoftmax-bench` cross-validation suite pins `measured ≤ derived` over
-/// the full analysis grid.
+/// certified error bound of the decomposed strategy
+/// ([`SoftmaxStrategy::certified_bound`]) instead of hand-picked constants.
+/// The static bound is worst-case, so it is a sound acceptance threshold
+/// for any measured error — the `resoftmax-bench` cross-validation suite
+/// pins `measured ≤ derived` over the full analysis grid.
 ///
 /// Compared to the historical hand constants: the derived absolute/ULP
 /// tolerances are somewhat *looser* (e.g. 3.9e-3 vs 2e-3 and 10 vs 8 ULPs
@@ -44,7 +43,7 @@ pub struct DerivedTolerances {
 /// at `(l, t)` from the certified error bound of the fp32-accumulation
 /// decomposed pipeline.
 pub fn derived_fp16_tolerances(l: usize, t: usize) -> DerivedTolerances {
-    let b = error_model::decomposed(l, t, AccumFormat::Fp32, AccumFormat::Fp32);
+    let b = SoftmaxStrategy::Decomposed.certified_bound(l, t);
     DerivedTolerances {
         abs: b.rel,
         ulps: b.ulps,
@@ -57,7 +56,7 @@ pub fn derived_fp16_tolerances(l: usize, t: usize) -> DerivedTolerances {
 /// range. With unit-variance `V` the output magnitude is bounded by ~4
 /// (a 4σ row of a convex combination), so `|Δoutput| ≤ 4 × rel`.
 pub fn derived_fusion_tolerance(l: usize, t: usize) -> f64 {
-    4.0 * error_model::decomposed(l, t, AccumFormat::Fp32, AccumFormat::Fp32).rel
+    4.0 * SoftmaxStrategy::Recomposed.certified_bound(l, t).rel
 }
 
 /// Observed error between the decomposed/fused pipeline and the monolithic

@@ -15,12 +15,12 @@ use crate::config::{AttentionKind, ModelConfig};
 use crate::decode::{build_batched_decode_schedule, check_decode_schedule, decode_error_bound};
 use crate::engine::{simulate_schedule, RunReport};
 use crate::error::Error;
-use crate::library::SparseSupport;
 use crate::schedule::{
-    build_schedule, check_schedule, static_error_bound, RunParams, SoftmaxStrategy,
+    build_schedule, check_schedule, static_error_bound, uses_sparse_kernels, RunParams,
+    SoftmaxStrategy,
 };
 use crate::training::build_training_schedule;
-use resoftmax_analyzer::{Report, Severity, CERT_BUDGET_REL};
+use resoftmax_analyzer::{ErrorBound, Report, Severity, CERT_BUDGET_REL};
 use resoftmax_gpusim::{DeviceSpec, KernelDesc};
 
 /// A validated, ready-to-run simulation of one model on one device.
@@ -79,8 +79,7 @@ pub fn validate_prefill(model: &ModelConfig, params: &RunParams) -> Result<(), E
         ));
     }
     if params.strategy == SoftmaxStrategy::RecomposedFp16
-        && model.attention.is_sparse()
-        && !matches!(params.profile.sparse_support, SparseSupport::DenseFallback)
+        && uses_sparse_kernels(model, &params.profile)
     {
         return invalid(format!(
             "strategy SDF16 has no block-sparse implementation (no certified \
@@ -89,25 +88,9 @@ pub fn validate_prefill(model: &ModelConfig, params: &RunParams) -> Result<(), E
             model.name
         ));
     }
-    // Numerics gate: reject combinations whose certified worst-case softmax
-    // error exceeds the budget the verify tolerances are derived from.
     // Checked statically — `build_schedule` debug-asserts its own analysis,
     // so an uncertifiable point must never reach the builder.
-    if let Some(bound) = static_error_bound(model, params) {
-        if !bound.certifies(CERT_BUDGET_REL) {
-            return invalid(format!(
-                "strategy {} at T={} over L={} has certified relative error \
-                 bound {:.3e}, exceeding the {:.1e} budget; use a narrower \
-                 tile or an fp32-accumulation strategy",
-                params.strategy.label(),
-                params.tile.n,
-                params.seq_len,
-                bound.rel,
-                CERT_BUDGET_REL,
-            ));
-        }
-    }
-    Ok(())
+    certify(static_error_bound(model, params), params, "L=")
 }
 
 /// The decode legality rules: whether `(model, params)` can build and
@@ -146,21 +129,30 @@ pub fn validate_decode(
     }
     // Applied statically, like the prefill gate: the decode builder
     // debug-asserts its own analysis.
-    if let Some(bound) = decode_error_bound(ctxs, params) {
-        if !bound.certifies(CERT_BUDGET_REL) {
-            return invalid(format!(
-                "strategy {} at T={} over decode context {} has certified \
-                 relative error bound {:.3e}, exceeding the {:.1e} budget; \
-                 use a narrower tile or an fp32-accumulation strategy",
-                params.strategy.label(),
-                params.tile.n,
-                bound.ctx,
-                bound.rel,
-                CERT_BUDGET_REL,
-            ));
-        }
+    certify(decode_error_bound(ctxs, params), params, "decode context ")
+}
+
+/// The numerics gate: rejects a certified worst-case softmax error over the
+/// budget the verify tolerances are derived from. `over` names the row the
+/// bound was taken over; the bound's context length follows it.
+pub(crate) fn certify(
+    bound: Option<ErrorBound>,
+    params: &RunParams,
+    over: &str,
+) -> Result<(), Error> {
+    match bound {
+        Some(bound) if !bound.certifies(CERT_BUDGET_REL) => invalid(format!(
+            "strategy {} at T={} over {over}{} has certified relative error \
+             bound {:.3e}, exceeding the {:.1e} budget; use a narrower tile \
+             or an fp32-accumulation strategy",
+            params.strategy.label(),
+            params.tile.n,
+            bound.ctx,
+            bound.rel,
+            CERT_BUDGET_REL,
+        )),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// Turns an analyzer report with errors into [`Error::Analysis`].

@@ -36,10 +36,7 @@ pub fn build_training_schedule(model: &ModelConfig, params: &RunParams) -> Vec<K
         params.strategy != SoftmaxStrategy::OnlineFused,
         "online-fused backward is out of scope"
     );
-    let recomposed = matches!(
-        params.strategy,
-        SoftmaxStrategy::Recomposed | SoftmaxStrategy::RecomposedFp16
-    );
+    let recomposed = params.strategy.is_recomposed();
     let rows = params.seq_len * params.batch;
     let d_model = model.d_model;
     let dims = AttnDims::new(params.seq_len, model.d_head(), model.heads, params.batch);

@@ -122,7 +122,6 @@ pub struct FleetBuilder<'a> {
     events: Vec<FleetEvent>,
     planners: Vec<&'a dyn IterationPlanner>,
     control: Option<&'a dyn ControlPlane>,
-    migrate_on_evict: Option<bool>,
 }
 
 impl<'a> FleetBuilder<'a> {
@@ -162,28 +161,10 @@ impl<'a> FleetBuilder<'a> {
         self.add(n, device.clone(), Role::Unified, false)
     }
 
-    /// Adds one replica with an explicit serving [`Role`]. Replica ids follow
-    /// declaration order regardless of role, so faults, planners, and report
-    /// rows keep addressing replicas by the order they were added.
-    #[must_use]
-    pub fn replica_with_role(self, device: DeviceSpec, role: Role) -> Self {
-        self.add(1, device, role, false)
-    }
-
-    /// Adds one *standby* replica: provisioned (its KV capacity is
-    /// validated like any other replica's) but parked out of rotation until
-    /// a control plane scales it up with
-    /// [`ControlAction::ScaleUp`](crate::ControlAction::ScaleUp) — the
-    /// warm-up streams the model weights over the
-    /// [`link`](Self::link) before it starts accepting. Standby replicas
-    /// do not count toward the capability checks (a fleet whose only
-    /// decode-capable replica is standby is still rejected).
-    #[must_use]
-    pub fn standby_replica_with_role(self, device: DeviceSpec, role: Role) -> Self {
-        self.add(1, device, role, true)
-    }
-
     /// Adds `n` replicas of `device` with `role`, parked when `standby`.
+    /// Replica ids follow declaration order regardless of role, so faults,
+    /// planners, and report rows keep addressing replicas by the order they
+    /// were added.
     fn add(mut self, n: usize, device: DeviceSpec, role: Role, standby: bool) -> Self {
         self.replicas.extend(std::iter::repeat_n(device, n));
         self.roles.extend(std::iter::repeat_n(role, n));
@@ -191,7 +172,14 @@ impl<'a> FleetBuilder<'a> {
         self
     }
 
-    /// Adds `n` standby [`Role::Unified`] replicas of the same `device`.
+    /// Adds `n` *standby* [`Role::Unified`] replicas of the same `device`:
+    /// provisioned (their KV capacity is validated like any other
+    /// replica's) but parked out of rotation until a control plane scales
+    /// them up with [`ControlAction::ScaleUp`](crate::ControlAction::ScaleUp)
+    /// — the warm-up streams the model weights over the
+    /// [`link`](Self::link) before a replica starts accepting. Standby
+    /// replicas do not count toward the capability checks (a fleet whose
+    /// only decode-capable replica is standby is still rejected).
     #[must_use]
     pub fn standby_replicas(self, n: usize, device: &DeviceSpec) -> Self {
         self.add(n, device.clone(), Role::Unified, true)
@@ -315,14 +303,6 @@ impl<'a> FleetBuilder<'a> {
     #[must_use]
     pub fn drain_at(mut self, replica: usize, at_s: f64) -> Self {
         self.events.push(FleetEvent::Drain { replica, at_s });
-        self
-    }
-
-    /// Whether an evicted request's KV pages may migrate to a sibling
-    /// replica instead of being dropped and re-prefilled (default: `true`).
-    #[must_use]
-    pub fn migrate_on_evict(mut self, on: bool) -> Self {
-        self.migrate_on_evict = Some(on);
         self
     }
 
@@ -573,7 +553,6 @@ impl<'a> FleetBuilder<'a> {
             },
             planners: self.planners,
             control: self.control,
-            migrate_on_evict: self.migrate_on_evict.unwrap_or(true),
         })
     }
 }
@@ -610,7 +589,6 @@ pub struct Fleet<'a> {
     events: Vec<FleetEvent>,
     planners: Vec<&'a dyn IterationPlanner>,
     control: Option<&'a dyn ControlPlane>,
-    migrate_on_evict: bool,
 }
 
 /// Where a queued event comes from. The variant order *is* the fleet's tie
@@ -1220,13 +1198,12 @@ impl<'f> FleetState<'f> {
 
     /// Re-homes a request displaced from `source` (eviction overflow, drain,
     /// failure). Attempts a KV migration over the link when the request has
-    /// resident cache, migration is enabled, and a sibling has pool room;
-    /// otherwise the cache is dropped and the request re-prefills at its
-    /// destination.
+    /// resident cache and a sibling has pool room; otherwise the cache is
+    /// dropped and the request re-prefills at its destination.
     fn place_displaced(&mut self, id: usize, source: usize, now_s: f64) {
         debug_assert_eq!(self.states[id].blocks, 0, "displaced with blocks held");
         let had_cache = self.states[id].cached > 0;
-        if self.fleet.migrate_on_evict && had_cache {
+        if had_cache {
             // Migrate toward the subset that can run the request's next
             // phase: a decode-ready cache goes to the decode side, a partial
             // prefill back to the prefill side.

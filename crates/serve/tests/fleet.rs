@@ -7,7 +7,7 @@ use resoftmax_gpusim::{DeviceSpec, Gpu};
 use resoftmax_model::{build_batched_decode_schedule, ModelConfig, RunParams, SoftmaxStrategy};
 use resoftmax_serve::{
     kv_bytes_per_token, poisson_arrivals, Arrival, Error, FleetBuilder, FleetReport, LinkSpec,
-    Policy, Role, RouterPolicy, ServeConfig, ServeReport,
+    Policy, RouterPolicy, ServeConfig, ServeReport,
 };
 
 fn model() -> ModelConfig {
@@ -557,7 +557,7 @@ fn builder_rejects_role_violations() {
     // A Unified replica satisfies both capabilities.
     assert!(base()
         .prefill_replicas(1, &DeviceSpec::a100())
-        .replica_with_role(DeviceSpec::a100(), Role::Unified)
+        .replica(DeviceSpec::a100())
         .build()
         .is_ok());
 }

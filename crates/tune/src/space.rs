@@ -127,13 +127,8 @@ impl SearchSpace {
 /// can reach: SD always runs LS standalone; SDF only in the degenerate
 /// separate-scale/mask profiles where the fused epilogue is unavailable.
 pub fn has_standalone_ls(strategy: SoftmaxStrategy, profile: &LibraryProfile) -> bool {
-    match strategy {
-        SoftmaxStrategy::Decomposed => true,
-        SoftmaxStrategy::Recomposed | SoftmaxStrategy::RecomposedFp16 => {
-            profile.separate_scale_mask
-        }
-        SoftmaxStrategy::Baseline | SoftmaxStrategy::OnlineFused => false,
-    }
+    strategy == SoftmaxStrategy::Decomposed
+        || (strategy.is_recomposed() && profile.separate_scale_mask)
 }
 
 #[cfg(test)]
