@@ -38,7 +38,7 @@ use crate::link::LinkSpec;
 use crate::metrics::{FleetReport, Percentiles, ReplicaStats, SlidingWindow};
 use crate::replica::{Replica, ReqState, Role, StepAcc};
 use crate::request::{poisson_arrivals, Arrival, ServeConfig};
-use crate::router::{ReplicaView, Router, RouterPolicy};
+use crate::router::{ReplicaView, RouterPolicy};
 use resoftmax_gpusim::{DeviceSpec, Timeline};
 use resoftmax_model::{ModelConfig, RunParams};
 use std::cmp::{Ordering, Reverse};
@@ -770,12 +770,12 @@ struct FleetState<'f> {
     queue: EventQueue,
     replicas: Vec<Replica>,
     states: Vec<ReqState>,
-    /// One router per [`Phase`], built from the same policy. The *state*
-    /// is per-phase on purpose: a stateful policy (round-robin's cursor)
-    /// cycling the prefill subset must not perturb the decode subset's
-    /// rotation — with a shared cursor, alternating arrival/handoff traffic
-    /// in a disaggregated fleet would pin each subset to one replica.
-    routers: [Box<dyn Router>; 2],
+    /// One round-robin cursor per [`Phase`] (see [`RouterPolicy::route`]).
+    /// The state is per-phase on purpose: the cursor cycling the prefill
+    /// subset must not perturb the decode subset's rotation — with a shared
+    /// cursor, alternating arrival/handoff traffic in a disaggregated fleet
+    /// would pin each subset to one replica.
+    cursors: [Option<usize>; 2],
     acc: StepAcc,
     /// Working copy of the workload config: the knobs a control plane may
     /// actuate.
@@ -878,7 +878,7 @@ impl<'f> FleetState<'f> {
             queue,
             replicas,
             states,
-            routers: [fleet.router.build(), fleet.router.build()],
+            cursors: [None; 2],
             acc: StepAcc::default(),
             live_cfg: cfg.clone(),
             admission: None,
@@ -927,7 +927,12 @@ impl<'f> FleetState<'f> {
         if views.is_empty() {
             return None;
         }
-        Some(self.routers[phase as usize].route(self.states[id].session, &views))
+        let cursor = &mut self.cursors[phase as usize];
+        Some(
+            self.fleet
+                .router
+                .route(cursor, self.states[id].session, &views),
+        )
     }
 
     /// Applies one queued event at its simulated time.
@@ -1398,7 +1403,6 @@ fn accepting_views(
         })
         .map(|r| ReplicaView {
             id: r.id,
-            role: r.role,
             resident_blocks: r.pool.used_blocks(),
             queued_blocks: r
                 .waiting
@@ -1409,10 +1413,6 @@ fn accepting_views(
                         .max(states[id].blocks)
                 })
                 .sum(),
-            total_blocks: r.pool.total_blocks(),
-            queue_len: r.waiting.len(),
-            running: r.running.len(),
-            clock_s: r.clock_s,
         })
         .collect()
 }

@@ -13,7 +13,7 @@
 //!
 //! Beyond one device, [`FleetBuilder`] models a *cluster*: N replicas (any
 //! mix of device presets), each with its own GPU and KV-pool shard, behind a
-//! pluggable [`Router`] (round-robin, least-loaded, cache-affinity), with an
+//! [`RouterPolicy`] (round-robin, least-loaded, cache-affinity), with an
 //! interconnect cost model ([`LinkSpec`]) charging KV migration whenever a
 //! request is rebalanced, and scripted replica faults (fail/drain). Replicas
 //! carry a serving [`Role`]: the default `Unified` colocates both phases,
@@ -76,7 +76,7 @@ pub use metrics::{
 };
 pub use replica::Role;
 pub use request::{phased_arrivals, poisson_arrivals, Arrival, Policy, ServeConfig};
-pub use router::{CacheAffinity, LeastLoaded, ReplicaView, RoundRobin, Router, RouterPolicy};
+pub use router::RouterPolicy;
 
 /// One-line import of the serving API:
 /// `use resoftmax_serve::prelude::*;`.
@@ -92,5 +92,5 @@ pub mod prelude {
     pub use crate::metrics::{FleetReport, Percentiles, ReplicaStats, ServeReport, SlidingWindow};
     pub use crate::replica::Role;
     pub use crate::request::{phased_arrivals, Arrival, Policy, ServeConfig};
-    pub use crate::router::{ReplicaView, Router, RouterPolicy};
+    pub use crate::router::RouterPolicy;
 }
