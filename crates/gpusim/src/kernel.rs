@@ -172,12 +172,6 @@ impl TbWork {
         }
     }
 
-    /// Returns this work with the given roofline efficiency.
-    pub fn with_efficiency(mut self, efficiency: f64) -> Self {
-        self.efficiency = efficiency;
-        self
-    }
-
     /// Total DRAM traffic of this TB.
     pub fn dram_bytes(&self) -> f64 {
         self.dram_read_bytes + self.dram_write_bytes

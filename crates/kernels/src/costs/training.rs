@@ -25,8 +25,8 @@
 //! in a GS prologue.
 
 use super::{
-    buf, AttnDims, TileConfig, EXP_FLOP_EQUIV, FP16_BYTES, GS_PROLOGUE_EFFICIENCY,
-    MATMUL_ROOFLINE_EFFICIENCY, SOFTMAX_PHASE_EFFICIENCY, STREAM_EFFICIENCY,
+    buf, AttnDims, TileConfig, FP16_BYTES, GS_PROLOGUE_EFFICIENCY, MATMUL_ROOFLINE_EFFICIENCY,
+    SOFTMAX_PHASE_EFFICIENCY, STREAM_EFFICIENCY,
 };
 use resoftmax_gpusim::{KernelCategory, KernelDesc, TbShape, TbWork};
 
@@ -254,12 +254,6 @@ pub fn matmul_dq_or_dk(
         MATMUL_ROOFLINE_EFFICIENCY,
         prefix,
     )
-}
-
-/// Exponent-weighted cost parity check helper: public so tests and DESIGN
-/// discussions can reference the constant set in one place.
-pub fn exp_flop_equiv() -> f64 {
-    EXP_FLOP_EQUIV
 }
 
 #[cfg(test)]

@@ -161,20 +161,8 @@ impl SlidingWindow {
 }
 
 /// The outcome of one serving simulation on a single replica
-/// ([`FleetReport::serve_report`]).
-///
-/// **TTFT definition.** `ttft` measures the *first decoded token*: under
-/// chunked prefill the final prompt chunk's forward pass produces the
-/// logits for (and therefore emits) the first output token, so TTFT is the
-/// completion of that chunk — not the completion of an earlier prefill
-/// chunk, and not the first single-token decode iteration (which emits the
-/// *second* token). `tbt` measures the gaps between consecutive output
-/// tokens — the simulated time between one token's emission and the next,
-/// which includes any stall while the request waits (eviction re-queue, a
-/// prefill→decode KV handoff in flight) — so the first token contributes to
-/// `ttft` only. Percentiles over both are *nearest-rank* with exact integer
-/// rank math (`rank = max(1, ceil(n · p / 100))` — see
-/// [`nearest_rank_index`]), never interpolated.
+/// ([`FleetReport::serve_report`]). Its `ttft` and `tbt` are the fleet's
+/// (see [`FleetReport`] for their definition).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeReport {
     /// Softmax strategy the engine ran ("baseline", "recomposed", ...).
@@ -196,11 +184,9 @@ pub struct ServeReport {
     pub decode_tokens: u64,
     /// Output tokens per simulated second.
     pub decode_tokens_per_s: f64,
-    /// Time to first generated token, per request (see the struct docs for
-    /// the exact definition under chunked prefill).
+    /// Time to first generated token, per request.
     pub ttft: Percentiles,
-    /// Time between consecutive output tokens (the first token is excluded
-    /// — it is the TTFT sample).
+    /// Time between consecutive output tokens (first token excluded).
     pub tbt: Percentiles,
     /// Peak KV-pool occupancy in `[0, 1]`.
     pub kv_peak_occupancy: f64,
@@ -259,6 +245,19 @@ pub struct ReplicaStats {
 
 /// The outcome of one fleet serving simulation
 /// ([`Fleet::run`](crate::Fleet::run)).
+///
+/// **TTFT definition.** `ttft` measures the *first decoded token*: under
+/// chunked prefill the final prompt chunk's forward pass produces the
+/// logits for (and therefore emits) the first output token, so TTFT is the
+/// completion of that chunk — not the completion of an earlier prefill
+/// chunk, and not the first single-token decode iteration (which emits the
+/// *second* token). `tbt` measures the gaps between consecutive output
+/// tokens — the simulated time between one token's emission and the next,
+/// which includes any stall while the request waits (eviction re-queue, a
+/// prefill→decode KV handoff in flight) — so the first token contributes to
+/// `ttft` only. Percentiles over both are *nearest-rank* with exact integer
+/// rank math (`rank = max(1, ceil(n · p / 100))` — see
+/// [`nearest_rank_index`]), never interpolated.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetReport {
     /// Softmax strategy the engines ran.
@@ -273,7 +272,8 @@ pub struct FleetReport {
     /// Requests submitted (the workload trace length).
     pub submitted: usize,
     /// Requests that ran to completion. Always equals `submitted` when the
-    /// run returns `Ok` — a shortfall is a scheduling bug and panics.
+    /// run returns `Ok`: a run that cannot finish every request returns
+    /// [`Error::Stalled`](crate::Error::Stalled) instead.
     pub completed: usize,
     /// Engine iterations across all replicas.
     pub iterations: usize,
@@ -310,8 +310,8 @@ pub struct FleetReport {
     pub decode_tokens: u64,
     /// Output tokens per simulated second, fleet-wide.
     pub decode_tokens_per_s: f64,
-    /// Time to first generated token, per request (see [`ServeReport`] for
-    /// the definition).
+    /// Time to first generated token, per request (see the struct docs for
+    /// the exact definition under chunked prefill).
     pub ttft: Percentiles,
     /// Time between consecutive output tokens (first token excluded).
     pub tbt: Percentiles,

@@ -12,7 +12,7 @@
 //! [`Tuner::save`] persists the database so the next process starts warm.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Mutex;
 
 use resoftmax_gpusim::DeviceSpec;
@@ -159,11 +159,6 @@ impl Tuner {
     /// The search mode this tuner runs.
     pub fn mode(&self) -> &SearchMode {
         &self.mode
-    }
-
-    /// The database path, when persistent.
-    pub fn cache_path(&self) -> Option<&Path> {
-        self.path.as_deref()
     }
 
     /// How many entries the persisted database held at load time (0 for
