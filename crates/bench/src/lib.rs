@@ -84,8 +84,6 @@ pub struct BenchArgs {
     /// `--out <path>`: where to write the report (see
     /// [`out_path`](Self::out_path)).
     pub out: Option<String>,
-    /// `--json`: print the experiment's rows as JSON instead of a table.
-    pub json: bool,
     /// `--numerics`: `analyze` also certifies every schedule's numeric
     /// error bound.
     pub numerics: bool,
@@ -103,7 +101,6 @@ impl BenchArgs {
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--smoke" => parsed.smoke = true,
-                "--json" => parsed.json = true,
                 "--numerics" => parsed.numerics = true,
                 "--out" => {
                     let path = iter
@@ -123,14 +120,10 @@ impl BenchArgs {
 
     /// Checks that the experiment takes every flag given besides `--smoke`:
     /// `takes` lists them as spelled on the command line (`"--out"`,
-    /// `"--json"`, `"--numerics"`). Any other is a usage error, so no flag is
-    /// silently ignored.
+    /// `"--numerics"`). Any other is a usage error, so no flag is silently
+    /// ignored.
     pub fn accept_flags(&self, takes: &[&str]) -> Result<(), Error> {
-        let given = [
-            ("--out", self.out.is_some()),
-            ("--json", self.json),
-            ("--numerics", self.numerics),
-        ];
+        let given = [("--out", self.out.is_some()), ("--numerics", self.numerics)];
         match given
             .iter()
             .find(|&&(flag, on)| on && !takes.contains(&flag))
@@ -183,13 +176,14 @@ impl BenchArgs {
         }
     }
 
-    /// Under `--json`, prints `rows` as pretty JSON and returns `true` (the
-    /// experiment then skips its table); otherwise returns `false`.
-    pub fn print_json<T: Serialize>(&self, rows: &T) -> Result<bool, Error> {
-        if self.json {
-            println!("{}", serde_json::to_string_pretty(rows)?);
+    /// Under `--out <path>`, writes `records` to that path as rows
+    /// ([`rows_of`] with `bin`), for an experiment with no checked-in
+    /// result; without it, does nothing.
+    pub fn write_rows<T: Serialize>(&self, bin: &str, records: &[T]) -> Result<(), Error> {
+        match &self.out {
+            Some(path) => write_report(path, &rows_of(bin, records)?),
+            None => Ok(()),
         }
-        Ok(self.json)
     }
 }
 
@@ -410,22 +404,13 @@ mod tests {
 
     #[test]
     fn flags_and_positionals_parse_in_any_order() {
-        let args = parse(&[
-            "t4",
-            "--smoke",
-            "--out",
-            "x.json",
-            "seq",
-            "--json",
-            "--numerics",
-        ])
-        .expect("valid command line");
+        let args = parse(&["t4", "--smoke", "--out", "x.json", "seq", "--numerics"])
+            .expect("valid command line");
         assert_eq!(
             args,
             BenchArgs {
                 smoke: true,
                 out: Some("x.json".into()),
-                json: true,
                 numerics: true,
                 positionals: vec!["t4".into(), "seq".into()],
             }
@@ -443,6 +428,7 @@ mod tests {
     fn malformed_flags_are_usage_errors() {
         assert!(is_usage(&parse(&["--smok"])));
         assert!(is_usage(&parse(&["--trace"])));
+        assert!(is_usage(&parse(&["--json"])));
         assert!(is_usage(&parse(&["-v"])));
         assert!(is_usage(&parse(&["--out"])));
         assert!(is_usage(&parse(&["--out", "--smoke"])));
@@ -484,11 +470,11 @@ mod tests {
         let accept =
             |args: &[&str], takes: &[&str]| parse(args).expect("parses").accept_flags(takes);
         assert!(accept(&["--smoke", "t4"], &[]).is_ok());
-        assert!(accept(&["--json", "--out", "y.json"], &["--out", "--json"]).is_ok());
+        assert!(accept(&["--numerics", "--out", "y.json"], &["--out", "--numerics"]).is_ok());
         assert!(accept(&["--numerics"], &["--numerics"]).is_ok());
         assert!(is_usage(&accept(&["--out", "y.json"], &[])));
-        assert!(is_usage(&accept(&["--json"], &["--out"])));
-        assert!(is_usage(&accept(&["--numerics"], &["--json"])));
+        assert!(is_usage(&accept(&["--out", "y.json"], &["--numerics"])));
+        assert!(is_usage(&accept(&["--numerics"], &["--out"])));
     }
 
     #[derive(Serialize)]

@@ -2,14 +2,17 @@
 //! extension, serving and tuning result of the repository.
 //!
 //! ```text
-//! resoftmax-bench <experiment> [selectors] [--smoke] [--out PATH] [--json] [--numerics]
+//! resoftmax-bench <experiment> [selectors] [--smoke] [--out PATH] [--numerics]
 //! resoftmax-bench reproduce [--smoke]
 //! ```
 //!
 //! Selectors are positional and experiment-specific: a device (`a100`,
 //! `3090`, `t4`), a sweep (`seq`, `batch`, `all`), a sequence length, a
-//! model or strategy. Every experiment takes `--smoke`; `--out`, `--json`
-//! and `--numerics` only where the registry lists them. An unknown
+//! model or strategy. Every experiment takes `--smoke`; `--out` and
+//! `--numerics` only where the registry lists them. Standard output is a
+//! table for people; `--out` writes `{bin, config, metric, value}` rows,
+//! the schema of every checked-in `BENCH_*.json` (`export_trace` writes a
+//! chrome trace). An unknown
 //! experiment, selector, or a flag the experiment does not take is a usage
 //! error (exit 2); a failed experiment exits 1. When `RESOFTMAX_TRACE` is
 //! set, the merged chrome-trace of the run is written after the experiment.
@@ -43,12 +46,12 @@ type Experiment = fn(&BenchArgs) -> Result<(), Error>;
 const EXPERIMENTS: &[(&str, &str, &[&str], Experiment)] = &[
     ("verify", "Eq. 1/2/3, fusion and online softmax checked numerically", &[], paper::verify),
     ("table1_specs", "Table 1: the evaluation GPUs' specifications", &[], paper::table1_specs),
-    ("fig2_breakdown", "Fig. 2: execution-time breakdown [device] [L]", &["--json"], paper::fig2_breakdown),
+    ("fig2_breakdown", "Fig. 2: execution-time breakdown [device] [L]", &["--out"], paper::fig2_breakdown),
     ("fig5_sublayers", "Fig. 5: LS/IR/GS time and traffic shares [device]", &[], paper::fig5_sublayers),
     ("fig7_libraries", "Fig. 7: GPU libraries vs the baseline [device]", &[], paper::fig7_libraries),
-    ("fig8_sd_sdf", "Fig. 8: SD/SDF speedup and traffic, the headline [device]", &["--json"], paper::fig8_sd_sdf),
+    ("fig8_sd_sdf", "Fig. 8: SD/SDF speedup and traffic, the headline [device]", &["--out"], paper::fig8_sd_sdf),
     ("fig9_sweeps", "Fig. 9: SDF speedup over L and batch [device] [seq|batch|all]", &[], paper::fig9_sweeps),
-    ("gpu_speedups", "§5.1: SDF speedup on every GPU", &["--json"], paper::gpu_speedups),
+    ("gpu_speedups", "§5.1: SDF speedup on every GPU", &["--out"], paper::gpu_speedups),
     ("training_backward", "§6: Eq. 3 gradient check and the stash it avoids", &[], paper::training_backward),
     ("figures", "Figs. 2/5/7/8/9 and §5.1 as rows → BENCH_figures.json", &["--out"], paper::figures),
     ("ablation_tile_size", "sub-vector width T → BENCH_ablation_tile.json [device]", &["--out"], ablations::ablation_tile_size),
@@ -67,7 +70,7 @@ const EXPERIMENTS: &[(&str, &str, &[&str], Experiment)] = &[
     ("ctrl_sim", "adaptive control plane vs static fleets → BENCH_ctrl.json", &["--out"], serving::ctrl_sim),
     ("tune", "schedule autotuning per workload bucket → BENCH_tune.json [device]", &["--out"], tune::tune),
     ("analyze", "static analysis of every evaluation schedule", &["--numerics"], tools::analyze),
-    ("grid_sweep", "the whole design space as CSV, JSON or rows [device|all]", &["--json", "--out"], tools::grid_sweep),
+    ("grid_sweep", "the whole design space [device|all]", &["--out"], tools::grid_sweep),
     ("export_trace", "one run as a chrome trace [device] [model] [strategy]", &["--out"], tools::export_trace),
     ("reproduce", "every experiment above but the export tools", &[], reproduce),
 ];

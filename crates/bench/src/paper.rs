@@ -83,7 +83,7 @@ pub fn table1_specs(args: &BenchArgs) -> Result<(), Error> {
 /// Fig. 2: execution-time breakdown of BERT, GPT-Neo, BigBird and
 /// Longformer (L = 4096, or the given L; batch 1). Paper reference points:
 /// softmax uses 36% / 18% / 40% / 42% of total time; BERT's SDA block uses
-/// 68%.
+/// 68%. `--out PATH` also writes the numbers as rows.
 pub fn fig2_breakdown(args: &BenchArgs) -> Result<(), Error> {
     let device = args.device_and(|a| a.parse::<usize>().is_ok())?;
     let seq_len = args
@@ -93,9 +93,6 @@ pub fn fig2_breakdown(args: &BenchArgs) -> Result<(), Error> {
         .unwrap_or(PAPER_SEQ_LEN);
 
     let rows = exp::fig2_breakdown(&device, seq_len)?;
-    if args.print_json(&rows)? {
-        return Ok(());
-    }
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -133,7 +130,7 @@ pub fn fig2_breakdown(args: &BenchArgs) -> Result<(), Error> {
             &table
         )
     );
-    Ok(())
+    args.write_rows("fig2_breakdown", &rows)
 }
 
 /// Fig. 5: (a) execution-time and (b) off-chip-traffic breakdown of the
@@ -214,13 +211,10 @@ pub fn fig7_libraries(args: &BenchArgs) -> Result<(), Error> {
 /// applied. Paper (A100, L=4096, batch 1): SD 0.94× / 0.99× / 1.44× /
 /// 1.49×; SDF 1.25× / 1.12× / 1.57× / 1.65×; softmax off-chip traffic
 /// reduced 1.58–2.51×; average latency −28% and off-chip access energy
-/// −29%.
+/// −29%. `--out PATH` also writes the headline table as rows.
 pub fn fig8_sd_sdf(args: &BenchArgs) -> Result<(), Error> {
     let device = args.device()?;
     let rows = exp::fig8_sd_sdf(&device, PAPER_SEQ_LEN, 1)?;
-    if args.print_json(&rows)? {
-        return Ok(());
-    }
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -345,7 +339,7 @@ pub fn fig8_sd_sdf(args: &BenchArgs) -> Result<(), Error> {
             expected.len()
         );
     }
-    Ok(())
+    args.write_rows("fig8_sd_sdf", &rows)
 }
 
 fn print_sweep(
@@ -416,12 +410,10 @@ pub fn fig9_sweeps(args: &BenchArgs) -> Result<(), Error> {
 /// §5.1: SDF speedups across all three evaluation GPUs.
 /// Paper: A100 1.25/1.12/1.57/1.65×; RTX 3090 1.12/1.05/1.32/1.36×;
 /// T4 1.22/1.08/1.77/1.87× (BERT / GPT-Neo / BigBird / Longformer).
+/// `--out PATH` also writes the numbers as rows.
 pub fn gpu_speedups(args: &BenchArgs) -> Result<(), Error> {
     args.accept_positionals(|_| false)?;
     let rows = exp::gpu_speedup_matrix(PAPER_SEQ_LEN)?;
-    if args.print_json(&rows)? {
-        return Ok(());
-    }
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -442,7 +434,7 @@ pub fn gpu_speedups(args: &BenchArgs) -> Result<(), Error> {
             &table
         )
     );
-    Ok(())
+    args.write_rows("gpu_speedup_matrix", &rows)
 }
 
 /// §6 (Discussion): applying softmax recomposition to training.

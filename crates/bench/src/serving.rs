@@ -1,18 +1,73 @@
 //! The serving results: one continuous-batching replica
 //! (`BENCH_serve.json`), a fleet (`BENCH_fleet.json`) and the adaptive
 //! control plane (`BENCH_ctrl.json`). All their metrics live on the
-//! simulated clock, so under `--smoke` each passes the determinism gate.
+//! simulated clock, so under `--smoke` each passes the determinism gate,
+//! which compares the full reports, decision logs included. Each file then
+//! holds [`BenchRow`]s: every cell's report flattened by [`report_rows`].
 
-use resoftmax_bench::{determinism_gate, write_report, BenchArgs, Error, PAPER_SEQ_LEN};
+use resoftmax_bench::{determinism_gate, write_report, BenchArgs, BenchRow, Error, PAPER_SEQ_LEN};
 use resoftmax_ctrl::{Controller, ControllerConfig, PolicyTable};
 use resoftmax_gpusim::DeviceSpec;
 use resoftmax_model::{ModelConfig, RunParams, SoftmaxStrategy};
 use resoftmax_serve::{
     kv_bytes_per_token, phased_arrivals, Arrival, ControlAction, FleetBuilder, FleetReport,
-    LinkSpec, Policy, RouterPolicy, ServeConfig, ServeReport,
+    LinkSpec, Policy, RouterPolicy, ServeConfig,
 };
 use resoftmax_tune::{SearchMode, SearchSpace, Tuner};
-use serde::Serialize;
+use serde::{Serialize, Value};
+
+/// A grid cell's label (`baseline/fifo`, `burst/adaptive/controller`) and
+/// its report.
+type Cell = (String, FleetReport);
+
+/// The rows of one cell's report: one per numeric or boolean field outside
+/// the decision log, named by its field path (`ttft.p99_s`,
+/// `replicas.3.busy_s`; a boolean as 0 or 1), and a `decisions` row
+/// holding the log's length. String fields name the cell's configuration
+/// (strategy, policy, router, link, device, role) and have no row.
+fn report_rows(bin: &str, config: &str, report: &FleetReport) -> Vec<BenchRow> {
+    let mut leaves = Vec::new();
+    let value = report.to_value();
+    for (name, field) in value.as_object().expect("a struct serializes as an object") {
+        if name == "decisions" {
+            leaves.push((name.clone(), report.decisions.len() as f64));
+        } else {
+            numeric_leaves(name, field, &mut leaves);
+        }
+    }
+    leaves
+        .into_iter()
+        .map(|(metric, x)| BenchRow::new(bin, config, metric, x))
+        .collect()
+}
+
+/// Appends `(path, value)` for every number or boolean in `value`, which
+/// sits at `path`; an object's fields and an array's items extend the path
+/// with `.name` and `.index`.
+fn numeric_leaves(path: &str, value: &Value, out: &mut Vec<(String, f64)>) {
+    match value {
+        Value::Bool(b) => out.push((path.to_owned(), flag(*b))),
+        Value::I64(_) | Value::U64(_) | Value::F64(_) => {
+            out.push((path.to_owned(), value.as_f64().expect("a number")));
+        }
+        Value::Array(items) => {
+            for (i, item) in items.iter().enumerate() {
+                numeric_leaves(&format!("{path}.{i}"), item, out);
+            }
+        }
+        Value::Object(fields) => {
+            for (name, field) in fields {
+                numeric_leaves(&format!("{path}.{name}"), field, out);
+            }
+        }
+        Value::Str(_) | Value::Null => {}
+    }
+}
+
+/// A boolean as a row value.
+fn flag(b: bool) -> f64 {
+    f64::from(u8::from(b))
+}
 
 /// Collects the results of independent cells run under `parallel_map`,
 /// failing on the first error in cell order.
@@ -30,38 +85,40 @@ fn all_ok<T>(cells: Vec<Result<T, resoftmax_serve::Error>>) -> Result<Vec<T>, Er
 /// grid cells run under `parallel_map`; the engine itself is sequential.
 pub fn serve_sim(args: &BenchArgs) -> Result<(), Error> {
     args.accept_positionals(|_| false)?;
-    let reports = if args.smoke {
+    let cells = if args.smoke {
         determinism_gate("serve", serve_grid)?
     } else {
         serve_grid()?
     };
 
-    for r in &reports {
-        assert_eq!(r.completed, 64, "all requests must complete: {r:?}");
-        assert!(r.evictions > 0, "pool cap must force evictions: {r:?}");
+    for (label, r) in &cells {
+        assert_eq!(r.completed, 64, "{label}: all requests must complete");
+        assert!(r.evictions > 0, "{label}: pool cap must force evictions");
         assert!(
             r.ttft.p99_s > r.ttft.p50_s && r.tbt.max_s > 0.0,
-            "latency percentiles must be non-degenerate: {r:?}"
+            "{label}: latency percentiles must be non-degenerate"
         );
         println!(
-            "{:>10} / {:<18} {:7.1} tok/s  ttft p50/p99 {:6.3}/{:6.3}s  \
+            "{label:<29} {:7.1} tok/s  ttft p50/p99 {:6.3}/{:6.3}s  \
              tbt p50/p99 {:6.1}/{:6.1}ms  kv peak {:4.1}%  evictions {:3}  iters {}",
-            r.strategy,
-            r.policy,
             r.decode_tokens_per_s,
             r.ttft.p50_s,
             r.ttft.p99_s,
             r.tbt.p50_s * 1e3,
             r.tbt.p99_s * 1e3,
-            r.kv_peak_occupancy * 100.0,
+            r.replicas[0].kv_peak_occupancy * 100.0,
             r.evictions,
             r.iterations,
         );
     }
-    write_report(&args.out_path("BENCH_serve.json"), &reports)
+    let rows: Vec<BenchRow> = cells
+        .iter()
+        .flat_map(|(label, r)| report_rows("serve_sim", label, r))
+        .collect();
+    write_report(&args.out_path("BENCH_serve.json"), &rows)
 }
 
-fn serve_grid() -> Result<Vec<ServeReport>, Error> {
+fn serve_grid() -> Result<Vec<Cell>, Error> {
     let model = ModelConfig::gpt_neo_1_3b();
     let device = DeviceSpec::a100();
     let cells: Vec<(SoftmaxStrategy, Policy)> =
@@ -85,14 +142,14 @@ fn serve_grid() -> Result<Vec<ServeReport>, Error> {
                 kv_capacity_bytes: Some(kv_bytes_per_token(&model) * 4096),
                 ..ServeConfig::default()
             };
-            FleetBuilder::new()
+            let report = FleetBuilder::new()
                 .model(model.clone())
                 .params(RunParams::new(PAPER_SEQ_LEN).strategy(strategy))
                 .replica(device.clone())
                 .workload(workload)
-                .build()
-                .and_then(|fleet| fleet.run())
-                .map(|report| report.serve_report())
+                .build()?
+                .run()?;
+            Ok((format!("{}/{}", report.strategy, report.policy), report))
         },
     ))
 }
@@ -100,21 +157,11 @@ fn serve_grid() -> Result<Vec<ServeReport>, Error> {
 /// TTFT service-level objective of the fleet sweep, simulated seconds.
 const SLO_TTFT_P99_S: f64 = 1.0;
 
-#[derive(Debug, Clone, Serialize)]
-struct FleetRow {
-    label: String,
-    arrival_rate_hz: f64,
-    meets_slo: bool,
-    report: FleetReport,
-}
+/// A fleet cell: its label (`sweep/16hz`) and arrival rate, and its report.
+type FleetCell = ((String, f64), FleetReport);
 
-#[derive(Debug, Serialize)]
-struct FleetBench {
-    slo_ttft_p99_s: f64,
-    /// First swept arrival rate whose TTFT p99 exceeds the SLO (requests per
-    /// simulated second), or the top of the sweep when none does.
-    knee_rate_hz: f64,
-    rows: Vec<FleetRow>,
+fn meets_slo(report: &FleetReport) -> bool {
+    report.ttft.p99_s <= SLO_TTFT_P99_S
 }
 
 struct FleetScale {
@@ -163,18 +210,13 @@ fn run_fleet(
     label: &str,
     rate_hz: f64,
     build: impl FnOnce() -> FleetBuilder<'static>,
-) -> Result<FleetRow, resoftmax_serve::Error> {
+) -> Result<FleetCell, resoftmax_serve::Error> {
     let report = build().build()?.run()?;
     assert_eq!(
         report.completed, report.submitted,
         "{label}: every submitted request must complete"
     );
-    Ok(FleetRow {
-        label: label.to_owned(),
-        arrival_rate_hz: rate_hz,
-        meets_slo: report.ttft.p99_s <= SLO_TTFT_P99_S,
-        report,
-    })
+    Ok(((label.to_owned(), rate_hz), report))
 }
 
 fn homogeneous(replicas: usize, requests: usize, rate_hz: f64) -> FleetBuilder<'static> {
@@ -207,9 +249,10 @@ fn disaggregated(
         .workload(fleet_workload(requests, rate_hz))
 }
 
-type FleetCell<'a> = Box<dyn Fn() -> Result<FleetRow, resoftmax_serve::Error> + Sync + 'a>;
+type FleetRun<'a> = Box<dyn Fn() -> Result<FleetCell, resoftmax_serve::Error> + Sync + 'a>;
 
-fn fleet_bench(scale: &FleetScale) -> Result<FleetBench, Error> {
+/// The fleet cells at `scale`, after the SLO knee the sweep found.
+fn fleet_bench(scale: &FleetScale) -> Result<(f64, Vec<FleetCell>), Error> {
     let n = scale.replicas;
 
     // Stage 1: arrival-rate sweep to the SLO knee (cells are independent;
@@ -224,14 +267,14 @@ fn fleet_bench(scale: &FleetScale) -> Result<FleetBench, Error> {
     ))?;
     let knee_rate_hz = sweep
         .iter()
-        .find(|r| !r.meets_slo)
+        .find(|(_, report)| !meets_slo(report))
         .or_else(|| sweep.last())
-        .ok_or_else(|| Error::failed("fleet sweep has no rates"))?
-        .arrival_rate_hz;
+        .map(|((_, rate), _)| *rate)
+        .ok_or_else(|| Error::failed("fleet sweep has no rates"))?;
 
     // Stage 2: scenario rows at fixed rates (again independent).
     let mid_rate = scale.sweep_rates[scale.sweep_rates.len() / 2];
-    let scenarios: Vec<FleetCell<'_>> = vec![
+    let scenarios: Vec<FleetRun<'_>> = vec![
         // Headline: 10k+ requests across the full fleet at the knee.
         Box::new(|| {
             run_fleet("headline/knee", knee_rate_hz, || {
@@ -313,17 +356,12 @@ fn fleet_bench(scale: &FleetScale) -> Result<FleetBench, Error> {
             })
         }),
     ];
-    let mut rows = sweep;
-    rows.extend(all_ok(resoftmax_parallel::parallel_map(
+    let mut cells = sweep;
+    cells.extend(all_ok(resoftmax_parallel::parallel_map(
         &scenarios,
         |_, f| f(),
     ))?);
-
-    Ok(FleetBench {
-        slo_ttft_p99_s: SLO_TTFT_P99_S,
-        knee_rate_hz,
-        rows,
-    })
+    Ok((knee_rate_hz, cells))
 }
 
 /// Fleet serving simulation: Poisson traffic over a modeled multi-GPU
@@ -343,20 +381,19 @@ pub fn fleet_sim(args: &BenchArgs) -> Result<(), Error> {
     } else {
         FleetScale::full()
     };
-    let bench = if args.smoke {
+    let (knee_rate_hz, cells) = if args.smoke {
         determinism_gate("fleet", || fleet_bench(&scale))?
     } else {
         fleet_bench(&scale)?
     };
 
-    for r in &bench.rows {
-        let rep = &r.report;
+    for ((label, rate), rep) in &cells {
         println!(
             "{:<22} {:6.1} req/s  {:>6} reqs  {:8.1} tok/s  ttft p50/p99 \
              {:6.3}/{:6.3}s  tbt p50 {:5.1}ms  evict {:4}  migr {:4} \
              ({:5.1} MB)  hoff {:5} ({:7.1} MB)  slo {}",
-            r.label,
-            r.arrival_rate_hz,
+            label,
+            rate,
             rep.completed,
             rep.decode_tokens_per_s,
             rep.ttft.p50_s,
@@ -367,74 +404,62 @@ pub fn fleet_sim(args: &BenchArgs) -> Result<(), Error> {
             rep.kv_migrated_bytes as f64 / 1e6,
             rep.handoffs,
             rep.kv_handoff_bytes as f64 / 1e6,
-            if r.meets_slo { "ok" } else { "MISS" },
+            if meets_slo(rep) { "ok" } else { "MISS" },
         );
     }
-    println!(
-        "SLO knee: {:.1} req/s at TTFT p99 <= {:.1}s",
-        bench.knee_rate_hz, bench.slo_ttft_p99_s
-    );
+    println!("SLO knee: {knee_rate_hz:.1} req/s at TTFT p99 <= {SLO_TTFT_P99_S:.1}s");
     // Unified-vs-disaggregated comparison at the shared arrival rate: TTFT
     // moves with the dedicated prefill pool, TBT absorbs the per-request
     // handoff, and the link preset decides how much.
-    if let Some(unified) = bench.rows.iter().find(|r| r.label == "disagg/unified-ref") {
+    if let Some(((_, rate), unified)) = cells.iter().find(|((l, _), _)| l == "disagg/unified-ref") {
         let pct = |new: f64, old: f64| (new / old - 1.0) * 100.0;
         println!(
-            "\nunified vs disaggregated at {:.1} req/s:\n  {:<22} ttft p50/p99 \
+            "\nunified vs disaggregated at {rate:.1} req/s:\n  {:<22} ttft p50/p99 \
              {:.3}/{:.3}s  tbt p50 {:.1}ms  (colocated reference)",
-            unified.arrival_rate_hz,
-            unified.label,
-            unified.report.ttft.p50_s,
-            unified.report.ttft.p99_s,
-            unified.report.tbt.p50_s * 1e3,
+            "disagg/unified-ref",
+            unified.ttft.p50_s,
+            unified.ttft.p99_s,
+            unified.tbt.p50_s * 1e3,
         );
-        for r in bench
-            .rows
+        for ((label, _), r) in cells
             .iter()
-            .filter(|r| r.label.starts_with("disagg/") && r.label != "disagg/unified-ref")
+            .filter(|((l, _), _)| l.starts_with("disagg/") && l != "disagg/unified-ref")
         {
             println!(
                 "  {:<22} ttft p50/p99 {:.3}/{:.3}s ({:+.1}% / {:+.1}%)  tbt p50 \
                  {:.1}ms ({:+.1}%)  handoff {:.3}s wire time",
-                r.label,
-                r.report.ttft.p50_s,
-                r.report.ttft.p99_s,
-                pct(r.report.ttft.p50_s, unified.report.ttft.p50_s),
-                pct(r.report.ttft.p99_s, unified.report.ttft.p99_s),
-                r.report.tbt.p50_s * 1e3,
-                pct(r.report.tbt.p50_s, unified.report.tbt.p50_s),
-                r.report.kv_handoff_time_s,
+                label,
+                r.ttft.p50_s,
+                r.ttft.p99_s,
+                pct(r.ttft.p50_s, unified.ttft.p50_s),
+                pct(r.ttft.p99_s, unified.ttft.p99_s),
+                r.tbt.p50_s * 1e3,
+                pct(r.tbt.p50_s, unified.tbt.p50_s),
+                r.kv_handoff_time_s,
             );
         }
     }
-    write_report(&args.out_path("BENCH_fleet.json"), &bench)
+
+    let mut rows = vec![
+        BenchRow::new("fleet_sim", "knee", "slo_ttft_p99_s", SLO_TTFT_P99_S),
+        BenchRow::new("fleet_sim", "knee", "knee_rate_hz", knee_rate_hz),
+    ];
+    for ((label, rate), report) in &cells {
+        rows.push(BenchRow::new("fleet_sim", label, "arrival_rate_hz", *rate));
+        rows.push(BenchRow::new(
+            "fleet_sim",
+            label,
+            "meets_slo",
+            flag(meets_slo(report)),
+        ));
+        rows.extend(report_rows("fleet_sim", label, report));
+    }
+    write_report(&args.out_path("BENCH_fleet.json"), &rows)
 }
 
-#[derive(Debug, Clone, Serialize)]
-struct CtrlRow {
-    scenario: String,
-    label: String,
-    adaptive: bool,
-    report: FleetReport,
-}
-
-#[derive(Debug, Serialize)]
-struct Headline {
-    burst_adaptive_ttft_p99_s: f64,
-    burst_best_static_ttft_p99_s: f64,
-    burst_best_static_label: String,
-    /// TTFT p99 improvement of adaptive over the best static burst fleet.
-    burst_ttft_p99_speedup: f64,
-    /// Adaptive-vs-static TTFT p99 ratio in steady state (≈ 1.0: the
-    /// controller must cost nothing when there is nothing to adapt to).
-    steady_parity_ratio: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct CtrlBench {
-    headline: Headline,
-    rows: Vec<CtrlRow>,
-}
+/// The label suffix of a ctrl scenario's adaptive cell; its static cells
+/// are `<scenario>/static/<policy>`.
+const ADAPTIVE: &str = "adaptive/controller";
 
 struct CtrlScale {
     burst: usize,
@@ -488,7 +513,7 @@ fn run_static(
     policy: Policy,
     cfg: &ServeConfig,
     trace: &[Arrival],
-) -> Result<CtrlRow, Error> {
+) -> Result<Cell, Error> {
     let cfg = ServeConfig {
         policy,
         ..cfg.clone()
@@ -500,12 +525,7 @@ fn run_static(
         .build()?
         .run()?;
     assert_eq!(report.completed, report.submitted);
-    Ok(CtrlRow {
-        scenario: scenario.to_owned(),
-        label: format!("static/{}", policy.name()),
-        adaptive: false,
-        report,
-    })
+    Ok((format!("{scenario}/static/{}", policy.name()), report))
 }
 
 fn run_adaptive(
@@ -514,7 +534,7 @@ fn run_adaptive(
     cfg: &ServeConfig,
     trace: &[Arrival],
     disaggregated: bool,
-) -> Result<CtrlRow, Error> {
+) -> Result<Cell, Error> {
     let mut builder = ctrl_base_builder();
     builder = if disaggregated {
         builder
@@ -533,34 +553,70 @@ fn run_adaptive(
         .build()?
         .run()?;
     assert_eq!(report.completed, report.submitted);
-    Ok(CtrlRow {
-        scenario: scenario.to_owned(),
-        label: "adaptive/controller".to_owned(),
-        adaptive: true,
-        report,
-    })
+    Ok((format!("{scenario}/{ADAPTIVE}"), report))
 }
 
-/// The static row of `scenario` with the lowest TTFT p99, and the
-/// scenario's adaptive row.
+/// The static cell of `scenario` with the lowest TTFT p99, and the
+/// scenario's adaptive cell.
 fn best_static_and_adaptive<'a>(
-    rows: &'a [CtrlRow],
+    cells: &'a [Cell],
     scenario: &str,
-) -> Result<(&'a CtrlRow, &'a CtrlRow), Error> {
-    let missing = || Error::failed(format!("ctrl scenario `{scenario}` lacks a row"));
-    let best = rows
+) -> Result<(&'a Cell, &'a Cell), Error> {
+    let missing = || Error::failed(format!("ctrl scenario `{scenario}` lacks a cell"));
+    let statics = format!("{scenario}/static/");
+    let best = cells
         .iter()
-        .filter(|r| r.scenario == scenario && !r.adaptive)
-        .min_by(|a, b| a.report.ttft.p99_s.total_cmp(&b.report.ttft.p99_s))
+        .filter(|(label, _)| label.starts_with(&statics))
+        .min_by(|(_, a), (_, b)| a.ttft.p99_s.total_cmp(&b.ttft.p99_s))
         .ok_or_else(missing)?;
-    let adaptive = rows
+    let adaptive = format!("{scenario}/{ADAPTIVE}");
+    let adaptive = cells
         .iter()
-        .find(|r| r.scenario == scenario && r.adaptive)
+        .find(|(label, _)| *label == adaptive)
         .ok_or_else(missing)?;
     Ok((best, adaptive))
 }
 
-fn ctrl_bench(scale: &CtrlScale) -> Result<CtrlBench, Error> {
+/// The headline rows, after their acceptance gates: the adaptive fleet's
+/// TTFT p99 under the square-wave burst against the best static fleet's,
+/// and its steady-state parity ratio (≈ 1.0: the controller must cost
+/// nothing when there is nothing to adapt to).
+fn headline_rows(cells: &[Cell]) -> Result<Vec<BenchRow>, Error> {
+    let ((best_label, burst_best), (_, burst_adaptive)) = best_static_and_adaptive(cells, "burst")?;
+    assert!(
+        burst_adaptive.completed >= burst_best.completed,
+        "adaptive must complete no fewer requests than the best static"
+    );
+    assert!(
+        burst_adaptive.ttft.p99_s <= burst_best.ttft.p99_s,
+        "HEADLINE: adaptive TTFT p99 {:.3}s must beat best static ({best_label}) {:.3}s",
+        burst_adaptive.ttft.p99_s,
+        burst_best.ttft.p99_s
+    );
+    let ((_, steady_best), (_, steady_adaptive)) = best_static_and_adaptive(cells, "steady")?;
+    let steady_parity_ratio = steady_adaptive.ttft.p99_s / steady_best.ttft.p99_s;
+    assert!(
+        steady_parity_ratio <= 1.05,
+        "adaptive must match the best static in steady state, ratio {steady_parity_ratio:.3}"
+    );
+    let speedup = burst_best.ttft.p99_s / burst_adaptive.ttft.p99_s;
+    println!(
+        "\nheadline: burst TTFT p99 adaptive {:.3}s vs best static {:.3}s ({best_label}) — \
+         {speedup:.2}x better; steady parity ratio {steady_parity_ratio:.3}",
+        burst_adaptive.ttft.p99_s, burst_best.ttft.p99_s,
+    );
+    Ok([
+        ("burst_adaptive_ttft_p99_s", burst_adaptive.ttft.p99_s),
+        ("burst_best_static_ttft_p99_s", burst_best.ttft.p99_s),
+        ("burst_ttft_p99_speedup", speedup),
+        ("steady_parity_ratio", steady_parity_ratio),
+    ]
+    .into_iter()
+    .map(|(metric, value)| BenchRow::new("ctrl_sim", "headline", metric, value))
+    .collect())
+}
+
+fn ctrl_bench(scale: &CtrlScale) -> Result<Vec<Cell>, Error> {
     let statics = [
         Policy::Fifo,
         Policy::ShortestRemaining,
@@ -572,26 +628,26 @@ fn ctrl_bench(scale: &CtrlScale) -> Result<CtrlBench, Error> {
     let tuner = Tuner::new(SearchSpace::smoke(), SearchMode::Exhaustive);
     let model = ModelConfig::gpt_neo_1_3b();
     let tuned_table = PolicyTable::tuned(&tuner, &model, &DeviceSpec::a100(), &ctrl_workload(0))?;
-    let mut rows: Vec<CtrlRow> = Vec::new();
+    let mut cells: Vec<Cell> = Vec::new();
 
     // Scenario 1 — steady parity guard: comfortable constant rate; the
     // controller must not scale, and must match the static fleet.
     let steady_cfg = ctrl_workload(scale.steady);
     let steady_trace = phased_arrivals(&steady_cfg, &[(1.0, 5.0)])?;
     for p in statics {
-        rows.push(run_static("steady", p, &steady_cfg, &steady_trace)?);
+        cells.push(run_static("steady", p, &steady_cfg, &steady_trace)?);
     }
     let steady_ctrl = Controller::new(tuned_table.clone());
     let steady_adaptive = run_adaptive("steady", &steady_ctrl, &steady_cfg, &steady_trace, false)?;
     assert_eq!(
-        steady_adaptive.report.scale_ups, 0,
+        steady_adaptive.1.scale_ups, 0,
         "steady state must not scale up"
     );
     assert_eq!(
-        steady_adaptive.report.scale_downs, 0,
+        steady_adaptive.1.scale_downs, 0,
         "steady state must not scale down"
     );
-    rows.push(steady_adaptive);
+    cells.push(steady_adaptive);
 
     // Scenario 2 — square-wave burst (HEADLINE): 2 s bursts at 4× the base
     // capacity against 4 s calm valleys. Statics are stuck with their two
@@ -600,15 +656,15 @@ fn ctrl_bench(scale: &CtrlScale) -> Result<CtrlBench, Error> {
     let burst_cfg = ctrl_workload(scale.burst);
     let burst_trace = phased_arrivals(&burst_cfg, &[(4.0, 5.0), (2.0, 36.0)])?;
     for p in statics {
-        rows.push(run_static("burst", p, &burst_cfg, &burst_trace)?);
+        cells.push(run_static("burst", p, &burst_cfg, &burst_trace)?);
     }
     let burst_ctrl = Controller::new(tuned_table.clone());
     let burst_adaptive = run_adaptive("burst", &burst_ctrl, &burst_cfg, &burst_trace, false)?;
     assert!(
-        burst_adaptive.report.scale_ups >= 1,
+        burst_adaptive.1.scale_ups >= 1,
         "the burst must recruit standby capacity"
     );
-    rows.push(burst_adaptive);
+    cells.push(burst_adaptive);
 
     // Scenario 3 — diurnal ramp on a disaggregated fleet: arrival rate
     // climbs over and back under the two dedicated decode replicas'
@@ -626,7 +682,7 @@ fn ctrl_bench(scale: &CtrlScale) -> Result<CtrlBench, Error> {
         ],
     )?;
     for p in statics {
-        rows.push(run_static("diurnal", p, &diurnal_cfg, &diurnal_trace)?);
+        cells.push(run_static("diurnal", p, &diurnal_cfg, &diurnal_trace)?);
     }
     // The ramp crests gently compared to the square-wave burst, so this
     // controller scales at lower pressure (and cools down longer, keeping
@@ -643,11 +699,11 @@ fn ctrl_bench(scale: &CtrlScale) -> Result<CtrlBench, Error> {
     let diurnal_adaptive =
         run_adaptive("diurnal", &diurnal_ctrl, &diurnal_cfg, &diurnal_trace, true)?;
     assert!(
-        diurnal_adaptive.report.scale_ups >= 1,
+        diurnal_adaptive.1.scale_ups >= 1,
         "the ramp peak must scale decode capacity up"
     );
     assert!(
-        diurnal_adaptive.report.scale_downs >= 1,
+        diurnal_adaptive.1.scale_downs >= 1,
         "the ramp trough must scale decode capacity back down"
     );
     // The ramp phases average 8 req/s over a 12 s cycle; hysteresis must
@@ -656,13 +712,13 @@ fn ctrl_bench(scale: &CtrlScale) -> Result<CtrlBench, Error> {
     let diurnal_cycles = (scale.diurnal as f64 / (8.0 * 12.0)).ceil();
     let churn_cap = (4.0 * diurnal_cycles) as usize;
     assert!(
-        diurnal_adaptive.report.scale_ups + diurnal_adaptive.report.scale_downs <= churn_cap,
+        diurnal_adaptive.1.scale_ups + diurnal_adaptive.1.scale_downs <= churn_cap,
         "hysteresis must bound scaling churn, got {} ups / {} downs over ~{} cycles",
-        diurnal_adaptive.report.scale_ups,
-        diurnal_adaptive.report.scale_downs,
+        diurnal_adaptive.1.scale_ups,
+        diurnal_adaptive.1.scale_downs,
         diurnal_cycles
     );
-    rows.push(diurnal_adaptive);
+    cells.push(diurnal_adaptive);
 
     // Scenario 4 — overload recovery: a hard overshoot, then a long calm
     // tail. The tuned table meters admission under overload and the
@@ -673,7 +729,7 @@ fn ctrl_bench(scale: &CtrlScale) -> Result<CtrlBench, Error> {
     // catches up — hence 64 req/s, an order of magnitude over base.
     let overload_trace = phased_arrivals(&overload_cfg, &[(1.0, 5.0), (1.5, 64.0), (60.0, 3.0)])?;
     for p in statics {
-        rows.push(run_static("overload", p, &overload_cfg, &overload_trace)?);
+        cells.push(run_static("overload", p, &overload_cfg, &overload_trace)?);
     }
     let overload_ctrl = Controller::new(tuned_table);
     let overload_adaptive = run_adaptive(
@@ -684,7 +740,7 @@ fn ctrl_bench(scale: &CtrlScale) -> Result<CtrlBench, Error> {
         false,
     )?;
     let regimes: Vec<&str> = overload_adaptive
-        .report
+        .1
         .decisions
         .iter()
         .map(|d| d.regime.as_str())
@@ -697,7 +753,7 @@ fn ctrl_bench(scale: &CtrlScale) -> Result<CtrlBench, Error> {
         "the calm tail must recover out of overload"
     );
     assert!(
-        overload_adaptive.report.decisions.iter().any(|d| {
+        overload_adaptive.1.decisions.iter().any(|d| {
             d.actions
                 .iter()
                 .zip(&d.applied)
@@ -705,36 +761,8 @@ fn ctrl_bench(scale: &CtrlScale) -> Result<CtrlBench, Error> {
         }),
         "overload must arm tuned admission control"
     );
-    rows.push(overload_adaptive);
-
-    // Headline numbers + acceptance gates.
-    let (burst_best, burst_adaptive) = best_static_and_adaptive(&rows, "burst")?;
-    assert!(
-        burst_adaptive.report.completed >= burst_best.report.completed,
-        "adaptive must complete no fewer requests than the best static"
-    );
-    assert!(
-        burst_adaptive.report.ttft.p99_s <= burst_best.report.ttft.p99_s,
-        "HEADLINE: adaptive TTFT p99 {:.3}s must beat best static ({}) {:.3}s",
-        burst_adaptive.report.ttft.p99_s,
-        burst_best.label,
-        burst_best.report.ttft.p99_s
-    );
-    let (steady_best, steady_adaptive) = best_static_and_adaptive(&rows, "steady")?;
-    let steady_parity_ratio = steady_adaptive.report.ttft.p99_s / steady_best.report.ttft.p99_s;
-    assert!(
-        steady_parity_ratio <= 1.05,
-        "adaptive must match the best static in steady state, ratio {steady_parity_ratio:.3}"
-    );
-
-    let headline = Headline {
-        burst_adaptive_ttft_p99_s: burst_adaptive.report.ttft.p99_s,
-        burst_best_static_ttft_p99_s: burst_best.report.ttft.p99_s,
-        burst_best_static_label: burst_best.label.clone(),
-        burst_ttft_p99_speedup: burst_best.report.ttft.p99_s / burst_adaptive.report.ttft.p99_s,
-        steady_parity_ratio,
-    };
-    Ok(CtrlBench { headline, rows })
+    cells.push(overload_adaptive);
+    Ok(cells)
 }
 
 /// Adaptive control-plane benchmark: static fleets vs a `resoftmax-ctrl`
@@ -756,19 +784,16 @@ pub fn ctrl_sim(args: &BenchArgs) -> Result<(), Error> {
     } else {
         CtrlScale::full()
     };
-    let bench = if args.smoke {
+    let cells = if args.smoke {
         determinism_gate("ctrl", || ctrl_bench(&scale))?
     } else {
         ctrl_bench(&scale)?
     };
 
-    for r in &bench.rows {
-        let rep = &r.report;
+    for (label, rep) in &cells {
         println!(
-            "{:<10} {:<22} {:>6} reqs  ttft p50/p99 {:7.3}/{:7.3}s  tbt p50 \
+            "{label:<33} {:>6} reqs  ttft p50/p99 {:7.3}/{:7.3}s  tbt p50 \
              {:5.1}ms  preempt {:4}  scale +{}/-{}  decisions {:4}",
-            r.scenario,
-            r.label,
             rep.completed,
             rep.ttft.p50_s,
             rep.ttft.p99_s,
@@ -779,15 +804,119 @@ pub fn ctrl_sim(args: &BenchArgs) -> Result<(), Error> {
             rep.decisions.len(),
         );
     }
-    let h = &bench.headline;
-    println!(
-        "\nheadline: burst TTFT p99 adaptive {:.3}s vs best static {:.3}s ({}) — \
-         {:.2}x better; steady parity ratio {:.3}",
-        h.burst_adaptive_ttft_p99_s,
-        h.burst_best_static_ttft_p99_s,
-        h.burst_best_static_label,
-        h.burst_ttft_p99_speedup,
-        h.steady_parity_ratio,
-    );
-    write_report(&args.out_path("BENCH_ctrl.json"), &bench)
+    let mut rows = headline_rows(&cells)?;
+    for (label, report) in &cells {
+        rows.push(BenchRow::new(
+            "ctrl_sim",
+            label,
+            "adaptive",
+            flag(label.ends_with(ADAPTIVE)),
+        ));
+        rows.extend(report_rows("ctrl_sim", label, report));
+    }
+    write_report(&args.out_path("BENCH_ctrl.json"), &rows)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use super::*;
+
+    /// A small controlled fleet with a standby replica, so its report has a
+    /// decision log and a replica list to flatten.
+    fn controlled_report() -> FleetReport {
+        let cfg = ServeConfig {
+            requests: 24,
+            prompt_tokens: (64, 128),
+            decode_tokens: (4, 8),
+            max_batch: 4,
+            prefill_chunk: 64,
+            ..ServeConfig::default()
+        };
+        let controller = Controller::new(PolicyTable::static_default(&cfg));
+        let trace = phased_arrivals(&cfg, &[(0.5, 4.0), (0.5, 48.0)]).expect("valid phases");
+        FleetBuilder::new()
+            .model(ModelConfig::gpt_neo_1_3b())
+            .params(RunParams::new(PAPER_SEQ_LEN))
+            .replicas(1, &DeviceSpec::a100())
+            .standby_replicas(1, &DeviceSpec::a100())
+            .arrivals(trace)
+            .control_plane(&controller)
+            .workload(cfg)
+            .build()
+            .expect("a valid fleet")
+            .run()
+            .expect("the fleet completes")
+    }
+
+    /// The value at the field path `path` of `value`.
+    fn at<'a>(value: &'a Value, path: &str) -> &'a Value {
+        path.split('.')
+            .fold(value, |v, key| match key.parse::<usize>() {
+                Ok(i) => &v[i],
+                Err(_) => &v[key],
+            })
+    }
+
+    /// Numbers and booleans under `value`.
+    fn leaf_count(value: &Value) -> usize {
+        match value {
+            Value::Array(items) => items.iter().map(leaf_count).sum(),
+            Value::Object(fields) => fields.iter().map(|(_, v)| leaf_count(v)).sum(),
+            Value::Str(_) | Value::Null => 0,
+            _ => 1,
+        }
+    }
+
+    #[test]
+    fn a_report_flattens_to_one_row_per_numeric_leaf() {
+        let report = controlled_report();
+        assert!(!report.decisions.is_empty(), "the controller must decide");
+        assert_eq!(report.replicas.len(), 2);
+        let rows = report_rows("ctrl_sim", "burst/adaptive/controller", &report);
+        let value = report.to_value();
+
+        // One row per number or boolean outside the decision log, plus the
+        // log's length, each under its own metric.
+        let outside: usize = value
+            .as_object()
+            .expect("an object")
+            .iter()
+            .filter(|(name, _)| name != "decisions")
+            .map(|(_, field)| leaf_count(field))
+            .sum();
+        assert_eq!(rows.len(), outside + 1);
+        let metrics: BTreeSet<&str> = rows.iter().map(|r| r.metric.as_str()).collect();
+        assert_eq!(metrics.len(), rows.len(), "metrics repeat");
+
+        // Every metric is the field path of the leaf whose value it holds.
+        for row in &rows {
+            assert_eq!(
+                (row.bin.as_str(), row.config.as_str()),
+                ("ctrl_sim", "burst/adaptive/controller")
+            );
+            let expected = if row.metric == "decisions" {
+                report.decisions.len() as f64
+            } else {
+                let leaf = at(&value, &row.metric);
+                leaf.as_bool()
+                    .map(flag)
+                    .or_else(|| leaf.as_f64())
+                    .unwrap_or_else(|| panic!("`{}` is not a leaf's path", row.metric))
+            };
+            assert_eq!(row.value, expected, "{}", row.metric);
+        }
+        let value_of = |metric: &str| rows.iter().find(|r| r.metric == metric).map(|r| r.value);
+        assert_eq!(value_of("ttft.p99_s"), Some(report.ttft.p99_s));
+        assert_eq!(
+            value_of("replicas.1.busy_s"),
+            Some(report.replicas[1].busy_s)
+        );
+        assert_eq!(
+            value_of("replicas.1.standby"),
+            Some(flag(report.replicas[1].standby))
+        );
+        assert_eq!(value_of("strategy"), None, "strings have no row");
+    }
 }

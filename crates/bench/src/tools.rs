@@ -5,11 +5,11 @@ use std::fmt::Write as _;
 
 use resoftmax_analyzer::{Severity, CERT_BUDGET_REL};
 use resoftmax_bench::{
-    analysis_grid, device_named, write_file, write_report, BenchArgs, BenchRow, Error,
-    FIG9_BATCHES, FIG9_SEQ_LENS, PAPER_SEQ_LEN,
+    analysis_grid, device_named, write_file, BenchArgs, Error, FIG9_BATCHES, FIG9_SEQ_LENS,
+    PAPER_SEQ_LEN,
 };
 use resoftmax_core::experiments::full_grid_sweep;
-use resoftmax_core::format::render_csv;
+use resoftmax_core::format::{gb, ms, pct, render_table};
 use resoftmax_gpusim::chrome_trace::to_chrome_trace;
 use resoftmax_gpusim::DeviceSpec;
 use resoftmax_model::{
@@ -133,10 +133,9 @@ pub fn analyze(args: &BenchArgs) -> Result<(), Error> {
     Ok(())
 }
 
-/// Full design-space sweep exported as CSV (default), JSON (`--json`) or,
-/// with `--out <path>`, rows in the shared `{bin, config, metric, value}`
-/// schema: every model × strategy × L × batch on the chosen device, or on
-/// every device with `all` — the raw material for regenerating any figure
+/// Full design-space sweep: every model × strategy × L × batch on the
+/// chosen device, or on every device with `all`, as a table; with
+/// `--out PATH` also as rows, the raw material for regenerating any figure
 /// externally. `--smoke` shrinks the sweep.
 pub fn grid_sweep(args: &BenchArgs) -> Result<(), Error> {
     let devices: Vec<DeviceSpec> = if args.positionals.iter().any(|a| a == "all") {
@@ -162,29 +161,7 @@ pub fn grid_sweep(args: &BenchArgs) -> Result<(), Error> {
         ],
     )?;
 
-    if let Some(out) = &args.out {
-        let rows: Vec<BenchRow> = points
-            .iter()
-            .flat_map(|p| {
-                let config = format!(
-                    "{}/{}/{}/L{}/b{}",
-                    p.device, p.model, p.strategy, p.seq_len, p.batch
-                );
-                [
-                    BenchRow::new("grid_sweep", &config, "total_ms", p.total_ms),
-                    BenchRow::new("grid_sweep", &config, "dram_gb", p.dram_gb),
-                    BenchRow::new("grid_sweep", &config, "energy_j", p.energy_j),
-                    BenchRow::new("grid_sweep", &config, "softmax_frac", p.softmax_frac),
-                ]
-            })
-            .collect();
-        return write_report(out, &rows);
-    }
-
-    if args.print_json(&points)? {
-        return Ok(());
-    }
-    let rows: Vec<Vec<String>> = points
+    let table: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
             vec![
@@ -193,31 +170,21 @@ pub fn grid_sweep(args: &BenchArgs) -> Result<(), Error> {
                 p.strategy.clone(),
                 p.seq_len.to_string(),
                 p.batch.to_string(),
-                format!("{:.4}", p.total_ms),
-                format!("{:.4}", p.dram_gb),
-                format!("{:.6}", p.energy_j),
-                format!("{:.4}", p.softmax_frac),
+                ms(p.total_ms),
+                gb(p.dram_gb * 1e9),
+                format!("{:.4} J", p.energy_j),
+                pct(p.softmax_frac),
             ]
         })
         .collect();
     print!(
         "{}",
-        render_csv(
-            &[
-                "device",
-                "model",
-                "strategy",
-                "seq_len",
-                "batch",
-                "total_ms",
-                "dram_gb",
-                "energy_j",
-                "softmax_frac"
-            ],
-            &rows
+        render_table(
+            &["device", "model", "strategy", "L", "batch", "latency", "DRAM", "energy", "softmax"],
+            &table
         )
     );
-    Ok(())
+    args.write_rows("grid_sweep", &points)
 }
 
 fn model_named(name: &str) -> Option<ModelConfig> {

@@ -577,7 +577,7 @@ pub struct GridPoint {
 
 /// Sweeps the full design space — every evaluation model × strategy on the
 /// given devices, sequence lengths and batch sizes — returning one row per
-/// cell, ready for CSV/JSON export and external plotting.
+/// cell, ready for row export and external plotting.
 ///
 /// # Errors
 ///

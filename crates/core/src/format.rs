@@ -66,41 +66,6 @@ pub fn gb(bytes: f64) -> String {
     format!("{:.2} GB", bytes / 1e9)
 }
 
-/// Renders rows as RFC-4180-ish CSV (quoting cells containing commas or
-/// quotes), for piping experiment output into plotting scripts.
-///
-/// # Example
-///
-/// ```
-/// use resoftmax_core::format::render_csv;
-/// let csv = render_csv(&["a", "b"], &[vec!["1".into(), "x,y".into()]]);
-/// assert_eq!(csv, "a,b\n1,\"x,y\"\n");
-/// ```
-pub fn render_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
-    fn cell(s: &str) -> String {
-        if s.contains(',') || s.contains('"') || s.contains('\n') {
-            format!("\"{}\"", s.replace('"', "\"\""))
-        } else {
-            s.to_owned()
-        }
-    }
-    let mut out = String::new();
-    out.push_str(
-        &headers
-            .iter()
-            .map(|h| cell(h))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    out.push('\n');
-    for row in rows {
-        assert_eq!(row.len(), headers.len(), "row width mismatch");
-        out.push_str(&row.iter().map(|c| cell(c)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,28 +93,6 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn ragged_rows_panic() {
         let _ = render_table(&["a", "b"], &[vec!["x".into()]]);
-    }
-
-    #[test]
-    fn csv_quoting() {
-        let csv = render_csv(
-            &["x", "y"],
-            &[
-                vec!["1".into(), "plain".into()],
-                vec!["2".into(), "a,b".into()],
-                vec!["3".into(), "q\"q".into()],
-            ],
-        );
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "x,y");
-        assert_eq!(lines[2], "2,\"a,b\"");
-        assert_eq!(lines[3], "3,\"q\"\"q\"");
-    }
-
-    #[test]
-    #[should_panic(expected = "row width mismatch")]
-    fn csv_ragged_panics() {
-        let _ = render_csv(&["a", "b"], &[vec!["x".into()]]);
     }
 
     #[test]

@@ -71,9 +71,7 @@ pub use engine::{BaselinePlanner, IterationPlanner};
 pub use error::Error;
 pub use kv::{kv_bytes_per_token, weight_bytes, KvPool};
 pub use link::LinkSpec;
-pub use metrics::{
-    nearest_rank_index, FleetReport, Percentiles, ReplicaStats, ServeReport, SlidingWindow,
-};
+pub use metrics::{nearest_rank_index, FleetReport, Percentiles, ReplicaStats, SlidingWindow};
 pub use replica::Role;
 pub use request::{phased_arrivals, poisson_arrivals, Arrival, Policy, ServeConfig};
 pub use router::RouterPolicy;
@@ -89,7 +87,7 @@ pub mod prelude {
     pub use crate::engine::{BaselinePlanner, IterationPlanner};
     pub use crate::error::Error;
     pub use crate::link::LinkSpec;
-    pub use crate::metrics::{FleetReport, Percentiles, ReplicaStats, ServeReport, SlidingWindow};
+    pub use crate::metrics::{FleetReport, Percentiles, ReplicaStats, SlidingWindow};
     pub use crate::replica::Role;
     pub use crate::request::{phased_arrivals, Arrival, Policy, ServeConfig};
     pub use crate::router::RouterPolicy;

@@ -160,40 +160,6 @@ impl SlidingWindow {
     }
 }
 
-/// The outcome of one serving simulation on a single replica
-/// ([`FleetReport::serve_report`]). Its `ttft` and `tbt` are the fleet's
-/// (see [`FleetReport`] for their definition).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServeReport {
-    /// Softmax strategy the engine ran ("baseline", "recomposed", ...).
-    pub strategy: String,
-    /// Admission policy name.
-    pub policy: String,
-    /// Requests that ran to completion.
-    pub completed: usize,
-    /// Engine iterations executed.
-    pub iterations: usize,
-    /// Times a running request was evicted to free KV blocks.
-    pub evictions: usize,
-    /// Simulated wall-clock at the last completion, seconds.
-    pub sim_time_s: f64,
-    /// Prompt tokens prefetched into the cache (re-prefill after eviction
-    /// counts again — it is real work).
-    pub prefill_tokens: u64,
-    /// Output tokens generated.
-    pub decode_tokens: u64,
-    /// Output tokens per simulated second.
-    pub decode_tokens_per_s: f64,
-    /// Time to first generated token, per request.
-    pub ttft: Percentiles,
-    /// Time between consecutive output tokens (first token excluded).
-    pub tbt: Percentiles,
-    /// Peak KV-pool occupancy in `[0, 1]`.
-    pub kv_peak_occupancy: f64,
-    /// Mean of the per-iteration KV occupancy samples.
-    pub kv_mean_occupancy: f64,
-}
-
 /// Per-replica accounting inside a [`FleetReport`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplicaStats {
@@ -329,31 +295,6 @@ pub struct FleetReport {
     pub decisions: Vec<ControlRecord>,
     /// Per-replica accounting, ascending id.
     pub replicas: Vec<ReplicaStats>,
-}
-
-impl FleetReport {
-    /// The single-replica view of this report, in the [`ServeReport`]
-    /// shape. Calling it on a fleet of more than one replica folds
-    /// the per-replica KV occupancies by taking replica 0's (the aggregate
-    /// latency/throughput fields are fleet-wide either way).
-    pub fn serve_report(&self) -> ServeReport {
-        let r0 = &self.replicas[0];
-        ServeReport {
-            strategy: self.strategy.clone(),
-            policy: self.policy.clone(),
-            completed: self.completed,
-            iterations: self.iterations,
-            evictions: self.evictions,
-            sim_time_s: self.sim_time_s,
-            prefill_tokens: self.prefill_tokens,
-            decode_tokens: self.decode_tokens,
-            decode_tokens_per_s: self.decode_tokens_per_s,
-            ttft: self.ttft,
-            tbt: self.tbt,
-            kv_peak_occupancy: r0.kv_peak_occupancy,
-            kv_mean_occupancy: r0.kv_mean_occupancy,
-        }
-    }
 }
 
 #[cfg(test)]

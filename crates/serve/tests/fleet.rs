@@ -7,7 +7,7 @@ use resoftmax_gpusim::{DeviceSpec, Gpu};
 use resoftmax_model::{build_batched_decode_schedule, ModelConfig, RunParams, SoftmaxStrategy};
 use resoftmax_serve::{
     kv_bytes_per_token, poisson_arrivals, Arrival, Error, FleetBuilder, FleetReport, LinkSpec,
-    Policy, RouterPolicy, ServeConfig, ServeReport,
+    Policy, RouterPolicy, ServeConfig,
 };
 
 fn model() -> ModelConfig {
@@ -26,8 +26,8 @@ fn small_cfg() -> ServeConfig {
     }
 }
 
-/// `cfg` served on one A100 replica, in the single-replica report shape.
-fn one_replica(params: RunParams, cfg: &ServeConfig) -> ServeReport {
+/// `cfg` served on one A100 replica.
+fn one_replica(params: RunParams, cfg: &ServeConfig) -> FleetReport {
     FleetBuilder::new()
         .model(model())
         .params(params)
@@ -37,7 +37,6 @@ fn one_replica(params: RunParams, cfg: &ServeConfig) -> ServeReport {
         .unwrap()
         .run()
         .unwrap()
-        .serve_report()
 }
 
 #[test]
@@ -54,7 +53,8 @@ fn one_replica_completes_all_requests_deterministically() {
     assert!(a.sim_time_s > 0.0);
     assert!(a.decode_tokens_per_s > 0.0);
     assert!(a.tbt.p50_s > 0.0);
-    assert!(a.kv_peak_occupancy > 0.0 && a.kv_peak_occupancy <= 1.0);
+    let kv_peak = a.replicas[0].kv_peak_occupancy;
+    assert!(kv_peak > 0.0 && kv_peak <= 1.0);
     // Every request owes decode - 1 TBT samples (the first token is the
     // TTFT sample).
     assert!(a.tbt.n >= cfg.requests * (cfg.decode_tokens.0 - 1));
@@ -76,7 +76,7 @@ fn one_replica_tiny_pool_forces_evictions_yet_completes() {
     let r = one_replica(RunParams::new(4096), &cfg);
     assert_eq!(r.completed, cfg.requests);
     assert!(r.evictions > 0, "a 192-token pool must evict: {r:?}");
-    assert!(r.kv_peak_occupancy > 0.5);
+    assert!(r.replicas[0].kv_peak_occupancy > 0.5);
 }
 
 #[test]

@@ -120,7 +120,7 @@ mod tests {
     use crate::search::SearchMode;
     use crate::space::SearchSpace;
     use resoftmax_serve::{
-        BaselinePlanner, FleetBuilder, IterationPlanner, RouterPolicy, ServeConfig, ServeReport,
+        BaselinePlanner, FleetBuilder, FleetReport, IterationPlanner, RouterPolicy, ServeConfig,
     };
 
     fn cfg() -> ServeConfig {
@@ -144,7 +144,7 @@ mod tests {
         let tuner = Tuner::new(SearchSpace::smoke(), SearchMode::Exhaustive);
         let planner = TunedPlanner::new(&tuner, &model, &device);
 
-        let serve = |planner: &dyn IterationPlanner| -> ServeReport {
+        let serve = |planner: &dyn IterationPlanner| -> FleetReport {
             FleetBuilder::new()
                 .model(model.clone())
                 .params(params.clone())
@@ -155,7 +155,6 @@ mod tests {
                 .unwrap()
                 .run()
                 .unwrap()
-                .serve_report()
         };
         let baseline = serve(&BaselinePlanner);
         let tuned = serve(&planner);

@@ -6,7 +6,7 @@
 use resoftmax_gpusim::DeviceSpec;
 use resoftmax_kernels::costs::TileConfig;
 use resoftmax_model::{ModelConfig, RunParams, Session, SoftmaxStrategy};
-use resoftmax_serve::{BaselinePlanner, FleetBuilder, IterationPlanner, ServeConfig, ServeReport};
+use resoftmax_serve::{BaselinePlanner, FleetBuilder, FleetReport, IterationPlanner, ServeConfig};
 use resoftmax_tune::{
     evaluate, precheck, precheck_decode, SearchMode, SearchSpace, SessionTuneExt, Skip,
     TuneWorkload, TunedPlanner, Tuner,
@@ -228,7 +228,7 @@ fn tuned_serving_is_deterministic_and_no_slower() {
         prefill_chunk: 64,
         ..ServeConfig::default()
     };
-    let serve = |planner: &dyn IterationPlanner| -> ServeReport {
+    let serve = |planner: &dyn IterationPlanner| -> FleetReport {
         FleetBuilder::new()
             .model(model.clone())
             .params(params.clone())
@@ -239,7 +239,6 @@ fn tuned_serving_is_deterministic_and_no_slower() {
             .unwrap()
             .run()
             .unwrap()
-            .serve_report()
     };
     let baseline = serve(&BaselinePlanner);
 

@@ -63,7 +63,7 @@ pub mod prelude {
     // crate prefix as `ServeError`.
     pub use resoftmax_serve::{
         Error as ServeError, Fleet, FleetBuilder, FleetEvent, FleetReport, LinkSpec, ReplicaStats,
-        RouterPolicy, ServeConfig, ServeReport,
+        RouterPolicy, ServeConfig,
     };
     pub use resoftmax_sparse::{
         block_sparse_softmax, pattern, sddmm, spmm, BigBirdConfig, BlockLayout, BlockSparseMatrix,
