@@ -12,10 +12,10 @@
 //! `--numerics` only where the registry lists them. Standard output is a
 //! table for people; `--out` writes `{bin, config, metric, value}` rows,
 //! the schema of every checked-in `BENCH_*.json` (`export_trace` writes a
-//! chrome trace). An unknown
-//! experiment, selector, or a flag the experiment does not take is a usage
-//! error (exit 2); a failed experiment exits 1. When `RESOFTMAX_TRACE` is
-//! set, the merged chrome-trace of the run is written after the experiment.
+//! chrome trace). An unknown experiment, selector, or a flag the experiment
+//! does not take is a usage error (exit 2); a failed experiment exits 1.
+//! When `RESOFTMAX_TRACE` is set, the merged chrome-trace of the run is
+//! written after the experiment.
 //!
 //! `reproduce` runs every experiment except the export tools in registry
 //! order and writes every checked-in `BENCH_*.json`, so a clean

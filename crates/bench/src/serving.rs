@@ -913,10 +913,6 @@ mod tests {
             value_of("replicas.1.busy_s"),
             Some(report.replicas[1].busy_s)
         );
-        assert_eq!(
-            value_of("replicas.1.standby"),
-            Some(flag(report.replicas[1].standby))
-        );
         assert_eq!(value_of("strategy"), None, "strings have no row");
     }
 }

@@ -928,11 +928,8 @@ impl<'f> FleetState<'f> {
             return None;
         }
         let cursor = &mut self.cursors[phase as usize];
-        Some(
-            self.fleet
-                .router
-                .route(cursor, self.states[id].session, &views),
-        )
+        let session = self.states[id].session;
+        Some(self.fleet.router.route(cursor, session, &views))
     }
 
     /// Applies one queued event at its simulated time.
