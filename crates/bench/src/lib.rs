@@ -198,9 +198,9 @@ pub fn device_named(name: &str) -> Option<DeviceSpec> {
     }
 }
 
-/// One row of a machine-readable benchmark report — the schema shared by
-/// the flat `BENCH_*.json` files, so downstream tooling can concatenate
-/// them without per-experiment parsers.
+/// One row of a machine-readable benchmark report — the schema of every
+/// `BENCH_*.json` file and of every `--out` report but a chrome trace, so
+/// downstream tooling can concatenate them without per-experiment parsers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchRow {
     /// The producing experiment (`"tune"`, `"ablation_tile_size"`, …).
