@@ -16,16 +16,18 @@
 //! KV cache of its own length.
 
 use crate::config::{AttentionKind, ModelConfig};
+use crate::error::Error;
+use crate::periodic::{price_layers, PeriodicTimeline};
 use crate::schedule::{apply_ls_split, build_layer, RunParams, SoftmaxStrategy};
+use crate::session::validate_decode;
 use resoftmax_analyzer::{DecodeSpec, ErrorBound, ScheduleSpec};
 use resoftmax_gpusim::{
-    AccumFormat, Gpu, KernelCategory, KernelDesc, KernelDescBuilder, KernelMeta, LaunchError,
-    ParallelSplit, TbGroup, TbShape, TbWork, Timeline,
+    AccumFormat, Gpu, KernelCategory, KernelDesc, KernelDescBuilder, KernelMeta, ParallelSplit,
+    TbGroup, TbShape, TbWork,
 };
 use resoftmax_kernels::costs::{
     buf, row_threads, EXP_FLOP_EQUIV, FP16_BYTES, SOFTMAX_PHASE_EFFICIENCY, STREAM_EFFICIENCY,
 };
-use std::borrow::Cow;
 
 /// Attaches one thread block per attention instance to the builder: `heads`
 /// TBs per row, each sized by that row's context length. Adjacent rows with
@@ -369,108 +371,41 @@ pub fn build_batched_decode_schedule(
     kernels
 }
 
-/// `id` with its layer prefix advanced by one (`l3.q` → `l4.q`); an id
-/// without a canonical `l{k}.` prefix is returned unchanged, so the map is
-/// injective.
-fn shift_layer(id: &str) -> Cow<'_, str> {
-    let Some(rest) = id.strip_prefix('l') else {
-        return Cow::Borrowed(id);
-    };
-    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
-    let canonical = digits == 1 || (digits > 1 && !rest.starts_with('0'));
-    match rest[..digits]
-        .parse::<usize>()
-        .ok()
-        .and_then(|k| k.checked_add(1))
-    {
-        Some(next) if canonical && rest[digits..].starts_with('.') => {
-            Cow::Owned(format!("l{next}{}", &rest[digits..]))
-        }
-        _ => Cow::Borrowed(id),
-    }
-}
-
 /// Prices one batched-decode iteration on `gpu` and drains its timeline
 /// (flushing L2, as [`Gpu::take_timeline`] does).
 ///
-/// The result is exactly — every `f64` bit for bit — what
-/// `gpu.run(&build_batched_decode_schedule(model, ctxs, params))` followed
-/// by `gpu.take_timeline()` returns, but most layers are never built or
-/// simulated. Layers are launched one at a time, and after each the L2
-/// residency (ids and bytes, in LRU order) is compared with the residency
-/// the layer started from, every id's layer advanced by one. Once they
-/// match, the state the next layer starts from is the state this one
-/// started from under that renaming; since layer `l + 1` is layer `l` with
-/// ids renamed, the L2 model compares ids only for equality, and kernel
-/// names carry no layer index, every remaining layer yields this layer's
-/// stats. They are appended without being simulated.
+/// The result equals `gpu.run(&build_batched_decode_schedule(model, ctxs,
+/// params))` followed by `gpu.take_timeline()`, every `f64` bit for bit,
+/// but the layers are built and launched one at a time, and only until the
+/// L2 residency repeats with every id's `l{k}.` prefix advanced by one
+/// (DESIGN §14). On an A100, GPT-Neo repeats after two of its 24 layers.
 ///
 /// Debug builds also build the full schedule (running its analyzer gate)
 /// and assert the result against a full run on a clone of `gpu`.
 ///
 /// # Errors
 ///
-/// Returns [`LaunchError`] if a kernel cannot launch, as the full run
-/// would.
-///
-/// # Panics
-///
-/// Panics on the inputs [`build_batched_decode_schedule`] rejects.
+/// [`Error::InvalidConfig`] when the decode rules reject the iteration (see
+/// [`validate_decode`](crate::validate_decode)); [`Error::Launch`] if a
+/// kernel cannot launch, as the full run would.
 pub fn price_batched_decode(
     gpu: &mut Gpu,
     model: &ModelConfig,
     ctxs: &[usize],
     params: &RunParams,
-) -> Result<Timeline, LaunchError> {
+) -> Result<PeriodicTimeline, Error> {
+    validate_decode(model, ctxs, params)?;
     #[cfg(debug_assertions)]
-    let reference = {
-        let mut full = gpu.clone();
-        full.run(&build_batched_decode_schedule(model, ctxs, params))
-            .map(|()| full.take_timeline())
-    };
-    let priced = price_layers(gpu, model, ctxs, params).map(|(timeline, _)| timeline);
-    #[cfg(debug_assertions)]
-    assert!(
-        priced == reference,
-        "layer-periodic decode pricing diverged from the full schedule"
-    );
-    priced
-}
-
-/// [`price_batched_decode`], also returning how many layers were simulated.
-fn price_layers(
-    gpu: &mut Gpu,
-    model: &ModelConfig,
-    ctxs: &[usize],
-    params: &RunParams,
-) -> Result<(Timeline, usize), LaunchError> {
+    let start = gpu.clone();
     let layers = DecodeLayers::new(model, ctxs, params);
-    let residency = |gpu: &Gpu| -> Vec<(String, u64)> {
-        gpu.l2()
-            .resident()
-            .map(|(id, bytes)| (shift_layer(id).into_owned(), bytes))
-            .collect()
-    };
-    // The residency this layer starts from, ids already advanced a layer.
-    let mut start = residency(gpu);
-    for layer in 0..model.layers {
-        let first = gpu.timeline().len();
-        gpu.run(&layers.layer(layer))?;
-        let repeats =
-            (gpu.l2().resident()).eq(start.iter().map(|(id, bytes)| (id.as_str(), *bytes)));
-        if repeats {
-            let mut timeline = gpu.take_timeline();
-            let period = timeline.kernels()[first..].to_vec();
-            for _ in layer + 1..model.layers {
-                for stats in &period {
-                    timeline.push(stats.clone());
-                }
-            }
-            return Ok((timeline, layer + 1));
-        }
-        start = residency(gpu);
-    }
-    Ok((gpu.take_timeline(), model.layers))
+    let priced = price_layers(gpu, model.layers, |l| layers.layer(l));
+    #[cfg(debug_assertions)]
+    crate::periodic::assert_full_run(
+        start,
+        &build_batched_decode_schedule(model, ctxs, params),
+        &priced,
+    );
+    Ok(priced?)
 }
 
 /// The strategy a decode iteration runs under `strategy`. Unfused
@@ -736,16 +671,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn shift_layer_advances_canonical_prefixes_only() {
-        assert_eq!(shift_layer("l0.x"), "l1.x");
-        assert_eq!(shift_layer("l9.ff2.w"), "l10.ff2.w");
-        assert_eq!(shift_layer("l23.k_cache"), "l24.k_cache");
-        for unchanged in ["x", "ln1", "l.x", "l03.x", "lx.3", "l7"] {
-            assert_eq!(shift_layer(unchanged), unchanged);
-        }
-    }
-
     /// Layer `l + 1` is layer `l` with every buffer id's layer advanced by
     /// one, and the full schedule is the layers in order: the premise of
     /// `price_batched_decode`'s shortcut.
@@ -757,16 +682,7 @@ mod tests {
             let params = RunParams::new(4096).strategy(strategy);
             let layers = DecodeLayers::new(&m, &ctxs, &params);
             for l in [0, 5, 22] {
-                let shifted: Vec<KernelDesc> = layers
-                    .layer(l)
-                    .into_iter()
-                    .map(|mut k| {
-                        for b in k.reads.iter_mut().chain(k.writes.iter_mut()) {
-                            b.id = shift_layer(&b.id).into_owned();
-                        }
-                        k
-                    })
-                    .collect();
+                let shifted = crate::periodic::shifted(&layers.layer(l));
                 assert_eq!(layers.layer(l + 1), shifted, "{strategy:?} layer {l}");
             }
             let layers: Vec<KernelDesc> = (0..m.layers).flat_map(|l| layers.layer(l)).collect();
@@ -785,9 +701,39 @@ mod tests {
         for strategy in [SoftmaxStrategy::Baseline, SoftmaxStrategy::Recomposed] {
             let params = RunParams::new(4096).strategy(strategy);
             for ctxs in [&[4096][..], &[260, 1000, 1000, 4096], &prefill_and_decode] {
-                let (timeline, simulated) = price_layers(&mut gpu, &m, ctxs, &params).unwrap();
-                assert_eq!(simulated, 2, "{strategy:?} with {} rows", ctxs.len());
-                assert_eq!(timeline.len(), 11 * m.layers);
+                let priced = price_batched_decode(&mut gpu, &m, ctxs, &params).unwrap();
+                assert_eq!(
+                    m.layers - priced.repeats(),
+                    2,
+                    "{strategy:?} with {} rows",
+                    ctxs.len()
+                );
+                assert_eq!(priced.into_timeline().len(), 11 * m.layers);
+            }
+        }
+    }
+
+    /// What `build_batched_decode_schedule` panics on, the pricer rejects
+    /// with a typed error before building anything.
+    #[test]
+    fn price_batched_decode_rejects_what_the_builder_cannot_build() {
+        let mut gpu = Gpu::new(DeviceSpec::a100());
+        let dense = ModelConfig::gpt_neo_1_3b();
+        let online = RunParams::new(4096).strategy(SoftmaxStrategy::OnlineFused);
+        for (model, ctxs, params, why) in [
+            (
+                ModelConfig::bigbird_large(),
+                &[4096][..],
+                RunParams::new(4096),
+                "dense",
+            ),
+            (dense.clone(), &[4096], online, "online fusion"),
+            (dense.clone(), &[], RunParams::new(4096), "at least one row"),
+            (dense, &[128, 0], RunParams::new(4096), "nonzero"),
+        ] {
+            match price_batched_decode(&mut gpu, &model, ctxs, &params) {
+                Err(Error::InvalidConfig { reason }) => assert!(reason.contains(why), "{reason}"),
+                other => panic!("{why}: expected InvalidConfig, got {other:?}"),
             }
         }
     }

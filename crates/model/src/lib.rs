@@ -30,6 +30,7 @@ mod decode;
 mod engine;
 mod error;
 mod library;
+mod periodic;
 mod schedule;
 mod seq2seq;
 mod session;
@@ -43,6 +44,7 @@ pub use decode::{
 pub use engine::RunReport;
 pub use error::Error;
 pub use library::{LibraryProfile, SparseSupport};
+pub use periodic::{price_schedule, PeriodicTimeline};
 pub use resoftmax_gpusim::ParallelSplit;
 pub use schedule::{
     build_schedule, check_schedule, static_error_bound, RunParams, SoftmaxStrategy,

@@ -46,17 +46,47 @@ fn invalid<T>(reason: String) -> Result<T, Error> {
     Err(Error::InvalidConfig { reason })
 }
 
+/// The architecture rule both phases share: `ModelConfig`'s fields are
+/// public, and every builder divides by `heads` and sizes kernels by
+/// `d_model` and `d_ff`.
+fn validate_architecture(model: &ModelConfig) -> Result<(), Error> {
+    let ModelConfig {
+        layers,
+        d_model,
+        heads,
+        d_ff,
+        ..
+    } = *model;
+    if layers == 0 || d_model == 0 || heads == 0 || d_ff == 0 {
+        return invalid(format!(
+            "model '{}' needs nonzero layers, d_model, heads and d_ff \
+             (got {layers}, {d_model}, {heads}, {d_ff})",
+            model.name
+        ));
+    }
+    if !d_model.is_multiple_of(heads) {
+        return invalid(format!(
+            "model '{}': heads {heads} must divide d_model {d_model}",
+            model.name
+        ));
+    }
+    Ok(())
+}
+
 /// The prefill legality rules: whether `(model, params)` can build and
 /// certify a full-sequence schedule. [`Session::new`] applies them; the
 /// serving fleet and the tuner call them directly.
 ///
 /// # Errors
 ///
-/// [`Error::InvalidConfig`] for a zero batch or sequence length, a sequence
-/// length that is not a multiple of a sparse model's block size, a tile
-/// width that does not divide the sequence length, SDF16 on block-sparse
-/// kernels, or a certified error bound over the budget.
+/// [`Error::InvalidConfig`] for a zero layer count, hidden size, head count
+/// or FeedForward size, a head count that does not divide the hidden size,
+/// a zero batch or sequence length, a sequence length that is not a
+/// multiple of a sparse model's block size, a tile width that does not
+/// divide the sequence length, SDF16 on block-sparse kernels, or a
+/// certified error bound over the budget.
 pub fn validate_prefill(model: &ModelConfig, params: &RunParams) -> Result<(), Error> {
+    validate_architecture(model)?;
     if params.batch == 0 {
         return invalid("batch must be nonzero".to_owned());
     }
@@ -100,16 +130,18 @@ pub fn validate_prefill(model: &ModelConfig, params: &RunParams) -> Result<(), E
 ///
 /// # Errors
 ///
-/// [`Error::InvalidConfig`] for the combinations the decode cost model does
-/// not cover (sparse attention, the online-fused strategy, an empty batch,
-/// a zero context) and for a certified error bound over the budget at the
-/// longest context. The bound is independent of the session's sequence
-/// length: decode contexts are not bounded by it.
+/// [`Error::InvalidConfig`] for the architectures [`validate_prefill`]
+/// rejects, for the combinations the decode cost model does not cover
+/// (sparse attention, the online-fused strategy, an empty batch, a zero
+/// context) and for a certified error bound over the budget at the longest
+/// context. The bound is independent of the session's sequence length:
+/// decode contexts are not bounded by it.
 pub fn validate_decode(
     model: &ModelConfig,
     ctxs: &[usize],
     params: &RunParams,
 ) -> Result<(), Error> {
+    validate_architecture(model)?;
     if !matches!(model.attention, AttentionKind::Dense { .. }) {
         return invalid(format!(
             "decode cost model covers dense attention only; model '{}' is sparse",
@@ -302,6 +334,51 @@ mod tests {
         let p = RunParams::new(1024).batch(0);
         let e = session(&ModelConfig::bert_large(), &p).unwrap_err();
         assert!(e.to_string().contains("batch"), "{e}");
+    }
+
+    /// GPT-Neo with each architecture rule broken once: a zero layer count,
+    /// hidden size, head count or FeedForward size, and 3 heads over 2,048.
+    fn malformed_models() -> Vec<ModelConfig> {
+        let base = ModelConfig::gpt_neo_1_3b();
+        vec![
+            ModelConfig {
+                layers: 0,
+                ..base.clone()
+            },
+            ModelConfig {
+                d_model: 0,
+                ..base.clone()
+            },
+            ModelConfig {
+                heads: 0,
+                ..base.clone()
+            },
+            ModelConfig {
+                d_ff: 0,
+                ..base.clone()
+            },
+            ModelConfig { heads: 3, ..base },
+        ]
+    }
+
+    #[test]
+    fn new_rejects_malformed_architectures() {
+        for model in malformed_models() {
+            let e = session(&model, &RunParams::new(1024)).unwrap_err();
+            assert!(matches!(e, Error::InvalidConfig { .. }), "{model:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn decode_rules_reject_malformed_architectures() {
+        let mut gpu = resoftmax_gpusim::Gpu::new(DeviceSpec::a100());
+        let params = RunParams::new(1024);
+        for model in malformed_models() {
+            let e = validate_decode(&model, &[1024], &params).unwrap_err();
+            assert!(matches!(e, Error::InvalidConfig { .. }), "{model:?}: {e}");
+            let e = crate::price_batched_decode(&mut gpu, &model, &[1024], &params).unwrap_err();
+            assert!(matches!(e, Error::InvalidConfig { .. }), "{model:?}: {e}");
+        }
     }
 
     #[test]

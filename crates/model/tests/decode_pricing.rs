@@ -1,7 +1,9 @@
-//! `price_batched_decode` against the reference it shortcuts: running the
-//! full batched-decode schedule and draining the timeline. The two must
-//! agree bit for bit on every row mix, strategy and device a serving
-//! replica can produce.
+//! Layer-periodic pricing against the reference it shortcuts: running the
+//! full schedule and draining the timeline. `price_batched_decode` (what a
+//! serving replica runs) and `price_schedule` (what the tuner runs on the
+//! schedules it built) must agree with it bit for bit, in the expanded
+//! timeline and in the compact total serving reads, on every row mix,
+//! prefill grid point, strategy and device.
 
 #![cfg(not(miri))] // whole-model simulation is far too slow under miri
 
@@ -9,7 +11,8 @@ use proptest::prelude::*;
 use resoftmax_gpusim::{DeviceSpec, Gpu, ParallelSplit, Timeline};
 use resoftmax_kernels::costs::TileConfig;
 use resoftmax_model::{
-    build_batched_decode_schedule, price_batched_decode, ModelConfig, RunParams, SoftmaxStrategy,
+    build_batched_decode_schedule, build_schedule, price_batched_decode, price_schedule,
+    validate_prefill, LibraryProfile, ModelConfig, PeriodicTimeline, RunParams, SoftmaxStrategy,
 };
 
 /// One engine iteration's rows: 0–16 decode rows at contexts 1–4,096, then
@@ -59,11 +62,58 @@ fn same_bits(a: &Timeline, b: &Timeline) -> bool {
     format!("{a:?}") == format!("{b:?}")
 }
 
+/// `priced` equals the full run's `reference`: the compact total to the
+/// bit, and the expanded timeline in every field.
+fn assert_equals_full_run(priced: PeriodicTimeline, reference: &Timeline) -> Result<(), String> {
+    prop_assert_eq!(
+        priced.total_time_s().to_bits(),
+        reference.total_time_s().to_bits()
+    );
+    prop_assert!(same_bits(&priced.into_timeline(), reference));
+    Ok(())
+}
+
+fn any_model() -> impl Strategy<Value = ModelConfig> {
+    prop_oneof![
+        Just(ModelConfig::bert_base()),
+        Just(ModelConfig::bert_large()),
+        Just(ModelConfig::gpt_neo_1_3b()),
+        Just(ModelConfig::bigbird_large()),
+        Just(ModelConfig::longformer_large()),
+        Just(ModelConfig::sparse_transformer()),
+    ]
+}
+
+/// A full-sequence grid point: any strategy (SDF16 on a tile it certifies
+/// at), L from 256 to 2,048, batch 1–4, any Fig. 7 library profile.
+fn any_prefill_params() -> impl Strategy<Value = RunParams> {
+    (
+        prop_oneof![
+            Just(SoftmaxStrategy::Baseline),
+            Just(SoftmaxStrategy::Decomposed),
+            Just(SoftmaxStrategy::Recomposed),
+            Just(SoftmaxStrategy::RecomposedFp16),
+            Just(SoftmaxStrategy::OnlineFused),
+        ],
+        prop_oneof![Just(256usize), Just(512), Just(1024), Just(2048)],
+        1usize..=4,
+        0usize..5,
+    )
+        .prop_map(|(strategy, seq_len, batch, profile)| {
+            RunParams::new(seq_len)
+                .strategy(strategy)
+                .tile(TileConfig::new(64, 16))
+                .batch(batch)
+                .profile(LibraryProfile::fig7_lineup().swap_remove(profile))
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Two iterations priced back to back on one `Gpu` equal two full runs
-    /// back to back on another.
+    /// Two iterations priced back to back on one `Gpu`, from the builder
+    /// and from the prebuilt schedule, equal two full runs back to back on
+    /// another.
     #[test]
     fn layer_periodic_pricing_equals_the_full_run(
         first in any_ctxs(),
@@ -72,16 +122,34 @@ proptest! {
         device in any_device(),
     ) {
         let model = ModelConfig::gpt_neo_1_3b();
-        let (mut fast, mut full) = (Gpu::new(device.clone()), Gpu::new(device));
+        let mut fast = Gpu::new(device.clone());
+        let mut full = Gpu::new(device);
         for ctxs in [&first, &second] {
-            let priced = price_batched_decode(&mut fast, &model, ctxs, &params).unwrap();
-            full.run(&build_batched_decode_schedule(&model, ctxs, &params)).unwrap();
+            let schedule = build_batched_decode_schedule(&model, ctxs, &params);
+            full.run(&schedule).unwrap();
             let reference = full.take_timeline();
-            prop_assert_eq!(priced.len(), reference.len());
-            prop_assert!(
-                same_bits(&priced, &reference),
-                "{} rows ({:?}) diverged", ctxs.len(), params.strategy
-            );
+            let priced = price_batched_decode(&mut fast, &model, ctxs, &params).unwrap();
+            assert_equals_full_run(priced, &reference)?;
+            let priced = price_schedule(&mut fast, &model, Some(ctxs), &params, &schedule).unwrap();
+            assert_equals_full_run(priced, &reference)?;
         }
+    }
+
+    /// The tuner's prefill path: a built full-sequence schedule, dense or
+    /// block-sparse, priced layer-periodically equals its full run.
+    #[test]
+    fn prefill_schedules_price_like_the_full_run(
+        model in any_model(),
+        params in any_prefill_params(),
+        device in any_device(),
+    ) {
+        // SDF16 has no block-sparse implementation.
+        prop_assume!(validate_prefill(&model, &params).is_ok());
+        let schedule = build_schedule(&model, &params);
+        let mut full = Gpu::new(device.clone());
+        full.run(&schedule).unwrap();
+        let reference = full.take_timeline();
+        let priced = price_schedule(&mut Gpu::new(device), &model, None, &params, &schedule).unwrap();
+        assert_equals_full_run(priced, &reference)?;
     }
 }

@@ -389,6 +389,43 @@ fn builder_rejects_bad_configurations() {
     assert!(e.to_string().contains("dense"), "{e}");
 }
 
+/// A model no builder can lay out is a typed rejection, not a divide by
+/// zero when the pool sizes its KV blocks or a replica prices a step.
+#[test]
+fn builder_rejects_malformed_architectures() {
+    let base = model();
+    for malformed in [
+        ModelConfig {
+            layers: 0,
+            ..base.clone()
+        },
+        ModelConfig {
+            heads: 0,
+            ..base.clone()
+        },
+        ModelConfig {
+            d_ff: 0,
+            ..base.clone()
+        },
+        ModelConfig { heads: 3, ..base },
+    ] {
+        let e = FleetBuilder::new()
+            .model(malformed.clone())
+            .params(RunParams::new(4096))
+            .replica(DeviceSpec::a100())
+            .workload(small_cfg())
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(
+                e,
+                Error::Model(resoftmax_model::Error::InvalidConfig { .. })
+            ),
+            "{malformed:?}: {e}"
+        );
+    }
+}
+
 /// A 2-prefill + 4-decode disaggregated fleet over `n` requests.
 fn disagg_report(n: usize, link: LinkSpec, router: RouterPolicy) -> FleetReport {
     let cfg = ServeConfig {

@@ -20,15 +20,17 @@
 //!
 //! Only candidates clearing all four are priced; the price is the
 //! simulated end-to-end time of the workload's schedule, which is what the
-//! search minimizes.
+//! search minimizes. The schedule the gates built is priced layer-periodically
+//! (`resoftmax_model::price_schedule`): layers are simulated only until the
+//! L2 state repeats, and the total equals a full run's bit for bit.
 
 use crate::TuneError;
 use resoftmax_analyzer::{ErrorBound, CERT_BUDGET_REL};
 use resoftmax_gpusim::{DeviceSpec, Gpu, KernelDesc, ParallelSplit};
 use resoftmax_model::{
     build_batched_decode_schedule, build_schedule, check_decode_schedule, check_schedule,
-    decode_error_bound, static_error_bound, validate_decode, validate_prefill, ModelConfig,
-    RunParams,
+    decode_error_bound, price_schedule, static_error_bound, validate_decode, validate_prefill,
+    ModelConfig, PeriodicTimeline, RunParams,
 };
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -213,7 +215,15 @@ thread_local! {
     static ORACLE_GPU: RefCell<Option<Gpu>> = const { RefCell::new(None) };
 }
 
-fn simulate(device: &DeviceSpec, schedule: &[KernelDesc]) -> Result<f64, Skip> {
+/// Prices `schedule`, which a precheck built from `(model, ctxs, params)`
+/// (`ctxs` is `Some` for a decode candidate), on this worker's `Gpu`.
+fn simulate(
+    device: &DeviceSpec,
+    model: &ModelConfig,
+    ctxs: Option<&[usize]>,
+    params: &RunParams,
+    schedule: &[KernelDesc],
+) -> Result<PeriodicTimeline, Skip> {
     ORACLE_GPU.with(|slot| {
         let mut slot = slot.borrow_mut();
         if slot.as_ref().is_none_or(|gpu| gpu.device() != device) {
@@ -221,8 +231,7 @@ fn simulate(device: &DeviceSpec, schedule: &[KernelDesc]) -> Result<f64, Skip> {
         }
         let gpu = slot.as_mut().expect("just installed");
         gpu.reset();
-        gpu.run(schedule).map_err(|e| Skip::Launch(e.to_string()))?;
-        Ok(gpu.take_timeline().total_time_s())
+        price_schedule(gpu, model, ctxs, params, schedule).map_err(|e| Skip::Launch(e.to_string()))
     })
 }
 
@@ -235,17 +244,24 @@ pub fn evaluate(
     workload: &TuneWorkload,
     params: &RunParams,
 ) -> Result<f64, Skip> {
-    match workload {
+    let priced = match workload {
         TuneWorkload::Prefill { seq_len, batch } => {
             let params = params.clone().batch(*batch);
             let params = RunParams {
                 seq_len: *seq_len,
                 ..params
             };
-            simulate(device, &precheck(model, &params)?)
+            simulate(device, model, None, &params, &precheck(model, &params)?)
         }
-        TuneWorkload::Decode { ctxs } => simulate(device, &precheck_decode(model, ctxs, params)?),
-    }
+        TuneWorkload::Decode { ctxs } => simulate(
+            device,
+            model,
+            Some(ctxs),
+            params,
+            &precheck_decode(model, ctxs, params)?,
+        ),
+    };
+    priced.map(|priced| priced.total_time_s())
 }
 
 /// The default (untuned) parameters for a workload bucket — the reference
@@ -381,6 +397,58 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(e, Skip::InvalidConfig(_)), "{e}");
+    }
+
+    /// A malformed architecture is pruned as an invalid configuration by
+    /// both prechecks, before any schedule is built.
+    #[test]
+    fn prechecks_reject_malformed_architectures() {
+        let base = ModelConfig::gpt_neo_1_3b();
+        for model in [
+            ModelConfig {
+                layers: 0,
+                ..base.clone()
+            },
+            ModelConfig {
+                heads: 0,
+                ..base.clone()
+            },
+            ModelConfig {
+                d_ff: 0,
+                ..base.clone()
+            },
+            ModelConfig { heads: 3, ..base },
+        ] {
+            let e = precheck(&model, &RunParams::new(512)).unwrap_err();
+            assert!(matches!(e, Skip::InvalidConfig(_)), "{model:?}: {e}");
+            let e = precheck_decode(&model, &[512], &RunParams::new(512)).unwrap_err();
+            assert!(matches!(e, Skip::InvalidConfig(_)), "{model:?}: {e}");
+        }
+    }
+
+    /// The default candidates of one prefill and one decode bucket reach
+    /// their repeating L2 state on an A100 after two layers, so a change
+    /// that defeats the tuner's shortcut fails here rather than only
+    /// slowing tuning down.
+    #[test]
+    #[cfg_attr(miri, ignore = "end-to-end simulation is too slow under miri")]
+    fn default_candidates_simulate_two_layers_on_an_a100() {
+        let device = DeviceSpec::a100();
+        let model = ModelConfig::bert_large();
+        let params = default_params(&TuneWorkload::Prefill {
+            seq_len: 4096,
+            batch: 1,
+        });
+        let schedule = precheck(&model, &params).unwrap();
+        let priced = simulate(&device, &model, None, &params, &schedule).unwrap();
+        assert_eq!(model.layers - priced.repeats(), 2, "prefill/L4096/b1");
+
+        let model = ModelConfig::gpt_neo_1_3b();
+        let ctxs = vec![4096; 8];
+        let params = default_params(&TuneWorkload::Decode { ctxs: ctxs.clone() });
+        let schedule = precheck_decode(&model, &ctxs, &params).unwrap();
+        let priced = simulate(&device, &model, Some(&ctxs), &params, &schedule).unwrap();
+        assert_eq!(model.layers - priced.repeats(), 2, "decode/r8/c4096");
     }
 
     #[test]
