@@ -56,7 +56,6 @@ fn any_kernel() -> impl Strategy<Value = KernelDesc> {
             reads: vec![BufferUse {
                 id: "l0.x".into(),
                 bytes: 64,
-                footprint: 64,
             }],
             writes: vec![],
             meta: KernelMeta {

@@ -83,7 +83,7 @@ fn prefill_schedules_are_pinned() {
             }
         }
     }
-    fp.assert_pinned("build_schedule", 0x78f7_d920_fa35_2687);
+    fp.assert_pinned("build_schedule", 0x63ce_17ac_86d4_20bb);
 }
 
 #[test]
@@ -97,7 +97,7 @@ fn training_schedules_are_pinned() {
             }
         }
     }
-    fp.assert_pinned("build_training_schedule", 0x3709_e9c7_4a04_639b);
+    fp.assert_pinned("build_training_schedule", 0x3cf3_b742_59f4_38cf);
 }
 
 #[test]
@@ -115,7 +115,7 @@ fn batched_decode_schedules_are_pinned() {
             }
         }
     }
-    fp.assert_pinned("build_batched_decode_schedule", 0x1724_0357_2a99_0e2d);
+    fp.assert_pinned("build_batched_decode_schedule", 0xc624_f7d0_8057_5d61);
 }
 
 #[test]
@@ -128,7 +128,7 @@ fn seq2seq_schedules_are_pinned() {
             fp.fold(&build_seq2seq_schedule(&cfg, 1024, 512, &params));
         }
     }
-    fp.assert_pinned("build_seq2seq_schedule", 0x1e92_590c_d618_eed5);
+    fp.assert_pinned("build_seq2seq_schedule", 0xff7c_429a_d68a_120d);
 }
 
 /// Both static bounds for every strategy × T ∈ {16, 32, 64, 128} × context
