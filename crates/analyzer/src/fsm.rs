@@ -72,7 +72,7 @@ impl SdaState {
 pub fn classify(k: &KernelDesc) -> Option<SdaState> {
     let state = match k.category {
         KernelCategory::MatMulQk => SdaState::Qk {
-            fused_ls: k.meta.fused_ls || k.writes.iter().any(|b| b.id.ends_with("x_prime")),
+            fused_ls: k.meta.fused_ls || k.writes.iter().any(|b| b.id.is("x_prime")),
         },
         KernelCategory::Scale => SdaState::Scale,
         KernelCategory::Mask => SdaState::Mask,
@@ -81,7 +81,7 @@ pub fn classify(k: &KernelDesc) -> Option<SdaState> {
         KernelCategory::InterReduction => SdaState::Ir,
         KernelCategory::GlobalScaling => SdaState::Gs,
         KernelCategory::MatMulPv => SdaState::Pv {
-            fused_gs: k.meta.fused_gs || k.reads.iter().any(|b| b.id.ends_with("r_prime")),
+            fused_gs: k.meta.fused_gs || k.reads.iter().any(|b| b.id.is("r_prime")),
         },
         KernelCategory::FusedAttention => SdaState::Fused,
         _ => return None,

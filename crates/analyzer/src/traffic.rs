@@ -445,7 +445,9 @@ pub fn check(spec: &ScheduleSpec, kernels: &[KernelDesc], diags: &mut Vec<Diagno
 mod tests {
     use super::*;
     use crate::spec::ScheduleSpec;
-    use resoftmax_gpusim::{TbSet, TbWork};
+    use resoftmax_gpusim::{Scope, TbSet, TbWork};
+
+    const L0: Scope = Scope::Layer(0);
     use resoftmax_kernels::costs::{common, dense, AttnDims, TileConfig};
 
     fn dims() -> AttnDims {
@@ -461,15 +463,23 @@ mod tests {
         let d = dims();
         let t = TileConfig::default();
         let ks = vec![
-            dense::matmul_qk(&d, t, "l0", dense::QkEpilogue::ScaleMaskLocalSoftmax),
-            dense::matmul_pv(&d, t, "l0", dense::PvPrologue::GlobalScaling),
-            dense::softmax_monolithic(&d, "l0", "scores"),
-            dense::local_softmax(&d, 64, "l0", "scores"),
-            dense::inter_reduction(&d, 64, "l0"),
-            dense::global_scaling(&d, 64, "l0"),
-            dense::fused_mha_online(&d, t, "l0"),
-            common::fc(1024, 1024, 1024, KernelCategory::Fc, "l0", "x", "q", false),
-            common::layernorm(1024, 1024, "l0", "proj", "ln1"),
+            dense::matmul_qk(&d, t, L0, dense::QkEpilogue::ScaleMaskLocalSoftmax),
+            dense::matmul_pv(&d, t, L0, dense::PvPrologue::GlobalScaling),
+            dense::softmax_monolithic(&d, L0, "scores"),
+            dense::local_softmax(&d, 64, L0, "scores"),
+            dense::inter_reduction(&d, 64, L0),
+            dense::global_scaling(&d, 64, L0),
+            dense::fused_mha_online(&d, t, L0),
+            common::fc(
+                1024,
+                1024,
+                1024,
+                KernelCategory::Fc,
+                L0.id("x"),
+                L0.id("q"),
+                false,
+            ),
+            common::layernorm(1024, 1024, L0.id("proj"), L0.id("ln1")),
         ];
         let mut diags = Vec::new();
         check(&spec(), &ks, &mut diags);
@@ -478,7 +488,7 @@ mod tests {
 
     #[test]
     fn overhead_scaled_totals_still_pass() {
-        let mut k = dense::softmax_monolithic(&dims(), "l0", "scores");
+        let mut k = dense::softmax_monolithic(&dims(), L0, "scores");
         let mut s = spec();
         s.softmax_overhead = 1.4;
         if let TbSet::Uniform { work, .. } = &mut k.tbs {
@@ -492,7 +502,7 @@ mod tests {
 
     #[test]
     fn inflated_traffic_is_caught() {
-        let mut k = dense::softmax_monolithic(&dims(), "l0", "scores");
+        let mut k = dense::softmax_monolithic(&dims(), L0, "scores");
         if let TbSet::Uniform { work, .. } = &mut k.tbs {
             work.dram_read_bytes *= 1.5;
         }
@@ -505,7 +515,7 @@ mod tests {
 
     #[test]
     fn over_attribution_is_caught() {
-        let mut k = dense::softmax_monolithic(&dims(), "l0", "scores");
+        let mut k = dense::softmax_monolithic(&dims(), L0, "scores");
         // attribute twice the attention matrix as reads
         k.reads[0].bytes *= 2;
         // keep the formula side quiet by inflating nothing else: the declared
@@ -545,18 +555,13 @@ mod tests {
             row_counts: layout.row_counts(),
         });
         let ks = vec![
-            sparse::bs_matmul_qk(
-                &layout,
-                &d,
-                "l0",
-                sparse::BsQkEpilogue::ScaleMaskLocalSoftmax,
-            ),
-            sparse::bs_softmax_baseline(&layout, &d, "l0"),
-            sparse::bs_local_softmax(&layout, &d, "l0"),
-            sparse::bs_inter_reduction(&layout, &d, "l0"),
-            sparse::bs_global_scaling(&layout, &d, "l0"),
-            sparse::bs_matmul_pv(&layout, &d, "l0", sparse::BsPvPrologue::GlobalScaling),
-            sparse::bs_fused_mha_online(&layout, &d, "l0"),
+            sparse::bs_matmul_qk(&layout, &d, L0, sparse::BsQkEpilogue::ScaleMaskLocalSoftmax),
+            sparse::bs_softmax_baseline(&layout, &d, L0),
+            sparse::bs_local_softmax(&layout, &d, L0),
+            sparse::bs_inter_reduction(&layout, &d, L0),
+            sparse::bs_global_scaling(&layout, &d, L0),
+            sparse::bs_matmul_pv(&layout, &d, L0, sparse::BsPvPrologue::GlobalScaling),
+            sparse::bs_fused_mha_online(&layout, &d, L0),
         ];
         let mut diags = Vec::new();
         check(&s, &ks, &mut diags);

@@ -8,8 +8,8 @@
 //!
 //! We model this at whole-buffer granularity with LRU replacement:
 //!
-//! * A read hits iff the named buffer is fully resident; hits cost no DRAM
-//!   read traffic.
+//! * A read hits iff the buffer is fully resident (buffers are matched by
+//!   their typed [`BufferId`]); hits cost no DRAM read traffic.
 //! * Writes are write-through (DRAM write traffic is always counted — the
 //!   paper likewise counts `m'`/`d'`/`r'` writes) but also install the buffer
 //!   in L2 so a subsequent reader can hit.
@@ -19,6 +19,7 @@
 //!   after LS wrote them, but a 512 MB X' stream intervened" from small
 //!   back-to-back producer/consumer pairs.
 
+use crate::buffer::BufferId;
 use crate::kernel::KernelDesc;
 use std::collections::VecDeque;
 
@@ -27,7 +28,9 @@ use std::collections::VecDeque;
 pub struct L2Cache {
     capacity: u64,
     /// LRU queue of resident buffers, most recent at the back.
-    resident: VecDeque<(String, u64)>,
+    resident: VecDeque<(BufferId, u64)>,
+    /// Sum of the resident buffers' bytes.
+    resident_bytes: u64,
 }
 
 /// DRAM traffic actually performed by one kernel after L2 filtering.
@@ -47,6 +50,7 @@ impl L2Cache {
         L2Cache {
             capacity: capacity_bytes,
             resident: VecDeque::new(),
+            resident_bytes: 0,
         }
     }
 
@@ -57,24 +61,23 @@ impl L2Cache {
 
     /// Bytes currently resident.
     pub fn resident_bytes(&self) -> u64 {
-        self.resident.iter().map(|(_, b)| *b).sum()
+        self.resident_bytes
     }
 
     /// The resident buffers as `(id, bytes)`, least recently used first.
-    pub fn resident(&self) -> impl ExactSizeIterator<Item = (&str, u64)> + '_ {
-        self.resident
-            .iter()
-            .map(|(id, bytes)| (id.as_str(), *bytes))
+    pub fn resident(&self) -> impl ExactSizeIterator<Item = (BufferId, u64)> + '_ {
+        self.resident.iter().copied()
     }
 
     /// Returns `true` if the named buffer is fully resident.
-    pub fn contains(&self, id: &str) -> bool {
-        self.resident.iter().any(|(k, _)| k == id)
+    pub fn contains(&self, id: impl Into<BufferId>) -> bool {
+        self.position(id.into()).is_some()
     }
 
     /// Invalidates everything (e.g. at a model-iteration boundary).
     pub fn flush(&mut self) {
         self.resident.clear();
+        self.resident_bytes = 0;
     }
 
     /// Accounts one kernel's execution: computes the DRAM traffic after L2
@@ -88,12 +91,13 @@ impl L2Cache {
         let total_reads = kernel.tbs.total_read_bytes();
         let total_writes = kernel.tbs.total_write_bytes();
 
-        // 1. Hits: reads of fully-resident buffers.
+        // 1. Hits: reads of fully-resident buffers, each moved to the back.
         let mut hit_bytes: u64 = 0;
         for r in &kernel.reads {
-            if self.contains(&r.id) {
+            if let Some(pos) = self.position(r.id) {
                 hit_bytes += r.bytes;
-                self.touch(&r.id);
+                let entry = self.resident.remove(pos).expect("present");
+                self.resident.push_back(entry);
             }
         }
         // Reads not attributed to any named buffer always miss.
@@ -111,11 +115,17 @@ impl L2Cache {
         // 3. Install written buffers (write-through, but cacheable) and
         // re-install missed reads — each only if it individually fits.
         for w in &kernel.writes {
-            self.insert(&w.id, w.bytes);
+            if w.bytes <= self.capacity {
+                if let Some(pos) = self.position(w.id) {
+                    let (_, bytes) = self.resident.remove(pos).expect("present");
+                    self.resident_bytes -= bytes;
+                }
+                self.push(w.id, w.bytes);
+            }
         }
         for r in &kernel.reads {
-            if !self.contains(&r.id) {
-                self.insert(&r.id, r.bytes);
+            if r.bytes <= self.capacity && self.position(r.id).is_none() {
+                self.push(r.id, r.bytes);
             }
         }
 
@@ -126,23 +136,18 @@ impl L2Cache {
         }
     }
 
-    fn touch(&mut self, id: &str) {
-        if let Some(pos) = self.resident.iter().position(|(k, _)| k == id) {
-            let entry = self.resident.remove(pos).expect("present");
-            self.resident.push_back(entry);
-        }
+    fn position(&self, id: BufferId) -> Option<usize> {
+        self.resident.iter().position(|&(k, _)| k == id)
     }
 
-    fn insert(&mut self, id: &str, bytes: u64) {
-        if bytes > self.capacity {
-            return; // streaming buffer, never cached
-        }
-        if let Some(pos) = self.resident.iter().position(|(k, _)| k == id) {
-            self.resident.remove(pos);
-        }
-        self.resident.push_back((id.to_owned(), bytes));
-        while self.resident_bytes() > self.capacity {
-            self.resident.pop_front();
+    /// Installs a buffer that fits the cache and is not resident, evicting
+    /// least recently used buffers until the total fits again.
+    fn push(&mut self, id: BufferId, bytes: u64) {
+        self.resident.push_back((id, bytes));
+        self.resident_bytes += bytes;
+        while self.resident_bytes > self.capacity {
+            let (_, evicted) = self.resident.pop_front().expect("over capacity");
+            self.resident_bytes -= evicted;
         }
     }
 }
@@ -152,7 +157,11 @@ mod tests {
     use super::*;
     use crate::kernel::{KernelCategory, KernelDesc, TbWork};
 
-    fn mem_kernel(name: &str, reads: &[(&str, u64)], writes: &[(&str, u64)]) -> KernelDesc {
+    fn mem_kernel(
+        name: &str,
+        reads: &[(&'static str, u64)],
+        writes: &[(&'static str, u64)],
+    ) -> KernelDesc {
         let read_total: u64 = reads.iter().map(|(_, b)| b).sum();
         let write_total: u64 = writes.iter().map(|(_, b)| b).sum();
         let mut b = KernelDesc::builder(name, KernelCategory::Other);

@@ -9,9 +9,9 @@
 //!   behind the sparse-softmax inefficiency in §5.1.
 //! * **Bandwidth utilization** ([`bandwidth`]): achieved DRAM bandwidth as a
 //!   saturating function of concurrently memory-active threads.
-//! * **L2 residency** ([`L2Cache`]): whole-buffer LRU determining which
-//!   inter-kernel transfers (e.g. the decomposed softmax's `m'`,`d'`,`r'`)
-//!   avoid DRAM.
+//! * **L2 residency** ([`L2Cache`]): whole-buffer LRU over typed
+//!   [`BufferId`]s determining which inter-kernel transfers (e.g. the
+//!   decomposed softmax's `m'`,`d'`,`r'`) avoid DRAM.
 //! * **Execution** ([`Gpu::launch`]): wave-analytic for uniform grids,
 //!   event-driven fluid simulation for heterogeneous (block-sparse) grids,
 //!   exposing load imbalance and tail waves.
@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod bandwidth;
+mod buffer;
 pub mod chrome_trace;
 mod device;
 mod kernel;
@@ -56,6 +57,7 @@ pub mod roofline;
 mod sim;
 mod trace;
 
+pub use buffer::{BufferId, Scope};
 pub use device::{DeviceSpec, InvalidDeviceError};
 pub use kernel::{
     AccumFormat, BufferUse, KernelCategory, KernelDesc, KernelDescBuilder, KernelMeta,

@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use resoftmax_gpusim::{
-    occupancy, DeviceSpec, Gpu, KernelCategory, KernelDesc, TbGroup, TbShape, TbWork,
+    occupancy, BufferId, DeviceSpec, Gpu, KernelCategory, KernelDesc, Scope, TbGroup, TbShape,
+    TbWork,
 };
 
 fn quiet_a100() -> DeviceSpec {
@@ -187,7 +188,7 @@ proptest! {
 /// A kernel over buffers of a shared pool: it reads the pool entries
 /// `reads` and writes `writes`, spreading their bytes over `count` blocks.
 fn pool_kernel(
-    ids: &[String],
+    ids: &[BufferId],
     sizes: &[u64],
     reads: &[usize],
     writes: &[usize],
@@ -200,10 +201,10 @@ fn pool_kernel(
         TbWork::memory(total(reads) / count as f64, total(writes) / count as f64),
     );
     for &r in reads {
-        b.reads(ids[r].clone(), sizes[r]);
+        b.reads(ids[r], sizes[r]);
     }
     for &w in writes {
-        b.writes(ids[w].clone(), sizes[w]);
+        b.writes(ids[w], sizes[w]);
     }
     b.build()
 }
@@ -227,8 +228,8 @@ proptest! {
             1..12,
         ),
     ) {
-        let ids: Vec<String> = (0..6).map(|i| format!("l{i}.buf")).collect();
-        let renamed: Vec<String> = (0..6).map(|i| format!("other/{}", 5 - i)).collect();
+        let ids: Vec<BufferId> = (0..6).map(|i| Scope::layer(i).id("buf")).collect();
+        let renamed: Vec<BufferId> = (0..6).map(|i| Scope::encoder(5 - i).id("other")).collect();
         let (mut a, mut b) = (Gpu::new(DeviceSpec::a100()), Gpu::new(DeviceSpec::a100()));
         for (reads, writes, count) in &program {
             let ka = pool_kernel(&ids, &sizes, reads, writes, *count);

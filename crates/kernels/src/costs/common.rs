@@ -2,11 +2,14 @@
 //! standalone elementwise layers (scale, mask, bias, activation, residual),
 //! and LayerNorm.
 
-use super::{buf, EXP_FLOP_EQUIV, FP16_BYTES, MATMUL_ROOFLINE_EFFICIENCY, STREAM_EFFICIENCY};
-use resoftmax_gpusim::{KernelCategory, KernelDesc, KernelMeta, ParallelSplit, TbShape, TbWork};
+use super::{EXP_FLOP_EQUIV, FP16_BYTES, MATMUL_ROOFLINE_EFFICIENCY, STREAM_EFFICIENCY};
+use resoftmax_gpusim::{
+    BufferId, KernelCategory, KernelDesc, KernelMeta, ParallelSplit, TbShape, TbWork,
+};
 
 /// Cost of a fully-connected MatMul: `[rows × d_in] · [d_in × d_out]`
-/// (weights stationary), with optional fused bias+activation epilogue.
+/// (weights stationary), with optional fused bias+activation epilogue. It
+/// reads `input` and `output`'s weights, and writes `output`.
 ///
 /// `rows` is typically `L × batch` (heads are not split for FC layers).
 // Flat scalar parameters mirror the kernel's launch signature; a params
@@ -16,9 +19,8 @@ pub fn fc(
     d_in: usize,
     d_out: usize,
     category: KernelCategory,
-    prefix: &str,
-    input: &str,
-    output: &str,
+    input: BufferId,
+    output: BufferId,
     fused_bias_activation: bool,
 ) -> KernelDesc {
     let (tm, tn) = (64usize, 64usize.min(d_out));
@@ -56,9 +58,9 @@ pub fn fc(
             split: Some(ParallelSplit::OutputTiles),
             ..KernelMeta::default()
         })
-        .reads(buf(prefix, input), in_once)
-        .reads(buf(prefix, &format!("{output}.w")), w_once)
-        .writes(buf(prefix, output), out_bytes)
+        .reads(input, in_once)
+        .reads(output.weights(), w_once)
+        .writes(output, out_bytes)
         .build()
 }
 
@@ -73,9 +75,8 @@ pub fn elementwise(
     reads_per_elem: usize,
     category: KernelCategory,
     name: &str,
-    prefix: &str,
-    inputs: &[&str],
-    output: &str,
+    inputs: &[BufferId],
+    output: BufferId,
 ) -> KernelDesc {
     let per_tb = 2048u64;
     let grid = elems.div_ceil(per_tb);
@@ -96,16 +97,16 @@ pub fn elementwise(
             split: Some(ParallelSplit::Elements),
             ..KernelMeta::default()
         });
-    for input in inputs {
-        b.reads(buf(prefix, input), elems * FP16_BYTES as u64);
+    for &input in inputs {
+        b.reads(input, elems * FP16_BYTES as u64);
     }
-    b.writes(buf(prefix, output), elems * FP16_BYTES as u64);
+    b.writes(output, elems * FP16_BYTES as u64);
     b.build()
 }
 
 /// Cost of LayerNorm over `rows` rows of width `d` (two reduction passes +
 /// normalize, row-resident in shared memory like softmax).
-pub fn layernorm(rows: usize, d: usize, prefix: &str, input: &str, output: &str) -> KernelDesc {
+pub fn layernorm(rows: usize, d: usize, input: BufferId, output: BufferId) -> KernelDesc {
     let row_bytes = (d * FP16_BYTES) as f64;
     let work = TbWork {
         // mean + variance + normalize ≈ 8 ops/element, plus one rsqrt per row
@@ -129,8 +130,8 @@ pub fn layernorm(rows: usize, d: usize, prefix: &str, input: &str, output: &str)
             split: Some(ParallelSplit::OutputRows),
             ..KernelMeta::default()
         })
-        .reads(buf(prefix, input), (rows * d * FP16_BYTES) as u64)
-        .writes(buf(prefix, output), (rows * d * FP16_BYTES) as u64)
+        .reads(input, (rows * d * FP16_BYTES) as u64)
+        .writes(output, (rows * d * FP16_BYTES) as u64)
         .build()
 }
 
@@ -146,9 +147,8 @@ mod tests {
             1024,
             1024,
             KernelCategory::Fc,
-            "l0",
-            "hidden",
-            "q",
+            "l0.hidden".into(),
+            "l0.q".into(),
             false,
         );
         let expected_flops = 2.0 * 4096.0 * 1024.0 * 1024.0;
@@ -165,9 +165,8 @@ mod tests {
             1024,
             4096,
             KernelCategory::FeedForward,
-            "l0",
-            "x",
-            "ff1",
+            "l0.x".into(),
+            "l0.ff1".into(),
             false,
         );
         let fused = fc(
@@ -175,9 +174,8 @@ mod tests {
             1024,
             4096,
             KernelCategory::FeedForward,
-            "l0",
-            "x",
-            "ff1",
+            "l0.x".into(),
+            "l0.ff1".into(),
             true,
         );
         assert!(fused.total_flops() > plain.total_flops());
@@ -193,9 +191,8 @@ mod tests {
             1,
             KernelCategory::Scale,
             "scale",
-            "l0",
-            &["scores"],
-            "scores_scaled",
+            &["l0.scores".into()],
+            "l0.scores_scaled".into(),
         );
         // read + write the full attention matrix
         assert_eq!(k.total_dram_bytes(), (elems * 4) as f64);
@@ -204,7 +201,7 @@ mod tests {
 
     #[test]
     fn layernorm_is_memory_bound() {
-        let k = layernorm(4096, 1024, "l0", "x", "x_norm");
+        let k = layernorm(4096, 1024, "l0.x".into(), "l0.x_norm".into());
         let intensity = k.total_flops() / k.total_dram_bytes();
         assert!(intensity < 25.0);
         assert_eq!(k.tbs.count(), 4096);

@@ -1,12 +1,12 @@
 //! Cost profiles for the dense-attention kernels (BERT, GPT-Neo).
 
 use super::{
-    buf, AttnDims, TileConfig, EXP_FLOP_EQUIV, FP16_BYTES, FUSED_MATMUL_EFFICIENCY,
+    AttnDims, TileConfig, EXP_FLOP_EQUIV, FP16_BYTES, FUSED_MATMUL_EFFICIENCY,
     FUSED_MATMUL_F16ACC_EFFICIENCY, GS_PROLOGUE_EFFICIENCY, MATMUL_ROOFLINE_EFFICIENCY,
     SOFTMAX_PHASE_EFFICIENCY, STREAM_EFFICIENCY,
 };
 use resoftmax_gpusim::{
-    AccumFormat, KernelCategory, KernelDesc, KernelMeta, ParallelSplit, TbShape, TbWork,
+    AccumFormat, KernelCategory, KernelDesc, KernelMeta, ParallelSplit, Scope, TbShape, TbWork,
 };
 
 /// Base metadata shared by every dense attention kernel.
@@ -65,7 +65,7 @@ pub enum PvPrologue {
 pub fn matmul_qk(
     dims: &AttnDims,
     tile: TileConfig,
-    prefix: &str,
+    scope: Scope,
     epilogue: QkEpilogue,
 ) -> KernelDesc {
     let inst = dims.instances();
@@ -140,14 +140,14 @@ pub fn matmul_qk(
             }),
             ..attn_meta(dims)
         })
-        .reads(buf(prefix, "q"), q_once)
-        .reads(buf(prefix, "k"), k_once);
+        .reads(scope.id("q"), q_once)
+        .reads(scope.id("k"), k_once);
     if epilogue.fuses_ls() {
-        b.writes(buf(prefix, "x_prime"), dims.attn_bytes())
-            .writes(buf(prefix, "m_prime"), dims.intermediate_bytes(tile.n))
-            .writes(buf(prefix, "d_prime"), dims.intermediate_bytes(tile.n));
+        b.writes(scope.id("x_prime"), dims.attn_bytes())
+            .writes(scope.id("m_prime"), dims.intermediate_bytes(tile.n))
+            .writes(scope.id("d_prime"), dims.intermediate_bytes(tile.n));
     } else {
-        b.writes(buf(prefix, "scores"), dims.attn_bytes());
+        b.writes(scope.id("scores"), dims.attn_bytes());
     }
     b.build()
 }
@@ -159,7 +159,7 @@ pub fn matmul_qk(
 pub fn matmul_pv(
     dims: &AttnDims,
     tile: TileConfig,
-    prefix: &str,
+    scope: Scope,
     prologue: PvPrologue,
 ) -> KernelDesc {
     let inst = dims.instances();
@@ -211,11 +211,11 @@ pub fn matmul_pv(
             accum: Some(AccumFormat::Fp32),
             ..attn_meta(dims)
         })
-        .reads(buf(prefix, p_buf), dims.attn_bytes())
-        .reads(buf(prefix, "v"), v_once)
-        .writes(buf(prefix, "attn_out"), dims.qkv_bytes());
+        .reads(scope.id(p_buf), dims.attn_bytes())
+        .reads(scope.id("v"), v_once)
+        .writes(scope.id("attn_out"), dims.qkv_bytes());
     if matches!(prologue, PvPrologue::GlobalScaling) {
-        b.reads(buf(prefix, "r_prime"), dims.intermediate_bytes(tile.n));
+        b.reads(scope.id("r_prime"), dims.intermediate_bytes(tile.n));
     }
     b.build()
 }
@@ -223,7 +223,7 @@ pub fn matmul_pv(
 /// Cost of the monolithic (row-per-TB) softmax — the TensorRT-style dense
 /// baseline: one sweep-resident row per thread block, three logical passes
 /// over data held in shared memory, full attention matrix in and out of DRAM.
-pub fn softmax_monolithic(dims: &AttnDims, prefix: &str, input: &str) -> KernelDesc {
+pub fn softmax_monolithic(dims: &AttnDims, scope: Scope, input: &'static str) -> KernelDesc {
     let rows = dims.l as u64 * dims.instances();
     let row_bytes = (dims.kv_len * FP16_BYTES) as f64;
     let threads = super::row_threads(dims.kv_len);
@@ -248,16 +248,16 @@ pub fn softmax_monolithic(dims: &AttnDims, prefix: &str, input: &str) -> KernelD
             accum: Some(AccumFormat::Fp32),
             ..attn_meta(dims)
         })
-        .reads(buf(prefix, input), dims.attn_bytes())
-        .writes(buf(prefix, "probs"), dims.attn_bytes())
+        .reads(scope.id(input), dims.attn_bytes())
+        .writes(scope.id("probs"), dims.attn_bytes())
         .build()
 }
 
 /// Cost of the standalone LS kernel (softmax decomposition without fusion,
 /// the paper's intermediate "SD" configuration): square `t × t` tiles, one
 /// per thread block. Partial sums accumulate in binary32.
-pub fn local_softmax(dims: &AttnDims, t: usize, prefix: &str, input: &str) -> KernelDesc {
-    local_softmax_accum(dims, t, prefix, input, AccumFormat::Fp32)
+pub fn local_softmax(dims: &AttnDims, t: usize, scope: Scope, input: &'static str) -> KernelDesc {
+    local_softmax_accum(dims, t, scope, input, AccumFormat::Fp32)
 }
 
 /// [`local_softmax`] with an explicit partial-sum accumulator format; the
@@ -266,8 +266,8 @@ pub fn local_softmax(dims: &AttnDims, t: usize, prefix: &str, input: &str) -> Ke
 pub fn local_softmax_accum(
     dims: &AttnDims,
     t: usize,
-    prefix: &str,
-    input: &str,
+    scope: Scope,
+    input: &'static str,
     accum: AccumFormat,
 ) -> KernelDesc {
     let tiles = dims.l.div_ceil(t) as u64 * dims.kv_len.div_ceil(t) as u64 * dims.instances();
@@ -296,17 +296,17 @@ pub fn local_softmax_accum(
         accum: Some(accum),
         ..attn_meta(dims)
     })
-    .reads(buf(prefix, input), dims.attn_bytes())
-    .writes(buf(prefix, "x_prime"), dims.attn_bytes())
-    .writes(buf(prefix, "m_prime"), dims.intermediate_bytes(t))
-    .writes(buf(prefix, "d_prime"), dims.intermediate_bytes(t))
+    .reads(scope.id(input), dims.attn_bytes())
+    .writes(scope.id("x_prime"), dims.attn_bytes())
+    .writes(scope.id("m_prime"), dims.intermediate_bytes(t))
+    .writes(scope.id("d_prime"), dims.intermediate_bytes(t))
     .build()
 }
 
 /// Cost of the IR kernel: reduces `m'`,`d'` into `r'`. Tiny next to LS/GS
 /// (paper Fig. 5: < 12.5% of decomposed-softmax time; < 2.9% of the original
 /// softmax after fusion).
-pub fn inter_reduction(dims: &AttnDims, t: usize, prefix: &str) -> KernelDesc {
+pub fn inter_reduction(dims: &AttnDims, t: usize, scope: Scope) -> KernelDesc {
     let n_sv = (dims.kv_len / t).max(1);
     let rows_per_tb = 64u64;
     let total_rows = dims.l as u64 * dims.instances();
@@ -337,14 +337,14 @@ pub fn inter_reduction(dims: &AttnDims, t: usize, prefix: &str) -> KernelDesc {
         accum: Some(AccumFormat::Fp32),
         ..attn_meta(dims)
     })
-    .reads(buf(prefix, "m_prime"), dims.intermediate_bytes(t))
-    .reads(buf(prefix, "d_prime"), dims.intermediate_bytes(t))
-    .writes(buf(prefix, "r_prime"), dims.intermediate_bytes(t))
+    .reads(scope.id("m_prime"), dims.intermediate_bytes(t))
+    .reads(scope.id("d_prime"), dims.intermediate_bytes(t))
+    .writes(scope.id("r_prime"), dims.intermediate_bytes(t))
     .build()
 }
 
 /// Cost of the standalone GS kernel: elementwise scaling of `x'` by `r'`.
-pub fn global_scaling(dims: &AttnDims, t: usize, prefix: &str) -> KernelDesc {
+pub fn global_scaling(dims: &AttnDims, t: usize, scope: Scope) -> KernelDesc {
     let elems_per_tb = 2048usize;
     let total = dims.l as u64 * dims.kv_len as u64 * dims.instances();
     let grid = total.div_ceil(elems_per_tb as u64);
@@ -368,9 +368,9 @@ pub fn global_scaling(dims: &AttnDims, t: usize, prefix: &str) -> KernelDesc {
         split: Some(ParallelSplit::Elements),
         ..attn_meta(dims)
     })
-    .reads(buf(prefix, "x_prime"), dims.attn_bytes())
-    .reads(buf(prefix, "r_prime"), dims.intermediate_bytes(t))
-    .writes(buf(prefix, "probs"), dims.attn_bytes())
+    .reads(scope.id("x_prime"), dims.attn_bytes())
+    .reads(scope.id("r_prime"), dims.intermediate_bytes(t))
+    .writes(scope.id("probs"), dims.attn_bytes())
     .build()
 }
 
@@ -380,7 +380,7 @@ pub fn global_scaling(dims: &AttnDims, t: usize, prefix: &str) -> KernelDesc {
 /// touches DRAM at all. The price: a large working set (K/V tiles plus an
 /// f32 output accumulator in shared memory/registers) that caps occupancy,
 /// and the same SFU-heavy inner loop as the LS epilogue.
-pub fn fused_mha_online(dims: &AttnDims, tile: TileConfig, prefix: &str) -> KernelDesc {
+pub fn fused_mha_online(dims: &AttnDims, tile: TileConfig, scope: Scope) -> KernelDesc {
     let inst = dims.instances();
     let grid = dims.l.div_ceil(tile.m) as u64 * inst;
 
@@ -415,16 +415,18 @@ pub fn fused_mha_online(dims: &AttnDims, tile: TileConfig, prefix: &str) -> Kern
         accum: Some(AccumFormat::Fp32),
         ..attn_meta(dims)
     })
-    .reads(buf(prefix, "q"), q_once)
-    .reads(buf(prefix, "k"), k_once)
-    .reads(buf(prefix, "v"), v_once)
-    .writes(buf(prefix, "attn_out"), dims.qkv_bytes())
+    .reads(scope.id("q"), q_once)
+    .reads(scope.id("k"), k_once)
+    .reads(scope.id("v"), v_once)
+    .writes(scope.id("attn_out"), dims.qkv_bytes())
     .build()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const L0: Scope = Scope::Layer(0);
 
     fn bert_dims() -> AttnDims {
         AttnDims::new(4096, 64, 16, 1)
@@ -435,7 +437,7 @@ mod tests {
         let k = matmul_qk(
             &bert_dims(),
             TileConfig::default(),
-            "l0",
+            L0,
             QkEpilogue::ScaleMask,
         );
         let total = k.total_dram_bytes();
@@ -456,13 +458,13 @@ mod tests {
         let plain = matmul_qk(
             &bert_dims(),
             TileConfig::default(),
-            "l0",
+            L0,
             QkEpilogue::ScaleMask,
         );
         let fused = matmul_qk(
             &bert_dims(),
             TileConfig::default(),
-            "l0",
+            L0,
             QkEpilogue::ScaleMaskLocalSoftmax,
         );
         assert!(fused.total_flops() > plain.total_flops());
@@ -478,13 +480,13 @@ mod tests {
         let f32acc = matmul_qk(
             &bert_dims(),
             TileConfig::new(64, 16),
-            "l0",
+            L0,
             QkEpilogue::ScaleMaskLocalSoftmax,
         );
         let f16acc = matmul_qk(
             &bert_dims(),
             TileConfig::new(64, 16),
-            "l0",
+            L0,
             QkEpilogue::ScaleMaskLocalSoftmaxF16Acc,
         );
         // Identical bytes and FLOPs; only the efficiency (and thus time)
@@ -496,17 +498,17 @@ mod tests {
         assert!(f16acc.meta.fused_ls && f16acc.meta.sub_vector == Some(16));
         assert!(f16acc.name.contains("ls16"));
 
-        let ls16 = local_softmax_accum(&bert_dims(), 16, "l0", "scores", AccumFormat::Fp16);
+        let ls16 = local_softmax_accum(&bert_dims(), 16, L0, "scores", AccumFormat::Fp16);
         assert_eq!(ls16.meta.accum, Some(AccumFormat::Fp16));
         assert!(ls16.name.starts_with("ls16"));
-        let ls = local_softmax(&bert_dims(), 16, "l0", "scores");
+        let ls = local_softmax(&bert_dims(), 16, L0, "scores");
         assert_eq!(ls.meta.accum, Some(AccumFormat::Fp32));
         assert_eq!(ls.total_dram_bytes(), ls16.total_dram_bytes());
     }
 
     #[test]
     fn pv_streams_attention_matrix_once() {
-        let k = matmul_pv(&bert_dims(), TileConfig::default(), "l0", PvPrologue::None);
+        let k = matmul_pv(&bert_dims(), TileConfig::default(), L0, PvPrologue::None);
         let reads = k.tbs.total_read_bytes();
         let attn = 512.0 * 1024.0 * 1024.0;
         assert!(reads >= attn, "P streamed: {reads}");
@@ -518,7 +520,7 @@ mod tests {
         let k = matmul_pv(
             &bert_dims(),
             TileConfig::default(),
-            "l0",
+            L0,
             PvPrologue::GlobalScaling,
         );
         assert!(k.reads.iter().any(|b| b.id == "l0.x_prime"));
@@ -528,7 +530,7 @@ mod tests {
 
     #[test]
     fn softmax_sweeps_attention_matrix_twice() {
-        let k = softmax_monolithic(&bert_dims(), "l0", "scores");
+        let k = softmax_monolithic(&bert_dims(), L0, "scores");
         let attn = 512.0 * 1024.0 * 1024.0;
         assert_eq!(k.total_dram_bytes(), 2.0 * attn);
         assert_eq!(k.tbs.count(), 4096 * 16);
@@ -544,11 +546,11 @@ mod tests {
         // Paper §5.1: "By decomposing the softmax layer, the off-chip memory
         // traffic to the attention matrix is doubled."
         let d = bert_dims();
-        let mono = softmax_monolithic(&d, "l0", "scores").total_dram_bytes();
+        let mono = softmax_monolithic(&d, L0, "scores").total_dram_bytes();
         let sd: f64 = [
-            local_softmax(&d, 64, "l0", "scores").total_dram_bytes(),
-            inter_reduction(&d, 64, "l0").total_dram_bytes(),
-            global_scaling(&d, 64, "l0").total_dram_bytes(),
+            local_softmax(&d, 64, L0, "scores").total_dram_bytes(),
+            inter_reduction(&d, 64, L0).total_dram_bytes(),
+            global_scaling(&d, 64, L0).total_dram_bytes(),
         ]
         .iter()
         .sum();
@@ -559,8 +561,8 @@ mod tests {
     #[test]
     fn ir_is_tiny() {
         let d = bert_dims();
-        let ir = inter_reduction(&d, 64, "l0").total_dram_bytes();
-        let mono = softmax_monolithic(&d, "l0", "scores").total_dram_bytes();
+        let ir = inter_reduction(&d, 64, L0).total_dram_bytes();
+        let mono = softmax_monolithic(&d, L0, "scores").total_dram_bytes();
         assert!(ir < 0.05 * mono, "IR {ir} vs softmax {mono}");
     }
 
@@ -568,9 +570,9 @@ mod tests {
     fn grids_cover_edge_cases() {
         // Non-divisible L still produces a covering grid.
         let d = AttnDims::new(100, 64, 2, 1);
-        let k = matmul_qk(&d, TileConfig::default(), "x", QkEpilogue::None);
+        let k = matmul_qk(&d, TileConfig::default(), L0, QkEpilogue::None);
         assert_eq!(k.tbs.count(), 2 * 2 * 2);
-        let s = softmax_monolithic(&d, "x", "scores");
+        let s = softmax_monolithic(&d, L0, "scores");
         assert_eq!(s.tbs.count(), 200);
     }
 }
@@ -579,10 +581,12 @@ mod tests {
 mod online_tests {
     use super::*;
 
+    const L0: Scope = Scope::Layer(0);
+
     #[test]
     fn fused_mha_moves_only_qkv_and_output() {
         let d = AttnDims::new(4096, 64, 16, 1);
-        let k = fused_mha_online(&d, TileConfig::default(), "l0");
+        let k = fused_mha_online(&d, TileConfig::default(), L0);
         // 3 inputs + 1 output, each 8 MB: no attention-matrix traffic at all.
         let expected = 4.0 * d.qkv_bytes() as f64;
         let total = k.total_dram_bytes();
@@ -600,7 +604,7 @@ mod online_tests {
     #[test]
     fn fused_mha_cross_attention_streams_kv_side() {
         let d = AttnDims::cross(1024, 4096, 64, 16, 1);
-        let k = fused_mha_online(&d, TileConfig::default(), "l0");
+        let k = fused_mha_online(&d, TileConfig::default(), L0);
         let expected = (d.q_bytes() + 2 * d.kv_bytes() + d.q_bytes()) as f64;
         assert!((k.total_dram_bytes() - expected).abs() / expected < 0.01);
     }

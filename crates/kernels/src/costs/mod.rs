@@ -17,7 +17,11 @@
 //!   operands small enough to stay L2-resident within a kernel (Q/K/V
 //!   fragments, weights) are amortized across the grid; attention-matrix-
 //!   sized operands are streamed per block. Inter-kernel reuse is the
-//!   simulator's L2 model's job, driven by the buffer declarations.
+//!   simulator's L2 model's job, driven by the buffer declarations: each
+//!   attention builder names its buffers within the caller's
+//!   [`Scope`](resoftmax_gpusim::Scope) (`l3.scores`), and the FC, elementwise
+//!   and LayerNorm builders take [`BufferId`](resoftmax_gpusim::BufferId)s,
+//!   since a layer-boundary kernel reads one layer and writes the next.
 
 pub mod common;
 pub mod dense;
@@ -203,20 +207,6 @@ pub fn row_threads(elems: usize) -> u32 {
     ((elems / 4).clamp(32, 1024).next_multiple_of(32)).min(1024) as u32
 }
 
-/// Derives a buffer id under a prefix (e.g. `buf("l3.h", "scores")` →
-/// `"l3.h.scores"`). Producer and consumer kernels built with the same prefix
-/// agree on identity, which is what drives the simulator's L2 model.
-///
-/// An empty prefix passes `name` through unchanged, letting callers address
-/// buffers across prefixes (layer-boundary activations).
-pub fn buf(prefix: &str, name: &str) -> String {
-    if prefix.is_empty() {
-        name.to_owned()
-    } else {
-        format!("{prefix}.{name}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,10 +234,5 @@ mod tests {
     fn tile_default_matches_paper_observation() {
         let t = TileConfig::default();
         assert!(t.n >= 64);
-    }
-
-    #[test]
-    fn buffer_ids_compose() {
-        assert_eq!(buf("l0", "scores"), "l0.scores");
     }
 }

@@ -14,12 +14,12 @@
 //!   [`TbGroup`]s so the simulator's fluid path sees the heterogeneity.
 
 use super::{
-    buf, AttnDims, EXP_FLOP_EQUIV, FP16_BYTES, FUSED_MATMUL_EFFICIENCY, GS_PROLOGUE_EFFICIENCY,
+    AttnDims, EXP_FLOP_EQUIV, FP16_BYTES, FUSED_MATMUL_EFFICIENCY, GS_PROLOGUE_EFFICIENCY,
     MATMUL_ROOFLINE_EFFICIENCY, SOFTMAX_PHASE_EFFICIENCY, SPARSE_GATHER_EFFICIENCY,
     STREAM_EFFICIENCY,
 };
 use resoftmax_gpusim::{
-    KernelCategory, KernelDesc, KernelMeta, ParallelSplit, TbGroup, TbShape, TbWork,
+    KernelCategory, KernelDesc, KernelMeta, ParallelSplit, Scope, TbGroup, TbShape, TbWork,
 };
 use resoftmax_sparse::BlockLayout;
 
@@ -63,7 +63,7 @@ pub enum BsQkEpilogue {
 pub fn bs_matmul_qk(
     layout: &BlockLayout,
     dims: &AttnDims,
-    prefix: &str,
+    scope: Scope,
     epilogue: BsQkEpilogue,
 ) -> KernelDesc {
     let b = layout.block();
@@ -106,17 +106,17 @@ pub fn bs_matmul_qk(
             split: Some(ParallelSplit::OutputTiles),
             ..bs_meta(layout, dims)
         })
-        .reads(buf(prefix, "q"), q_once)
-        .reads(buf(prefix, "k"), k_once);
+        .reads(scope.id("q"), q_once)
+        .reads(scope.id("k"), k_once);
     match epilogue {
         BsQkEpilogue::ScaleMaskLocalSoftmax => {
             builder
-                .writes(buf(prefix, "x_prime"), nnz_bytes(layout, dims))
-                .writes(buf(prefix, "m_prime"), intermediate_nnz_bytes(layout, dims))
-                .writes(buf(prefix, "d_prime"), intermediate_nnz_bytes(layout, dims));
+                .writes(scope.id("x_prime"), nnz_bytes(layout, dims))
+                .writes(scope.id("m_prime"), intermediate_nnz_bytes(layout, dims))
+                .writes(scope.id("d_prime"), intermediate_nnz_bytes(layout, dims));
         }
         BsQkEpilogue::ScaleMask => {
-            builder.writes(buf(prefix, "scores"), nnz_bytes(layout, dims));
+            builder.writes(scope.id("scores"), nnz_bytes(layout, dims));
         }
     }
     builder.build()
@@ -126,7 +126,7 @@ pub fn bs_matmul_qk(
 /// *allocated for the worst-case full row* (§5.1: "each TB is allocated
 /// memory space equal to the size of the row vector in the worst case"),
 /// while only the row's support moves data.
-pub fn bs_softmax_baseline(layout: &BlockLayout, dims: &AttnDims, prefix: &str) -> KernelDesc {
+pub fn bs_softmax_baseline(layout: &BlockLayout, dims: &AttnDims, scope: Scope) -> KernelDesc {
     let b = layout.block();
     let groups: Vec<TbGroup> = layout
         .row_counts()
@@ -165,15 +165,15 @@ pub fn bs_softmax_baseline(layout: &BlockLayout, dims: &AttnDims, prefix: &str) 
         split: Some(ParallelSplit::OutputRows),
         ..bs_meta(layout, dims)
     })
-    .reads(buf(prefix, "scores"), nnz_bytes(layout, dims))
-    .writes(buf(prefix, "probs"), nnz_bytes(layout, dims))
+    .reads(scope.id("scores"), nnz_bytes(layout, dims))
+    .writes(scope.id("probs"), nnz_bytes(layout, dims))
     .build()
 }
 
 /// Standalone block-sparse LS (the SD configuration): one thread block per
 /// retained block — allocation matches the actual work, restoring bandwidth
 /// utilization.
-pub fn bs_local_softmax(layout: &BlockLayout, dims: &AttnDims, prefix: &str) -> KernelDesc {
+pub fn bs_local_softmax(layout: &BlockLayout, dims: &AttnDims, scope: Scope) -> KernelDesc {
     let b = layout.block();
     let grid = layout.nnz_blocks() as u64 * dims.instances();
     let bb = (b * b * FP16_BYTES) as f64;
@@ -196,15 +196,15 @@ pub fn bs_local_softmax(layout: &BlockLayout, dims: &AttnDims, prefix: &str) -> 
         split: Some(ParallelSplit::RowSegments),
         ..bs_meta(layout, dims)
     })
-    .reads(buf(prefix, "scores"), nnz_bytes(layout, dims))
-    .writes(buf(prefix, "x_prime"), nnz_bytes(layout, dims))
-    .writes(buf(prefix, "m_prime"), intermediate_nnz_bytes(layout, dims))
-    .writes(buf(prefix, "d_prime"), intermediate_nnz_bytes(layout, dims))
+    .reads(scope.id("scores"), nnz_bytes(layout, dims))
+    .writes(scope.id("x_prime"), nnz_bytes(layout, dims))
+    .writes(scope.id("m_prime"), intermediate_nnz_bytes(layout, dims))
+    .writes(scope.id("d_prime"), intermediate_nnz_bytes(layout, dims))
     .build()
 }
 
 /// Block-sparse IR: per-row reduction over that row's retained blocks.
-pub fn bs_inter_reduction(layout: &BlockLayout, dims: &AttnDims, prefix: &str) -> KernelDesc {
+pub fn bs_inter_reduction(layout: &BlockLayout, dims: &AttnDims, scope: Scope) -> KernelDesc {
     let b = layout.block();
     let groups: Vec<TbGroup> = layout
         .row_counts()
@@ -235,14 +235,14 @@ pub fn bs_inter_reduction(layout: &BlockLayout, dims: &AttnDims, prefix: &str) -
         split: Some(ParallelSplit::OutputRows),
         ..bs_meta(layout, dims)
     })
-    .reads(buf(prefix, "m_prime"), intermediate_nnz_bytes(layout, dims))
-    .reads(buf(prefix, "d_prime"), intermediate_nnz_bytes(layout, dims))
-    .writes(buf(prefix, "r_prime"), intermediate_nnz_bytes(layout, dims))
+    .reads(scope.id("m_prime"), intermediate_nnz_bytes(layout, dims))
+    .reads(scope.id("d_prime"), intermediate_nnz_bytes(layout, dims))
+    .writes(scope.id("r_prime"), intermediate_nnz_bytes(layout, dims))
     .build()
 }
 
 /// Standalone block-sparse GS: elementwise over retained blocks.
-pub fn bs_global_scaling(layout: &BlockLayout, dims: &AttnDims, prefix: &str) -> KernelDesc {
+pub fn bs_global_scaling(layout: &BlockLayout, dims: &AttnDims, scope: Scope) -> KernelDesc {
     let b = layout.block();
     let grid = layout.nnz_blocks() as u64 * dims.instances();
     let bb = (b * b * FP16_BYTES) as f64;
@@ -265,9 +265,9 @@ pub fn bs_global_scaling(layout: &BlockLayout, dims: &AttnDims, prefix: &str) ->
         split: Some(ParallelSplit::Elements),
         ..bs_meta(layout, dims)
     })
-    .reads(buf(prefix, "x_prime"), nnz_bytes(layout, dims))
-    .reads(buf(prefix, "r_prime"), intermediate_nnz_bytes(layout, dims))
-    .writes(buf(prefix, "probs"), nnz_bytes(layout, dims))
+    .reads(scope.id("x_prime"), nnz_bytes(layout, dims))
+    .reads(scope.id("r_prime"), intermediate_nnz_bytes(layout, dims))
+    .writes(scope.id("probs"), nnz_bytes(layout, dims))
     .build()
 }
 
@@ -286,7 +286,7 @@ pub enum BsPvPrologue {
 pub fn bs_matmul_pv(
     layout: &BlockLayout,
     dims: &AttnDims,
-    prefix: &str,
+    scope: Scope,
     prologue: BsPvPrologue,
 ) -> KernelDesc {
     let b = layout.block();
@@ -338,18 +338,18 @@ pub fn bs_matmul_pv(
             split: Some(ParallelSplit::OutputRows),
             ..bs_meta(layout, dims)
         })
-        .reads(buf(prefix, p_buf), nnz_bytes(layout, dims))
-        .reads(buf(prefix, "v"), v_once)
-        .writes(buf(prefix, "attn_out"), dims.qkv_bytes());
+        .reads(scope.id(p_buf), nnz_bytes(layout, dims))
+        .reads(scope.id("v"), v_once)
+        .writes(scope.id("attn_out"), dims.qkv_bytes());
     if gs {
-        builder.reads(buf(prefix, "r_prime"), intermediate_nnz_bytes(layout, dims));
+        builder.reads(scope.id("r_prime"), intermediate_nnz_bytes(layout, dims));
     }
     builder.build()
 }
 
 /// Extension: block-sparse fully fused online-softmax attention — one thread
 /// block per output block-row streaming only that row's retained K/V blocks.
-pub fn bs_fused_mha_online(layout: &BlockLayout, dims: &AttnDims, prefix: &str) -> KernelDesc {
+pub fn bs_fused_mha_online(layout: &BlockLayout, dims: &AttnDims, scope: Scope) -> KernelDesc {
     let b = layout.block();
     let q_once = dims.qkv_bytes();
     let k_once = dims.qkv_bytes();
@@ -384,16 +384,18 @@ pub fn bs_fused_mha_online(layout: &BlockLayout, dims: &AttnDims, prefix: &str) 
         split: Some(ParallelSplit::OutputRows),
         ..bs_meta(layout, dims)
     })
-    .reads(buf(prefix, "q"), q_once)
-    .reads(buf(prefix, "k"), k_once)
-    .reads(buf(prefix, "v"), v_once)
-    .writes(buf(prefix, "attn_out"), dims.qkv_bytes())
+    .reads(scope.id("q"), q_once)
+    .reads(scope.id("k"), k_once)
+    .reads(scope.id("v"), v_once)
+    .writes(scope.id("attn_out"), dims.qkv_bytes())
     .build()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const L0: Scope = Scope::Layer(0);
     use resoftmax_sparse::{pattern, BigBirdConfig};
 
     fn fixture() -> (BlockLayout, AttnDims) {
@@ -405,7 +407,7 @@ mod tests {
     #[test]
     fn sparse_traffic_scales_with_density() {
         let (layout, dims) = fixture();
-        let sm = bs_softmax_baseline(&layout, &dims, "l0");
+        let sm = bs_softmax_baseline(&layout, &dims, L0);
         let dense_equiv = 2.0 * dims.attn_bytes() as f64;
         let ratio = sm.total_dram_bytes() / dense_equiv;
         assert!(
@@ -418,7 +420,7 @@ mod tests {
     #[test]
     fn baseline_softmax_underutilizes_memory() {
         let (layout, dims) = fixture();
-        let sm = bs_softmax_baseline(&layout, &dims, "l0");
+        let sm = bs_softmax_baseline(&layout, &dims, L0);
         // interior rows' active fraction equals their support / L
         if let resoftmax_gpusim::TbSet::Grouped(groups) = &sm.tbs {
             let interior = &groups[layout.n_blocks() / 2];
@@ -433,7 +435,7 @@ mod tests {
     #[test]
     fn ls_restores_full_activity() {
         let (layout, dims) = fixture();
-        let ls = bs_local_softmax(&layout, &dims, "l0");
+        let ls = bs_local_softmax(&layout, &dims, L0);
         if let resoftmax_gpusim::TbSet::Uniform { work, .. } = &ls.tbs {
             assert_eq!(work.mem_active_fraction, 1.0);
         } else {
@@ -446,11 +448,11 @@ mod tests {
     #[test]
     fn sd_total_traffic_doubles_baseline_sparse() {
         let (layout, dims) = fixture();
-        let mono = bs_softmax_baseline(&layout, &dims, "l0").total_dram_bytes();
+        let mono = bs_softmax_baseline(&layout, &dims, L0).total_dram_bytes();
         let sd: f64 = [
-            bs_local_softmax(&layout, &dims, "l0").total_dram_bytes(),
-            bs_inter_reduction(&layout, &dims, "l0").total_dram_bytes(),
-            bs_global_scaling(&layout, &dims, "l0").total_dram_bytes(),
+            bs_local_softmax(&layout, &dims, L0).total_dram_bytes(),
+            bs_inter_reduction(&layout, &dims, L0).total_dram_bytes(),
+            bs_global_scaling(&layout, &dims, L0).total_dram_bytes(),
         ]
         .iter()
         .sum();
@@ -460,7 +462,7 @@ mod tests {
     #[test]
     fn pv_groups_expose_imbalance() {
         let (layout, dims) = fixture();
-        let pv = bs_matmul_pv(&layout, &dims, "l0", BsPvPrologue::None);
+        let pv = bs_matmul_pv(&layout, &dims, L0, BsPvPrologue::None);
         if let resoftmax_gpusim::TbSet::Grouped(groups) = &pv.tbs {
             let works: Vec<f64> = groups.iter().map(|g| g.work.tensor_flops).collect();
             let max = works.iter().copied().fold(0.0, f64::max);
@@ -477,10 +479,10 @@ mod tests {
     #[test]
     fn fused_epilogue_and_prologue_swap_buffers() {
         let (layout, dims) = fixture();
-        let qk = bs_matmul_qk(&layout, &dims, "l0", BsQkEpilogue::ScaleMaskLocalSoftmax);
+        let qk = bs_matmul_qk(&layout, &dims, L0, BsQkEpilogue::ScaleMaskLocalSoftmax);
         assert!(qk.writes.iter().any(|b| b.id == "l0.x_prime"));
         assert!(!qk.writes.iter().any(|b| b.id == "l0.scores"));
-        let pv = bs_matmul_pv(&layout, &dims, "l0", BsPvPrologue::GlobalScaling);
+        let pv = bs_matmul_pv(&layout, &dims, L0, BsPvPrologue::GlobalScaling);
         assert!(pv.reads.iter().any(|b| b.id == "l0.x_prime"));
         assert!(pv.reads.iter().any(|b| b.id == "l0.r_prime"));
     }
@@ -488,8 +490,8 @@ mod tests {
     #[test]
     fn ir_intermediates_much_smaller_than_attention() {
         let (layout, dims) = fixture();
-        let ir = bs_inter_reduction(&layout, &dims, "l0");
-        let sm = bs_softmax_baseline(&layout, &dims, "l0");
+        let ir = bs_inter_reduction(&layout, &dims, L0);
+        let sm = bs_softmax_baseline(&layout, &dims, L0);
         assert!(ir.total_dram_bytes() < 0.1 * sm.total_dram_bytes());
     }
 }

@@ -9,10 +9,10 @@
 //! an elementwise `dS` over the support.
 
 use super::{
-    buf, AttnDims, FP16_BYTES, GS_PROLOGUE_EFFICIENCY, MATMUL_ROOFLINE_EFFICIENCY,
+    AttnDims, FP16_BYTES, GS_PROLOGUE_EFFICIENCY, MATMUL_ROOFLINE_EFFICIENCY,
     SOFTMAX_PHASE_EFFICIENCY, SPARSE_GATHER_EFFICIENCY, STREAM_EFFICIENCY,
 };
-use resoftmax_gpusim::{KernelCategory, KernelDesc, TbGroup, TbShape, TbWork};
+use resoftmax_gpusim::{KernelCategory, KernelDesc, Scope, TbGroup, TbShape, TbWork};
 use resoftmax_sparse::BlockLayout;
 
 fn nnz_bytes(layout: &BlockLayout, dims: &AttnDims) -> u64 {
@@ -25,11 +25,11 @@ fn nnz_bytes(layout: &BlockLayout, dims: &AttnDims) -> u64 {
 fn bs_plane_matmul(
     layout: &BlockLayout,
     dims: &AttnDims,
-    prefix: &str,
+    scope: Scope,
     name: &str,
-    plane: &str,
+    plane: &'static str,
     extra_small_reads: usize,
-    output: &str,
+    output: &'static str,
     recomposed: bool,
 ) -> KernelDesc {
     let b = layout.block();
@@ -65,8 +65,8 @@ fn bs_plane_matmul(
     KernelDesc::builder(format!("{name}(L={})", dims.l), KernelCategory::MatMulPv)
         .shape(TbShape::new(256, 16 * 1024, 128))
         .grouped(groups)
-        .reads(buf(prefix, plane), nnz_bytes(layout, dims))
-        .writes(buf(prefix, output), dims.qkv_bytes())
+        .reads(scope.id(plane), nnz_bytes(layout, dims))
+        .writes(scope.id(output), dims.qkv_bytes())
         .build()
 }
 
@@ -74,13 +74,13 @@ fn bs_plane_matmul(
 pub fn bs_matmul_dv(
     layout: &BlockLayout,
     dims: &AttnDims,
-    prefix: &str,
+    scope: Scope,
     recomposed: bool,
 ) -> KernelDesc {
     bs_plane_matmul(
         layout,
         dims,
-        prefix,
+        scope,
         if recomposed {
             "bs_bwd_dv+gs"
         } else {
@@ -98,7 +98,7 @@ pub fn bs_matmul_dv(
 pub fn bs_matmul_dp(
     layout: &BlockLayout,
     dims: &AttnDims,
-    prefix: &str,
+    scope: Scope,
     recomposed: bool,
 ) -> KernelDesc {
     let b = layout.block();
@@ -133,12 +133,12 @@ pub fn bs_matmul_dp(
     builder
         .shape(TbShape::new(256, 16 * 1024, 128))
         .uniform(grid, work)
-        .reads(buf(prefix, "d_attn_out"), small_once)
-        .reads(buf(prefix, "v"), small_once)
-        .writes(buf(prefix, "d_probs"), nnz_bytes(layout, dims));
+        .reads(scope.id("d_attn_out"), small_once)
+        .reads(scope.id("v"), small_once)
+        .writes(scope.id("d_probs"), nnz_bytes(layout, dims));
     if recomposed {
         builder.writes(
-            buf(prefix, "dot_partial"),
+            scope.id("dot_partial"),
             (layout.nnz_blocks() * b * FP16_BYTES) as u64 * dims.instances(),
         );
     }
@@ -148,7 +148,7 @@ pub fn bs_matmul_dp(
 /// Baseline: standalone block-sparse softmax backward — one thread block per
 /// row sized for the worst case, with only the support active (the §5.1
 /// pathology, again).
-pub fn bs_softmax_backward(layout: &BlockLayout, dims: &AttnDims, prefix: &str) -> KernelDesc {
+pub fn bs_softmax_backward(layout: &BlockLayout, dims: &AttnDims, scope: Scope) -> KernelDesc {
     let b = layout.block();
     let groups: Vec<TbGroup> = layout
         .row_counts()
@@ -179,16 +179,16 @@ pub fn bs_softmax_backward(layout: &BlockLayout, dims: &AttnDims, prefix: &str) 
         40,
     ))
     .grouped(groups)
-    .reads(buf(prefix, "probs"), nnz_bytes(layout, dims))
-    .reads(buf(prefix, "d_probs"), nnz_bytes(layout, dims))
-    .writes(buf(prefix, "d_scores"), nnz_bytes(layout, dims))
+    .reads(scope.id("probs"), nnz_bytes(layout, dims))
+    .reads(scope.id("d_probs"), nnz_bytes(layout, dims))
+    .writes(scope.id("d_scores"), nnz_bytes(layout, dims))
     .build()
 }
 
 /// Recomposed: the elementwise `dS` over the retained blocks (after a tiny
 /// row-dot reduction — reuse [`super::sparse::bs_inter_reduction`]-shaped
 /// cost via [`bs_rowdot_reduction`]).
-pub fn bs_ds_elementwise(layout: &BlockLayout, dims: &AttnDims, prefix: &str) -> KernelDesc {
+pub fn bs_ds_elementwise(layout: &BlockLayout, dims: &AttnDims, scope: Scope) -> KernelDesc {
     let b = layout.block();
     let grid = layout.nnz_blocks() as u64 * dims.instances();
     let bb = (b * b * FP16_BYTES) as f64;
@@ -206,18 +206,18 @@ pub fn bs_ds_elementwise(layout: &BlockLayout, dims: &AttnDims, prefix: &str) ->
     )
     .shape(TbShape::new(256, 0, 24))
     .uniform(grid, work)
-    .reads(buf(prefix, "d_probs"), nnz_bytes(layout, dims))
-    .reads(buf(prefix, "x_prime"), nnz_bytes(layout, dims))
+    .reads(scope.id("d_probs"), nnz_bytes(layout, dims))
+    .reads(scope.id("x_prime"), nnz_bytes(layout, dims))
     .reads(
-        buf(prefix, "rowdot"),
+        scope.id("rowdot"),
         (dims.l as u64 * dims.instances()) * FP16_BYTES as u64,
     )
-    .writes(buf(prefix, "d_scores"), nnz_bytes(layout, dims))
+    .writes(scope.id("d_scores"), nnz_bytes(layout, dims))
     .build()
 }
 
 /// Recomposed: reduces the per-block partial row-dots (tiny).
-pub fn bs_rowdot_reduction(layout: &BlockLayout, dims: &AttnDims, prefix: &str) -> KernelDesc {
+pub fn bs_rowdot_reduction(layout: &BlockLayout, dims: &AttnDims, scope: Scope) -> KernelDesc {
     let b = layout.block();
     let groups: Vec<TbGroup> = layout
         .row_counts()
@@ -241,11 +241,11 @@ pub fn bs_rowdot_reduction(layout: &BlockLayout, dims: &AttnDims, prefix: &str) 
     .shape(TbShape::new(128, 4096, 32))
     .grouped(groups)
     .reads(
-        buf(prefix, "dot_partial"),
+        scope.id("dot_partial"),
         (layout.nnz_blocks() * b * FP16_BYTES) as u64 * dims.instances(),
     )
     .writes(
-        buf(prefix, "rowdot"),
+        scope.id("rowdot"),
         (dims.l as u64 * dims.instances()) * FP16_BYTES as u64,
     )
     .build()
@@ -257,13 +257,13 @@ pub fn bs_rowdot_reduction(layout: &BlockLayout, dims: &AttnDims, prefix: &str) 
 pub fn bs_matmul_dq_or_dk(
     layout: &BlockLayout,
     dims: &AttnDims,
-    prefix: &str,
-    output: &str,
+    scope: Scope,
+    output: &'static str,
 ) -> KernelDesc {
     bs_plane_matmul(
         layout,
         dims,
-        prefix,
+        scope,
         &format!("bs_bwd_{output}"),
         "d_scores",
         1,
@@ -275,6 +275,8 @@ pub fn bs_matmul_dq_or_dk(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const L0: Scope = Scope::Layer(0);
     use resoftmax_sparse::{pattern, BigBirdConfig};
 
     fn fixture() -> (BlockLayout, AttnDims) {
@@ -287,7 +289,7 @@ mod tests {
     #[test]
     fn baseline_backward_has_the_utilization_pathology() {
         let (layout, dims) = fixture();
-        let k = bs_softmax_backward(&layout, &dims, "l0");
+        let k = bs_softmax_backward(&layout, &dims, L0);
         if let resoftmax_gpusim::TbSet::Grouped(groups) = &k.tbs {
             let interior = &groups[layout.n_blocks() / 2];
             assert!(interior.work.mem_active_fraction < 0.2);
@@ -300,20 +302,20 @@ mod tests {
     fn recomposed_backward_moves_less_and_streams_well() {
         let (layout, dims) = fixture();
         let baseline: f64 = [
-            bs_matmul_dv(&layout, &dims, "l0", false).total_dram_bytes(),
-            bs_matmul_dp(&layout, &dims, "l0", false).total_dram_bytes(),
-            bs_softmax_backward(&layout, &dims, "l0").total_dram_bytes(),
-            bs_plane_matmul(&layout, &dims, "l0", "dq", "d_scores", 1, "d_q", false)
+            bs_matmul_dv(&layout, &dims, L0, false).total_dram_bytes(),
+            bs_matmul_dp(&layout, &dims, L0, false).total_dram_bytes(),
+            bs_softmax_backward(&layout, &dims, L0).total_dram_bytes(),
+            bs_plane_matmul(&layout, &dims, L0, "dq", "d_scores", 1, "d_q", false)
                 .total_dram_bytes(),
         ]
         .iter()
         .sum();
         let recomposed: f64 = [
-            bs_matmul_dv(&layout, &dims, "l0", true).total_dram_bytes(),
-            bs_matmul_dp(&layout, &dims, "l0", true).total_dram_bytes(),
-            bs_rowdot_reduction(&layout, &dims, "l0").total_dram_bytes(),
-            bs_ds_elementwise(&layout, &dims, "l0").total_dram_bytes(),
-            bs_plane_matmul(&layout, &dims, "l0", "dq", "d_scores", 1, "d_q", false)
+            bs_matmul_dv(&layout, &dims, L0, true).total_dram_bytes(),
+            bs_matmul_dp(&layout, &dims, L0, true).total_dram_bytes(),
+            bs_rowdot_reduction(&layout, &dims, L0).total_dram_bytes(),
+            bs_ds_elementwise(&layout, &dims, L0).total_dram_bytes(),
+            bs_plane_matmul(&layout, &dims, L0, "dq", "d_scores", 1, "d_q", false)
                 .total_dram_bytes(),
         ]
         .iter()
@@ -325,16 +327,7 @@ mod tests {
     #[test]
     fn dq_variant_exists_for_schedules() {
         let (layout, dims) = fixture();
-        let k = bs_plane_matmul(
-            &layout,
-            &dims,
-            "l0",
-            "bs_bwd_dq",
-            "d_scores",
-            1,
-            "d_q",
-            false,
-        );
+        let k = bs_plane_matmul(&layout, &dims, L0, "bs_bwd_dq", "d_scores", 1, "d_q", false);
         assert!(k.reads.iter().any(|b| b.id == "l0.d_scores"));
         assert!(k.writes.iter().any(|b| b.id == "l0.d_q"));
     }

@@ -25,10 +25,10 @@
 //! in a GS prologue.
 
 use super::{
-    buf, AttnDims, TileConfig, FP16_BYTES, GS_PROLOGUE_EFFICIENCY, MATMUL_ROOFLINE_EFFICIENCY,
+    AttnDims, TileConfig, FP16_BYTES, GS_PROLOGUE_EFFICIENCY, MATMUL_ROOFLINE_EFFICIENCY,
     SOFTMAX_PHASE_EFFICIENCY, STREAM_EFFICIENCY,
 };
-use resoftmax_gpusim::{KernelCategory, KernelDesc, TbShape, TbWork};
+use resoftmax_gpusim::{BufferId, KernelCategory, KernelDesc, Scope, TbShape, TbWork};
 
 /// Common shape for backward MatMuls whose large operand is one attention
 /// plane (read or written) and whose other operands are `L × D_head`.
@@ -37,13 +37,13 @@ fn attn_plane_matmul(
     tile: TileConfig,
     name: String,
     category: KernelCategory,
-    plane_reads: &[(String, u64)],
-    plane_writes: &[(String, u64)],
-    small_reads: &[&str],
-    small_write: &str,
+    plane_reads: &[(BufferId, u64)],
+    plane_writes: &[(BufferId, u64)],
+    small_reads: &[&'static str],
+    small_write: &'static str,
     extra_cuda_per_plane_elem: f64,
     efficiency: f64,
-    prefix: &str,
+    scope: Scope,
 ) -> KernelDesc {
     let inst = dims.instances();
     let grid = dims.l.div_ceil(tile.m) as u64 * inst;
@@ -66,26 +66,26 @@ fn attn_plane_matmul(
     b.shape(TbShape::new(256, 16 * 1024, 128))
         .uniform(grid, work);
     for (id, bytes) in plane_reads {
-        b.reads(id.clone(), *bytes);
+        b.reads(*id, *bytes);
     }
     for r in small_reads {
-        b.reads(buf(prefix, r), small_once);
+        b.reads(scope.id(r), small_once);
     }
     for (id, bytes) in plane_writes {
-        b.writes(id.clone(), *bytes);
+        b.writes(*id, *bytes);
     }
-    b.writes(buf(prefix, small_write), dims.qkv_bytes());
+    b.writes(scope.id(small_write), dims.qkv_bytes());
     b.build()
 }
 
 /// `dV = Pᵀ·dOut`. Baseline reads the stored `probs` plane; recomposed
 /// reconstructs `P` from `x'` and `r'` in the prologue (GS fusion, Fig. 6
 /// mirrored).
-pub fn matmul_dv(dims: &AttnDims, tile: TileConfig, prefix: &str, recomposed: bool) -> KernelDesc {
+pub fn matmul_dv(dims: &AttnDims, tile: TileConfig, scope: Scope, recomposed: bool) -> KernelDesc {
     let plane = if recomposed { "x_prime" } else { "probs" };
-    let mut reads = vec![(buf(prefix, plane), dims.attn_bytes())];
+    let mut reads = vec![(scope.id(plane), dims.attn_bytes())];
     if recomposed {
-        reads.push((buf(prefix, "r_prime"), dims.intermediate_bytes(tile.n)));
+        reads.push((scope.id("r_prime"), dims.intermediate_bytes(tile.n)));
     }
     attn_plane_matmul(
         dims,
@@ -106,16 +106,16 @@ pub fn matmul_dv(dims: &AttnDims, tile: TileConfig, prefix: &str, recomposed: bo
         } else {
             MATMUL_ROOFLINE_EFFICIENCY
         },
-        prefix,
+        scope,
     )
 }
 
 /// `dP = dOut·Vᵀ`, writing one attention plane. The recomposed variant adds
 /// a per-sub-vector partial row-dot epilogue (the backward analogue of LS).
-pub fn matmul_dp(dims: &AttnDims, tile: TileConfig, prefix: &str, recomposed: bool) -> KernelDesc {
-    let mut writes = vec![(buf(prefix, "d_probs"), dims.attn_bytes())];
+pub fn matmul_dp(dims: &AttnDims, tile: TileConfig, scope: Scope, recomposed: bool) -> KernelDesc {
+    let mut writes = vec![(scope.id("d_probs"), dims.attn_bytes())];
     if recomposed {
-        writes.push((buf(prefix, "dot_partial"), dims.intermediate_bytes(tile.n)));
+        writes.push((scope.id("dot_partial"), dims.intermediate_bytes(tile.n)));
     }
     attn_plane_matmul(
         dims,
@@ -136,14 +136,14 @@ pub fn matmul_dp(dims: &AttnDims, tile: TileConfig, prefix: &str, recomposed: bo
         } else {
             MATMUL_ROOFLINE_EFFICIENCY
         },
-        prefix,
+        scope,
     )
 }
 
 /// Baseline standalone softmax backward (Eq. 3 as one row kernel): reads the
 /// stored `P` and `dP` planes, writes `dS`. Same barrier-bound monolithic
 /// shape as the forward softmax.
-pub fn softmax_backward_monolithic(dims: &AttnDims, prefix: &str) -> KernelDesc {
+pub fn softmax_backward_monolithic(dims: &AttnDims, scope: Scope) -> KernelDesc {
     let rows = dims.l as u64 * dims.instances();
     let row_bytes = (dims.l * FP16_BYTES) as f64;
     let threads = super::row_threads(dims.l);
@@ -162,15 +162,15 @@ pub fn softmax_backward_monolithic(dims: &AttnDims, prefix: &str) -> KernelDesc 
     )
     .shape(TbShape::new(threads, (2 * dims.l * FP16_BYTES) as u32, 40))
     .uniform(rows, work)
-    .reads(buf(prefix, "probs"), dims.attn_bytes())
-    .reads(buf(prefix, "d_probs"), dims.attn_bytes())
-    .writes(buf(prefix, "d_scores"), dims.attn_bytes())
+    .reads(scope.id("probs"), dims.attn_bytes())
+    .reads(scope.id("d_probs"), dims.attn_bytes())
+    .writes(scope.id("d_scores"), dims.attn_bytes())
     .build()
 }
 
 /// Recomposed: IR-style reduction of the per-sub-vector partial row-dots
 /// into one dot per row (tiny, like the forward IR).
-pub fn rowdot_reduction(dims: &AttnDims, t: usize, prefix: &str) -> KernelDesc {
+pub fn rowdot_reduction(dims: &AttnDims, t: usize, scope: Scope) -> KernelDesc {
     let n_sv = (dims.l / t).max(1);
     let rows_per_tb = 64u64;
     let total_rows = dims.l as u64 * dims.instances();
@@ -189,9 +189,9 @@ pub fn rowdot_reduction(dims: &AttnDims, t: usize, prefix: &str) -> KernelDesc {
     )
     .shape(TbShape::new(128, 4096, 32))
     .uniform(grid, work)
-    .reads(buf(prefix, "dot_partial"), dims.intermediate_bytes(t))
+    .reads(scope.id("dot_partial"), dims.intermediate_bytes(t))
     .writes(
-        buf(prefix, "rowdot"),
+        scope.id("rowdot"),
         (dims.l as u64 * dims.instances()) * FP16_BYTES as u64,
     )
     .build()
@@ -200,7 +200,7 @@ pub fn rowdot_reduction(dims: &AttnDims, t: usize, prefix: &str) -> KernelDesc {
 /// Recomposed: the now-elementwise `dS = x'·r' ⊙ (dP − dot)` as a streaming
 /// kernel — the payoff of decomposing the row dot: no barrier-bound row
 /// kernel remains in the backward pass.
-pub fn ds_elementwise(dims: &AttnDims, t: usize, prefix: &str) -> KernelDesc {
+pub fn ds_elementwise(dims: &AttnDims, t: usize, scope: Scope) -> KernelDesc {
     let elems_per_tb = 2048usize;
     let total = dims.l as u64 * dims.l as u64 * dims.instances();
     let grid = total.div_ceil(elems_per_tb as u64);
@@ -220,14 +220,14 @@ pub fn ds_elementwise(dims: &AttnDims, t: usize, prefix: &str) -> KernelDesc {
     )
     .shape(TbShape::new(256, 0, 24))
     .uniform(grid, work)
-    .reads(buf(prefix, "d_probs"), dims.attn_bytes())
-    .reads(buf(prefix, "x_prime"), dims.attn_bytes())
-    .reads(buf(prefix, "r_prime"), dims.intermediate_bytes(t))
+    .reads(scope.id("d_probs"), dims.attn_bytes())
+    .reads(scope.id("x_prime"), dims.attn_bytes())
+    .reads(scope.id("r_prime"), dims.intermediate_bytes(t))
     .reads(
-        buf(prefix, "rowdot"),
+        scope.id("rowdot"),
         (dims.l as u64 * dims.instances()) * FP16_BYTES as u64,
     )
-    .writes(buf(prefix, "d_scores"), dims.attn_bytes())
+    .writes(scope.id("d_scores"), dims.attn_bytes())
     .build()
 }
 
@@ -237,28 +237,30 @@ pub fn ds_elementwise(dims: &AttnDims, t: usize, prefix: &str) -> KernelDesc {
 pub fn matmul_dq_or_dk(
     dims: &AttnDims,
     tile: TileConfig,
-    prefix: &str,
-    output: &str,
-    small_operand: &str,
+    scope: Scope,
+    output: &'static str,
+    small_operand: &'static str,
 ) -> KernelDesc {
     attn_plane_matmul(
         dims,
         tile,
         format!("bwd_{output}(L={})", dims.l),
         KernelCategory::MatMulPv,
-        &[(buf(prefix, "d_scores"), dims.attn_bytes())],
+        &[(scope.id("d_scores"), dims.attn_bytes())],
         &[],
         &[small_operand],
         output,
         0.0,
         MATMUL_ROOFLINE_EFFICIENCY,
-        prefix,
+        scope,
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const L0: Scope = Scope::Layer(0);
 
     fn dims() -> AttnDims {
         AttnDims::new(4096, 64, 16, 1)
@@ -272,11 +274,11 @@ mod tests {
         let t = TileConfig::default();
         let plane = d.attn_bytes() as f64;
         let total: f64 = [
-            matmul_dv(&d, t, "l0", false).total_dram_bytes(),
-            matmul_dp(&d, t, "l0", false).total_dram_bytes(),
-            softmax_backward_monolithic(&d, "l0").total_dram_bytes(),
-            matmul_dq_or_dk(&d, t, "l0", "d_q", "k").total_dram_bytes(),
-            matmul_dq_or_dk(&d, t, "l0", "d_k", "q").total_dram_bytes(),
+            matmul_dv(&d, t, L0, false).total_dram_bytes(),
+            matmul_dp(&d, t, L0, false).total_dram_bytes(),
+            softmax_backward_monolithic(&d, L0).total_dram_bytes(),
+            matmul_dq_or_dk(&d, t, L0, "d_q", "k").total_dram_bytes(),
+            matmul_dq_or_dk(&d, t, L0, "d_k", "q").total_dram_bytes(),
         ]
         .iter()
         .sum();
@@ -293,12 +295,12 @@ mod tests {
         let t = TileConfig::default();
         let plane = d.attn_bytes() as f64;
         let total: f64 = [
-            matmul_dv(&d, t, "l0", true).total_dram_bytes(),
-            matmul_dp(&d, t, "l0", true).total_dram_bytes(),
-            rowdot_reduction(&d, 64, "l0").total_dram_bytes(),
-            ds_elementwise(&d, 64, "l0").total_dram_bytes(),
-            matmul_dq_or_dk(&d, t, "l0", "d_q", "k").total_dram_bytes(),
-            matmul_dq_or_dk(&d, t, "l0", "d_k", "q").total_dram_bytes(),
+            matmul_dv(&d, t, L0, true).total_dram_bytes(),
+            matmul_dp(&d, t, L0, true).total_dram_bytes(),
+            rowdot_reduction(&d, 64, L0).total_dram_bytes(),
+            ds_elementwise(&d, 64, L0).total_dram_bytes(),
+            matmul_dq_or_dk(&d, t, L0, "d_q", "k").total_dram_bytes(),
+            matmul_dq_or_dk(&d, t, L0, "d_k", "q").total_dram_bytes(),
         ]
         .iter()
         .sum();
@@ -314,7 +316,7 @@ mod tests {
     #[test]
     fn rowdot_is_tiny() {
         let d = dims();
-        let ir = rowdot_reduction(&d, 64, "l0");
+        let ir = rowdot_reduction(&d, 64, L0);
         assert!(ir.total_dram_bytes() < 0.02 * d.attn_bytes() as f64);
     }
 
@@ -323,11 +325,11 @@ mod tests {
         let d = dims();
         let t = TileConfig::default();
         // recomposed dV reads the same x'/r' the forward fused QK wrote
-        let dv = matmul_dv(&d, t, "l0", true);
+        let dv = matmul_dv(&d, t, L0, true);
         assert!(dv.reads.iter().any(|b| b.id == "l0.x_prime"));
         assert!(dv.reads.iter().any(|b| b.id == "l0.r_prime"));
         // baseline softmax bwd reads the forward's probs
-        let sb = softmax_backward_monolithic(&d, "l0");
+        let sb = softmax_backward_monolithic(&d, L0);
         assert!(sb.reads.iter().any(|b| b.id == "l0.probs"));
     }
 }

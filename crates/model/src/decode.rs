@@ -23,10 +23,10 @@ use crate::session::validate_decode;
 use resoftmax_analyzer::{DecodeSpec, ErrorBound, ScheduleSpec};
 use resoftmax_gpusim::{
     AccumFormat, Gpu, KernelCategory, KernelDesc, KernelDescBuilder, KernelMeta, ParallelSplit,
-    TbGroup, TbShape, TbWork,
+    Scope, TbGroup, TbShape, TbWork,
 };
 use resoftmax_kernels::costs::{
-    buf, row_threads, EXP_FLOP_EQUIV, FP16_BYTES, SOFTMAX_PHASE_EFFICIENCY, STREAM_EFFICIENCY,
+    row_threads, EXP_FLOP_EQUIV, FP16_BYTES, SOFTMAX_PHASE_EFFICIENCY, STREAM_EFFICIENCY,
 };
 
 /// Attaches one thread block per attention instance to the builder: `heads`
@@ -117,30 +117,30 @@ impl<'a> DecodeLayers<'a> {
         }
     }
 
-    /// Layer `layer`'s kernels. Every buffer id carries the `l{layer}.`
-    /// prefix (the closing LayerNorm writes the next layer's `l{layer+1}.x`)
-    /// and no kernel name carries the index, so layer `l + 1` is layer `l`
-    /// with every id's layer advanced by one. Its FC/FF kernels are
+    /// Layer `layer`'s kernels. Every buffer id is in the `l{layer}` scope
+    /// (the closing LayerNorm writes the next layer's `l{layer+1}.x`) and no
+    /// kernel name carries the index, so layer `l + 1` is layer `l` with
+    /// every id's layer advanced by one. Its FC/FF kernels are
     /// `ctxs.len()`-row GEMVs, weight-streaming bound.
     fn layer(&self, layer: usize) -> Vec<KernelDesc> {
-        let prefix = format!("l{layer}");
+        let scope = Scope::layer(layer);
         let mut kernels = Vec::new();
         build_layer(
             self.model.d_model,
             self.model.d_ff,
             self.ctxs.len(),
             false,
-            &prefix,
-            &format!("l{}.x", layer + 1),
+            scope,
+            Scope::layer(layer + 1).id("x"),
             &mut kernels,
-            |kernels| self.attention(&prefix, kernels),
+            |kernels| self.attention(scope, kernels),
         );
         apply_ls_split(self.params, &mut kernels);
         kernels
     }
 
     /// One layer's SDA block: GEMVs over each row's KV cache.
-    fn attention(&self, prefix: &str, kernels: &mut Vec<KernelDesc>) {
+    fn attention(&self, scope: Scope, kernels: &mut Vec<KernelDesc>) {
         let DecodeLayers {
             model,
             ctxs,
@@ -207,16 +207,16 @@ impl<'a> DecodeLayers<'a> {
             accum: Some(ls_accum),
             ..KernelMeta::default()
         })
-        .reads(buf(prefix, "k_cache"), cache_total)
-        .reads(buf(prefix, "q"), qkv_total)
-        .reads(buf(prefix, "k"), qkv_total)
+        .reads(scope.id("k_cache"), cache_total)
+        .reads(scope.id("q"), qkv_total)
+        .reads(scope.id("k"), qkv_total)
         .writes(
-            buf(prefix, if recomposed { "x_prime" } else { "scores" }),
+            scope.id(if recomposed { "x_prime" } else { "scores" }),
             row_total,
         );
         if recomposed {
-            qk.writes(buf(prefix, "m_prime"), sv_total)
-                .writes(buf(prefix, "d_prime"), sv_total);
+            qk.writes(scope.id("m_prime"), sv_total)
+                .writes(scope.id("d_prime"), sv_total);
         }
         kernels.push(qk.build());
 
@@ -253,9 +253,9 @@ impl<'a> DecodeLayers<'a> {
                     accum: Some(AccumFormat::Fp32),
                     ..KernelMeta::default()
                 })
-                .reads(buf(prefix, "m_prime"), sv_total)
-                .reads(buf(prefix, "d_prime"), sv_total)
-                .writes(buf(prefix, "r_prime"), sv_total);
+                .reads(scope.id("m_prime"), sv_total)
+                .reads(scope.id("d_prime"), sv_total)
+                .writes(scope.id("r_prime"), sv_total);
             kernels.push(ir.build());
         } else {
             // Monolithic softmax over ONE row per instance: only
@@ -285,8 +285,8 @@ impl<'a> DecodeLayers<'a> {
                 accum: Some(AccumFormat::Fp32),
                 ..KernelMeta::default()
             })
-            .reads(buf(prefix, "scores"), row_total)
-            .writes(buf(prefix, "probs"), row_total);
+            .reads(scope.id("scores"), row_total)
+            .writes(scope.id("probs"), row_total);
             kernels.push(sm.build());
         }
 
@@ -324,16 +324,16 @@ impl<'a> DecodeLayers<'a> {
             accum: Some(AccumFormat::Fp32),
             ..KernelMeta::default()
         })
-        .reads(buf(prefix, "v_cache"), cache_total)
+        .reads(scope.id("v_cache"), cache_total)
         .reads(
-            buf(prefix, if recomposed { "x_prime" } else { "probs" }),
+            scope.id(if recomposed { "x_prime" } else { "probs" }),
             row_total,
         )
-        .reads(buf(prefix, "v"), qkv_total);
+        .reads(scope.id("v"), qkv_total);
         if recomposed {
-            pv.reads(buf(prefix, "r_prime"), sv_total);
+            pv.reads(scope.id("r_prime"), sv_total);
         }
-        pv.writes(buf(prefix, "attn_out"), qkv_total);
+        pv.writes(scope.id("attn_out"), qkv_total);
         kernels.push(pv.build());
     }
 }
@@ -377,7 +377,7 @@ pub fn build_batched_decode_schedule(
 /// The result equals `gpu.run(&build_batched_decode_schedule(model, ctxs,
 /// params))` followed by `gpu.take_timeline()`, every `f64` bit for bit,
 /// but the layers are built and launched one at a time, and only until the
-/// L2 residency repeats with every id's `l{k}.` prefix advanced by one
+/// L2 residency repeats with every id's `l{k}` layer advanced by one
 /// (DESIGN §14). On an A100, GPT-Neo repeats after two of its 24 layers.
 ///
 /// Debug builds also build the full schedule (running its analyzer gate)
@@ -574,7 +574,7 @@ mod tests {
         let r_prime = pv
             .reads
             .iter()
-            .find(|b| b.id.ends_with("r_prime"))
+            .find(|b| b.id.is("r_prime"))
             .expect("recomposed PV must read r_prime");
         let n_sv = 4096_usize.div_ceil(params.tile.n);
         assert_eq!(r_prime.bytes, (n_sv * FP16_BYTES * m.heads) as u64);

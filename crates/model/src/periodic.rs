@@ -12,8 +12,8 @@
 
 use crate::config::ModelConfig;
 use crate::schedule::RunParams;
-use resoftmax_gpusim::{Gpu, KernelDesc, KernelStats, LaunchError, Timeline};
-use std::borrow::{Borrow, Cow};
+use resoftmax_gpusim::{BufferId, Gpu, KernelDesc, KernelStats, LaunchError, Timeline};
+use std::borrow::Borrow;
 
 /// A priced schedule in compact form: the kernels actually simulated, the
 /// last `period` of which repeat `repeats` more times in the full run.
@@ -59,27 +59,6 @@ impl PeriodicTimeline {
     }
 }
 
-/// `id` with its layer prefix advanced by one (`l3.q` → `l4.q`); an id
-/// without a canonical `l{k}.` prefix is returned unchanged, so the map is
-/// injective.
-pub(crate) fn shift_layer(id: &str) -> Cow<'_, str> {
-    let Some(rest) = id.strip_prefix('l') else {
-        return Cow::Borrowed(id);
-    };
-    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
-    let canonical = digits == 1 || (digits > 1 && !rest.starts_with('0'));
-    match rest[..digits]
-        .parse::<usize>()
-        .ok()
-        .and_then(|k| k.checked_add(1))
-    {
-        Some(next) if canonical && rest[digits..].starts_with('.') => {
-            Cow::Owned(format!("l{next}{}", &rest[digits..]))
-        }
-        _ => Cow::Borrowed(id),
-    }
-}
-
 /// `kernels` with every buffer id's layer advanced by one.
 #[cfg(test)]
 pub(crate) fn shifted(kernels: &[KernelDesc]) -> Vec<KernelDesc> {
@@ -88,7 +67,7 @@ pub(crate) fn shifted(kernels: &[KernelDesc]) -> Vec<KernelDesc> {
         .cloned()
         .map(|mut k| {
             for b in k.reads.iter_mut().chain(k.writes.iter_mut()) {
-                b.id = shift_layer(&b.id).into_owned();
+                b.id = b.id.next_layer();
             }
             k
         })
@@ -104,18 +83,18 @@ pub(crate) fn shifted(kernels: &[KernelDesc]) -> Vec<KernelDesc> {
 /// compared with the residency the layer started from, every id's layer
 /// advanced by one. Once they match, the state the next layer starts from
 /// is the state this one started from under that renaming. Layer `l + 1`
-/// is layer `l` with its ids renamed, the L2 model compares ids only for
-/// equality, and kernel names carry no layer index, so every remaining
+/// is layer `l` with its ids renamed, the L2 model compares typed ids only
+/// for equality, and kernel names carry no layer index, so every remaining
 /// layer yields this layer's stats: they are counted, not simulated.
 pub(crate) fn price_layers<K: Borrow<[KernelDesc]>>(
     gpu: &mut Gpu,
     layers: usize,
     mut layer: impl FnMut(usize) -> K,
 ) -> Result<PeriodicTimeline, LaunchError> {
-    let residency = |gpu: &Gpu| -> Vec<(String, u64)> {
+    let residency = |gpu: &Gpu| -> Vec<(BufferId, u64)> {
         gpu.l2()
             .resident()
-            .map(|(id, bytes)| (shift_layer(id).into_owned(), bytes))
+            .map(|(id, bytes)| (id.next_layer(), bytes))
             .collect()
     };
     // The residency this layer starts from, ids already advanced a layer.
@@ -123,8 +102,7 @@ pub(crate) fn price_layers<K: Borrow<[KernelDesc]>>(
     for l in 0..layers {
         let first = gpu.timeline().len();
         gpu.run(layer(l).borrow())?;
-        let repeats =
-            (gpu.l2().resident()).eq(start.iter().map(|(id, bytes)| (id.as_str(), *bytes)));
+        let repeats = gpu.l2().resident().eq(start.iter().copied());
         if repeats {
             let period = gpu.timeline().len() - first;
             return Ok(PeriodicTimeline {
@@ -223,11 +201,28 @@ mod tests {
 
     #[test]
     fn shift_layer_advances_canonical_prefixes_only() {
-        assert_eq!(shift_layer("l0.x"), "l1.x");
-        assert_eq!(shift_layer("l9.ff2.w"), "l10.ff2.w");
-        assert_eq!(shift_layer("l23.k_cache"), "l24.k_cache");
-        for unchanged in ["x", "ln1", "l.x", "l03.x", "lx.3", "l7"] {
-            assert_eq!(shift_layer(unchanged), unchanged);
+        for (id, next) in [
+            ("l0.x", "l1.x"),
+            ("l9.ff2.w", "l10.ff2.w"),
+            ("l23.k_cache", "l24.k_cache"),
+        ] {
+            let shifted = BufferId::from(id).next_layer();
+            assert_eq!(shifted, BufferId::from(next));
+            assert_eq!(shifted.to_string(), next);
+        }
+        for unchanged in [
+            "x",
+            "ln1",
+            "l.x",
+            "l03.x",
+            "lx.3",
+            "l7",
+            "enc0.x",
+            "dec3.self.q",
+        ] {
+            let shifted = BufferId::from(unchanged).next_layer();
+            assert_eq!(shifted, BufferId::from(unchanged));
+            assert_eq!(shifted.to_string(), unchanged);
         }
     }
 

@@ -13,7 +13,9 @@
 use crate::config::ModelConfig;
 use crate::library::{LibraryProfile, SparseSupport};
 use resoftmax_analyzer::{error_model, ErrorBound, ScheduleSpec, SparseSpec, StrategyKind};
-use resoftmax_gpusim::{AccumFormat, KernelCategory, KernelDesc, ParallelSplit, TbSet};
+use resoftmax_gpusim::{
+    AccumFormat, BufferId, KernelCategory, KernelDesc, ParallelSplit, Scope, TbSet,
+};
 use resoftmax_kernels::costs::{common, dense, sparse, AttnDims, TileConfig};
 use resoftmax_sparse::BlockLayout;
 use serde::{Deserialize, Serialize};
@@ -250,22 +252,21 @@ pub(crate) fn build_schedule_on(
         1,
         KernelCategory::Other,
         "embedding",
-        "",
-        &["tokens"],
-        "l0.x",
+        &[Scope::Global.id("tokens")],
+        Scope::layer(0).id("x"),
     ));
 
     for layer in 0..model.layers {
-        let prefix = format!("l{layer}");
+        let scope = Scope::layer(layer);
         build_layer(
             model.d_model,
             model.d_ff,
             rows,
             profile.separate_elementwise,
-            &prefix,
-            &format!("l{}.x", layer + 1),
+            scope,
+            Scope::layer(layer + 1).id("x"),
             &mut kernels,
-            |kernels| build_attention(model, params, layout, &prefix, kernels),
+            |kernels| build_attention(model, params, layout, scope, kernels),
         );
     }
 
@@ -386,7 +387,7 @@ pub fn static_error_bound(model: &ModelConfig, params: &RunParams) -> Option<Err
 }
 
 /// Emits one transformer layer over `rows` token rows: the QKV projections
-/// of `{prefix}.x`, the SDA block `attention` emits, the output projection
+/// of `scope`'s `x`, the SDA block `attention` emits, the output projection
 /// and LayerNorm, the FeedForward block, and the closing LayerNorm that
 /// writes `next_x`. With `separate_elementwise`, bias, GeLU and the
 /// residual adds run as standalone kernels (HuggingFace-style) instead of
@@ -396,8 +397,8 @@ pub(crate) fn build_layer(
     d_ff: usize,
     rows: usize,
     separate_elementwise: bool,
-    prefix: &str,
-    next_x: &str,
+    scope: Scope,
+    next_x: BufferId,
     kernels: &mut Vec<KernelDesc>,
     attention: impl FnOnce(&mut Vec<KernelDesc>),
 ) {
@@ -410,9 +411,8 @@ pub(crate) fn build_layer(
             d_model,
             d_model,
             KernelCategory::Fc,
-            prefix,
-            "x",
-            out,
+            scope.id("x"),
+            scope.id(out),
             fused_elementwise,
         ));
         if separate_elementwise {
@@ -422,9 +422,8 @@ pub(crate) fn build_layer(
                 1,
                 KernelCategory::Other,
                 &format!("bias_{out}"),
-                prefix,
-                &[out],
-                out,
+                &[scope.id(out)],
+                scope.id(out),
             ));
         }
     }
@@ -438,9 +437,8 @@ pub(crate) fn build_layer(
         d_model,
         d_model,
         KernelCategory::Fc,
-        prefix,
-        "attn_out",
-        "proj",
+        scope.id("attn_out"),
+        scope.id("proj"),
         fused_elementwise,
     ));
     if separate_elementwise {
@@ -450,12 +448,16 @@ pub(crate) fn build_layer(
             2,
             KernelCategory::Other,
             "residual1",
-            prefix,
-            &["proj", "x"],
-            "proj",
+            &[scope.id("proj"), scope.id("x")],
+            scope.id("proj"),
         ));
     }
-    kernels.push(common::layernorm(rows, d_model, prefix, "proj", "ln1"));
+    kernels.push(common::layernorm(
+        rows,
+        d_model,
+        scope.id("proj"),
+        scope.id("ln1"),
+    ));
 
     // FeedForward block.
     kernels.push(common::fc(
@@ -463,9 +465,8 @@ pub(crate) fn build_layer(
         d_model,
         d_ff,
         KernelCategory::FeedForward,
-        prefix,
-        "ln1",
-        "ff1",
+        scope.id("ln1"),
+        scope.id("ff1"),
         fused_elementwise,
     ));
     if separate_elementwise {
@@ -475,9 +476,8 @@ pub(crate) fn build_layer(
             1,
             KernelCategory::Activation,
             "gelu",
-            prefix,
-            &["ff1"],
-            "ff1",
+            &[scope.id("ff1")],
+            scope.id("ff1"),
         ));
     }
     kernels.push(common::fc(
@@ -485,9 +485,8 @@ pub(crate) fn build_layer(
         d_ff,
         d_model,
         KernelCategory::FeedForward,
-        prefix,
-        "ff1",
-        "ff2",
+        scope.id("ff1"),
+        scope.id("ff2"),
         false,
     ));
     if separate_elementwise {
@@ -497,19 +496,12 @@ pub(crate) fn build_layer(
             2,
             KernelCategory::Other,
             "residual2",
-            prefix,
-            &["ff2", "ln1"],
-            "ff2",
+            &[scope.id("ff2"), scope.id("ln1")],
+            scope.id("ff2"),
         ));
     }
     // Final LayerNorm hands the activation to the next layer.
-    kernels.push(common::layernorm(
-        rows,
-        d_model,
-        "",
-        &format!("{prefix}.ff2"),
-        next_x,
-    ));
+    kernels.push(common::layernorm(rows, d_model, scope.id("ff2"), next_x));
 }
 
 /// Emits one layer's SDA block: on `layout`'s block-sparse kernels when it is
@@ -518,7 +510,7 @@ fn build_attention(
     model: &ModelConfig,
     params: &RunParams,
     layout: Option<&BlockLayout>,
-    prefix: &str,
+    scope: Scope,
     kernels: &mut Vec<KernelDesc>,
 ) {
     let dims = AttnDims::new(params.seq_len, model.d_head(), model.heads, params.batch);
@@ -543,7 +535,7 @@ fn build_attention(
         );
         let start = kernels.len();
         if strategy == SoftmaxStrategy::OnlineFused {
-            kernels.push(sparse::bs_fused_mha_online(layout, &dims, prefix));
+            kernels.push(sparse::bs_fused_mha_online(layout, &dims, scope));
         } else {
             let (epilogue, prologue) = if strategy.is_recomposed() {
                 (
@@ -553,19 +545,19 @@ fn build_attention(
             } else {
                 (sparse::BsQkEpilogue::ScaleMask, sparse::BsPvPrologue::None)
             };
-            kernels.push(sparse::bs_matmul_qk(layout, &dims, prefix, epilogue));
+            kernels.push(sparse::bs_matmul_qk(layout, &dims, scope, epilogue));
             match strategy {
                 SoftmaxStrategy::Baseline => {
-                    kernels.push(sparse::bs_softmax_baseline(layout, &dims, prefix));
+                    kernels.push(sparse::bs_softmax_baseline(layout, &dims, scope));
                 }
                 SoftmaxStrategy::Decomposed => kernels.extend([
-                    sparse::bs_local_softmax(layout, &dims, prefix),
-                    sparse::bs_inter_reduction(layout, &dims, prefix),
-                    sparse::bs_global_scaling(layout, &dims, prefix),
+                    sparse::bs_local_softmax(layout, &dims, scope),
+                    sparse::bs_inter_reduction(layout, &dims, scope),
+                    sparse::bs_global_scaling(layout, &dims, scope),
                 ]),
-                _ => kernels.push(sparse::bs_inter_reduction(layout, &dims, prefix)),
+                _ => kernels.push(sparse::bs_inter_reduction(layout, &dims, scope)),
             }
-            kernels.push(sparse::bs_matmul_pv(layout, &dims, prefix, prologue));
+            kernels.push(sparse::bs_matmul_pv(layout, &dims, scope, prologue));
         }
         for k in &mut kernels[start..] {
             scale_work(k, gather_penalty);
@@ -579,7 +571,7 @@ fn build_attention(
         params.strategy,
         params.tile,
         profile.separate_scale_mask,
-        prefix,
+        scope,
         kernels,
     );
 }
@@ -598,12 +590,12 @@ pub(crate) fn dense_attention(
     strategy: SoftmaxStrategy,
     tile: TileConfig,
     separate_scale_mask: bool,
-    prefix: &str,
+    scope: Scope,
     kernels: &mut Vec<KernelDesc>,
 ) {
     let t = tile.n;
     if strategy == SoftmaxStrategy::OnlineFused {
-        kernels.push(dense::fused_mha_online(dims, tile, prefix));
+        kernels.push(dense::fused_mha_online(dims, tile, scope));
         return;
     }
     let recomposed = strategy.is_recomposed();
@@ -615,7 +607,7 @@ pub(crate) fn dense_attention(
             AccumFormat::Fp16 => dense::QkEpilogue::ScaleMaskLocalSoftmaxF16Acc,
         },
     };
-    kernels.push(dense::matmul_qk(dims, tile, prefix, epilogue));
+    kernels.push(dense::matmul_qk(dims, tile, scope, epilogue));
     if separate_scale_mask {
         let elems = dims.attn_bytes() / 2;
         kernels.push(common::elementwise(
@@ -624,9 +616,8 @@ pub(crate) fn dense_attention(
             1,
             KernelCategory::Scale,
             "scale",
-            prefix,
-            &["scores"],
-            "scores",
+            &[scope.id("scores")],
+            scope.id("scores"),
         ));
         kernels.push(common::elementwise(
             elems,
@@ -634,26 +625,25 @@ pub(crate) fn dense_attention(
             2,
             KernelCategory::Mask,
             "mask",
-            prefix,
-            &["scores"],
-            "scores",
+            &[scope.id("scores")],
+            scope.id("scores"),
         ));
     }
     if strategy == SoftmaxStrategy::Baseline {
-        kernels.push(dense::softmax_monolithic(dims, prefix, "scores"));
+        kernels.push(dense::softmax_monolithic(dims, scope, "scores"));
     } else {
         if !epilogue.fuses_ls() {
             kernels.push(dense::local_softmax_accum(
                 dims,
                 t,
-                prefix,
+                scope,
                 "scores",
                 strategy.ls_accum(),
             ));
         }
-        kernels.push(dense::inter_reduction(dims, t, prefix));
+        kernels.push(dense::inter_reduction(dims, t, scope));
         if !recomposed {
-            kernels.push(dense::global_scaling(dims, t, prefix));
+            kernels.push(dense::global_scaling(dims, t, scope));
         }
     }
     let prologue = if recomposed {
@@ -661,7 +651,7 @@ pub(crate) fn dense_attention(
     } else {
         dense::PvPrologue::None
     };
-    kernels.push(dense::matmul_pv(dims, tile, prefix, prologue));
+    kernels.push(dense::matmul_pv(dims, tile, scope, prologue));
 }
 
 #[cfg(test)]
@@ -700,7 +690,7 @@ mod tests {
             .iter()
             .find(|k| k.category == KernelCategory::MatMulQk)
             .unwrap();
-        assert!(qk.writes.iter().any(|b| b.id.ends_with("x_prime")));
+        assert!(qk.writes.iter().any(|b| b.id.is("x_prime")));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::engine::{simulate_schedule, RunReport};
 use crate::error::Error;
 use crate::schedule::{build_layer, dense_attention, RunParams};
 use crate::session::certify;
-use resoftmax_gpusim::{DeviceSpec, KernelCategory, KernelDesc};
+use resoftmax_gpusim::{DeviceSpec, KernelCategory, KernelDesc, Scope};
 use resoftmax_kernels::costs::{common, AttnDims};
 use serde::{Deserialize, Serialize};
 
@@ -68,67 +68,69 @@ pub fn build_seq2seq_schedule(
     let mut kernels = Vec::new();
     let d_model = cfg.d_model;
     let (src_rows, tgt_rows) = (src_len * params.batch, tgt_len * params.batch);
-    let attention = |dims: AttnDims, prefix: &str, kernels: &mut Vec<KernelDesc>| {
-        dense_attention(&dims, params.strategy, params.tile, false, prefix, kernels);
+    let attention = |dims: AttnDims, scope: Scope, kernels: &mut Vec<KernelDesc>| {
+        dense_attention(&dims, params.strategy, params.tile, false, scope, kernels);
     };
     let self_dims = |len| AttnDims::new(len, cfg.d_head(), cfg.heads, params.batch);
 
     for layer in 0..cfg.encoder_layers {
-        let prefix = format!("enc{layer}");
+        let scope = Scope::encoder(layer);
         build_layer(
             d_model,
             cfg.d_ff,
             src_rows,
             false,
-            &prefix,
-            &format!("enc{}.x", layer + 1),
+            scope,
+            Scope::encoder(layer + 1).id("x"),
             &mut kernels,
-            |kernels| attention(self_dims(src_len), &prefix, kernels),
+            |kernels| attention(self_dims(src_len), scope, kernels),
         );
     }
-    let enc_out = format!("enc{}.x", cfg.encoder_layers);
+    let enc_out = Scope::encoder(cfg.encoder_layers).id("x");
 
     for layer in 0..cfg.decoder_layers {
         // Causal self-attention over the target.
-        let prefix = format!("dec{layer}.self");
+        let scope = Scope::decoder_self(layer);
         for out in ["q", "k", "v"] {
             kernels.push(common::fc(
                 tgt_rows,
                 d_model,
                 d_model,
                 KernelCategory::Fc,
-                &prefix,
-                "x",
-                out,
+                scope.id("x"),
+                scope.id(out),
                 true,
             ));
         }
-        attention(self_dims(tgt_len), &prefix, &mut kernels);
+        attention(self_dims(tgt_len), scope, &mut kernels);
         kernels.push(common::fc(
             tgt_rows,
             d_model,
             d_model,
             KernelCategory::Fc,
-            &prefix,
-            "attn_out",
-            "proj",
+            scope.id("attn_out"),
+            scope.id("proj"),
             true,
         ));
-        kernels.push(common::layernorm(tgt_rows, d_model, &prefix, "proj", "ln1"));
-        let self_out = format!("{prefix}.ln1");
+        let self_out = scope.id("ln1");
+        kernels.push(common::layernorm(
+            tgt_rows,
+            d_model,
+            scope.id("proj"),
+            self_out,
+        ));
 
         // Cross-attention: queries from the decoder, K/V from the encoder
         // output (§2.1's "two other inputs receiving the matrix produced
         // from the encoder") — a rectangular tgt_len × src_len matrix.
-        let prefix = format!("dec{layer}.cross");
+        let scope = Scope::decoder_cross(layer);
         kernels.push(common::fc(
             tgt_rows,
             d_model,
             d_model,
             KernelCategory::Fc,
-            "",
-            &self_out,
-            &format!("{prefix}.q"),
+            self_out,
+            scope.id("q"),
             true,
         ));
         for out in ["k", "v"] {
@@ -137,33 +139,35 @@ pub fn build_seq2seq_schedule(
                 d_model,
                 d_model,
                 KernelCategory::Fc,
-                "",
-                &enc_out,
-                &format!("{prefix}.{out}"),
+                enc_out,
+                scope.id(out),
                 true,
             ));
         }
         let cross_dims = AttnDims::cross(tgt_len, src_len, cfg.d_head(), cfg.heads, params.batch);
-        attention(cross_dims, &prefix, &mut kernels);
+        attention(cross_dims, scope, &mut kernels);
         kernels.push(common::fc(
             tgt_rows,
             d_model,
             d_model,
             KernelCategory::Fc,
-            &prefix,
-            "attn_out",
-            "proj",
+            scope.id("attn_out"),
+            scope.id("proj"),
             true,
         ));
-        kernels.push(common::layernorm(tgt_rows, d_model, &prefix, "proj", "ln2"));
+        kernels.push(common::layernorm(
+            tgt_rows,
+            d_model,
+            scope.id("proj"),
+            scope.id("ln2"),
+        ));
         kernels.push(common::fc(
             tgt_rows,
             d_model,
             cfg.d_ff,
             KernelCategory::FeedForward,
-            &prefix,
-            "ln2",
-            "ff1",
+            scope.id("ln2"),
+            scope.id("ff1"),
             true,
         ));
         kernels.push(common::fc(
@@ -171,17 +175,15 @@ pub fn build_seq2seq_schedule(
             cfg.d_ff,
             d_model,
             KernelCategory::FeedForward,
-            &prefix,
-            "ff1",
-            "ff2",
+            scope.id("ff1"),
+            scope.id("ff2"),
             false,
         ));
         kernels.push(common::layernorm(
             tgt_rows,
             d_model,
-            "",
-            &format!("{prefix}.ff2"),
-            &format!("dec{}.self.x", layer + 1),
+            scope.id("ff2"),
+            Scope::decoder_self(layer + 1).id("x"),
         ));
     }
     kernels
@@ -290,7 +292,9 @@ mod tests {
             .iter()
             .find(|k| {
                 k.category == KernelCategory::MatMulQk
-                    && k.writes.iter().any(|b| b.id.starts_with("dec0.cross"))
+                    && k.writes
+                        .iter()
+                        .any(|b| b.id.scope() == Scope::decoder_cross(0))
             })
             .expect("cross attention QK");
         let expected = (1024 * 2048 * 2) as f64 * 16.0; // fp16 × heads

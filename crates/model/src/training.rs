@@ -19,7 +19,7 @@
 
 use crate::config::ModelConfig;
 use crate::schedule::{build_schedule_on, uses_sparse_kernels, RunParams, SoftmaxStrategy};
-use resoftmax_gpusim::{KernelCategory, KernelDesc};
+use resoftmax_gpusim::{KernelCategory, KernelDesc, Scope};
 use resoftmax_kernels::costs::{common, sparse_training, training, AttnDims};
 
 /// Builds the kernel schedule of one training iteration (forward + backward),
@@ -59,10 +59,15 @@ pub fn build_training_schedule(model: &ModelConfig, params: &RunParams) -> Vec<K
 
     // Backward pass, reverse layer order.
     for layer in (0..model.layers).rev() {
-        let prefix = format!("l{layer}");
+        let scope = Scope::layer(layer);
 
         // LayerNorm-2 backward (reads dY + stats, writes dX; ~LN cost).
-        kernels.push(common::layernorm(rows, d_model, &prefix, "d_out", "d_ff2"));
+        kernels.push(common::layernorm(
+            rows,
+            d_model,
+            scope.id("d_out"),
+            scope.id("d_ff2"),
+        ));
 
         // FF backward: dgrad + wgrad for both FCs, activation backward.
         kernels.push(common::fc(
@@ -70,9 +75,8 @@ pub fn build_training_schedule(model: &ModelConfig, params: &RunParams) -> Vec<K
             d_model,
             model.d_ff,
             KernelCategory::FeedForward,
-            &prefix,
-            "d_ff2",
-            "d_ff1",
+            scope.id("d_ff2"),
+            scope.id("d_ff1"),
             false,
         ));
         kernels.push(common::fc(
@@ -80,9 +84,8 @@ pub fn build_training_schedule(model: &ModelConfig, params: &RunParams) -> Vec<K
             rows,
             d_model,
             KernelCategory::FeedForward,
-            &prefix,
-            "ff1",
-            "w2_grad",
+            scope.id("ff1"),
+            scope.id("w2_grad"),
             false,
         ));
         kernels.push(common::elementwise(
@@ -91,18 +94,16 @@ pub fn build_training_schedule(model: &ModelConfig, params: &RunParams) -> Vec<K
             2,
             KernelCategory::Activation,
             "gelu_bwd",
-            &prefix,
-            &["d_ff1", "ff1"],
-            "d_ff1",
+            &[scope.id("d_ff1"), scope.id("ff1")],
+            scope.id("d_ff1"),
         ));
         kernels.push(common::fc(
             rows,
             model.d_ff,
             d_model,
             KernelCategory::FeedForward,
-            &prefix,
-            "d_ff1",
-            "d_ln1",
+            scope.id("d_ff1"),
+            scope.id("d_ln1"),
             false,
         ));
         kernels.push(common::fc(
@@ -110,14 +111,18 @@ pub fn build_training_schedule(model: &ModelConfig, params: &RunParams) -> Vec<K
             rows,
             model.d_ff,
             KernelCategory::FeedForward,
-            &prefix,
-            "ln1",
-            "w1_grad",
+            scope.id("ln1"),
+            scope.id("w1_grad"),
             false,
         ));
 
         // LayerNorm-1 backward.
-        kernels.push(common::layernorm(rows, d_model, &prefix, "d_ln1", "d_proj"));
+        kernels.push(common::layernorm(
+            rows,
+            d_model,
+            scope.id("d_ln1"),
+            scope.id("d_proj"),
+        ));
 
         // Attention output projection backward: dgrad + wgrad.
         kernels.push(common::fc(
@@ -125,9 +130,8 @@ pub fn build_training_schedule(model: &ModelConfig, params: &RunParams) -> Vec<K
             d_model,
             d_model,
             KernelCategory::Fc,
-            &prefix,
-            "d_proj",
-            "d_attn_out",
+            scope.id("d_proj"),
+            scope.id("d_attn_out"),
             false,
         ));
         kernels.push(common::fc(
@@ -135,55 +139,57 @@ pub fn build_training_schedule(model: &ModelConfig, params: &RunParams) -> Vec<K
             rows,
             d_model,
             KernelCategory::Fc,
-            &prefix,
-            "attn_out",
-            "wo_grad",
+            scope.id("attn_out"),
+            scope.id("wo_grad"),
             false,
         ));
 
         // The attention backward chain (the §6 heart).
         if let Some(layout) = &layout {
             kernels.push(sparse_training::bs_matmul_dv(
-                layout, &dims, &prefix, recomposed,
+                layout, &dims, scope, recomposed,
             ));
             kernels.push(sparse_training::bs_matmul_dp(
-                layout, &dims, &prefix, recomposed,
+                layout, &dims, scope, recomposed,
             ));
             if recomposed {
-                kernels.push(sparse_training::bs_rowdot_reduction(layout, &dims, &prefix));
-                kernels.push(sparse_training::bs_ds_elementwise(layout, &dims, &prefix));
+                kernels.push(sparse_training::bs_rowdot_reduction(layout, &dims, scope));
+                kernels.push(sparse_training::bs_ds_elementwise(layout, &dims, scope));
             } else {
-                kernels.push(sparse_training::bs_softmax_backward(layout, &dims, &prefix));
+                kernels.push(sparse_training::bs_softmax_backward(layout, &dims, scope));
             }
             kernels.push(sparse_training::bs_matmul_dq_or_dk(
-                layout, &dims, &prefix, "d_q",
+                layout, &dims, scope, "d_q",
             ));
             kernels.push(sparse_training::bs_matmul_dq_or_dk(
-                layout, &dims, &prefix, "d_k",
+                layout, &dims, scope, "d_k",
             ));
         } else {
-            kernels.push(training::matmul_dv(&dims, tile, &prefix, recomposed));
-            kernels.push(training::matmul_dp(&dims, tile, &prefix, recomposed));
+            kernels.push(training::matmul_dv(&dims, tile, scope, recomposed));
+            kernels.push(training::matmul_dp(&dims, tile, scope, recomposed));
             if recomposed {
-                kernels.push(training::rowdot_reduction(&dims, tile.n, &prefix));
-                kernels.push(training::ds_elementwise(&dims, tile.n, &prefix));
+                kernels.push(training::rowdot_reduction(&dims, tile.n, scope));
+                kernels.push(training::ds_elementwise(&dims, tile.n, scope));
             } else {
-                kernels.push(training::softmax_backward_monolithic(&dims, &prefix));
+                kernels.push(training::softmax_backward_monolithic(&dims, scope));
             }
-            kernels.push(training::matmul_dq_or_dk(&dims, tile, &prefix, "d_q", "k"));
-            kernels.push(training::matmul_dq_or_dk(&dims, tile, &prefix, "d_k", "q"));
+            kernels.push(training::matmul_dq_or_dk(&dims, tile, scope, "d_q", "k"));
+            kernels.push(training::matmul_dq_or_dk(&dims, tile, scope, "d_k", "q"));
         }
 
         // QKV projection backward: 3 × (dgrad + wgrad).
-        for g in ["d_q", "d_k", "d_v"] {
+        for (g, w_grad) in [
+            ("d_q", "w_d_q_grad"),
+            ("d_k", "w_d_k_grad"),
+            ("d_v", "w_d_v_grad"),
+        ] {
             kernels.push(common::fc(
                 rows,
                 d_model,
                 d_model,
                 KernelCategory::Fc,
-                &prefix,
-                g,
-                "d_x_partial",
+                scope.id(g),
+                scope.id("d_x_partial"),
                 false,
             ));
             kernels.push(common::fc(
@@ -191,9 +197,8 @@ pub fn build_training_schedule(model: &ModelConfig, params: &RunParams) -> Vec<K
                 rows,
                 d_model,
                 KernelCategory::Fc,
-                &prefix,
-                "x",
-                &format!("w_{g}_grad"),
+                scope.id("x"),
+                scope.id(w_grad),
                 false,
             ));
         }

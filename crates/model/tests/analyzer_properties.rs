@@ -131,11 +131,11 @@ proptest! {
         let Some(w) = kernels
             .iter_mut()
             .flat_map(|k| k.writes.iter_mut())
-            .find(|w| w.id.ends_with(".attn_out"))
+            .find(|w| w.id.is("attn_out"))
         else {
             return Err("no attn_out writer in schedule".into());
         };
-        w.id = format!("{}_detached", w.id);
+        w.id = w.id.scope().id("attn_out_detached");
         let report = check_schedule(&model, &p, &kernels);
         prop_assert!(
             error_rules(&report).contains(&Rule::DataflowUseBeforeDef),

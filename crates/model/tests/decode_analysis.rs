@@ -81,7 +81,7 @@ fn analyzer_catches_r_prime_dead_store() {
     let mut kernels = build_batched_decode_schedule(&model, &ctxs, &params);
     for k in &mut kernels {
         if k.category == resoftmax_gpusim::KernelCategory::MatMulPv {
-            k.reads.retain(|b| !b.id.ends_with("r_prime"));
+            k.reads.retain(|b| !b.id.is("r_prime"));
             k.meta.fused_gs = false;
             k.meta.sub_vector = None;
         }

@@ -5,7 +5,7 @@
 //! The L2 model keys on buffer identity, so a misspelled id would silently
 //! disable inter-kernel forwarding; this suite makes that a test failure.
 
-use resoftmax_gpusim::{DeviceSpec, Gpu, KernelDesc};
+use resoftmax_gpusim::{BufferId, DeviceSpec, Gpu, KernelDesc};
 use resoftmax_kernels::costs::TileConfig;
 use resoftmax_model::{
     build_batched_decode_schedule, build_schedule, build_seq2seq_schedule, build_training_schedule,
@@ -14,25 +14,27 @@ use resoftmax_model::{
 use std::collections::HashSet;
 
 /// Buffers a schedule may read without anyone having written them.
-fn is_external(id: &str) -> bool {
+fn is_external(id: BufferId) -> bool {
     id == "tokens"
-        || id.ends_with(".w")            // weights
-        || id.ends_with("k_cache")       // decode KV caches
-        || id.ends_with("v_cache")
-        || id.ends_with(".x")            // layer-boundary activations*
-        || id.ends_with(".d_out")        // training boundary gradient
-        || id.ends_with(".ff1")          // training reuses fwd activations
-        || id.ends_with(".attn_out")
-        || id.ends_with(".q")
-        || id.ends_with(".k")
-        || id.ends_with(".v")
+        || id.is_weight()
+        || matches!(
+            id.role(),
+            "k_cache" | "v_cache"       // decode KV caches
+                | "x"                   // layer-boundary activations*
+                | "d_out"               // training boundary gradient
+                | "ff1"                 // training reuses fwd activations
+                | "attn_out"
+                | "q"
+                | "k"
+                | "v"
+        )
 }
 
 fn check_wiring(kernels: &[KernelDesc], strict: bool) {
-    let mut written: HashSet<&str> = HashSet::new();
+    let mut written: HashSet<BufferId> = HashSet::new();
     for k in kernels {
         for r in &k.reads {
-            let ok = written.contains(r.id.as_str()) || is_external(&r.id);
+            let ok = written.contains(&r.id) || is_external(r.id);
             if strict {
                 assert!(
                     ok,
@@ -41,9 +43,7 @@ fn check_wiring(kernels: &[KernelDesc], strict: bool) {
                 );
             }
         }
-        for w in &k.writes {
-            written.insert(&w.id);
-        }
+        written.extend(k.writes.iter().map(|w| w.id));
     }
 }
 
@@ -125,14 +125,14 @@ fn seq2seq_layers_are_chained() {
         SoftmaxStrategy::OnlineFused,
     ] {
         let ks = build_seq2seq_schedule(&cfg, 1024, 512, &RunParams::new(1024).strategy(s));
-        let mut written: HashSet<&str> = HashSet::new();
-        let mut read: HashSet<&str> = HashSet::new();
+        let mut written: HashSet<BufferId> = HashSet::new();
+        let mut read: HashSet<BufferId> = HashSet::new();
         for k in &ks {
             for r in &k.reads {
-                let id = r.id.as_str();
+                let id = r.id;
                 assert!(
-                    written.contains(id)
-                        || id.ends_with(".w")
+                    written.contains(&id)
+                        || id.is_weight()
                         || id == "enc0.x"
                         || id == "dec0.self.x",
                     "{}: kernel {} reads {id}, which nothing wrote",
@@ -141,9 +141,9 @@ fn seq2seq_layers_are_chained() {
                 );
                 read.insert(id);
             }
-            written.extend(k.writes.iter().map(|w| w.id.as_str()));
+            written.extend(k.writes.iter().map(|w| w.id));
         }
-        let unread: Vec<&str> = written.difference(&read).copied().collect();
+        let unread: Vec<String> = written.difference(&read).map(ToString::to_string).collect();
         assert_eq!(
             unread,
             ["dec2.self.x"],
