@@ -12,9 +12,7 @@ use resoftmax_core::experiments::full_grid_sweep;
 use resoftmax_core::format::{gb, ms, pct, render_table};
 use resoftmax_gpusim::chrome_trace::to_chrome_trace;
 use resoftmax_gpusim::DeviceSpec;
-use resoftmax_model::{
-    build_schedule, check_schedule, ModelConfig, RunParams, Session, SoftmaxStrategy,
-};
+use resoftmax_model::{build_and_check_schedule, ModelConfig, RunParams, Session, SoftmaxStrategy};
 
 struct ComboResult {
     kernels: usize,
@@ -27,8 +25,7 @@ struct ComboResult {
 }
 
 fn analyze_one(model: &ModelConfig, params: &RunParams) -> ComboResult {
-    let kernels = build_schedule(model, params);
-    let report = check_schedule(model, params, &kernels);
+    let (kernels, report) = build_and_check_schedule(model, params);
     let errors = report.count(Severity::Error);
     let warnings = report.count(Severity::Warning);
     let bound_rel = report.error_bound.map(|b| b.rel);

@@ -6,8 +6,8 @@
 //! A uniform grid is priced by its closed form, which costs less than
 //! hashing its key, so only the grids the event-driven fluid simulation
 //! prices — `Grouped`, and `PerTb` after coalescing — are memoized. This
-//! module content-addresses that pricing problem with a 128-bit FNV-1a
-//! fingerprint over every input and keeps the price in one process-global
+//! module content-addresses that pricing problem with a 128-bit word-wise
+//! hash over every input and keeps the price in one process-global
 //! map shared by every [`crate::Gpu`] except [`crate::Gpu::reference`],
 //! which never reads or writes it.
 //!
@@ -30,60 +30,127 @@ pub const MAX_KERNEL_ENTRIES: usize = 1 << 17;
 // Fingerprinting
 // ---------------------------------------------------------------------------
 
-/// FNV-1a, 128-bit variant. 64 bits would make accidental collisions across
-/// a fleet-scale search (billions of distinct pricing problems) plausible;
+/// A 128-bit hash that takes one `u64` word per step: MurmurHash3
+/// x64-128's block mix (seed 0), each pair of words one 16-byte block and
+/// an odd last word the tail, then its `fmix64` finalizer, under which
+/// every input bit reaches every output bit. A byte-wise hash takes eight
+/// steps per word. 64 bits would make accidental collisions across a
+/// fleet-scale search (billions of distinct pricing problems) plausible;
 /// at 128 bits they are not a practical concern.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv128(u128);
+struct Hash128 {
+    h1: u64,
+    h2: u64,
+    /// The first word of an unfinished block.
+    pending: Option<u64>,
+    words: u64,
+}
 
-impl Fnv128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
+impl Hash128 {
+    const C1: u64 = 0x87c3_7b91_1142_53d5;
+    const C2: u64 = 0x4cf5_ad43_2745_937f;
 
-    pub(crate) fn new() -> Self {
-        Fnv128(Self::OFFSET)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 = (self.0 ^ u128::from(b)).wrapping_mul(Self::PRIME);
-    }
-
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.byte(b);
+    fn new() -> Self {
+        Hash128 {
+            h1: 0,
+            h2: 0,
+            pending: None,
+            words: 0,
         }
     }
 
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
+    fn mix_k1(k1: u64) -> u64 {
+        k1.wrapping_mul(Self::C1)
+            .rotate_left(31)
+            .wrapping_mul(Self::C2)
     }
 
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
+    fn mix_k2(k2: u64) -> u64 {
+        k2.wrapping_mul(Self::C2)
+            .rotate_left(33)
+            .wrapping_mul(Self::C1)
     }
 
-    pub(crate) fn u128(&mut self, v: u128) {
-        self.bytes(&v.to_le_bytes());
+    fn fmix64(mut k: u64) -> u64 {
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        k ^ (k >> 33)
+    }
+
+    fn u64(&mut self, v: u64) {
+        if let Some(k1) = self.pending.take() {
+            self.h1 ^= Self::mix_k1(k1);
+            self.h1 = self
+                .h1
+                .rotate_left(27)
+                .wrapping_add(self.h2)
+                .wrapping_mul(5)
+                .wrapping_add(0x52dc_e729);
+            self.h2 ^= Self::mix_k2(v);
+            self.h2 = self
+                .h2
+                .rotate_left(31)
+                .wrapping_add(self.h1)
+                .wrapping_mul(5)
+                .wrapping_add(0x3849_5ab5);
+        } else {
+            self.pending = Some(v);
+        }
+        self.words += 1;
+    }
+
+    fn u32(&mut self, v: u32) {
+        self.u64(u64::from(v));
+    }
+
+    fn u128(&mut self, v: u128) {
+        self.u64(v as u64);
+        self.u64((v >> 64) as u64);
     }
 
     /// Hashes the exact bit pattern: two inputs price identically only if
     /// they are bit-equal (`-0.0` and `0.0` hash apart, which merely costs a
     /// duplicate entry, never a wrong answer).
-    pub(crate) fn f64(&mut self, v: f64) {
+    fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
-    pub(crate) fn finish(self) -> u128 {
-        self.0
+    /// Variable-length bytes: their length, then the bytes eight to a
+    /// word, zero-padded.
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.u64(bytes.len() as u64);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(self) -> u128 {
+        let (mut h1, mut h2) = (self.h1, self.h2);
+        if let Some(k1) = self.pending {
+            h1 ^= Self::mix_k1(k1);
+        }
+        let len = self.words * 8;
+        h1 ^= len;
+        h2 ^= len;
+        h1 = h1.wrapping_add(h2);
+        h2 = h2.wrapping_add(h1);
+        h1 = Self::fmix64(h1);
+        h2 = Self::fmix64(h2);
+        h1 = h1.wrapping_add(h2);
+        h2 = h2.wrapping_add(h1);
+        (u128::from(h2) << 64) | u128::from(h1)
     }
 }
 
 /// Fingerprint of every [`DeviceSpec`] field the execution model reads.
 /// Computed once per [`crate::Gpu`] and mixed into every key.
 pub(crate) fn device_fingerprint(d: &DeviceSpec) -> u128 {
-    let mut h = Fnv128::new();
+    let mut h = Hash128::new();
     h.bytes(d.name.as_bytes());
-    h.byte(0); // terminator: name is variable-length
     for v in [
         d.mem_bandwidth_gbps,
         d.fp16_cuda_tflops,
@@ -121,7 +188,7 @@ pub(crate) fn kernel_key(
     read_scale: f64,
     groups: &[TbGroup],
 ) -> u128 {
-    let mut h = Fnv128::new();
+    let mut h = Hash128::new();
     h.u128(device_fp);
     h.u32(shape.threads);
     h.u32(shape.shared_bytes);
@@ -236,17 +303,6 @@ mod tests {
     use crate::kernel::TbWork;
 
     #[test]
-    fn fnv128_matches_reference_vectors() {
-        // Published FNV-1a 128-bit test vectors.
-        let mut h = Fnv128::new();
-        h.bytes(b"");
-        assert_eq!(h.finish(), 0x6c62272e07bb014262b821756295c58d);
-        let mut h = Fnv128::new();
-        h.bytes(b"a");
-        assert_eq!(h.finish(), 0xd228cb696f1a8caf78912b704e4a8964);
-    }
-
-    #[test]
     fn kernel_key_distinguishes_every_input() {
         let dev = device_fingerprint(&DeviceSpec::a100());
         let shape = TbShape::new(256, 0, 32);
@@ -305,6 +361,55 @@ mod tests {
             &[TbGroup::new(a, 3), TbGroup::new(a, 0), TbGroup::new(b, 5)],
         );
         assert_ne!(ab, split);
+    }
+
+    /// ~100,000 distinct decode-shaped grids (1 to 300 groups of 16
+    /// blocks, contexts 1 to 4,096), as the fleets price them, get distinct
+    /// keys, and distinct low 64 bits too.
+    #[test]
+    #[cfg_attr(miri, ignore = "hashes ~100,000 grids — too slow under miri")]
+    fn decode_shaped_grids_get_distinct_keys() {
+        let dev = device_fingerprint(&DeviceSpec::a100());
+        let shape = TbShape::new(256, 16 * 1024, 64);
+        let gemv = |ctx: u64| {
+            let ctx = ctx as f64;
+            TbWork {
+                cuda_flops: 130.0 * ctx,
+                tensor_flops: 0.0,
+                dram_read_bytes: (ctx + 2.0) * 128.0,
+                dram_write_bytes: 2.0 * ctx,
+                mem_active_fraction: 1.0,
+                efficiency: 0.93,
+            }
+        };
+        // SplitMix64: a fixed stream of contexts.
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let n = 100_000u64;
+        let mut keys = HashMap::new();
+        let mut low = HashMap::new();
+        let mut groups = Vec::new();
+        for i in 0..n {
+            // The length and the first context spell `i`, so the grids are
+            // distinct by construction; the other contexts are random.
+            groups.clear();
+            let len = 1 + i % 300;
+            groups.push(TbGroup::new(gemv(1 + i / 300), 16));
+            groups.extend((1..len).map(|_| TbGroup::new(gemv(1 + next() % 4_096), 16)));
+            let key = kernel_key(dev, &shape, 4, 1.0, &groups);
+            assert_eq!(keys.insert(key, i), None, "grid {i} collides");
+            assert_eq!(
+                low.insert(key as u64, i),
+                None,
+                "grid {i}'s low 64 bits collide"
+            );
+        }
     }
 
     #[test]

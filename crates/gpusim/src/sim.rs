@@ -63,6 +63,35 @@ impl Active {
     fn with_count(self, count: f64) -> Active {
         Active { count, ..self }
     }
+
+    /// What a block's per-stream rates depend on besides the event's
+    /// totals: its efficiency and its DRAM bandwidth weight.
+    fn class(&self) -> (f64, f64) {
+        (self.efficiency, self.mem_threads_per_tb.max(1.0))
+    }
+}
+
+/// Per-block rates of one class in one event, per work stream.
+#[derive(Debug, Clone, Copy)]
+struct Rates {
+    cuda: f64,
+    tensor: f64,
+    mem: f64,
+}
+
+/// One fluid simulation's device constants and its bandwidth memo. Both are
+/// host-side savings only: every value is computed by the same expression
+/// the event loop would otherwise repeat.
+struct Fluid<'d> {
+    device: &'d DeviceSpec,
+    sm_cuda: f64,
+    sm_tensor: f64,
+    total_cuda: f64,
+    total_tensor: f64,
+    /// The bits of the last memory-active thread count priced, and the
+    /// effective bandwidth it gave. Most events keep the previous event's
+    /// count, so one entry catches nearly every repeat.
+    bandwidth: Option<(u64, f64)>,
 }
 
 /// A simulated GPU: device spec + L2 state + an execution timeline.
@@ -333,6 +362,7 @@ impl Gpu {
         let mut active: Vec<Active> = Vec::new();
         let mut in_flight: u64 = 0;
         let mut now = 0.0f64;
+        let mut fluid = Fluid::new(&self.device);
         // Instrumentation totals, accumulated locally and flushed once per
         // kernel so the event loop never touches shared atomics.
         let mut event_steps: u64 = 0;
@@ -342,7 +372,7 @@ impl Gpu {
             // Wave-class fast path: with the machine idle and the front group
             // large enough to fill every slot by itself, each full wave is a
             // grid-independent repetition of the same event sequence. Step
-            // one wave exactly (through the shared `event_step`), then replay
+            // one wave exactly (through the shared `Fluid::step`), then replay
             // its per-event time deltas for the remaining full waves — the
             // same `now += dt` additions, in the same order, the event loop
             // would perform. Cost becomes O(distinct TB classes), not
@@ -365,7 +395,7 @@ impl Gpu {
                         let mut wave_in_flight = slots;
                         let mut dts = Vec::new();
                         while !wave.is_empty() {
-                            dts.push(self.event_step(&mut wave, &mut wave_in_flight));
+                            dts.push(fluid.step(&mut wave, &mut wave_in_flight));
                         }
                         event_steps += dts.len() as u64;
                         fast_path_waves += full_waves;
@@ -404,7 +434,7 @@ impl Gpu {
             if active.is_empty() {
                 break;
             }
-            now += self.event_step(&mut active, &mut in_flight);
+            now += fluid.step(&mut active, &mut in_flight);
             event_steps += 1;
         }
         if resoftmax_obs::metrics_enabled() {
@@ -414,18 +444,61 @@ impl Gpu {
         now
     }
 
+    /// Achieved utilization for a hypothetical thread count (exposed for
+    /// ablation benches).
+    pub fn bandwidth_utilization(&self, active_mem_threads: f64) -> f64 {
+        utilization(&self.device, active_mem_threads)
+    }
+
+    /// Reports the DRAM traffic one kernel would generate *without* executing
+    /// it (no L2/timeline mutation) — used by tests and what-if analyses.
+    pub fn peek_traffic(&self, kernel: &KernelDesc) -> FilteredTraffic {
+        self.l2.clone().access(kernel)
+    }
+}
+
+impl<'d> Fluid<'d> {
+    fn new(device: &'d DeviceSpec) -> Self {
+        Fluid {
+            device,
+            sm_cuda: device.cuda_flops_per_sm(),
+            sm_tensor: device.tensor_flops_per_sm(),
+            total_cuda: device.cuda_flops_per_s(),
+            total_tensor: device.tensor_flops_per_s(),
+            bandwidth: None,
+        }
+    }
+
+    /// [`effective_bandwidth`] at `mem_threads`, answered from the memo
+    /// when the count's bits repeat the last one priced.
+    fn bandwidth(&mut self, mem_threads: f64) -> f64 {
+        let bits = mem_threads.to_bits();
+        match self.bandwidth {
+            Some((b, bw)) if b == bits => bw,
+            _ => {
+                let bw = effective_bandwidth(self.device, mem_threads);
+                self.bandwidth = Some((bits, bw));
+                bw
+            }
+        }
+    }
+
     /// One event of the fluid simulation: computes per-block rates for the
     /// current active set, advances every work stream to the earliest stream
     /// completion, retires finished groups, and returns the elapsed `dt`.
     ///
     /// Both the event loop and the wave-class fast path call this — sharing
     /// the arithmetic is what makes the fast path bit-identical.
-    fn event_step(&self, active: &mut Vec<Active>, in_flight: &mut u64) -> f64 {
-        let sm_cuda = self.device.cuda_flops_per_sm();
-        let sm_tensor = self.device.tensor_flops_per_sm();
-        let total_cuda = self.device.cuda_flops_per_s();
-        let total_tensor = self.device.tensor_flops_per_s();
-
+    ///
+    /// Rates are computed once per run of adjacent groups of one
+    /// [`Active::class`], and a run's earliest completion per stream is its
+    /// least remaining work divided by the rate: correctly rounded division
+    /// by a positive rate is monotone, so that quotient is the least of the
+    /// per-group quotients, bit for bit. Groups are advanced and retired in
+    /// one pass in index order, and a retired group is `swap_remove`d, so
+    /// the active order, and with it every later demand sum, is the same
+    /// as advancing all groups first and retiring them after.
+    fn step(&mut self, active: &mut Vec<Active>, in_flight: &mut u64) -> f64 {
         // Demand per resource.
         let mut cuda_tbs = 0.0;
         let mut tensor_tbs = 0.0;
@@ -443,70 +516,74 @@ impl Gpu {
                 mem_weight_total += a.count * a.mem_threads_per_tb.max(1.0);
             }
         }
-        let bw = effective_bandwidth(&self.device, mem_threads_total);
+        let bw = self.bandwidth(mem_threads_total);
+        let cuda_share = (self.total_cuda / cuda_tbs).min(self.sm_cuda);
+        let tensor_share = (self.total_tensor / tensor_tbs).min(self.sm_tensor);
+        // A stream's rate for a block that still has work in it.
+        let rates = |(efficiency, weight): (f64, f64)| Rates {
+            cuda: cuda_share * efficiency,
+            tensor: tensor_share * efficiency,
+            mem: if mem_weight_total > 0.0 {
+                bw * weight / mem_weight_total * efficiency
+            } else {
+                0.0
+            },
+        };
 
-        // Per-block rates and earliest stream completion.
+        // Earliest stream completion, one class run at a time.
         let mut dt = f64::INFINITY;
-        let rates: Vec<(f64, f64, f64)> = active
-            .iter()
-            .map(|a| {
-                let rc = if a.cuda > EPS {
-                    (total_cuda / cuda_tbs).min(sm_cuda) * a.efficiency
-                } else {
-                    0.0
-                };
-                let rt = if a.tensor > EPS {
-                    (total_tensor / tensor_tbs).min(sm_tensor) * a.efficiency
-                } else {
-                    0.0
-                };
-                let rm = if a.mem > EPS && mem_weight_total > 0.0 {
-                    bw * a.mem_threads_per_tb.max(1.0) / mem_weight_total * a.efficiency
-                } else {
-                    0.0
-                };
-                if rc > 0.0 {
-                    dt = dt.min(a.cuda / rc);
+        let mut start = 0;
+        while let Some(head) = active.get(start) {
+            let class = head.class();
+            let mut least = [f64::INFINITY; 3];
+            let run = active[start..].iter().take_while(|a| a.class() == class);
+            let mut len = 0;
+            for a in run {
+                for (least, work) in least.iter_mut().zip([a.cuda, a.tensor, a.mem]) {
+                    if work > EPS {
+                        *least = least.min(work);
+                    }
                 }
-                if rt > 0.0 {
-                    dt = dt.min(a.tensor / rt);
+                len += 1;
+            }
+            let r = rates(class);
+            for (work, rate) in least.into_iter().zip([r.cuda, r.tensor, r.mem]) {
+                if rate > 0.0 {
+                    dt = dt.min(work / rate);
                 }
-                if rm > 0.0 {
-                    dt = dt.min(a.mem / rm);
-                }
-                (rc, rt, rm)
-            })
-            .collect();
-
-        debug_assert!(dt.is_finite(), "active nonempty implies progress");
-        for (a, &(rc, rt, rm)) in active.iter_mut().zip(&rates) {
-            a.cuda = (a.cuda - rc * dt).max(0.0);
-            a.tensor = (a.tensor - rt * dt).max(0.0);
-            a.mem = (a.mem - rm * dt).max(0.0);
+            }
+            start += len;
         }
+        debug_assert!(dt.is_finite(), "active nonempty implies progress");
+
+        // Advance and retire.
+        let mut class_rates: Option<((f64, f64), Rates)> = None;
         let mut idx = 0;
-        while idx < active.len() {
-            let a = &active[idx];
+        while let Some(a) = active.get_mut(idx) {
+            let class = a.class();
+            let r = match class_rates {
+                Some((c, r)) if c == class => r,
+                _ => {
+                    let r = rates(class);
+                    class_rates = Some((class, r));
+                    r
+                }
+            };
+            let stream = |work: f64, rate: f64| {
+                let rate = if work > EPS { rate } else { 0.0 };
+                (work - rate * dt).max(0.0)
+            };
+            a.cuda = stream(a.cuda, r.cuda);
+            a.tensor = stream(a.tensor, r.tensor);
+            a.mem = stream(a.mem, r.mem);
             if a.cuda <= EPS && a.tensor <= EPS && a.mem <= EPS {
-                *in_flight -= active[idx].count as u64;
+                *in_flight -= a.count as u64;
                 active.swap_remove(idx);
             } else {
                 idx += 1;
             }
         }
         dt
-    }
-
-    /// Achieved utilization for a hypothetical thread count (exposed for
-    /// ablation benches).
-    pub fn bandwidth_utilization(&self, active_mem_threads: f64) -> f64 {
-        utilization(&self.device, active_mem_threads)
-    }
-
-    /// Reports the DRAM traffic one kernel would generate *without* executing
-    /// it (no L2/timeline mutation) — used by tests and what-if analyses.
-    pub fn peek_traffic(&self, kernel: &KernelDesc) -> FilteredTraffic {
-        self.l2.clone().access(kernel)
     }
 }
 

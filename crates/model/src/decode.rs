@@ -376,9 +376,10 @@ pub fn build_batched_decode_schedule(
 ///
 /// The result equals `gpu.run(&build_batched_decode_schedule(model, ctxs,
 /// params))` followed by `gpu.take_timeline()`, every `f64` bit for bit,
-/// but the layers are built and launched one at a time, and only until the
-/// L2 residency repeats with every id's `l{k}` layer advanced by one
-/// (DESIGN §14). On an A100, GPT-Neo repeats after two of its 24 layers.
+/// but only layer 0 is built: each later layer is launched as the one
+/// before with every id's `l{k}` layer advanced by one in place, and only
+/// until the L2 residency repeats under that renaming (DESIGN §14). On an
+/// A100, GPT-Neo repeats after two of its 24 layers.
 ///
 /// Debug builds also build the full schedule (running its analyzer gate)
 /// and assert the result against a full run on a clone of `gpu`.
@@ -397,8 +398,11 @@ pub fn price_batched_decode(
     validate_decode(model, ctxs, params)?;
     #[cfg(debug_assertions)]
     let start = gpu.clone();
-    let layers = DecodeLayers::new(model, ctxs, params);
-    let priced = price_layers(gpu, model.layers, |l| layers.layer(l));
+    let priced = price_layers(
+        gpu,
+        model.layers,
+        DecodeLayers::new(model, ctxs, params).layer(0),
+    );
     #[cfg(debug_assertions)]
     crate::periodic::assert_full_run(
         start,

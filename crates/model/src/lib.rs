@@ -47,7 +47,8 @@ pub use library::{LibraryProfile, SparseSupport};
 pub use periodic::{price_schedule, PeriodicTimeline};
 pub use resoftmax_gpusim::ParallelSplit;
 pub use schedule::{
-    build_schedule, check_schedule, static_error_bound, RunParams, SoftmaxStrategy,
+    build_and_check_schedule, build_schedule, check_schedule, static_error_bound, RunParams,
+    SoftmaxStrategy,
 };
 pub use seq2seq::{build_seq2seq_schedule, run_seq2seq, Seq2SeqConfig};
 pub use session::{validate_decode, validate_prefill, Session};

@@ -3,17 +3,17 @@
 //! advanced by one, so once the L2 state repeats under that renaming every
 //! later layer prices exactly like the last one simulated.
 //!
-//! [`price_layers`] is the one pricer. The serving engine feeds it the
-//! decode builder one layer at a time
-//! ([`price_batched_decode`](crate::price_batched_decode)); the tuner feeds
-//! it slices of a schedule it already built and analyzed
+//! [`price_layers`] is the one pricer. It takes one built layer and makes
+//! each later one by advancing that layer's ids in place. The serving
+//! engine hands it the decode builder's first layer
+//! ([`price_batched_decode`](crate::price_batched_decode)); the tuner hands
+//! it a copy of the first layer of a schedule it already built and analyzed
 //! ([`price_schedule`]). Both return a [`PeriodicTimeline`], whose total is
 //! read without expanding the repeated layers.
 
 use crate::config::ModelConfig;
 use crate::schedule::RunParams;
 use resoftmax_gpusim::{BufferId, Gpu, KernelDesc, KernelStats, LaunchError, Timeline};
-use std::borrow::Borrow;
 
 /// A priced schedule in compact form: the kernels actually simulated, the
 /// last `period` of which repeat `repeats` more times in the full run.
@@ -59,25 +59,30 @@ impl PeriodicTimeline {
     }
 }
 
+/// Advances every buffer id of `kernels` one layer, in place: `l3.q`
+/// becomes `l4.q` ([`BufferId::next_layer`]).
+fn next_layer(kernels: &mut [KernelDesc]) {
+    for k in kernels {
+        for b in k.reads.iter_mut().chain(k.writes.iter_mut()) {
+            b.id = b.id.next_layer();
+        }
+    }
+}
+
 /// `kernels` with every buffer id's layer advanced by one.
 #[cfg(test)]
 pub(crate) fn shifted(kernels: &[KernelDesc]) -> Vec<KernelDesc> {
-    kernels
-        .iter()
-        .cloned()
-        .map(|mut k| {
-            for b in k.reads.iter_mut().chain(k.writes.iter_mut()) {
-                b.id = b.id.next_layer();
-            }
-            k
-        })
-        .collect()
+    let mut shifted = kernels.to_vec();
+    next_layer(&mut shifted);
+    shifted
 }
 
-/// Prices `layers` layers on `gpu`, launching `layer(l)`'s kernels one
-/// layer at a time, and drains the timeline (flushing L2, as
-/// [`Gpu::take_timeline`] does). Whatever `gpu` ran before, such as an
-/// embedding kernel, heads the timeline.
+/// Prices `layers` layers on `gpu`, one layer at a time, and drains the
+/// timeline (flushing L2, as [`Gpu::take_timeline`] does). `layer` holds
+/// the first layer's kernels; before each later layer its ids are advanced
+/// one layer in place, so layer `l` is the first with every id's layer
+/// advanced `l` times. Whatever `gpu` ran before, such as an embedding
+/// kernel, heads the timeline.
 ///
 /// After each layer the L2 residency (ids and bytes, in LRU order) is
 /// compared with the residency the layer started from, every id's layer
@@ -86,10 +91,10 @@ pub(crate) fn shifted(kernels: &[KernelDesc]) -> Vec<KernelDesc> {
 /// is layer `l` with its ids renamed, the L2 model compares typed ids only
 /// for equality, and kernel names carry no layer index, so every remaining
 /// layer yields this layer's stats: they are counted, not simulated.
-pub(crate) fn price_layers<K: Borrow<[KernelDesc]>>(
+pub(crate) fn price_layers(
     gpu: &mut Gpu,
     layers: usize,
-    mut layer: impl FnMut(usize) -> K,
+    mut layer: Vec<KernelDesc>,
 ) -> Result<PeriodicTimeline, LaunchError> {
     let residency = |gpu: &Gpu| -> Vec<(BufferId, u64)> {
         gpu.l2()
@@ -100,8 +105,11 @@ pub(crate) fn price_layers<K: Borrow<[KernelDesc]>>(
     // The residency this layer starts from, ids already advanced a layer.
     let mut start = residency(gpu);
     for l in 0..layers {
+        if l > 0 {
+            next_layer(&mut layer);
+        }
         let first = gpu.timeline().len();
-        gpu.run(layer(l).borrow())?;
+        gpu.run(&layer)?;
         let repeats = gpu.l2().resident().eq(start.iter().copied());
         if repeats {
             let period = gpu.timeline().len() - first;
@@ -126,7 +134,9 @@ pub(crate) fn price_layers<K: Borrow<[KernelDesc]>>(
 /// on `gpu` and calling [`Gpu::take_timeline`], every `f64` bit for bit,
 /// but layers are simulated one at a time and only until the L2 state
 /// repeats under the layer renaming, as in
-/// [`price_batched_decode`](crate::price_batched_decode).
+/// [`price_batched_decode`](crate::price_batched_decode). Only the first
+/// layer is read: each builder's layer `l + 1` is its layer `l` with every
+/// id's layer advanced by one.
 ///
 /// Debug builds rebuild the schedule from the inputs, assert that
 /// `schedule` is that builder's output, and assert the result against a
@@ -160,11 +170,9 @@ pub fn price_schedule(
     // A full-sequence schedule opens with the embedding kernel.
     let (prologue, layers) = schedule.split_at(usize::from(ctxs.is_none()));
     let per_layer = layers.len() / model.layers.max(1);
-    let priced = gpu.run(prologue).and_then(|()| {
-        price_layers(gpu, model.layers, |l| {
-            &layers[l * per_layer..(l + 1) * per_layer]
-        })
-    });
+    let priced = gpu
+        .run(prologue)
+        .and_then(|()| price_layers(gpu, model.layers, layers[..per_layer].to_vec()));
     #[cfg(debug_assertions)]
     assert_full_run(start, schedule, &priced);
     priced

@@ -227,9 +227,30 @@ pub(crate) fn uses_sparse_kernels(model: &ModelConfig, profile: &LibraryProfile)
 /// Panics if `seq_len` is incompatible with the model's sparse block size or
 /// the tile width does not divide the sequence length.
 pub fn build_schedule(model: &ModelConfig, params: &RunParams) -> Vec<KernelDesc> {
-    let layout =
-        uses_sparse_kernels(model, &params.profile).then(|| model.attention.layout(params.seq_len));
-    build_schedule_on(model, params, layout.as_ref())
+    build_schedule_on(model, params, sparse_layout(model, params).as_ref())
+}
+
+/// Builds the schedule of one inference iteration and statically analyzes
+/// it: the same schedule as [`build_schedule`] and the same report as
+/// [`check_schedule`] on it, but the sparse layout both read is built once.
+///
+/// # Panics
+///
+/// As [`build_schedule`].
+pub fn build_and_check_schedule(
+    model: &ModelConfig,
+    params: &RunParams,
+) -> (Vec<KernelDesc>, resoftmax_analyzer::Report) {
+    let layout = sparse_layout(model, params);
+    let kernels = build_schedule_on(model, params, layout.as_ref());
+    let report = check_schedule_on(model, params, layout.as_ref(), &kernels);
+    (kernels, report)
+}
+
+/// The block layout `(model, params)`'s attention kernels are built on:
+/// `Some` where [`uses_sparse_kernels`] holds.
+fn sparse_layout(model: &ModelConfig, params: &RunParams) -> Option<BlockLayout> {
+    uses_sparse_kernels(model, &params.profile).then(|| model.attention.layout(params.seq_len))
 }
 
 /// [`build_schedule`] on a sparse layout the caller built once for the whole
@@ -289,7 +310,7 @@ pub(crate) fn build_schedule_on(
     // skip the pass; the `resoftmax-bench analyze` subcommand covers CI).
     #[cfg(debug_assertions)]
     {
-        let report = check_schedule(model, params, &kernels);
+        let report = check_schedule_on(model, params, layout, &kernels);
         debug_assert!(
             !report.has_errors(),
             "build_schedule produced a schedule that fails static analysis:\n{}",
@@ -325,18 +346,30 @@ pub fn check_schedule(
     params: &RunParams,
     kernels: &[KernelDesc],
 ) -> resoftmax_analyzer::Report {
+    check_schedule_on(
+        model,
+        params,
+        sparse_layout(model, params).as_ref(),
+        kernels,
+    )
+}
+
+/// [`check_schedule`] on the sparse layout the schedule was built on, as
+/// [`build_schedule_on`] takes it.
+fn check_schedule_on(
+    model: &ModelConfig,
+    params: &RunParams,
+    layout: Option<&BlockLayout>,
+    kernels: &[KernelDesc],
+) -> resoftmax_analyzer::Report {
     let profile = &params.profile;
-    let use_sparse = uses_sparse_kernels(model, profile);
-    let sparse = use_sparse.then(|| {
-        let layout = model.attention.layout(params.seq_len);
-        SparseSpec {
-            block: layout.block(),
-            n_blocks: layout.n_blocks(),
-            nnz_blocks: layout.nnz_blocks(),
-            row_counts: layout.row_counts(),
-        }
+    let sparse = layout.map(|layout| SparseSpec {
+        block: layout.block(),
+        n_blocks: layout.n_blocks(),
+        nnz_blocks: layout.nnz_blocks(),
+        row_counts: layout.row_counts(),
     });
-    let attention_overhead = match (use_sparse, profile.sparse_support) {
+    let attention_overhead = match (sparse.is_some(), profile.sparse_support) {
         (true, SparseSupport::GatherBased) => GATHER_PENALTY,
         _ => 1.0,
     };
@@ -711,6 +744,49 @@ mod tests {
             .find(|k| k.category == KernelCategory::MatMulQk)
             .unwrap();
         assert!(qk.name.starts_with("bs_"), "{}", qk.name);
+    }
+
+    /// Building and checking with one layout gives the schedule and the
+    /// report `build_schedule` and `check_schedule` give apart, on every
+    /// sparse model, strategy and Fig. 7 library profile.
+    #[test]
+    fn build_and_check_matches_build_then_check() {
+        let mut checked = 0;
+        for model in [
+            ModelConfig::bigbird_large(),
+            ModelConfig::longformer_large(),
+            ModelConfig::sparse_transformer(),
+        ] {
+            for strategy in [
+                SoftmaxStrategy::Baseline,
+                SoftmaxStrategy::Decomposed,
+                SoftmaxStrategy::Recomposed,
+                SoftmaxStrategy::RecomposedFp16,
+                SoftmaxStrategy::OnlineFused,
+            ] {
+                for profile in LibraryProfile::fig7_lineup() {
+                    let params = RunParams::new(1024)
+                        .strategy(strategy)
+                        .tile(TileConfig::new(64, 16))
+                        .profile(profile);
+                    // SDF16 has no block-sparse implementation.
+                    if crate::validate_prefill(&model, &params).is_err() {
+                        continue;
+                    }
+                    let kernels = build_schedule(&model, &params);
+                    let report = check_schedule(&model, &params, &kernels);
+                    assert_eq!(
+                        build_and_check_schedule(&model, &params),
+                        (kernels, report),
+                        "{} {strategy:?} {}",
+                        model.name,
+                        params.profile.name
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 40, "{checked} combinations checked");
     }
 
     #[test]

@@ -16,8 +16,7 @@ use crate::decode::{build_batched_decode_schedule, check_decode_schedule, decode
 use crate::engine::{simulate_schedule, RunReport};
 use crate::error::Error;
 use crate::schedule::{
-    build_schedule, check_schedule, static_error_bound, uses_sparse_kernels, RunParams,
-    SoftmaxStrategy,
+    build_and_check_schedule, static_error_bound, uses_sparse_kernels, RunParams, SoftmaxStrategy,
 };
 use crate::training::build_training_schedule;
 use resoftmax_analyzer::{ErrorBound, Report, Severity, CERT_BUDGET_REL};
@@ -241,8 +240,8 @@ impl Session {
     /// [`Error::Analysis`] if the built schedule fails static analysis,
     /// [`Error::Launch`] if a kernel cannot launch on the device.
     pub fn run(&self) -> Result<RunReport, Error> {
-        let schedule = build_schedule(&self.model, &self.params);
-        analyzer_gate(&check_schedule(&self.model, &self.params, &schedule))?;
+        let (schedule, report) = build_and_check_schedule(&self.model, &self.params);
+        analyzer_gate(&report)?;
         self.simulate("Session::run", &schedule)
     }
 

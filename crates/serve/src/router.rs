@@ -101,8 +101,8 @@ impl RouterPolicy {
     }
 }
 
-/// FNV-1a over the little-endian bytes of `x` — the same family the
-/// simulator's pricing cache uses; deterministic across platforms.
+/// FNV-1a over the little-endian bytes of `x`; deterministic across
+/// platforms.
 fn fnv1a64(x: u64, seed: u64) -> u64 {
     let mut h = 0xcbf29ce484222325u64 ^ seed;
     for b in x.to_le_bytes() {

@@ -28,7 +28,7 @@ use crate::TuneError;
 use resoftmax_analyzer::{ErrorBound, CERT_BUDGET_REL};
 use resoftmax_gpusim::{DeviceSpec, Gpu, KernelDesc, ParallelSplit};
 use resoftmax_model::{
-    build_batched_decode_schedule, build_schedule, check_decode_schedule, check_schedule,
+    build_and_check_schedule, build_batched_decode_schedule, check_decode_schedule,
     decode_error_bound, price_schedule, static_error_bound, validate_decode, validate_prefill,
     ModelConfig, PeriodicTimeline, RunParams,
 };
@@ -175,8 +175,7 @@ pub fn precheck(model: &ModelConfig, params: &RunParams) -> Result<Vec<KernelDes
     // The prefill rules `Session::new` applies: nonzero dims, sparse block
     // size, tile divisibility.
     validate_prefill(model, params).map_err(invalid_config)?;
-    let schedule = build_schedule(model, params);
-    let report = check_schedule(model, params, &schedule);
+    let (schedule, report) = build_and_check_schedule(model, params);
     if report.has_errors() {
         return Err(Skip::Analysis(report.render()));
     }
