@@ -175,16 +175,6 @@ pub fn tune(args: &BenchArgs) -> Result<(), Error> {
         SearchSpace::paper_default()
     };
     let mode = SearchMode::Exhaustive;
-    // The tune counters are process-wide and other experiments tune too
-    // (`ctrl_sim` prices its policy table through a tuner), so this run
-    // reports its own deltas.
-    let counters = [
-        "tune.cache_hits",
-        "tune.cache_misses",
-        "tune.transfer_candidates",
-        "tune.transfer_survivors",
-    ];
-    let before = counters.map(|c| resoftmax_obs::counter(c).get());
 
     // Leg A: 1 worker thread, persisted cache.
     resoftmax_parallel::set_thread_override(Some(1));
@@ -224,19 +214,15 @@ pub fn tune(args: &BenchArgs) -> Result<(), Error> {
             },
         );
     }
-    let [hits, misses, candidates, survivors] = counters.map(|c| resoftmax_obs::counter(c).get());
+    // The persisted tuner's own counts: leg B's fresh tuner is not in them.
+    let stats = tuner.stats();
     println!(
         "cache: {} entries preloaded, {} total, {} hits, {} misses \
          (database: {TUNE_CACHE_PATH})",
         tuner.loaded_entries(),
         tuner.entries(),
-        hits - before[0],
-        misses - before[1],
-    );
-    println!(
-        "transfer: {} cross-device winners harvested, {} survived precheck",
-        candidates - before[2],
-        survivors - before[3],
+        stats.hits,
+        stats.misses,
     );
     write_report(&args.out_path("BENCH_tune.json"), &rows)
 }
@@ -244,6 +230,7 @@ pub fn tune(args: &BenchArgs) -> Result<(), Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use resoftmax_tune::TuneStats;
 
     #[test]
     fn grids_are_nonempty_and_smoke_is_smaller() {
@@ -287,6 +274,13 @@ mod tests {
         assert!(rerun.iter().all(|t| t.cache_hit));
         assert_eq!(rerun_rows, first_rows);
         assert_eq!(tuner.loaded_entries(), first.len() + second.len());
+        assert_eq!(
+            tuner.stats(),
+            TuneStats {
+                hits: grid.len(),
+                ..TuneStats::default()
+            }
+        );
         std::fs::remove_dir_all(&dir).expect("temp dir is removable");
     }
 }

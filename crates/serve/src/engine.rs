@@ -7,9 +7,8 @@ use resoftmax_model::RunParams;
 /// Every engine iteration is one batched GPU schedule mixing chunked-prefill
 /// rows with single-token decode rows; `ctxs` lists the context length of
 /// each row in that schedule. A planner may pick a different strategy, tile,
-/// or split per iteration shape — this is the hook an autotuner
-/// (`resoftmax-tune`) uses to serve every iteration with its tuned schedule
-/// instead of the fixed base parameters.
+/// or split per iteration shape, or only observe the iterations it is asked
+/// to plan (a recording planner that returns `base` unchanged).
 ///
 /// Implementations must be deterministic in `ctxs` and `base` (the serving
 /// report is asserted bit-identical across host thread counts).

@@ -6,8 +6,7 @@
 //! workload bucket, and hashes of the search-space bounds and search mode —
 //! so any drift in the question invalidates the answer instead of silently
 //! reusing it. The file carries a format version; loading a file written by
-//! a different version discards it (counted on
-//! `tune.cache_discarded`) rather than guessing at migration.
+//! a different version discards it rather than guessing at migration.
 
 use resoftmax_gpusim::DeviceSpec;
 use resoftmax_model::{LibraryProfile, ModelConfig, RunParams};
@@ -24,7 +23,7 @@ use crate::space::SearchSpace;
 /// derivation or entry layout. v2: `RunParams` grew the `SDF16` strategy
 /// (fp16 LS accumulation) and the oracle a fourth (numeric-certification)
 /// gate — results tuned without it are not comparable. v3: entries record
-/// the device they were tuned on, enabling cross-device winner transfer.
+/// the device they were tuned on.
 pub const CACHE_VERSION: u32 = 3;
 
 /// One tuned result: the winning configuration and both sides of the
@@ -39,7 +38,8 @@ pub struct CacheEntry {
     /// schedule for the same workload, seconds.
     pub default_cost_s: f64,
     /// Name of the device the result was tuned on (matches the `dev=`
-    /// segment of its key) — the provenance label for transferred seeds.
+    /// segment of its key). Nothing reads it back; it stays because it is
+    /// part of the v3 file format.
     pub device: String,
 }
 
@@ -69,8 +69,8 @@ impl TuneDb {
 
     /// Loads a database from `path`. A missing file yields an empty
     /// database; an unreadable, unparsable, or version-mismatched file is
-    /// discarded (empty database, `tune.cache_discarded` incremented) so a
-    /// stale cache can never poison tuning results.
+    /// discarded (empty database) so a stale cache can never poison tuning
+    /// results.
     pub fn load(path: &Path) -> io::Result<Self> {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
@@ -79,10 +79,7 @@ impl TuneDb {
         };
         match serde_json::from_str::<TuneDb>(&text) {
             Ok(db) if db.version == CACHE_VERSION => Ok(db),
-            _ => {
-                resoftmax_obs::counter("tune.cache_discarded").incr();
-                Ok(Self::new())
-            }
+            _ => Ok(Self::new()),
         }
     }
 
@@ -91,34 +88,6 @@ impl TuneDb {
         let json = serde_json::to_string_pretty(self).expect("tuning database serializes");
         std::fs::write(path, format!("{json}\n"))
     }
-
-    /// Cached winners for the *same question on a different device*: every
-    /// entry whose key matches `key` in all segments except `dev=`. These
-    /// are the transfer seeds a cache miss harvests — a schedule that won on
-    /// one device is a strong starting hypothesis on another, and because
-    /// seeds only ever *join* a search (they never replace it), a bad
-    /// transfer costs one extra pricing, not a wrong answer.
-    pub fn foreign_winners(&self, key: &str) -> Vec<(&String, &CacheEntry)> {
-        let Some(agnostic) = device_agnostic_key(key) else {
-            return Vec::new();
-        };
-        self.entries
-            .iter()
-            .filter(|(k, _)| {
-                k.as_str() != key && device_agnostic_key(k).as_deref() == Some(&*agnostic)
-            })
-            .collect()
-    }
-}
-
-/// Strips the `dev=<name>` segment from a cache key, leaving the
-/// device-independent question. Returns `None` for keys without one (which
-/// therefore never participate in transfer).
-fn device_agnostic_key(key: &str) -> Option<String> {
-    let start = key.find("|dev=")?;
-    let rest = &key[start + "|dev=".len()..];
-    let end = rest.find('|')?;
-    Some(format!("{}{}", &key[..start], &rest[end..]))
 }
 
 /// FNV-1a 64-bit hash rendered as fixed-width hex — used to keep the
@@ -248,44 +217,29 @@ mod tests {
         );
     }
 
-    /// `foreign_winners` must return exactly the entries that answer the
-    /// same question on another device — not the querying key itself, and
-    /// not entries differing in any non-device segment.
+    /// Pins the key format every `TUNE_CACHE.json` entry is stored under:
+    /// a change here orphans every persisted answer, so it must come with a
+    /// [`CACHE_VERSION`] bump.
     #[test]
-    fn foreign_winners_match_on_everything_but_device() {
-        let space = SearchSpace::smoke();
-        let mode = SearchMode::Exhaustive;
+    fn key_format_is_pinned() {
         let bucket = TuneWorkload::Prefill {
-            seq_len: 1024,
+            seq_len: 512,
             batch: 1,
         };
-        let prof = LibraryProfile::ours_baseline();
-        let model = ModelConfig::bert_large();
-        let on = |dev: &DeviceSpec| cache_key(&model, dev, &prof, &space, &mode, &bucket);
-        let t4_key = on(&DeviceSpec::t4());
-        let a100_key = on(&DeviceSpec::a100());
-        let other_wl = cache_key(
-            &model,
+        let key = cache_key(
+            &ModelConfig::bert_base(),
             &DeviceSpec::a100(),
-            &prof,
-            &space,
-            &mode,
-            &TuneWorkload::Prefill {
-                seq_len: 2048,
-                batch: 1,
-            },
+            &crate::oracle::default_params(&bucket).profile,
+            &SearchSpace::paper_default(),
+            &SearchMode::Exhaustive,
+            &bucket,
         );
-
-        let mut db = TuneDb::new();
-        db.entries.insert(t4_key.clone(), entry());
-        db.entries.insert(a100_key.clone(), entry());
-        db.entries.insert(other_wl, entry());
-
-        let winners = db.foreign_winners(&t4_key);
-        assert_eq!(winners.len(), 1, "exactly the a100 twin transfers");
-        assert_eq!(winners[0].0, &a100_key);
-        // A key with no dev= segment participates in nothing.
-        assert!(db.foreign_winners("no-device-segment").is_empty());
+        assert_eq!(
+            key,
+            "v3|model=BERT-base/12l/768d/12h/3072ff/attn-1a81ad6e94290f68|dev=A100|\
+             prof=Ours-baseline/00/1x1|wl=prefill/L512/b1|space=3659b86678ae3338|\
+             mode=2ffc4f982ba40b31"
+        );
     }
 
     #[test]

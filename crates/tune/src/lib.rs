@@ -13,20 +13,18 @@
 //!
 //! * [`SearchSpace`] — the knob bounds ([`SearchSpace::paper_default`] /
 //!   [`SearchSpace::smoke`]).
-//! * [`SearchMode`] — [`Exhaustive`](SearchMode::Exhaustive) within bounds,
-//!   or seeded [`Annealed`](SearchMode::Annealed) for larger spaces. Both
-//!   are deterministic: evaluation fans out through `resoftmax-parallel`'s
+//! * [`search`] — prices every candidate within bounds. It is
+//!   deterministic: evaluation fans out through `resoftmax-parallel`'s
 //!   order-preserving map and reduces by enumeration index, so results are
-//!   bit-identical at any worker-thread count.
+//!   bit-identical at any worker-thread count. [`SearchMode`] has the one
+//!   variant, [`Exhaustive`](SearchMode::Exhaustive); its fingerprint is
+//!   part of every cache key.
 //! * [`Tuner`] — orchestrates searches and caches answers in a versioned
 //!   JSON [`TuneDb`], keyed by model × device × profile × workload bucket ×
-//!   space/mode fingerprints. Cache traffic shows up on the always-on
-//!   counters `tune.cache_hits` / `tune.cache_misses`; a miss seeds its
-//!   search with winners cached for the same question on *other* devices
-//!   (`tune.transfer_candidates` / `tune.transfer_survivors`).
+//!   space/mode fingerprints. [`Tuner::stats`] reports this tuner's own
+//!   cache hits and misses, candidates priced and session fallbacks
+//!   ([`TuneStats`]).
 //! * [`SessionTuneExt`] — `.tuned(&tuner)` on a session.
-//! * [`TunedPlanner`] — a [`resoftmax_serve::IterationPlanner`] that serves
-//!   every continuous-batching iteration with its tuned schedule.
 //!
 //! ```
 //! use resoftmax_gpusim::DeviceSpec;
@@ -39,6 +37,7 @@
 //!     .tuned(&tuner)?;
 //! let report = session.run()?;
 //! assert!(report.total_time_s() > 0.0);
+//! assert_eq!(tuner.stats().misses, 1);
 //! # Ok::<(), resoftmax_tune::TuneError>(())
 //! ```
 
@@ -48,7 +47,6 @@
 mod cache;
 mod oracle;
 mod search;
-mod serve_hook;
 mod session_ext;
 mod space;
 mod tuner;
@@ -58,7 +56,6 @@ pub use oracle::{
     default_params, evaluate, precheck, precheck_decode, Skip, TuneWorkload, LEGAL_LS_SPLITS,
 };
 pub use search::{search, SearchMode, SearchOutcome};
-pub use serve_hook::TunedPlanner;
 pub use session_ext::SessionTuneExt;
 pub use space::{has_standalone_ls, SearchSpace};
-pub use tuner::{TuneError, Tuned, Tuner};
+pub use tuner::{TuneError, TuneStats, Tuned, Tuner};

@@ -1,57 +1,30 @@
-//! Search drivers over the knob space.
+//! The search driver over the knob space.
 //!
-//! Two modes share the oracle and the determinism contract:
-//!
-//! * **Exhaustive** — every candidate within bounds is priced. The
-//!   candidate list order is fixed, evaluation fans out through
-//!   `resoftmax-parallel`'s order-preserving `parallel_map`, and the
-//!   reduction is an index-ordered argmin with ties to the earlier
-//!   candidate — so the result is bit-identical at any worker-thread count.
-//! * **Annealed** — a seeded simulated-annealing walk for spaces too large
-//!   to sweep. All randomness comes from one `ChaCha8Rng` driven serially
-//!   on the caller's thread (proposal generation and the acceptance draw);
-//!   only the pricing of each round's proposal batch runs in parallel, and
-//!   its results are reduced in proposal order. Same seed → same walk →
-//!   same answer, at any thread count.
+//! Every candidate within bounds is priced. The candidate list order is
+//! fixed, evaluation fans out through `resoftmax-parallel`'s
+//! order-preserving `parallel_map`, and the reduction is an index-ordered
+//! argmin with ties to the earlier candidate — so the result is
+//! bit-identical at any worker-thread count.
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use resoftmax_gpusim::DeviceSpec;
-use resoftmax_kernels::costs::TileConfig;
 use resoftmax_model::{ModelConfig, RunParams};
 use serde::{Deserialize, Serialize};
 
 use crate::oracle::{default_unrunnable, evaluate, Skip, TuneWorkload};
-use crate::space::{has_standalone_ls, SearchSpace};
+use crate::space::SearchSpace;
 use crate::TuneError;
 
-/// How the tuner explores the space.
+/// How the tuner explores the space. One mode remains; the enum stays
+/// because its serde form is fingerprinted into every cache key
+/// (`mode=` in [`crate::cache_key`]), so persisted databases keep
+/// answering.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SearchMode {
     /// Price every candidate within the bounds.
     Exhaustive,
-    /// Seeded simulated annealing: `rounds` rounds of `proposals` parallel
-    /// neighbor evaluations each, walking from the default configuration.
-    Annealed {
-        /// ChaCha seed; the entire walk is a pure function of it.
-        seed: u64,
-        /// Annealing rounds.
-        rounds: usize,
-        /// Neighbor proposals priced per round (in parallel).
-        proposals: usize,
-    },
 }
 
 impl SearchMode {
-    /// Annealing with the default budget (12 rounds × 8 proposals).
-    pub fn annealed(seed: u64) -> Self {
-        SearchMode::Annealed {
-            seed,
-            rounds: 12,
-            proposals: 8,
-        }
-    }
-
     /// Stable fingerprint for cache keys.
     pub fn fingerprint(&self) -> String {
         crate::cache::fnv1a(
@@ -77,22 +50,6 @@ pub struct SearchOutcome {
     pub pruned: usize,
 }
 
-/// Prices `candidates` in parallel (order-preserving) and returns the
-/// per-candidate outcomes in input order.
-fn price_all(
-    model: &ModelConfig,
-    device: &DeviceSpec,
-    workload: &TuneWorkload,
-    candidates: &[RunParams],
-) -> Vec<Result<f64, Skip>> {
-    let results =
-        resoftmax_parallel::parallel_map(candidates, |_, p| evaluate(model, device, workload, p));
-    let ok = results.iter().filter(|r| r.is_ok()).count();
-    resoftmax_obs::counter("tune.candidates_evaluated").add(ok as u64);
-    resoftmax_obs::counter("tune.candidates_pruned").add((results.len() - ok) as u64);
-    results
-}
-
 /// Index-ordered argmin: the lowest cost wins, ties go to the earlier
 /// candidate, so the reduction is independent of evaluation concurrency.
 fn argmin(costs: &[Result<f64, Skip>]) -> Option<(usize, f64)> {
@@ -107,15 +64,9 @@ fn argmin(costs: &[Result<f64, Skip>]) -> Option<(usize, f64)> {
     best
 }
 
-/// Runs one search for `workload`, starting from (and always including)
-/// `base` — so the outcome can never be slower than the default schedule.
-///
-/// `seeds` are extra starting points beyond the default — typically winners
-/// transferred from another device's cached result for the same question.
-/// Exhaustive search appends them to the enumeration (deduplicated, so
-/// seeds already in the space change nothing); annealed search prices them
-/// alongside `base` before round 0 and starts the walk from the cheapest.
-/// An empty slice reproduces the unseeded search bit for bit.
+/// Runs one exhaustive search for `workload` over `space`'s candidates,
+/// starting from (and always including) `base` — so the outcome can never
+/// be slower than the default schedule.
 ///
 /// # Errors
 ///
@@ -126,38 +77,13 @@ pub fn search(
     device: &DeviceSpec,
     workload: &TuneWorkload,
     space: &SearchSpace,
-    mode: &SearchMode,
     base: &RunParams,
-    seeds: &[RunParams],
 ) -> Result<SearchOutcome, TuneError> {
     let _span = resoftmax_obs::span("tune.search", "tune");
-    match mode {
-        SearchMode::Exhaustive => exhaustive(model, device, workload, space, base, seeds),
-        SearchMode::Annealed {
-            seed,
-            rounds,
-            proposals,
-        } => annealed(
-            model, device, workload, space, base, seeds, *seed, *rounds, *proposals,
-        ),
-    }
-}
-
-fn exhaustive(
-    model: &ModelConfig,
-    device: &DeviceSpec,
-    workload: &TuneWorkload,
-    space: &SearchSpace,
-    base: &RunParams,
-    seeds: &[RunParams],
-) -> Result<SearchOutcome, TuneError> {
-    let mut candidates = space.candidates(base);
-    for seed in seeds {
-        if !candidates.contains(seed) {
-            candidates.push(seed.clone());
-        }
-    }
-    let costs = price_all(model, device, workload, &candidates);
+    let candidates = space.candidates(base);
+    // Priced in parallel; the outcomes come back in candidate order.
+    let costs =
+        resoftmax_parallel::parallel_map(&candidates, |_, p| evaluate(model, device, workload, p));
     let default_cost_s = match &costs[0] {
         Ok(c) => *c,
         Err(skip) => return Err(default_unrunnable(workload, skip)),
@@ -173,112 +99,9 @@ fn exhaustive(
     })
 }
 
-/// One random single-knob mutation of `current`, drawn from the space.
-fn mutate(current: &RunParams, space: &SearchSpace, rng: &mut ChaCha8Rng) -> RunParams {
-    let mut next = current.clone();
-    match rng.gen_range(0usize..4) {
-        0 => {
-            let m = space.tile_ms[rng.gen_range(0..space.tile_ms.len())];
-            next.tile = TileConfig::new(m, next.tile.n);
-        }
-        1 => {
-            let n = space.tile_ns[rng.gen_range(0..space.tile_ns.len())];
-            next.tile = TileConfig::new(next.tile.m, n);
-        }
-        2 => {
-            next.strategy = space.strategies[rng.gen_range(0..space.strategies.len())];
-        }
-        _ => {
-            next.ls_split = space.ls_splits[rng.gen_range(0..space.ls_splits.len())];
-        }
-    }
-    // Keep the canonical form the exhaustive enumeration uses: a split
-    // override is meaningful only where a standalone LS kernel exists.
-    if !has_standalone_ls(next.strategy, &next.profile) {
-        next.ls_split = None;
-    }
-    next
-}
-
-#[allow(clippy::too_many_arguments)]
-fn annealed(
-    model: &ModelConfig,
-    device: &DeviceSpec,
-    workload: &TuneWorkload,
-    space: &SearchSpace,
-    base: &RunParams,
-    seeds: &[RunParams],
-    seed: u64,
-    rounds: usize,
-    proposals: usize,
-) -> Result<SearchOutcome, TuneError> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    // Round 0 prices the default plus any transferred seeds in one batch;
-    // the walk starts from the cheapest survivor. With no seeds this is
-    // exactly the old single-candidate pricing of `base`, and the RNG
-    // stream is untouched either way — unseeded runs reproduce bit for bit.
-    let mut starters = vec![base.clone()];
-    starters.extend(seeds.iter().cloned());
-    let costs = price_all(model, device, workload, &starters);
-    let default_cost_s = match &costs[0] {
-        Ok(c) => *c,
-        Err(skip) => return Err(default_unrunnable(workload, skip)),
-    };
-    let (start, start_cost) = argmin(&costs).expect("candidate 0 priced");
-    let (mut current, mut current_cost) = (starters[start].clone(), start_cost);
-    let (mut best, mut best_cost) = (starters[start].clone(), start_cost);
-    let mut evaluated = costs.iter().filter(|c| c.is_ok()).count();
-    let mut pruned = costs.iter().filter(|c| c.is_err()).count();
-
-    for round in 0..rounds {
-        // Serial proposal draws, parallel pricing, index-ordered reduction.
-        let batch: Vec<RunParams> = (0..proposals)
-            .map(|_| mutate(&current, space, &mut rng))
-            .collect();
-        let costs = price_all(model, device, workload, &batch);
-        evaluated += costs.iter().filter(|c| c.is_ok()).count();
-        pruned += costs.iter().filter(|c| c.is_err()).count();
-        let Some((i, cost)) = argmin(&costs) else {
-            continue; // whole batch pruned; resample from the same state
-        };
-        if cost < best_cost {
-            (best, best_cost) = (batch[i].clone(), cost);
-        }
-        // Metropolis acceptance on relative regression, cooling
-        // geometrically. The draw happens every round so the RNG stream
-        // depends only on the seed and round count.
-        let temp = 0.25 * 0.7f64.powi(round as i32);
-        let u: f64 = rng.gen_range(0.0..1.0);
-        let accept =
-            cost <= current_cost || (temp > 0.0 && u < (-(cost / current_cost - 1.0) / temp).exp());
-        if accept {
-            (current, current_cost) = (batch[i].clone(), cost);
-        }
-    }
-    Ok(SearchOutcome {
-        best,
-        best_cost_s: best_cost,
-        default_cost_s,
-        evaluated,
-        pruned,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_fingerprints_differ() {
-        assert_ne!(
-            SearchMode::Exhaustive.fingerprint(),
-            SearchMode::annealed(0).fingerprint()
-        );
-        assert_ne!(
-            SearchMode::annealed(0).fingerprint(),
-            SearchMode::annealed(1).fingerprint()
-        );
-    }
 
     #[test]
     fn argmin_prefers_earlier_on_ties() {
@@ -290,32 +113,5 @@ mod tests {
         ];
         assert_eq!(argmin(&costs), Some((2, 1.0)));
         assert_eq!(argmin(&[] as &[Result<f64, Skip>]), None);
-    }
-
-    #[test]
-    fn mutate_is_deterministic_and_in_space() {
-        let space = SearchSpace::paper_default();
-        let base = RunParams::new(1024);
-        let walk = |seed: u64| {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut p = base.clone();
-            (0..32)
-                .map(|_| {
-                    p = mutate(&p, &space, &mut rng);
-                    serde_json::to_string(&p).unwrap()
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(walk(7), walk(7));
-        assert_ne!(walk(7), walk(8));
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut p = base.clone();
-        for _ in 0..64 {
-            p = mutate(&p, &space, &mut rng);
-            assert!(space.tile_ms.contains(&p.tile.m));
-            assert!(space.tile_ns.contains(&p.tile.n));
-            assert!(space.strategies.contains(&p.strategy));
-            assert!(p.ls_split.is_none() || space.ls_splits.contains(&p.ls_split));
-        }
     }
 }

@@ -10,30 +10,22 @@
 //! library profile. Because the tuner optimizes the workload's power-of-two
 //! *bucket*, a tuned knob can be illegal for the exact workload (a tile
 //! width that divides the bucket but not the real sequence length). Those
-//! cases fall back to the session's original parameters and are counted on
-//! `tune.fallbacks` — tuning never turns a runnable session into a broken
-//! one.
+//! cases fall back to the session's original parameters and count in the
+//! tuner's [`TuneStats::fallbacks`](crate::TuneStats::fallbacks) — tuning
+//! never turns a runnable session into a broken one.
 
-use resoftmax_model::{RunParams, Session};
+use resoftmax_model::Session;
 
 use crate::oracle::{precheck, TuneWorkload};
 use crate::tuner::{TuneError, Tuner};
-
-/// Copies the tuned schedule knobs onto `base`, keeping its workload
-/// dimensions and profile.
-pub(crate) fn apply_knobs(base: &RunParams, tuned: &RunParams) -> RunParams {
-    base.clone()
-        .strategy(tuned.strategy)
-        .tile(tuned.tile)
-        .ls_split(tuned.ls_split)
-}
 
 /// Adds [`tuned`](SessionTuneExt::tuned) to [`Session`].
 pub trait SessionTuneExt {
     /// Returns a new session with this session's model, device, and
     /// workload, reconfigured with tuned schedule knobs. Falls back to the
-    /// original parameters (counted on `tune.fallbacks`) when the tuned
-    /// knobs do not transfer to the exact workload.
+    /// original parameters (counted in `tuner`'s
+    /// [`TuneStats::fallbacks`](crate::TuneStats::fallbacks)) when the
+    /// tuned knobs do not transfer to the exact workload.
     ///
     /// # Errors
     ///
@@ -50,11 +42,17 @@ impl SessionTuneExt for Session {
             batch: self.params().batch,
         };
         let result = tuner.tune(self.model(), self.device(), &workload)?;
-        let candidate = apply_knobs(self.params(), &result.params);
+        // Only the knobs transfer; the workload dimensions and profile stay.
+        let candidate = self
+            .params()
+            .clone()
+            .strategy(result.params.strategy)
+            .tile(result.params.tile)
+            .ls_split(result.params.ls_split);
         let params = if precheck(self.model(), &candidate).is_ok() {
             candidate
         } else {
-            resoftmax_obs::counter("tune.fallbacks").incr();
+            tuner.note_fallback();
             self.params().clone()
         };
         Ok(Session::new(self.model(), &params, self.device())?)
@@ -66,8 +64,9 @@ mod tests {
     use super::*;
     use crate::search::SearchMode;
     use crate::space::SearchSpace;
+    use crate::tuner::TuneStats;
     use resoftmax_gpusim::DeviceSpec;
-    use resoftmax_model::ModelConfig;
+    use resoftmax_model::{ModelConfig, RunParams};
 
     #[test]
     #[cfg_attr(miri, ignore = "end-to-end simulation is too slow under miri")]
@@ -99,10 +98,17 @@ mod tests {
         let params = RunParams::new(96).tile(resoftmax_kernels::costs::TileConfig::new(64, 32));
         let session =
             Session::new(&ModelConfig::bert_base(), &params, &DeviceSpec::a100()).unwrap();
-        let before = resoftmax_obs::counter("tune.fallbacks").get();
         let tuned = session.tuned(&tuner).unwrap();
-        assert!(resoftmax_obs::counter("tune.fallbacks").get() > before);
         assert_eq!(tuned.params(), session.params());
         tuned.run().unwrap();
+        assert_eq!(
+            tuner.stats(),
+            TuneStats {
+                hits: 0,
+                misses: 1,
+                evaluated: 4,
+                fallbacks: 1,
+            }
+        );
     }
 }
