@@ -263,7 +263,6 @@ impl ControlPlane for Controller {
                 }
             }
             st.applied_regime = Some(regime);
-            resoftmax_obs::counter("ctrl.regime_changes").incr();
         }
 
         let cooled = signals.now_s - st.last_scale_s >= self.config.cooldown_s;

@@ -8,9 +8,12 @@
 //! * **Spans** ([`span!`], [`span()`]) — RAII wall-clock intervals on the
 //!   thread that opened them. The engine wraps each run, the simulator wraps
 //!   each heterogeneous kernel, the pool wraps each parallel region.
-//! * **Counters** ([`counter`], [`float_counter`]) — process-wide atomics:
-//!   kernels launched, per-category DRAM bytes, pool tasks executed/stolen
-//!   per worker, wave-fast-path waves vs event-loop steps.
+//! * **Counters** ([`counter`], [`float_counter`]) — process-wide atomics
+//!   for host aggregates: kernels launched, per-category DRAM bytes, pool
+//!   tasks executed/stolen per worker, wave-fast-path waves vs event-loop
+//!   steps, pricing-memo traffic. Per-run counts are not kept here: a
+//!   serving run's live in its report, a tuner's in the tuner, so two runs
+//!   in one process never mix.
 //! * **Recorder** ([`recorder`]) — collects spans and *simulated* kernel
 //!   timelines (streams), and exports them through pluggable [`Sink`]s: a
 //!   JSON metrics snapshot ([`JsonMetricsSink`]), a human summary table
@@ -34,7 +37,8 @@
 //! environment.
 //!
 //! When disabled, every instrumentation site costs one relaxed atomic load
-//! and a predictable branch. No measurement backs that cost claim; the
+//! and a predictable branch: every counter update in the workspace sits
+//! behind [`metrics_enabled`], so none takes the registry's lock. No measurement backs that cost claim; the
 //! closest check is `resoftmax-bench figures --smoke`, which reruns the
 //! figures with tracing and metrics on and requires bit-identical rows (it
 //! checks output identity and times nothing).

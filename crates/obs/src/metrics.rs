@@ -7,9 +7,9 @@
 //! thereafter. The set of distinct names is small and long-lived by design
 //! (the leak is bounded by the name vocabulary, not by update volume).
 //!
-//! Callers gate updates on [`crate::metrics_enabled`] themselves where the
-//! *construction* of the name would cost (formatting per-worker names);
-//! [`Counter::add`] itself is always safe to call.
+//! Each [`counter`] call locks the registry and searches it by name, so
+//! callers gate every update on [`crate::metrics_enabled`]; [`Counter::add`]
+//! itself is always safe to call.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -26,7 +26,6 @@ use crate::kv::KvPool;
 use crate::request::{Policy, ServeConfig};
 use resoftmax_gpusim::{DeviceSpec, Gpu, Timeline};
 use resoftmax_model::{price_batched_decode, ModelConfig, RunParams};
-use resoftmax_obs::Counter;
 
 /// A replica's serving role in a (possibly disaggregated) fleet.
 ///
@@ -123,39 +122,6 @@ enum Row {
     Decode { id: usize },
 }
 
-/// Cached handles for this replica's `serve.replica.{i}.*` counters (the
-/// registry lookup takes a lock; the engine loop is hot).
-struct ReplicaCounters {
-    iterations: Counter,
-    evictions: Counter,
-    prefill_tokens: Counter,
-    decode_tokens: Counter,
-    completed: Counter,
-    migrations_in: Counter,
-    migrations_out: Counter,
-    handoffs_in: Counter,
-    handoffs_out: Counter,
-    preemptions: Counter,
-}
-
-impl ReplicaCounters {
-    fn new(id: usize) -> Self {
-        let c = |what: &str| resoftmax_obs::counter(&format!("serve.replica.{id}.{what}"));
-        ReplicaCounters {
-            iterations: c("iterations"),
-            evictions: c("evictions"),
-            prefill_tokens: c("prefill_tokens"),
-            decode_tokens: c("decode_tokens"),
-            completed: c("completed"),
-            migrations_in: c("migrations_in"),
-            migrations_out: c("migrations_out"),
-            handoffs_in: c("handoffs_in"),
-            handoffs_out: c("handoffs_out"),
-            preemptions: c("preemptions"),
-        }
-    }
-}
-
 /// One modeled replica of the fleet.
 // The lifecycle flags (accepting/drained/failed/standby/warming) are
 // deliberately independent booleans: drained+standby and failed+warming
@@ -199,7 +165,6 @@ pub(crate) struct Replica {
     /// Accumulated simulated kernel timeline, exported as this replica's
     /// trace stream (`Some` only while tracing is enabled).
     pub timeline: Option<Timeline>,
-    counters: ReplicaCounters,
 }
 
 /// Fleet-level accumulators a step writes into.
@@ -251,7 +216,6 @@ impl Replica {
             occ_sum: 0.0,
             occ_n: 0,
             timeline: None,
-            counters: ReplicaCounters::new(id),
         }
     }
 
@@ -283,8 +247,6 @@ impl Replica {
         let victim = self.running.pop().expect("nonempty running tail");
         self.release(states, victim);
         self.evictions += 1;
-        self.counters.evictions.incr();
-        resoftmax_obs::counter("serve.evictions").incr();
         victim
     }
 
@@ -303,8 +265,6 @@ impl Replica {
         self.release(states, v);
         states[v].cached = 0;
         self.evictions += 1;
-        self.counters.evictions.incr();
-        resoftmax_obs::counter("serve.evictions").incr();
         true
     }
 
@@ -355,7 +315,6 @@ impl Replica {
             states[id].blocks = states[id].blocks.max(need);
             self.waiting.remove(pos);
             self.running.push(id);
-            resoftmax_obs::counter("serve.admitted").incr();
         }
         if cfg.policy == Policy::PreemptivePriority && self.running.len() == cfg.max_batch {
             self.preempt_for_prefill(states, cfg);
@@ -404,8 +363,6 @@ impl Replica {
             let victim = self.running.remove(victim_i);
             self.waiting.push(victim);
             self.preemptions += 1;
-            self.counters.preemptions.incr();
-            resoftmax_obs::counter("serve.preemptions").incr();
 
             let id = self.waiting[pos];
             let need = self.pool.blocks_for(states[id].prefill_target());
@@ -416,7 +373,6 @@ impl Replica {
                 states[id].blocks = states[id].blocks.max(need);
                 self.waiting.remove(pos);
                 self.running.push(id);
-                resoftmax_obs::counter("serve.admitted").incr();
             }
             if self.running.len() < cfg.max_batch {
                 return;
@@ -508,8 +464,6 @@ impl Replica {
         self.clock_s += dt;
         self.busy_s += dt;
         self.iterations += 1;
-        self.counters.iterations.incr();
-        resoftmax_obs::counter("serve.iterations").incr();
         self.occ_sum += self.pool.occupancy();
         self.occ_n += 1;
 
@@ -530,16 +484,12 @@ impl Replica {
                     let st = &mut states[id];
                     st.cached += chunk;
                     self.prefill_tokens += chunk as u64;
-                    self.counters.prefill_tokens.add(chunk as u64);
-                    resoftmax_obs::counter("serve.prefill_tokens").add(chunk as u64);
                     if st.generated == 0 && st.cached == st.prompt {
                         // The final prompt chunk's forward pass produces the
                         // logits for the first output token: TTFT is *this*
                         // completion, not the first decode iteration's.
                         st.generated = 1;
                         self.decode_tokens += 1;
-                        self.counters.decode_tokens.incr();
-                        resoftmax_obs::counter("serve.decode_tokens").incr();
                         st.first_token_s = Some(self.clock_s);
                         st.last_token_s = self.clock_s;
                         acc.ttft.push(self.clock_s - st.arrival_s);
@@ -567,8 +517,6 @@ impl Replica {
                     st.cached += 1;
                     st.generated += 1;
                     self.decode_tokens += 1;
-                    self.counters.decode_tokens.incr();
-                    resoftmax_obs::counter("serve.decode_tokens").incr();
                     debug_assert!(
                         st.first_token_s.is_some(),
                         "decode rows only run after the prefill that emits token one"
@@ -590,32 +538,11 @@ impl Replica {
             // not recompute them.
             self.release(states, id);
             self.handoffs_out += 1;
-            self.counters.handoffs_out.incr();
-            resoftmax_obs::counter("serve.handoffs").incr();
-        }
-        if !finished.is_empty() {
-            self.counters.completed.add(finished.len() as u64);
         }
         if !finished.is_empty() || !handoffs.is_empty() {
             self.running
                 .retain(|id| !finished.contains(id) && !handoffs.contains(id));
         }
         Ok(StepOutcome { evicted, handoffs })
-    }
-
-    /// Counts one migrated-in request (fleet bookkeeping hook).
-    pub fn note_migration_in(&self) {
-        self.counters.migrations_in.incr();
-    }
-
-    /// Counts one request whose KV left this replica over the interconnect.
-    pub fn note_migration_out(&self) {
-        self.counters.migrations_out.incr();
-    }
-
-    /// Counts one handed-off request arriving on this (decode) replica.
-    pub fn note_handoff_in(&mut self) {
-        self.handoffs_in += 1;
-        self.counters.handoffs_in.incr();
     }
 }

@@ -522,6 +522,42 @@ fn disaggregated_reports_are_bit_identical_across_threads_and_reruns() {
     assert_eq!(cold, warm_single, "disaggregated report diverged on rerun");
 }
 
+/// Two different fleets served at once, on two threads, each report
+/// exactly what they report when served alone: a fleet's counts live in its
+/// own report, so concurrent runs cannot mix.
+#[test]
+#[cfg_attr(miri, ignore = "end-to-end simulation is too slow under miri")]
+fn concurrent_fleets_report_what_they_report_alone() {
+    let unified = || {
+        FleetBuilder::new()
+            .model(model())
+            .params(RunParams::new(4096))
+            .replicas(2, &DeviceSpec::a100())
+            .workload(small_cfg())
+            .build()
+            .unwrap()
+            .run()
+            .unwrap()
+    };
+    let disaggregated = || disagg_report(48, LinkSpec::nvlink(), RouterPolicy::RoundRobin);
+    let serial = (unified(), disaggregated());
+    assert_ne!(serial.0.iterations, serial.1.iterations);
+
+    let start = std::sync::Barrier::new(2);
+    let concurrent = std::thread::scope(|s| {
+        let a = s.spawn(|| {
+            start.wait();
+            unified()
+        });
+        let b = s.spawn(|| {
+            start.wait();
+            disaggregated()
+        });
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!(concurrent, serial);
+}
+
 #[test]
 #[cfg_attr(miri, ignore = "end-to-end simulation is too slow under miri")]
 fn handoff_cost_scales_with_the_link_but_ttft_does_not() {
