@@ -160,19 +160,26 @@ impl BenchArgs {
     }
 
     /// Where an experiment writes its checked-in result `file`: the `--out`
-    /// path when given; otherwise `file` itself for the run it holds (full
-    /// scale, on the A100); otherwise, under `--smoke` or for another
-    /// device, `target/bench-smoke/<file>`.
+    /// path when given, otherwise [`default_path`](Self::default_path).
     pub fn out_path(&self, file: &str) -> String {
+        self.out.clone().unwrap_or_else(|| self.default_path(file))
+    }
+
+    /// Where this run keeps `file` when no `--out` names it: `file` itself
+    /// for the run the checked-in files hold (full scale, on the A100);
+    /// otherwise, under `--smoke` or for another device,
+    /// `target/bench-smoke/<file>`. Reports and the tuning database
+    /// (`TUNE_CACHE.json`) both follow it.
+    pub fn default_path(&self, file: &str) -> String {
         let other_device = self
             .positionals
             .iter()
             .filter_map(|a| device_named(a))
             .any(|d| d != DeviceSpec::a100());
-        match &self.out {
-            Some(out) => out.clone(),
-            None if self.smoke || other_device => format!("{SMOKE_DIR}/{file}"),
-            None => file.to_owned(),
+        if self.smoke || other_device {
+            format!("{SMOKE_DIR}/{file}")
+        } else {
+            file.to_owned()
         }
     }
 
@@ -463,6 +470,13 @@ mod tests {
         assert_eq!(out(&["t4"]), "target/bench-smoke/BENCH_x.json");
         assert_eq!(out(&["seq", "3090"]), "target/bench-smoke/BENCH_x.json");
         assert_eq!(out(&["t4", "--out", "y.json"]), "y.json");
+        // The tuning database follows the same rule; `--out` names the
+        // report only.
+        let cache = |args: &[&str]| parse(args).expect("parses").default_path("TUNE_CACHE.json");
+        assert_eq!(cache(&[]), "TUNE_CACHE.json");
+        assert_eq!(cache(&["--smoke"]), "target/bench-smoke/TUNE_CACHE.json");
+        assert_eq!(cache(&["t4"]), "target/bench-smoke/TUNE_CACHE.json");
+        assert_eq!(cache(&["--out", "y.json"]), "TUNE_CACHE.json");
     }
 
     #[test]

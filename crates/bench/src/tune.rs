@@ -3,8 +3,10 @@
 //! `BENCH_tune.json`.
 //!
 //! Every run is its own determinism gate: the grid is tuned once at 1
-//! worker thread against the persisted `TUNE_CACHE.json` and once at 4
-//! with a fresh in-memory tuner, and the report rows must be identical. A
+//! worker thread against the persisted `TUNE_CACHE.json` (in the working
+//! directory for the full A100 grid, else under `target/bench-smoke/`, as
+//! [`BenchArgs::default_path`] places reports) and once at 4 with a fresh
+//! in-memory tuner, and the report rows must be identical. A
 //! bucket is answered from the persisted database exactly when an earlier
 //! run tuned the same question (model, device, search space, mode and
 //! bucket), so an identical rerun answers every bucket from the cache —
@@ -21,8 +23,8 @@ use resoftmax_tune::{
     TuneWorkload, Tuned, Tuner,
 };
 
-/// Path of the persisted tuning database.
-const TUNE_CACHE_PATH: &str = "TUNE_CACHE.json";
+/// File name of the persisted tuning database.
+const TUNE_CACHE: &str = "TUNE_CACHE.json";
 
 fn grid(smoke: bool) -> Vec<(ModelConfig, TuneWorkload)> {
     let mut g = vec![
@@ -176,10 +178,11 @@ pub fn tune(args: &BenchArgs) -> Result<(), Error> {
     };
     let mode = SearchMode::Exhaustive;
 
-    // Leg A: 1 worker thread, persisted cache.
+    // Leg A: 1 worker thread, persisted cache. A smoke or non-A100 run
+    // keeps its own, so it never adds buckets to the full-scale one.
+    let cache = args.default_path(TUNE_CACHE);
     resoftmax_parallel::set_thread_override(Some(1));
-    let (tuner, rows, results) =
-        tune_persisted(Path::new(TUNE_CACHE_PATH), &grid, &space, &mode, &device)?;
+    let (tuner, rows, results) = tune_persisted(Path::new(&cache), &grid, &space, &mode, &device)?;
 
     // Leg B: 4 worker threads, fresh in-memory tuner. The report must be
     // bit-identical — search is order-preserving and index-reduced.
@@ -218,7 +221,7 @@ pub fn tune(args: &BenchArgs) -> Result<(), Error> {
     let stats = tuner.stats();
     println!(
         "cache: {} entries preloaded, {} total, {} hits, {} misses \
-         (database: {TUNE_CACHE_PATH})",
+         (database: {cache})",
         tuner.loaded_entries(),
         tuner.entries(),
         stats.hits,
@@ -253,7 +256,7 @@ mod tests {
     fn warm_starts_answer_exactly_the_preloaded_buckets() {
         let dir = std::env::temp_dir().join(format!("resoftmax-tune-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir is writable");
-        let cache = dir.join("TUNE_CACHE.json");
+        let cache = dir.join(TUNE_CACHE);
         let (space, mode) = (SearchSpace::smoke(), SearchMode::Exhaustive);
         let grid = grid(true);
         let run = |device: &DeviceSpec| {

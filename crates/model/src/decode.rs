@@ -17,7 +17,7 @@
 
 use crate::config::{AttentionKind, ModelConfig};
 use crate::error::Error;
-use crate::periodic::{price_layers, PeriodicTimeline};
+use crate::periodic::{next_layer, price_layers, stack_layers, PeriodicTimeline};
 use crate::schedule::{apply_ls_split, build_layer, RunParams, SoftmaxStrategy};
 use crate::session::validate_decode;
 use resoftmax_analyzer::{DecodeSpec, ErrorBound, ScheduleSpec};
@@ -345,7 +345,8 @@ impl<'a> DecodeLayers<'a> {
 /// batching: heterogeneous rows share a grid); the feed-forward stack runs
 /// as `ctxs.len()`-row GEMMs. `params` supplies the strategy and the
 /// sub-vector tile width; its `batch`/`seq_len` are ignored here — the row
-/// count is `ctxs.len()`.
+/// count is `ctxs.len()`. Only layer 0 is built; every later layer is a
+/// renamed copy of the one before (`periodic::stack_layers`).
 ///
 /// # Panics
 ///
@@ -357,7 +358,10 @@ pub fn build_batched_decode_schedule(
     params: &RunParams,
 ) -> Vec<KernelDesc> {
     let layers = DecodeLayers::new(model, ctxs, params);
-    let kernels: Vec<KernelDesc> = (0..model.layers).flat_map(|l| layers.layer(l)).collect();
+    let mut kernels = Vec::new();
+    stack_layers(&mut kernels, model.layers, |l, kernels| {
+        kernels.extend(layers.layer(l));
+    });
 
     #[cfg(debug_assertions)]
     {
@@ -398,11 +402,13 @@ pub fn price_batched_decode(
     validate_decode(model, ctxs, params)?;
     #[cfg(debug_assertions)]
     let start = gpu.clone();
-    let priced = price_layers(
-        gpu,
-        model.layers,
-        DecodeLayers::new(model, ctxs, params).layer(0),
-    );
+    let mut layer = DecodeLayers::new(model, ctxs, params).layer(0);
+    let priced = price_layers(gpu, model.layers, |gpu, l| {
+        if l > 0 {
+            next_layer(&mut layer);
+        }
+        gpu.run(&layer)
+    });
     #[cfg(debug_assertions)]
     crate::periodic::assert_full_run(
         start,
@@ -675,22 +681,28 @@ mod tests {
         );
     }
 
-    /// Layer `l + 1` is layer `l` with every buffer id's layer advanced by
-    /// one, and the full schedule is the layers in order: the premise of
-    /// `price_batched_decode`'s shortcut.
+    /// The schedule is `model.layers` equal slices, each copied from the one
+    /// before with every buffer id's layer advanced by one. The first, a
+    /// middle and the last slice must be what the builder emits for that
+    /// layer: the premise of `stack_layers` and of `price_batched_decode`'s
+    /// shortcut.
     #[test]
     fn decode_layers_are_shifted_copies() {
         let m = ModelConfig::gpt_neo_1_3b();
         let ctxs = [260, 1000, 1000, 4096];
         for strategy in [SoftmaxStrategy::Baseline, SoftmaxStrategy::Recomposed] {
             let params = RunParams::new(4096).strategy(strategy);
+            let schedule = build_batched_decode_schedule(&m, &ctxs, &params);
+            let per_layer = schedule.len() / m.layers;
+            assert_eq!(schedule.len(), m.layers * per_layer);
             let layers = DecodeLayers::new(&m, &ctxs, &params);
-            for l in [0, 5, 22] {
-                let shifted = crate::periodic::shifted(&layers.layer(l));
-                assert_eq!(layers.layer(l + 1), shifted, "{strategy:?} layer {l}");
+            for l in [0, m.layers / 2, m.layers - 1] {
+                assert_eq!(
+                    schedule[l * per_layer..][..per_layer],
+                    layers.layer(l),
+                    "{strategy:?} layer {l}"
+                );
             }
-            let layers: Vec<KernelDesc> = (0..m.layers).flat_map(|l| layers.layer(l)).collect();
-            assert_eq!(build_batched_decode_schedule(&m, &ctxs, &params), layers);
         }
     }
 

@@ -1,13 +1,16 @@
-//! Layer-periodic pricing: a transformer schedule is one layer's kernels
-//! `model.layers` times over, each copy with every buffer id's layer
-//! advanced by one, so once the L2 state repeats under that renaming every
-//! later layer prices exactly like the last one simulated.
+//! Layer-periodic construction and pricing: a transformer schedule is one
+//! layer's kernels `model.layers` times over, each copy with every buffer
+//! id's layer advanced by one ([`BufferId::next_layer`]). One renaming
+//! serves both.
 //!
-//! [`price_layers`] is the one pricer. It takes one built layer and makes
-//! each later one by advancing that layer's ids in place. The serving
-//! engine hands it the decode builder's first layer
+//! [`stack_layers`] builds on it: a builder emits its first layer and every
+//! later layer is appended as a copy of the one before with its ids
+//! advanced. [`price_layers`] prices on it: once the L2 state repeats under
+//! the renaming, every later layer prices exactly like the last one
+//! simulated. The serving engine hands the pricer the decode builder's
+//! first layer, advanced in place for each later one
 //! ([`price_batched_decode`](crate::price_batched_decode)); the tuner hands
-//! it a copy of the first layer of a schedule it already built and analyzed
+//! it the per-layer slices of a schedule it already built and analyzed
 //! ([`price_schedule`]). Both return a [`PeriodicTimeline`], whose total is
 //! read without expanding the repeated layers.
 
@@ -61,7 +64,7 @@ impl PeriodicTimeline {
 
 /// Advances every buffer id of `kernels` one layer, in place: `l3.q`
 /// becomes `l4.q` ([`BufferId::next_layer`]).
-fn next_layer(kernels: &mut [KernelDesc]) {
+pub(crate) fn next_layer(kernels: &mut [KernelDesc]) {
     for k in kernels {
         for b in k.reads.iter_mut().chain(k.writes.iter_mut()) {
             b.id = b.id.next_layer();
@@ -69,20 +72,47 @@ fn next_layer(kernels: &mut [KernelDesc]) {
     }
 }
 
-/// `kernels` with every buffer id's layer advanced by one.
-#[cfg(test)]
-pub(crate) fn shifted(kernels: &[KernelDesc]) -> Vec<KernelDesc> {
-    let mut shifted = kernels.to_vec();
-    next_layer(&mut shifted);
-    shifted
+/// Appends `layers` layers to `kernels`. `emit(l, kernels)` pushes layer
+/// `l`'s kernels as its builder makes them; it runs for layer 0 only, and
+/// each later layer is a copy of the one before with every id's layer
+/// advanced by one. That is what emitting every layer gives, because a
+/// builder's layer `l + 1` is its layer `l` renamed: its ids are all in
+/// scope `l{l}` (the closing LayerNorm writes `l{l+1}.x`) and nothing else
+/// in a kernel depends on the layer index. Debug builds emit every layer
+/// and assert that it equals its copy.
+pub(crate) fn stack_layers(
+    kernels: &mut Vec<KernelDesc>,
+    layers: usize,
+    emit: impl Fn(usize, &mut Vec<KernelDesc>),
+) {
+    if layers == 0 {
+        return;
+    }
+    let start = kernels.len();
+    emit(0, kernels);
+    let per_layer = kernels.len() - start;
+    kernels.reserve((layers - 1) * per_layer);
+    for _ in 1..layers {
+        let previous = kernels.len() - per_layer;
+        kernels.extend_from_within(previous..);
+        next_layer(&mut kernels[previous + per_layer..]);
+    }
+    #[cfg(debug_assertions)]
+    for l in 0..layers {
+        let mut built = Vec::with_capacity(per_layer);
+        emit(l, &mut built);
+        assert!(
+            built == kernels[start + l * per_layer..][..per_layer],
+            "layer {l} copied from layer 0 differs from the layer its builder emits"
+        );
+    }
 }
 
 /// Prices `layers` layers on `gpu`, one layer at a time, and drains the
-/// timeline (flushing L2, as [`Gpu::take_timeline`] does). `layer` holds
-/// the first layer's kernels; before each later layer its ids are advanced
-/// one layer in place, so layer `l` is the first with every id's layer
-/// advanced `l` times. Whatever `gpu` ran before, such as an embedding
-/// kernel, heads the timeline.
+/// timeline (flushing L2, as [`Gpu::take_timeline`] does). `run_layer(gpu,
+/// l)` launches layer `l`, for `l = 0, 1, …` in turn: the first layer's
+/// kernels with every id's layer advanced `l` times. Whatever `gpu` ran
+/// before, such as an embedding kernel, heads the timeline.
 ///
 /// After each layer the L2 residency (ids and bytes, in LRU order) is
 /// compared with the residency the layer started from, every id's layer
@@ -94,7 +124,7 @@ pub(crate) fn shifted(kernels: &[KernelDesc]) -> Vec<KernelDesc> {
 pub(crate) fn price_layers(
     gpu: &mut Gpu,
     layers: usize,
-    mut layer: Vec<KernelDesc>,
+    mut run_layer: impl FnMut(&mut Gpu, usize) -> Result<(), LaunchError>,
 ) -> Result<PeriodicTimeline, LaunchError> {
     let residency = |gpu: &Gpu| -> Vec<(BufferId, u64)> {
         gpu.l2()
@@ -105,11 +135,8 @@ pub(crate) fn price_layers(
     // The residency this layer starts from, ids already advanced a layer.
     let mut start = residency(gpu);
     for l in 0..layers {
-        if l > 0 {
-            next_layer(&mut layer);
-        }
         let first = gpu.timeline().len();
-        gpu.run(&layer)?;
+        run_layer(gpu, l)?;
         let repeats = gpu.l2().resident().eq(start.iter().copied());
         if repeats {
             let period = gpu.timeline().len() - first;
@@ -134,9 +161,10 @@ pub(crate) fn price_layers(
 /// on `gpu` and calling [`Gpu::take_timeline`], every `f64` bit for bit,
 /// but layers are simulated one at a time and only until the L2 state
 /// repeats under the layer renaming, as in
-/// [`price_batched_decode`](crate::price_batched_decode). Only the first
-/// layer is read: each builder's layer `l + 1` is its layer `l` with every
-/// id's layer advanced by one.
+/// [`price_batched_decode`](crate::price_batched_decode). Each layer is
+/// launched from its own slice of `schedule`, so nothing is copied; the
+/// shortcut holds because each builder makes its layer `l + 1` by copying
+/// its layer `l` with every id's layer advanced by one.
 ///
 /// Debug builds rebuild the schedule from the inputs, assert that
 /// `schedule` is that builder's output, and assert the result against a
@@ -170,9 +198,11 @@ pub fn price_schedule(
     // A full-sequence schedule opens with the embedding kernel.
     let (prologue, layers) = schedule.split_at(usize::from(ctxs.is_none()));
     let per_layer = layers.len() / model.layers.max(1);
-    let priced = gpu
-        .run(prologue)
-        .and_then(|()| price_layers(gpu, model.layers, layers[..per_layer].to_vec()));
+    let priced = gpu.run(prologue).and_then(|()| {
+        price_layers(gpu, model.layers, |gpu, l| {
+            gpu.run(&layers[l * per_layer..][..per_layer])
+        })
+    });
     #[cfg(debug_assertions)]
     assert_full_run(start, schedule, &priced);
     priced
@@ -202,7 +232,7 @@ pub(crate) fn assert_full_run(
 mod tests {
     use super::*;
     use crate::library::LibraryProfile;
-    use crate::schedule::{build_schedule, SoftmaxStrategy};
+    use crate::schedule::{build_schedule, prefill_layer, sparse_layout, SoftmaxStrategy};
     use crate::session::validate_prefill;
     use resoftmax_gpusim::ParallelSplit;
     use resoftmax_kernels::costs::TileConfig;
@@ -235,9 +265,11 @@ mod tests {
     }
 
     /// A full-sequence schedule is the embedding kernel and then
-    /// `model.layers` equal slices, each the previous one with every buffer
-    /// id's layer advanced by one: the premise of `price_schedule`'s
-    /// shortcut, on every model, strategy and Fig. 7 library profile.
+    /// `model.layers` equal slices, each copied from the one before with
+    /// every buffer id's layer advanced by one. The first, a middle and the
+    /// last slice must be what the cost builders emit for that layer: the
+    /// premise of `stack_layers` and of `price_schedule`'s shortcut, on
+    /// every model, strategy and Fig. 7 library profile.
     #[test]
     fn prefill_layers_are_shifted_copies() {
         let mut models = ModelConfig::all_eval_models();
@@ -268,12 +300,14 @@ mod tests {
                         let per_layer = (schedule.len() - 1) / model.layers;
                         assert_eq!(schedule.len(), 1 + model.layers * per_layer);
                         assert_eq!(schedule[0].name, "embedding");
-                        let layers: Vec<&[KernelDesc]> = schedule[1..].chunks(per_layer).collect();
-                        for pair in layers.windows(2) {
+                        let layout = sparse_layout(model, &params);
+                        for l in [0, model.layers / 2, model.layers - 1] {
+                            let mut built = Vec::new();
+                            prefill_layer(model, &params, layout.as_ref(), l, &mut built);
                             assert_eq!(
-                                shifted(pair[0]),
-                                pair[1],
-                                "{} {strategy:?} {} {ls_split:?}",
+                                schedule[1 + l * per_layer..][..per_layer],
+                                built,
+                                "{} {strategy:?} {} {ls_split:?} layer {l}",
                                 model.name,
                                 profile.name
                             );

@@ -12,6 +12,7 @@
 
 use crate::config::ModelConfig;
 use crate::library::{LibraryProfile, SparseSupport};
+use crate::periodic::stack_layers;
 use resoftmax_analyzer::{error_model, ErrorBound, ScheduleSpec, SparseSpec, StrategyKind};
 use resoftmax_gpusim::{
     AccumFormat, BufferId, KernelCategory, KernelDesc, ParallelSplit, Scope, TbSet,
@@ -249,26 +250,25 @@ pub fn build_and_check_schedule(
 
 /// The block layout `(model, params)`'s attention kernels are built on:
 /// `Some` where [`uses_sparse_kernels`] holds.
-fn sparse_layout(model: &ModelConfig, params: &RunParams) -> Option<BlockLayout> {
+pub(crate) fn sparse_layout(model: &ModelConfig, params: &RunParams) -> Option<BlockLayout> {
     uses_sparse_kernels(model, &params.profile).then(|| model.attention.layout(params.seq_len))
 }
 
 /// [`build_schedule`] on a sparse layout the caller built once for the whole
 /// schedule: `model.attention.layout(params.seq_len)` where
-/// [`uses_sparse_kernels`] holds, else `None`.
+/// [`uses_sparse_kernels`] holds, else `None`. The cost builders run for
+/// layer 0 only; every later layer is a renamed copy ([`stack_layers`]).
 pub(crate) fn build_schedule_on(
     model: &ModelConfig,
     params: &RunParams,
     layout: Option<&BlockLayout>,
 ) -> Vec<KernelDesc> {
     let rows = params.seq_len * params.batch;
-    let d_model = model.d_model;
-    let profile = &params.profile;
     let mut kernels = Vec::new();
 
     // Embedding lookup feeding layer 0 (constant-cost glue, category etc.).
     kernels.push(common::elementwise(
-        (rows * d_model) as u64,
+        (rows * model.d_model) as u64,
         1.0,
         1,
         KernelCategory::Other,
@@ -276,34 +276,9 @@ pub(crate) fn build_schedule_on(
         &[Scope::Global.id("tokens")],
         Scope::layer(0).id("x"),
     ));
-
-    for layer in 0..model.layers {
-        let scope = Scope::layer(layer);
-        build_layer(
-            model.d_model,
-            model.d_ff,
-            rows,
-            profile.separate_elementwise,
-            scope,
-            Scope::layer(layer + 1).id("x"),
-            &mut kernels,
-            |kernels| build_attention(model, params, layout, scope, kernels),
-        );
-    }
-
-    // Apply library efficiency overheads.
-    for k in &mut kernels {
-        let factor = match k.category {
-            c if c.is_softmax_family() => profile.softmax_overhead,
-            KernelCategory::MatMulQk
-            | KernelCategory::MatMulPv
-            | KernelCategory::Fc
-            | KernelCategory::FeedForward => profile.matmul_overhead,
-            _ => 1.0,
-        };
-        scale_work(k, factor);
-    }
-    apply_ls_split(params, &mut kernels);
+    stack_layers(&mut kernels, model.layers, |layer, kernels| {
+        prefill_layer(model, params, layout, layer, kernels);
+    });
 
     // Debug builds statically verify every schedule they hand out: fusion
     // legality, buffer dataflow, and traffic conservation (release builds
@@ -320,8 +295,47 @@ pub(crate) fn build_schedule_on(
     kernels
 }
 
+/// Emits prefill layer `layer` of `(model, params)` on `layout` as the cost
+/// builders make it, with the library's efficiency overheads and the
+/// [`RunParams::ls_split`] override applied.
+pub(crate) fn prefill_layer(
+    model: &ModelConfig,
+    params: &RunParams,
+    layout: Option<&BlockLayout>,
+    layer: usize,
+    kernels: &mut Vec<KernelDesc>,
+) {
+    let start = kernels.len();
+    let profile = &params.profile;
+    let scope = Scope::layer(layer);
+    build_layer(
+        model.d_model,
+        model.d_ff,
+        params.seq_len * params.batch,
+        profile.separate_elementwise,
+        scope,
+        Scope::layer(layer + 1).id("x"),
+        kernels,
+        |kernels| build_attention(model, params, layout, scope, kernels),
+    );
+    // Library efficiency overheads.
+    let built = &mut kernels[start..];
+    for k in built.iter_mut() {
+        let factor = match k.category {
+            c if c.is_softmax_family() => profile.softmax_overhead,
+            KernelCategory::MatMulQk
+            | KernelCategory::MatMulPv
+            | KernelCategory::Fc
+            | KernelCategory::FeedForward => profile.matmul_overhead,
+            _ => 1.0,
+        };
+        scale_work(k, factor);
+    }
+    apply_ls_split(params, built);
+}
+
 /// Applies the [`RunParams::ls_split`] override to every standalone Local
-/// Softmax kernel of a built schedule (dense `local_softmax` and the
+/// Softmax kernel of a built layer (dense `local_softmax` and the
 /// block-sparse `bs_local_softmax`). A declared split the analyzer's
 /// parallel rule rejects (e.g. `ReductionAxis`) makes the schedule fail
 /// [`check_schedule`] — intentionally: that is the pruning signal the

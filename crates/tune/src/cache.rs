@@ -83,8 +83,12 @@ impl TuneDb {
         }
     }
 
-    /// Writes the database to `path` as pretty JSON.
+    /// Writes the database to `path` as pretty JSON, creating the parent
+    /// directory first.
     pub fn save(&self, path: &Path) -> io::Result<()> {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
         let json = serde_json::to_string_pretty(self).expect("tuning database serializes");
         std::fs::write(path, format!("{json}\n"))
     }

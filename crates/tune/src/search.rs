@@ -46,8 +46,6 @@ pub struct SearchOutcome {
     pub default_cost_s: f64,
     /// Candidates successfully priced.
     pub evaluated: usize,
-    /// Candidates pruned by the legality gates.
-    pub pruned: usize,
 }
 
 /// Index-ordered argmin: the lowest cost wins, ties go to the earlier
@@ -89,13 +87,11 @@ pub fn search(
         Err(skip) => return Err(default_unrunnable(workload, skip)),
     };
     let (i, best_cost_s) = argmin(&costs).expect("candidate 0 priced");
-    let evaluated = costs.iter().filter(|c| c.is_ok()).count();
     Ok(SearchOutcome {
         best: candidates[i].clone(),
         best_cost_s,
         default_cost_s,
-        evaluated,
-        pruned: costs.len() - evaluated,
+        evaluated: costs.iter().filter(|c| c.is_ok()).count(),
     })
 }
 
