@@ -123,8 +123,8 @@ fn write_trace_if_enabled() -> Result<(), Error> {
         return Ok(());
     };
     let rec = resoftmax_obs::recorder();
-    rec.write(&resoftmax_obs::ChromeTraceSink, &path)?;
-    eprint!("{}", rec.export(&resoftmax_obs::SummarySink));
+    std::fs::write(&path, rec.chrome_trace())?;
+    eprint!("{}", rec.summary());
     let (spans, streams) = (rec.spans().len(), rec.sim_streams().len());
     eprintln!("trace: wrote {path} ({spans} wall-clock spans, {streams} simulated streams)");
     Ok(())

@@ -2,8 +2,6 @@
 //! numeric verification of Eq. 1/2/3, and `BENCH_figures.json`, which pins
 //! the figures' numbers bit for bit.
 
-use std::collections::BTreeMap;
-
 use resoftmax_bench::{
     determinism_gate, rows_of, write_report, BenchArgs, BenchRow, Error, FIG9_BATCHES,
     FIG9_SEQ_LENS, PAPER_SEQ_LEN,
@@ -266,14 +264,6 @@ pub fn fig8_sd_sdf(args: &BenchArgs) -> Result<(), Error> {
     println!("Paper abstract: latency -28%, off-chip access energy -29%");
 
     // Fig. 8(a)'s stacked bars: the per-category composition per strategy.
-    // When metrics are on, the sweep doubles as a consistency check: the
-    // runs below execute serially, so the `sim.dram_bytes.*` counters must
-    // equal the run-ordered sum of each report's breakdown bit-for-bit.
-    let reconcile = resoftmax_obs::metrics_enabled();
-    if reconcile {
-        resoftmax_obs::reset_metrics();
-    }
-    let mut expected: BTreeMap<String, f64> = BTreeMap::new();
     println!("\nPer-strategy composition (Fig. 8(a) stacks):\n");
     let mut stack_rows = Vec::new();
     for model in ModelConfig::all_eval_models() {
@@ -289,11 +279,6 @@ pub fn fig8_sd_sdf(args: &BenchArgs) -> Result<(), Error> {
             )?
             .run()?;
             let b = r.breakdown();
-            if reconcile {
-                for c in &b.categories {
-                    *expected.entry(c.category.label().to_owned()).or_insert(0.0) += c.dram_bytes();
-                }
-            }
             let total = b.total_time_s();
             let frac = |cats: &[KernelCategory]| -> String {
                 pct(cats.iter().map(|&c| b.time_of(c)).sum::<f64>() / total)
@@ -324,21 +309,6 @@ pub fn fig8_sd_sdf(args: &BenchArgs) -> Result<(), Error> {
             &stack_rows
         )
     );
-
-    if reconcile {
-        let snap = resoftmax_obs::metrics_snapshot();
-        for (label, bytes) in &expected {
-            let counter = snap.value(&format!("sim.dram_bytes.{label}"));
-            assert!(
-                counter == *bytes,
-                "counter sim.dram_bytes.{label} = {counter} != breakdown sum {bytes}"
-            );
-        }
-        println!(
-            "\nobservability: {} per-category DRAM counters reconcile with RunReport::breakdown exactly",
-            expected.len()
-        );
-    }
     args.write_rows("fig8_sd_sdf", &rows)
 }
 
@@ -530,23 +500,21 @@ fn figure_rows() -> Result<Vec<BenchRow>, Error> {
 /// Writes the figures' numbers to `BENCH_figures.json`, one row per
 /// number, so a `git diff` after `reproduce` pins every figure bit for bit.
 /// Under `--smoke` the rows must also be identical at 1 and 4 worker
-/// threads, with a warm pricing memo, and with tracing and metrics on:
-/// instrumentation observes, it never perturbs.
+/// threads, with a warm pricing memo, and with tracing on: instrumentation
+/// observes, it never perturbs.
 pub fn figures(args: &BenchArgs) -> Result<(), Error> {
     args.accept_positionals(|_| false)?;
     let rows = if args.smoke {
         let rows = determinism_gate("figure", figure_rows)?;
         resoftmax_obs::set_trace_enabled(Some(true));
-        resoftmax_obs::set_metrics_enabled(Some(true));
         let observed = figure_rows();
         resoftmax_obs::set_trace_enabled(None);
-        resoftmax_obs::set_metrics_enabled(None);
         assert_eq!(
             serde_json::to_string(&observed?)?,
             serde_json::to_string(&rows)?,
-            "figure rows must be identical with observability on"
+            "figure rows must be identical with tracing on"
         );
-        println!("smoke: rows bit-identical with tracing and metrics on");
+        println!("smoke: rows bit-identical with tracing on");
         rows
     } else {
         figure_rows()?

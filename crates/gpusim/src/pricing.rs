@@ -14,8 +14,8 @@
 //! Keys never need invalidation: everything the answer depends on is inside
 //! the fingerprint, so a changed input is simply a different key. The map is
 //! bounded ([`MAX_KERNEL_ENTRIES`]); at capacity new results are computed
-//! but not stored (counted on `sim.cache.dropped`). It is a `HashMap`, but
-//! it is never iterated, so its order cannot reach a report.
+//! but not stored (counted in [`SimCacheStats::dropped`]). It is a
+//! `HashMap`, but it is never iterated, so its order cannot reach a report.
 
 use crate::device::DeviceSpec;
 use crate::kernel::{TbGroup, TbShape};
@@ -229,15 +229,8 @@ pub(crate) fn lookup_kernel(key: u128) -> Option<f64> {
         .expect("sim cache poisoned")
         .get(&key)
         .copied();
-    let (stat, counter) = if price.is_some() {
-        (&HITS, "sim.cache.hits")
-    } else {
-        (&MISSES, "sim.cache.misses")
-    };
+    let stat = if price.is_some() { &HITS } else { &MISSES };
     stat.fetch_add(1, Ordering::Relaxed);
-    if resoftmax_obs::metrics_enabled() {
-        resoftmax_obs::counter(counter).incr();
-    }
     price
 }
 
@@ -246,9 +239,6 @@ pub(crate) fn insert_kernel(key: u128, time_s: f64) {
     if map.len() >= MAX_KERNEL_ENTRIES && !map.contains_key(&key) {
         drop(map);
         DROPPED.fetch_add(1, Ordering::Relaxed);
-        if resoftmax_obs::metrics_enabled() {
-            resoftmax_obs::counter("sim.cache.dropped").incr();
-        }
         return;
     }
     map.entry(key).or_insert(time_s);
@@ -265,10 +255,8 @@ pub fn clear_sim_cache() {
     }
 }
 
-/// A snapshot of the process-global pricing-memo counters. Mirrored on the
-/// observability counters `sim.cache.{hits,misses,dropped}` when metrics are
-/// enabled; this snapshot is always maintained so benches and tests need no
-/// metrics setup.
+/// A snapshot of the process-global pricing-memo counters, the memo's only
+/// count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimCacheStats {
     /// Entries in the kernel-price map.

@@ -212,9 +212,6 @@ impl Gpu {
     /// to the timeline.
     fn execute(&mut self, kernel: &KernelDesc) -> Result<(), LaunchError> {
         let occ = occupancy(&self.device, &kernel.shape)?;
-        if resoftmax_obs::metrics_enabled() {
-            resoftmax_obs::counter("sim.kernels_launched").incr();
-        }
         // Span only the heterogeneous kernels: uniform grids are O(1)
         // closed-form and would flood the trace with sub-µs events.
         let _span =
@@ -280,13 +277,13 @@ impl Gpu {
         occ: Occupancy,
     ) -> f64 {
         if self.reference {
-            return self.fluid_time(groups, shape.threads, read_scale, occ);
+            return self.fluid_time(groups, shape.threads, read_scale, occ).0;
         }
         let key = pricing::kernel_key(self.device_fp, shape, occ.tbs_per_sm, read_scale, groups);
         if let Some(t) = pricing::lookup_kernel(key) {
             return t;
         }
-        let t = self.fluid_time(groups, shape.threads, read_scale, occ);
+        let (t, _) = self.fluid_time(groups, shape.threads, read_scale, occ);
         pricing::insert_kernel(key, t);
         t
     }
@@ -353,7 +350,17 @@ impl Gpu {
     /// dispatch limit without tracking individual SMs. DRAM bandwidth is a
     /// global pool split proportionally to each block's memory-active thread
     /// count and scaled by the utilization model.
-    fn fluid_time(&self, groups: &[TbGroup], threads: u32, read_scale: f64, occ: Occupancy) -> f64 {
+    ///
+    /// Returns the duration and the number of full waves the fast path
+    /// replayed (a count only the tests read: the replay is bit-identical to
+    /// the event loop, so the duration cannot show whether it ran).
+    fn fluid_time(
+        &self,
+        groups: &[TbGroup],
+        threads: u32,
+        read_scale: f64,
+        occ: Occupancy,
+    ) -> (f64, u64) {
         let threads = f64::from(threads);
         let slots = (self.device.num_sms as u64 * occ.tbs_per_sm as u64).max(1);
 
@@ -363,10 +370,7 @@ impl Gpu {
         let mut in_flight: u64 = 0;
         let mut now = 0.0f64;
         let mut fluid = Fluid::new(&self.device);
-        // Instrumentation totals, accumulated locally and flushed once per
-        // kernel so the event loop never touches shared atomics.
-        let mut event_steps: u64 = 0;
-        let mut fast_path_waves: u64 = 0;
+        let mut replayed_waves: u64 = 0;
 
         loop {
             // Wave-class fast path: with the machine idle and the front group
@@ -397,8 +401,7 @@ impl Gpu {
                         while !wave.is_empty() {
                             dts.push(fluid.step(&mut wave, &mut wave_in_flight));
                         }
-                        event_steps += dts.len() as u64;
-                        fast_path_waves += full_waves;
+                        replayed_waves += full_waves;
                         for _ in 0..full_waves {
                             for &dt in &dts {
                                 now += dt;
@@ -435,13 +438,8 @@ impl Gpu {
                 break;
             }
             now += fluid.step(&mut active, &mut in_flight);
-            event_steps += 1;
         }
-        if resoftmax_obs::metrics_enabled() {
-            resoftmax_obs::counter("sim.event_steps").add(event_steps);
-            resoftmax_obs::counter("sim.wave_fast_path_waves").add(fast_path_waves);
-        }
-        now
+        (now, replayed_waves)
     }
 
     /// Achieved utilization for a hypothetical thread count (exposed for
@@ -603,6 +601,24 @@ fn coalesce(tbs: &[TbWork]) -> Vec<TbGroup> {
 mod tests {
     use super::*;
     use crate::kernel::TbWork;
+
+    /// The wave replay is really taken: 100,000 identical blocks fill the
+    /// A100's 864 slots (108 SMs × 8 blocks of 256 threads) 115 times, and
+    /// the result equals the reference GPU's, which replays nothing.
+    #[test]
+    fn full_waves_are_replayed() {
+        let shape = TbShape::new(256, 0, 32);
+        let groups = [TbGroup::new(TbWork::memory(64_000.0, 16_000.0), 100_000)];
+        let price = |gpu: Gpu| {
+            let occ = occupancy(gpu.device(), &shape).expect("fits");
+            gpu.fluid_time(&groups, shape.threads, 1.0, occ)
+        };
+        let (time_s, replayed) = price(Gpu::new(DeviceSpec::a100()));
+        let (reference_s, none) = price(Gpu::reference(DeviceSpec::a100()));
+        assert_eq!(replayed, 115);
+        assert_eq!(none, 0);
+        assert_eq!(time_s.to_bits(), reference_s.to_bits());
+    }
 
     #[test]
     fn coalesce_merges_runs() {

@@ -119,27 +119,6 @@ impl Timeline {
     pub fn extend_from(&mut self, other: &Timeline) {
         self.kernels.extend(other.kernels.iter().cloned());
     }
-
-    /// Accumulates this timeline into the process-wide observability
-    /// counters: `sim.dram_bytes.<category>` (exactly one `+=` of each
-    /// category's [`Breakdown`] total, so a single-run counter is
-    /// bit-identical to `breakdown()` and a sweep's counter is the exact
-    /// run-ordered sum), plus `sim.dram_bytes.total` and `sim.time_s.total`.
-    ///
-    /// No-op unless metrics are enabled ([`resoftmax_obs::metrics_enabled`]).
-    /// The engine calls this once per completed run.
-    pub fn record_metrics(&self) {
-        if !resoftmax_obs::metrics_enabled() {
-            return;
-        }
-        let breakdown = self.breakdown();
-        for c in &breakdown.categories {
-            resoftmax_obs::float_counter(&format!("sim.dram_bytes.{}", c.category.label()))
-                .add(c.dram_bytes());
-        }
-        resoftmax_obs::float_counter("sim.dram_bytes.total").add(self.total_dram_bytes());
-        resoftmax_obs::float_counter("sim.time_s.total").add(self.total_time_s());
-    }
 }
 
 /// Aggregated totals of one category.

@@ -52,21 +52,17 @@ fn memory_kernel(name: &str, count: u64, bytes: f64) -> KernelDesc {
         .build()
 }
 
-/// Homogeneous grid far larger than the machine: many full waves replayed.
+/// Homogeneous grid far larger than the machine: many full waves replayed
+/// (that the replay is taken at all is checked by `sim`'s unit test
+/// `full_waves_are_replayed`).
 #[test]
 fn homogeneous_many_waves() {
-    resoftmax_obs::set_metrics_enabled(Some(true));
-    let replayed = resoftmax_obs::counter("sim.wave_fast_path_waves");
-    let before = replayed.get();
     for count in [1, 7, 216, 217, 5000, 100_000] {
         assert_paths_identical(
             &DeviceSpec::a100(),
             &[memory_kernel("homogeneous", count, 64_000.0)],
         );
     }
-    // The replay was really taken: 100,000 blocks alone fill the A100's 864
-    // slots (108 SMs × 8 blocks of 256 threads) 115 times.
-    assert!(replayed.get() - before >= 100_000 / 864);
 }
 
 /// Compute-bound and mixed compute/memory homogeneous grids.

@@ -73,11 +73,9 @@ impl RunReport {
 /// The execution path of every simulated run ([`Session`](crate::Session)
 /// and [`run_seq2seq`](crate::run_seq2seq)): executes `schedule` on a fresh
 /// GPU and packages the report for the model called `name`, recording
-/// observability state when enabled — a `"model"`-category span around the
-/// run, the simulated kernel timeline as a [`resoftmax_obs::SimStream`]
-/// anchored at the run's wall-clock start, and per-category DRAM-byte
-/// counters (exactly one accumulation of each category's breakdown total per
-/// run, so counters reconcile bit-exactly against [`RunReport::breakdown`]).
+/// trace state when enabled — a `"model"`-category span around the run and
+/// the simulated kernel timeline as a [`resoftmax_obs::SimStream`] anchored
+/// at the run's wall-clock start.
 pub(crate) fn simulate_schedule(
     kind: &'static str,
     name: &str,
@@ -103,7 +101,6 @@ pub(crate) fn simulate_schedule(
     let mut gpu = Gpu::new(device);
     gpu.run(schedule)?;
     let timeline = gpu.into_timeline();
-    timeline.record_metrics();
     if let Some((label, anchor_us)) = stream {
         resoftmax_obs::recorder().add_sim_stream(
             label,

@@ -81,9 +81,9 @@ fn validate_architecture(model: &ModelConfig) -> Result<(), Error> {
 /// [`Error::InvalidConfig`] for a zero layer count, hidden size, head count
 /// or FeedForward size, a head count that does not divide the hidden size,
 /// a zero batch or sequence length, a sequence length that is not a
-/// multiple of a sparse model's block size, a tile width that does not
-/// divide the sequence length, SDF16 on block-sparse kernels, or a
-/// certified error bound over the budget.
+/// multiple of a sparse model's block size, a zero tile height, a tile
+/// width that does not divide the sequence length, SDF16 on block-sparse
+/// kernels, or a certified error bound over the budget.
 pub fn validate_prefill(model: &ModelConfig, params: &RunParams) -> Result<(), Error> {
     validate_architecture(model)?;
     if params.batch == 0 {
@@ -100,6 +100,9 @@ pub fn validate_prefill(model: &ModelConfig, params: &RunParams) -> Result<(), E
                 params.seq_len, model.name
             ));
         }
+    }
+    if params.tile.m == 0 {
+        return invalid("tile height must be nonzero".to_owned());
     }
     if params.tile.n == 0 || !params.seq_len.is_multiple_of(params.tile.n) {
         return invalid(format!(
@@ -132,9 +135,9 @@ pub fn validate_prefill(model: &ModelConfig, params: &RunParams) -> Result<(), E
 /// [`Error::InvalidConfig`] for the architectures [`validate_prefill`]
 /// rejects, for the combinations the decode cost model does not cover
 /// (sparse attention, the online-fused strategy, an empty batch, a zero
-/// context) and for a certified error bound over the budget at the longest
-/// context. The bound is independent of the session's sequence length:
-/// decode contexts are not bounded by it.
+/// context, a zero tile width) and for a certified error bound over the
+/// budget at the longest context. The bound is independent of the
+/// session's sequence length: decode contexts are not bounded by it.
 pub fn validate_decode(
     model: &ModelConfig,
     ctxs: &[usize],
@@ -157,6 +160,9 @@ pub fn validate_decode(
     }
     if ctxs.contains(&0) {
         return invalid("decode context length must be nonzero".to_owned());
+    }
+    if params.tile.n == 0 {
+        return invalid("tile width must be nonzero".to_owned());
     }
     // Applied statically, like the prefill gate: the decode builder
     // debug-asserts its own analysis.
@@ -333,6 +339,14 @@ mod tests {
         let p = RunParams::new(1024).batch(0);
         let e = session(&ModelConfig::bert_large(), &p).unwrap_err();
         assert!(e.to_string().contains("batch"), "{e}");
+
+        // Zero tile height or width (the fields are public, so
+        // `TileConfig::new`'s own check can be bypassed).
+        for (m, n) in [(0, 64), (64, 0)] {
+            let p = RunParams::new(512).tile(TileConfig { m, n });
+            let e = session(&ModelConfig::bert_large(), &p).unwrap_err();
+            assert!(matches!(e, Error::InvalidConfig { .. }), "{m}x{n}: {e}");
+        }
     }
 
     /// GPT-Neo with each architecture rule broken once: a zero layer count,
@@ -409,6 +423,18 @@ mod tests {
             dense.decode_batch(&[512, 0]),
             Err(Error::InvalidConfig { .. })
         ));
+
+        // Zero tile width, which no session could carry (the prefill rules
+        // reject it), through the decode rules and the decode pricer.
+        let zero_width = RunParams::new(512)
+            .strategy(SoftmaxStrategy::Recomposed)
+            .tile(TileConfig { m: 64, n: 0 });
+        let model = ModelConfig::gpt_neo_1_3b();
+        let e = validate_decode(&model, &[512], &zero_width).unwrap_err();
+        assert!(matches!(e, Error::InvalidConfig { .. }), "{e}");
+        let mut gpu = resoftmax_gpusim::Gpu::new(DeviceSpec::a100());
+        let e = crate::price_batched_decode(&mut gpu, &model, &[512], &zero_width).unwrap_err();
+        assert!(matches!(e, Error::InvalidConfig { .. }), "{e}");
     }
 
     #[test]

@@ -1,47 +1,39 @@
-//! Observability for the resoftmax workspace: spans, counters, and a
-//! unified trace export — with **zero overhead when disabled**.
+//! Observability for the resoftmax workspace: spans, simulated streams and
+//! a merged trace export, with **zero overhead when disabled**.
 //!
 //! The paper's argument is a traffic/latency accounting story (Fig. 2/5/8:
-//! where time and DRAM bytes go per kernel category). This crate is the
-//! substrate that lets the rest of the workspace tell that story *live*:
+//! where time and DRAM bytes go per kernel category). Each simulated run
+//! carries that account itself, in its `Timeline` and
+//! `RunReport::breakdown()`; a serving run's counts live in its report and a
+//! tuner's in the tuner, so two runs in one process never mix. This crate
+//! adds where the host's wall clock goes, laid beside the simulated kernel
+//! timelines:
 //!
 //! * **Spans** ([`span!`], [`span()`]) — RAII wall-clock intervals on the
 //!   thread that opened them. The engine wraps each run, the simulator wraps
 //!   each heterogeneous kernel, the pool wraps each parallel region.
-//! * **Counters** ([`counter`], [`float_counter`]) — process-wide atomics
-//!   for host aggregates: kernels launched, per-category DRAM bytes, pool
-//!   tasks executed/stolen per worker, wave-fast-path waves vs event-loop
-//!   steps, pricing-memo traffic. Per-run counts are not kept here: a
-//!   serving run's live in its report, a tuner's in the tuner, so two runs
-//!   in one process never mix.
 //! * **Recorder** ([`recorder`]) — collects spans and *simulated* kernel
-//!   timelines (streams), and exports them through pluggable [`Sink`]s: a
-//!   JSON metrics snapshot ([`JsonMetricsSink`]), a human summary table
-//!   ([`SummarySink`]), and a Chrome-trace exporter ([`ChromeTraceSink`])
-//!   that merges simulator timelines with real wall-clock spans onto one
-//!   timeline (open in `chrome://tracing` or <https://ui.perfetto.dev>).
+//!   timelines (streams) and renders them two ways: a Chrome trace
+//!   ([`Recorder::chrome_trace`]) that merges simulator timelines with real
+//!   wall-clock spans onto one timeline (open in `chrome://tracing` or
+//!   <https://ui.perfetto.dev>), and a human summary table
+//!   ([`Recorder::summary`]).
 //!
 //! # Enabling
 //!
-//! Everything is off by default. Two independent switches:
-//!
-//! * `RESOFTMAX_TRACE` — spans + sim-stream recording. Set to `1` (or any
-//!   value other than `0`/empty) to enable; a value ending in `.json` also
-//!   names the output path the `resoftmax-bench` driver writes the merged
-//!   trace to (default `resoftmax_trace.json`).
-//! * `RESOFTMAX_METRICS` — counter updates.
-//!
-//! Both can be overridden programmatically ([`set_trace_enabled`],
-//! [`set_metrics_enabled`]), which is how the bench driver's
-//! `figures --smoke` gate opts a process in without touching the
-//! environment.
+//! Everything is off by default. `RESOFTMAX_TRACE` turns on spans and
+//! sim-stream recording: set it to `1` (or any value other than `0`/empty);
+//! a value ending in `.json` also names the output path the
+//! `resoftmax-bench` driver writes the merged trace to (default
+//! `resoftmax_trace.json`). [`set_trace_enabled`] overrides it
+//! programmatically, which is how the bench driver's `figures --smoke` gate
+//! opts a process in without touching the environment.
 //!
 //! When disabled, every instrumentation site costs one relaxed atomic load
-//! and a predictable branch: every counter update in the workspace sits
-//! behind [`metrics_enabled`], so none takes the registry's lock. No measurement backs that cost claim; the
-//! closest check is `resoftmax-bench figures --smoke`, which reruns the
-//! figures with tracing and metrics on and requires bit-identical rows (it
-//! checks output identity and times nothing).
+//! and a predictable branch. No measurement isolates that cost: untraced
+//! runs include it, and the closest check is `resoftmax-bench figures
+//! --smoke`, which reruns the figures with tracing on and requires
+//! bit-identical rows (it checks output identity and times nothing).
 //!
 //! # Example
 //!
@@ -49,111 +41,63 @@
 //! use resoftmax_obs as obs;
 //!
 //! obs::set_trace_enabled(Some(true));
-//! obs::set_metrics_enabled(Some(true));
 //! {
 //!     let _outer = obs::span!("outer", "example");
 //!     let _inner = obs::span!("inner", "example");
-//!     obs::counter("example.events").add(3);
 //! }
 //! let spans = obs::recorder().spans();
 //! assert!(spans.iter().any(|s| s.name == "outer"));
-//! assert_eq!(obs::counter("example.events").get(), 3);
-//! let trace = obs::recorder().export(&obs::ChromeTraceSink);
-//! assert!(trace.starts_with('['));
+//! assert!(obs::recorder().chrome_trace().starts_with('['));
+//! assert!(obs::recorder().summary().contains("outer"));
 //! obs::set_trace_enabled(Some(false));
-//! obs::set_metrics_enabled(Some(false));
-//! # obs::reset();
+//! # obs::recorder().clear();
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod json;
-mod metrics;
 mod recorder;
 mod span;
 
-pub use metrics::{
-    counter, float_counter, metrics_snapshot, reset_metrics, Counter, FloatCounter, MetricsSnapshot,
-};
-pub use recorder::{
-    recorder, ChromeTraceSink, JsonMetricsSink, Recorder, SimEvent, SimStream, Sink, SpanRecord,
-    SummarySink,
-};
+pub use recorder::{recorder, Recorder, SimEvent, SimStream, SpanRecord};
 pub use span::{span, Span};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Tri-state switch: 0 = uninitialized (read the environment on first use),
+/// The trace switch: 0 = unresolved (read `RESOFTMAX_TRACE` on first use),
 /// 1 = off, 2 = on.
-struct Switch {
-    state: AtomicU8,
-    env_var: &'static str,
-}
-
-impl Switch {
-    const fn new(env_var: &'static str) -> Switch {
-        Switch {
-            state: AtomicU8::new(0),
-            env_var,
-        }
-    }
-
-    /// The hot-path check: one relaxed load; falls back to the environment
-    /// only on the very first call.
-    fn enabled(&self) -> bool {
-        match self.state.load(Ordering::Relaxed) {
-            0 => self.init_from_env(),
-            1 => false,
-            _ => true,
-        }
-    }
-
-    #[cold]
-    fn init_from_env(&self) -> bool {
-        let on = std::env::var(self.env_var).is_ok_and(|v| !matches!(v.trim(), "" | "0"));
-        // Racing initializers agree (the env does not change under us).
-        self.state.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-        on
-    }
-
-    fn set(&self, v: Option<bool>) {
-        let s = match v {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        };
-        self.state.store(s, Ordering::Relaxed);
-    }
-}
-
-static TRACE: Switch = Switch::new("RESOFTMAX_TRACE");
-static METRICS: Switch = Switch::new("RESOFTMAX_METRICS");
+static TRACE: AtomicU8 = AtomicU8::new(0);
 
 /// `true` if span/stream recording is on (`RESOFTMAX_TRACE` or programmatic
-/// override).
+/// override). The hot-path check: one relaxed load; falls back to the
+/// environment only on the first call.
 #[inline]
 pub fn trace_enabled() -> bool {
-    TRACE.enabled()
+    match TRACE.load(Ordering::Relaxed) {
+        0 => trace_from_env(),
+        1 => false,
+        _ => true,
+    }
 }
 
-/// `true` if counter updates are on (`RESOFTMAX_METRICS` or programmatic
-/// override).
-#[inline]
-pub fn metrics_enabled() -> bool {
-    METRICS.enabled()
+#[cold]
+fn trace_from_env() -> bool {
+    let on = std::env::var("RESOFTMAX_TRACE").is_ok_and(|v| !matches!(v.trim(), "" | "0"));
+    // Racing initializers agree (the env does not change under us).
+    TRACE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    on
 }
 
 /// Overrides the trace switch: `Some(v)` forces it, `None` restores
 /// environment-driven resolution (re-read on next check).
 pub fn set_trace_enabled(v: Option<bool>) {
-    TRACE.set(v);
-}
-
-/// Overrides the metrics switch: `Some(v)` forces it, `None` restores
-/// environment-driven resolution.
-pub fn set_metrics_enabled(v: Option<bool>) {
-    METRICS.set(v);
+    let state = match v {
+        None => 0,
+        Some(false) => 1,
+        Some(true) => 2,
+    };
+    TRACE.store(state, Ordering::Relaxed);
 }
 
 /// Where the merged chrome-trace should be written, if tracing is enabled.
@@ -172,15 +116,7 @@ pub fn trace_output_path() -> Option<String> {
     }
 }
 
-/// Clears all recorded state: spans, sim streams, and counters. Switches are
-/// left as they are. Intended for tests and long-lived processes that export
-/// periodic snapshots.
-pub fn reset() {
-    recorder().clear();
-    reset_metrics();
-}
-
-/// Serializes unit tests that mutate the process-global switches/recorder.
+/// Serializes unit tests that mutate the process-global switch and recorder.
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());

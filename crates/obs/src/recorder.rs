@@ -1,7 +1,6 @@
-//! The process-wide [`Recorder`] and its export [`Sink`]s.
+//! The process-wide [`Recorder`] and its two renderings.
 
 use crate::json;
-use crate::metrics::metrics_snapshot;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -63,7 +62,8 @@ pub struct SimStream {
     pub events: Vec<SimEvent>,
 }
 
-/// Collects spans and simulated streams; exports through [`Sink`]s.
+/// Collects spans and simulated streams; renders them as a Chrome trace
+/// ([`Recorder::chrome_trace`]) or a summary table ([`Recorder::summary`]).
 ///
 /// One process-wide instance exists ([`recorder`]); sessions and binaries
 /// share it. All methods are thread-safe.
@@ -136,8 +136,7 @@ impl Recorder {
         )
     }
 
-    /// Clears recorded spans and streams (counters live in
-    /// [`crate::reset_metrics`]; [`crate::reset`] clears both).
+    /// Clears recorded spans and streams. The trace switch is left as it is.
     pub fn clear(&self) {
         self.spans.lock().expect("recorder poisoned").clear();
         self.streams.lock().expect("recorder poisoned").clear();
@@ -145,53 +144,14 @@ impl Recorder {
         self.dropped_streams.store(0, Ordering::Relaxed);
     }
 
-    /// Renders this recorder's state through `sink`.
-    pub fn export(&self, sink: &dyn Sink) -> String {
-        sink.render(self)
-    }
-
-    /// Renders through `sink` and writes the result to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error if the path is not writable.
-    pub fn write(&self, sink: &dyn Sink, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.export(sink))
-    }
-}
-
-/// An export format over the recorder's state.
-///
-/// The three built-ins cover the workspace's needs ([`ChromeTraceSink`],
-/// [`JsonMetricsSink`], [`SummarySink`]); downstream tools can implement
-/// their own.
-pub trait Sink {
-    /// Short name for logs (`"chrome-trace"`, `"metrics-json"`, ...).
-    fn label(&self) -> &'static str;
-    /// Renders the recorder's current state.
-    fn render(&self, recorder: &Recorder) -> String;
-}
-
-/// Chrome Trace Event Format (viewable in `chrome://tracing` /
-/// <https://ui.perfetto.dev>) merging wall-clock spans (pid 1, one tid per
-/// thread) with every simulated stream (pid 100+i, one tid per kernel
-/// category), anchored at the wall-clock start of its run.
-pub struct ChromeTraceSink;
-
-/// JSON snapshot of every counter plus span aggregates.
-pub struct JsonMetricsSink;
-
-/// Human-readable table of counters and span aggregates.
-pub struct SummarySink;
-
-impl Sink for ChromeTraceSink {
-    fn label(&self) -> &'static str {
-        "chrome-trace"
-    }
-
-    fn render(&self, recorder: &Recorder) -> String {
-        let spans = recorder.spans();
-        let streams = recorder.sim_streams();
+    /// Renders everything recorded in the Chrome Trace Event Format
+    /// (viewable in `chrome://tracing` / <https://ui.perfetto.dev>), merging
+    /// wall-clock spans (pid 1, one tid per thread) with every simulated
+    /// stream (pid 100+i, one tid per kernel category), anchored at the
+    /// wall-clock start of its run.
+    pub fn chrome_trace(&self) -> String {
+        let spans = self.spans();
+        let streams = self.sim_streams();
         let mut out = String::from("[\n");
         let mut first = true;
         let mut push = |s: String, first: &mut bool| {
@@ -266,94 +226,21 @@ impl Sink for ChromeTraceSink {
         out.push_str("\n]\n");
         out
     }
-}
 
-/// Aggregates spans by name: (count, total µs).
-fn span_rollup(spans: &[SpanRecord]) -> BTreeMap<(String, &'static str), (u64, f64)> {
-    let mut agg: BTreeMap<(String, &'static str), (u64, f64)> = BTreeMap::new();
-    for s in spans {
-        let e = agg
-            .entry((s.name.clone().into_owned(), s.category))
-            .or_insert((0, 0.0));
-        e.0 += 1;
-        e.1 += s.dur_us;
-    }
-    agg
-}
-
-impl Sink for JsonMetricsSink {
-    fn label(&self) -> &'static str {
-        "metrics-json"
-    }
-
-    fn render(&self, recorder: &Recorder) -> String {
-        let snap = metrics_snapshot();
-        let spans = recorder.spans();
-        let (dropped_spans, dropped_streams) = recorder.dropped();
-        let mut out = String::from("{\n  \"counters\": {");
-        let mut first = true;
-        for (name, v) in &snap.counts {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\n    {}: {v}", json::string(name));
+    /// A human-readable table of span aggregates by name and of the
+    /// simulated streams.
+    pub fn summary(&self) -> String {
+        // Spans aggregated by name: (count, total µs).
+        let mut rollup: BTreeMap<(String, &'static str), (u64, f64)> = BTreeMap::new();
+        for s in self.spans() {
+            let e = rollup
+                .entry((s.name.into_owned(), s.category))
+                .or_insert((0, 0.0));
+            e.0 += 1;
+            e.1 += s.dur_us;
         }
-        for (name, v) in &snap.values {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\n    {}: {}", json::string(name), json::number(*v));
-        }
-        out.push_str("\n  },\n  \"spans\": {");
-        let rollup = span_rollup(&spans);
-        let mut first = true;
-        for ((name, cat), (count, total_us)) in &rollup {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n    {}: {{\"category\": {}, \"count\": {count}, \"total_us\": {}}}",
-                json::string(name),
-                json::string(cat),
-                json::number(*total_us),
-            );
-        }
-        let _ = write!(
-            out,
-            "\n  }},\n  \"recorded_spans\": {},\n  \"sim_streams\": {},\n  \"dropped_spans\": {dropped_spans},\n  \"dropped_streams\": {dropped_streams}\n}}\n",
-            spans.len(),
-            recorder.sim_streams().len(),
-        );
-        out
-    }
-}
-
-impl Sink for SummarySink {
-    fn label(&self) -> &'static str {
-        "summary"
-    }
-
-    fn render(&self, recorder: &Recorder) -> String {
-        let snap = metrics_snapshot();
-        let spans = recorder.spans();
         let mut out = String::new();
         let _ = writeln!(out, "== resoftmax observability summary ==");
-        if snap.counts.is_empty() && snap.values.is_empty() {
-            let _ = writeln!(out, "(no counters registered)");
-        } else {
-            let _ = writeln!(out, "-- counters --");
-            for (name, v) in &snap.counts {
-                let _ = writeln!(out, "{name:<44} {v:>16}");
-            }
-            for (name, v) in &snap.values {
-                let _ = writeln!(out, "{name:<44} {v:>16.3e}");
-            }
-        }
-        let rollup = span_rollup(&spans);
         if rollup.is_empty() {
             let _ = writeln!(out, "(no spans recorded)");
         } else {
@@ -371,7 +258,7 @@ impl Sink for SummarySink {
                 );
             }
         }
-        let streams = recorder.sim_streams();
+        let streams = self.sim_streams();
         if !streams.is_empty() {
             let _ = writeln!(out, "-- simulated streams --");
             for s in &streams {
@@ -385,7 +272,7 @@ impl Sink for SummarySink {
                 );
             }
         }
-        let (ds, dt) = recorder.dropped();
+        let (ds, dt) = self.dropped();
         if ds + dt > 0 {
             let _ = writeln!(out, "(dropped at backstop: {ds} spans, {dt} streams)");
         }
@@ -426,7 +313,7 @@ mod tests {
                 args: vec![("dram_read_mb", 1.25)],
             }],
         );
-        let json = rec.export(&ChromeTraceSink);
+        let json = rec.chrome_trace();
         assert!(json.contains("\"alpha\""));
         assert!(json.contains("sim:unit/SDF"));
         assert!(json.contains("\"dram_read_mb\":1.25"));
@@ -436,17 +323,22 @@ mod tests {
     }
 
     #[test]
-    fn summary_and_json_render_without_panicking() {
+    fn summary_rolls_spans_up_by_name() {
         let _g = crate::test_lock();
         let rec = recorder();
         rec.clear();
         rec.push_span(span("beta", 1, 0.0, 2.0));
         rec.push_span(span("beta", 2, 1.0, 4.0));
-        let summary = rec.export(&SummarySink);
-        assert!(summary.contains("beta"));
-        let json = rec.export(&JsonMetricsSink);
-        assert!(json.contains("\"beta\""));
-        assert!(json.contains("\"count\": 2"));
+        let summary = rec.summary();
+        let row = summary
+            .lines()
+            .find(|l| l.starts_with("beta"))
+            .expect("a row for beta");
+        // name, category, count, total ms
+        assert_eq!(
+            row.split_whitespace().collect::<Vec<_>>(),
+            ["beta", "test", "2", "0.006"]
+        );
         rec.clear();
     }
 

@@ -67,15 +67,6 @@ thread_local! {
 /// bit-identical either way; this is purely a latency heuristic.
 const MIN_PARALLEL_ELEMS: usize = 4096;
 
-/// Counts `n` work items executed on the serial fallback path, so
-/// `pool.tasks_executed` agrees between 1-worker and N-worker runs of the
-/// same program.
-fn record_serial_items(n: usize) {
-    if resoftmax_obs::metrics_enabled() {
-        resoftmax_obs::counter("pool.tasks_executed").add(n as u64);
-    }
-}
-
 /// Overrides the thread count for subsequent parallel regions.
 ///
 /// `Some(n)` forces `n` workers (1 = serial); `None` restores the
@@ -135,16 +126,11 @@ where
         for w in 0..workers {
             scope.spawn(move || {
                 IN_POOL.with(|c| c.set(true));
-                // Accumulated locally; flushed to the process-wide counters
-                // once per worker so the hot loop stays contention-free.
-                let mut executed = 0u64;
-                let mut stolen_count = 0u64;
                 loop {
                     // Owner end: front of our own deque.
                     let own = deques[w].lock().expect("worker panicked").pop_front();
                     if let Some((i, item)) = own {
                         f(i, item);
-                        executed += 1;
                         continue;
                     }
                     // Steal end: back of the first non-empty victim.
@@ -157,21 +143,12 @@ where
                         }
                     }
                     match stolen {
-                        Some((i, item)) => {
-                            f(i, item);
-                            executed += 1;
-                            stolen_count += 1;
-                        }
+                        Some((i, item)) => f(i, item),
                         // All deques empty: no item can reappear, so done.
                         None => break,
                     }
                 }
                 IN_POOL.with(|c| c.set(false));
-                if resoftmax_obs::metrics_enabled() {
-                    resoftmax_obs::counter("pool.tasks_executed").add(executed);
-                    resoftmax_obs::counter(&format!("pool.worker{w}.executed")).add(executed);
-                    resoftmax_obs::counter(&format!("pool.worker{w}.stolen")).add(stolen_count);
-                }
             });
         }
     });
@@ -207,7 +184,6 @@ where
     let n_chunks = data.len().div_ceil(chunk_size);
     match plan(n_chunks, data.len(), MIN_PARALLEL_ELEMS) {
         None => {
-            record_serial_items(n_chunks);
             for (i, chunk) in data.chunks_mut(chunk_size).enumerate() {
                 f(i, chunk);
             }
@@ -242,7 +218,6 @@ where
     let _span = resoftmax_obs::span!("parallel_ranges_mut", "parallel");
     match plan(lens.len(), data.len().max(lens.len()), 0) {
         None => {
-            record_serial_items(lens.len());
             let mut rest = data;
             for (i, &len) in lens.iter().enumerate() {
                 let (range, tail) = rest.split_at_mut(len);
@@ -300,7 +275,6 @@ pub fn parallel_chunks_mut3<T, U, V, F>(
     let total = a.len() + b.len() + c.len();
     match plan(n_chunks, total, MIN_PARALLEL_ELEMS) {
         None => {
-            record_serial_items(n_chunks);
             for ((i, (xa, xb)), xc) in a
                 .chunks_mut(ca)
                 .zip(b.chunks_mut(cb))
@@ -346,7 +320,6 @@ where
     out.resize_with(items.len(), || None);
     match plan(items.len(), usize::MAX, 0) {
         None => {
-            record_serial_items(items.len());
             for (i, slot) in out.iter_mut().enumerate() {
                 *slot = Some(f(i, &items[i]));
             }

@@ -193,9 +193,6 @@ pub fn precheck_decode(
     check_ls_split(params)?;
     check_numerics(decode_error_bound(ctxs, params))?;
     validate_decode(model, ctxs, params).map_err(invalid_config)?;
-    if params.tile.n == 0 {
-        return Err(Skip::InvalidConfig("tile width must be nonzero".to_owned()));
-    }
     let schedule = build_batched_decode_schedule(model, ctxs, params);
     let report = check_decode_schedule(model, ctxs, params, &schedule);
     if report.has_errors() {
@@ -383,6 +380,15 @@ mod tests {
         // Tile width not dividing L.
         let bad_tile = RunParams::new(1000).tile(TileConfig::new(64, 48));
         let e = precheck(&model, &bad_tile).unwrap_err();
+        assert!(matches!(e, Skip::InvalidConfig(_)), "{e}");
+        // Zero tile height (prefill) and zero tile width (decode).
+        let zero_height = RunParams::new(512).tile(TileConfig { m: 0, n: 64 });
+        let e = precheck(&model, &zero_height).unwrap_err();
+        assert!(matches!(e, Skip::InvalidConfig(_)), "{e}");
+        let zero_width = RunParams::new(512)
+            .strategy(SoftmaxStrategy::Recomposed)
+            .tile(TileConfig { m: 64, n: 0 });
+        let e = precheck_decode(&ModelConfig::gpt_neo_1_3b(), &[512], &zero_width).unwrap_err();
         assert!(matches!(e, Skip::InvalidConfig(_)), "{e}");
         // Sparse model + decode workload.
         let e = precheck_decode(&ModelConfig::bigbird_large(), &[512], &RunParams::new(512))

@@ -3,8 +3,9 @@
 //!
 //! This umbrella crate re-exports the workspace:
 //!
-//! * [`obs`] — zero-overhead-when-disabled observability: spans, counters,
-//!   and the unified chrome-trace export (see README "Observability").
+//! * [`obs`] — zero-overhead-when-disabled observability: spans, simulated
+//!   streams, and the unified chrome-trace export (see README
+//!   "Observability").
 //! * [`fp16`] — bit-exact software binary16.
 //! * [`tensor`] — matrices, tiles, reference linear algebra.
 //! * [`gpusim`] — the GPU performance/energy simulator standing in for the
@@ -55,10 +56,7 @@ pub mod prelude {
         build_schedule, run_seq2seq, Error, LibraryProfile, ModelConfig, RunParams, RunReport,
         Seq2SeqConfig, Session, SoftmaxStrategy, Workload, WorkloadConfig,
     };
-    pub use resoftmax_obs::{
-        counter, float_counter, metrics_snapshot, recorder, span, ChromeTraceSink, JsonMetricsSink,
-        SummarySink,
-    };
+    pub use resoftmax_obs::{recorder, span};
     // `Error` already names the model error above; the serve error keeps its
     // crate prefix as `ServeError`.
     pub use resoftmax_serve::{
