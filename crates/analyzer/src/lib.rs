@@ -40,8 +40,15 @@
 //!
 //! The entry point is [`analyze`]; inputs are the schedule plus a
 //! [`ScheduleSpec`] describing the run (dimensions, strategy, library
-//! overhead factors, block-sparse layout). The model crate wires this in as
-//! a debug-mode assertion on every schedule build, and
+//! overhead factors, block-sparse layout). [`analyze_certified`] adds the
+//! certified numeric bound. A transformer schedule repeats one layer with
+//! its buffer ids advanced a layer per copy, and [`analyze_periodic`] takes
+//! it in that form: the prologue and one layer. It returns the report
+//! [`analyze_certified`] gives on the expanded schedule, but where the
+//! [`periodic`] module's premises hold it analyzes the first two layers
+//! only. The model crate checks the schedules it builds through that
+//! entry: a debug-mode assertion on every build, the report of
+//! `build_and_check_schedule`, and the tuner's gate on every candidate.
 //! `cargo run -p resoftmax-bench -- analyze` sweeps the full evaluation
 //! grid in CI.
 
@@ -55,12 +62,14 @@ pub mod fsm;
 pub mod fusion;
 pub mod numerics;
 pub mod parallel;
+pub mod periodic;
 pub mod report;
 pub mod spec;
 pub mod traffic;
 
 pub use diagnostic::{Diagnostic, Rule, Severity};
 pub use error_model::{ErrorBound, CERT_BUDGET_REL};
+pub use periodic::analyze_periodic;
 pub use report::Report;
 pub use spec::{DecodeSpec, ScheduleSpec, SparseSpec, StrategyKind};
 
@@ -88,9 +97,9 @@ pub fn analyze(spec: &ScheduleSpec, kernels: &[KernelDesc]) -> Vec<Diagnostic> {
     diags
 }
 
-/// Runs [`analyze`] and attaches the certified numeric bound to the report
-/// — the form the model layer's `check_schedule`/`check_decode_schedule`
-/// return.
+/// Runs [`analyze`] and attaches the certified numeric bound to the report:
+/// the every-kernel pass, which [`analyze_periodic`] falls back to and
+/// equals.
 pub fn analyze_certified(spec: &ScheduleSpec, kernels: &[KernelDesc]) -> Report {
     let diags = analyze(spec, kernels);
     Report::new(diags).with_bound(numerics::certified_bound(spec, kernels))

@@ -17,7 +17,7 @@
 
 use crate::config::{AttentionKind, ModelConfig};
 use crate::error::Error;
-use crate::periodic::{next_layer, price_layers, stack_layers, PeriodicTimeline};
+use crate::periodic::{analyze_flat, stack_layers, PeriodicSchedule, PeriodicTimeline};
 use crate::schedule::{apply_ls_split, build_layer, RunParams, SoftmaxStrategy};
 use crate::session::validate_decode;
 use resoftmax_analyzer::{DecodeSpec, ErrorBound, ScheduleSpec};
@@ -92,9 +92,10 @@ impl<'a> DecodeLayers<'a> {
             ctxs.iter().all(|&c| c > 0),
             "decode context lengths must be nonzero"
         );
+        assert!(params.tile.n > 0, "decode tile width must be nonzero");
         let h = model.heads as u64;
         let d_head = model.d_head();
-        let t_sub = params.tile.n.max(1);
+        let t_sub = params.tile.n;
         let n_sv = |ctx: usize| ctx.div_ceil(t_sub);
         DecodeLayers {
             model,
@@ -117,14 +118,21 @@ impl<'a> DecodeLayers<'a> {
         }
     }
 
-    /// Layer `layer`'s kernels. Every buffer id is in the `l{layer}` scope
-    /// (the closing LayerNorm writes the next layer's `l{layer+1}.x`) and no
-    /// kernel name carries the index, so layer `l + 1` is layer `l` with
-    /// every id's layer advanced by one. Its FC/FF kernels are
-    /// `ctxs.len()`-row GEMVs, weight-streaming bound.
-    fn layer(&self, layer: usize) -> Vec<KernelDesc> {
+    /// The iteration in layer-periodic form: layer 0, no prologue.
+    fn periodic(&self) -> PeriodicSchedule {
+        PeriodicSchedule::build(Vec::new(), self.model.layers, |kernels| {
+            self.layer(0, kernels);
+        })
+    }
+
+    /// Pushes layer `layer`'s kernels. Every buffer id is in the
+    /// `l{layer}` scope (the closing LayerNorm writes the next layer's
+    /// `l{layer+1}.x`) and no kernel name carries the index, so layer
+    /// `l + 1` is layer `l` with every id's layer advanced by one. Its
+    /// FC/FF kernels are `ctxs.len()`-row GEMVs, weight-streaming bound.
+    fn layer(&self, layer: usize, kernels: &mut Vec<KernelDesc>) {
+        let start = kernels.len();
         let scope = Scope::layer(layer);
-        let mut kernels = Vec::new();
         build_layer(
             self.model.d_model,
             self.model.d_ff,
@@ -132,11 +140,10 @@ impl<'a> DecodeLayers<'a> {
             false,
             scope,
             Scope::layer(layer + 1).id("x"),
-            &mut kernels,
+            kernels,
             |kernels| self.attention(scope, kernels),
         );
-        apply_ls_split(self.params, &mut kernels);
-        kernels
+        apply_ls_split(self.params, &mut kernels[start..]);
     }
 
     /// One layer's SDA block: GEMVs over each row's KV cache.
@@ -351,28 +358,43 @@ impl<'a> DecodeLayers<'a> {
 /// # Panics
 ///
 /// Panics for non-dense models (decode with block-sparse caches is not
-/// modeled), for the online-fused strategy, and for empty or zero contexts.
+/// modeled), for the online-fused strategy, for empty or zero contexts,
+/// and for a zero tile width.
 pub fn build_batched_decode_schedule(
     model: &ModelConfig,
     ctxs: &[usize],
     params: &RunParams,
 ) -> Vec<KernelDesc> {
     let layers = DecodeLayers::new(model, ctxs, params);
-    let mut kernels = Vec::new();
-    stack_layers(&mut kernels, model.layers, |l, kernels| {
-        kernels.extend(layers.layer(l));
-    });
-
+    let schedule = layers.periodic();
     #[cfg(debug_assertions)]
     {
-        let report = check_decode_schedule(model, ctxs, params, &kernels);
+        let report = schedule.analyze(&decode_analysis_spec(model, ctxs, params));
         debug_assert!(
             !report.has_errors(),
             "build_batched_decode_schedule produced a schedule that fails static analysis:\n{}",
             report.render()
         );
     }
-    kernels
+    stack_layers(schedule, |l, kernels| layers.layer(l, kernels))
+}
+
+/// [`build_batched_decode_schedule`] in layer-periodic form (layer 0,
+/// which runs `model.layers` times) with the report
+/// [`check_decode_schedule`] gives on the expanded schedule. The tuner
+/// builds, checks and prices its decode candidates in this form.
+///
+/// # Panics
+///
+/// As [`build_batched_decode_schedule`].
+pub fn build_and_check_periodic_decode(
+    model: &ModelConfig,
+    ctxs: &[usize],
+    params: &RunParams,
+) -> (PeriodicSchedule, resoftmax_analyzer::Report) {
+    let schedule = DecodeLayers::new(model, ctxs, params).periodic();
+    let report = schedule.analyze(&decode_analysis_spec(model, ctxs, params));
+    (schedule, report)
 }
 
 /// Prices one batched-decode iteration on `gpu` and drains its timeline
@@ -402,13 +424,7 @@ pub fn price_batched_decode(
     validate_decode(model, ctxs, params)?;
     #[cfg(debug_assertions)]
     let start = gpu.clone();
-    let mut layer = DecodeLayers::new(model, ctxs, params).layer(0);
-    let priced = price_layers(gpu, model.layers, |gpu, l| {
-        if l > 0 {
-            next_layer(&mut layer);
-        }
-        gpu.run(&layer)
-    });
+    let priced = DecodeLayers::new(model, ctxs, params).periodic().price(gpu);
     #[cfg(debug_assertions)]
     crate::periodic::assert_full_run(
         start,
@@ -432,17 +448,32 @@ fn decode_strategy(strategy: SoftmaxStrategy) -> SoftmaxStrategy {
 }
 
 /// Statically analyzes a batched-decode schedule against the spec implied by
-/// `(model, ctxs, params)`, returning the full diagnostic report. The spec
-/// has `seq_len = 1` and `batch = ctxs.len()`, so the FC/LayerNorm formulas
-/// apply unchanged, and carries the per-row contexts in a [`DecodeSpec`],
-/// which drive the exact SDA traffic and footprint sums.
+/// `(model, ctxs, params)` ([`decode_analysis_spec`]), returning the full
+/// diagnostic report: [`resoftmax_analyzer::analyze_certified`]'s. A
+/// schedule of the form [`build_batched_decode_schedule`] makes
+/// (`model.layers` layers, each the one before with every buffer id's
+/// layer advanced by one) is analyzed from its first two layers
+/// ([`resoftmax_analyzer::analyze_periodic`]), any other over every kernel.
 pub fn check_decode_schedule(
     model: &ModelConfig,
     ctxs: &[usize],
     params: &RunParams,
     kernels: &[KernelDesc],
 ) -> resoftmax_analyzer::Report {
-    let spec = ScheduleSpec {
+    analyze_flat(&decode_analysis_spec(model, ctxs, params), kernels, 0)
+}
+
+/// The analyzer's description of the batched-decode iteration `(model,
+/// ctxs, params)`. It has `seq_len = 1` and `batch = ctxs.len()`, so the
+/// FC/LayerNorm formulas apply unchanged, and carries the per-row contexts
+/// in a [`DecodeSpec`], which drive the exact SDA traffic and footprint
+/// sums. [`check_decode_schedule`] analyzes against it.
+pub fn decode_analysis_spec(
+    model: &ModelConfig,
+    ctxs: &[usize],
+    params: &RunParams,
+) -> ScheduleSpec {
+    ScheduleSpec {
         seq_len: 1,
         batch: ctxs.len(),
         heads: model.heads,
@@ -461,8 +492,7 @@ pub fn check_decode_schedule(
         decode: Some(DecodeSpec {
             ctxs: ctxs.to_vec(),
         }),
-    };
-    resoftmax_analyzer::analyze_certified(&spec, kernels)
+    }
 }
 
 /// The certified numeric error bound for the batched-decode schedule
@@ -548,6 +578,17 @@ mod tests {
             &ModelConfig::gpt_neo_1_3b(),
             &[128, 0],
             &RunParams::new(4096),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "decode tile width must be nonzero")]
+    fn zero_tile_width_rejected() {
+        use resoftmax_kernels::costs::TileConfig;
+        let _ = build_batched_decode_schedule(
+            &ModelConfig::gpt_neo_1_3b(),
+            &[128],
+            &RunParams::new(4096).tile(TileConfig { m: 64, n: 0 }),
         );
     }
 
@@ -697,9 +738,11 @@ mod tests {
             assert_eq!(schedule.len(), m.layers * per_layer);
             let layers = DecodeLayers::new(&m, &ctxs, &params);
             for l in [0, m.layers / 2, m.layers - 1] {
+                let mut built = Vec::new();
+                layers.layer(l, &mut built);
                 assert_eq!(
                     schedule[l * per_layer..][..per_layer],
-                    layers.layer(l),
+                    built,
                     "{strategy:?} layer {l}"
                 );
             }
@@ -733,6 +776,7 @@ mod tests {
     /// with a typed error before building anything.
     #[test]
     fn price_batched_decode_rejects_what_the_builder_cannot_build() {
+        use resoftmax_kernels::costs::TileConfig;
         let mut gpu = Gpu::new(DeviceSpec::a100());
         let dense = ModelConfig::gpt_neo_1_3b();
         let online = RunParams::new(4096).strategy(SoftmaxStrategy::OnlineFused);
@@ -745,7 +789,13 @@ mod tests {
             ),
             (dense.clone(), &[4096], online, "online fusion"),
             (dense.clone(), &[], RunParams::new(4096), "at least one row"),
-            (dense, &[128, 0], RunParams::new(4096), "nonzero"),
+            (dense.clone(), &[128, 0], RunParams::new(4096), "nonzero"),
+            (
+                dense,
+                &[128],
+                RunParams::new(4096).tile(TileConfig { m: 64, n: 0 }),
+                "tile width",
+            ),
         ] {
             match price_batched_decode(&mut gpu, &model, ctxs, &params) {
                 Err(Error::InvalidConfig { reason }) => assert!(reason.contains(why), "{reason}"),

@@ -39,16 +39,17 @@ mod workload;
 
 pub use config::{AttentionKind, ModelConfig};
 pub use decode::{
-    build_batched_decode_schedule, check_decode_schedule, decode_error_bound, price_batched_decode,
+    build_and_check_periodic_decode, build_batched_decode_schedule, check_decode_schedule,
+    decode_analysis_spec, decode_error_bound, price_batched_decode,
 };
 pub use engine::RunReport;
 pub use error::Error;
 pub use library::{LibraryProfile, SparseSupport};
-pub use periodic::{price_schedule, PeriodicTimeline};
+pub use periodic::{price_schedule, PeriodicSchedule, PeriodicTimeline};
 pub use resoftmax_gpusim::ParallelSplit;
 pub use schedule::{
-    build_and_check_schedule, build_schedule, check_schedule, static_error_bound, RunParams,
-    SoftmaxStrategy,
+    analysis_spec, build_and_check_periodic, build_and_check_schedule, build_schedule,
+    check_schedule, static_error_bound, RunParams, SoftmaxStrategy,
 };
 pub use seq2seq::{build_seq2seq_schedule, run_seq2seq, Seq2SeqConfig};
 pub use session::{validate_decode, validate_prefill, Session};

@@ -1,22 +1,27 @@
-//! Layer-periodic construction and pricing: a transformer schedule is one
+//! Layer-periodic construction, analysis and pricing: a transformer
+//! schedule is a prologue (a prefill's embedding kernel) and then one
 //! layer's kernels `model.layers` times over, each copy with every buffer
 //! id's layer advanced by one ([`BufferId::next_layer`]). One renaming
-//! serves both.
+//! builds, checks and prices.
 //!
-//! [`stack_layers`] builds on it: a builder emits its first layer and every
-//! later layer is appended as a copy of the one before with its ids
-//! advanced. [`price_layers`] prices on it: once the L2 state repeats under
-//! the renaming, every later layer prices exactly like the last one
-//! simulated. The serving engine hands the pricer the decode builder's
-//! first layer, advanced in place for each later one
-//! ([`price_batched_decode`](crate::price_batched_decode)); the tuner hands
-//! it the per-layer slices of a schedule it already built and analyzed
-//! ([`price_schedule`]). Both return a [`PeriodicTimeline`], whose total is
-//! read without expanding the repeated layers.
+//! A builder emits its prologue and layer 0, a [`PeriodicSchedule`]. The
+//! analyzer checks that form from its first two layers
+//! ([`resoftmax_analyzer::analyze_periodic`]); the flat check functions
+//! recognize a flat schedule of that form first ([`analyze_flat`]).
+//! [`stack_layers`] expands the form into the flat schedule, each later
+//! layer a copy of the one before with its ids advanced. [`price_layers`]
+//! prices on it: once the L2 state repeats under the renaming, every later
+//! layer prices exactly like the last one simulated. A fleet step
+//! ([`price_batched_decode`](crate::price_batched_decode)) and a tuner
+//! candidate ([`price_schedule`]) both price the form, layer 0 advanced in
+//! place for each later layer, and get a [`PeriodicTimeline`], whose total
+//! is read without expanding the repeated layers.
 
 use crate::config::ModelConfig;
 use crate::schedule::RunParams;
-use resoftmax_gpusim::{BufferId, Gpu, KernelDesc, KernelStats, LaunchError, Timeline};
+use resoftmax_analyzer::periodic::{append_layers, next_layer};
+use resoftmax_analyzer::{analyze_certified, analyze_periodic, Report, ScheduleSpec};
+use resoftmax_gpusim::{BufferId, BufferUse, Gpu, KernelDesc, KernelStats, LaunchError, Timeline};
 
 /// A priced schedule in compact form: the kernels actually simulated, the
 /// last `period` of which repeat `repeats` more times in the full run.
@@ -62,57 +67,157 @@ impl PeriodicTimeline {
     }
 }
 
-/// Advances every buffer id of `kernels` one layer, in place: `l3.q`
-/// becomes `l4.q` ([`BufferId::next_layer`]).
-pub(crate) fn next_layer(kernels: &mut [KernelDesc]) {
-    for k in kernels {
-        for b in k.reads.iter_mut().chain(k.writes.iter_mut()) {
-            b.id = b.id.next_layer();
+/// A schedule in layer-periodic form: its prologue, then layer 0, which
+/// runs `model.layers` times, each copy with every buffer id's layer
+/// advanced by one. [`Self::expand`] gives the flat schedule it stands for.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PeriodicSchedule {
+    /// The prologue, then layer 0.
+    kernels: Vec<KernelDesc>,
+    prologue: usize,
+    layers: usize,
+}
+
+impl PeriodicSchedule {
+    /// `prologue`, then layer 0 as `emit` pushes it (nothing when `layers`
+    /// is 0).
+    pub(crate) fn build(
+        prologue: Vec<KernelDesc>,
+        layers: usize,
+        emit: impl FnOnce(&mut Vec<KernelDesc>),
+    ) -> Self {
+        let mut kernels = prologue;
+        let prologue = kernels.len();
+        if layers > 0 {
+            emit(&mut kernels);
         }
+        PeriodicSchedule {
+            kernels,
+            prologue,
+            layers,
+        }
+    }
+
+    /// The kernels before the first layer: a prefill's embedding kernel,
+    /// nothing for a decode iteration.
+    pub fn prologue(&self) -> &[KernelDesc] {
+        &self.kernels[..self.prologue]
+    }
+
+    /// Layer 0's kernels.
+    pub fn layer(&self) -> &[KernelDesc] {
+        &self.kernels[self.prologue..]
+    }
+
+    /// Analyzes the schedule against `spec` ([`analyze_periodic`]): the
+    /// report [`analyze_certified`] gives on the expanded schedule.
+    pub(crate) fn analyze(&self, spec: &ScheduleSpec) -> Report {
+        analyze_periodic(spec, self.prologue(), self.layer())
+    }
+
+    /// The flat schedule: the prologue, layer 0, and each later layer a
+    /// copy of the one before with every id's layer advanced.
+    pub fn expand(mut self) -> Vec<KernelDesc> {
+        let per_layer = self.kernels.len() - self.prologue;
+        append_layers(&mut self.kernels, per_layer, self.layers);
+        self.kernels
+    }
+
+    /// Runs the prologue on `gpu`, then prices the layers through
+    /// [`price_layers`], which advances layer 0's ids in place before each
+    /// later launch. Nothing is copied.
+    pub(crate) fn price(mut self, gpu: &mut Gpu) -> Result<PeriodicTimeline, LaunchError> {
+        let (prologue, layer) = self.kernels.split_at_mut(self.prologue);
+        if !prologue.is_empty() {
+            gpu.run(prologue)?;
+        }
+        price_layers(gpu, layer, self.layers)
     }
 }
 
-/// Appends `layers` layers to `kernels`. `emit(l, kernels)` pushes layer
-/// `l`'s kernels as its builder makes them; it runs for layer 0 only, and
-/// each later layer is a copy of the one before with every id's layer
-/// advanced by one. That is what emitting every layer gives, because a
-/// builder's layer `l + 1` is its layer `l` renamed: its ids are all in
-/// scope `l{l}` (the closing LayerNorm writes `l{l+1}.x`) and nothing else
-/// in a kernel depends on the layer index. Debug builds emit every layer
-/// and assert that it equals its copy.
+/// The flat schedule of `schedule`, whose layer is layer 0 as `emit(0, …)`
+/// pushes it ([`PeriodicSchedule::expand`]). That is what emitting every
+/// layer gives, because a builder's layer `l + 1` is its layer `l` renamed:
+/// its ids are all in scope `l{l}` (the closing LayerNorm writes
+/// `l{l+1}.x`) and nothing else in a kernel depends on the layer index.
+/// Debug builds emit every layer and assert that it equals its copy.
+#[cfg_attr(not(debug_assertions), allow(unused_variables))]
 pub(crate) fn stack_layers(
-    kernels: &mut Vec<KernelDesc>,
-    layers: usize,
+    schedule: PeriodicSchedule,
     emit: impl Fn(usize, &mut Vec<KernelDesc>),
-) {
-    if layers == 0 {
-        return;
-    }
-    let start = kernels.len();
-    emit(0, kernels);
-    let per_layer = kernels.len() - start;
-    kernels.reserve((layers - 1) * per_layer);
-    for _ in 1..layers {
-        let previous = kernels.len() - per_layer;
-        kernels.extend_from_within(previous..);
-        next_layer(&mut kernels[previous + per_layer..]);
-    }
+) -> Vec<KernelDesc> {
     #[cfg(debug_assertions)]
-    for l in 0..layers {
+    let (start, per_layer) = (schedule.prologue, schedule.layer().len());
+    let kernels = schedule.expand();
+    #[cfg(debug_assertions)]
+    for (l, copy) in kernels[start..].chunks(per_layer.max(1)).enumerate() {
         let mut built = Vec::with_capacity(per_layer);
         emit(l, &mut built);
         assert!(
-            built == kernels[start + l * per_layer..][..per_layer],
+            built == copy,
             "layer {l} copied from layer 0 differs from the layer its builder emits"
         );
+    }
+    kernels
+}
+
+/// Layer 0 of `kernels`, when the kernels after the first `prologue` are
+/// `layers` layers of equal length, each equal to the one before with every
+/// buffer id's layer advanced by one. Kernels are compared field by field,
+/// so nothing is copied.
+fn periodic_layer(kernels: &[KernelDesc], prologue: usize, layers: usize) -> Option<&[KernelDesc]> {
+    let body = kernels.get(prologue..)?;
+    if layers == 0 || body.is_empty() || !body.len().is_multiple_of(layers) {
+        return None;
+    }
+    let per_layer = body.len() / layers;
+    // Both structs are destructured so that a new field cannot be left out.
+    let advanced = |prev: &[BufferUse], next: &[BufferUse]| {
+        prev.len() == next.len()
+            && prev.iter().zip(next).all(|(p, n)| {
+                let BufferUse { id, bytes } = n;
+                *bytes == p.bytes && *id == p.id.next_layer()
+            })
+    };
+    let copies = body.iter().zip(&body[per_layer..]).all(|(prev, k)| {
+        let KernelDesc {
+            name,
+            category,
+            shape,
+            tbs,
+            reads,
+            writes,
+            meta,
+        } = k;
+        *name == prev.name
+            && *category == prev.category
+            && *shape == prev.shape
+            && *tbs == prev.tbs
+            && *meta == prev.meta
+            && advanced(&prev.reads, reads)
+            && advanced(&prev.writes, writes)
+    });
+    copies.then(|| &body[..per_layer])
+}
+
+/// Analyzes a flat schedule against `spec`: through [`analyze_periodic`]
+/// from its first `prologue` kernels and layer 0 when it has that form
+/// (`spec.layers` layers, each its predecessor renamed), else with
+/// [`analyze_certified`] over every kernel. The report is the same either
+/// way.
+pub(crate) fn analyze_flat(spec: &ScheduleSpec, kernels: &[KernelDesc], prologue: usize) -> Report {
+    match periodic_layer(kernels, prologue, spec.layers) {
+        Some(layer) => analyze_periodic(spec, &kernels[..prologue], layer),
+        None => analyze_certified(spec, kernels),
     }
 }
 
 /// Prices `layers` layers on `gpu`, one layer at a time, and drains the
-/// timeline (flushing L2, as [`Gpu::take_timeline`] does). `run_layer(gpu,
-/// l)` launches layer `l`, for `l = 0, 1, …` in turn: the first layer's
-/// kernels with every id's layer advanced `l` times. Whatever `gpu` ran
-/// before, such as an embedding kernel, heads the timeline.
+/// timeline (flushing L2, as [`Gpu::take_timeline`] does). Layer 0 is
+/// `layer`, and each later layer is launched as the one before with every
+/// id's layer advanced by one in place, so `layer` is left advanced by the
+/// number of layers simulated less one. Whatever `gpu` ran before, such as
+/// an embedding kernel, heads the timeline.
 ///
 /// After each layer the L2 residency (ids and bytes, in LRU order) is
 /// compared with the residency the layer started from, every id's layer
@@ -121,10 +226,10 @@ pub(crate) fn stack_layers(
 /// is layer `l` with its ids renamed, the L2 model compares typed ids only
 /// for equality, and kernel names carry no layer index, so every remaining
 /// layer yields this layer's stats: they are counted, not simulated.
-pub(crate) fn price_layers(
+fn price_layers(
     gpu: &mut Gpu,
+    layer: &mut [KernelDesc],
     layers: usize,
-    mut run_layer: impl FnMut(&mut Gpu, usize) -> Result<(), LaunchError>,
 ) -> Result<PeriodicTimeline, LaunchError> {
     let residency = |gpu: &Gpu| -> Vec<(BufferId, u64)> {
         gpu.l2()
@@ -136,7 +241,10 @@ pub(crate) fn price_layers(
     let mut start = residency(gpu);
     for l in 0..layers {
         let first = gpu.timeline().len();
-        run_layer(gpu, l)?;
+        if l > 0 {
+            next_layer(layer);
+        }
+        gpu.run(layer)?;
         let repeats = gpu.l2().resident().eq(start.iter().copied());
         if repeats {
             let period = gpu.timeline().len() - first;
@@ -155,56 +263,46 @@ pub(crate) fn price_layers(
     })
 }
 
-/// Prices a schedule the caller already built: `build_schedule(model,
-/// params)` when `ctxs` is `None`, `build_batched_decode_schedule(model,
-/// ctxs, params)` when it is `Some`. The result equals running `schedule`
-/// on `gpu` and calling [`Gpu::take_timeline`], every `f64` bit for bit,
-/// but layers are simulated one at a time and only until the L2 state
-/// repeats under the layer renaming, as in
-/// [`price_batched_decode`](crate::price_batched_decode). Each layer is
-/// launched from its own slice of `schedule`, so nothing is copied; the
-/// shortcut holds because each builder makes its layer `l + 1` by copying
-/// its layer `l` with every id's layer advanced by one.
+/// Prices a schedule in layer-periodic form on `gpu`, as a precheck built
+/// it from `(model, ctxs, params)`: the prefill schedule of
+/// [`build_and_check_periodic`](crate::build_and_check_periodic) when
+/// `ctxs` is `None`, the batched-decode schedule of
+/// [`build_and_check_periodic_decode`](crate::build_and_check_periodic_decode)
+/// when it is `Some`. The result equals running the expanded schedule on
+/// `gpu` and calling [`Gpu::take_timeline`], every `f64` bit for bit, but
+/// the prologue runs, then layer 0, then layer 0 with its ids advanced in
+/// place, and so on, only until the L2 state repeats under the layer
+/// renaming, as in [`price_batched_decode`](crate::price_batched_decode).
 ///
-/// Debug builds rebuild the schedule from the inputs, assert that
-/// `schedule` is that builder's output, and assert the result against a
-/// full run on a clone of `gpu`.
+/// Debug builds assert the result against a full run of the builder's
+/// flat output (`build_schedule` or `build_batched_decode_schedule` on the
+/// same inputs) on a clone of `gpu`.
 ///
 /// # Errors
 ///
 /// Returns [`LaunchError`] if a kernel cannot launch, as the full run
 /// would.
-// Only the debug check rebuilds the schedule, so only it reads `params`.
+// Only the debug check rebuilds the schedule, so only it reads the inputs.
 #[cfg_attr(not(debug_assertions), allow(unused_variables))]
 pub fn price_schedule(
     gpu: &mut Gpu,
     model: &ModelConfig,
     ctxs: Option<&[usize]>,
     params: &RunParams,
-    schedule: &[KernelDesc],
+    schedule: PeriodicSchedule,
 ) -> Result<PeriodicTimeline, LaunchError> {
     #[cfg(debug_assertions)]
-    let start = {
-        let built = match ctxs {
+    let start = gpu.clone();
+    let priced = schedule.price(gpu);
+    #[cfg(debug_assertions)]
+    assert_full_run(
+        start,
+        &match ctxs {
             Some(ctxs) => crate::decode::build_batched_decode_schedule(model, ctxs, params),
             None => crate::schedule::build_schedule(model, params),
-        };
-        assert!(
-            schedule == built,
-            "price_schedule was handed a schedule its builder inputs do not produce"
-        );
-        gpu.clone()
-    };
-    // A full-sequence schedule opens with the embedding kernel.
-    let (prologue, layers) = schedule.split_at(usize::from(ctxs.is_none()));
-    let per_layer = layers.len() / model.layers.max(1);
-    let priced = gpu.run(prologue).and_then(|()| {
-        price_layers(gpu, model.layers, |gpu, l| {
-            gpu.run(&layers[l * per_layer..][..per_layer])
-        })
-    });
-    #[cfg(debug_assertions)]
-    assert_full_run(start, schedule, &priced);
+        },
+        &priced,
+    );
     priced
 }
 

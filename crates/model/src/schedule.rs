@@ -12,7 +12,7 @@
 
 use crate::config::ModelConfig;
 use crate::library::{LibraryProfile, SparseSupport};
-use crate::periodic::stack_layers;
+use crate::periodic::{analyze_flat, stack_layers, PeriodicSchedule};
 use resoftmax_analyzer::{error_model, ErrorBound, ScheduleSpec, SparseSpec, StrategyKind};
 use resoftmax_gpusim::{
     AccumFormat, BufferId, KernelCategory, KernelDesc, ParallelSplit, Scope, TbSet,
@@ -225,15 +225,18 @@ pub(crate) fn uses_sparse_kernels(model: &ModelConfig, profile: &LibraryProfile)
 ///
 /// # Panics
 ///
-/// Panics if `seq_len` is incompatible with the model's sparse block size or
-/// the tile width does not divide the sequence length.
+/// Panics if the tile height or width is zero, if `seq_len` is
+/// incompatible with the model's sparse block size, or if the tile width
+/// does not divide the sequence length.
 pub fn build_schedule(model: &ModelConfig, params: &RunParams) -> Vec<KernelDesc> {
     build_schedule_on(model, params, sparse_layout(model, params).as_ref())
 }
 
 /// Builds the schedule of one inference iteration and statically analyzes
 /// it: the same schedule as [`build_schedule`] and the same report as
-/// [`check_schedule`] on it, but the sparse layout both read is built once.
+/// [`check_schedule`] on it. The sparse layout both read is built once,
+/// and the analyzer reads the builder's layer 0 before it is expanded
+/// ([`resoftmax_analyzer::analyze_periodic`]), so no layer is compared.
 ///
 /// # Panics
 ///
@@ -243,9 +246,30 @@ pub fn build_and_check_schedule(
     params: &RunParams,
 ) -> (Vec<KernelDesc>, resoftmax_analyzer::Report) {
     let layout = sparse_layout(model, params);
-    let kernels = build_schedule_on(model, params, layout.as_ref());
-    let report = check_schedule_on(model, params, layout.as_ref(), &kernels);
-    (kernels, report)
+    let schedule = prefill_periodic(model, params, layout.as_ref());
+    let report = schedule.analyze(&prefill_spec(model, params, layout.as_ref()));
+    (
+        stack_prefill(model, params, layout.as_ref(), schedule),
+        report,
+    )
+}
+
+/// [`build_and_check_schedule`] without the expansion: the schedule in
+/// layer-periodic form (the embedding kernel and layer 0, which runs
+/// `model.layers` times) and the same report. The tuner builds, checks and
+/// prices its candidates in this form.
+///
+/// # Panics
+///
+/// As [`build_schedule`].
+pub fn build_and_check_periodic(
+    model: &ModelConfig,
+    params: &RunParams,
+) -> (PeriodicSchedule, resoftmax_analyzer::Report) {
+    let layout = sparse_layout(model, params);
+    let schedule = prefill_periodic(model, params, layout.as_ref());
+    let report = schedule.analyze(&prefill_spec(model, params, layout.as_ref()));
+    (schedule, report)
 }
 
 /// The block layout `(model, params)`'s attention kernels are built on:
@@ -263,11 +287,38 @@ pub(crate) fn build_schedule_on(
     params: &RunParams,
     layout: Option<&BlockLayout>,
 ) -> Vec<KernelDesc> {
-    let rows = params.seq_len * params.batch;
-    let mut kernels = Vec::new();
+    let schedule = prefill_periodic(model, params, layout);
+    // Debug builds statically verify every schedule they hand out: fusion
+    // legality, buffer dataflow, and traffic conservation (release builds
+    // skip the pass; the `resoftmax-bench analyze` subcommand covers CI).
+    #[cfg(debug_assertions)]
+    {
+        let report = schedule.analyze(&prefill_spec(model, params, layout));
+        debug_assert!(
+            !report.has_errors(),
+            "build_schedule produced a schedule that fails static analysis:\n{}",
+            report.render()
+        );
+    }
+    stack_prefill(model, params, layout, schedule)
+}
 
+/// The embedding kernel and prefill layer 0 of `(model, params)` on
+/// `layout`: the schedule in layer-periodic form.
+fn prefill_periodic(
+    model: &ModelConfig,
+    params: &RunParams,
+    layout: Option<&BlockLayout>,
+) -> PeriodicSchedule {
+    assert!(
+        params.tile.m > 0 && params.tile.n > 0,
+        "prefill tile height and width must be nonzero, got {}x{}",
+        params.tile.m,
+        params.tile.n
+    );
+    let rows = params.seq_len * params.batch;
     // Embedding lookup feeding layer 0 (constant-cost glue, category etc.).
-    kernels.push(common::elementwise(
+    let embedding = common::elementwise(
         (rows * model.d_model) as u64,
         1.0,
         1,
@@ -275,24 +326,23 @@ pub(crate) fn build_schedule_on(
         "embedding",
         &[Scope::Global.id("tokens")],
         Scope::layer(0).id("x"),
-    ));
-    stack_layers(&mut kernels, model.layers, |layer, kernels| {
-        prefill_layer(model, params, layout, layer, kernels);
-    });
+    );
+    PeriodicSchedule::build(vec![embedding], model.layers, |kernels| {
+        prefill_layer(model, params, layout, 0, kernels);
+    })
+}
 
-    // Debug builds statically verify every schedule they hand out: fusion
-    // legality, buffer dataflow, and traffic conservation (release builds
-    // skip the pass; the `resoftmax-bench analyze` subcommand covers CI).
-    #[cfg(debug_assertions)]
-    {
-        let report = check_schedule_on(model, params, layout, &kernels);
-        debug_assert!(
-            !report.has_errors(),
-            "build_schedule produced a schedule that fails static analysis:\n{}",
-            report.render()
-        );
-    }
-    kernels
+/// The flat schedule of a prefill `schedule` built on `layout`
+/// ([`stack_layers`]).
+fn stack_prefill(
+    model: &ModelConfig,
+    params: &RunParams,
+    layout: Option<&BlockLayout>,
+    schedule: PeriodicSchedule,
+) -> Vec<KernelDesc> {
+    stack_layers(schedule, |layer, kernels| {
+        prefill_layer(model, params, layout, layer, kernels);
+    })
 }
 
 /// Emits prefill layer `layer` of `(model, params)` on `layout` as the cost
@@ -352,30 +402,34 @@ pub(crate) fn apply_ls_split(params: &RunParams, kernels: &mut [KernelDesc]) {
 }
 
 /// Statically analyzes a schedule against the spec implied by
-/// `(model, params)` — the exact dimensions, strategy, overheads and sparse
-/// layout that [`build_schedule`] bakes into its kernels — returning the
-/// full diagnostic report.
+/// `(model, params)` ([`analysis_spec`]), returning the full diagnostic
+/// report: [`resoftmax_analyzer::analyze_certified`]'s. A schedule of the
+/// form [`build_schedule`] makes (the embedding kernel, then
+/// `model.layers` layers, each the one before with every buffer id's layer
+/// advanced by one) is analyzed from its first two layers
+/// ([`resoftmax_analyzer::analyze_periodic`]), any other over every kernel.
 pub fn check_schedule(
     model: &ModelConfig,
     params: &RunParams,
     kernels: &[KernelDesc],
 ) -> resoftmax_analyzer::Report {
-    check_schedule_on(
-        model,
-        params,
-        sparse_layout(model, params).as_ref(),
-        kernels,
-    )
+    analyze_flat(&analysis_spec(model, params), kernels, 1)
 }
 
-/// [`check_schedule`] on the sparse layout the schedule was built on, as
+/// The analyzer's description of `(model, params)`: the exact dimensions,
+/// strategy, overheads and sparse layout that [`build_schedule`] bakes
+/// into its kernels. [`check_schedule`] analyzes against it.
+pub fn analysis_spec(model: &ModelConfig, params: &RunParams) -> ScheduleSpec {
+    prefill_spec(model, params, sparse_layout(model, params).as_ref())
+}
+
+/// [`analysis_spec`] on the sparse layout the schedule was built on, as
 /// [`build_schedule_on`] takes it.
-fn check_schedule_on(
+fn prefill_spec(
     model: &ModelConfig,
     params: &RunParams,
     layout: Option<&BlockLayout>,
-    kernels: &[KernelDesc],
-) -> resoftmax_analyzer::Report {
+) -> ScheduleSpec {
     let profile = &params.profile;
     let sparse = layout.map(|layout| SparseSpec {
         block: layout.block(),
@@ -387,7 +441,7 @@ fn check_schedule_on(
         (true, SparseSupport::GatherBased) => GATHER_PENALTY,
         _ => 1.0,
     };
-    let spec = ScheduleSpec {
+    ScheduleSpec {
         seq_len: params.seq_len,
         batch: params.batch,
         heads: model.heads,
@@ -404,8 +458,7 @@ fn check_schedule_on(
         separate_elementwise: profile.separate_elementwise,
         sparse,
         decode: None,
-    };
-    resoftmax_analyzer::analyze_certified(&spec, kernels)
+    }
 }
 
 /// The certified numeric error bound the analyzer's numerics pass will
@@ -920,6 +973,20 @@ mod tests {
             .strategy(SoftmaxStrategy::RecomposedFp16)
             .tile(TileConfig::new(64, 16));
         let _ = build_schedule(&ModelConfig::bigbird_large(), &params);
+    }
+
+    #[test]
+    #[should_panic(expected = "prefill tile height and width must be nonzero, got 0x64")]
+    fn zero_tile_height_rejected() {
+        let params = RunParams::new(512).tile(TileConfig { m: 0, n: 64 });
+        let _ = build_schedule(&bert(), &params);
+    }
+
+    #[test]
+    #[should_panic(expected = "prefill tile height and width must be nonzero, got 64x0")]
+    fn zero_tile_width_rejected() {
+        let params = RunParams::new(512).tile(TileConfig { m: 64, n: 0 });
+        let _ = build_schedule(&bert(), &params);
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! bug this pins down surfaced only as a dataflow warning plus a fusion
 //! error, so both channels are asserted.
 
-use resoftmax_analyzer::{Rule, Severity};
+use resoftmax_analyzer::{analyze_certified, Report, Rule, Severity};
+use resoftmax_kernels::costs::TileConfig;
 use resoftmax_model::{
-    build_batched_decode_schedule, check_decode_schedule, ModelConfig, RunParams, SoftmaxStrategy,
+    build_and_check_periodic_decode, build_batched_decode_schedule, check_decode_schedule,
+    decode_analysis_spec, ModelConfig, RunParams, SoftmaxStrategy,
 };
 
 fn dense_models() -> Vec<ModelConfig> {
@@ -144,4 +146,74 @@ fn warp_alignment_lint_fires_on_ragged_blocks() {
         "65-thread block must trip the warp lint:\n{}",
         report.render()
     );
+}
+
+/// `got` and `want` agree by `Debug` (every `f64` to the bit), by serde and
+/// by their rendering.
+fn assert_same(got: &Report, want: &Report, what: &str) {
+    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
+    assert_eq!(
+        serde_json::to_string(got).expect("report serializes"),
+        serde_json::to_string(want).expect("report serializes"),
+        "{what}"
+    );
+    assert_eq!(got.render(), want.render(), "{what}");
+}
+
+/// The layer-periodic decode checks against the every-kernel pass on
+/// GPT-Neo iterations with mixed contexts (decode rows, a prefill chunk's
+/// consecutive positions, both) under every decode strategy, including
+/// SDF16 at a tile width its certificate rejects: the report of
+/// `build_and_check_periodic_decode` and `check_decode_schedule`'s on the
+/// flat schedule equal `analyze_certified`'s.
+#[test]
+fn periodic_decode_checks_match_every_kernel() {
+    let model = ModelConfig::gpt_neo_1_3b();
+    let chunk: Vec<usize> = (1..=256).chain([300, 4096]).collect();
+    let mixes: [&[usize]; 5] = [
+        &[1],
+        &[4096],
+        &[260, 1000, 1000, 4096],
+        &[512, 768, 1024, 2048],
+        &chunk,
+    ];
+    let fp16 = RunParams::new(4096).strategy(SoftmaxStrategy::RecomposedFp16);
+    let all_params = [
+        RunParams::new(4096),
+        RunParams::new(4096).strategy(SoftmaxStrategy::Decomposed),
+        RunParams::new(4096).strategy(SoftmaxStrategy::Recomposed),
+        fp16.clone().tile(TileConfig::new(64, 16)),
+        fp16,
+    ];
+    let mut rejected = 0;
+    for params in &all_params {
+        for &ctxs in &mixes {
+            let what = format!(
+                "{:?} T={} {} rows",
+                params.strategy,
+                params.tile.n,
+                ctxs.len()
+            );
+            let (periodic, report) = build_and_check_periodic_decode(&model, ctxs, params);
+            let flat = periodic.expand();
+            let reference = analyze_certified(&decode_analysis_spec(&model, ctxs, params), &flat);
+            assert_same(&report, &reference, &what);
+            assert_same(
+                &check_decode_schedule(&model, ctxs, params, &flat),
+                &reference,
+                &what,
+            );
+            if reference.has_errors() {
+                rejected += 1;
+            } else {
+                assert_eq!(
+                    flat,
+                    build_batched_decode_schedule(&model, ctxs, params),
+                    "{what}"
+                );
+            }
+        }
+    }
+    // SDF16 at T = 64 certifies over a one-token context only.
+    assert_eq!(rejected, mixes.len() - 1);
 }

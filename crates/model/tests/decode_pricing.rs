@@ -1,7 +1,7 @@
 //! Layer-periodic pricing against the reference it shortcuts: running the
 //! full schedule and draining the timeline. `price_batched_decode` (what a
 //! serving replica runs) and `price_schedule` (what the tuner runs on the
-//! schedules it built) must agree with it bit for bit, in the expanded
+//! layer-periodic forms it built) must agree with it bit for bit, in the expanded
 //! timeline and in the compact total serving reads, on every row mix,
 //! prefill grid point, strategy and device.
 
@@ -11,8 +11,9 @@ use proptest::prelude::*;
 use resoftmax_gpusim::{DeviceSpec, Gpu, ParallelSplit, Timeline};
 use resoftmax_kernels::costs::TileConfig;
 use resoftmax_model::{
-    build_batched_decode_schedule, build_schedule, price_batched_decode, price_schedule,
-    validate_prefill, LibraryProfile, ModelConfig, PeriodicTimeline, RunParams, SoftmaxStrategy,
+    build_and_check_periodic, build_and_check_periodic_decode, build_batched_decode_schedule,
+    build_schedule, price_batched_decode, price_schedule, validate_prefill, LibraryProfile,
+    ModelConfig, PeriodicTimeline, RunParams, SoftmaxStrategy,
 };
 
 /// One engine iteration's rows: 0–16 decode rows at contexts 1–4,096, then
@@ -112,8 +113,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Two iterations priced back to back on one `Gpu`, from the builder
-    /// and from the prebuilt schedule, equal two full runs back to back on
-    /// another.
+    /// and from the prebuilt periodic form, equal two full runs back to back
+    /// on another.
     #[test]
     fn layer_periodic_pricing_equals_the_full_run(
         first in any_ctxs(),
@@ -130,13 +131,14 @@ proptest! {
             let reference = full.take_timeline();
             let priced = price_batched_decode(&mut fast, &model, ctxs, &params).unwrap();
             assert_equals_full_run(priced, &reference)?;
-            let priced = price_schedule(&mut fast, &model, Some(ctxs), &params, &schedule).unwrap();
+            let (periodic, _) = build_and_check_periodic_decode(&model, ctxs, &params);
+            let priced = price_schedule(&mut fast, &model, Some(ctxs), &params, periodic).unwrap();
             assert_equals_full_run(priced, &reference)?;
         }
     }
 
-    /// The tuner's prefill path: a built full-sequence schedule, dense or
-    /// block-sparse, priced layer-periodically equals its full run.
+    /// The tuner's prefill path: a full-sequence schedule, dense or
+    /// block-sparse, priced from its periodic form equals its full run.
     #[test]
     fn prefill_schedules_price_like_the_full_run(
         model in any_model(),
@@ -149,7 +151,8 @@ proptest! {
         let mut full = Gpu::new(device.clone());
         full.run(&schedule).unwrap();
         let reference = full.take_timeline();
-        let priced = price_schedule(&mut Gpu::new(device), &model, None, &params, &schedule).unwrap();
+        let (periodic, _) = build_and_check_periodic(&model, &params);
+        let priced = price_schedule(&mut Gpu::new(device), &model, None, &params, periodic).unwrap();
         assert_equals_full_run(priced, &reference)?;
     }
 }

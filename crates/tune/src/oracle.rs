@@ -20,17 +20,21 @@
 //!
 //! Only candidates clearing all four are priced; the price is the
 //! simulated end-to-end time of the workload's schedule, which is what the
-//! search minimizes. The schedule the gates built is priced layer-periodically
-//! (`resoftmax_model::price_schedule`): layers are simulated only until the
-//! L2 state repeats, and the total equals a full run's bit for bit.
+//! search minimizes. A candidate is never expanded to its `model.layers`
+//! layers: the gates build its prologue and layer 0
+//! ([`PeriodicSchedule`]), the analyzer checks that form from its first
+//! two layers, and `resoftmax_model::price_schedule` prices it with layer
+//! 0's ids advanced in place once per layer, simulating layers only until
+//! the L2 state repeats. Report and total equal the full schedule's, the
+//! total bit for bit.
 
 use crate::TuneError;
 use resoftmax_analyzer::{ErrorBound, CERT_BUDGET_REL};
-use resoftmax_gpusim::{DeviceSpec, Gpu, KernelDesc, ParallelSplit};
+use resoftmax_gpusim::{DeviceSpec, Gpu, ParallelSplit};
 use resoftmax_model::{
-    build_and_check_schedule, build_batched_decode_schedule, check_decode_schedule,
-    decode_error_bound, price_schedule, static_error_bound, validate_decode, validate_prefill,
-    ModelConfig, PeriodicTimeline, RunParams,
+    build_and_check_periodic, build_and_check_periodic_decode, decode_error_bound, price_schedule,
+    static_error_bound, validate_decode, validate_prefill, ModelConfig, PeriodicSchedule,
+    PeriodicTimeline, RunParams,
 };
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -164,37 +168,39 @@ fn invalid_config(e: resoftmax_model::Error) -> Skip {
 }
 
 /// Statically validates a full-sequence candidate without simulating it:
-/// knob legality, buildability, and a clean analyzer report. Returns the
-/// schedule it built and analyzed, so a caller that goes on to price the
-/// candidate does not build it again. This is the same pruning helper the
-/// tuner's search uses; bench bins reuse it to skip-with-reason instead of
-/// panicking on bad grid points.
-pub fn precheck(model: &ModelConfig, params: &RunParams) -> Result<Vec<KernelDesc>, Skip> {
+/// knob legality, buildability, and a clean analyzer report. It builds the
+/// schedule in layer-periodic form only, the embedding kernel and layer 0
+/// ([`build_and_check_periodic`]), and returns that form, so a caller that
+/// goes on to price the candidate builds nothing more. The tuner's search
+/// prunes with it; [`crate::SessionTuneExt::tuned`] rechecks tuned knobs
+/// against the exact workload with it, and `resoftmax-bench`'s `tune` and
+/// `ablation_tile_size` subcommands check their grid points with it.
+pub fn precheck(model: &ModelConfig, params: &RunParams) -> Result<PeriodicSchedule, Skip> {
     check_ls_split(params)?;
     check_numerics(static_error_bound(model, params))?;
     // The prefill rules `Session::new` applies: nonzero dims, sparse block
     // size, tile divisibility.
     validate_prefill(model, params).map_err(invalid_config)?;
-    let (schedule, report) = build_and_check_schedule(model, params);
+    let (schedule, report) = build_and_check_periodic(model, params);
     if report.has_errors() {
         return Err(Skip::Analysis(report.render()));
     }
     Ok(schedule)
 }
 
-/// [`precheck`] for a batched-decode candidate. The numerics gate runs
-/// before the decode rules `Session::decode_batch` applies, so an
+/// [`precheck`] for a batched-decode candidate: it builds and returns
+/// layer 0 only ([`build_and_check_periodic_decode`]). The numerics gate
+/// runs before the decode rules `Session::decode_batch` applies, so an
 /// uncertifiable candidate is classed [`Skip::Numerics`].
 pub fn precheck_decode(
     model: &ModelConfig,
     ctxs: &[usize],
     params: &RunParams,
-) -> Result<Vec<KernelDesc>, Skip> {
+) -> Result<PeriodicSchedule, Skip> {
     check_ls_split(params)?;
     check_numerics(decode_error_bound(ctxs, params))?;
     validate_decode(model, ctxs, params).map_err(invalid_config)?;
-    let schedule = build_batched_decode_schedule(model, ctxs, params);
-    let report = check_decode_schedule(model, ctxs, params, &schedule);
+    let (schedule, report) = build_and_check_periodic_decode(model, ctxs, params);
     if report.has_errors() {
         return Err(Skip::Analysis(report.render()));
     }
@@ -218,7 +224,7 @@ fn simulate(
     model: &ModelConfig,
     ctxs: Option<&[usize]>,
     params: &RunParams,
-    schedule: &[KernelDesc],
+    schedule: PeriodicSchedule,
 ) -> Result<PeriodicTimeline, Skip> {
     ORACLE_GPU.with(|slot| {
         let mut slot = slot.borrow_mut();
@@ -247,14 +253,14 @@ pub fn evaluate(
                 seq_len: *seq_len,
                 ..params
             };
-            simulate(device, model, None, &params, &precheck(model, &params)?)
+            simulate(device, model, None, &params, precheck(model, &params)?)
         }
         TuneWorkload::Decode { ctxs } => simulate(
             device,
             model,
             Some(ctxs),
             params,
-            &precheck_decode(model, ctxs, params)?,
+            precheck_decode(model, ctxs, params)?,
         ),
     };
     priced.map(|priced| priced.total_time_s())
@@ -367,6 +373,7 @@ mod tests {
             // The schedule precheck built carries the override.
             let schedule = precheck(&model, &params).expect("legal split");
             assert!(schedule
+                .layer()
                 .iter()
                 .filter(|k| k.category == KernelCategory::LocalSoftmax)
                 .all(|k| k.meta.split == Some(split)));
@@ -445,14 +452,14 @@ mod tests {
             batch: 1,
         });
         let schedule = precheck(&model, &params).unwrap();
-        let priced = simulate(&device, &model, None, &params, &schedule).unwrap();
+        let priced = simulate(&device, &model, None, &params, schedule).unwrap();
         assert_eq!(model.layers - priced.repeats(), 2, "prefill/L4096/b1");
 
         let model = ModelConfig::gpt_neo_1_3b();
         let ctxs = vec![4096; 8];
         let params = default_params(&TuneWorkload::Decode { ctxs: ctxs.clone() });
         let schedule = precheck_decode(&model, &ctxs, &params).unwrap();
-        let priced = simulate(&device, &model, Some(&ctxs), &params, &schedule).unwrap();
+        let priced = simulate(&device, &model, Some(&ctxs), &params, schedule).unwrap();
         assert_eq!(model.layers - priced.repeats(), 2, "decode/r8/c4096");
     }
 
