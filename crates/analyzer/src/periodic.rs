@@ -42,17 +42,7 @@
 use crate::report::Report;
 use crate::spec::ScheduleSpec;
 use crate::{analyze_certified, fsm};
-use resoftmax_gpusim::{KernelDesc, Scope};
-
-/// Advances every buffer id of `kernels` one layer, in place: `l3.q`
-/// becomes `l4.q`.
-pub fn next_layer(kernels: &mut [KernelDesc]) {
-    for k in kernels {
-        for b in k.reads.iter_mut().chain(k.writes.iter_mut()) {
-            b.id = b.id.next_layer();
-        }
-    }
-}
+use resoftmax_gpusim::{next_layer, KernelDesc, Scope};
 
 /// Appends layers `1..layers` to `kernels`, whose last `per_layer` kernels
 /// are layer 0: each appended layer is the one before with every buffer id

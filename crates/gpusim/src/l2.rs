@@ -80,6 +80,16 @@ impl L2Cache {
         self.resident_bytes = 0;
     }
 
+    /// Advances every resident id `layers` layers
+    /// ([`BufferId::next_layer`]), keeping the bytes and the LRU order.
+    pub(crate) fn advance_layers(&mut self, layers: usize) {
+        for (id, _) in &mut self.resident {
+            for _ in 0..layers {
+                *id = id.next_layer();
+            }
+        }
+    }
+
     /// Accounts one kernel's execution: computes the DRAM traffic after L2
     /// filtering and updates residency.
     ///

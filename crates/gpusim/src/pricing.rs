@@ -223,25 +223,39 @@ static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 
+/// The stored price of `key`, counted as a hit. A key not stored yet is
+/// counted by [`insert_kernel`] once it is priced.
 pub(crate) fn lookup_kernel(key: u128) -> Option<f64> {
     let price = kernel_map()
         .read()
         .expect("sim cache poisoned")
         .get(&key)
         .copied();
-    let stat = if price.is_some() { &HITS } else { &MISSES };
-    stat.fetch_add(1, Ordering::Relaxed);
+    if price.is_some() {
+        HITS.fetch_add(1, Ordering::Relaxed);
+    }
     price
 }
 
+/// Stores the price of a key [`lookup_kernel`] did not find. Storing a new
+/// entry counts a miss, and so does a price dropped at capacity; a key
+/// another thread stored in the meantime counts as a hit. So hits plus
+/// misses are the lookups, and the misses the keys priced, whatever the
+/// number of threads pricing at once.
 pub(crate) fn insert_kernel(key: u128, time_s: f64) {
     let mut map = kernel_map().write().expect("sim cache poisoned");
-    if map.len() >= MAX_KERNEL_ENTRIES && !map.contains_key(&key) {
-        drop(map);
-        DROPPED.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    map.entry(key).or_insert(time_s);
+    let stat = if map.contains_key(&key) {
+        &HITS
+    } else {
+        if map.len() < MAX_KERNEL_ENTRIES {
+            map.insert(key, time_s);
+        } else {
+            DROPPED.fetch_add(1, Ordering::Relaxed);
+        }
+        &MISSES
+    };
+    drop(map);
+    stat.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Empties the memo and zeroes the [`sim_cache_stats`] counters.
@@ -261,9 +275,11 @@ pub fn clear_sim_cache() {
 pub struct SimCacheStats {
     /// Entries in the kernel-price map.
     pub kernel_entries: usize,
-    /// Kernel-price lookups answered from the memo.
+    /// Kernel-price lookups answered from the memo, or whose price
+    /// another thread stored while this one simulated it.
     pub hits: u64,
-    /// Kernel-price lookups that fell through to fresh simulation.
+    /// Kernel prices simulated and stored (or dropped at capacity): one per
+    /// distinct key, however many threads priced it at once.
     pub misses: u64,
     /// Always 0: nothing is counted here. Kept only until its last reader
     /// (the `benchmark/` package) stops reading it; then it is removed.

@@ -18,12 +18,13 @@
 //!   imbalance). Its results are memoized across runs (see `pricing`).
 
 use crate::bandwidth::{effective_bandwidth, utilization};
+use crate::buffer::BufferId;
 use crate::device::DeviceSpec;
 use crate::kernel::{KernelDesc, TbGroup, TbSet, TbShape, TbWork};
 use crate::l2::{FilteredTraffic, L2Cache};
 use crate::occupancy::{occupancy, LaunchError, Occupancy};
-use crate::pricing;
 use crate::trace::{KernelStats, Timeline};
+use crate::{periodic, pricing};
 
 /// Residual work below this is treated as finished (guards FP residues left
 /// by the `(work - rate * dt).max(0.0)` decrements).
@@ -116,7 +117,8 @@ pub struct Gpu {
     device_fp: u128,
     l2: L2Cache,
     timeline: Timeline,
-    /// Set by [`Gpu::reference`]: step every event, bypass the memo.
+    /// Set by [`Gpu::reference`]: launch every kernel, step every event,
+    /// bypass the memo.
     reference: bool,
 }
 
@@ -134,10 +136,12 @@ impl Gpu {
         }
     }
 
-    /// Creates a GPU that prices the plain way: the fluid simulation steps
-    /// every event (no wave replay) and the process-global pricing memo is
-    /// never read or written. Its results are bit-identical to
-    /// [`Gpu::new`]'s; it exists so tests can check that they stay so.
+    /// Creates a GPU that prices the plain way: it launches every kernel,
+    /// with no pricing memo (the process-global memo is never read or
+    /// written), no wave replay (the fluid simulation steps every event)
+    /// and no layer-periodic shortcut in [`Gpu::run`]. Its results are
+    /// bit-identical to [`Gpu::new`]'s; it exists so tests can check that
+    /// they stay so.
     pub fn reference(device: DeviceSpec) -> Self {
         Gpu {
             reference: true,
@@ -197,15 +201,111 @@ impl Gpu {
 
     /// Executes a sequence of kernels in order.
     ///
+    /// A slice in layer-periodic form, a prologue of at most one kernel and
+    /// then at least three layers, each the one before with every buffer
+    /// id advanced one layer ([`periodic_layer`](crate::periodic_layer)),
+    /// is priced from its first layers: [`Gpu::run_layers`] simulates them
+    /// until the L2 residency repeats under that renaming, the last
+    /// simulated layer's stats are appended once for each remaining layer,
+    /// and the resident ids are advanced by the layers skipped. The
+    /// timeline, its total's bits and the L2 end state equal launching
+    /// every kernel, which is what any other slice, and every run on
+    /// [`Gpu::reference`], does. Debug builds assert that against a
+    /// kernel-by-kernel run on a clone.
+    ///
     /// # Errors
     ///
     /// Returns the first [`LaunchError`] encountered.
     pub fn run(&mut self, kernels: &[KernelDesc]) -> Result<(), LaunchError> {
         let _span = resoftmax_obs::span!("Gpu::run", "gpusim");
-        for k in kernels {
-            self.execute(k)?;
+        let form = if self.reference {
+            None
+        } else {
+            periodic::flat_form(kernels)
+        };
+        let Some((prologue, layers)) = form else {
+            return kernels.iter().try_for_each(|k| self.execute(k));
+        };
+        #[cfg(debug_assertions)]
+        let mut every = self.clone();
+        let (head, body) = kernels.split_at(prologue);
+        let mut layer = body[..body.len() / layers].to_vec();
+        let result = head
+            .iter()
+            .try_for_each(|k| self.execute(k))
+            .and_then(|()| self.run_layers(&mut layer, layers))
+            .map(|repeats| self.timeline.repeat_last(layer.len(), repeats));
+        #[cfg(debug_assertions)]
+        {
+            let expected = kernels.iter().try_for_each(|k| every.execute(k));
+            assert!(
+                result == expected
+                    && self.timeline == every.timeline
+                    && self.timeline.total_time_s().to_bits()
+                        == every.timeline.total_time_s().to_bits()
+                    && self.l2.resident().eq(every.l2.resident()),
+                "the layer-periodic run diverged from launching every kernel"
+            );
         }
-        Ok(())
+        result
+    }
+
+    /// Runs `layers` layers whose layer 0 is `layer`, each later layer the
+    /// one before with every buffer id advanced one layer
+    /// ([`next_layer`](crate::next_layer), applied to `layer` in place, so
+    /// `layer` is left advanced by the number of layers simulated less
+    /// one).
+    ///
+    /// After each layer the L2 residency (ids and bytes, in LRU order) is
+    /// compared with the residency the layer started from, every id
+    /// advanced a layer. Once they match, the next layer starts from this
+    /// one's start state renamed and is this layer renamed. The L2 model
+    /// compares ids only for equality, pricing never reads them, and kernel
+    /// names carry no layer index, so each remaining layer yields this
+    /// layer's stats and leaves its end state renamed once more. Those
+    /// layers are counted, not simulated: the timeline gains the simulated
+    /// layers only, and the resident ids are advanced by the number of
+    /// remaining layers, which is returned. The last `layer.len()` timeline
+    /// entries are the stats each of them repeats. The renaming must be one
+    /// to one on every id the run meets, so where a layer index could
+    /// reach `u32::MAX` (where [`BufferId::next_layer`] stops advancing)
+    /// every layer is simulated.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`LaunchError`], as launching every layer would.
+    pub fn run_layers(
+        &mut self,
+        layer: &mut [KernelDesc],
+        layers: usize,
+    ) -> Result<usize, LaunchError> {
+        let renamed = |l2: &L2Cache| -> Vec<(BufferId, u64)> {
+            l2.resident()
+                .map(|(id, bytes)| (id.next_layer(), bytes))
+                .collect()
+        };
+        let shortcut = !self.reference && {
+            let uses = layer.iter().flat_map(|k| k.reads.iter().chain(&k.writes));
+            let resident = self.l2.resident().map(|(id, _)| id);
+            periodic::can_advance(resident.chain(uses.map(|b| b.id)), layers)
+        };
+        // The residency this layer starts from, ids already advanced a layer.
+        let mut start = renamed(&self.l2);
+        for l in 0..layers {
+            if l > 0 {
+                periodic::next_layer(layer);
+            }
+            for k in layer.iter() {
+                self.execute(k)?;
+            }
+            let remaining = layers - l - 1;
+            if remaining == 0 || (shortcut && self.l2.resident().eq(start.iter().copied())) {
+                self.l2.advance_layers(remaining);
+                return Ok(remaining);
+            }
+            start = renamed(&self.l2);
+        }
+        Ok(0)
     }
 
     /// Prices one kernel against the current L2 state and appends its stats

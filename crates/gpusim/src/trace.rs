@@ -94,16 +94,25 @@ impl Timeline {
         self.kernels.iter().map(|k| k.energy_j).sum()
     }
 
+    /// Appends the last `period` records `times` more times.
+    pub(crate) fn repeat_last(&mut self, period: usize, times: usize) {
+        let start = self.kernels.len() - period;
+        self.kernels.reserve(period * times);
+        for _ in 0..times {
+            self.kernels.extend_from_within(start..start + period);
+        }
+    }
+
     /// Aggregates by category.
     pub fn breakdown(&self) -> Breakdown {
-        let mut agg: BTreeMap<String, CategoryTotals> = BTreeMap::new();
+        let mut agg: BTreeMap<&'static str, CategoryTotals> = BTreeMap::new();
         for k in &self.kernels {
-            let entry =
-                agg.entry(k.category.label().to_owned())
-                    .or_insert_with(|| CategoryTotals {
-                        category: k.category,
-                        ..Default::default()
-                    });
+            let entry = agg
+                .entry(k.category.label())
+                .or_insert_with(|| CategoryTotals {
+                    category: k.category,
+                    ..Default::default()
+                });
             entry.time_s += k.time_s;
             entry.dram_read_bytes += k.dram_read_bytes;
             entry.dram_write_bytes += k.dram_write_bytes;

@@ -1,27 +1,29 @@
 //! Layer-periodic construction, analysis and pricing: a transformer
 //! schedule is a prologue (a prefill's embedding kernel) and then one
 //! layer's kernels `model.layers` times over, each copy with every buffer
-//! id's layer advanced by one ([`BufferId::next_layer`]). One renaming
-//! builds, checks and prices.
+//! id's layer advanced by one
+//! ([`BufferId::next_layer`](resoftmax_gpusim::BufferId::next_layer)). One
+//! renaming builds, checks and prices.
 //!
 //! A builder emits its prologue and layer 0, a [`PeriodicSchedule`]. The
 //! analyzer checks that form from its first two layers
 //! ([`resoftmax_analyzer::analyze_periodic`]); the flat check functions
-//! recognize a flat schedule of that form first ([`analyze_flat`]).
+//! recognize a flat schedule of that form first ([`analyze_flat`], through
+//! [`periodic_layer`], the rule [`Gpu::run`] also recognizes it by).
 //! [`stack_layers`] expands the form into the flat schedule, each later
-//! layer a copy of the one before with its ids advanced. [`price_layers`]
-//! prices on it: once the L2 state repeats under the renaming, every later
-//! layer prices exactly like the last one simulated. A fleet step
-//! ([`price_batched_decode`](crate::price_batched_decode)) and a tuner
-//! candidate ([`price_schedule`]) both price the form, layer 0 advanced in
-//! place for each later layer, and get a [`PeriodicTimeline`], whose total
-//! is read without expanding the repeated layers.
+//! layer a copy of the one before with its ids advanced.
+//! [`Gpu::run_layers`] prices it: once the L2 state repeats under the
+//! renaming, every later layer prices exactly like the last one simulated.
+//! A fleet step ([`price_batched_decode`](crate::price_batched_decode)) and
+//! a tuner candidate ([`price_schedule`]) both price the form, layer 0
+//! advanced in place for each later layer, and get a [`PeriodicTimeline`],
+//! whose total is read without expanding the repeated layers.
 
 use crate::config::ModelConfig;
 use crate::schedule::RunParams;
-use resoftmax_analyzer::periodic::{append_layers, next_layer};
+use resoftmax_analyzer::periodic::append_layers;
 use resoftmax_analyzer::{analyze_certified, analyze_periodic, Report, ScheduleSpec};
-use resoftmax_gpusim::{BufferId, BufferUse, Gpu, KernelDesc, KernelStats, LaunchError, Timeline};
+use resoftmax_gpusim::{periodic_layer, Gpu, KernelDesc, KernelStats, LaunchError, Timeline};
 
 /// A priced schedule in compact form: the kernels actually simulated, the
 /// last `period` of which repeat `repeats` more times in the full run.
@@ -124,14 +126,21 @@ impl PeriodicSchedule {
     }
 
     /// Runs the prologue on `gpu`, then prices the layers through
-    /// [`price_layers`], which advances layer 0's ids in place before each
-    /// later launch. Nothing is copied.
+    /// [`Gpu::run_layers`], which advances layer 0's ids in place before
+    /// each later launch, and drains the timeline (flushing L2, as
+    /// [`Gpu::take_timeline`] does). Nothing is copied. Whatever `gpu` ran
+    /// before heads the timeline.
     pub(crate) fn price(mut self, gpu: &mut Gpu) -> Result<PeriodicTimeline, LaunchError> {
         let (prologue, layer) = self.kernels.split_at_mut(self.prologue);
         if !prologue.is_empty() {
             gpu.run(prologue)?;
         }
-        price_layers(gpu, layer, self.layers)
+        let repeats = gpu.run_layers(layer, self.layers)?;
+        Ok(PeriodicTimeline {
+            simulated: gpu.take_timeline(),
+            period: layer.len(),
+            repeats,
+        })
     }
 }
 
@@ -161,45 +170,6 @@ pub(crate) fn stack_layers(
     kernels
 }
 
-/// Layer 0 of `kernels`, when the kernels after the first `prologue` are
-/// `layers` layers of equal length, each equal to the one before with every
-/// buffer id's layer advanced by one. Kernels are compared field by field,
-/// so nothing is copied.
-fn periodic_layer(kernels: &[KernelDesc], prologue: usize, layers: usize) -> Option<&[KernelDesc]> {
-    let body = kernels.get(prologue..)?;
-    if layers == 0 || body.is_empty() || !body.len().is_multiple_of(layers) {
-        return None;
-    }
-    let per_layer = body.len() / layers;
-    // Both structs are destructured so that a new field cannot be left out.
-    let advanced = |prev: &[BufferUse], next: &[BufferUse]| {
-        prev.len() == next.len()
-            && prev.iter().zip(next).all(|(p, n)| {
-                let BufferUse { id, bytes } = n;
-                *bytes == p.bytes && *id == p.id.next_layer()
-            })
-    };
-    let copies = body.iter().zip(&body[per_layer..]).all(|(prev, k)| {
-        let KernelDesc {
-            name,
-            category,
-            shape,
-            tbs,
-            reads,
-            writes,
-            meta,
-        } = k;
-        *name == prev.name
-            && *category == prev.category
-            && *shape == prev.shape
-            && *tbs == prev.tbs
-            && *meta == prev.meta
-            && advanced(&prev.reads, reads)
-            && advanced(&prev.writes, writes)
-    });
-    copies.then(|| &body[..per_layer])
-}
-
 /// Analyzes a flat schedule against `spec`: through [`analyze_periodic`]
 /// from its first `prologue` kernels and layer 0 when it has that form
 /// (`spec.layers` layers, each its predecessor renamed), else with
@@ -210,57 +180,6 @@ pub(crate) fn analyze_flat(spec: &ScheduleSpec, kernels: &[KernelDesc], prologue
         Some(layer) => analyze_periodic(spec, &kernels[..prologue], layer),
         None => analyze_certified(spec, kernels),
     }
-}
-
-/// Prices `layers` layers on `gpu`, one layer at a time, and drains the
-/// timeline (flushing L2, as [`Gpu::take_timeline`] does). Layer 0 is
-/// `layer`, and each later layer is launched as the one before with every
-/// id's layer advanced by one in place, so `layer` is left advanced by the
-/// number of layers simulated less one. Whatever `gpu` ran before, such as
-/// an embedding kernel, heads the timeline.
-///
-/// After each layer the L2 residency (ids and bytes, in LRU order) is
-/// compared with the residency the layer started from, every id's layer
-/// advanced by one. Once they match, the state the next layer starts from
-/// is the state this one started from under that renaming. Layer `l + 1`
-/// is layer `l` with its ids renamed, the L2 model compares typed ids only
-/// for equality, and kernel names carry no layer index, so every remaining
-/// layer yields this layer's stats: they are counted, not simulated.
-fn price_layers(
-    gpu: &mut Gpu,
-    layer: &mut [KernelDesc],
-    layers: usize,
-) -> Result<PeriodicTimeline, LaunchError> {
-    let residency = |gpu: &Gpu| -> Vec<(BufferId, u64)> {
-        gpu.l2()
-            .resident()
-            .map(|(id, bytes)| (id.next_layer(), bytes))
-            .collect()
-    };
-    // The residency this layer starts from, ids already advanced a layer.
-    let mut start = residency(gpu);
-    for l in 0..layers {
-        let first = gpu.timeline().len();
-        if l > 0 {
-            next_layer(layer);
-        }
-        gpu.run(layer)?;
-        let repeats = gpu.l2().resident().eq(start.iter().copied());
-        if repeats {
-            let period = gpu.timeline().len() - first;
-            return Ok(PeriodicTimeline {
-                simulated: gpu.take_timeline(),
-                period,
-                repeats: layers - l - 1,
-            });
-        }
-        start = residency(gpu);
-    }
-    Ok(PeriodicTimeline {
-        simulated: gpu.take_timeline(),
-        period: 0,
-        repeats: 0,
-    })
 }
 
 /// Prices a schedule in layer-periodic form on `gpu`, as a precheck built
@@ -306,17 +225,18 @@ pub fn price_schedule(
     priced
 }
 
-/// Debug builds' check of a layer-periodic result: running `schedule` whole
-/// on `gpu` (the state pricing started from) must give the same expanded
-/// timeline, and a total with the same bits.
+/// Debug builds' check of a layer-periodic result: launching every kernel
+/// of `schedule` on `gpu` (the state pricing started from) must give the
+/// same expanded timeline, and a total with the same bits.
 #[cfg(debug_assertions)]
 pub(crate) fn assert_full_run(
     mut gpu: Gpu,
     schedule: &[KernelDesc],
     priced: &Result<PeriodicTimeline, LaunchError>,
 ) {
-    let reference = gpu
-        .run(schedule)
+    let reference = schedule
+        .iter()
+        .try_for_each(|k| gpu.launch(k).map(drop))
         .map(|()| gpu.take_timeline())
         .map(|full| (full.total_time_s().to_bits(), full));
     let priced = (priced.clone()).map(|p| (p.total_time_s().to_bits(), p.into_timeline()));
@@ -332,7 +252,7 @@ mod tests {
     use crate::library::LibraryProfile;
     use crate::schedule::{build_schedule, prefill_layer, sparse_layout, SoftmaxStrategy};
     use crate::session::validate_prefill;
-    use resoftmax_gpusim::ParallelSplit;
+    use resoftmax_gpusim::{BufferId, ParallelSplit};
     use resoftmax_kernels::costs::TileConfig;
 
     #[test]

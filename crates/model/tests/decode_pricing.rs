@@ -1,5 +1,5 @@
-//! Layer-periodic pricing against the reference it shortcuts: running the
-//! full schedule and draining the timeline. `price_batched_decode` (what a
+//! Layer-periodic pricing against the reference it shortcuts: launching
+//! every kernel of the full schedule and draining the timeline. `price_batched_decode` (what a
 //! serving replica runs) and `price_schedule` (what the tuner runs on the
 //! layer-periodic forms it built) must agree with it bit for bit, in the expanded
 //! timeline and in the compact total serving reads, on every row mix,
@@ -8,7 +8,7 @@
 #![cfg(not(miri))] // whole-model simulation is far too slow under miri
 
 use proptest::prelude::*;
-use resoftmax_gpusim::{DeviceSpec, Gpu, ParallelSplit, Timeline};
+use resoftmax_gpusim::{DeviceSpec, Gpu, KernelDesc, ParallelSplit, Timeline};
 use resoftmax_kernels::costs::TileConfig;
 use resoftmax_model::{
     build_and_check_periodic, build_and_check_periodic_decode, build_batched_decode_schedule,
@@ -61,6 +61,16 @@ fn any_device() -> impl Strategy<Value = DeviceSpec> {
 /// form, so equal strings mean equal bits (and `-0.0` differs from `0.0`).
 fn same_bits(a: &Timeline, b: &Timeline) -> bool {
     format!("{a:?}") == format!("{b:?}")
+}
+
+/// Launches every kernel of `schedule` on `gpu` and drains the timeline:
+/// the full run, kernel by kernel (`Gpu::run` would price a layer-periodic
+/// schedule from its first layers, as the pricers under test do).
+fn full_run(gpu: &mut Gpu, schedule: &[KernelDesc]) -> Timeline {
+    for k in schedule {
+        gpu.launch(k).unwrap();
+    }
+    gpu.take_timeline()
 }
 
 /// `priced` equals the full run's `reference`: the compact total to the
@@ -127,8 +137,7 @@ proptest! {
         let mut full = Gpu::new(device);
         for ctxs in [&first, &second] {
             let schedule = build_batched_decode_schedule(&model, ctxs, &params);
-            full.run(&schedule).unwrap();
-            let reference = full.take_timeline();
+            let reference = full_run(&mut full, &schedule);
             let priced = price_batched_decode(&mut fast, &model, ctxs, &params).unwrap();
             assert_equals_full_run(priced, &reference)?;
             let (periodic, _) = build_and_check_periodic_decode(&model, ctxs, &params);
@@ -148,9 +157,7 @@ proptest! {
         // SDF16 has no block-sparse implementation.
         prop_assume!(validate_prefill(&model, &params).is_ok());
         let schedule = build_schedule(&model, &params);
-        let mut full = Gpu::new(device.clone());
-        full.run(&schedule).unwrap();
-        let reference = full.take_timeline();
+        let reference = full_run(&mut Gpu::new(device.clone()), &schedule);
         let (periodic, _) = build_and_check_periodic(&model, &params);
         let priced = price_schedule(&mut Gpu::new(device), &model, None, &params, periodic).unwrap();
         assert_equals_full_run(priced, &reference)?;

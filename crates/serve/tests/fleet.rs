@@ -297,13 +297,15 @@ fn ttft_is_the_final_prompt_chunk_not_the_first_decode() {
         .run()
         .unwrap();
 
-    // Price the same five iterations by hand, accumulating the clock the
-    // same way the engine does so the comparison is exact.
+    // Price the same five iterations by hand, launching every kernel, and
+    // accumulate the clock the same way the engine does so the comparison
+    // is exact.
     let t0 = resoftmax_serve::poisson_arrivals(&cfg).unwrap()[0].at_s;
     let mut gpu = Gpu::new(DeviceSpec::a100());
     let mut price = |ctxs: Vec<usize>| -> f64 {
-        gpu.run(&build_batched_decode_schedule(&m, &ctxs, &params))
-            .unwrap();
+        for k in &build_batched_decode_schedule(&m, &ctxs, &params) {
+            gpu.launch(k).unwrap();
+        }
         gpu.take_timeline().total_time_s()
     };
     let mut clock = t0;
