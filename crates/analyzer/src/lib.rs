@@ -43,11 +43,12 @@
 //! overhead factors, block-sparse layout). [`analyze_certified`] adds the
 //! certified numeric bound. A transformer schedule repeats one layer with
 //! its buffer ids advanced a layer per copy, and [`analyze_periodic`] takes
-//! it in that form: the prologue and one layer. It returns the report
+//! it in that form, a [`Schedule`](resoftmax_gpusim::Schedule): the
+//! prologue, one layer and the layer count. It returns the report
 //! [`analyze_certified`] gives on the expanded schedule, but where the
 //! [`periodic`] module's premises hold it analyzes the first two layers
-//! only. The model crate checks the schedules it builds through that
-//! entry: a debug-mode assertion on every build, the report of
+//! only. The model crate checks every schedule through that entry: a
+//! debug-mode assertion on every build, `check_schedule`, the report of
 //! `build_and_check_schedule`, and the tuner's gate on every candidate.
 //! `cargo run -p resoftmax-bench -- analyze` sweeps the full evaluation
 //! grid in CI.

@@ -4,12 +4,14 @@
 //! prefill, nothing for a decode iteration) and then one layer's kernels
 //! `spec.layers` times over, each copy with every buffer id advanced one
 //! layer ([`BufferId::next_layer`](resoftmax_gpusim::BufferId::next_layer):
-//! `l3.q` → `l4.q`, other scopes unchanged). [`analyze_periodic`] takes that
-//! form and returns exactly the [`Report`] [`analyze_certified`] gives on
-//! the expanded schedule, while running the rule families over the
+//! `l3.q` → `l4.q`, other scopes unchanged), which a [`Schedule`] holds as
+//! built. [`analyze_periodic`] takes that form and returns exactly the
+//! [`Report`] [`analyze_certified`] gives on the expanded schedule
+//! ([`Schedule::expand`]), while running the rule families over the
 //! prologue and the first two layers only, under `layers: 2`. It returns
-//! that two-layer report when four premises hold:
+//! that two-layer report when five premises hold:
 //!
+//! 0. the schedule runs its layer `spec.layers` times;
 //! 1. the prologue touches only non-layer and `l0` ids;
 //! 2. the layer touches only non-layer, `l0` and `l1` ids;
 //! 3. the prologue holds no SDA kernel (the sequence grammar's count is
@@ -18,7 +20,8 @@
 //! 4. the two-layer report has no diagnostic of any severity.
 //!
 //! Otherwise it expands the schedule and runs every rule family over every
-//! kernel, as [`analyze_certified`] does.
+//! kernel, as [`analyze_certified`] does. A schedule of no layers
+//! ([`Schedule::from`] a flat sequence) always takes that path.
 //!
 //! Why the premises suffice, for `L > 2` layers. Under 1 and 2, buffer
 //! `l{m}` with `1 ≤ m < L` sees the events of layer `m − 1` then layer `m`,
@@ -42,20 +45,7 @@
 use crate::report::Report;
 use crate::spec::ScheduleSpec;
 use crate::{analyze_certified, fsm};
-use resoftmax_gpusim::{next_layer, KernelDesc, Scope};
-
-/// Appends layers `1..layers` to `kernels`, whose last `per_layer` kernels
-/// are layer 0: each appended layer is the one before with every buffer id
-/// advanced one layer. This is the flat schedule a layer-periodic form
-/// stands for.
-pub fn append_layers(kernels: &mut Vec<KernelDesc>, per_layer: usize, layers: usize) {
-    kernels.reserve(layers.saturating_sub(1) * per_layer);
-    for _ in 1..layers {
-        let previous = kernels.len() - per_layer;
-        kernels.extend_from_within(previous..);
-        next_layer(&mut kernels[previous + per_layer..]);
-    }
-}
+use resoftmax_gpusim::{KernelDesc, Schedule, Scope};
 
 /// `true` when every buffer id of `kernels` is outside the layer scopes or
 /// in layer `max` or below.
@@ -69,38 +59,27 @@ fn touches_layers_up_to(kernels: &[KernelDesc], max: u32) -> bool {
         })
 }
 
-/// Analyzes the schedule `prologue`, then `layer` run `spec.layers` times
-/// with every id advanced one layer per copy: the same [`Report`] as
-/// [`analyze_certified`] on that expanded schedule, from the prologue and
+/// Analyzes `schedule` against `spec`: the same [`Report`] as
+/// [`analyze_certified`] on [`Schedule::expand`], from the prologue and
 /// two layers where the module's premises hold.
-pub fn analyze_periodic(
-    spec: &ScheduleSpec,
-    prologue: &[KernelDesc],
-    layer: &[KernelDesc],
-) -> Report {
-    let mut kernels = Vec::with_capacity(prologue.len() + 2 * layer.len());
-    kernels.extend_from_slice(prologue);
-    if spec.layers > 0 {
-        kernels.extend_from_slice(layer);
-    }
+pub fn analyze_periodic(spec: &ScheduleSpec, schedule: &Schedule) -> Report {
+    let (prologue, layer) = (schedule.prologue(), schedule.layer());
     if spec.layers > 2
+        && schedule.layers() == spec.layers
         && touches_layers_up_to(prologue, 0)
         && touches_layers_up_to(layer, 1)
         && prologue.iter().all(|k| fsm::classify(k).is_none())
     {
-        append_layers(&mut kernels, layer.len(), 2);
         let two = ScheduleSpec {
             layers: 2,
             ..spec.clone()
         };
-        let report = analyze_certified(&two, &kernels);
+        let report = analyze_certified(&two, &schedule.expand_to(2));
         if report.diagnostics.is_empty() {
             return report;
         }
-        kernels.truncate(prologue.len() + layer.len());
     }
-    append_layers(&mut kernels, layer.len(), spec.layers);
-    analyze_certified(spec, &kernels)
+    analyze_certified(spec, &schedule.expand())
 }
 
 #[cfg(test)]
@@ -160,13 +139,15 @@ mod tests {
         b.build()
     }
 
+    /// `prologue`, then `layer` run as many times as [`spec`] says.
+    fn schedule(prologue: &[KernelDesc], layer: &[KernelDesc]) -> Schedule {
+        Schedule::new(prologue.to_vec(), layer.to_vec(), spec().layers)
+    }
+
     /// The expanded schedule's report: the reference every case compares
     /// against.
-    fn full(prologue: &[KernelDesc], layer: &[KernelDesc]) -> Report {
-        let mut kernels = prologue.to_vec();
-        kernels.extend_from_slice(layer);
-        append_layers(&mut kernels, layer.len(), spec().layers);
-        analyze_certified(&spec(), &kernels)
+    fn full(schedule: &Schedule) -> Report {
+        analyze_certified(&spec(), &schedule.expand())
     }
 
     fn has_shape_error(report: &Report) -> bool {
@@ -180,10 +161,11 @@ mod tests {
     fn clean_layers_analyze_from_two() {
         let prologue = [glue(&[], &[("l0.x", ROW)])];
         let layer = [fused(&[("l0.x", ROW), ("l0.w", 1024)], &[("l1.x", ROW)])];
-        let report = analyze_periodic(&spec(), &prologue, &layer);
+        let schedule = schedule(&prologue, &layer);
+        let report = analyze_periodic(&spec(), &schedule);
         assert!(report.diagnostics.is_empty(), "{}", report.render());
         assert!(report.error_bound.is_some());
-        assert_eq!(report, full(&prologue, &layer));
+        assert_eq!(report, full(&schedule));
     }
 
     /// Premise 1: a prologue use of `l3.w` meets layer 3's, at another
@@ -192,9 +174,10 @@ mod tests {
     fn prologue_reaching_past_layer_0_falls_back() {
         let prologue = [glue(&[("l3.w", 2048)], &[("l0.x", ROW)])];
         let layer = [fused(&[("l0.x", ROW), ("l0.w", 1024)], &[("l1.x", ROW)])];
-        let report = analyze_periodic(&spec(), &prologue, &layer);
+        let schedule = schedule(&prologue, &layer);
+        let report = analyze_periodic(&spec(), &schedule);
         assert!(has_shape_error(&report), "{}", report.render());
-        assert_eq!(report, full(&prologue, &layer));
+        assert_eq!(report, full(&schedule));
     }
 
     /// Premise 2: layer `m`'s use of `l{m+2}.w` meets layer `m + 2`'s, at
@@ -206,9 +189,10 @@ mod tests {
             &[("l0.x", ROW), ("l0.w", 1024), ("l2.w", 2048)],
             &[("l1.x", ROW)],
         )];
-        let report = analyze_periodic(&spec(), &prologue, &layer);
+        let schedule = schedule(&prologue, &layer);
+        let report = analyze_periodic(&spec(), &schedule);
         assert!(has_shape_error(&report), "{}", report.render());
-        assert_eq!(report, full(&prologue, &layer));
+        assert_eq!(report, full(&schedule));
     }
 
     /// Premise 3: two attention kernels in the prologue and none per layer
@@ -221,7 +205,8 @@ mod tests {
             fused(&[("l0.y", ROW)], &[("l0.x", ROW)]),
         ];
         let layer = [glue(&[("l0.x", ROW)], &[("l1.x", ROW)])];
-        let report = analyze_periodic(&spec(), &prologue, &layer);
+        let schedule = schedule(&prologue, &layer);
+        let report = analyze_periodic(&spec(), &schedule);
         assert!(
             report
                 .diagnostics
@@ -230,7 +215,25 @@ mod tests {
             "{}",
             report.render()
         );
-        assert_eq!(report, full(&prologue, &layer));
+        assert_eq!(report, full(&schedule));
+    }
+
+    /// Premise 0: the spec's layer count is the schedule's. Three layers
+    /// checked against four miss an attention kernel and the `l4.x` sink,
+    /// and a flat copy of the four (no layers, all prologue) is analyzed
+    /// kernel by kernel; both give the every-kernel report.
+    #[test]
+    fn another_layer_count_falls_back() {
+        let prologue = [glue(&[], &[("l0.x", ROW)])];
+        let layer = [fused(&[("l0.x", ROW), ("l0.w", 1024)], &[("l1.x", ROW)])];
+        let short = Schedule::new(prologue.to_vec(), layer.to_vec(), spec().layers - 1);
+        let report = analyze_periodic(&spec(), &short);
+        assert!(report.has_errors(), "{}", report.render());
+        assert_eq!(report, full(&short));
+        let flat = Schedule::from(schedule(&prologue, &layer).expand());
+        let report = analyze_periodic(&spec(), &flat);
+        assert!(report.diagnostics.is_empty(), "{}", report.render());
+        assert_eq!(report, full(&flat));
     }
 
     /// Up to two layers the form is analyzed whole.
@@ -240,14 +243,11 @@ mod tests {
         let layer = [fused(&[("l0.x", ROW)], &[("l1.x", ROW)])];
         for layers in 0..=2 {
             let spec = ScheduleSpec { layers, ..spec() };
-            let mut kernels = prologue.to_vec();
-            if layers > 0 {
-                kernels.extend_from_slice(&layer);
-            }
-            append_layers(&mut kernels, layer.len(), layers);
+            let schedule = Schedule::new(prologue.to_vec(), layer.to_vec(), layers);
+            let kernels = schedule.expand();
             assert_eq!(kernels.len(), 1 + layers);
             assert_eq!(
-                analyze_periodic(&spec, &prologue, &layer),
+                analyze_periodic(&spec, &schedule),
                 analyze_certified(&spec, &kernels),
                 "{layers} layers"
             );

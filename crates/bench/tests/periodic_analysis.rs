@@ -3,18 +3,18 @@
 //! every `SearchSpace::paper_default` candidate of the tuning buckets the
 //! `paper_pipeline` benchmark workload tunes, including the candidates the
 //! analyzer rejects (an LS split across the reduction axis, SDF16 over its
-//! certificate). `build_and_check_schedule`, `build_and_check_periodic`
-//! (and their decode counterpart) and `check_schedule` on the flat
-//! schedule must report exactly what `analyze_certified` reports on it.
+//! certificate). `build_and_check_schedule` (and its decode counterpart)
+//! and `check_schedule` on the built schedule and on its flat expansion
+//! must report exactly what `analyze_certified` reports on the expansion.
 
 #![cfg(not(miri))] // whole-model analysis is far too slow under miri
 
 use resoftmax_analyzer::{analyze_certified, Report};
 use resoftmax_bench::analysis_grid;
+use resoftmax_gpusim::Schedule;
 use resoftmax_model::{
-    analysis_spec, build_and_check_periodic, build_and_check_periodic_decode,
-    build_and_check_schedule, check_decode_schedule, check_schedule, decode_analysis_spec,
-    ModelConfig, RunParams,
+    analysis_spec, build_and_check_decode_schedule, build_and_check_schedule,
+    check_decode_schedule, check_schedule, decode_analysis_spec, ModelConfig, RunParams,
 };
 use resoftmax_tune::{default_params, precheck, precheck_decode, SearchSpace, Skip, TuneWorkload};
 
@@ -32,16 +32,13 @@ fn assert_same(got: &Report, want: &Report, what: &str) {
 
 /// Checks one prefill point and returns whether the analyzer rejects it.
 fn prefill_agrees(model: &ModelConfig, params: &RunParams, what: &str) -> bool {
-    let (flat, report) = build_and_check_schedule(model, params);
+    let (schedule, report) = build_and_check_schedule(model, params);
+    let flat = schedule.expand();
     let reference = analyze_certified(&analysis_spec(model, params), &flat);
     assert_same(&report, &reference, what);
+    assert_same(&check_schedule(model, params, &schedule), &reference, what);
+    let flat = Schedule::from(flat);
     assert_same(&check_schedule(model, params, &flat), &reference, what);
-    let (periodic, report) = build_and_check_periodic(model, params);
-    assert_same(&report, &reference, what);
-    assert!(
-        periodic.expand() == flat,
-        "{what}: expands to another schedule"
-    );
     reference.has_errors()
 }
 
@@ -108,11 +105,14 @@ fn tuner_candidates_report_alike() {
             let rejects = match &bucket {
                 TuneWorkload::Prefill { .. } => prefill_agrees(&model, &params, &what),
                 TuneWorkload::Decode { ctxs } => {
-                    let (periodic, report) = build_and_check_periodic_decode(&model, ctxs, &params);
-                    let flat = periodic.expand();
+                    let (schedule, report) = build_and_check_decode_schedule(&model, ctxs, &params);
+                    let flat = schedule.expand();
                     let spec = decode_analysis_spec(&model, ctxs, &params);
                     let reference = analyze_certified(&spec, &flat);
                     assert_same(&report, &reference, &what);
+                    let report = check_decode_schedule(&model, ctxs, &params, &schedule);
+                    assert_same(&report, &reference, &what);
+                    let flat = Schedule::from(flat);
                     let flat_report = check_decode_schedule(&model, ctxs, &params, &flat);
                     assert_same(&flat_report, &reference, &what);
                     reference.has_errors()

@@ -247,7 +247,6 @@ pub fn fig8_sd_sdf(
         let boundary = |r: &RunReport| -> f64 {
             r.timeline
                 .kernels()
-                .iter()
                 .map(|k| match k.category {
                     c if c.is_softmax_family() => k.dram_read_bytes + k.dram_write_bytes,
                     KernelCategory::MatMulQk => k.dram_write_bytes,

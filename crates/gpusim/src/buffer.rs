@@ -116,9 +116,15 @@ impl BufferId {
     /// The same buffer one layer later: `l3.q` → `l4.q`. Any other id,
     /// including the other stacks' layers, is returned unchanged.
     pub fn next_layer(self) -> BufferId {
+        self.layers_later(1)
+    }
+
+    /// [`Self::next_layer`] applied `layers` times: `l3.q` → `l{3+layers}.q`.
+    /// An index stops at `u32::MAX`.
+    pub(crate) fn layers_later(self, layers: usize) -> BufferId {
         match self.scope {
             Scope::Layer(k) => BufferId {
-                scope: Scope::Layer(k.checked_add(1).unwrap_or(k)),
+                scope: Scope::Layer(k.saturating_add(u32::try_from(layers).unwrap_or(u32::MAX))),
                 ..self
             },
             _ => self,
@@ -271,6 +277,53 @@ mod tests {
         assert_eq!(BufferId::from("l0.w").role(), "w");
         assert!(!BufferId::from("l0.w").is_weight());
         assert!(BufferId::from("l0.q.w").is_weight() && !BufferId::from("l0.q.w").is("q"));
+    }
+
+    #[test]
+    fn next_layer_advances_canonical_prefixes_only() {
+        for (id, next) in [
+            ("l0.x", "l1.x"),
+            ("l9.ff2.w", "l10.ff2.w"),
+            ("l23.k_cache", "l24.k_cache"),
+        ] {
+            let shifted = BufferId::from(id).next_layer();
+            assert_eq!(shifted, BufferId::from(next));
+            assert_eq!(shifted.to_string(), next);
+        }
+        for unchanged in [
+            "x",
+            "ln1",
+            "l.x",
+            "l03.x",
+            "lx.3",
+            "l7",
+            "enc0.x",
+            "dec3.self.q",
+        ] {
+            let shifted = BufferId::from(unchanged).next_layer();
+            assert_eq!(shifted, BufferId::from(unchanged));
+            assert_eq!(shifted.to_string(), unchanged);
+        }
+    }
+
+    #[test]
+    fn layers_later_is_next_layer_repeated_up_to_the_last_index() {
+        let id = Scope::layer(7).id("q").weights();
+        let mut stepped = id;
+        for layers in 0..5 {
+            assert_eq!(id.layers_later(layers), stepped);
+            stepped = stepped.next_layer();
+        }
+        let last = Scope::Layer(u32::MAX - 1).id("b");
+        assert_eq!(last.layers_later(1), Scope::Layer(u32::MAX).id("b"));
+        assert_eq!(
+            last.layers_later(usize::MAX),
+            Scope::Layer(u32::MAX).id("b")
+        );
+        assert_eq!(
+            Scope::encoder(3).id("x").layers_later(2),
+            Scope::encoder(3).id("x")
+        );
     }
 
     #[test]

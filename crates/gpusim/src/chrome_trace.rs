@@ -31,7 +31,7 @@ use crate::trace::Timeline;
 pub fn to_chrome_trace(timeline: &Timeline) -> String {
     let mut out = String::from("[\n");
     let mut now_us = 0.0f64;
-    for (i, k) in timeline.kernels().iter().enumerate() {
+    for (i, k) in timeline.kernels().enumerate() {
         let dur_us = k.time_s * 1e6;
         if i > 0 {
             out.push_str(",\n");
@@ -76,7 +76,6 @@ pub fn to_obs_events(timeline: &Timeline) -> Vec<resoftmax_obs::SimEvent> {
     let mut now_us = 0.0f64;
     timeline
         .kernels()
-        .iter()
         .map(|k| {
             let dur_us = k.time_s * 1e6;
             let ev = resoftmax_obs::SimEvent {

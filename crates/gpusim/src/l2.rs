@@ -81,12 +81,10 @@ impl L2Cache {
     }
 
     /// Advances every resident id `layers` layers
-    /// ([`BufferId::next_layer`]), keeping the bytes and the LRU order.
+    /// ([`BufferId::layers_later`]), keeping the bytes and the LRU order.
     pub(crate) fn advance_layers(&mut self, layers: usize) {
         for (id, _) in &mut self.resident {
-            for _ in 0..layers {
-                *id = id.next_layer();
-            }
+            *id = id.layers_later(layers);
         }
     }
 
@@ -97,6 +95,13 @@ impl L2Cache {
     /// per-TB read bytes by the simulator; this function returns kernel-level
     /// totals.
     pub fn access(&mut self, kernel: &KernelDesc) -> FilteredTraffic {
+        self.access_at(kernel, 0)
+    }
+
+    /// [`Self::access`] for `kernel` run `layers` layers on: each of its
+    /// buffer ids is read as [`BufferId::layers_later`]`(layers)`, so a
+    /// schedule's later layers run without being copied.
+    pub(crate) fn access_at(&mut self, kernel: &KernelDesc, layers: usize) -> FilteredTraffic {
         let declared_reads: u64 = kernel.reads.iter().map(|b| b.bytes).sum();
         let total_reads = kernel.tbs.total_read_bytes();
         let total_writes = kernel.tbs.total_write_bytes();
@@ -104,7 +109,7 @@ impl L2Cache {
         // 1. Hits: reads of fully-resident buffers, each moved to the back.
         let mut hit_bytes: u64 = 0;
         for r in &kernel.reads {
-            if let Some(pos) = self.position(r.id) {
+            if let Some(pos) = self.position(r.id.layers_later(layers)) {
                 hit_bytes += r.bytes;
                 let entry = self.resident.remove(pos).expect("present");
                 self.resident.push_back(entry);
@@ -126,16 +131,18 @@ impl L2Cache {
         // re-install missed reads — each only if it individually fits.
         for w in &kernel.writes {
             if w.bytes <= self.capacity {
-                if let Some(pos) = self.position(w.id) {
+                let id = w.id.layers_later(layers);
+                if let Some(pos) = self.position(id) {
                     let (_, bytes) = self.resident.remove(pos).expect("present");
                     self.resident_bytes -= bytes;
                 }
-                self.push(w.id, w.bytes);
+                self.push(id, w.bytes);
             }
         }
         for r in &kernel.reads {
-            if r.bytes <= self.capacity && self.position(r.id).is_none() {
-                self.push(r.id, r.bytes);
+            let id = r.id.layers_later(layers);
+            if r.bytes <= self.capacity && self.position(id).is_none() {
+                self.push(id, r.bytes);
             }
         }
 

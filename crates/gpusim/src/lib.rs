@@ -15,13 +15,14 @@
 //! * **Execution** ([`Gpu::launch`]): wave-analytic for uniform grids,
 //!   event-driven fluid simulation for heterogeneous (block-sparse) grids,
 //!   exposing load imbalance and tail waves.
-//! * **Layer-periodic runs** ([`Gpu::run`], [`Gpu::run_layers`]): a
-//!   transformer schedule is a prologue and one layer repeated, each copy
-//!   with every buffer id advanced a layer ([`periodic_layer`] recognizes
-//!   that form). Its layers are simulated only until the L2 residency
-//!   repeats under that renaming; the remaining layers repeat the last
-//!   one's stats. The timeline, its total's bits and the L2 end state equal
-//!   launching every kernel.
+//! * **Schedules** ([`Schedule`], [`Gpu::run`]): a transformer schedule is
+//!   a prologue and one layer repeated, each copy with every buffer id
+//!   advanced a layer, and a [`Schedule`] keeps that form. [`Gpu::run`]
+//!   runs the layer at offsets 0, 1, 2, … (the L2 reads each id advanced by
+//!   the offset) only until the L2 residency repeats under that renaming,
+//!   and the [`Timeline`] records the remaining layers as a repeat count.
+//!   The timeline, its total's bits and the L2 end state equal launching
+//!   every kernel.
 //! * **Accounting** ([`Timeline`] / [`Breakdown`]): per-kernel time, traffic
 //!   and energy aggregated per category, mirroring the paper's figures.
 //! * **Pricing memo** ([`sim_cache_stats`] / [`clear_sim_cache`]): a
@@ -29,9 +30,8 @@
 //!   durations — a repeated heterogeneous kernel anywhere (tuner candidates,
 //!   serve iterations, sweeps) prices in O(lookup) with a bit-identical
 //!   timeline. Uniform grids skip it: their closed form is cheaper than the
-//!   lookup. [`Gpu::reference`] bypasses it, the wave fast path and the
-//!   layer-periodic shortcut, launching every kernel, for equivalence
-//!   tests.
+//!   lookup. [`Gpu::reference`] bypasses it and the layer shortcut,
+//!   launching every kernel, for equivalence tests.
 //!
 //! # Example
 //!
@@ -60,9 +60,9 @@ mod device;
 mod kernel;
 mod l2;
 mod occupancy;
-mod periodic;
 mod pricing;
 pub mod roofline;
+mod schedule;
 mod sim;
 mod trace;
 
@@ -74,7 +74,7 @@ pub use kernel::{
 };
 pub use l2::{FilteredTraffic, L2Cache};
 pub use occupancy::{occupancy, LaunchError, Occupancy, OccupancyLimiter};
-pub use periodic::{next_layer, periodic_layer};
 pub use pricing::{clear_sim_cache, sim_cache_stats, SimCacheStats, MAX_KERNEL_ENTRIES};
+pub use schedule::Schedule;
 pub use sim::Gpu;
 pub use trace::{Breakdown, CategoryTotals, KernelStats, Timeline};

@@ -72,15 +72,10 @@ pub fn classify(device: &DeviceSpec, k: &KernelStats) -> RooflinePoint {
 /// Classifies every kernel of a timeline; the aggregate answers "how much of
 /// this schedule is memory-bound?" — the paper's motivating statistic.
 pub fn classify_timeline(device: &DeviceSpec, timeline: &Timeline) -> RooflineReport {
-    let points: Vec<RooflinePoint> = timeline
-        .kernels()
-        .iter()
-        .map(|k| classify(device, k))
-        .collect();
+    let points: Vec<RooflinePoint> = timeline.kernels().map(|k| classify(device, k)).collect();
     let time_of = |b: Bound| -> f64 {
         timeline
             .kernels()
-            .iter()
             .zip(&points)
             .filter(|(_, p)| p.bound == b)
             .map(|(k, _)| k.time_s)

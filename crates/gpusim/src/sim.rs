@@ -18,13 +18,14 @@
 //!   imbalance). Its results are memoized across runs (see `pricing`).
 
 use crate::bandwidth::{effective_bandwidth, utilization};
-use crate::buffer::BufferId;
+use crate::buffer::{BufferId, Scope};
 use crate::device::DeviceSpec;
 use crate::kernel::{KernelDesc, TbGroup, TbSet, TbShape, TbWork};
 use crate::l2::{FilteredTraffic, L2Cache};
 use crate::occupancy::{occupancy, LaunchError, Occupancy};
+use crate::pricing;
+use crate::schedule::Schedule;
 use crate::trace::{KernelStats, Timeline};
-use crate::{periodic, pricing};
 
 /// Residual work below this is treated as finished (guards FP residues left
 /// by the `(work - rate * dt).max(0.0)` decrements).
@@ -117,8 +118,7 @@ pub struct Gpu {
     device_fp: u128,
     l2: L2Cache,
     timeline: Timeline,
-    /// Set by [`Gpu::reference`]: launch every kernel, step every event,
-    /// bypass the memo.
+    /// Set by [`Gpu::reference`]: launch every kernel, bypass the memo.
     reference: bool,
 }
 
@@ -138,10 +138,9 @@ impl Gpu {
 
     /// Creates a GPU that prices the plain way: it launches every kernel,
     /// with no pricing memo (the process-global memo is never read or
-    /// written), no wave replay (the fluid simulation steps every event)
-    /// and no layer-periodic shortcut in [`Gpu::run`]. Its results are
-    /// bit-identical to [`Gpu::new`]'s; it exists so tests can check that
-    /// they stay so.
+    /// written) and no layer shortcut in [`Gpu::run`], which launches every
+    /// kernel of the expanded schedule. Its results are bit-identical to
+    /// [`Gpu::new`]'s; it exists so tests can check that they stay so.
     pub fn reference(device: DeviceSpec) -> Self {
         Gpu {
             reference: true,
@@ -190,127 +189,112 @@ impl Gpu {
     ///
     /// Returns [`LaunchError`] if a single thread block exceeds SM resources.
     pub fn launch(&mut self, kernel: &KernelDesc) -> Result<KernelStats, LaunchError> {
-        self.execute(kernel)?;
-        Ok(self
-            .timeline
-            .kernels()
-            .last()
-            .expect("execute appended this kernel's stats")
-            .clone())
+        let stats = self.execute(kernel, 0)?;
+        self.timeline.push(stats.clone());
+        Ok(stats)
     }
 
-    /// Executes a sequence of kernels in order.
+    /// Executes a schedule: its prologue, then its layer at offsets 0, 1,
+    /// 2, … (the L2 reads each id advanced by the offset, so no layer is
+    /// copied) until the L2 residency repeats under the layer renaming.
     ///
-    /// A slice in layer-periodic form, a prologue of at most one kernel and
-    /// then at least three layers, each the one before with every buffer
-    /// id advanced one layer ([`periodic_layer`](crate::periodic_layer)),
-    /// is priced from its first layers: [`Gpu::run_layers`] simulates them
-    /// until the L2 residency repeats under that renaming, the last
-    /// simulated layer's stats are appended once for each remaining layer,
-    /// and the resident ids are advanced by the layers skipped. The
-    /// timeline, its total's bits and the L2 end state equal launching
-    /// every kernel, which is what any other slice, and every run on
-    /// [`Gpu::reference`], does. Debug builds assert that against a
-    /// kernel-by-kernel run on a clone.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`LaunchError`] encountered.
-    pub fn run(&mut self, kernels: &[KernelDesc]) -> Result<(), LaunchError> {
-        let _span = resoftmax_obs::span!("Gpu::run", "gpusim");
-        let form = if self.reference {
-            None
-        } else {
-            periodic::flat_form(kernels)
-        };
-        let Some((prologue, layers)) = form else {
-            return kernels.iter().try_for_each(|k| self.execute(k));
-        };
-        #[cfg(debug_assertions)]
-        let mut every = self.clone();
-        let (head, body) = kernels.split_at(prologue);
-        let mut layer = body[..body.len() / layers].to_vec();
-        let result = head
-            .iter()
-            .try_for_each(|k| self.execute(k))
-            .and_then(|()| self.run_layers(&mut layer, layers))
-            .map(|repeats| self.timeline.repeat_last(layer.len(), repeats));
-        #[cfg(debug_assertions)]
-        {
-            let expected = kernels.iter().try_for_each(|k| every.execute(k));
-            assert!(
-                result == expected
-                    && self.timeline == every.timeline
-                    && self.timeline.total_time_s().to_bits()
-                        == every.timeline.total_time_s().to_bits()
-                    && self.l2.resident().eq(every.l2.resident()),
-                "the layer-periodic run diverged from launching every kernel"
-            );
-        }
-        result
-    }
-
-    /// Runs `layers` layers whose layer 0 is `layer`, each later layer the
-    /// one before with every buffer id advanced one layer
-    /// ([`next_layer`](crate::next_layer), applied to `layer` in place, so
-    /// `layer` is left advanced by the number of layers simulated less
-    /// one).
-    ///
-    /// After each layer the L2 residency (ids and bytes, in LRU order) is
+    /// After each layer the residency (ids and bytes, in LRU order) is
     /// compared with the residency the layer started from, every id
     /// advanced a layer. Once they match, the next layer starts from this
     /// one's start state renamed and is this layer renamed. The L2 model
     /// compares ids only for equality, pricing never reads them, and kernel
     /// names carry no layer index, so each remaining layer yields this
     /// layer's stats and leaves its end state renamed once more. Those
-    /// layers are counted, not simulated: the timeline gains the simulated
-    /// layers only, and the resident ids are advanced by the number of
-    /// remaining layers, which is returned. The last `layer.len()` timeline
-    /// entries are the stats each of them repeats. The renaming must be one
-    /// to one on every id the run meets, so where a layer index could
-    /// reach `u32::MAX` (where [`BufferId::next_layer`] stops advancing)
-    /// every layer is simulated.
+    /// layers are recorded as a repeat count of this layer's stats
+    /// ([`Timeline::repeats`]), not simulated, and the resident ids are
+    /// advanced by their number. The renaming must be one to one on every
+    /// id the run meets, so where a layer index could reach `u32::MAX`
+    /// (where [`BufferId::next_layer`] stops advancing) every layer is
+    /// simulated.
+    ///
+    /// The timeline, its total's bits and the L2 end state equal launching
+    /// every kernel of [`Schedule::expand`], which is what
+    /// [`Gpu::reference`] does. Debug builds assert that against a
+    /// kernel-by-kernel run on a clone.
     ///
     /// # Errors
     ///
-    /// Returns the first [`LaunchError`], as launching every layer would.
-    pub fn run_layers(
-        &mut self,
-        layer: &mut [KernelDesc],
-        layers: usize,
-    ) -> Result<usize, LaunchError> {
+    /// Returns the first [`LaunchError`], as launching every kernel would.
+    pub fn run(&mut self, schedule: &Schedule) -> Result<(), LaunchError> {
+        let _span = resoftmax_obs::span!("Gpu::run", "gpusim");
+        if self.reference {
+            return self.run_every_kernel(schedule);
+        }
+        #[cfg(debug_assertions)]
+        let mut every = self.clone();
+        let result = schedule
+            .prologue()
+            .iter()
+            .try_for_each(|k| self.run_kernel(k, 0))
+            .and_then(|()| self.run_layers(schedule.layer(), schedule.layers()));
+        #[cfg(debug_assertions)]
+        {
+            let expected = every.run_every_kernel(schedule);
+            assert!(
+                result == expected
+                    && self.timeline == every.timeline
+                    && self.timeline.total_time_s().to_bits()
+                        == every.timeline.total_time_s().to_bits()
+                    && self.l2.resident().eq(every.l2.resident()),
+                "the layered run diverged from launching every kernel"
+            );
+        }
+        result
+    }
+
+    /// Launches every kernel of `schedule`'s expansion in turn.
+    fn run_every_kernel(&mut self, schedule: &Schedule) -> Result<(), LaunchError> {
+        schedule
+            .expand()
+            .iter()
+            .try_for_each(|k| self.run_kernel(k, 0))
+    }
+
+    /// Runs `layers` layers of `layer` from offset 0, as [`Gpu::run`]
+    /// describes.
+    fn run_layers(&mut self, layer: &[KernelDesc], layers: usize) -> Result<(), LaunchError> {
         let renamed = |l2: &L2Cache| -> Vec<(BufferId, u64)> {
             l2.resident()
                 .map(|(id, bytes)| (id.next_layer(), bytes))
                 .collect()
         };
-        let shortcut = !self.reference && {
+        let shortcut = {
             let uses = layer.iter().flat_map(|k| k.reads.iter().chain(&k.writes));
             let resident = self.l2.resident().map(|(id, _)| id);
-            periodic::can_advance(resident.chain(uses.map(|b| b.id)), layers)
+            can_advance(resident.chain(uses.map(|b| b.id)), layers)
         };
         // The residency this layer starts from, ids already advanced a layer.
         let mut start = renamed(&self.l2);
-        for l in 0..layers {
-            if l > 0 {
-                periodic::next_layer(layer);
+        for offset in 0..layers {
+            for k in layer {
+                self.run_kernel(k, offset)?;
             }
-            for k in layer.iter() {
-                self.execute(k)?;
-            }
-            let remaining = layers - l - 1;
+            let remaining = layers - offset - 1;
             if remaining == 0 || (shortcut && self.l2.resident().eq(start.iter().copied())) {
                 self.l2.advance_layers(remaining);
-                return Ok(remaining);
+                self.timeline.repeat_last(layer.len(), remaining);
+                return Ok(());
             }
             start = renamed(&self.l2);
         }
-        Ok(0)
+        Ok(())
     }
 
-    /// Prices one kernel against the current L2 state and appends its stats
-    /// to the timeline.
-    fn execute(&mut self, kernel: &KernelDesc) -> Result<(), LaunchError> {
+    /// Executes `kernel` run `layers` layers on and appends its stats.
+    fn run_kernel(&mut self, kernel: &KernelDesc, layers: usize) -> Result<(), LaunchError> {
+        let stats = self.execute(kernel, layers)?;
+        self.timeline.push(stats);
+        Ok(())
+    }
+
+    /// Prices one kernel, run `layers` layers on, against the current L2
+    /// state (which it updates).
+    fn execute(&mut self, kernel: &KernelDesc, layers: usize) -> Result<KernelStats, LaunchError> {
         let occ = occupancy(&self.device, &kernel.shape)?;
         // Span only the heterogeneous kernels: uniform grids are O(1)
         // closed-form and would flood the trace with sub-µs events.
@@ -320,7 +304,7 @@ impl Gpu {
             } else {
                 Some(resoftmax_obs::span(kernel.name.clone(), "gpusim"))
             };
-        let traffic = self.l2.access(kernel);
+        let traffic = self.l2.access_at(kernel, layers);
 
         // Scale per-TB DRAM reads by the kernel-wide L2 hit ratio.
         let declared_read = kernel.tbs.total_read_bytes();
@@ -343,7 +327,7 @@ impl Gpu {
 
         let flops = kernel.tbs.total_flops();
         let dram_bytes = traffic.dram_read_bytes + traffic.dram_write_bytes;
-        self.timeline.push(KernelStats {
+        Ok(KernelStats {
             name: kernel.name.clone(),
             category: kernel.category,
             time_s,
@@ -362,8 +346,7 @@ impl Gpu {
             },
             energy_j: (dram_bytes * self.device.dram_pj_per_byte + flops * self.device.flop_pj)
                 * 1e-12,
-        });
-        Ok(())
+        })
     }
 
     /// Duration of a heterogeneous grid (excluding launch overhead): the
@@ -377,13 +360,13 @@ impl Gpu {
         occ: Occupancy,
     ) -> f64 {
         if self.reference {
-            return self.fluid_time(groups, shape.threads, read_scale, occ).0;
+            return self.fluid_time(groups, shape.threads, read_scale, occ);
         }
         let key = pricing::kernel_key(self.device_fp, shape, occ.tbs_per_sm, read_scale, groups);
         if let Some(t) = pricing::lookup_kernel(key) {
             return t;
         }
-        let (t, _) = self.fluid_time(groups, shape.threads, read_scale, occ);
+        let t = self.fluid_time(groups, shape.threads, read_scale, occ);
         pricing::insert_kernel(key, t);
         t
     }
@@ -450,17 +433,7 @@ impl Gpu {
     /// dispatch limit without tracking individual SMs. DRAM bandwidth is a
     /// global pool split proportionally to each block's memory-active thread
     /// count and scaled by the utilization model.
-    ///
-    /// Returns the duration and the number of full waves the fast path
-    /// replayed (a count only the tests read: the replay is bit-identical to
-    /// the event loop, so the duration cannot show whether it ran).
-    fn fluid_time(
-        &self,
-        groups: &[TbGroup],
-        threads: u32,
-        read_scale: f64,
-        occ: Occupancy,
-    ) -> (f64, u64) {
+    fn fluid_time(&self, groups: &[TbGroup], threads: u32, read_scale: f64, occ: Occupancy) -> f64 {
         let threads = f64::from(threads);
         let slots = (self.device.num_sms as u64 * occ.tbs_per_sm as u64).max(1);
 
@@ -470,53 +443,8 @@ impl Gpu {
         let mut in_flight: u64 = 0;
         let mut now = 0.0f64;
         let mut fluid = Fluid::new(&self.device);
-        let mut replayed_waves: u64 = 0;
 
         loop {
-            // Wave-class fast path: with the machine idle and the front group
-            // large enough to fill every slot by itself, each full wave is a
-            // grid-independent repetition of the same event sequence. Step
-            // one wave exactly (through the shared `Fluid::step`), then replay
-            // its per-event time deltas for the remaining full waves — the
-            // same `now += dt` additions, in the same order, the event loop
-            // would perform. Cost becomes O(distinct TB classes), not
-            // O(blocks); the heterogeneous tail still takes the event loop.
-            while !self.reference && active.is_empty() && in_flight == 0 {
-                let Some(&front) = queue.front() else {
-                    break;
-                };
-                match Active::from_work(&front.work, threads, read_scale) {
-                    // Zero-work blocks retire instantly regardless of count.
-                    None => {
-                        queue.pop_front();
-                    }
-                    Some(wave_tb) => {
-                        let full_waves = front.count / slots;
-                        if full_waves == 0 {
-                            break;
-                        }
-                        let mut wave = vec![wave_tb.with_count(slots as f64)];
-                        let mut wave_in_flight = slots;
-                        let mut dts = Vec::new();
-                        while !wave.is_empty() {
-                            dts.push(fluid.step(&mut wave, &mut wave_in_flight));
-                        }
-                        replayed_waves += full_waves;
-                        for _ in 0..full_waves {
-                            for &dt in &dts {
-                                now += dt;
-                            }
-                        }
-                        let rem = front.count % slots;
-                        if rem == 0 {
-                            queue.pop_front();
-                        } else {
-                            queue.front_mut().expect("front exists").count = rem;
-                        }
-                    }
-                }
-            }
-
             // Refill free slots from the queue, splitting groups as needed.
             while in_flight < slots {
                 let Some(front) = queue.front_mut() else {
@@ -539,7 +467,7 @@ impl Gpu {
             }
             now += fluid.step(&mut active, &mut in_flight);
         }
-        (now, replayed_waves)
+        now
     }
 
     /// Achieved utilization for a hypothetical thread count (exposed for
@@ -584,9 +512,6 @@ impl<'d> Fluid<'d> {
     /// One event of the fluid simulation: computes per-block rates for the
     /// current active set, advances every work stream to the earliest stream
     /// completion, retires finished groups, and returns the elapsed `dt`.
-    ///
-    /// Both the event loop and the wave-class fast path call this — sharing
-    /// the arithmetic is what makes the fast path bit-identical.
     ///
     /// Rates are computed once per run of adjacent groups of one
     /// [`Active::class`], and a run's earliest completion per stream is its
@@ -685,6 +610,18 @@ impl<'d> Fluid<'d> {
     }
 }
 
+/// `true` when every layer index among `ids` is at most
+/// `u32::MAX − layers`, so that advancing them layer by layer over a run of
+/// `layers` layers never reaches `u32::MAX`, where
+/// [`BufferId::next_layer`] stops advancing: the renaming is one to one on
+/// every id such a run meets.
+fn can_advance(mut ids: impl Iterator<Item = BufferId>, layers: usize) -> bool {
+    ids.all(|id| match id.scope() {
+        Scope::Layer(k) => (u32::MAX - k) as usize >= layers,
+        _ => true,
+    })
+}
+
 /// Merges consecutive identical per-TB work entries into groups.
 fn coalesce(tbs: &[TbWork]) -> Vec<TbGroup> {
     let mut groups: Vec<TbGroup> = Vec::new();
@@ -700,24 +637,46 @@ fn coalesce(tbs: &[TbWork]) -> Vec<TbGroup> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::TbWork;
+    use crate::kernel::{KernelCategory, TbWork};
 
-    /// The wave replay is really taken: 100,000 identical blocks fill the
-    /// A100's 864 slots (108 SMs × 8 blocks of 256 threads) 115 times, and
-    /// the result equals the reference GPU's, which replays nothing.
+    /// A kernel launched after a layered run follows the repeated layers:
+    /// its stats, the timeline and the L2 state equal launching every
+    /// kernel.
     #[test]
-    fn full_waves_are_replayed() {
-        let shape = TbShape::new(256, 0, 32);
-        let groups = [TbGroup::new(TbWork::memory(64_000.0, 16_000.0), 100_000)];
-        let price = |gpu: Gpu| {
-            let occ = occupancy(gpu.device(), &shape).expect("fits");
-            gpu.fluid_time(&groups, shape.threads, 1.0, occ)
+    fn launch_after_a_layered_run() {
+        // `b` streams past the L2, so each layer leaves the residency its
+        // predecessor left, renamed.
+        let kernel = |name: &str, read: &'static str, write: &'static str, streamed: f64| {
+            KernelDesc::builder(name, KernelCategory::Other)
+                .uniform(64, TbWork::memory(4096.0 + streamed, 4096.0))
+                .reads(read, 1 << 18)
+                .writes(write, 1 << 18)
+                .build()
         };
-        let (time_s, replayed) = price(Gpu::new(DeviceSpec::a100()));
-        let (reference_s, none) = price(Gpu::reference(DeviceSpec::a100()));
-        assert_eq!(replayed, 115);
-        assert_eq!(none, 0);
-        assert_eq!(time_s.to_bits(), reference_s.to_bits());
+        let schedule = Schedule::new(
+            vec![kernel("embed", "tokens", "l0.x", 0.0)],
+            vec![
+                kernel("a", "l0.x", "l0.y", 0.0),
+                kernel("b", "l0.y", "l1.x", 1e9),
+            ],
+            6,
+        );
+        let after = kernel("head", "l6.x", "logits", 0.0);
+        let mut layered = Gpu::new(DeviceSpec::a100());
+        layered.run(&schedule).unwrap();
+        assert!(layered.timeline().repeats() > 0, "no layer was repeated");
+        let mut every = Gpu::reference(DeviceSpec::a100());
+        for k in &schedule.expand() {
+            every.launch(k).unwrap();
+        }
+        assert_eq!(layered.launch(&after), every.launch(&after));
+        assert_eq!(layered.timeline(), every.timeline());
+        assert_eq!(layered.timeline().len(), 14);
+        assert_eq!(
+            format!("{:?}", layered.timeline()),
+            format!("{:?}", every.timeline())
+        );
+        assert!(layered.l2().resident().eq(every.l2().resident()));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! totals across strategies).
 
 use crate::kernel::KernelCategory;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Statistics of one executed kernel.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -48,9 +49,28 @@ impl KernelStats {
 }
 
 /// Ordered record of executed kernels.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// A layered run ([`Gpu::run`](crate::Gpu::run)) records the layers it
+/// does not simulate as a repeat count of the last simulated layer's
+/// stats, not as copies. Everything a timeline answers (its totals,
+/// [`Self::breakdown`], [`Self::len`], [`Self::kernels`], `==`, `Debug`
+/// and serde) walks the expanded sequence, repeats in place, so each sum
+/// adds the same values in the same order as a kernel-by-kernel run.
+#[derive(Clone, Default)]
 pub struct Timeline {
-    kernels: Vec<KernelStats>,
+    /// The stats of every kernel simulated, in execution order.
+    simulated: Vec<KernelStats>,
+    /// Where the expanded sequence repeats simulated stats, in order.
+    repeats: Vec<Repeat>,
+}
+
+/// After `simulated[..end]`, its last `period` stats run `times` more
+/// times.
+#[derive(Debug, Clone, Copy)]
+struct Repeat {
+    end: usize,
+    period: usize,
+    times: usize,
 }
 
 impl Timeline {
@@ -61,52 +81,77 @@ impl Timeline {
 
     /// Appends one kernel record.
     pub fn push(&mut self, stats: KernelStats) {
-        self.kernels.push(stats);
+        self.simulated.push(stats);
     }
 
-    /// All kernel records in execution order.
-    pub fn kernels(&self) -> &[KernelStats] {
-        &self.kernels
+    /// All kernel records in execution order, repeats included.
+    pub fn kernels(&self) -> impl Iterator<Item = &KernelStats> {
+        let mut from = 0;
+        let tail = self.repeats.last().map_or(0, |r| r.end);
+        self.repeats
+            .iter()
+            .flat_map(move |r| {
+                let head = &self.simulated[from..r.end];
+                from = r.end;
+                let period = &self.simulated[r.end - r.period..r.end];
+                head.iter()
+                    .chain(std::iter::repeat_n(period, r.times).flatten())
+            })
+            .chain(&self.simulated[tail..])
     }
 
-    /// Number of kernels executed.
+    /// Number of kernels executed, repeats included.
     pub fn len(&self) -> usize {
-        self.kernels.len()
+        self.simulated.len()
+            + self
+                .repeats
+                .iter()
+                .map(|r| r.period * r.times)
+                .sum::<usize>()
     }
 
     /// `true` if nothing ran.
     pub fn is_empty(&self) -> bool {
-        self.kernels.is_empty()
+        self.simulated.is_empty()
+    }
+
+    /// How many times a run of stats repeats without being simulated: for
+    /// one layered run, its layers less the ones it simulated.
+    pub fn repeats(&self) -> usize {
+        self.repeats.iter().map(|r| r.times).sum()
     }
 
     /// Total simulated time in seconds.
     pub fn total_time_s(&self) -> f64 {
-        self.kernels.iter().map(|k| k.time_s).sum()
+        self.kernels().map(|k| k.time_s).sum()
     }
 
     /// Total DRAM traffic in bytes.
     pub fn total_dram_bytes(&self) -> f64 {
-        self.kernels.iter().map(KernelStats::dram_bytes).sum()
+        self.kernels().map(KernelStats::dram_bytes).sum()
     }
 
     /// Total energy in joules.
     pub fn total_energy_j(&self) -> f64 {
-        self.kernels.iter().map(|k| k.energy_j).sum()
+        self.kernels().map(|k| k.energy_j).sum()
     }
 
-    /// Appends the last `period` records `times` more times.
+    /// Records the last `period` records `times` more times, without
+    /// copying them.
     pub(crate) fn repeat_last(&mut self, period: usize, times: usize) {
-        let start = self.kernels.len() - period;
-        self.kernels.reserve(period * times);
-        for _ in 0..times {
-            self.kernels.extend_from_within(start..start + period);
+        if period > 0 && times > 0 {
+            self.repeats.push(Repeat {
+                end: self.simulated.len(),
+                period,
+                times,
+            });
         }
     }
 
     /// Aggregates by category.
     pub fn breakdown(&self) -> Breakdown {
         let mut agg: BTreeMap<&'static str, CategoryTotals> = BTreeMap::new();
-        for k in &self.kernels {
+        for k in self.kernels() {
             let entry = agg
                 .entry(k.category.label())
                 .or_insert_with(|| CategoryTotals {
@@ -124,9 +169,48 @@ impl Timeline {
         }
     }
 
-    /// Merges another timeline into this one (e.g. combining per-layer runs).
+    /// Merges another timeline into this one (e.g. combining per-layer
+    /// runs); its repeats stay repeats.
     pub fn extend_from(&mut self, other: &Timeline) {
-        self.kernels.extend(other.kernels.iter().cloned());
+        let offset = self.simulated.len();
+        self.simulated.extend_from_slice(&other.simulated);
+        self.repeats.extend(other.repeats.iter().map(|r| Repeat {
+            end: r.end + offset,
+            ..*r
+        }));
+    }
+}
+
+impl PartialEq for Timeline {
+    fn eq(&self, other: &Timeline) -> bool {
+        self.len() == other.len() && self.kernels().eq(other.kernels())
+    }
+}
+
+impl fmt::Debug for Timeline {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Timeline")
+            .field("kernels", &self.kernels().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+impl Serialize for Timeline {
+    fn to_value(&self) -> Value {
+        let kernels = self.kernels().map(Serialize::to_value).collect();
+        Value::Object(vec![("kernels".to_owned(), Value::Array(kernels))])
+    }
+}
+
+impl Deserialize for Timeline {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let object = v
+            .as_object()
+            .ok_or_else(|| DeError::new("expected object for Timeline"))?;
+        Ok(Timeline {
+            simulated: Vec::from_value(serde::field(object, "kernels")?)?,
+            repeats: Vec::new(),
+        })
     }
 }
 
@@ -319,6 +403,98 @@ mod tests {
     fn empty_breakdown_fraction_is_zero() {
         let t = Timeline::new();
         assert_eq!(t.breakdown().time_fraction(KernelCategory::Softmax), 0.0);
+    }
+
+    /// A timeline with repeats and the same timeline pushed stat by stat.
+    fn compact_and_flat() -> (Timeline, Timeline) {
+        let stats = [
+            stat("embed", KernelCategory::Other, 0.1, 3.0, 1.0),
+            stat("qk", KernelCategory::MatMulQk, 0.7, 10.0, 5.0),
+            stat("ls", KernelCategory::LocalSoftmax, 0.3, 0.1, 0.2),
+            stat("tail", KernelCategory::Fc, 1e-7, 0.7, 0.3),
+        ];
+        let mut compact = Timeline::new();
+        let mut flat = Timeline::new();
+        for k in &stats[..3] {
+            compact.push(k.clone());
+        }
+        compact.repeat_last(2, 3);
+        compact.push(stats[3].clone());
+        for i in [0, 1, 2, 1, 2, 1, 2, 1, 2, 3] {
+            flat.push(stats[i].clone());
+        }
+        (compact, flat)
+    }
+
+    /// Asserts that `a` and `b` answer alike, every sum to the bit.
+    fn assert_alike(a: &Timeline, b: &Timeline) {
+        assert_eq!(a.len(), b.len());
+        assert_eq!(a.is_empty(), b.is_empty());
+        assert!(a.kernels().eq(b.kernels()));
+        assert_eq!(a.total_time_s().to_bits(), b.total_time_s().to_bits());
+        assert_eq!(
+            a.total_dram_bytes().to_bits(),
+            b.total_dram_bytes().to_bits()
+        );
+        assert_eq!(a.total_energy_j().to_bits(), b.total_energy_j().to_bits());
+        assert_eq!(a.breakdown(), b.breakdown());
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(
+            serde_json::to_string(a).unwrap(),
+            serde_json::to_string(b).unwrap()
+        );
+    }
+
+    #[test]
+    fn repeats_read_as_the_expanded_sequence() {
+        let (compact, flat) = compact_and_flat();
+        assert_eq!((compact.len(), compact.repeats()), (10, 3));
+        assert_eq!(flat.repeats(), 0);
+        assert_alike(&compact, &flat);
+        let names: Vec<&str> = compact.kernels().map(|k| k.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["embed", "qk", "ls", "qk", "ls", "qk", "ls", "qk", "ls", "tail"]
+        );
+        assert_eq!(compact.breakdown().categories[1].kernel_count, 4);
+        let back: Timeline =
+            serde_json::from_str(&serde_json::to_string(&compact).unwrap()).unwrap();
+        assert_alike(&back, &flat);
+        // One stat apart is unequal, whichever side is compact.
+        let mut longer = flat.clone();
+        longer.push(stat("x", KernelCategory::Other, 0.0, 0.0, 0.0));
+        assert_ne!(compact, longer);
+        assert_ne!(longer, compact);
+    }
+
+    /// A repeated timeline merged into another (the traced replica path)
+    /// keeps its repeats where they were, whatever came before it.
+    #[test]
+    fn extend_from_keeps_repeats_in_place() {
+        let (compact, flat) = compact_and_flat();
+        let mut merged = Timeline::new();
+        let mut expected = Timeline::new();
+        for (into, part) in [(&mut merged, &compact), (&mut expected, &flat)] {
+            into.push(stat("first", KernelCategory::Other, 2.0, 1.0, 1.0));
+            into.extend_from(part);
+            into.extend_from(part);
+        }
+        assert_eq!((merged.len(), merged.repeats()), (21, 6));
+        assert_alike(&merged, &expected);
+        assert_alike(&Timeline::new(), &Timeline::new());
+        let mut onto_empty = Timeline::new();
+        onto_empty.extend_from(&compact);
+        assert_alike(&onto_empty, &flat);
+    }
+
+    #[test]
+    fn a_repeat_of_nothing_records_nothing() {
+        let (mut compact, flat) = compact_and_flat();
+        compact.repeat_last(0, 5);
+        compact.repeat_last(2, 0);
+        assert_eq!(compact.repeats(), 3);
+        assert_alike(&compact, &flat);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The fluid simulation pinned to a frozen copy of itself.
 //!
 //! `Gpu::reference` steps every event through the same event loop as
-//! `Gpu::new`, so comparing the two checks the memo and the wave fast path
-//! but not the loop. This file keeps its own copy of the event loop as it
+//! `Gpu::new`, so comparing the two checks the memo but not the loop. This file keeps its own copy of the event loop as it
 //! stood before the loop was restructured for speed (class runs, the
 //! bandwidth memo, one advance-and-retire pass) and asserts that every
 //! heterogeneous kernel `Gpu::new` (memo cold, then warm) and
@@ -17,8 +16,7 @@ use resoftmax_gpusim::{
 
 // ---------------------------------------------------------------------------
 // The frozen event loop: `Active`, `fluid_time` and `event_step` as they
-// were, `fluid_time` on its `Gpu::reference` path (no wave fast path), with
-// `self.device` passed in. Do not edit it to follow the simulator.
+// were, `fluid_time` stepping every event, with `self.device` passed in. Do not edit it to follow the simulator.
 // ---------------------------------------------------------------------------
 
 const EPS: f64 = 1e-18;
@@ -308,7 +306,7 @@ mod proptests {
     }
 
     /// Blocks in a group: none, a few, or at least one full wave on every
-    /// device and shape here (the wave fast path's trigger).
+    /// device and shape here.
     fn count() -> impl Strategy<Value = u64> {
         prop_oneof![0u64..3, 1u64..64, 1u64..200, 900u64..2_500]
     }

@@ -1,10 +1,10 @@
-//! Bit-identity tests for the execution shortcuts: `Gpu::launch` must
-//! produce exactly the same `KernelStats` as `Gpu::reference`, which steps
-//! every event and never touches the pricing memo — with the memo cold and
-//! warm, for homogeneous grids, heterogeneous tails, zero-work blocks, and
-//! mixed compute/memory work. Homogeneous grids are built as single-group
-//! `.grouped(..)` grids: a `.uniform(..)` grid is priced by its closed form
-//! on both sides and would reach neither shortcut.
+//! Bit-identity tests for the pricing memo: `Gpu::launch` must produce
+//! exactly the same `KernelStats` as `Gpu::reference`, which never touches
+//! the memo — with the memo cold and warm, for homogeneous grids,
+//! heterogeneous tails, zero-work blocks, and mixed compute/memory work.
+//! Homogeneous grids are built as single-group `.grouped(..)` grids: a
+//! `.uniform(..)` grid is priced by its closed form on both sides and never
+//! reaches the memo.
 
 #![cfg(not(miri))] // event-driven sims are far too slow under miri
 
@@ -25,11 +25,11 @@ fn run(mut gpu: Gpu, kernels: &[KernelDesc]) -> (Vec<KernelStats>, f64) {
 
 /// Prices `kernels` on `Gpu::new` twice and asserts every per-kernel stat
 /// and timeline total is bit-identical to `Gpu::reference`. No other test
-/// launches these kernels, so the first leg simulates them (taking the fast
-/// path) and the second answers from the memo the first one filled.
+/// launches these kernels, so the first leg simulates them (memo cold) and
+/// the second answers from the memo the first one filled.
 fn assert_paths_identical(device: &DeviceSpec, kernels: &[KernelDesc]) {
     let (ref_stats, ref_total) = run(Gpu::reference(device.clone()), kernels);
-    for leg in ["fast path", "warm memo"] {
+    for leg in ["cold memo", "warm memo"] {
         let (stats, total) = run(Gpu::new(device.clone()), kernels);
         for (s, r) in stats.iter().zip(&ref_stats) {
             assert_eq!(s, r, "stats diverge on {leg} for kernel {:?}", r.name);
@@ -52,9 +52,7 @@ fn memory_kernel(name: &str, count: u64, bytes: f64) -> KernelDesc {
         .build()
 }
 
-/// Homogeneous grid far larger than the machine: many full waves replayed
-/// (that the replay is taken at all is checked by `sim`'s unit test
-/// `full_waves_are_replayed`).
+/// Homogeneous grid far larger than the machine: many full waves.
 #[test]
 fn homogeneous_many_waves() {
     for count in [1, 7, 216, 217, 5000, 100_000] {
@@ -83,8 +81,8 @@ fn homogeneous_compute_and_mixed() {
     assert_paths_identical(&DeviceSpec::a100(), &[k]);
 }
 
-/// Heterogeneous per-TB grids never qualify for the fast path as a whole,
-/// but runs of identical blocks inside them do once coalesced.
+/// Heterogeneous per-TB grids, whose runs of identical blocks coalesce
+/// into groups.
 #[test]
 fn heterogeneous_tail() {
     let mut tbs = vec![TbWork::memory(100_000.0, 10_000.0); 4000];

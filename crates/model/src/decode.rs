@@ -17,13 +17,12 @@
 
 use crate::config::{AttentionKind, ModelConfig};
 use crate::error::Error;
-use crate::periodic::{analyze_flat, stack_layers, PeriodicSchedule, PeriodicTimeline};
 use crate::schedule::{apply_ls_split, build_layer, RunParams, SoftmaxStrategy};
 use crate::session::validate_decode;
-use resoftmax_analyzer::{DecodeSpec, ErrorBound, ScheduleSpec};
+use resoftmax_analyzer::{analyze_periodic, DecodeSpec, ErrorBound, ScheduleSpec};
 use resoftmax_gpusim::{
     AccumFormat, Gpu, KernelCategory, KernelDesc, KernelDescBuilder, KernelMeta, ParallelSplit,
-    Scope, TbGroup, TbShape, TbWork,
+    Schedule, Scope, TbGroup, TbShape, TbWork, Timeline,
 };
 use resoftmax_kernels::costs::{
     row_threads, EXP_FLOP_EQUIV, FP16_BYTES, SOFTMAX_PHASE_EFFICIENCY, STREAM_EFFICIENCY,
@@ -32,7 +31,7 @@ use resoftmax_kernels::costs::{
 /// Attaches one thread block per attention instance to the builder: `heads`
 /// TBs per row, each sized by that row's context length. Adjacent rows with
 /// equal contexts merge into one group (a single run collapses to a uniform
-/// grid, which the simulator replays on its wave fast path).
+/// grid, which the simulator prices in closed form).
 fn per_row_tbs(
     b: &mut KernelDescBuilder,
     ctxs: &[usize],
@@ -118,11 +117,14 @@ impl<'a> DecodeLayers<'a> {
         }
     }
 
-    /// The iteration in layer-periodic form: layer 0, no prologue.
-    fn periodic(&self) -> PeriodicSchedule {
-        PeriodicSchedule::build(Vec::new(), self.model.layers, |kernels| {
-            self.layer(0, kernels);
-        })
+    /// The iteration's schedule: layer 0, no prologue.
+    fn schedule(&self) -> Schedule {
+        let mut layer = Vec::new();
+        self.layer(0, &mut layer);
+        let schedule = Schedule::new(Vec::new(), layer, self.model.layers);
+        #[cfg(debug_assertions)]
+        crate::schedule::assert_layer_copies(&schedule, |l, kernels| self.layer(l, kernels));
+        schedule
     }
 
     /// Pushes layer `layer`'s kernels. Every buffer id is in the
@@ -352,8 +354,8 @@ impl<'a> DecodeLayers<'a> {
 /// batching: heterogeneous rows share a grid); the feed-forward stack runs
 /// as `ctxs.len()`-row GEMMs. `params` supplies the strategy and the
 /// sub-vector tile width; its `batch`/`seq_len` are ignored here — the row
-/// count is `ctxs.len()`. Only layer 0 is built; every later layer is a
-/// renamed copy of the one before (`periodic::stack_layers`).
+/// count is `ctxs.len()`. Only layer 0 is built; it runs `model.layers`
+/// times, each copy with every buffer id's layer advanced by one.
 ///
 /// # Panics
 ///
@@ -364,74 +366,57 @@ pub fn build_batched_decode_schedule(
     model: &ModelConfig,
     ctxs: &[usize],
     params: &RunParams,
-) -> Vec<KernelDesc> {
-    let layers = DecodeLayers::new(model, ctxs, params);
-    let schedule = layers.periodic();
+) -> Schedule {
+    let schedule = DecodeLayers::new(model, ctxs, params).schedule();
     #[cfg(debug_assertions)]
     {
-        let report = schedule.analyze(&decode_analysis_spec(model, ctxs, params));
+        let report = check_decode_schedule(model, ctxs, params, &schedule);
         debug_assert!(
             !report.has_errors(),
             "build_batched_decode_schedule produced a schedule that fails static analysis:\n{}",
             report.render()
         );
     }
-    stack_layers(schedule, |l, kernels| layers.layer(l, kernels))
+    schedule
 }
 
-/// [`build_batched_decode_schedule`] in layer-periodic form (layer 0,
-/// which runs `model.layers` times) with the report
-/// [`check_decode_schedule`] gives on the expanded schedule. The tuner
-/// builds, checks and prices its decode candidates in this form.
+/// [`build_batched_decode_schedule`] with the report
+/// [`check_decode_schedule`] gives on it. The tuner builds and checks its
+/// decode candidates this way.
 ///
 /// # Panics
 ///
 /// As [`build_batched_decode_schedule`].
-pub fn build_and_check_periodic_decode(
+pub fn build_and_check_decode_schedule(
     model: &ModelConfig,
     ctxs: &[usize],
     params: &RunParams,
-) -> (PeriodicSchedule, resoftmax_analyzer::Report) {
-    let schedule = DecodeLayers::new(model, ctxs, params).periodic();
-    let report = schedule.analyze(&decode_analysis_spec(model, ctxs, params));
+) -> (Schedule, resoftmax_analyzer::Report) {
+    let schedule = DecodeLayers::new(model, ctxs, params).schedule();
+    let report = check_decode_schedule(model, ctxs, params, &schedule);
     (schedule, report)
 }
 
 /// Prices one batched-decode iteration on `gpu` and drains its timeline
-/// (flushing L2, as [`Gpu::take_timeline`] does).
-///
-/// The result equals `gpu.run(&build_batched_decode_schedule(model, ctxs,
-/// params))` followed by `gpu.take_timeline()`, every `f64` bit for bit,
-/// but only layer 0 is built: each later layer is launched as the one
-/// before with every id's `l{k}` layer advanced by one in place, and only
-/// until the L2 residency repeats under that renaming (DESIGN §14). On an
-/// A100, GPT-Neo repeats after two of its 24 layers.
-///
-/// Debug builds also build the full schedule (running its analyzer gate)
-/// and assert the result against a full run on a clone of `gpu`.
+/// (flushing L2, as [`Gpu::take_timeline`] does): [`Gpu::run`] on
+/// [`build_batched_decode_schedule`]'s schedule. Only layer 0 is built,
+/// and the layers are simulated only until the L2 residency repeats
+/// (DESIGN §14); on an A100, GPT-Neo repeats after two of its 24 layers.
 ///
 /// # Errors
 ///
 /// [`Error::InvalidConfig`] when the decode rules reject the iteration (see
 /// [`validate_decode`](crate::validate_decode)); [`Error::Launch`] if a
-/// kernel cannot launch, as the full run would.
+/// kernel cannot launch.
 pub fn price_batched_decode(
     gpu: &mut Gpu,
     model: &ModelConfig,
     ctxs: &[usize],
     params: &RunParams,
-) -> Result<PeriodicTimeline, Error> {
+) -> Result<Timeline, Error> {
     validate_decode(model, ctxs, params)?;
-    #[cfg(debug_assertions)]
-    let start = gpu.clone();
-    let priced = DecodeLayers::new(model, ctxs, params).periodic().price(gpu);
-    #[cfg(debug_assertions)]
-    crate::periodic::assert_full_run(
-        start,
-        &build_batched_decode_schedule(model, ctxs, params),
-        &priced,
-    );
-    Ok(priced?)
+    gpu.run(&build_batched_decode_schedule(model, ctxs, params))?;
+    Ok(gpu.take_timeline())
 }
 
 /// The strategy a decode iteration runs under `strategy`. Unfused
@@ -449,18 +434,17 @@ fn decode_strategy(strategy: SoftmaxStrategy) -> SoftmaxStrategy {
 
 /// Statically analyzes a batched-decode schedule against the spec implied by
 /// `(model, ctxs, params)` ([`decode_analysis_spec`]), returning the full
-/// diagnostic report: [`resoftmax_analyzer::analyze_certified`]'s. A
-/// schedule of the form [`build_batched_decode_schedule`] makes
-/// (`model.layers` layers, each the one before with every buffer id's
-/// layer advanced by one) is analyzed from its first two layers
-/// ([`resoftmax_analyzer::analyze_periodic`]), any other over every kernel.
+/// diagnostic report: [`resoftmax_analyzer::analyze_certified`]'s on the
+/// expanded schedule. A schedule of `model.layers` layers is analyzed from
+/// its first two ([`resoftmax_analyzer::analyze_periodic`]), any other over
+/// every kernel.
 pub fn check_decode_schedule(
     model: &ModelConfig,
     ctxs: &[usize],
     params: &RunParams,
-    kernels: &[KernelDesc],
+    schedule: &Schedule,
 ) -> resoftmax_analyzer::Report {
-    analyze_flat(&decode_analysis_spec(model, ctxs, params), kernels, 0)
+    analyze_periodic(&decode_analysis_spec(model, ctxs, params), schedule)
 }
 
 /// The analyzer's description of the batched-decode iteration `(model,
@@ -602,6 +586,7 @@ mod tests {
         let params = RunParams::new(4096).strategy(SoftmaxStrategy::Recomposed);
         let ks = build_batched_decode_schedule(&m, &[ctx], &params);
         let ir = ks
+            .layer()
             .iter()
             .find(|k| k.category == KernelCategory::InterReduction)
             .expect("recomposed decode has an IR kernel");
@@ -619,6 +604,7 @@ mod tests {
         let params = RunParams::new(4096).strategy(SoftmaxStrategy::Recomposed);
         let ks = build_batched_decode_schedule(&m, &[4096], &params);
         let pv = ks
+            .layer()
             .iter()
             .find(|k| k.category == KernelCategory::MatMulPv)
             .expect("decode has a PV kernel");
@@ -639,6 +625,7 @@ mod tests {
         for ctx in [260, 1000, 4096] {
             let ks = build_batched_decode_schedule(&m, &[ctx], &RunParams::new(4096));
             let sm = ks
+                .layer()
                 .iter()
                 .find(|k| k.category == KernelCategory::Softmax)
                 .expect("baseline decode has a softmax kernel");
@@ -680,6 +667,7 @@ mod tests {
         assert_eq!(report.error_bound, decode_error_bound(&ctxs, &params));
         // The fused QK GEMV declares its binary16 LS accumulation.
         let qk = ks
+            .layer()
             .iter()
             .find(|k| k.category == KernelCategory::MatMulQk)
             .unwrap();
@@ -722,11 +710,10 @@ mod tests {
         );
     }
 
-    /// The schedule is `model.layers` equal slices, each copied from the one
-    /// before with every buffer id's layer advanced by one. The first, a
-    /// middle and the last slice must be what the builder emits for that
-    /// layer: the premise of `stack_layers` and of `price_batched_decode`'s
-    /// shortcut.
+    /// The schedule is `model.layers` copies of layer 0, each with every
+    /// buffer id's layer advanced by one. The first, a middle and the last
+    /// copy must be what the builder emits for that layer: the premise of
+    /// the layered form, which debug builds also assert on every build.
     #[test]
     fn decode_layers_are_shifted_copies() {
         let m = ModelConfig::gpt_neo_1_3b();
@@ -734,14 +721,18 @@ mod tests {
         for strategy in [SoftmaxStrategy::Baseline, SoftmaxStrategy::Recomposed] {
             let params = RunParams::new(4096).strategy(strategy);
             let schedule = build_batched_decode_schedule(&m, &ctxs, &params);
-            let per_layer = schedule.len() / m.layers;
-            assert_eq!(schedule.len(), m.layers * per_layer);
+            assert_eq!(
+                (schedule.prologue().len(), schedule.layers()),
+                (0, m.layers)
+            );
+            let per_layer = schedule.layer().len();
+            let flat = schedule.expand();
             let layers = DecodeLayers::new(&m, &ctxs, &params);
             for l in [0, m.layers / 2, m.layers - 1] {
                 let mut built = Vec::new();
                 layers.layer(l, &mut built);
                 assert_eq!(
-                    schedule[l * per_layer..][..per_layer],
+                    flat[l * per_layer..][..per_layer],
                     built,
                     "{strategy:?} layer {l}"
                 );
@@ -767,7 +758,7 @@ mod tests {
                     "{strategy:?} with {} rows",
                     ctxs.len()
                 );
-                assert_eq!(priced.into_timeline().len(), 11 * m.layers);
+                assert_eq!(priced.len(), 11 * m.layers);
             }
         }
     }

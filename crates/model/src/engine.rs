@@ -3,7 +3,7 @@
 
 use crate::schedule::RunParams;
 use resoftmax_gpusim::{
-    Breakdown, DeviceSpec, Gpu, KernelCategory, KernelDesc, LaunchError, Timeline,
+    Breakdown, DeviceSpec, Gpu, KernelCategory, LaunchError, Schedule, Timeline,
 };
 use serde::{Deserialize, Serialize};
 
@@ -81,7 +81,7 @@ pub(crate) fn simulate_schedule(
     name: &str,
     params: &RunParams,
     device: DeviceSpec,
-    schedule: &[KernelDesc],
+    schedule: &Schedule,
 ) -> Result<RunReport, LaunchError> {
     let mut stream: Option<(String, f64)> = None;
     let _span = if resoftmax_obs::trace_enabled() {

@@ -8,6 +8,15 @@
 //! simulator, and the synthetic long-document workload ([`Workload`], the
 //! TriviaQA substitute).
 //!
+//! The prefill and batched-decode builders return a layered
+//! [`Schedule`](resoftmax_gpusim::Schedule): the prologue, layer 0 and the
+//! layer count, the cost builders run for layer 0 only. [`check_schedule`]
+//! and [`check_decode_schedule`] analyze that form from two layers, and
+//! [`Gpu::run`](resoftmax_gpusim::Gpu::run) prices it from its first
+//! layers, so nothing expands it on the way; [`price_batched_decode`] is
+//! that run for a serving step. Debug builds emit every layer through the
+//! builders and assert it equals its renamed copy.
+//!
 //! # Example
 //!
 //! ```
@@ -30,7 +39,6 @@ mod decode;
 mod engine;
 mod error;
 mod library;
-mod periodic;
 mod schedule;
 mod seq2seq;
 mod session;
@@ -39,17 +47,16 @@ mod workload;
 
 pub use config::{AttentionKind, ModelConfig};
 pub use decode::{
-    build_and_check_periodic_decode, build_batched_decode_schedule, check_decode_schedule,
+    build_and_check_decode_schedule, build_batched_decode_schedule, check_decode_schedule,
     decode_analysis_spec, decode_error_bound, price_batched_decode,
 };
 pub use engine::RunReport;
 pub use error::Error;
 pub use library::{LibraryProfile, SparseSupport};
-pub use periodic::{price_schedule, PeriodicSchedule, PeriodicTimeline};
 pub use resoftmax_gpusim::ParallelSplit;
 pub use schedule::{
-    analysis_spec, build_and_check_periodic, build_and_check_schedule, build_schedule,
-    check_schedule, static_error_bound, RunParams, SoftmaxStrategy,
+    analysis_spec, build_and_check_schedule, build_schedule, check_schedule, static_error_bound,
+    RunParams, SoftmaxStrategy,
 };
 pub use seq2seq::{build_seq2seq_schedule, run_seq2seq, Seq2SeqConfig};
 pub use session::{validate_decode, validate_prefill, Session};

@@ -12,10 +12,11 @@
 
 use crate::config::ModelConfig;
 use crate::library::{LibraryProfile, SparseSupport};
-use crate::periodic::{analyze_flat, stack_layers, PeriodicSchedule};
-use resoftmax_analyzer::{error_model, ErrorBound, ScheduleSpec, SparseSpec, StrategyKind};
+use resoftmax_analyzer::{
+    analyze_periodic, error_model, ErrorBound, ScheduleSpec, SparseSpec, StrategyKind,
+};
 use resoftmax_gpusim::{
-    AccumFormat, BufferId, KernelCategory, KernelDesc, ParallelSplit, Scope, TbSet,
+    AccumFormat, BufferId, KernelCategory, KernelDesc, ParallelSplit, Schedule, Scope, TbSet,
 };
 use resoftmax_kernels::costs::{common, dense, sparse, AttnDims, TileConfig};
 use resoftmax_sparse::BlockLayout;
@@ -221,22 +222,23 @@ pub(crate) fn uses_sparse_kernels(model: &ModelConfig, profile: &LibraryProfile)
     model.attention.is_sparse() && !matches!(profile.sparse_support, SparseSupport::DenseFallback)
 }
 
-/// Builds the complete kernel schedule of one inference iteration.
+/// Builds the complete kernel schedule of one inference iteration: the
+/// embedding kernel, then layer 0, which runs `model.layers` times, each
+/// copy with every buffer id's layer advanced by one. The cost builders run
+/// for layer 0 only; [`Schedule::expand`] gives the flat kernels.
 ///
 /// # Panics
 ///
 /// Panics if the tile height or width is zero, if `seq_len` is
 /// incompatible with the model's sparse block size, or if the tile width
 /// does not divide the sequence length.
-pub fn build_schedule(model: &ModelConfig, params: &RunParams) -> Vec<KernelDesc> {
+pub fn build_schedule(model: &ModelConfig, params: &RunParams) -> Schedule {
     build_schedule_on(model, params, sparse_layout(model, params).as_ref())
 }
 
 /// Builds the schedule of one inference iteration and statically analyzes
 /// it: the same schedule as [`build_schedule`] and the same report as
-/// [`check_schedule`] on it. The sparse layout both read is built once,
-/// and the analyzer reads the builder's layer 0 before it is expanded
-/// ([`resoftmax_analyzer::analyze_periodic`]), so no layer is compared.
+/// [`check_schedule`] on it, with the sparse layout both read built once.
 ///
 /// # Panics
 ///
@@ -244,31 +246,10 @@ pub fn build_schedule(model: &ModelConfig, params: &RunParams) -> Vec<KernelDesc
 pub fn build_and_check_schedule(
     model: &ModelConfig,
     params: &RunParams,
-) -> (Vec<KernelDesc>, resoftmax_analyzer::Report) {
+) -> (Schedule, resoftmax_analyzer::Report) {
     let layout = sparse_layout(model, params);
-    let schedule = prefill_periodic(model, params, layout.as_ref());
-    let report = schedule.analyze(&prefill_spec(model, params, layout.as_ref()));
-    (
-        stack_prefill(model, params, layout.as_ref(), schedule),
-        report,
-    )
-}
-
-/// [`build_and_check_schedule`] without the expansion: the schedule in
-/// layer-periodic form (the embedding kernel and layer 0, which runs
-/// `model.layers` times) and the same report. The tuner builds, checks and
-/// prices its candidates in this form.
-///
-/// # Panics
-///
-/// As [`build_schedule`].
-pub fn build_and_check_periodic(
-    model: &ModelConfig,
-    params: &RunParams,
-) -> (PeriodicSchedule, resoftmax_analyzer::Report) {
-    let layout = sparse_layout(model, params);
-    let schedule = prefill_periodic(model, params, layout.as_ref());
-    let report = schedule.analyze(&prefill_spec(model, params, layout.as_ref()));
+    let schedule = prefill_schedule(model, params, layout.as_ref());
+    let report = analyze_periodic(&prefill_spec(model, params, layout.as_ref()), &schedule);
     (schedule, report)
 }
 
@@ -280,36 +261,35 @@ pub(crate) fn sparse_layout(model: &ModelConfig, params: &RunParams) -> Option<B
 
 /// [`build_schedule`] on a sparse layout the caller built once for the whole
 /// schedule: `model.attention.layout(params.seq_len)` where
-/// [`uses_sparse_kernels`] holds, else `None`. The cost builders run for
-/// layer 0 only; every later layer is a renamed copy ([`stack_layers`]).
+/// [`uses_sparse_kernels`] holds, else `None`.
 pub(crate) fn build_schedule_on(
     model: &ModelConfig,
     params: &RunParams,
     layout: Option<&BlockLayout>,
-) -> Vec<KernelDesc> {
-    let schedule = prefill_periodic(model, params, layout);
+) -> Schedule {
+    let schedule = prefill_schedule(model, params, layout);
     // Debug builds statically verify every schedule they hand out: fusion
     // legality, buffer dataflow, and traffic conservation (release builds
     // skip the pass; the `resoftmax-bench analyze` subcommand covers CI).
     #[cfg(debug_assertions)]
     {
-        let report = schedule.analyze(&prefill_spec(model, params, layout));
+        let report = analyze_periodic(&prefill_spec(model, params, layout), &schedule);
         debug_assert!(
             !report.has_errors(),
             "build_schedule produced a schedule that fails static analysis:\n{}",
             report.render()
         );
     }
-    stack_prefill(model, params, layout, schedule)
+    schedule
 }
 
 /// The embedding kernel and prefill layer 0 of `(model, params)` on
-/// `layout`: the schedule in layer-periodic form.
-fn prefill_periodic(
+/// `layout`, layer 0 running `model.layers` times.
+fn prefill_schedule(
     model: &ModelConfig,
     params: &RunParams,
     layout: Option<&BlockLayout>,
-) -> PeriodicSchedule {
+) -> Schedule {
     assert!(
         params.tile.m > 0 && params.tile.n > 0,
         "prefill tile height and width must be nonzero, got {}x{}",
@@ -327,22 +307,37 @@ fn prefill_periodic(
         &[Scope::Global.id("tokens")],
         Scope::layer(0).id("x"),
     );
-    PeriodicSchedule::build(vec![embedding], model.layers, |kernels| {
-        prefill_layer(model, params, layout, 0, kernels);
-    })
+    let mut layer = Vec::new();
+    prefill_layer(model, params, layout, 0, &mut layer);
+    let schedule = Schedule::new(vec![embedding], layer, model.layers);
+    #[cfg(debug_assertions)]
+    assert_layer_copies(&schedule, |l, kernels| {
+        prefill_layer(model, params, layout, l, kernels);
+    });
+    schedule
 }
 
-/// The flat schedule of a prefill `schedule` built on `layout`
-/// ([`stack_layers`]).
-fn stack_prefill(
-    model: &ModelConfig,
-    params: &RunParams,
-    layout: Option<&BlockLayout>,
-    schedule: PeriodicSchedule,
-) -> Vec<KernelDesc> {
-    stack_layers(schedule, |layer, kernels| {
-        prefill_layer(model, params, layout, layer, kernels);
-    })
+/// Debug builds' check of the premise of the layered form: each layer of
+/// `schedule`'s expansion, layer 0 with its ids advanced, is what `emit`
+/// pushes for that layer. It holds because a builder's layer `l + 1` is
+/// its layer `l` renamed: its ids are all in scope `l{l}` (the closing
+/// LayerNorm writes `l{l+1}.x`) and nothing else in a kernel depends on the
+/// layer index.
+#[cfg(debug_assertions)]
+pub(crate) fn assert_layer_copies(schedule: &Schedule, emit: impl Fn(usize, &mut Vec<KernelDesc>)) {
+    let per_layer = schedule.layer().len().max(1);
+    let kernels = schedule.expand();
+    for (l, copy) in kernels[schedule.prologue().len()..]
+        .chunks(per_layer)
+        .enumerate()
+    {
+        let mut built = Vec::with_capacity(per_layer);
+        emit(l, &mut built);
+        assert!(
+            built == copy,
+            "layer {l} copied from layer 0 differs from the layer its builder emits"
+        );
+    }
 }
 
 /// Emits prefill layer `layer` of `(model, params)` on `layout` as the cost
@@ -403,17 +398,16 @@ pub(crate) fn apply_ls_split(params: &RunParams, kernels: &mut [KernelDesc]) {
 
 /// Statically analyzes a schedule against the spec implied by
 /// `(model, params)` ([`analysis_spec`]), returning the full diagnostic
-/// report: [`resoftmax_analyzer::analyze_certified`]'s. A schedule of the
-/// form [`build_schedule`] makes (the embedding kernel, then
-/// `model.layers` layers, each the one before with every buffer id's layer
-/// advanced by one) is analyzed from its first two layers
-/// ([`resoftmax_analyzer::analyze_periodic`]), any other over every kernel.
+/// report: [`resoftmax_analyzer::analyze_certified`]'s on the expanded
+/// schedule. A schedule of `model.layers` layers is analyzed from its first
+/// two ([`resoftmax_analyzer::analyze_periodic`]), any other over every
+/// kernel.
 pub fn check_schedule(
     model: &ModelConfig,
     params: &RunParams,
-    kernels: &[KernelDesc],
+    schedule: &Schedule,
 ) -> resoftmax_analyzer::Report {
-    analyze_flat(&analysis_spec(model, params), kernels, 1)
+    analyze_periodic(&analysis_spec(model, params), schedule)
 }
 
 /// The analyzer's description of `(model, params)`: the exact dimensions,
@@ -764,7 +758,7 @@ mod tests {
 
     #[test]
     fn baseline_schedule_shape() {
-        let ks = build_schedule(&bert(), &RunParams::new(4096));
+        let ks = build_schedule(&bert(), &RunParams::new(4096)).expand();
         // 1 embedding + 24 × (3 fc + 3 attn + 1 fc + ln + 2 ff + ln) = 1 + 24·11
         assert_eq!(ks.len(), 1 + 24 * 11);
         assert!(ks.iter().any(|k| k.category == KernelCategory::Softmax));
@@ -778,7 +772,8 @@ mod tests {
         let ks = build_schedule(
             &bert(),
             &RunParams::new(4096).strategy(SoftmaxStrategy::Recomposed),
-        );
+        )
+        .expand();
         assert!(!ks.iter().any(|k| k.category == KernelCategory::Softmax));
         assert!(ks
             .iter()
@@ -805,7 +800,7 @@ mod tests {
 
     #[test]
     fn sparse_model_uses_block_sparse_kernels() {
-        let ks = build_schedule(&ModelConfig::bigbird_large(), &RunParams::new(4096));
+        let ks = build_schedule(&ModelConfig::bigbird_large(), &RunParams::new(4096)).expand();
         let qk = ks
             .iter()
             .find(|k| k.category == KernelCategory::MatMulQk)
@@ -859,7 +854,7 @@ mod tests {
     #[test]
     fn dense_fallback_ignores_sparsity() {
         let params = RunParams::new(4096).profile(LibraryProfile::tensorrt());
-        let ks = build_schedule(&ModelConfig::bigbird_large(), &params);
+        let ks = build_schedule(&ModelConfig::bigbird_large(), &params).expand();
         let qk = ks
             .iter()
             .find(|k| k.category == KernelCategory::MatMulQk)
@@ -872,7 +867,8 @@ mod tests {
         let hg = build_schedule(
             &bert(),
             &RunParams::new(4096).profile(LibraryProfile::huggingface()),
-        );
+        )
+        .expand();
         let ours = build_schedule(&bert(), &RunParams::new(4096));
         assert!(hg.len() > ours.len());
         assert!(hg.iter().any(|k| k.category == KernelCategory::Scale));
@@ -882,19 +878,20 @@ mod tests {
 
     #[test]
     fn overheads_scale_work() {
-        let ours = build_schedule(&bert(), &RunParams::new(4096));
+        let ours = build_schedule(&bert(), &RunParams::new(4096)).expand();
         let tvm = build_schedule(
             &bert(),
             &RunParams::new(4096).profile(LibraryProfile::autotvm()),
-        );
+        )
+        .expand();
         let flops = |ks: &[KernelDesc]| -> f64 { ks.iter().map(KernelDesc::total_flops).sum() };
         assert!(flops(&tvm) > 1.3 * flops(&ours));
     }
 
     #[test]
     fn batch_scales_grid() {
-        let b1 = build_schedule(&bert(), &RunParams::new(4096));
-        let b8 = build_schedule(&bert(), &RunParams::new(4096).batch(8));
+        let b1 = build_schedule(&bert(), &RunParams::new(4096)).expand();
+        let b8 = build_schedule(&bert(), &RunParams::new(4096).batch(8)).expand();
         let tbs = |ks: &[KernelDesc]| -> u64 { ks.iter().map(|k| k.tbs.count()).sum() };
         let r = tbs(&b8) as f64 / tbs(&b1) as f64;
         assert!(r > 7.0 && r < 9.0, "batch-8 grid ratio {r}");
@@ -905,7 +902,7 @@ mod tests {
         let params = RunParams::new(4096)
             .strategy(SoftmaxStrategy::RecomposedFp16)
             .tile(TileConfig::new(64, 16));
-        let ks = build_schedule(&bert(), &params);
+        let ks = build_schedule(&bert(), &params).expand();
         // Same shape as SDF: no standalone softmax, IR present.
         assert!(!ks.iter().any(|k| k.category == KernelCategory::Softmax));
         assert!(ks
@@ -922,7 +919,7 @@ mod tests {
         // The separate-scale-mask degenerate path keeps the format on the
         // standalone LS kernel instead.
         let hf = params.clone().profile(LibraryProfile::huggingface());
-        let ks = build_schedule(&bert(), &hf);
+        let ks = build_schedule(&bert(), &hf).expand();
         let ls = ks
             .iter()
             .find(|k| k.category == KernelCategory::LocalSoftmax)
@@ -989,9 +986,66 @@ mod tests {
         let _ = build_schedule(&bert(), &params);
     }
 
+    /// A full-sequence schedule is the embedding kernel and then
+    /// `model.layers` copies of layer 0, each with every buffer id's layer
+    /// advanced by one. The first, a middle and the last copy must be what
+    /// the cost builders emit for that layer, on every model, strategy and
+    /// Fig. 7 library profile: the premise of the layered form, which debug
+    /// builds also assert on every build.
+    #[test]
+    fn prefill_layers_are_shifted_copies() {
+        let mut models = ModelConfig::all_eval_models();
+        models.push(ModelConfig::bert_base());
+        models.push(ModelConfig::sparse_transformer());
+        let strategies = [
+            SoftmaxStrategy::Baseline,
+            SoftmaxStrategy::Decomposed,
+            SoftmaxStrategy::Recomposed,
+            SoftmaxStrategy::RecomposedFp16,
+            SoftmaxStrategy::OnlineFused,
+        ];
+        let mut checked = 0;
+        for model in &models {
+            for strategy in strategies {
+                for profile in LibraryProfile::fig7_lineup() {
+                    for ls_split in [None, Some(ParallelSplit::RowSegments)] {
+                        let params = RunParams::new(512)
+                            .strategy(strategy)
+                            .tile(TileConfig::new(64, 16))
+                            .profile(profile.clone())
+                            .ls_split(ls_split);
+                        // SDF16 has no block-sparse implementation.
+                        if crate::validate_prefill(model, &params).is_err() {
+                            continue;
+                        }
+                        let schedule = build_schedule(model, &params);
+                        assert_eq!(schedule.layers(), model.layers);
+                        assert_eq!(schedule.prologue()[0].name, "embedding");
+                        let per_layer = schedule.layer().len();
+                        let flat = schedule.expand();
+                        let layout = sparse_layout(model, &params);
+                        for l in [0, model.layers / 2, model.layers - 1] {
+                            let mut built = Vec::new();
+                            prefill_layer(model, &params, layout.as_ref(), l, &mut built);
+                            assert_eq!(
+                                flat[1 + l * per_layer..][..per_layer],
+                                built,
+                                "{} {strategy:?} {} {ls_split:?} layer {l}",
+                                model.name,
+                                profile.name
+                            );
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 200, "{checked} schedules checked");
+    }
+
     #[test]
     fn buffer_chain_links_layers() {
-        let ks = build_schedule(&bert(), &RunParams::new(512));
+        let ks = build_schedule(&bert(), &RunParams::new(512)).expand();
         // the embedding writes l0.x, layer 0's QKV FCs read it
         assert!(ks[0].writes.iter().any(|b| b.id == "l0.x"));
         assert!(ks[1].reads.iter().any(|b| b.id == "l0.x"));

@@ -13,7 +13,7 @@ use crate::engine::{simulate_schedule, RunReport};
 use crate::error::Error;
 use crate::schedule::{build_layer, dense_attention, RunParams};
 use crate::session::certify;
-use resoftmax_gpusim::{DeviceSpec, KernelCategory, KernelDesc, Scope};
+use resoftmax_gpusim::{DeviceSpec, KernelCategory, KernelDesc, Schedule, Scope};
 use resoftmax_kernels::costs::{common, AttnDims};
 use serde::{Deserialize, Serialize};
 
@@ -210,7 +210,7 @@ pub fn run_seq2seq(
         params,
         "L=",
     )?;
-    let schedule = build_seq2seq_schedule(cfg, src_len, tgt_len, params);
+    let schedule = Schedule::from(build_seq2seq_schedule(cfg, src_len, tgt_len, params));
     Ok(simulate_schedule(
         "run_seq2seq",
         &cfg.name,

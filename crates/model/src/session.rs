@@ -20,7 +20,7 @@ use crate::schedule::{
 };
 use crate::training::build_training_schedule;
 use resoftmax_analyzer::{ErrorBound, Report, Severity, CERT_BUDGET_REL};
-use resoftmax_gpusim::{DeviceSpec, KernelDesc};
+use resoftmax_gpusim::{DeviceSpec, Schedule};
 
 /// A validated, ready-to-run simulation of one model on one device.
 ///
@@ -299,11 +299,11 @@ impl Session {
                     .to_owned(),
             );
         }
-        let schedule = build_training_schedule(&self.model, &self.params);
+        let schedule = Schedule::from(build_training_schedule(&self.model, &self.params));
         self.simulate("Session::train", &schedule)
     }
 
-    fn simulate(&self, kind: &'static str, schedule: &[KernelDesc]) -> Result<RunReport, Error> {
+    fn simulate(&self, kind: &'static str, schedule: &Schedule) -> Result<RunReport, Error> {
         Ok(simulate_schedule(
             kind,
             &self.model.name,

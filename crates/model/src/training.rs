@@ -55,7 +55,7 @@ pub fn build_training_schedule(model: &ModelConfig, params: &RunParams) -> Vec<K
 
     // Forward pass (identical to inference; activations stay resident in the
     // cost model via the same buffer ids the backward kernels reference).
-    let mut kernels = build_schedule_on(model, params, forward_layout);
+    let mut kernels = build_schedule_on(model, params, forward_layout).expand();
 
     // Backward pass, reverse layer order.
     for layer in (0..model.layers).rev() {
@@ -225,7 +225,7 @@ mod tests {
     fn training_schedule_is_superset_of_inference() {
         let m = ModelConfig::bert_large();
         let p = RunParams::new(4096);
-        let fwd = build_schedule(&m, &p);
+        let fwd = build_schedule(&m, &p).expand();
         let train = build_training_schedule(&m, &p);
         assert!(train.len() > fwd.len() * 2 - m.layers * 5);
         // forward prefix is identical

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use resoftmax_analyzer::{Rule, Severity};
-use resoftmax_gpusim::{KernelCategory, KernelDesc, TbSet};
+use resoftmax_gpusim::{KernelCategory, KernelDesc, Schedule, TbSet};
 use resoftmax_model::{
     build_schedule, check_schedule, LibraryProfile, ModelConfig, RunParams, SoftmaxStrategy,
 };
@@ -105,12 +105,12 @@ proptest! {
         ],
     ) {
         let p = params(l, 1, s, LibraryProfile::ours_baseline());
-        let mut kernels = build_schedule(&model, &p);
+        let mut kernels = build_schedule(&model, &p).expand();
         let Some(k) = kernels.iter_mut().find(|k| k.meta.sub_vector.is_some()) else {
             return Err("schedule carries no sub-vector metadata".into());
         };
         k.meta.sub_vector = k.meta.sub_vector.map(|t| t * 2);
-        let report = check_schedule(&model, &p, &kernels);
+        let report = check_schedule(&model, &p, &Schedule::from(kernels));
         prop_assert!(
             error_rules(&report).contains(&Rule::FusionTileWidth),
             "doubled sub-vector not caught:\n{}",
@@ -127,7 +127,7 @@ proptest! {
         s in any_strategy(),
     ) {
         let p = params(l, 1, s, LibraryProfile::ours_baseline());
-        let mut kernels = build_schedule(&model, &p);
+        let mut kernels = build_schedule(&model, &p).expand();
         let Some(w) = kernels
             .iter_mut()
             .flat_map(|k| k.writes.iter_mut())
@@ -136,7 +136,7 @@ proptest! {
             return Err("no attn_out writer in schedule".into());
         };
         w.id = w.id.scope().id("attn_out_detached");
-        let report = check_schedule(&model, &p, &kernels);
+        let report = check_schedule(&model, &p, &Schedule::from(kernels));
         prop_assert!(
             error_rules(&report).contains(&Rule::DataflowUseBeforeDef),
             "renamed producer not caught:\n{}",
@@ -155,7 +155,7 @@ proptest! {
         idx in 0usize..1_000,
     ) {
         let p = params(l, 1, s, LibraryProfile::ours_baseline());
-        let mut kernels = build_schedule(&model, &p);
+        let mut kernels = build_schedule(&model, &p).expand();
         // Pick a kernel the formula engine actually models (SDA or FC/FF).
         let candidates: Vec<usize> = kernels
             .iter()
@@ -172,7 +172,7 @@ proptest! {
         prop_assert!(!candidates.is_empty());
         let victim = candidates[idx % candidates.len()];
         scale_traffic(&mut kernels[victim], 1.5);
-        let report = check_schedule(&model, &p, &kernels);
+        let report = check_schedule(&model, &p, &Schedule::from(kernels));
         prop_assert!(
             error_rules(&report).contains(&Rule::TrafficFormula),
             "inflated traffic on kernel #{victim} not caught:\n{}",
@@ -192,7 +192,7 @@ proptest! {
         ],
     ) {
         let p = params(l, 1, s, LibraryProfile::ours_baseline());
-        let mut kernels = build_schedule(&model, &p);
+        let mut kernels = build_schedule(&model, &p).expand();
         let before = kernels.len();
         let Some(pos) = kernels
             .iter()
@@ -202,7 +202,7 @@ proptest! {
         };
         kernels.remove(pos);
         prop_assert_eq!(kernels.len(), before - 1);
-        let report = check_schedule(&model, &p, &kernels);
+        let report = check_schedule(&model, &p, &Schedule::from(kernels));
         prop_assert!(
             error_rules(&report).contains(&Rule::FusionSequence),
             "missing IR not caught:\n{}",

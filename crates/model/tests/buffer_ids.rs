@@ -43,7 +43,7 @@ fn builder_ids() -> HashSet<BufferId> {
                 let params = params(512, strategy).profile(profile.clone());
                 // SDF16 has no block-sparse implementation.
                 if validate_prefill(model, &params).is_ok() {
-                    schedules.push(build_schedule(model, &params));
+                    schedules.push(build_schedule(model, &params).expand());
                 }
             }
         }
@@ -55,11 +55,14 @@ fn builder_ids() -> HashSet<BufferId> {
                 schedules.push(build_training_schedule(&model, &params));
             }
         }
-        schedules.push(build_batched_decode_schedule(
-            &ModelConfig::gpt_neo_1_3b(),
-            &[260, 1000, 1000],
-            &params,
-        ));
+        schedules.push(
+            build_batched_decode_schedule(
+                &ModelConfig::gpt_neo_1_3b(),
+                &[260, 1000, 1000],
+                &params,
+            )
+            .expand(),
+        );
         schedules.push(build_seq2seq_schedule(
             &Seq2SeqConfig::vanilla_transformer_big(),
             512,

@@ -7,9 +7,10 @@
 //! error, so both channels are asserted.
 
 use resoftmax_analyzer::{analyze_certified, Report, Rule, Severity};
+use resoftmax_gpusim::Schedule;
 use resoftmax_kernels::costs::TileConfig;
 use resoftmax_model::{
-    build_and_check_periodic_decode, build_batched_decode_schedule, check_decode_schedule,
+    build_and_check_decode_schedule, build_batched_decode_schedule, check_decode_schedule,
     decode_analysis_spec, ModelConfig, RunParams, SoftmaxStrategy,
 };
 
@@ -80,7 +81,7 @@ fn analyzer_catches_r_prime_dead_store() {
     let model = ModelConfig::gpt_neo_1_3b();
     let params = RunParams::new(4096).strategy(SoftmaxStrategy::Recomposed);
     let ctxs = [4096usize];
-    let mut kernels = build_batched_decode_schedule(&model, &ctxs, &params);
+    let mut kernels = build_batched_decode_schedule(&model, &ctxs, &params).expand();
     for k in &mut kernels {
         if k.category == resoftmax_gpusim::KernelCategory::MatMulPv {
             k.reads.retain(|b| !b.id.is("r_prime"));
@@ -88,7 +89,7 @@ fn analyzer_catches_r_prime_dead_store() {
             k.meta.sub_vector = None;
         }
     }
-    let report = check_decode_schedule(&model, &ctxs, &params, &kernels);
+    let report = check_decode_schedule(&model, &ctxs, &params, &Schedule::from(kernels));
     assert!(
         report.has_errors(),
         "a PV that ignores r_prime must fail analysis:\n{}",
@@ -131,13 +132,13 @@ fn warp_alignment_lint_fires_on_ragged_blocks() {
     let model = ModelConfig::gpt_neo_1_3b();
     let params = RunParams::new(4096);
     let ctxs = [260usize];
-    let mut kernels = build_batched_decode_schedule(&model, &ctxs, &params);
+    let mut kernels = build_batched_decode_schedule(&model, &ctxs, &params).expand();
     for k in &mut kernels {
         if k.category == resoftmax_gpusim::KernelCategory::Softmax {
             k.shape.threads = 65; // the pre-fix (ctx/4).clamp(32, 1024) value
         }
     }
-    let report = check_decode_schedule(&model, &ctxs, &params, &kernels);
+    let report = check_decode_schedule(&model, &ctxs, &params, &Schedule::from(kernels));
     assert!(
         report
             .diagnostics
@@ -160,12 +161,12 @@ fn assert_same(got: &Report, want: &Report, what: &str) {
     assert_eq!(got.render(), want.render(), "{what}");
 }
 
-/// The layer-periodic decode checks against the every-kernel pass on
-/// GPT-Neo iterations with mixed contexts (decode rows, a prefill chunk's
+/// The two-layer decode checks against the every-kernel pass on GPT-Neo
+/// iterations with mixed contexts (decode rows, a prefill chunk's
 /// consecutive positions, both) under every decode strategy, including
 /// SDF16 at a tile width its certificate rejects: the report of
-/// `build_and_check_periodic_decode` and `check_decode_schedule`'s on the
-/// flat schedule equal `analyze_certified`'s.
+/// `build_and_check_decode_schedule` and `check_decode_schedule`'s on the
+/// built schedule and on its flat expansion equal `analyze_certified`'s.
 #[test]
 fn periodic_decode_checks_match_every_kernel() {
     let model = ModelConfig::gpt_neo_1_3b();
@@ -194,20 +195,22 @@ fn periodic_decode_checks_match_every_kernel() {
                 params.tile.n,
                 ctxs.len()
             );
-            let (periodic, report) = build_and_check_periodic_decode(&model, ctxs, params);
-            let flat = periodic.expand();
+            let (schedule, report) = build_and_check_decode_schedule(&model, ctxs, params);
+            let flat = schedule.expand();
             let reference = analyze_certified(&decode_analysis_spec(&model, ctxs, params), &flat);
             assert_same(&report, &reference, &what);
-            assert_same(
-                &check_decode_schedule(&model, ctxs, params, &flat),
-                &reference,
-                &what,
-            );
+            for schedule in [&schedule, &Schedule::from(flat)] {
+                assert_same(
+                    &check_decode_schedule(&model, ctxs, params, schedule),
+                    &reference,
+                    &what,
+                );
+            }
             if reference.has_errors() {
                 rejected += 1;
             } else {
                 assert_eq!(
-                    flat,
+                    schedule,
                     build_batched_decode_schedule(&model, ctxs, params),
                     "{what}"
                 );

@@ -1,19 +1,19 @@
-//! Layer-periodic pricing against the reference it shortcuts: launching
-//! every kernel of the full schedule and draining the timeline. `price_batched_decode` (what a
-//! serving replica runs) and `price_schedule` (what the tuner runs on the
-//! layer-periodic forms it built) must agree with it bit for bit, in the expanded
-//! timeline and in the compact total serving reads, on every row mix,
-//! prefill grid point, strategy and device.
+//! Layered pricing against the reference it shortcuts: launching every
+//! kernel of the expanded schedule and draining the timeline.
+//! `price_batched_decode` (what a serving replica runs) and `Gpu::run` on
+//! a built schedule (what the tuner and `Session` run) must agree with it
+//! bit for bit, in every stat of the compact timeline and in the total
+//! serving reads, on every row mix, prefill grid point, strategy and
+//! device.
 
 #![cfg(not(miri))] // whole-model simulation is far too slow under miri
 
 use proptest::prelude::*;
-use resoftmax_gpusim::{DeviceSpec, Gpu, KernelDesc, ParallelSplit, Timeline};
+use resoftmax_gpusim::{DeviceSpec, Gpu, ParallelSplit, Schedule, Timeline};
 use resoftmax_kernels::costs::TileConfig;
 use resoftmax_model::{
-    build_and_check_periodic, build_and_check_periodic_decode, build_batched_decode_schedule,
-    build_schedule, price_batched_decode, price_schedule, validate_prefill, LibraryProfile,
-    ModelConfig, PeriodicTimeline, RunParams, SoftmaxStrategy,
+    build_batched_decode_schedule, build_schedule, price_batched_decode, validate_prefill,
+    LibraryProfile, ModelConfig, RunParams, SoftmaxStrategy,
 };
 
 /// One engine iteration's rows: 0–16 decode rows at contexts 1–4,096, then
@@ -63,24 +63,30 @@ fn same_bits(a: &Timeline, b: &Timeline) -> bool {
     format!("{a:?}") == format!("{b:?}")
 }
 
-/// Launches every kernel of `schedule` on `gpu` and drains the timeline:
-/// the full run, kernel by kernel (`Gpu::run` would price a layer-periodic
+/// Launches every kernel of `schedule`'s expansion on `gpu` and drains the
+/// timeline: the full run, kernel by kernel (`Gpu::run` would price the
 /// schedule from its first layers, as the pricers under test do).
-fn full_run(gpu: &mut Gpu, schedule: &[KernelDesc]) -> Timeline {
-    for k in schedule {
+fn full_run(gpu: &mut Gpu, schedule: &Schedule) -> Timeline {
+    for k in &schedule.expand() {
         gpu.launch(k).unwrap();
     }
     gpu.take_timeline()
 }
 
-/// `priced` equals the full run's `reference`: the compact total to the
-/// bit, and the expanded timeline in every field.
-fn assert_equals_full_run(priced: PeriodicTimeline, reference: &Timeline) -> Result<(), String> {
+/// `Gpu::run` on `schedule`, drained.
+fn layered_run(gpu: &mut Gpu, schedule: &Schedule) -> Timeline {
+    gpu.run(schedule).unwrap();
+    gpu.take_timeline()
+}
+
+/// `priced` equals the full run's `reference`: the total to the bit, and
+/// every stat in every field.
+fn assert_equals_full_run(priced: &Timeline, reference: &Timeline) -> Result<(), String> {
     prop_assert_eq!(
         priced.total_time_s().to_bits(),
         reference.total_time_s().to_bits()
     );
-    prop_assert!(same_bits(&priced.into_timeline(), reference));
+    prop_assert!(same_bits(priced, reference));
     Ok(())
 }
 
@@ -122,9 +128,9 @@ fn any_prefill_params() -> impl Strategy<Value = RunParams> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Two iterations priced back to back on one `Gpu`, from the builder
-    /// and from the prebuilt periodic form, equal two full runs back to back
-    /// on another.
+    /// Two iterations priced back to back on one `Gpu`, by the serving
+    /// pricer and by `Gpu::run` on the built schedule, equal two full runs
+    /// back to back on another.
     #[test]
     fn layer_periodic_pricing_equals_the_full_run(
         first in any_ctxs(),
@@ -139,15 +145,14 @@ proptest! {
             let schedule = build_batched_decode_schedule(&model, ctxs, &params);
             let reference = full_run(&mut full, &schedule);
             let priced = price_batched_decode(&mut fast, &model, ctxs, &params).unwrap();
-            assert_equals_full_run(priced, &reference)?;
-            let (periodic, _) = build_and_check_periodic_decode(&model, ctxs, &params);
-            let priced = price_schedule(&mut fast, &model, Some(ctxs), &params, periodic).unwrap();
-            assert_equals_full_run(priced, &reference)?;
+            assert_equals_full_run(&priced, &reference)?;
+            assert_equals_full_run(&layered_run(&mut fast, &schedule), &reference)?;
         }
     }
 
-    /// The tuner's prefill path: a full-sequence schedule, dense or
-    /// block-sparse, priced from its periodic form equals its full run.
+    /// The tuner's and `Session::run`'s prefill path: a full-sequence
+    /// schedule, dense or block-sparse, priced by `Gpu::run` equals its
+    /// full run.
     #[test]
     fn prefill_schedules_price_like_the_full_run(
         model in any_model(),
@@ -158,8 +163,7 @@ proptest! {
         prop_assume!(validate_prefill(&model, &params).is_ok());
         let schedule = build_schedule(&model, &params);
         let reference = full_run(&mut Gpu::new(device.clone()), &schedule);
-        let (periodic, _) = build_and_check_periodic(&model, &params);
-        let priced = price_schedule(&mut Gpu::new(device), &model, None, &params, periodic).unwrap();
-        assert_equals_full_run(priced, &reference)?;
+        let priced = layered_run(&mut Gpu::new(device), &schedule);
+        assert_equals_full_run(&priced, &reference)?;
     }
 }

@@ -103,7 +103,7 @@ fn each_run_records_one_sim_stream_of_its_kernels() {
         assert_eq!(streams.len(), 1, "{label}: one sim stream per run");
         assert_eq!(
             streams[0].events.len(),
-            report.timeline.kernels().len(),
+            report.timeline.len(),
             "{label}: one event per simulated kernel"
         );
     }

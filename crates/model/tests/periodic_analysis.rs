@@ -1,24 +1,22 @@
-//! The layer-periodic analysis against the every-kernel pass it shortcuts.
+//! The two-layer analysis against the every-kernel pass it shortcuts.
 //!
 //! `analyze_periodic` reads a schedule's prologue and two layers where its
-//! premises hold, and `check_schedule` recognizes a flat schedule of that
-//! form; both must report exactly what `analyze_certified` reports on the
-//! expanded schedule. A layer template with one generated corruption
-//! (a use's bytes, a dropped write, an id moved to `l2` or to a global, a
-//! tile width, a thread count, two kernels swapped) is stacked into a flat
-//! schedule, and the three reports must agree by `Debug`, serde and
-//! `render()`. A flat schedule changed in one late layer is no longer a
-//! stack of copies and must go to the every-kernel pass.
+//! premises hold, and `check_schedule` hands the schedule to it; both must
+//! report exactly what `analyze_certified` reports on the expanded
+//! schedule. A layer template with one generated corruption (a use's
+//! bytes, a dropped write, an id moved to `l2` or to a global, a tile
+//! width, a thread count, two kernels swapped) is built into a layered
+//! `Schedule`, and the three reports must agree by `Debug`, serde and
+//! `render()`.
 
 #![cfg(not(miri))] // whole-model analysis is far too slow under miri
 
 use proptest::prelude::*;
-use resoftmax_analyzer::periodic::append_layers;
 use resoftmax_analyzer::{analyze_certified, analyze_periodic, Report};
-use resoftmax_gpusim::{BufferUse, KernelCategory, KernelDesc, Scope, TbSet};
+use resoftmax_gpusim::{BufferUse, KernelDesc, Schedule, Scope};
 use resoftmax_model::{
-    analysis_spec, build_and_check_periodic, build_schedule, check_schedule, LibraryProfile,
-    ModelConfig, RunParams, SoftmaxStrategy,
+    analysis_spec, build_schedule, check_schedule, LibraryProfile, ModelConfig, RunParams,
+    SoftmaxStrategy,
 };
 
 /// `got` and `want` agree by `Debug` (every `f64` to the bit), by serde and
@@ -154,92 +152,22 @@ impl Corruption {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// A corrupted layer template, stacked: the periodic entry, the flat
-    /// check and the every-kernel pass report the same.
+    /// A corrupted layer template, run `model.layers` times: the two-layer
+    /// entry, the schedule check and the every-kernel pass report the same.
     #[test]
     fn corrupted_templates_report_alike(
         model in any_model(),
         params in any_params(),
         corruption in any_corruption(),
     ) {
-        let (periodic, _) = build_and_check_periodic(&model, &params);
-        let prologue = periodic.prologue();
-        let mut layer = periodic.layer().to_vec();
+        let built = build_schedule(&model, &params);
+        let mut layer = built.layer().to_vec();
         corruption.apply(&mut layer);
-        let mut flat = prologue.to_vec();
-        flat.extend_from_slice(&layer);
-        append_layers(&mut flat, layer.len(), model.layers);
+        let schedule = Schedule::new(built.prologue().to_vec(), layer, model.layers);
 
         let spec = analysis_spec(&model, &params);
-        let reference = analyze_certified(&spec, &flat);
-        assert_same(&analyze_periodic(&spec, prologue, &layer), &reference)?;
-        assert_same(&check_schedule(&model, &params, &flat), &reference)?;
-    }
-}
-
-/// Scales every declared DRAM byte figure of `k` by `factor`.
-fn scale_traffic(k: &mut KernelDesc, factor: f64) {
-    let scale = |w: &mut resoftmax_gpusim::TbWork| {
-        w.dram_read_bytes *= factor;
-        w.dram_write_bytes *= factor;
-    };
-    match &mut k.tbs {
-        TbSet::Uniform { work, .. } => scale(work),
-        TbSet::PerTb(v) => v.iter_mut().for_each(scale),
-        TbSet::Grouped(v) => v.iter_mut().for_each(|g| scale(&mut g.work)),
-    }
-}
-
-/// A change to a late layer's `Q·Kᵀ` and `P·V` kernels.
-type Change = fn(&mut KernelDesc, &mut KernelDesc);
-
-/// A flat schedule changed in one kernel of layer 20 of 24 is not a stack
-/// of renamed copies: `check_schedule` must give the every-kernel report,
-/// which flags the change, where two layers would read clean. Each field
-/// the copy comparison reads is changed in turn.
-#[test]
-fn a_late_layer_change_falls_back_to_every_kernel() {
-    let model = ModelConfig::bert_large();
-    let params = RunParams::new(1024).strategy(SoftmaxStrategy::Recomposed);
-    let spec = analysis_spec(&model, &params);
-    let built = build_schedule(&model, &params);
-    let per_layer = (built.len() - 1) / model.layers;
-    let late = 1 + 20 * per_layer;
-    let find = |category| {
-        late + built[late..][..per_layer]
-            .iter()
-            .position(|k| k.category == category)
-            .expect("every layer has the category")
-    };
-    let (qk, pv) = (
-        find(KernelCategory::MatMulQk),
-        find(KernelCategory::MatMulPv),
-    );
-    // Each change gets the late QK and PV kernels.
-    let changes: [(&str, Change); 7] = [
-        ("a read's bytes", |qk, _| qk.reads[0].bytes *= 2),
-        ("a write's bytes", |qk, _| qk.writes[0].bytes *= 2),
-        ("a read's id", |_, pv| {
-            move_to(&mut pv.reads[0], Scope::layer(3));
-        }),
-        ("a write's id", |qk, _| {
-            move_to(&mut qk.writes[0], Scope::layer(3));
-        }),
-        ("the grid", |qk, _| scale_traffic(qk, 2.0)),
-        ("the metadata", |qk, _| qk.meta.sub_vector = Some(32)),
-        ("the thread count", |_, pv| pv.shape.threads = 100),
-    ];
-    for (what, change) in changes {
-        let mut flat = built.clone();
-        let (head, tail) = flat.split_at_mut(pv);
-        change(&mut head[qk], &mut tail[0]);
-        let reference = analyze_certified(&spec, &flat);
-        assert!(
-            !reference.diagnostics.is_empty(),
-            "{what}: the every-kernel pass flags nothing"
-        );
-        if let Err(e) = assert_same(&check_schedule(&model, &params, &flat), &reference) {
-            panic!("{what}: {e}");
-        }
+        let reference = analyze_certified(&spec, &schedule.expand());
+        assert_same(&analyze_periodic(&spec, &schedule), &reference)?;
+        assert_same(&check_schedule(&model, &params, &schedule), &reference)?;
     }
 }

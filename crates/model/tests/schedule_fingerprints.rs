@@ -1,6 +1,6 @@
-//! Pins every schedule the model crate builds, and both static error
-//! bounds, to FNV-1a fingerprints of their serde_json, folded in a fixed
-//! order per builder. A refactor must leave every constant unchanged; a
+//! Pins every schedule the model crate builds (expanded to its flat
+//! kernels), and both static error bounds, to FNV-1a fingerprints of their
+//! serde_json, folded in a fixed order per builder. A refactor must leave every constant unchanged; a
 //! change meant to move a schedule updates its builder's constant, which
 //! the failure message prints.
 
@@ -77,7 +77,7 @@ fn prefill_schedules_are_pinned() {
                         .batch(batch);
                     // SDF16 has no block-sparse implementation.
                     if validate_prefill(model, &params).is_ok() {
-                        fp.fold(&build_schedule(model, &params));
+                        fp.fold(&build_schedule(model, &params).expand());
                     }
                 }
             }
@@ -111,7 +111,7 @@ fn batched_decode_schedules_are_pinned() {
         for strategy in &ALL_STRATEGIES[..4] {
             let params = params(4096, *strategy);
             for ctxs in [&[1024][..], &[512; 4], &[260, 1000, 1000, 4096]] {
-                fp.fold(&build_batched_decode_schedule(&model, ctxs, &params));
+                fp.fold(&build_batched_decode_schedule(&model, ctxs, &params).expand());
             }
         }
     }

@@ -5,7 +5,7 @@
 //! The L2 model keys on buffer identity, so a misspelled id would silently
 //! disable inter-kernel forwarding; this suite makes that a test failure.
 
-use resoftmax_gpusim::{BufferId, DeviceSpec, Gpu, KernelDesc};
+use resoftmax_gpusim::{BufferId, DeviceSpec, Gpu, KernelDesc, Schedule};
 use resoftmax_kernels::costs::TileConfig;
 use resoftmax_model::{
     build_batched_decode_schedule, build_schedule, build_seq2seq_schedule, build_training_schedule,
@@ -47,7 +47,7 @@ fn check_wiring(kernels: &[KernelDesc], strict: bool) {
     }
 }
 
-fn all_inference_schedules() -> Vec<(String, Vec<KernelDesc>)> {
+fn all_inference_schedules() -> Vec<(String, Schedule)> {
     let mut out = Vec::new();
     let strategies = [
         SoftmaxStrategy::Baseline,
@@ -74,7 +74,7 @@ fn all_inference_schedules() -> Vec<(String, Vec<KernelDesc>)> {
 fn inference_schedules_are_fully_wired() {
     for (label, ks) in all_inference_schedules() {
         assert!(!ks.is_empty(), "{label}: empty schedule");
-        check_wiring(&ks, true);
+        check_wiring(&ks.expand(), true);
     }
 }
 
@@ -95,7 +95,7 @@ fn training_and_decode_and_seq2seq_wiring() {
         check_wiring(&ks, true);
 
         let ks = build_batched_decode_schedule(&ModelConfig::gpt_neo_1_3b(), &[1024], &params);
-        check_wiring(&ks, true);
+        check_wiring(&ks.expand(), true);
 
         let ks = build_seq2seq_schedule(
             &Seq2SeqConfig::vanilla_transformer_big(),
@@ -167,10 +167,10 @@ fn every_schedule_launches_on_every_gpu() {
             let extension_schedules = [
                 (
                     "training",
-                    build_training_schedule(
+                    Schedule::from(build_training_schedule(
                         &ModelConfig::bert_large(),
                         &RunParams::new(1024).strategy(s),
-                    ),
+                    )),
                 ),
                 (
                     "decode",
@@ -182,12 +182,12 @@ fn every_schedule_launches_on_every_gpu() {
                 ),
                 (
                     "seq2seq",
-                    build_seq2seq_schedule(
+                    Schedule::from(build_seq2seq_schedule(
                         &Seq2SeqConfig::vanilla_transformer_big(),
                         1024,
                         512,
                         &RunParams::new(1024).strategy(s),
-                    ),
+                    )),
                 ),
             ];
             for (label, ks) in extension_schedules {
@@ -206,7 +206,7 @@ fn library_profiles_all_launch() {
     for profile in lineup {
         for model in [ModelConfig::bert_large(), ModelConfig::bigbird_large()] {
             let ks = build_schedule(&model, &RunParams::new(1024).profile(profile.clone()));
-            check_wiring(&ks, true);
+            check_wiring(&ks.expand(), true);
             let mut gpu = Gpu::new(DeviceSpec::a100());
             gpu.run(&ks).unwrap();
         }
@@ -216,6 +216,7 @@ fn library_profiles_all_launch() {
 #[test]
 fn traffic_is_positive_and_finite_everywhere() {
     for (label, ks) in all_inference_schedules() {
+        let ks = ks.expand();
         let total: f64 = ks.iter().map(KernelDesc::total_dram_bytes).sum();
         assert!(total.is_finite() && total > 0.0, "{label}: traffic {total}");
         for k in &ks {

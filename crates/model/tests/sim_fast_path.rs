@@ -1,7 +1,6 @@
-//! Full-sweep equivalence check for the simulator's shortcuts: replaying
-//! whole waves of identical thread blocks and answering from the pricing
-//! memo must leave every per-kernel statistic bit-identical to
-//! `Gpu::reference` (the plain event loop), across the complete evaluation
+//! Full-sweep equivalence check for the pricing memo: answering from it
+//! must leave every per-kernel statistic bit-identical to `Gpu::reference`
+//! (the plain event loop, no memo), across the complete evaluation
 //! schedules (all models × strategies, dense and block-sparse, including the
 //! heterogeneous block-sparse tails).
 
@@ -31,12 +30,12 @@ fn sweep_points() -> Vec<(ModelConfig, RunParams)> {
 fn fast_path_matches_event_loop_on_full_sweep() {
     for device in [DeviceSpec::a100(), DeviceSpec::t4()] {
         for (model, params) in sweep_points() {
-            let kernels = build_schedule(&model, &params);
-            let mut fast = Gpu::new(device.clone());
+            let kernels = build_schedule(&model, &params).expand();
+            let mut memo = Gpu::new(device.clone());
             let mut slow = Gpu::reference(device.clone());
             for k in &kernels {
-                let sf = fast.launch(k).expect("fast launch");
-                let ss = slow.launch(k).expect("slow launch");
+                let sf = memo.launch(k).expect("memo launch");
+                let ss = slow.launch(k).expect("reference launch");
                 assert_eq!(
                     sf,
                     ss,
@@ -48,7 +47,7 @@ fn fast_path_matches_event_loop_on_full_sweep() {
                 );
             }
             assert_eq!(
-                fast.timeline().total_time_s().to_bits(),
+                memo.timeline().total_time_s().to_bits(),
                 slow.timeline().total_time_s().to_bits(),
                 "timeline totals diverge for {} / {}",
                 model.name,

@@ -451,15 +451,15 @@ impl Replica {
 
         // Price the fused iteration on this replica's GPU. Pricing drains
         // cost state (and flushes L2) so one `Gpu` serves the whole run
-        // without re-paying construction per iteration. Only a traced run
-        // expands the repeated layers' stats.
+        // without re-paying construction per iteration. A traced run keeps
+        // the timeline, its repeated layers still a count.
         let span = resoftmax_obs::span("serve.iteration", "serve");
         let iter_params = planner.plan(&ctxs, params);
         let priced = price_batched_decode(&mut self.gpu, model, &ctxs, &iter_params)?;
         let dt = priced.total_time_s();
         drop(span);
         if let Some(acc_tl) = &mut self.timeline {
-            acc_tl.extend_from(&priced.into_timeline());
+            acc_tl.extend_from(&priced);
         }
         self.clock_s += dt;
         self.busy_s += dt;

@@ -303,7 +303,7 @@ fn ttft_is_the_final_prompt_chunk_not_the_first_decode() {
     let t0 = resoftmax_serve::poisson_arrivals(&cfg).unwrap()[0].at_s;
     let mut gpu = Gpu::new(DeviceSpec::a100());
     let mut price = |ctxs: Vec<usize>| -> f64 {
-        for k in &build_batched_decode_schedule(&m, &ctxs, &params) {
+        for k in &build_batched_decode_schedule(&m, &ctxs, &params).expand() {
             gpu.launch(k).unwrap();
         }
         gpu.take_timeline().total_time_s()

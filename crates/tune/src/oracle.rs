@@ -21,20 +21,17 @@
 //! Only candidates clearing all four are priced; the price is the
 //! simulated end-to-end time of the workload's schedule, which is what the
 //! search minimizes. A candidate is never expanded to its `model.layers`
-//! layers: the gates build its prologue and layer 0
-//! ([`PeriodicSchedule`]), the analyzer checks that form from its first
-//! two layers, and `resoftmax_model::price_schedule` prices it with layer
-//! 0's ids advanced in place once per layer, simulating layers only until
-//! the L2 state repeats. Report and total equal the full schedule's, the
-//! total bit for bit.
+//! layers: the gates build its prologue and layer 0 (a [`Schedule`]), the
+//! analyzer checks that form from its first two layers, and [`Gpu::run`]
+//! prices it, simulating layers only until the L2 state repeats. Report
+//! and total equal the full schedule's, the total bit for bit.
 
 use crate::TuneError;
 use resoftmax_analyzer::{ErrorBound, CERT_BUDGET_REL};
-use resoftmax_gpusim::{DeviceSpec, Gpu, ParallelSplit};
+use resoftmax_gpusim::{DeviceSpec, Gpu, ParallelSplit, Schedule, Timeline};
 use resoftmax_model::{
-    build_and_check_periodic, build_and_check_periodic_decode, decode_error_bound, price_schedule,
-    static_error_bound, validate_decode, validate_prefill, ModelConfig, PeriodicSchedule,
-    PeriodicTimeline, RunParams,
+    build_and_check_decode_schedule, build_and_check_schedule, decode_error_bound,
+    static_error_bound, validate_decode, validate_prefill, ModelConfig, RunParams,
 };
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -169,19 +166,19 @@ fn invalid_config(e: resoftmax_model::Error) -> Skip {
 
 /// Statically validates a full-sequence candidate without simulating it:
 /// knob legality, buildability, and a clean analyzer report. It builds the
-/// schedule in layer-periodic form only, the embedding kernel and layer 0
-/// ([`build_and_check_periodic`]), and returns that form, so a caller that
-/// goes on to price the candidate builds nothing more. The tuner's search
+/// schedule, the embedding kernel and layer 0 ([`build_and_check_schedule`]),
+/// and returns it, so a caller that goes on to price the candidate builds
+/// nothing more. The tuner's search
 /// prunes with it; [`crate::SessionTuneExt::tuned`] rechecks tuned knobs
 /// against the exact workload with it, and `resoftmax-bench`'s `tune` and
 /// `ablation_tile_size` subcommands check their grid points with it.
-pub fn precheck(model: &ModelConfig, params: &RunParams) -> Result<PeriodicSchedule, Skip> {
+pub fn precheck(model: &ModelConfig, params: &RunParams) -> Result<Schedule, Skip> {
     check_ls_split(params)?;
     check_numerics(static_error_bound(model, params))?;
     // The prefill rules `Session::new` applies: nonzero dims, sparse block
     // size, tile divisibility.
     validate_prefill(model, params).map_err(invalid_config)?;
-    let (schedule, report) = build_and_check_periodic(model, params);
+    let (schedule, report) = build_and_check_schedule(model, params);
     if report.has_errors() {
         return Err(Skip::Analysis(report.render()));
     }
@@ -189,18 +186,18 @@ pub fn precheck(model: &ModelConfig, params: &RunParams) -> Result<PeriodicSched
 }
 
 /// [`precheck`] for a batched-decode candidate: it builds and returns
-/// layer 0 only ([`build_and_check_periodic_decode`]). The numerics gate
+/// layer 0 only ([`build_and_check_decode_schedule`]). The numerics gate
 /// runs before the decode rules `Session::decode_batch` applies, so an
 /// uncertifiable candidate is classed [`Skip::Numerics`].
 pub fn precheck_decode(
     model: &ModelConfig,
     ctxs: &[usize],
     params: &RunParams,
-) -> Result<PeriodicSchedule, Skip> {
+) -> Result<Schedule, Skip> {
     check_ls_split(params)?;
     check_numerics(decode_error_bound(ctxs, params))?;
     validate_decode(model, ctxs, params).map_err(invalid_config)?;
-    let (schedule, report) = build_and_check_periodic_decode(model, ctxs, params);
+    let (schedule, report) = build_and_check_decode_schedule(model, ctxs, params);
     if report.has_errors() {
         return Err(Skip::Analysis(report.render()));
     }
@@ -217,15 +214,8 @@ thread_local! {
     static ORACLE_GPU: RefCell<Option<Gpu>> = const { RefCell::new(None) };
 }
 
-/// Prices `schedule`, which a precheck built from `(model, ctxs, params)`
-/// (`ctxs` is `Some` for a decode candidate), on this worker's `Gpu`.
-fn simulate(
-    device: &DeviceSpec,
-    model: &ModelConfig,
-    ctxs: Option<&[usize]>,
-    params: &RunParams,
-    schedule: PeriodicSchedule,
-) -> Result<PeriodicTimeline, Skip> {
+/// Prices `schedule` on this worker's `Gpu`.
+fn simulate(device: &DeviceSpec, schedule: &Schedule) -> Result<Timeline, Skip> {
     ORACLE_GPU.with(|slot| {
         let mut slot = slot.borrow_mut();
         if slot.as_ref().is_none_or(|gpu| gpu.device() != device) {
@@ -233,7 +223,8 @@ fn simulate(
         }
         let gpu = slot.as_mut().expect("just installed");
         gpu.reset();
-        price_schedule(gpu, model, ctxs, params, schedule).map_err(|e| Skip::Launch(e.to_string()))
+        gpu.run(schedule).map_err(|e| Skip::Launch(e.to_string()))?;
+        Ok(gpu.take_timeline())
     })
 }
 
@@ -253,15 +244,9 @@ pub fn evaluate(
                 seq_len: *seq_len,
                 ..params
             };
-            simulate(device, model, None, &params, precheck(model, &params)?)
+            simulate(device, &precheck(model, &params)?)
         }
-        TuneWorkload::Decode { ctxs } => simulate(
-            device,
-            model,
-            Some(ctxs),
-            params,
-            precheck_decode(model, ctxs, params)?,
-        ),
+        TuneWorkload::Decode { ctxs } => simulate(device, &precheck_decode(model, ctxs, params)?),
     };
     priced.map(|priced| priced.total_time_s())
 }
@@ -452,14 +437,14 @@ mod tests {
             batch: 1,
         });
         let schedule = precheck(&model, &params).unwrap();
-        let priced = simulate(&device, &model, None, &params, schedule).unwrap();
+        let priced = simulate(&device, &schedule).unwrap();
         assert_eq!(model.layers - priced.repeats(), 2, "prefill/L4096/b1");
 
         let model = ModelConfig::gpt_neo_1_3b();
         let ctxs = vec![4096; 8];
         let params = default_params(&TuneWorkload::Decode { ctxs: ctxs.clone() });
         let schedule = precheck_decode(&model, &ctxs, &params).unwrap();
-        let priced = simulate(&device, &model, Some(&ctxs), &params, schedule).unwrap();
+        let priced = simulate(&device, &schedule).unwrap();
         assert_eq!(model.layers - priced.repeats(), 2, "decode/r8/c4096");
     }
 
