@@ -1,14 +1,15 @@
 //! Static analysis of kernel schedules.
 //!
-//! A schedule produced by the model layer is a `Vec<KernelDesc>` — an opaque
-//! list of launches whose work figures were derived from analytic formulas.
-//! Nothing in the type system stops a generator bug (or a refactor of the
-//! cost layer) from emitting a schedule whose kernels are individually
-//! plausible but jointly wrong: a Local Softmax whose sub-vector length no
-//! longer matches the MatMul tile that produced its input (§3.3 of the
-//! paper makes that equality the fusion-legality condition), a `P·V` MatMul
-//! reading probabilities nobody wrote, or declared DRAM traffic that drifted
-//! from the formula its category implies.
+//! A schedule produced by the model layer is a `gpusim::Schedule`: a
+//! prologue and one layer of opaque launches, repeated for the layer count,
+//! whose work figures were derived from analytic formulas. Nothing in the
+//! type system stops a generator bug (or a refactor of the cost layer) from
+//! emitting a schedule whose kernels are individually plausible but jointly
+//! wrong: a Local Softmax whose sub-vector length no longer matches the
+//! MatMul tile that produced its input (§3.3 of the paper makes that
+//! equality the fusion-legality condition), a `P·V` MatMul reading
+//! probabilities nobody wrote, or declared DRAM traffic that drifted from
+//! the formula its category implies.
 //!
 //! This crate checks those invariants *statically* — no simulation — in
 //! five rule families:

@@ -2,7 +2,8 @@
 //! size, the L2 capacity, the bandwidth-utilization model and the
 //! simulator's calibration.
 
-use resoftmax_bench::{write_report, BenchArgs, BenchRow, Error, PAPER_SEQ_LEN};
+use resoftmax_bench::{write_report, BenchArgs, Error};
+use resoftmax_core::experiments::{BenchRow, PAPER_SEQ_LEN};
 use resoftmax_core::format::{pct, render_table, speedup};
 use resoftmax_gpusim::{bandwidth, DeviceSpec};
 use resoftmax_kernels::costs::TileConfig;

@@ -1,7 +1,8 @@
 //! Extensions beyond the paper's evaluation: the roofline view, online
 //! softmax, training, decode, encoder–decoder models and corpus serving.
 
-use resoftmax_bench::{BenchArgs, Error, PAPER_SEQ_LEN};
+use resoftmax_bench::{BenchArgs, Error};
+use resoftmax_core::experiments::PAPER_SEQ_LEN;
 use resoftmax_core::format::{ms, pct, render_table, speedup};
 use resoftmax_gpusim::roofline::classify_timeline;
 use resoftmax_model::{

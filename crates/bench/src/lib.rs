@@ -1,9 +1,9 @@
 //! What every experiment of the `resoftmax-bench` driver shares: the
 //! command-line grammar ([`BenchArgs`]), the output rule
 //! ([`BenchArgs::out_path`]), report writing ([`write_report`]), the
-//! `{bin, config, metric, value}` row schema ([`BenchRow`]), the
 //! determinism gate ([`determinism_gate`]) and the static-analysis grid
-//! ([`analysis_grid`]).
+//! ([`analysis_grid`]). The `{bin, config, metric, value}` row schema,
+//! `BenchRow`, lives in `resoftmax_core::experiments`.
 //!
 //! The driver runs one experiment per invocation, or all of them:
 //!
@@ -19,18 +19,10 @@
 
 use std::fmt;
 
+use resoftmax_core::experiments::{rows_of, FIG9_BATCHES, FIG9_SEQ_LENS, PAPER_SEQ_LEN};
 use resoftmax_gpusim::DeviceSpec;
 use resoftmax_model::{LibraryProfile, ModelConfig, RunParams, SoftmaxStrategy};
-use serde::{Deserialize, Serialize, Value};
-
-/// Paper's evaluation sequence length.
-pub const PAPER_SEQ_LEN: usize = 4096;
-
-/// The Fig. 9(a) sequence lengths.
-pub const FIG9_SEQ_LENS: [usize; 5] = [512, 1024, 2048, 4096, 8192];
-
-/// The Fig. 9(b) batch sizes.
-pub const FIG9_BATCHES: [usize; 4] = [1, 2, 4, 8];
+use serde::Serialize;
 
 /// Where a run other than the one a checked-in result holds (`--smoke`,
 /// another device) writes its report, so it never overwrites that result.
@@ -203,74 +195,6 @@ pub fn device_named(name: &str) -> Option<DeviceSpec> {
         "t4" => Some(DeviceSpec::t4()),
         _ => None,
     }
-}
-
-/// One row of a machine-readable benchmark report — the schema of every
-/// `BENCH_*.json` file and of every `--out` report but a chrome trace, so
-/// downstream tooling can concatenate them without per-experiment parsers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchRow {
-    /// The producing experiment (`"tune"`, `"ablation_tile_size"`, …).
-    pub bin: String,
-    /// The grid point, e.g. `"bert-large/A100/prefill/L4096/b1"`.
-    pub config: String,
-    /// The measured quantity, e.g. `"tuned_s"`, `"speedup"`.
-    pub metric: String,
-    /// The value, in the metric's unit.
-    pub value: f64,
-}
-
-impl BenchRow {
-    /// Constructs a row.
-    pub fn new(
-        bin: impl Into<String>,
-        config: impl Into<String>,
-        metric: impl Into<String>,
-        value: f64,
-    ) -> Self {
-        BenchRow {
-            bin: bin.into(),
-            config: config.into(),
-            metric: metric.into(),
-            value,
-        }
-    }
-}
-
-/// Flattens experiment records into rows, one per `f64` field. A record's
-/// string and integer fields, in field order, form each of its rows'
-/// `config` (integers as `name=value`); the float field's name is the
-/// `metric`. Any other field shape is an error.
-pub fn rows_of<T: Serialize>(bin: &str, records: &[T]) -> Result<Vec<BenchRow>, Error> {
-    let mut rows = Vec::new();
-    for record in records {
-        let value = record.to_value();
-        let fields = value
-            .as_object()
-            .ok_or_else(|| Error::failed(format!("{bin}: a record is not a struct")))?;
-        let mut config = Vec::new();
-        let mut metrics = Vec::new();
-        for (name, field) in fields {
-            match field {
-                Value::Str(s) => config.push(s.clone()),
-                Value::U64(n) => config.push(format!("{name}={n}")),
-                Value::I64(n) => config.push(format!("{name}={n}")),
-                Value::F64(x) => metrics.push((name, *x)),
-                _ => {
-                    return Err(Error::failed(format!(
-                        "{bin}: field `{name}` is not a string, an integer or a float"
-                    )))
-                }
-            }
-        }
-        let config = config.join("/");
-        rows.extend(
-            metrics
-                .into_iter()
-                .map(|(metric, x)| BenchRow::new(bin, &config, metric.as_str(), x)),
-        );
-    }
-    Ok(rows)
 }
 
 /// Writes `contents` to `path`, creating the parent directory first.
@@ -489,35 +413,5 @@ mod tests {
         assert!(is_usage(&accept(&["--out", "y.json"], &[])));
         assert!(is_usage(&accept(&["--out", "y.json"], &["--numerics"])));
         assert!(is_usage(&accept(&["--numerics"], &["--out"])));
-    }
-
-    #[derive(Serialize)]
-    struct Point {
-        model: String,
-        seq_len: usize,
-        speedup: f64,
-        frac: f64,
-    }
-
-    #[test]
-    fn records_flatten_to_one_row_per_float_field() {
-        let rows = rows_of(
-            "sweep",
-            &[Point {
-                model: "BERT".into(),
-                seq_len: 512,
-                speedup: 1.5,
-                frac: 0.25,
-            }],
-        )
-        .expect("flat record");
-        assert_eq!(
-            rows,
-            [
-                BenchRow::new("sweep", "BERT/seq_len=512", "speedup", 1.5),
-                BenchRow::new("sweep", "BERT/seq_len=512", "frac", 0.25),
-            ]
-        );
-        assert!(rows_of("nested", &[vec![1.0]]).is_err());
     }
 }

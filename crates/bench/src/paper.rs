@@ -2,11 +2,11 @@
 //! numeric verification of Eq. 1/2/3, and `BENCH_figures.json`, which pins
 //! the figures' numbers bit for bit.
 
-use resoftmax_bench::{
-    determinism_gate, rows_of, write_report, BenchArgs, BenchRow, Error, FIG9_BATCHES,
-    FIG9_SEQ_LENS, PAPER_SEQ_LEN,
+use resoftmax_bench::{determinism_gate, write_file, write_report, BenchArgs, Error};
+use resoftmax_core::claims::{self, Outcome};
+use resoftmax_core::experiments::{
+    self as exp, figure_rows, SweepPoint, FIG9_BATCHES, FIG9_SEQ_LENS, PAPER_SEQ_LEN,
 };
-use resoftmax_core::experiments::{self as exp, SweepPoint};
 use resoftmax_core::format::{gb, ms, pct, render_table, speedup};
 use resoftmax_core::verify::{verify_backward, verify_decomposition, verify_fusion, verify_online};
 use resoftmax_gpusim::{DeviceSpec, KernelCategory};
@@ -79,9 +79,8 @@ pub fn table1_specs(args: &BenchArgs) -> Result<(), Error> {
 }
 
 /// Fig. 2: execution-time breakdown of BERT, GPT-Neo, BigBird and
-/// Longformer (L = 4096, or the given L; batch 1). Paper reference points:
-/// softmax uses 36% / 18% / 40% / 42% of total time; BERT's SDA block uses
-/// 68%. `--out PATH` also writes the numbers as rows.
+/// Longformer (L = 4096, or the given L; batch 1). `--out PATH` also writes
+/// the numbers as rows.
 pub fn fig2_breakdown(args: &BenchArgs) -> Result<(), Error> {
     let device = args.device_and(|a| a.parse::<usize>().is_ok())?;
     let seq_len = args
@@ -108,10 +107,9 @@ pub fn fig2_breakdown(args: &BenchArgs) -> Result<(), Error> {
         .collect();
 
     println!(
-        "FIG 2: Execution time breakdown on {} (L={seq_len}, batch=1)",
+        "FIG 2: Execution time breakdown on {} (L={seq_len}, batch=1)\n",
         device.name
     );
-    println!("Paper (A100, L=4096): softmax 36%/18%/40%/42%; BERT SDA 68%\n");
     print!(
         "{}",
         render_table(
@@ -132,8 +130,7 @@ pub fn fig2_breakdown(args: &BenchArgs) -> Result<(), Error> {
 }
 
 /// Fig. 5: (a) execution-time and (b) off-chip-traffic breakdown of the
-/// decomposed softmax into LS / IR / GS. Paper: IR stays below 12.5% of
-/// decomposed-softmax time; LS and GS dominate.
+/// decomposed softmax into LS / IR / GS.
 pub fn fig5_sublayers(args: &BenchArgs) -> Result<(), Error> {
     let device = args.device()?;
     let rows = exp::fig5_sublayers(&device, PAPER_SEQ_LEN)?;
@@ -153,10 +150,9 @@ pub fn fig5_sublayers(args: &BenchArgs) -> Result<(), Error> {
         .collect();
 
     println!(
-        "FIG 5: Decomposed-softmax sub-layer shares on {} (L={PAPER_SEQ_LEN})",
+        "FIG 5: Decomposed-softmax sub-layer shares on {} (L={PAPER_SEQ_LEN})\n",
         device.name
     );
-    println!("Paper: IR < 12.5% of time; LS and GS dominate both charts\n");
     print!(
         "{}",
         render_table(
@@ -169,9 +165,6 @@ pub fn fig5_sublayers(args: &BenchArgs) -> Result<(), Error> {
 
 /// Fig. 7: average execution time of existing GPU libraries vs the paper's
 /// baseline, on BERT-large (dense) and BigBird-large (sparse), L = 4096.
-/// Paper: TensorRT is the best dense library (< 1% from the baseline),
-/// DeepSpeed the best sparse one (within ~8%); AutoTVM is 1.49× slower
-/// than the baseline on BERT-large.
 pub fn fig7_libraries(args: &BenchArgs) -> Result<(), Error> {
     let device = args.device()?;
     let rows = exp::fig7_libraries(&device, PAPER_SEQ_LEN)?;
@@ -206,10 +199,8 @@ pub fn fig7_libraries(args: &BenchArgs) -> Result<(), Error> {
 
 /// Fig. 8: (a) execution time and (b) off-chip memory accesses per
 /// iteration with softmax decomposition (SD) and decomposition+fusion (SDF)
-/// applied. Paper (A100, L=4096, batch 1): SD 0.94× / 0.99× / 1.44× /
-/// 1.49×; SDF 1.25× / 1.12× / 1.57× / 1.65×; softmax off-chip traffic
-/// reduced 1.58–2.51×; average latency −28% and off-chip access energy
-/// −29%. `--out PATH` also writes the headline table as rows.
+/// applied (L = 4096, batch 1). `--out PATH` also writes the headline table
+/// as rows.
 pub fn fig8_sd_sdf(args: &BenchArgs) -> Result<(), Error> {
     let device = args.device()?;
     let rows = exp::fig8_sd_sdf(&device, PAPER_SEQ_LEN, 1)?;
@@ -231,10 +222,9 @@ pub fn fig8_sd_sdf(args: &BenchArgs) -> Result<(), Error> {
         .collect();
 
     println!(
-        "FIG 8: SD / SDF vs baseline on {} (L={PAPER_SEQ_LEN}, batch=1)",
+        "FIG 8: SD / SDF vs baseline on {} (L={PAPER_SEQ_LEN}, batch=1)\n",
         device.name
     );
-    println!("Paper: SD 0.94/0.99/1.44/1.49x; SDF 1.25/1.12/1.57/1.65x\n");
     print!(
         "{}",
         render_table(
@@ -252,16 +242,6 @@ pub fn fig8_sd_sdf(args: &BenchArgs) -> Result<(), Error> {
             &table
         )
     );
-
-    let avg_latency: f64 =
-        rows.iter().map(|r| 1.0 - 1.0 / r.sdf_speedup).sum::<f64>() / rows.len() as f64;
-    let avg_energy: f64 = rows.iter().map(|r| 1.0 - r.sdf_energy).sum::<f64>() / rows.len() as f64;
-    println!(
-        "\nAverages: per-inference latency -{:.0}%, off-chip access energy -{:.0}%",
-        avg_latency * 100.0,
-        avg_energy * 100.0
-    );
-    println!("Paper abstract: latency -28%, off-chip access energy -29%");
 
     // Fig. 8(a)'s stacked bars: the per-category composition per strategy.
     println!("\nPer-strategy composition (Fig. 8(a) stacks):\n");
@@ -337,9 +317,6 @@ fn print_sweep(
 }
 
 /// Fig. 9: SDF speedup (a) over sequence length and (b) over batch size.
-/// Paper: speedup grows with L for all four models; larger batches raise
-/// the sparse models' speedup (at batch 8, softmax grows from 40% to 48% of
-/// BigBird's time while MatMul shrinks from 17% to 10%).
 pub fn fig9_sweeps(args: &BenchArgs) -> Result<(), Error> {
     let is_mode = |a: &str| matches!(a, "seq" | "batch" | "all");
     let device = args.device_and(is_mode)?;
@@ -377,10 +354,8 @@ pub fn fig9_sweeps(args: &BenchArgs) -> Result<(), Error> {
     Ok(())
 }
 
-/// §5.1: SDF speedups across all three evaluation GPUs.
-/// Paper: A100 1.25/1.12/1.57/1.65×; RTX 3090 1.12/1.05/1.32/1.36×;
-/// T4 1.22/1.08/1.77/1.87× (BERT / GPT-Neo / BigBird / Longformer).
-/// `--out PATH` also writes the numbers as rows.
+/// §5.1: SDF speedups across all three evaluation GPUs. `--out PATH` also
+/// writes the numbers as rows.
 pub fn gpu_speedups(args: &BenchArgs) -> Result<(), Error> {
     args.accept_positionals(|_| false)?;
     let rows = exp::gpu_speedup_matrix(PAPER_SEQ_LEN)?;
@@ -395,8 +370,7 @@ pub fn gpu_speedups(args: &BenchArgs) -> Result<(), Error> {
             ]
         })
         .collect();
-    println!("§5.1: SDF speedup per GPU (L={PAPER_SEQ_LEN}, batch=1)");
-    println!("Paper: A100 1.25/1.12/1.57/1.65; 3090 1.12/1.05/1.32/1.36; T4 1.22/1.08/1.77/1.87\n");
+    println!("§5.1: SDF speedup per GPU (L={PAPER_SEQ_LEN}, batch=1)\n");
     print!(
         "{}",
         render_table(
@@ -462,50 +436,19 @@ pub fn training_backward(args: &BenchArgs) -> Result<(), Error> {
     Ok(())
 }
 
-/// The seven `core::experiments` drivers behind Figs. 2/5/7/8/9 and §5.1
-/// at the A100 / L = 4096 point, flattened into rows.
-fn figure_rows() -> Result<Vec<BenchRow>, Error> {
-    let a100 = DeviceSpec::a100();
-    let mut rows = rows_of(
-        "fig2_breakdown",
-        &exp::fig2_breakdown(&a100, PAPER_SEQ_LEN)?,
-    )?;
-    rows.extend(rows_of(
-        "fig5_sublayers",
-        &exp::fig5_sublayers(&a100, PAPER_SEQ_LEN)?,
-    )?);
-    rows.extend(rows_of(
-        "fig7_libraries",
-        &exp::fig7_libraries(&a100, PAPER_SEQ_LEN)?,
-    )?);
-    rows.extend(rows_of(
-        "fig8_sd_sdf",
-        &exp::fig8_sd_sdf(&a100, PAPER_SEQ_LEN, 1)?,
-    )?);
-    rows.extend(rows_of(
-        "fig9_seq_sweep",
-        &exp::fig9_seq_sweep(&a100, &FIG9_SEQ_LENS)?,
-    )?);
-    rows.extend(rows_of(
-        "fig9_batch_sweep",
-        &exp::fig9_batch_sweep(&a100, PAPER_SEQ_LEN, &FIG9_BATCHES)?,
-    )?);
-    rows.extend(rows_of(
-        "gpu_speedup_matrix",
-        &exp::gpu_speedup_matrix(PAPER_SEQ_LEN)?,
-    )?);
-    Ok(rows)
-}
-
 /// Writes the figures' numbers to `BENCH_figures.json`, one row per
-/// number, so a `git diff` after `reproduce` pins every figure bit for bit.
-/// Under `--smoke` the rows must also be identical at 1 and 4 worker
-/// threads, with a warm pricing memo, and with tracing on: instrumentation
-/// observes, it never perturbs.
+/// number, so a `git diff` after `reproduce` pins every figure bit for bit,
+/// then prints the paper and the measured value of every claim in
+/// `core::claims`, and fails when a claim is out of its band or reads a row
+/// that does not exist. The run that writes the checked-in file (full
+/// scale, no `--out`) also rewrites the claim tables of EXPERIMENTS.md and
+/// README.md. Under `--smoke` the rows must also be identical at 1 and 4
+/// worker threads, with a warm pricing memo, and with tracing on:
+/// instrumentation observes, it never perturbs.
 pub fn figures(args: &BenchArgs) -> Result<(), Error> {
     args.accept_positionals(|_| false)?;
     let rows = if args.smoke {
-        let rows = determinism_gate("figure", figure_rows)?;
+        let rows = determinism_gate("figure", || Ok(figure_rows()?))?;
         resoftmax_obs::set_trace_enabled(Some(true));
         let observed = figure_rows();
         resoftmax_obs::set_trace_enabled(None);
@@ -519,5 +462,74 @@ pub fn figures(args: &BenchArgs) -> Result<(), Error> {
     } else {
         figure_rows()?
     };
-    write_report(&args.out_path("BENCH_figures.json"), &rows)
+    write_report(&args.out_path("BENCH_figures.json"), &rows)?;
+
+    let outcomes = claims::check(claims::CLAIMS, &rows);
+    let table: Vec<Vec<String>> = outcomes.iter().map(|o| o.cells().to_vec()).collect();
+    println!("\nThe paper's claims on these rows (core::claims):\n");
+    print!("{}", render_table(&claims::HEADERS, &table));
+    if args.out.is_none() && !args.smoke {
+        for doc in ["EXPERIMENTS.md", "README.md"] {
+            write_claim_tables(doc, &outcomes)?;
+        }
+    }
+    match outcomes.iter().filter(|o| !o.holds()).count() {
+        0 => Ok(()),
+        failed => Err(Error::failed(format!(
+            "{failed} of {} paper claims do not hold",
+            outcomes.len()
+        ))),
+    }
+}
+
+/// Rewrites the claim tables of the markdown file `path`: the text between
+/// `<!-- claims: NAME -->` and the next `<!-- end claims -->` becomes a
+/// table of the claims NAME selects, a section of `core::claims` (`Fig. 8`)
+/// or, for `paper values`, every claim the paper gives a value for. A file
+/// with no table, a table left open or a name that selects no claim is an
+/// error.
+fn write_claim_tables(path: &str, outcomes: &[Outcome]) -> Result<(), Error> {
+    const BEGIN: &str = "<!-- claims: ";
+    const END: &str = "<!-- end claims -->";
+    let text = std::fs::read_to_string(path).map_err(|e| Error::failed(format!("{path}: {e}")))?;
+    let mut blocks = text.split(BEGIN);
+    let mut out = vec![blocks.next().unwrap_or_default().to_owned()];
+    for block in blocks {
+        let (name, rest) = block.split_once(" -->").unwrap_or_default();
+        let paper_values = name == "paper values";
+        let cells: Vec<[String; 6]> = outcomes
+            .iter()
+            .filter(|o| {
+                if paper_values {
+                    o.claim.paper.is_some()
+                } else {
+                    o.claim.section == name
+                }
+            })
+            .map(Outcome::cells)
+            .collect();
+        let (Some((_, rest)), false) = (rest.split_once(END), cells.is_empty()) else {
+            return Err(Error::failed(format!("{path}: bad claim table `{name}`")));
+        };
+        // Only the paper-values table spans sections, so only it shows them.
+        let skip = usize::from(!paper_values);
+        let header = &claims::HEADERS[skip..];
+        out.push(format!(
+            "{BEGIN}{name} -->\n\n| {} |\n|{}\n",
+            header.join(" | "),
+            "---|".repeat(header.len())
+        ));
+        out.extend(
+            cells
+                .iter()
+                .map(|c| format!("| {} |\n", c[skip..].join(" | "))),
+        );
+        out.push(format!("\n{END}{rest}"));
+    }
+    if out.len() == 1 {
+        return Err(Error::failed(format!("{path}: no claim table")));
+    }
+    write_file(path, &out.concat())?;
+    println!("claim tables written to {path}");
+    Ok(())
 }

@@ -5,7 +5,8 @@
 //! which compares the full reports, decision logs included. Each file then
 //! holds [`BenchRow`]s: every cell's report flattened by [`report_rows`].
 
-use resoftmax_bench::{determinism_gate, write_report, BenchArgs, BenchRow, Error, PAPER_SEQ_LEN};
+use resoftmax_bench::{determinism_gate, write_report, BenchArgs, Error};
+use resoftmax_core::experiments::{BenchRow, PAPER_SEQ_LEN};
 use resoftmax_ctrl::{Controller, ControllerConfig, PolicyTable};
 use resoftmax_gpusim::DeviceSpec;
 use resoftmax_model::{ModelConfig, RunParams, SoftmaxStrategy};

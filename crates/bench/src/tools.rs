@@ -4,11 +4,8 @@
 use std::fmt::Write as _;
 
 use resoftmax_analyzer::{Severity, CERT_BUDGET_REL};
-use resoftmax_bench::{
-    analysis_grid, device_named, write_file, BenchArgs, Error, FIG9_BATCHES, FIG9_SEQ_LENS,
-    PAPER_SEQ_LEN,
-};
-use resoftmax_core::experiments::full_grid_sweep;
+use resoftmax_bench::{analysis_grid, device_named, write_file, BenchArgs, Error};
+use resoftmax_core::experiments::{full_grid_sweep, FIG9_BATCHES, FIG9_SEQ_LENS, PAPER_SEQ_LEN};
 use resoftmax_core::format::{gb, ms, pct, render_table};
 use resoftmax_gpusim::chrome_trace::to_chrome_trace;
 use resoftmax_gpusim::DeviceSpec;

@@ -15,7 +15,8 @@
 
 use std::path::Path;
 
-use resoftmax_bench::{write_report, BenchArgs, BenchRow, Error};
+use resoftmax_bench::{write_report, BenchArgs, Error};
+use resoftmax_core::experiments::BenchRow;
 use resoftmax_gpusim::DeviceSpec;
 use resoftmax_model::ModelConfig;
 use resoftmax_tune::{

@@ -6,7 +6,7 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use resoftmax_bench::BenchRow;
+use resoftmax_core::experiments::BenchRow;
 
 /// The `BENCH_*.json` files at the repository root, sorted.
 fn bench_files() -> Vec<PathBuf> {
@@ -37,11 +37,9 @@ fn every_bench_file_is_rows_with_unique_keys() {
         let mut keys = BTreeSet::new();
         for row in &rows {
             assert!(
-                keys.insert((&row.bin, &row.config, &row.metric)),
-                "{name} repeats the row {} / {} / {}",
-                row.bin,
-                row.config,
-                row.metric
+                keys.insert(row.key()),
+                "{name} repeats the row {:?}",
+                row.key()
             );
         }
     }

@@ -1,19 +1,26 @@
 //! Experiment drivers: one function per table/figure of the paper.
 //!
-//! Each driver runs the simulated experiments and returns typed rows; the
-//! `resoftmax-bench` driver's subcommands print them, and the integration
-//! tests assert the paper's qualitative claims on them. See `EXPERIMENTS.md`
-//! for the paper-vs-measured record.
+//! Each driver runs the simulated experiments and returns typed records;
+//! [`rows_of`] flattens records into the `{bin, config, metric, value}`
+//! [`BenchRow`]s of every `BENCH_*.json`, and [`figure_rows`] gives the rows
+//! of `BENCH_figures.json`, which [`claims`](crate::claims) holds to the
+//! paper's numbers.
 
 use resoftmax_gpusim::{DeviceSpec, KernelCategory};
 use resoftmax_model::{
     Error, LibraryProfile, ModelConfig, RunParams, RunReport, Session, SoftmaxStrategy,
 };
 use resoftmax_parallel::parallel_map;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
-/// The paper's default evaluation point: L = 4096, batch 1 (§4).
-pub const DEFAULT_SEQ_LEN: usize = 4096;
+/// The paper's evaluation sequence length (§4; batch 1).
+pub const PAPER_SEQ_LEN: usize = 4096;
+
+/// The Fig. 9(a) sequence lengths.
+pub const FIG9_SEQ_LENS: [usize; 5] = [512, 1024, 2048, 4096, 8192];
+
+/// The Fig. 9(b) batch sizes.
+pub const FIG9_BATCHES: [usize; 4] = [1, 2, 4, 8];
 
 /// Simulates one inference iteration of `model` on `device`.
 fn run(model: &ModelConfig, params: &RunParams, device: &DeviceSpec) -> Result<RunReport, Error> {
@@ -194,15 +201,16 @@ pub struct Fig8Row {
     pub sd_traffic: f64,
     /// SDF traffic normalized to baseline.
     pub sdf_traffic: f64,
-    /// SDF *off-chip access* energy normalized to baseline (DRAM-access
-    /// energy only — the quantity the paper's abstract reports at −29%).
+    /// SDF *off-chip access* energy normalized to baseline: SDF's DRAM
+    /// bytes × pJ/B over the baseline's bytes × pJ/B. One pJ/B on both
+    /// sides makes it the SDF traffic cut, [`sdf_traffic`](Self::sdf_traffic),
+    /// bit for bit; the per-FLOP energy is not in it.
     pub sdf_energy: f64,
     /// Off-chip accesses around the softmax layer under SDF, normalized to
     /// baseline: the attention matrix crosses the softmax boundary four
     /// times in the baseline (`Q·Kᵀ` write, softmax read+write, `P·V` read)
     /// and twice after fusion (`x'` write and read), plus the small IR /
-    /// intermediate traffic. Paper §5.1: fusion reduces the softmax layer's
-    /// off-chip accesses by 1.58–2.51×.
+    /// intermediate traffic.
     pub softmax_traffic_ratio: f64,
 }
 
@@ -394,6 +402,101 @@ pub fn table1_devices() -> Vec<DeviceSpec> {
     DeviceSpec::all_presets()
 }
 
+/// One row of a machine-readable benchmark report — the schema of every
+/// `BENCH_*.json` file and of every `--out` report but a chrome trace, so
+/// downstream tooling can concatenate them without per-experiment parsers.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct BenchRow {
+    /// The producing experiment (`"tune"`, `"ablation_tile_size"`, …).
+    pub bin: String,
+    /// The grid point, e.g. `"bert-large/A100/prefill/L4096/b1"`.
+    pub config: String,
+    /// The measured quantity, e.g. `"tuned_s"`, `"speedup"`.
+    pub metric: String,
+    /// The value, in the metric's unit.
+    pub value: f64,
+}
+
+impl BenchRow {
+    /// Constructs a row.
+    pub fn new(
+        bin: impl Into<String>,
+        config: impl Into<String>,
+        metric: impl Into<String>,
+        value: f64,
+    ) -> Self {
+        BenchRow {
+            bin: bin.into(),
+            config: config.into(),
+            metric: metric.into(),
+            value,
+        }
+    }
+
+    /// The row's `(bin, config, metric)` key.
+    pub fn key(&self) -> (&str, &str, &str) {
+        (&self.bin, &self.config, &self.metric)
+    }
+}
+
+/// Flattens experiment records into rows, one per `f64` field. A record's
+/// string and integer fields, in field order, form each of its rows'
+/// `config` (integers as `name=value`); the float field's name is the
+/// `metric`. Any other record shape is an [`Error::InvalidConfig`].
+pub fn rows_of<T: Serialize>(bin: &str, records: &[T]) -> Result<Vec<BenchRow>, Error> {
+    let invalid = |reason: String| Error::InvalidConfig { reason };
+    let mut rows = Vec::new();
+    for record in records {
+        let value = record.to_value();
+        let fields = value
+            .as_object()
+            .ok_or_else(|| invalid(format!("{bin}: a record is not a struct")))?;
+        let mut config = Vec::new();
+        let mut metrics = Vec::new();
+        for (name, field) in fields {
+            match field {
+                Value::Str(s) => config.push(s.clone()),
+                Value::U64(n) => config.push(format!("{name}={n}")),
+                Value::I64(n) => config.push(format!("{name}={n}")),
+                Value::F64(x) => metrics.push((name, *x)),
+                _ => {
+                    return Err(invalid(format!(
+                        "{bin}: field `{name}` is not a string, an integer or a float"
+                    )))
+                }
+            }
+        }
+        let config = config.join("/");
+        rows.extend(
+            metrics
+                .into_iter()
+                .map(|(metric, x)| BenchRow::new(bin, &config, metric.as_str(), x)),
+        );
+    }
+    Ok(rows)
+}
+
+/// The rows of `BENCH_figures.json`: the seven drivers behind Figs.
+/// 2/5/7/8/9 and §5.1 at the A100 / L = 4096 point (the sweeps at
+/// [`FIG9_SEQ_LENS`] and [`FIG9_BATCHES`]), flattened by [`rows_of`], or
+/// the [`Error`] of the first run that fails.
+pub fn figure_rows() -> Result<Vec<BenchRow>, Error> {
+    let (a100, l) = (DeviceSpec::a100(), PAPER_SEQ_LEN);
+    Ok([
+        rows_of("fig2_breakdown", &fig2_breakdown(&a100, l)?)?,
+        rows_of("fig5_sublayers", &fig5_sublayers(&a100, l)?)?,
+        rows_of("fig7_libraries", &fig7_libraries(&a100, l)?)?,
+        rows_of("fig8_sd_sdf", &fig8_sd_sdf(&a100, l, 1)?)?,
+        rows_of("fig9_seq_sweep", &fig9_seq_sweep(&a100, &FIG9_SEQ_LENS)?)?,
+        rows_of(
+            "fig9_batch_sweep",
+            &fig9_batch_sweep(&a100, l, &FIG9_BATCHES)?,
+        )?,
+        rows_of("gpu_speedup_matrix", &gpu_speedup_matrix(l)?)?,
+    ]
+    .concat())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,99 +518,13 @@ mod tests {
     }
 
     #[test]
-    fn fig5_ir_is_small() {
-        // Paper: "the proportion of IR is less than 12.5% in terms of time".
-        let rows = fig5_sublayers(&a100(), DEFAULT_SEQ_LEN).unwrap();
-        for r in &rows {
-            assert!(r.ir_time_frac < 0.125, "{}: IR {}", r.model, r.ir_time_frac);
-            assert!(
-                r.ir_dram_frac < 0.125,
-                "{}: IR dram {}",
-                r.model,
-                r.ir_dram_frac
-            );
-            let t = r.ls_time_frac + r.ir_time_frac + r.gs_time_frac;
-            assert!((t - 1.0).abs() < 1e-9);
+    fn fig5_shares_sum_to_one() {
+        for r in &fig5_sublayers(&a100(), PAPER_SEQ_LEN).unwrap() {
+            let time = r.ls_time_frac + r.ir_time_frac + r.gs_time_frac;
+            let dram = r.ls_dram_frac + r.ir_dram_frac + r.gs_dram_frac;
+            assert!((time - 1.0).abs() < 1e-9, "{}: {time}", r.model);
+            assert!((dram - 1.0).abs() < 1e-9, "{}: {dram}", r.model);
         }
-    }
-
-    #[test]
-    fn fig7_ordering() {
-        let rows = fig7_libraries(&a100(), DEFAULT_SEQ_LEN).unwrap();
-        let get = |lib: &str, model: &str| -> f64 {
-            rows.iter()
-                .find(|r| r.library == lib && r.model == model)
-                .unwrap()
-                .total_ms
-        };
-        // Dense: HG slowest of the big four; TRT ≈ ours.
-        assert!(get("HG", "BERT-large") > get("TRT", "BERT-large"));
-        let trt = get("TRT", "BERT-large");
-        let ours = get("Ours-baseline", "BERT-large");
-        assert!((trt - ours).abs() / ours < 0.02, "§4: <1% difference");
-        // AutoTVM ≈ 1.49× slower than ours on BERT (§4).
-        let tvm_ratio = get("AutoTVM", "BERT-large") / ours;
-        assert!(
-            (1.25..1.8).contains(&tvm_ratio),
-            "AutoTVM ratio {tvm_ratio}"
-        );
-        // Sparse: DS beats the dense fallbacks; ours ≈ DS.
-        assert!(get("DS", "BigBird-large") < get("FT", "BigBird-large"));
-        assert!(get("DS", "BigBird-large") < get("TRT", "BigBird-large"));
-        let ds = get("DS", "BigBird-large");
-        let ours_bb = get("Ours-baseline", "BigBird-large");
-        assert!((ours_bb - ds).abs() / ds < 0.10, "§4: within 8%");
-    }
-
-    #[test]
-    fn fig8_matches_paper_bands() {
-        let rows = fig8_sd_sdf(&a100(), DEFAULT_SEQ_LEN, 1).unwrap();
-        let by = |m: &str| rows.iter().find(|r| r.model.starts_with(m)).unwrap();
-        // SD: hurts dense, helps sparse (paper 0.94 / 0.99 / 1.44 / 1.49)
-        assert!((0.85..1.0).contains(&by("BERT").sd_speedup));
-        assert!((0.85..1.05).contains(&by("GPT").sd_speedup));
-        assert!(by("BigBird").sd_speedup > 1.25);
-        assert!(by("Longformer").sd_speedup > 1.25);
-        // SDF: all faster (paper 1.25 / 1.12 / 1.57 / 1.65)
-        assert!((1.1..1.4).contains(&by("BERT").sdf_speedup));
-        assert!((1.02..1.25).contains(&by("GPT").sdf_speedup));
-        assert!((1.4..1.8).contains(&by("BigBird").sdf_speedup));
-        assert!((1.4..1.8).contains(&by("Longformer").sdf_speedup));
-        // Traffic: SD roughly doubles softmax traffic; SDF cuts total.
-        for r in &rows {
-            assert!(r.sd_traffic > 1.2, "{}: {}", r.model, r.sd_traffic);
-            assert!(r.sdf_traffic < 0.8, "{}: {}", r.model, r.sdf_traffic);
-            assert!(r.sdf_energy < 1.0);
-            // paper: softmax traffic reduced 1.58–2.51x; ours is stronger
-            // (only IR remains) — at least that band.
-            assert!(
-                r.softmax_traffic_ratio < 1.0 / 1.5,
-                "{}: softmax traffic ratio {}",
-                r.model,
-                r.softmax_traffic_ratio
-            );
-        }
-    }
-
-    #[test]
-    fn fig9_seq_monotone_for_dense() {
-        let pts = fig9_seq_sweep(&a100(), &[1024, 2048, 4096]).unwrap();
-        let bert: Vec<_> = pts.iter().filter(|p| p.model.starts_with("BERT")).collect();
-        assert!(bert[0].sdf_speedup < bert[2].sdf_speedup, "{bert:?}");
-        assert!(bert[0].softmax_frac < bert[2].softmax_frac);
-    }
-
-    #[test]
-    fn fig9_batch_helps_sparse() {
-        let pts = fig9_batch_sweep(&a100(), 4096, &[1, 8]).unwrap();
-        let bb: Vec<_> = pts
-            .iter()
-            .filter(|p| p.model.starts_with("BigBird"))
-            .collect();
-        assert!(
-            bb[1].sdf_speedup >= bb[0].sdf_speedup * 0.98,
-            "batch should not hurt sparse speedup: {bb:?}"
-        );
     }
 
     #[test]
@@ -541,6 +558,25 @@ mod tests {
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), pts.len());
+    }
+
+    #[test]
+    fn records_flatten_to_one_row_per_float_field() {
+        let point = SweepPoint {
+            model: "BERT".into(),
+            seq_len: 512,
+            batch: 1,
+            sdf_speedup: 1.5,
+            softmax_frac: 0.25,
+        };
+        assert_eq!(
+            rows_of("sweep", &[point]).expect("flat record"),
+            [
+                BenchRow::new("sweep", "BERT/seq_len=512/batch=1", "sdf_speedup", 1.5),
+                BenchRow::new("sweep", "BERT/seq_len=512/batch=1", "softmax_frac", 0.25),
+            ]
+        );
+        assert!(rows_of("nested", &[vec![1.0]]).is_err());
     }
 
     #[test]

@@ -14,29 +14,31 @@
 //! * **Verification** ([`verify`]): measured error of every mathematical
 //!   claim (decomposition exactness, fusion exactness, the Eq. 3 backward).
 //! * **Experiments** ([`experiments`]): one driver per table/figure of the
-//!   paper's evaluation.
+//!   paper's evaluation, and the `{bin, config, metric, value}` rows of
+//!   every `BENCH_*.json`.
+//! * **Claims** ([`claims`]): each paper number of Figs. 2/5/7/8/9 and
+//!   §5.1, written once with its band, checked against the figure rows.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use resoftmax_core::{
-//!     experiments::fig8_sd_sdf, verify::verify_decomposition, DeviceSpec,
-//! };
+//! use resoftmax_core::{claims, experiments::figure_rows, verify::verify_decomposition};
 //!
 //! // The math: decomposed softmax == monolithic softmax (exact in f64).
 //! let eq = verify_decomposition(8, 256, 64, 42);
 //! assert!(eq.max_abs_f64 < 1e-13);
 //!
-//! // The performance: SDF beats the baseline on every model at the
-//! // paper's L = 4096 evaluation point.
-//! let rows = fig8_sd_sdf(&DeviceSpec::a100(), 4096, 1)?;
-//! assert!(rows.iter().all(|r| r.sdf_speedup > 1.0));
+//! // The performance: every claim of the paper's evaluation holds on the
+//! // simulated figures.
+//! let rows = figure_rows()?;
+//! assert!(claims::check(claims::CLAIMS, &rows).iter().all(|o| o.holds()));
 //! # Ok::<(), resoftmax_model::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod claims;
 pub mod experiments;
 pub mod format;
 pub mod reference_model;

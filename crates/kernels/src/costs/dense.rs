@@ -303,9 +303,9 @@ pub fn local_softmax_accum(
     .build()
 }
 
-/// Cost of the IR kernel: reduces `m'`,`d'` into `r'`. Tiny next to LS/GS
-/// (paper Fig. 5: < 12.5% of decomposed-softmax time; < 2.9% of the original
-/// softmax after fusion).
+/// Cost of the IR kernel: reduces `m'`,`d'` into `r'`. Tiny next to LS/GS:
+/// its share of the decomposed softmax is banded by the Fig. 5 claims of
+/// `resoftmax_core::claims`.
 pub fn inter_reduction(dims: &AttnDims, t: usize, scope: Scope) -> KernelDesc {
     let n_sv = (dims.kv_len / t).max(1);
     let rows_per_tb = 64u64;

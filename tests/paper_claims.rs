@@ -1,191 +1,59 @@
-//! End-to-end integration tests asserting the paper's headline claims on the
-//! public API, crossing every crate boundary: fp16 → tensor → sparse →
-//! kernels → gpusim → model → core.
+//! End-to-end integration tests of the paper's claims on the public API,
+//! crossing every crate boundary: fp16 → tensor → sparse → kernels →
+//! gpusim → model → core.
 
+use std::sync::OnceLock;
+
+use resoftmax::core::claims;
 use resoftmax::prelude::*;
 
-const L: usize = 4096;
-
-fn a100() -> DeviceSpec {
-    DeviceSpec::a100()
-}
-
-/// Simulates one inference of `model` at `params` on `device`.
-fn run(model: &ModelConfig, params: &RunParams, device: &DeviceSpec) -> RunReport {
-    Session::new(model, params, device).unwrap().run().unwrap()
-}
-
-fn speedup(model: &ModelConfig, strategy: SoftmaxStrategy, device: &DeviceSpec) -> f64 {
-    let base = run(model, &RunParams::new(L), device);
-    let variant = run(model, &RunParams::new(L).strategy(strategy), device);
-    base.total_time_s() / variant.total_time_s()
-}
-
-/// Abstract: "softmax recomposition achieves up to 1.25×, 1.12×, 1.57×, and
-/// 1.65× speedups in inferring BERT, GPT-Neo, BigBird, and Longformer".
-#[test]
-fn headline_speedups_within_bands() {
-    let paper = [
-        (ModelConfig::bert_large(), 1.25),
-        (ModelConfig::gpt_neo_1_3b(), 1.12),
-        (ModelConfig::bigbird_large(), 1.57),
-        (ModelConfig::longformer_large(), 1.65),
-    ];
-    for (model, expected) in paper {
-        let got = speedup(&model, SoftmaxStrategy::Recomposed, &a100());
-        assert!(
-            (got - expected).abs() / expected < 0.12,
-            "{}: measured {got:.2}x vs paper {expected}x",
-            model.name
-        );
-    }
-}
-
-/// §2.3: at L = 4096 on A100, BERT's SDA block uses ~68% of total time and
-/// the softmax layer ~36%; even sparse models keep softmax above 40%.
-#[test]
-fn breakdown_fractions_match_fig2() {
-    let bert = run(&ModelConfig::bert_large(), &RunParams::new(L), &a100());
+/// Asserts that every claim of `section` in `core::claims` holds on the
+/// figure rows, which are computed once for all the tests of this file; the
+/// failure lists each claim out of its band with its paper value, measured
+/// value and band.
+fn assert_claims_hold(section: &str) {
+    static ROWS: OnceLock<Vec<experiments::BenchRow>> = OnceLock::new();
+    let rows = ROWS.get_or_init(|| experiments::figure_rows().unwrap());
+    let failed: Vec<String> = claims::check(claims::CLAIMS, rows)
+        .iter()
+        .filter(|o| o.claim.section == section && !o.holds())
+        .map(|o| o.cells().join(" | "))
+        .collect();
     assert!(
-        (bert.sda_time_fraction() - 0.68).abs() < 0.08,
-        "{}",
-        bert.sda_time_fraction()
-    );
-    assert!((bert.softmax_time_fraction() - 0.36).abs() < 0.05);
-
-    for sparse in [
-        ModelConfig::bigbird_large(),
-        ModelConfig::longformer_large(),
-    ] {
-        let r = run(&sparse, &RunParams::new(L), &a100());
-        assert!(
-            r.softmax_time_fraction() > 0.37,
-            "{}: softmax frac {}",
-            sparse.name,
-            r.softmax_time_fraction()
-        );
-    }
-}
-
-/// §5.1: SD alone slows dense models (0.94×, 0.99×) and speeds sparse models
-/// (1.44×, 1.49×).
-#[test]
-fn sd_splits_dense_and_sparse() {
-    assert!(
-        speedup(
-            &ModelConfig::bert_large(),
-            SoftmaxStrategy::Decomposed,
-            &a100()
-        ) < 1.0
-    );
-    assert!(
-        speedup(
-            &ModelConfig::gpt_neo_1_3b(),
-            SoftmaxStrategy::Decomposed,
-            &a100()
-        ) < 1.0
-    );
-    let bb = speedup(
-        &ModelConfig::bigbird_large(),
-        SoftmaxStrategy::Decomposed,
-        &a100(),
-    );
-    let lf = speedup(
-        &ModelConfig::longformer_large(),
-        SoftmaxStrategy::Decomposed,
-        &a100(),
-    );
-    assert!((1.3..1.6).contains(&bb), "BigBird SD {bb}");
-    assert!((1.3..1.6).contains(&lf), "Longformer SD {lf}");
-}
-
-/// §3.3 / Fig. 6: fusion halves the attention-matrix traffic around the
-/// softmax layer (4 crossings → 2).
-#[test]
-fn fusion_halves_softmax_boundary_traffic() {
-    let rows = experiments::fig8_sd_sdf(&a100(), L, 1).unwrap();
-    for r in &rows {
-        let cut = 1.0 / r.softmax_traffic_ratio;
-        assert!(
-            (1.58..2.51).contains(&cut),
-            "{}: softmax boundary cut {cut:.2} outside the paper's 1.58–2.51×",
-            r.model
-        );
-    }
-}
-
-/// Abstract: 28% average latency reduction and 29% average off-chip access
-/// energy reduction.
-#[test]
-fn average_latency_and_energy_reductions() {
-    let rows = experiments::fig8_sd_sdf(&a100(), L, 1).unwrap();
-    let avg_latency: f64 =
-        rows.iter().map(|r| 1.0 - 1.0 / r.sdf_speedup).sum::<f64>() / rows.len() as f64;
-    let avg_energy: f64 = rows.iter().map(|r| 1.0 - r.sdf_energy).sum::<f64>() / rows.len() as f64;
-    assert!(
-        (0.20..0.34).contains(&avg_latency),
-        "latency cut {avg_latency}"
-    );
-    assert!(
-        (0.22..0.45).contains(&avg_energy),
-        "energy cut {avg_energy}"
+        failed.is_empty(),
+        "{} {section} claims do not hold ({}):\n{}",
+        failed.len(),
+        claims::HEADERS.join(" | "),
+        failed.join("\n")
     );
 }
 
-/// Fig. 9(a): SDF speedup grows with sequence length for every model.
-#[test]
-fn speedup_grows_with_sequence_length() {
-    for model in ModelConfig::all_eval_models() {
-        let s2k = {
-            let base = run(&model, &RunParams::new(2048), &a100());
-            let sdf = run(
-                &model,
-                &RunParams::new(2048).strategy(SoftmaxStrategy::Recomposed),
-                &a100(),
-            );
-            base.total_time_s() / sdf.total_time_s()
-        };
-        let s8k = {
-            let base = run(&model, &RunParams::new(8192), &a100());
-            let sdf = run(
-                &model,
-                &RunParams::new(8192).strategy(SoftmaxStrategy::Recomposed),
-                &a100(),
-            );
-            base.total_time_s() / sdf.total_time_s()
-        };
-        assert!(s8k > s2k, "{}: {s2k} -> {s8k}", model.name);
-    }
-}
+/// One test per section of `core::claims`, in table order, and one that the
+/// table has no other section and lists each section's claims together.
+macro_rules! claim_tests {
+    ($($test:ident: $section:literal,)*) => {
+        $(#[test]
+        fn $test() {
+            assert_claims_hold($section);
+        })*
 
-/// §5.1 cross-GPU: every model speeds up on every GPU, with the sparse
-/// models gaining the most on T4 and the A100 ordering preserved.
-#[test]
-fn cross_gpu_speedups() {
-    let rows = experiments::gpu_speedup_matrix(L).unwrap();
-    assert_eq!(rows.len(), 12);
-    for r in &rows {
-        assert!(
-            r.sdf_speedup > 1.0,
-            "{} {} {}",
-            r.device,
-            r.model,
-            r.sdf_speedup
-        );
-    }
-    let get = |d: &str, m: &str| {
-        rows.iter()
-            .find(|r| r.device == d && r.model.starts_with(m))
-            .unwrap()
-            .sdf_speedup
+        #[test]
+        fn every_section_has_a_claim_test() {
+            let mut sections: Vec<&str> = claims::CLAIMS.iter().map(|c| c.section).collect();
+            sections.dedup();
+            assert_eq!(sections, [$($section),*]);
+        }
     };
-    // GPT-Neo gains least everywhere; sparse gain more than BERT everywhere.
-    for dev in ["A100", "RTX 3090", "T4"] {
-        assert!(get(dev, "GPT") < get(dev, "BERT"));
-        assert!(get(dev, "BigBird") > get(dev, "BERT"));
-    }
-    // 3090 gains less than A100 on dense (paper: smaller softmax share).
-    assert!(get("RTX 3090", "BERT") < get("A100", "BERT"));
+}
+
+claim_tests! {
+    fig2_claims_hold: "Fig. 2",
+    fig5_claims_hold: "Fig. 5",
+    fig7_claims_hold: "Fig. 7",
+    fig8_claims_hold: "Fig. 8",
+    fig9a_claims_hold: "Fig. 9(a)",
+    fig9b_claims_hold: "Fig. 9(b)",
+    section_5_1_claims_hold: "§5.1",
 }
 
 /// The numerics behind it all, exercised through the umbrella prelude.
