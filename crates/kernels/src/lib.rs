@@ -14,11 +14,18 @@
 //!
 //! Module map:
 //!
+//! * `normalizer` (crate-private) — the one softmax reduction, the `(m, d)`
+//!   pair of Eq. 2: observe a tile, merge leaves, one masked rule. Every
+//!   numeric kernel below reduces through it; its docs state each kernel's
+//!   accumulator width and rounding points.
 //! * [`softmax_rows`], [`softmax_backward`], [`apply_mask`] — monolithic
 //!   reference (paper Eq. 1 / Eq. 3).
-//! * [`decomposed`] — LS / IR / GS (Eq. 2).
+//! * [`decomposed`] — LS / IR / GS (Eq. 2) and the decomposed backward.
 //! * [`fused`] — MatMul+LS epilogue and GS+MatMul prologue numerics (§3.3).
-//! * [`sparse_numeric`] — block-sparse decomposed softmax (§3.4).
+//! * [`online`] — online-softmax attention, dense and block-sparse.
+//! * [`sparse_numeric`] — block-sparse decomposed softmax (§3.4): each
+//!   kernel is its dense twin over a row's retained tiles.
+//! * [`layers`] — FC, LayerNorm, GeLU and residual numerics.
 //! * [`costs`] — cost profiles for all of the above plus FC / FeedForward /
 //!   LayerNorm / elementwise kernels.
 
@@ -29,6 +36,7 @@ pub mod costs;
 pub mod decomposed;
 pub mod fused;
 pub mod layers;
+mod normalizer;
 pub mod online;
 mod softmax;
 pub mod sparse_numeric;
@@ -38,9 +46,7 @@ pub use decomposed::{
     inter_reduce, local_softmax, local_softmax_narrow_accum, InterReductionOutput,
     LocalSoftmaxOutput,
 };
-pub use fused::{
-    fused_gs_pv, fused_qk_ls, recomposed_attention, reference_attention, FusedQkLsOutput,
-};
+pub use fused::{fused_gs_pv, fused_qk_ls, recomposed_attention, reference_attention};
 pub use layers::{gelu, layernorm as layernorm_numeric, linear, residual};
 pub use online::{bs_online_attention, online_attention};
 pub use softmax::{apply_mask, causal_mask, softmax_backward, softmax_rows, softmax_rows_f64};

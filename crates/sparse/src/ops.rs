@@ -156,8 +156,9 @@ pub fn sddmm<T: Scalar>(
 /// Row softmax over the retained support of each row (safe softmax with the
 /// max subtracted), computed in `f64` and rounded once per element.
 ///
-/// Rows with empty support are left untouched (they have no retained blocks
-/// to write into).
+/// A row whose retained scores are all `-inf` gives zeros, as the dense
+/// softmax does. Rows with empty support are left untouched (they have no
+/// retained blocks to write into).
 pub fn block_sparse_softmax<T: Scalar>(scores: &BlockSparseMatrix<T>) -> BlockSparseMatrix<T> {
     let _span = resoftmax_obs::span!("block_sparse_softmax", "sparse");
     let b = scores.layout.block();
@@ -179,6 +180,14 @@ pub fn block_sparse_softmax<T: Scalar>(scores: &BlockSparseMatrix<T>) -> BlockSp
                 for c in 0..b {
                     m = m.max(blk.get(within, c).to_f64());
                 }
+            }
+            if m == f64::NEG_INFINITY {
+                for ob in row_blocks.iter_mut() {
+                    for c in 0..b {
+                        ob.set(within, c, T::zero());
+                    }
+                }
+                continue;
             }
             // normalizer
             let mut d = 0.0f64;
