@@ -44,40 +44,42 @@ fn monolithic_f16(x: &Matrix<F16>) -> Matrix<F16> {
     resoftmax_kernels::softmax_rows(x)
 }
 
-/// Tiled online softmax in binary16: running max / normalizer carried wide
-/// across length-`t` chunks (the fused kernel holds them in fp32 registers),
-/// stored values rounded to fp16 — the numeric model of `OnlineFused`'s
-/// softmax recurrence, without the PV accumulation that follows it.
+/// Tiled online softmax in binary16: running max / normalizer carried in
+/// `f32` across length-`t` chunks, as the fused kernel holds them in fp32
+/// registers (`kernels::online_attention` folds over a `Normalizer<f32>`),
+/// exponentials taken in `f32` and stored values rounded to fp16 — the
+/// numeric model of `OnlineFused`'s softmax recurrence, without the PV
+/// accumulation that follows it.
 fn online_softmax_f16(x: &Matrix<F16>, t: usize) -> Matrix<F16> {
     let (rows, cols) = x.shape();
     let mut y = Matrix::zeros(rows, cols);
     for r in 0..rows {
-        let mut m = f64::NEG_INFINITY;
-        let mut d = 0.0f64;
+        let mut m = f32::NEG_INFINITY;
+        let mut d = 0.0f32;
         for base in (0..cols).step_by(t) {
             let end = (base + t).min(cols);
             let chunk_max = (base..end)
-                .map(|c| x.get(r, c).to_f64())
-                .fold(f64::NEG_INFINITY, f64::max);
+                .map(|c| x.get(r, c).to_f32())
+                .fold(f32::NEG_INFINITY, f32::max);
             let new_m = m.max(chunk_max);
-            if new_m == f64::NEG_INFINITY {
+            if new_m == f32::NEG_INFINITY {
                 continue;
             }
-            if m != f64::NEG_INFINITY {
+            if m != f32::NEG_INFINITY {
                 d *= (m - new_m).exp();
             }
             for c in base..end {
-                let e = F16::from_f64((x.get(r, c).to_f64() - new_m).exp());
-                d += e.to_f64();
+                let e = F16::from_f32((x.get(r, c).to_f32() - new_m).exp());
+                d += e.to_f32();
             }
             m = new_m;
         }
-        if m == f64::NEG_INFINITY {
+        if m == f32::NEG_INFINITY {
             continue;
         }
         for c in 0..cols {
-            let e = F16::from_f64((x.get(r, c).to_f64() - m).exp());
-            y.set(r, c, F16::from_f64(e.to_f64() / d));
+            let e = F16::from_f32((x.get(r, c).to_f32() - m).exp());
+            y.set(r, c, F16::from_f32(e.to_f32() / d));
         }
     }
     y

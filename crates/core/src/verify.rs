@@ -188,7 +188,7 @@ pub fn verify_backward(rows: usize, l: usize, seed: u64) -> f64 {
     let x = randn_matrix::<f64>(rows, l, 1.0, seed);
     let dy = randn_matrix::<f64>(rows, l, 1.0, seed + 1);
     let y = softmax_rows_f64(&x);
-    let dx = softmax_backward(&y, &dy);
+    let dx = softmax_backward(&y, &dy).expect("dy has the shape of y");
     let eps = 1e-6;
     let mut worst = 0.0f64;
     for r in 0..rows {

@@ -1,8 +1,22 @@
 //! Bit-level conversions between binary16, binary32 and binary64.
 //!
-//! All narrowing conversions use round-to-nearest, ties-to-even, which is the
+//! Both narrowing conversions round once, to nearest with ties to even: the
 //! IEEE 754 default and what GPU conversion instructions (`F2F.F16.F32`)
-//! implement.
+//! implement. No conversion takes a data-dependent branch: each computes its
+//! normal and its subnormal result and selects one of them, or infinity or a
+//! quiet NaN, with comparisons on the magnitude.
+//!
+//! * A normal binary16 result rebiases the exponent and rounds with one
+//!   integer add on the bit pattern: ones in every bit below the kept
+//!   mantissa, plus the kept mantissa's last bit, so an exact half carries
+//!   only into an odd mantissa. A carry out of the mantissa steps the
+//!   exponent, and out of [`F16::MAX`](crate::F16::MAX) gives infinity.
+//! * A subnormal result (or zero) is one float add of a constant whose ulp
+//!   is 2⁻²⁴, the binary16 subnormal step (`0.5` in `f32`, `2²⁸` in `f64`):
+//!   the add rounds `|x| < 2⁻¹⁴` to a whole number of steps, which lands in
+//!   the sum's low mantissa bits.
+//! * Widening is exact. A subnormal's mantissa under the exponent of 2⁻¹⁴
+//!   reads as `2⁻¹⁴ + m·2⁻²⁴`, and subtracting 2⁻¹⁴ again leaves `m·2⁻²⁴`.
 
 /// Converts an `f32` bit-for-bit to the nearest binary16 bit pattern.
 ///
@@ -10,120 +24,62 @@
 /// normals, subnormals, underflow to zero, and signed zeros.
 pub fn f16_bits_from_f32(x: f32) -> u16 {
     let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let man = bits & 0x007F_FFFF;
-
-    if exp == 0xFF {
-        // Inf or NaN.
-        return if man == 0 {
-            sign | 0x7C00
-        } else {
-            // Quiet NaN; keep the top mantissa bit set so it stays a NaN.
-            sign | 0x7E00
-        };
-    }
-
-    // Unbiased exponent.
-    let unbiased = exp - 127;
-    if unbiased >= 16 {
-        // Too large: round to infinity. (65504 + 16 rounds to inf; values in
-        // [65504, 65520) round back down to MAX and have unbiased == 15.)
-        return sign | 0x7C00;
-    }
-    if unbiased >= -14 {
-        // Normal range for f16 (possibly rounding up to inf at the top).
-        // 23-bit mantissa -> 10-bit: shift out 13 bits with RNE.
-        let half_exp = (unbiased + 15) as u32; // 1..=30
-        let combined = (half_exp << 10) as u16 | (man >> 13) as u16;
-        let round_bit = (man >> 12) & 1;
-        let sticky = man & 0x0FFF;
-        let round_up = round_bit == 1 && (sticky != 0 || (combined & 1) == 1);
-        // Rounding up may carry into the exponent — and from 0x7BFF (MAX) to
-        // 0x7C00 (inf), which is the correct IEEE behaviour.
-        return sign | combined.wrapping_add(round_up as u16);
-    }
-    if unbiased >= -25 {
-        // Subnormal f16 range: value = 0.xxxx * 2^-14.
-        // Implicit leading 1 becomes explicit; shift = number of discarded bits.
-        let man = man | 0x0080_0000; // add implicit bit -> 24-bit significand
-        let shift = (-14 - unbiased) as u32 + 13; // unbiased -25..=-15 -> 14..=24
-        let kept = (man >> shift) as u16;
-        let round_bit = (man >> (shift - 1)) & 1;
-        let sticky = man & ((1 << (shift - 1)) - 1);
-        let round_up = round_bit == 1 && (sticky != 0 || (kept & 1) == 1);
-        return sign | kept.wrapping_add(round_up as u16);
-    }
-    // Underflow to (signed) zero.
-    sign
+    let abs = bits & 0x7FFF_FFFF;
+    // Rebias 127 -> 15, then round away the 13 low mantissa bits.
+    let normal = (abs + 0x0FFF + ((abs >> 13) & 1)).wrapping_sub(112 << 23) >> 13;
+    // 0.5 is 0x3F00_0000 and its ulp is 2^-24, so the sum's low 16 bits
+    // count the subnormal steps.
+    let subnormal = (f32::from_bits(abs) + 0.5).to_bits();
+    let inf_or_nan = if x.is_nan() { 0x7E00 } else { 0x7C00 };
+    let half = if abs >= 143 << 23 {
+        inf_or_nan // |x| >= 2^16
+    } else if abs < 113 << 23 {
+        subnormal // |x| < 2^-14
+    } else {
+        normal
+    };
+    (bits >> 16) as u16 & 0x8000 | half as u16
 }
 
 /// Converts an `f64` directly to the nearest binary16 bit pattern with a
 /// single rounding (no intermediate `f32` double-rounding).
 pub fn f16_bits_from_f64(x: f64) -> u16 {
     let bits = x.to_bits();
-    let sign = ((bits >> 48) & 0x8000) as u16;
-    let exp = ((bits >> 52) & 0x7FF) as i32;
-    let man = bits & 0x000F_FFFF_FFFF_FFFF;
-
-    if exp == 0x7FF {
-        return if man == 0 {
-            sign | 0x7C00
-        } else {
-            sign | 0x7E00
-        };
-    }
-
-    let unbiased = exp - 1023;
-    if unbiased >= 16 {
-        return sign | 0x7C00;
-    }
-    if unbiased >= -14 {
-        let half_exp = (unbiased + 15) as u64;
-        let combined = ((half_exp << 10) | (man >> 42)) as u16;
-        let round_bit = (man >> 41) & 1;
-        let sticky = man & ((1u64 << 41) - 1);
-        let round_up = round_bit == 1 && (sticky != 0 || (combined & 1) == 1);
-        return sign | combined.wrapping_add(round_up as u16);
-    }
-    if unbiased >= -25 {
-        let man = man | 0x0010_0000_0000_0000;
-        let shift = (-14 - unbiased) as u32 + 42;
-        let kept = (man >> shift) as u16;
-        let round_bit = (man >> (shift - 1)) & 1;
-        let sticky = man & ((1u64 << (shift - 1)) - 1);
-        let round_up = round_bit == 1 && (sticky != 0 || (kept & 1) == 1);
-        return sign | kept.wrapping_add(round_up as u16);
-    }
-    sign
+    let abs = bits & 0x7FFF_FFFF_FFFF_FFFF;
+    // Rebias 1023 -> 15, then round away the 42 low mantissa bits.
+    let normal = (abs + ((1 << 41) - 1) + ((abs >> 42) & 1)).wrapping_sub(1008 << 52) >> 42;
+    // 2^28 is 0x41B0_0000_0000_0000 and its ulp is 2^-24, so the sum's low
+    // 16 bits count the subnormal steps.
+    let subnormal = (f64::from_bits(abs) + 268_435_456.0).to_bits();
+    let inf_or_nan = if x.is_nan() { 0x7E00 } else { 0x7C00 };
+    let half = if abs >= 1039 << 52 {
+        inf_or_nan // |x| >= 2^16
+    } else if abs < 1009 << 52 {
+        subnormal // |x| < 2^-14
+    } else {
+        normal
+    };
+    (bits >> 48) as u16 & 0x8000 | half as u16
 }
 
 /// Widens a binary16 bit pattern to the exactly-equal `f32`.
+///
+/// A NaN keeps its payload and comes out quiet.
 pub fn f32_from_f16_bits(bits: u16) -> f32 {
-    let sign = ((bits & 0x8000) as u32) << 16;
-    let exp = ((bits >> 10) & 0x1F) as u32;
-    let man = (bits & 0x03FF) as u32;
-
-    let out = if exp == 0 {
-        if man == 0 {
-            sign // signed zero
-        } else {
-            // Subnormal: normalize. value = man * 2^-24 = 1.xxx * 2^(-14-shift).
-            let shift = man.leading_zeros() - 21; // bring MSB to bit 10
-            let man = (man << shift) & 0x03FF;
-            let exp = 127 - 14 - shift;
-            sign | (exp << 23) | (man << 13)
-        }
-    } else if exp == 0x1F {
-        if man == 0 {
-            sign | 0x7F80_0000 // infinity
-        } else {
-            sign | 0x7FC0_0000 | (man << 13) // NaN, keep payload
-        }
+    let abs = u32::from(bits & 0x7FFF);
+    // Rebias 15 -> 127.
+    let normal = (abs << 13) + (112 << 23);
+    // 2^-14 is 113 << 23: exponent 2^-14 on the mantissa, minus 2^-14.
+    let subnormal = (f32::from_bits(normal + (1 << 23)) - f32::from_bits(113 << 23)).to_bits();
+    let quiet = if abs > 0x7C00 { 0x0040_0000 } else { 0 };
+    let out = if abs >= 0x7C00 {
+        (normal + (112 << 23)) | quiet // exponent all ones
+    } else if abs < 0x0400 {
+        subnormal
     } else {
-        sign | ((exp + 127 - 15) << 23) | (man << 13)
+        normal
     };
-    f32::from_bits(out)
+    f32::from_bits(u32::from(bits & 0x8000) << 16 | out)
 }
 
 #[cfg(test)]

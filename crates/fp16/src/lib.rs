@@ -9,7 +9,11 @@
 //! bit-exactly in software:
 //!
 //! * [`F16`] — a 16-bit storage type with correct conversions to/from `f32`
-//!   (round-to-nearest-even, including subnormals, infinities and NaNs).
+//!   and `f64`. Narrowing rounds once, to nearest with ties to even,
+//!   including subnormals, overflow to infinity and NaNs (quieted).
+//!   Widening is exact. No conversion takes a data-dependent branch: each
+//!   computes its normal and its subnormal result and selects one, so every
+//!   element costs the same few operations whatever its value.
 //! * Arithmetic operators that compute in `f32` and round back to binary16
 //!   after every operation, matching how GPU CUDA cores treat scalar half
 //!   math (fused wide ops are opt-in via [`F16::mul_add`]).

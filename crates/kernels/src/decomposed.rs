@@ -386,7 +386,7 @@ mod tests {
         // Mask out the entire second sub-vector (cols 8..16) of row 0.
         let mut mask = vec![true; 64];
         mask[8..16].fill(false);
-        let masked = apply_mask(&x, &mask);
+        let masked = apply_mask(&x, &mask).unwrap();
         let dec = decomposed_softmax(&masked, 8).unwrap();
         let reference = softmax_rows_f64(&masked);
         assert!(max_abs_diff(&reference, &dec) < 1e-14);
@@ -544,7 +544,7 @@ mod backward_tests {
 
         // Monolithic reference: backward from the reconstructed y.
         let y = softmax_rows_f64(&x);
-        let reference = softmax_backward(&y, &dy);
+        let reference = softmax_backward(&y, &dy).unwrap();
 
         let dec = decomposed_softmax_backward(&ls.x_prime, &ir.r_prime, &dy, t).unwrap();
         assert!(

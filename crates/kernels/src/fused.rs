@@ -192,7 +192,7 @@ pub fn reference_attention<T: Scalar>(
     let scores = matmul_transpose_b(q, k)?;
     let scaled = scale_op(&scores, scale);
     let masked = match mask {
-        Some(m) => apply_mask(&scaled, m),
+        Some(m) => apply_mask(&scaled, m)?,
         None => scaled,
     };
     let p = softmax_rows(&masked);

@@ -242,7 +242,7 @@ mod tests {
         let a = online_attention(&q, &k, &v, 4, SCALE, Some(&mask)).unwrap();
         // reference path through apply_mask
         let scores = resoftmax_tensor::matmul_transpose_b(&q, &k).unwrap();
-        let masked = apply_mask(&resoftmax_tensor::scale(&scores, SCALE), &mask);
+        let masked = apply_mask(&resoftmax_tensor::scale(&scores, SCALE), &mask).unwrap();
         let p = crate::softmax::softmax_rows(&masked);
         let b = resoftmax_tensor::matmul(&p, &v).unwrap();
         assert!(max_abs_diff(&a, &b) < 1e-6);

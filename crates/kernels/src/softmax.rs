@@ -75,19 +75,20 @@ pub fn softmax_rows_f64<T: Scalar>(x: &Matrix<T>) -> Matrix<f64> {
 /// (paper §2.1: "a mask layer is utilized on the attention matrix to make the
 /// elements that fall short of certain criteria equal to −∞").
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `mask.len() != x.len()` (row-major element mask).
-pub fn apply_mask<T: Scalar>(x: &Matrix<T>, mask: &[bool]) -> Matrix<T> {
-    assert_eq!(mask.len(), x.len(), "mask length mismatch");
+/// Returns [`ShapeError`] if `mask.len() != x.len()` (row-major element
+/// mask).
+pub fn apply_mask<T: Scalar>(x: &Matrix<T>, mask: &[bool]) -> Result<Matrix<T>, ShapeError> {
+    check_mask(Some(mask), x.len())?;
     let cols = x.cols();
-    Matrix::from_fn(x.rows(), cols, |r, c| {
+    Ok(Matrix::from_fn(x.rows(), cols, |r, c| {
         if mask[r * cols + c] {
             x.get(r, c)
         } else {
             T::neg_infinity()
         }
-    })
+    }))
 }
 
 /// Checks that `v` has one row per key, `l` of them.
@@ -129,11 +130,17 @@ pub fn causal_mask(l: usize) -> Vec<bool> {
 /// the softmax *input*, so recomposition (which avoids materializing the
 /// input to off-chip memory) remains legal in training.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if shapes differ.
-pub fn softmax_backward<T: Scalar>(y: &Matrix<T>, dy: &Matrix<T>) -> Matrix<T> {
-    assert_eq!(y.shape(), dy.shape(), "softmax_backward shape mismatch");
+/// Returns [`ShapeError`] if the shapes of `y` and `dy` differ.
+pub fn softmax_backward<T: Scalar>(y: &Matrix<T>, dy: &Matrix<T>) -> Result<Matrix<T>, ShapeError> {
+    if y.shape() != dy.shape() {
+        return Err(ShapeError::new(format!(
+            "dy shape {:?} vs y {:?}",
+            dy.shape(),
+            y.shape()
+        )));
+    }
     let cols = y.cols();
     let mut dx = Matrix::zeros(y.rows(), cols);
     dx.as_mut_slice()
@@ -143,7 +150,7 @@ pub fn softmax_backward<T: Scalar>(y: &Matrix<T>, dy: &Matrix<T>) -> Matrix<T> {
             // The decomposed backward with the whole row as one tile, r' = 1.
             backward_row(once((y.row(r), dy.row(r), T::one())), once(out));
         });
-    dx
+    Ok(dx)
 }
 
 #[cfg(test)]
@@ -211,7 +218,7 @@ mod tests {
     fn mask_application() {
         let x = Matrix::<f32>::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]);
         let mask = [true, false, true, false];
-        let masked = apply_mask(&x, &mask);
+        let masked = apply_mask(&x, &mask).unwrap();
         assert_eq!(masked.get(0, 0), 1.0);
         assert_eq!(masked.get(0, 1), f32::NEG_INFINITY);
         let y = softmax_rows(&masked);
@@ -236,7 +243,7 @@ mod tests {
         let x = randn_matrix::<f64>(3, 8, 1.0, 7);
         let y = softmax_rows_f64(&x);
         let dy = randn_matrix::<f64>(3, 8, 1.0, 8);
-        let dx = softmax_backward(&y, &dy);
+        let dx = softmax_backward(&y, &dy).unwrap();
 
         // Finite differences on a scalar loss Σ dy ⊙ softmax(x).
         let eps = 1e-6;
@@ -270,7 +277,7 @@ mod tests {
         let x = randn_matrix::<f64>(5, 32, 1.5, 9);
         let y = softmax_rows_f64(&x);
         let dy = randn_matrix::<f64>(5, 32, 1.0, 10);
-        let dx = softmax_backward(&y, &dy);
+        let dx = softmax_backward(&y, &dy).unwrap();
         for r in 0..5 {
             let s: f64 = dx.row(r).iter().sum();
             assert!(s.abs() < 1e-9, "row {r} gradient sum {s}");
@@ -278,9 +285,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mask length mismatch")]
-    fn bad_mask_panics() {
+    fn bad_mask_is_an_error() {
         let x = Matrix::<f32>::zeros(2, 2);
-        let _ = apply_mask(&x, &[true; 3]);
+        assert!(apply_mask(&x, &[true; 3]).is_err());
+        assert!(apply_mask(&x, &[true; 4]).is_ok());
+    }
+
+    #[test]
+    fn backward_shape_mismatch_is_an_error() {
+        let y = Matrix::<f32>::zeros(2, 3);
+        assert!(softmax_backward(&y, &Matrix::zeros(3, 2)).is_err());
+        assert!(softmax_backward(&y, &Matrix::zeros(2, 3)).is_ok());
     }
 }

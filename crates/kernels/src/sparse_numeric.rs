@@ -386,7 +386,7 @@ mod backward_tests {
         // upstream gradient zero outside the support.
         let y = block_sparse_softmax(&scores).to_dense(0.0);
         let dy_masked = dy.to_dense(0.0);
-        let reference = softmax_backward(&y, &dy_masked);
+        let reference = softmax_backward(&y, &dy_masked).unwrap();
         let diff = max_abs_diff(&reference, &dx.to_dense(0.0));
         assert!(diff < 1e-12, "diff {diff}");
     }

@@ -178,7 +178,7 @@ mod oracle {
         let scores = matmul_transpose_b(q, k);
         let scaled = scale_op(&scores, scale);
         let masked = match mask {
-            Some(m) => apply_mask(&scaled, m),
+            Some(m) => apply_mask(&scaled, m).expect("mask covers the scores"),
             None => scaled,
         };
         let p = softmax_rows(&masked);
@@ -931,7 +931,7 @@ fn check_case<T: Bits>(
     // Softmax inputs: masked entries are -inf.
     let x = s.matrix::<T>(l, l);
     let x = match mask {
-        Some(m) => apply_mask(&x, m),
+        Some(m) => apply_mask(&x, m).expect("mask covers the scores"),
         None => x,
     };
     same(
@@ -973,7 +973,7 @@ fn check_case<T: Bits>(
     let y = softmax_rows(&x);
     same(
         "softmax_backward",
-        &bits(&[&softmax_backward(&y, &dy)]),
+        &bits(&[&softmax_backward(&y, &dy).unwrap()]),
         &bits(&[&oracle::softmax_backward(&y, &dy)]),
     )?;
     same(

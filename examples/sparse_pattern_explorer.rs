@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let v = randn_matrix::<f64>(l, 16, 1.0, 3);
     let sparse_out = spmm(&block_sparse_softmax(&sddmm(&q, &k, &layout)?), &v)?;
     let mask = layout.element_mask();
-    let dense_scores = apply_mask(&matmul(&q, &transpose(&k))?, &mask);
+    let dense_scores = apply_mask(&matmul(&q, &transpose(&k))?, &mask)?;
     let dense_out = matmul(&softmax_rows(&dense_scores), &v)?;
     println!(
         "\nblock-sparse vs masked-dense attention, max |Δ| = {:.2e}",

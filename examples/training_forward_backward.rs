@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Backward: dP = dOut · Vᵀ, then Eq. 3 needs only P (the softmax
         // OUTPUT) — the input S was never stored by the forward pass.
         let d_p = matmul_transpose_b(&d_out, &v)?;
-        let d_s = softmax_backward(&p, &d_p);
+        let d_s = softmax_backward(&p, &d_p)?;
 
         for (r, c, g) in d_s.clone().iter() {
             s.set(r, c, s.get(r, c) - lr * g);

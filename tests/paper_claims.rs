@@ -85,7 +85,7 @@ fn sparse_attention_end_to_end() {
     let sparse_out = spmm(&block_sparse_softmax(&sddmm(&q, &k, &layout).unwrap()), &v).unwrap();
     let mask = layout.element_mask();
     let dense = matmul(
-        &softmax_rows(&apply_mask(&matmul(&q, &transpose(&k)).unwrap(), &mask)),
+        &softmax_rows(&apply_mask(&matmul(&q, &transpose(&k)).unwrap(), &mask).unwrap()),
         &v,
     )
     .unwrap();
