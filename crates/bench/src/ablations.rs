@@ -3,24 +3,11 @@
 //! simulator's calibration.
 
 use resoftmax_bench::{write_report, BenchArgs, Error};
-use resoftmax_core::experiments::{BenchRow, PAPER_SEQ_LEN};
+use resoftmax_core::experiments::{sweep_point, BenchRow, PAPER_SEQ_LEN};
 use resoftmax_core::format::{pct, render_table, speedup};
 use resoftmax_gpusim::{bandwidth, DeviceSpec};
 use resoftmax_kernels::costs::TileConfig;
 use resoftmax_model::{AttentionKind, ModelConfig, RunParams, Session, SoftmaxStrategy};
-
-/// Baseline over recomposed (SDF) total time for `model` at the paper's
-/// sequence length.
-fn sdf_speedup(model: &ModelConfig, device: &DeviceSpec) -> Result<f64, Error> {
-    let base = Session::new(model, &RunParams::new(PAPER_SEQ_LEN), device)?.run()?;
-    let sdf = Session::new(
-        model,
-        &RunParams::new(PAPER_SEQ_LEN).strategy(SoftmaxStrategy::Recomposed),
-        device,
-    )?
-    .run()?;
-    Ok(base.total_time_s() / sdf.total_time_s())
-}
 
 /// The sub-vector / tile width `T`.
 ///
@@ -289,7 +276,8 @@ pub fn ablation_sensitivity(args: &BenchArgs) -> Result<(), Error> {
         device.mem_saturation_threads *= scale;
         let mut cells = vec![format!("x{scale}")];
         for m in &models {
-            cells.push(speedup(sdf_speedup(m, &device)?));
+            let point = sweep_point(&device, m, PAPER_SEQ_LEN, 1)?;
+            cells.push(speedup(point.sdf_speedup));
         }
         rows.push(cells);
     }
@@ -306,7 +294,8 @@ pub fn ablation_sensitivity(args: &BenchArgs) -> Result<(), Error> {
         device.kernel_launch_overhead_us = overhead;
         let mut cells = vec![format!("{overhead} us")];
         for m in &models {
-            cells.push(speedup(sdf_speedup(m, &device)?));
+            let point = sweep_point(&device, m, PAPER_SEQ_LEN, 1)?;
+            cells.push(speedup(point.sdf_speedup));
         }
         rows.push(cells);
     }

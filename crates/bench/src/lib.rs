@@ -8,9 +8,8 @@
 //! The driver runs one experiment per invocation, or all of them:
 //!
 //! ```text
-//! cargo run --release -p resoftmax-bench -- fig8_sd_sdf
-//! cargo run --release -p resoftmax-bench -- fig9_sweeps seq
-//! cargo run --release -p resoftmax-bench -- fig2_breakdown t4
+//! cargo run --release -p resoftmax-bench -- figures
+//! cargo run --release -p resoftmax-bench -- figures t4
 //! cargo run --release -p resoftmax-bench -- reproduce --smoke
 //! ```
 
@@ -19,7 +18,7 @@
 
 use std::fmt;
 
-use resoftmax_core::experiments::{rows_of, FIG9_BATCHES, FIG9_SEQ_LENS, PAPER_SEQ_LEN};
+use resoftmax_core::experiments::{FIG9_BATCHES, FIG9_SEQ_LENS, PAPER_SEQ_LEN};
 use resoftmax_gpusim::DeviceSpec;
 use resoftmax_model::{LibraryProfile, ModelConfig, RunParams, SoftmaxStrategy};
 use serde::Serialize;
@@ -66,7 +65,7 @@ fn usage(msg: impl Into<String>) -> Error {
 
 /// The command line after the experiment name. Flags may appear anywhere;
 /// every other argument is a positional selector the experiment itself
-/// interprets (a device name, a sweep, a sequence length, ...).
+/// interprets (a device name, a model, a strategy, ...).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BenchArgs {
     /// `--smoke`: the reduced grid and the determinism gate, where the
@@ -172,16 +171,6 @@ impl BenchArgs {
             format!("{SMOKE_DIR}/{file}")
         } else {
             file.to_owned()
-        }
-    }
-
-    /// Under `--out <path>`, writes `records` to that path as rows
-    /// ([`rows_of`] with `bin`), for an experiment with no checked-in
-    /// result; without it, does nothing.
-    pub fn write_rows<T: Serialize>(&self, bin: &str, records: &[T]) -> Result<(), Error> {
-        match &self.out {
-            Some(path) => write_report(path, &rows_of(bin, records)?),
-            None => Ok(()),
         }
     }
 }
@@ -335,7 +324,7 @@ mod tests {
 
     #[test]
     fn flags_and_positionals_parse_in_any_order() {
-        let args = parse(&["t4", "--smoke", "--out", "x.json", "seq", "--numerics"])
+        let args = parse(&["t4", "--smoke", "--out", "x.json", "bert", "--numerics"])
             .expect("valid command line");
         assert_eq!(
             args,
@@ -343,7 +332,7 @@ mod tests {
                 smoke: true,
                 out: Some("x.json".into()),
                 numerics: true,
-                positionals: vec!["t4".into(), "seq".into()],
+                positionals: vec!["t4".into(), "bert".into()],
             }
         );
         assert_eq!(parse(&[]).expect("empty is valid"), BenchArgs::default());
@@ -375,11 +364,11 @@ mod tests {
         assert_eq!(device(&["RTX3090"]).expect("any case"), "RTX 3090");
         assert!(is_usage(&device(&["v100"])));
         assert!(is_usage(&device(&["seq"])));
-        let with_sweep = parse(&["seq", "a100"])
+        let with_model = parse(&["bert", "a100"])
             .expect("parses")
-            .device_and(|a| a == "seq")
-            .expect("seq is accepted");
-        assert_eq!(with_sweep.name, "A100");
+            .device_and(|a| a == "bert")
+            .expect("bert is accepted");
+        assert_eq!(with_model.name, "A100");
     }
 
     #[test]
@@ -392,7 +381,7 @@ mod tests {
         // Only the A100 run is checked in: another device never overwrites it.
         assert_eq!(out(&["a100"]), "BENCH_x.json");
         assert_eq!(out(&["t4"]), "target/bench-smoke/BENCH_x.json");
-        assert_eq!(out(&["seq", "3090"]), "target/bench-smoke/BENCH_x.json");
+        assert_eq!(out(&["bert", "3090"]), "target/bench-smoke/BENCH_x.json");
         assert_eq!(out(&["t4", "--out", "y.json"]), "y.json");
         // The tuning database follows the same rule; `--out` names the
         // report only.

@@ -7,15 +7,15 @@
 //! ```
 //!
 //! Selectors are positional and experiment-specific: a device (`a100`,
-//! `3090`, `t4`), a sweep (`seq`, `batch`, `all`), a sequence length, a
-//! model or strategy. Every experiment takes `--smoke`; `--out` and
-//! `--numerics` only where the registry lists them. Standard output is a
-//! table for people; `--out` writes `{bin, config, metric, value}` rows,
-//! the schema of every checked-in `BENCH_*.json` (`export_trace` writes a
-//! chrome trace). An unknown experiment, selector, or a flag the experiment
-//! does not take is a usage error (exit 2); a failed experiment exits 1.
-//! When `RESOFTMAX_TRACE` is set, the merged chrome-trace of the run is
-//! written after the experiment.
+//! `3090`, `t4`), every device (`all`), a model or a strategy. Every
+//! experiment takes `--smoke`; `--out` and `--numerics` only where the
+//! registry lists them. Standard output is a table for people; `--out`
+//! writes `{bin, config, metric, value}` rows, the schema of every
+//! checked-in `BENCH_*.json` (`export_trace` writes a chrome trace). Each
+//! paper figure is printed by `figures` alone, from its rows. An unknown
+//! experiment, selector, or a flag the experiment does not take is a usage
+//! error (exit 2); a failed experiment exits 1. When `RESOFTMAX_TRACE` is
+//! set, the merged chrome-trace of the run is written after the experiment.
 //!
 //! `reproduce` runs every experiment except the export tools in registry
 //! order and writes every checked-in `BENCH_*.json`, so a clean
@@ -46,14 +46,8 @@ type Experiment = fn(&BenchArgs) -> Result<(), Error>;
 const EXPERIMENTS: &[(&str, &str, &[&str], Experiment)] = &[
     ("verify", "Eq. 1/2/3, fusion and online softmax checked numerically", &[], paper::verify),
     ("table1_specs", "Table 1: the evaluation GPUs' specifications", &[], paper::table1_specs),
-    ("fig2_breakdown", "Fig. 2: execution-time breakdown [device] [L]", &["--out"], paper::fig2_breakdown),
-    ("fig5_sublayers", "Fig. 5: LS/IR/GS time and traffic shares [device]", &[], paper::fig5_sublayers),
-    ("fig7_libraries", "Fig. 7: GPU libraries vs the baseline [device]", &[], paper::fig7_libraries),
-    ("fig8_sd_sdf", "Fig. 8: SD/SDF speedup and traffic, the headline [device]", &["--out"], paper::fig8_sd_sdf),
-    ("fig9_sweeps", "Fig. 9: SDF speedup over L and batch [device] [seq|batch|all]", &[], paper::fig9_sweeps),
-    ("gpu_speedups", "§5.1: SDF speedup on every GPU", &["--out"], paper::gpu_speedups),
     ("training_backward", "§6: Eq. 3 gradient check and the stash it avoids", &[], paper::training_backward),
-    ("figures", "Figs. 2/5/7/8/9 and §5.1 as rows → BENCH_figures.json", &["--out"], paper::figures),
+    ("figures", "Figs. 2/5/7/8/9 and §5.1: tables, rows → BENCH_figures.json, claims [device]", &["--out"], paper::figures),
     ("ablation_tile_size", "sub-vector width T → BENCH_ablation_tile.json [device]", &["--out"], ablations::ablation_tile_size),
     ("ablation_head_dim", "head size at fixed D_m [device]", &[], ablations::ablation_head_dim),
     ("ablation_l2", "L2 capacity", &[], ablations::ablation_l2),
@@ -191,5 +185,63 @@ mod tests {
         for name in NOT_REPRODUCED {
             assert!(EXPERIMENTS.iter().any(|(n, ..)| *n == name), "{name}");
         }
+    }
+
+    /// The subcommands `text` names: each name (a word that starts with a
+    /// lowercase letter) right after `resoftmax-bench -- `,
+    /// `resoftmax-bench ` or `… ` (DESIGN's shorthand for the driver), and,
+    /// when `headings` is set, the first name in each pair of backticks of a
+    /// markdown heading.
+    fn named_subcommands(text: &str, headings: bool) -> Vec<&str> {
+        fn name(s: &str) -> Option<&str> {
+            let end = s
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .unwrap_or(s.len());
+            s.starts_with(|c: char| c.is_ascii_lowercase())
+                .then(|| &s[..end])
+        }
+        let mut names = Vec::new();
+        for prefix in ["resoftmax-bench -- ", "resoftmax-bench ", "… "] {
+            let after = text
+                .match_indices(prefix)
+                .map(|(i, _)| &text[i + prefix.len()..]);
+            names.extend(after.filter_map(name));
+        }
+        let heading_lines = text.lines().filter(|l| headings && l.starts_with('#'));
+        for heading in heading_lines {
+            names.extend(heading.split('`').skip(1).step_by(2).filter_map(name));
+        }
+        names
+    }
+
+    /// Every subcommand the docs name is registered. CHANGELOG, CHANGES and
+    /// ROADMAP are history, which may name retired ones, so they are not
+    /// read.
+    #[test]
+    fn docs_name_only_registered_subcommands() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut stale = Vec::new();
+        for doc in [
+            "README.md",
+            "EXPERIMENTS.md",
+            "DESIGN.md",
+            "CONTRIBUTING.md",
+            ".claude/skills/verify/SKILL.md",
+        ] {
+            let text = std::fs::read_to_string(root.join(doc)).expect("a doc");
+            for name in named_subcommands(&text, doc == "EXPERIMENTS.md") {
+                if !EXPERIMENTS.iter().any(|(n, ..)| *n == name) {
+                    stale.push(format!("{doc}: {name}"));
+                }
+            }
+        }
+        assert_eq!(stale, Vec::<String>::new(), "unregistered subcommands");
+        // The scan sees each form.
+        let named = named_subcommands(
+            "`cargo run -p resoftmax-bench -- figures t4`, `resoftmax-bench tune`, \
+             `… analyze`, `… 7 hits`\n## Fig. 8 (`fig8_sd_sdf`)\n",
+            true,
+        );
+        assert_eq!(named, ["figures", "tune", "analyze", "fig8_sd_sdf"]);
     }
 }

@@ -4,14 +4,11 @@
 
 use resoftmax_bench::{determinism_gate, write_file, write_report, BenchArgs, Error};
 use resoftmax_core::claims::{self, Outcome};
-use resoftmax_core::experiments::{
-    self as exp, figure_rows, SweepPoint, FIG9_BATCHES, FIG9_SEQ_LENS, PAPER_SEQ_LEN,
-};
-use resoftmax_core::format::{gb, ms, pct, render_table, speedup};
+use resoftmax_core::experiments::{figure_rows, BenchRow, PAPER_SEQ_LEN};
+use resoftmax_core::format::{gb, num, render_table};
 use resoftmax_core::verify::{verify_backward, verify_decomposition, verify_fusion, verify_online};
-use resoftmax_gpusim::{DeviceSpec, KernelCategory};
+use resoftmax_gpusim::DeviceSpec;
 use resoftmax_kernels::costs::AttnDims;
-use resoftmax_model::{ModelConfig, RunParams, Session, SoftmaxStrategy};
 
 /// Numeric verification of the decomposition (Eq. 1/2), the fused
 /// pipeline (Fig. 6), the backward pass (Eq. 3) and online softmax against
@@ -43,7 +40,7 @@ pub fn verify(args: &BenchArgs) -> Result<(), Error> {
 /// Table 1: specifications of the GPUs used in the evaluation.
 pub fn table1_specs(args: &BenchArgs) -> Result<(), Error> {
     args.accept_positionals(|_| false)?;
-    let devices = exp::table1_devices();
+    let devices = DeviceSpec::all_presets();
     let mut rows = Vec::new();
     let spec_row = |label: &str, f: &dyn Fn(&DeviceSpec) -> String| {
         let mut row = vec![label.to_owned()];
@@ -76,309 +73,6 @@ pub fn table1_specs(args: &BenchArgs) -> Result<(), Error> {
     println!("(*peak rates at base clock; **combined L1/shared memory block)\n");
     print!("{}", render_table(&headers, &rows));
     Ok(())
-}
-
-/// Fig. 2: execution-time breakdown of BERT, GPT-Neo, BigBird and
-/// Longformer (L = 4096, or the given L; batch 1). `--out PATH` also writes
-/// the numbers as rows.
-pub fn fig2_breakdown(args: &BenchArgs) -> Result<(), Error> {
-    let device = args.device_and(|a| a.parse::<usize>().is_ok())?;
-    let seq_len = args
-        .positionals
-        .iter()
-        .find_map(|a| a.parse::<usize>().ok())
-        .unwrap_or(PAPER_SEQ_LEN);
-
-    let rows = exp::fig2_breakdown(&device, seq_len)?;
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.model.clone(),
-                ms(r.total_ms),
-                pct(r.matmul_sda_frac),
-                pct(r.softmax_frac),
-                pct(r.fc_frac),
-                pct(r.feedforward_frac),
-                pct(r.etc_frac),
-                pct(r.sda_frac),
-            ]
-        })
-        .collect();
-
-    println!(
-        "FIG 2: Execution time breakdown on {} (L={seq_len}, batch=1)\n",
-        device.name
-    );
-    print!(
-        "{}",
-        render_table(
-            &[
-                "model",
-                "total",
-                "MatMul(SDA)",
-                "Softmax",
-                "FC",
-                "FeedForward",
-                "etc.",
-                "[SDA total]"
-            ],
-            &table
-        )
-    );
-    args.write_rows("fig2_breakdown", &rows)
-}
-
-/// Fig. 5: (a) execution-time and (b) off-chip-traffic breakdown of the
-/// decomposed softmax into LS / IR / GS.
-pub fn fig5_sublayers(args: &BenchArgs) -> Result<(), Error> {
-    let device = args.device()?;
-    let rows = exp::fig5_sublayers(&device, PAPER_SEQ_LEN)?;
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.model.clone(),
-                pct(r.ls_time_frac),
-                pct(r.ir_time_frac),
-                pct(r.gs_time_frac),
-                pct(r.ls_dram_frac),
-                pct(r.ir_dram_frac),
-                pct(r.gs_dram_frac),
-            ]
-        })
-        .collect();
-
-    println!(
-        "FIG 5: Decomposed-softmax sub-layer shares on {} (L={PAPER_SEQ_LEN})\n",
-        device.name
-    );
-    print!(
-        "{}",
-        render_table(
-            &["model", "LS time", "IR time", "GS time", "LS dram", "IR dram", "GS dram"],
-            &table
-        )
-    );
-    Ok(())
-}
-
-/// Fig. 7: average execution time of existing GPU libraries vs the paper's
-/// baseline, on BERT-large (dense) and BigBird-large (sparse), L = 4096.
-pub fn fig7_libraries(args: &BenchArgs) -> Result<(), Error> {
-    let device = args.device()?;
-    let rows = exp::fig7_libraries(&device, PAPER_SEQ_LEN)?;
-    for model in ["BERT-large", "BigBird-large"] {
-        let ours = rows
-            .iter()
-            .find(|r| r.model == model && r.library == "Ours-baseline")
-            .ok_or_else(|| Error::failed(format!("fig7: no Ours-baseline row for {model}")))?
-            .total_ms;
-        let table: Vec<Vec<String>> = rows
-            .iter()
-            .filter(|r| r.model == model)
-            .map(|r| {
-                vec![
-                    r.library.clone(),
-                    ms(r.total_ms),
-                    speedup(r.total_ms / ours),
-                ]
-            })
-            .collect();
-        println!(
-            "\nFIG 7: {model} on {} (L={PAPER_SEQ_LEN}, batch=1)",
-            device.name
-        );
-        print!(
-            "{}",
-            render_table(&["library", "latency", "vs ours"], &table)
-        );
-    }
-    Ok(())
-}
-
-/// Fig. 8: (a) execution time and (b) off-chip memory accesses per
-/// iteration with softmax decomposition (SD) and decomposition+fusion (SDF)
-/// applied (L = 4096, batch 1). `--out PATH` also writes the headline table
-/// as rows.
-pub fn fig8_sd_sdf(args: &BenchArgs) -> Result<(), Error> {
-    let device = args.device()?;
-    let rows = exp::fig8_sd_sdf(&device, PAPER_SEQ_LEN, 1)?;
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.model.clone(),
-                ms(r.baseline_ms),
-                gb(r.baseline_gb * 1e9),
-                speedup(r.sd_speedup),
-                speedup(r.sdf_speedup),
-                format!("{:.2}x", r.sd_traffic),
-                format!("{:.2}x", r.sdf_traffic),
-                format!("{:.2}x", r.sdf_energy),
-                format!("{:.2}x less", 1.0 / r.softmax_traffic_ratio),
-            ]
-        })
-        .collect();
-
-    println!(
-        "FIG 8: SD / SDF vs baseline on {} (L={PAPER_SEQ_LEN}, batch=1)\n",
-        device.name
-    );
-    print!(
-        "{}",
-        render_table(
-            &[
-                "model",
-                "baseline",
-                "base traffic",
-                "SD speedup",
-                "SDF speedup",
-                "SD traffic",
-                "SDF traffic",
-                "SDF energy",
-                "softmax traffic cut"
-            ],
-            &table
-        )
-    );
-
-    // Fig. 8(a)'s stacked bars: the per-category composition per strategy.
-    println!("\nPer-strategy composition (Fig. 8(a) stacks):\n");
-    let mut stack_rows = Vec::new();
-    for model in ModelConfig::all_eval_models() {
-        for strategy in [
-            SoftmaxStrategy::Baseline,
-            SoftmaxStrategy::Decomposed,
-            SoftmaxStrategy::Recomposed,
-        ] {
-            let r = Session::new(
-                &model,
-                &RunParams::new(PAPER_SEQ_LEN).strategy(strategy),
-                &device,
-            )?
-            .run()?;
-            let b = r.breakdown();
-            let total = b.total_time_s();
-            let frac = |cats: &[KernelCategory]| -> String {
-                pct(cats.iter().map(|&c| b.time_of(c)).sum::<f64>() / total)
-            };
-            stack_rows.push(vec![
-                model.name.clone(),
-                strategy.label().to_owned(),
-                ms(total * 1e3),
-                frac(&[KernelCategory::MatMulQk, KernelCategory::MatMulPv]),
-                pct(b.softmax_time_s() / total),
-                frac(&[KernelCategory::Fc]),
-                frac(&[KernelCategory::FeedForward]),
-            ]);
-        }
-    }
-    print!(
-        "{}",
-        render_table(
-            &[
-                "model",
-                "strategy",
-                "total",
-                "MatMul(SDA)",
-                "Softmax",
-                "FC",
-                "FeedForward"
-            ],
-            &stack_rows
-        )
-    );
-    args.write_rows("fig8_sd_sdf", &rows)
-}
-
-fn print_sweep(
-    title: &str,
-    key: &str,
-    points: &[SweepPoint],
-    key_of: impl Fn(&SweepPoint) -> usize,
-) {
-    println!("\n{title}");
-    let table: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.model.clone(),
-                format!("{}", key_of(p)),
-                speedup(p.sdf_speedup),
-                pct(p.softmax_frac),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(&["model", key, "SDF speedup", "softmax frac"], &table)
-    );
-}
-
-/// Fig. 9: SDF speedup (a) over sequence length and (b) over batch size.
-pub fn fig9_sweeps(args: &BenchArgs) -> Result<(), Error> {
-    let is_mode = |a: &str| matches!(a, "seq" | "batch" | "all");
-    let device = args.device_and(is_mode)?;
-    let mode = args
-        .positionals
-        .iter()
-        .map(String::as_str)
-        .find(|a| is_mode(a))
-        .unwrap_or("all");
-
-    if mode == "seq" || mode == "all" {
-        let points = exp::fig9_seq_sweep(&device, &FIG9_SEQ_LENS)?;
-        print_sweep(
-            &format!(
-                "FIG 9(a): SDF speedup vs sequence length on {}",
-                device.name
-            ),
-            "L",
-            &points,
-            |p| p.seq_len,
-        );
-    }
-    if mode == "batch" || mode == "all" {
-        let points = exp::fig9_batch_sweep(&device, PAPER_SEQ_LEN, &FIG9_BATCHES)?;
-        print_sweep(
-            &format!(
-                "FIG 9(b): SDF speedup vs batch size on {} (L={PAPER_SEQ_LEN})",
-                device.name
-            ),
-            "batch",
-            &points,
-            |p| p.batch,
-        );
-    }
-    Ok(())
-}
-
-/// §5.1: SDF speedups across all three evaluation GPUs. `--out PATH` also
-/// writes the numbers as rows.
-pub fn gpu_speedups(args: &BenchArgs) -> Result<(), Error> {
-    args.accept_positionals(|_| false)?;
-    let rows = exp::gpu_speedup_matrix(PAPER_SEQ_LEN)?;
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.device.clone(),
-                r.model.clone(),
-                speedup(r.sdf_speedup),
-                pct(r.softmax_frac),
-            ]
-        })
-        .collect();
-    println!("§5.1: SDF speedup per GPU (L={PAPER_SEQ_LEN}, batch=1)\n");
-    print!(
-        "{}",
-        render_table(
-            &["device", "model", "SDF speedup", "baseline softmax frac"],
-            &table
-        )
-    );
-    args.write_rows("gpu_speedup_matrix", &rows)
 }
 
 /// §6 (Discussion): applying softmax recomposition to training.
@@ -436,21 +130,23 @@ pub fn training_backward(args: &BenchArgs) -> Result<(), Error> {
     Ok(())
 }
 
-/// Writes the figures' numbers to `BENCH_figures.json`, one row per
-/// number, so a `git diff` after `reproduce` pins every figure bit for bit,
-/// then prints the paper and the measured value of every claim in
-/// `core::claims`, and fails when a claim is out of its band or reads a row
+/// Figs. 2/5/7/8/9 and §5.1 on the device named (the A100 when none is):
+/// writes their rows, one per number, by the output rule, so a `git diff`
+/// after `reproduce` pins every figure bit for bit, and prints them as one
+/// table per `bin`. The paper's claims in `core::claims` are the A100's, so
+/// only an A100 run goes on: it prints the paper and the measured value of
+/// every claim, and fails when a claim is out of its band or reads a row
 /// that does not exist. The run that writes the checked-in file (full
 /// scale, no `--out`) also rewrites the claim tables of EXPERIMENTS.md and
 /// README.md. Under `--smoke` the rows must also be identical at 1 and 4
 /// worker threads, with a warm pricing memo, and with tracing on:
 /// instrumentation observes, it never perturbs.
 pub fn figures(args: &BenchArgs) -> Result<(), Error> {
-    args.accept_positionals(|_| false)?;
+    let device = args.device()?;
     let rows = if args.smoke {
-        let rows = determinism_gate("figure", || Ok(figure_rows()?))?;
+        let rows = determinism_gate("figure", || Ok(figure_rows(&device)?))?;
         resoftmax_obs::set_trace_enabled(Some(true));
-        let observed = figure_rows();
+        let observed = figure_rows(&device);
         resoftmax_obs::set_trace_enabled(None);
         assert_eq!(
             serde_json::to_string(&observed?)?,
@@ -460,9 +156,25 @@ pub fn figures(args: &BenchArgs) -> Result<(), Error> {
         println!("smoke: rows bit-identical with tracing on");
         rows
     } else {
-        figure_rows()?
+        figure_rows(&device)?
     };
     write_report(&args.out_path("BENCH_figures.json"), &rows)?;
+    println!(
+        "\nThe figures on the {} (L={PAPER_SEQ_LEN}, batch 1, unless a config says otherwise):",
+        device.name
+    );
+    for bin in rows.chunk_by(|a, b| a.bin == b.bin) {
+        let (headers, table) = pivot(bin);
+        println!("\n{}\n", bin[0].bin);
+        print!("{}", render_table(&headers, &table));
+    }
+    if device != DeviceSpec::a100() {
+        println!(
+            "\nThe paper's claims (core::claims) are the A100's: none is checked on the {}.",
+            device.name
+        );
+        return Ok(());
+    }
 
     let outcomes = claims::check(claims::CLAIMS, &rows);
     let table: Vec<Vec<String>> = outcomes.iter().map(|o| o.cells().to_vec()).collect();
@@ -480,6 +192,24 @@ pub fn figures(args: &BenchArgs) -> Result<(), Error> {
             outcomes.len()
         ))),
     }
+}
+
+/// One bin's rows as a table: a line per `config`, in row order, with
+/// `config` and then each row's value under its `metric`. Every record that
+/// `rows_of` flattens into a bin has the same metrics in the same order.
+fn pivot(bin: &[BenchRow]) -> (Vec<&str>, Vec<Vec<String>>) {
+    let lines: Vec<&[BenchRow]> = bin.chunk_by(|a, b| a.config == b.config).collect();
+    let mut headers = vec!["config"];
+    headers.extend(lines[0].iter().map(|r| r.metric.as_str()));
+    let table = lines
+        .iter()
+        .map(|line| {
+            std::iter::once(line[0].config.clone())
+                .chain(line.iter().map(|r| num(r.value)))
+                .collect()
+        })
+        .collect();
+    (headers, table)
 }
 
 /// Rewrites the claim tables of the markdown file `path`: the text between
@@ -532,4 +262,45 @@ fn write_claim_tables(path: &str, outcomes: &[Outcome]) -> Result<(), Error> {
     write_file(path, &out.concat())?;
     println!("claim tables written to {path}");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `figures` prints each bin once, in row order, and every row of
+    /// `figure_rows` as one cell: on its config's line, under its metric.
+    #[test]
+    fn every_figure_row_is_one_printed_cell() {
+        let rows = figure_rows(&DeviceSpec::a100()).expect("figure rows");
+        let mut bins = Vec::new();
+        let mut cells = 0;
+        for bin in rows.chunk_by(|a, b| a.bin == b.bin) {
+            bins.push(bin[0].bin.as_str());
+            let (headers, table) = pivot(bin);
+            for r in bin {
+                let line = table.iter().find(|l| l[0] == r.config).expect("a line");
+                let column = headers
+                    .iter()
+                    .position(|&h| h == r.metric)
+                    .expect("a column");
+                assert_eq!(line[column], num(r.value), "{:?}", r.key());
+            }
+            cells += table.iter().map(|line| line.len() - 1).sum::<usize>();
+        }
+        assert_eq!(cells, rows.len());
+        assert_eq!(
+            bins,
+            [
+                "fig2_breakdown",
+                "fig5_sublayers",
+                "fig7_libraries",
+                "fig8_sd_sdf",
+                "fig9_seq_sweep",
+                "fig9_batch_sweep",
+                "gpu_speedup_matrix",
+                "fig8_stacks"
+            ]
+        );
+    }
 }

@@ -4,8 +4,10 @@
 use std::fmt::Write as _;
 
 use resoftmax_analyzer::{Severity, CERT_BUDGET_REL};
-use resoftmax_bench::{analysis_grid, device_named, write_file, BenchArgs, Error};
-use resoftmax_core::experiments::{full_grid_sweep, FIG9_BATCHES, FIG9_SEQ_LENS, PAPER_SEQ_LEN};
+use resoftmax_bench::{analysis_grid, device_named, write_file, write_report, BenchArgs, Error};
+use resoftmax_core::experiments::{
+    full_grid_sweep, rows_of, FIG9_BATCHES, FIG9_SEQ_LENS, PAPER_SEQ_LEN,
+};
 use resoftmax_core::format::{gb, ms, pct, render_table};
 use resoftmax_gpusim::chrome_trace::to_chrome_trace;
 use resoftmax_gpusim::DeviceSpec;
@@ -178,7 +180,10 @@ pub fn grid_sweep(args: &BenchArgs) -> Result<(), Error> {
             &table
         )
     );
-    args.write_rows("grid_sweep", &points)
+    match &args.out {
+        Some(path) => write_report(path, &rows_of("grid_sweep", &points)?),
+        None => Ok(()),
+    }
 }
 
 fn model_named(name: &str) -> Option<ModelConfig> {

@@ -8,6 +8,7 @@
 //! `EXPERIMENTS.md` and `README.md` all read this one table.
 
 use crate::experiments::BenchRow;
+use crate::format::num;
 use Measure::{Mean, MeanOfInverses, Ratio, Row};
 
 /// A row's key in `BENCH_figures.json`: `(bin, config, metric)`.
@@ -221,12 +222,6 @@ impl Outcome {
 /// The column headers of [`Outcome::cells`].
 pub const HEADERS: [&str; 6] = ["section", "claim", "paper", "measured", "band", "verdict"];
 
-/// A value with at most four decimals and no trailing zeros.
-fn num(x: f64) -> String {
-    let s = format!("{x:.4}");
-    s.trim_end_matches('0').trim_end_matches('.').to_owned()
-}
-
 /// Every claim of `claims` measured on `rows`, in table order.
 pub fn check(claims: &[Claim], rows: &[BenchRow]) -> Vec<Outcome> {
     claims
@@ -246,7 +241,9 @@ mod tests {
     /// its row's value.
     fn rows(drop: RowKey, moved: (RowKey, f64)) -> Vec<BenchRow> {
         static ROWS: std::sync::OnceLock<Vec<BenchRow>> = std::sync::OnceLock::new();
-        let rows = ROWS.get_or_init(|| crate::experiments::figure_rows().expect("figure rows"));
+        let rows = ROWS.get_or_init(|| {
+            crate::experiments::figure_rows(&crate::DeviceSpec::a100()).expect("figure rows")
+        });
         let mut rows: Vec<BenchRow> = rows.iter().filter(|r| r.key() != drop).cloned().collect();
         for r in rows.iter_mut().filter(|r| r.key() == moved.0) {
             r.value = moved.1;

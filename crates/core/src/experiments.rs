@@ -2,9 +2,9 @@
 //!
 //! Each driver runs the simulated experiments and returns typed records;
 //! [`rows_of`] flattens records into the `{bin, config, metric, value}`
-//! [`BenchRow`]s of every `BENCH_*.json`, and [`figure_rows`] gives the rows
-//! of `BENCH_figures.json`, which [`claims`](crate::claims) holds to the
-//! paper's numbers.
+//! [`BenchRow`]s of every `BENCH_*.json`, and [`figure_rows`] gives the
+//! figures' rows on one device: on the A100, those of `BENCH_figures.json`,
+//! which [`claims`](crate::claims) holds to the paper's numbers.
 
 use resoftmax_gpusim::{DeviceSpec, KernelCategory};
 use resoftmax_model::{
@@ -27,12 +27,13 @@ fn run(model: &ModelConfig, params: &RunParams, device: &DeviceSpec) -> Result<R
     Session::new(model, params, device)?.run()
 }
 
-/// One bar group of Fig. 2: a model's execution-time breakdown.
+/// A run's execution-time breakdown: one bar group of Fig. 2, or one stack
+/// of Fig. 8(a).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fig2Row {
-    /// Model name.
+    /// Model name; a Fig. 8(a) stack's is `model/strategy`.
     pub model: String,
-    /// Total latency in milliseconds.
+    /// Total latency in milliseconds, summed over the breakdown.
     pub total_ms: f64,
     /// Fraction of time in SDA MatMuls (`Q·Kᵀ` + `P·V`).
     pub matmul_sda_frac: f64,
@@ -48,6 +49,31 @@ pub struct Fig2Row {
     pub sda_frac: f64,
 }
 
+/// The time shares of run `r`, as the row labelled `model`.
+fn time_shares(model: String, r: &RunReport) -> Fig2Row {
+    let b = r.breakdown();
+    let total = b.total_time_s();
+    let frac = |cats: &[KernelCategory]| -> f64 {
+        cats.iter().map(|&c| b.time_of(c)).sum::<f64>() / total
+    };
+    Fig2Row {
+        model,
+        total_ms: total * 1e3,
+        matmul_sda_frac: frac(&[KernelCategory::MatMulQk, KernelCategory::MatMulPv]),
+        softmax_frac: r.softmax_time_fraction(),
+        fc_frac: frac(&[KernelCategory::Fc]),
+        feedforward_frac: frac(&[KernelCategory::FeedForward]),
+        etc_frac: frac(&[
+            KernelCategory::LayerNorm,
+            KernelCategory::Scale,
+            KernelCategory::Mask,
+            KernelCategory::Activation,
+            KernelCategory::Other,
+        ]),
+        sda_frac: r.sda_time_fraction(),
+    }
+}
+
 /// Fig. 2: execution-time breakdown of the four models on one device.
 ///
 /// # Errors
@@ -57,27 +83,7 @@ pub fn fig2_breakdown(device: &DeviceSpec, seq_len: usize) -> Result<Vec<Fig2Row
     let models = ModelConfig::all_eval_models();
     parallel_map(&models, |_, model| {
         let r = run(model, &RunParams::new(seq_len), device)?;
-        let b = r.breakdown();
-        let total = b.total_time_s();
-        let frac = |cats: &[KernelCategory]| -> f64 {
-            cats.iter().map(|&c| b.time_of(c)).sum::<f64>() / total
-        };
-        Ok(Fig2Row {
-            model: model.name.clone(),
-            total_ms: total * 1e3,
-            matmul_sda_frac: frac(&[KernelCategory::MatMulQk, KernelCategory::MatMulPv]),
-            softmax_frac: r.softmax_time_fraction(),
-            fc_frac: frac(&[KernelCategory::Fc]),
-            feedforward_frac: frac(&[KernelCategory::FeedForward]),
-            etc_frac: frac(&[
-                KernelCategory::LayerNorm,
-                KernelCategory::Scale,
-                KernelCategory::Mask,
-                KernelCategory::Activation,
-                KernelCategory::Other,
-            ]),
-            sda_frac: r.sda_time_fraction(),
-        })
+        Ok(time_shares(model.name.clone(), &r))
     })
     .into_iter()
     .collect()
@@ -214,7 +220,9 @@ pub struct Fig8Row {
     pub softmax_traffic_ratio: f64,
 }
 
-/// Fig. 8: latency and traffic with SD and SDF applied, per model.
+/// Fig. 8: latency and traffic with SD and SDF applied, per model, and
+/// Fig. 8(a)'s stacks, the time shares of each (model, strategy) run, whose
+/// `model` is `model/strategy`.
 ///
 /// # Errors
 ///
@@ -223,7 +231,7 @@ pub fn fig8_sd_sdf(
     device: &DeviceSpec,
     seq_len: usize,
     batch: usize,
-) -> Result<Vec<Fig8Row>, Error> {
+) -> Result<(Vec<Fig8Row>, Vec<Fig2Row>), Error> {
     // Fan out over model × strategy (12 independent runs), then regroup the
     // three reports of each model into its row.
     let models = ModelConfig::all_eval_models();
@@ -279,7 +287,12 @@ pub fn fig8_sd_sdf(
             softmax_traffic_ratio: sdf_softmax_dram / base_softmax_dram,
         });
     }
-    Ok(rows)
+    let stacks = combos
+        .iter()
+        .zip(&reports)
+        .map(|((model, s), r)| time_shares(format!("{}/{}", model.name, s.label()), r))
+        .collect();
+    Ok((rows, stacks))
 }
 
 /// One point of a Fig. 9 sweep.
@@ -333,7 +346,13 @@ pub fn fig9_batch_sweep(
     .collect()
 }
 
-fn sweep_point(
+/// One sweep point: `model`'s SDF speedup over the baseline, and the
+/// baseline's softmax share, at `seq_len` and `batch` on `device`.
+///
+/// # Errors
+///
+/// Returns the [`Error`] of the first run that fails.
+pub fn sweep_point(
     device: &DeviceSpec,
     model: &ModelConfig,
     seq_len: usize,
@@ -394,12 +413,6 @@ pub fn gpu_speedup_matrix(seq_len: usize) -> Result<Vec<GpuSpeedupRow>, Error> {
     })
     .into_iter()
     .collect()
-}
-
-/// Table 1: the evaluation GPUs (returned, not hardcoded in the binary, so
-/// custom devices show up too).
-pub fn table1_devices() -> Vec<DeviceSpec> {
-    DeviceSpec::all_presets()
 }
 
 /// One row of a machine-readable benchmark report — the schema of every
@@ -476,23 +489,26 @@ pub fn rows_of<T: Serialize>(bin: &str, records: &[T]) -> Result<Vec<BenchRow>, 
     Ok(rows)
 }
 
-/// The rows of `BENCH_figures.json`: the seven drivers behind Figs.
-/// 2/5/7/8/9 and §5.1 at the A100 / L = 4096 point (the sweeps at
-/// [`FIG9_SEQ_LENS`] and [`FIG9_BATCHES`]), flattened by [`rows_of`], or
-/// the [`Error`] of the first run that fails.
-pub fn figure_rows() -> Result<Vec<BenchRow>, Error> {
-    let (a100, l) = (DeviceSpec::a100(), PAPER_SEQ_LEN);
+/// The rows of Figs. 2/5/7/8/9 and §5.1 on `device` at L = 4096 (the
+/// sweeps at [`FIG9_SEQ_LENS`] and [`FIG9_BATCHES`]; §5.1 on every preset),
+/// flattened by [`rows_of`], one `bin` per driver, with Fig. 8(a)'s stacks
+/// last as `fig8_stacks`; or the [`Error`] of the first run that fails. On
+/// the A100 they are `BENCH_figures.json`.
+pub fn figure_rows(device: &DeviceSpec) -> Result<Vec<BenchRow>, Error> {
+    let l = PAPER_SEQ_LEN;
+    let (fig8, stacks) = fig8_sd_sdf(device, l, 1)?;
     Ok([
-        rows_of("fig2_breakdown", &fig2_breakdown(&a100, l)?)?,
-        rows_of("fig5_sublayers", &fig5_sublayers(&a100, l)?)?,
-        rows_of("fig7_libraries", &fig7_libraries(&a100, l)?)?,
-        rows_of("fig8_sd_sdf", &fig8_sd_sdf(&a100, l, 1)?)?,
-        rows_of("fig9_seq_sweep", &fig9_seq_sweep(&a100, &FIG9_SEQ_LENS)?)?,
+        rows_of("fig2_breakdown", &fig2_breakdown(device, l)?)?,
+        rows_of("fig5_sublayers", &fig5_sublayers(device, l)?)?,
+        rows_of("fig7_libraries", &fig7_libraries(device, l)?)?,
+        rows_of("fig8_sd_sdf", &fig8)?,
+        rows_of("fig9_seq_sweep", &fig9_seq_sweep(device, &FIG9_SEQ_LENS)?)?,
         rows_of(
             "fig9_batch_sweep",
-            &fig9_batch_sweep(&a100, l, &FIG9_BATCHES)?,
+            &fig9_batch_sweep(device, l, &FIG9_BATCHES)?,
         )?,
         rows_of("gpu_speedup_matrix", &gpu_speedup_matrix(l)?)?,
+        rows_of("fig8_stacks", &stacks)?,
     ]
     .concat())
 }
@@ -515,6 +531,31 @@ mod tests {
             assert!((sum - 1.0).abs() < 1e-9, "{}: {sum}", r.model);
             assert!(r.total_ms > 0.0);
         }
+    }
+
+    /// Fig. 8(a)'s Baseline stack of each model is its Fig. 2 row, every
+    /// metric bit for bit: one helper takes the shares of the same run.
+    #[test]
+    fn baseline_stacks_are_the_fig2_rows() {
+        let bits = |rows: &[Fig2Row]| -> Vec<(String, String, u64)> {
+            rows_of("-", rows)
+                .unwrap()
+                .into_iter()
+                .map(|r| (r.config, r.metric, r.value.to_bits()))
+                .collect()
+        };
+        let (_, stacks) = fig8_sd_sdf(&a100(), PAPER_SEQ_LEN, 1).unwrap();
+        assert_eq!(stacks.len(), 12);
+        let baseline: Vec<Fig2Row> = stacks
+            .into_iter()
+            .filter_map(|s| {
+                let model = s.model.strip_suffix("/Baseline")?.to_owned();
+                Some(Fig2Row { model, ..s })
+            })
+            .collect();
+        let fig2 = bits(&fig2_breakdown(&a100(), PAPER_SEQ_LEN).unwrap());
+        assert_eq!(fig2.len(), 4 * 7);
+        assert_eq!(bits(&baseline), fig2);
     }
 
     #[test]
@@ -577,13 +618,6 @@ mod tests {
             ]
         );
         assert!(rows_of("nested", &[vec![1.0]]).is_err());
-    }
-
-    #[test]
-    fn table1_is_the_three_gpus() {
-        let d = table1_devices();
-        assert_eq!(d.len(), 3);
-        assert_eq!(d[0].name, "A100");
     }
 }
 

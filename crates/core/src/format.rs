@@ -46,6 +46,13 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// A value with at most four decimals and no trailing zeros: the one format
+/// of the claim tables and of the figure tables `figures` prints.
+pub fn num(x: f64) -> String {
+    let s = format!("{x:.4}");
+    s.trim_end_matches('0').trim_end_matches('.').to_owned()
+}
+
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
@@ -101,5 +108,8 @@ mod tests {
         assert_eq!(speedup(1.254), "1.25x");
         assert_eq!(ms(12.345), "12.35 ms");
         assert_eq!(gb(2.5e9), "2.50 GB");
+        assert_eq!(num(140.068_138_756), "140.0681");
+        assert_eq!(num(0.5), "0.5");
+        assert_eq!(num(2.0), "2");
     }
 }

@@ -22,15 +22,16 @@
 //! # Quickstart
 //!
 //! ```
-//! use resoftmax_core::{claims, experiments::figure_rows, verify::verify_decomposition};
+//! use resoftmax_core::experiments::figure_rows;
+//! use resoftmax_core::{claims, verify::verify_decomposition, DeviceSpec};
 //!
 //! // The math: decomposed softmax == monolithic softmax (exact in f64).
 //! let eq = verify_decomposition(8, 256, 64, 42);
 //! assert!(eq.max_abs_f64 < 1e-13);
 //!
 //! // The performance: every claim of the paper's evaluation holds on the
-//! // simulated figures.
-//! let rows = figure_rows()?;
+//! // simulated A100's figures.
+//! let rows = figure_rows(&DeviceSpec::a100())?;
 //! assert!(claims::check(claims::CLAIMS, &rows).iter().all(|o| o.holds()));
 //! # Ok::<(), resoftmax_model::Error>(())
 //! ```

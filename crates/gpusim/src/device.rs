@@ -276,7 +276,11 @@ mod tests {
 
     #[test]
     fn presets_validate() {
-        for d in DeviceSpec::all_presets() {
+        let presets = DeviceSpec::all_presets();
+        // Table 1's three GPUs, the A100 first.
+        let names: Vec<&str> = presets.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(names, ["A100", "RTX 3090", "T4"]);
+        for d in presets {
             d.validate().unwrap_or_else(|e| panic!("{}: {e}", d.name));
         }
     }

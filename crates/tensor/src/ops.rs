@@ -24,7 +24,8 @@ use crate::tile::TileDims;
 use core::ops::{AddAssign, Mul};
 use rayon::prelude::*;
 
-/// Naive matrix multiply `A (m×k) · B (k×n)` with `f64` accumulation.
+/// Naive matrix multiply `A (m×k) · B (k×n)` with `f64` accumulation: each
+/// operand is widened once, then the scalar triple loop runs.
 ///
 /// # Errors
 ///
@@ -40,6 +41,7 @@ pub fn matmul<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Result<Matrix<T>, Shap
         )));
     }
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let (a_wide, b_wide) = (a.map(Scalar::to_f64), b.map(Scalar::to_f64));
     let mut out = Matrix::zeros(m, n);
     // Rows of the output are independent (the k-reduction happens entirely
     // within one row's dot products), so row bands parallelize bit-exactly.
@@ -50,7 +52,7 @@ pub fn matmul<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Result<Matrix<T>, Shap
             for (j, o) in row.iter_mut().enumerate() {
                 let mut acc = 0.0f64;
                 for p in 0..k {
-                    acc += a.get(i, p).to_f64() * b.get(p, j).to_f64();
+                    acc += a_wide.get(i, p) * b_wide.get(p, j);
                 }
                 *o = T::from_f64(acc);
             }

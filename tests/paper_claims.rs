@@ -13,7 +13,7 @@ use resoftmax::prelude::*;
 /// value and band.
 fn assert_claims_hold(section: &str) {
     static ROWS: OnceLock<Vec<experiments::BenchRow>> = OnceLock::new();
-    let rows = ROWS.get_or_init(|| experiments::figure_rows().unwrap());
+    let rows = ROWS.get_or_init(|| experiments::figure_rows(&DeviceSpec::a100()).unwrap());
     let failed: Vec<String> = claims::check(claims::CLAIMS, rows)
         .iter()
         .filter(|o| o.claim.section == section && !o.holds())
