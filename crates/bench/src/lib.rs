@@ -3,7 +3,9 @@
 //! ([`BenchArgs::out_path`]), report writing ([`write_report`]), the
 //! determinism gate ([`determinism_gate`]) and the static-analysis grid
 //! ([`analysis_grid`]). The `{bin, config, metric, value}` row schema,
-//! `BenchRow`, lives in `resoftmax_core::experiments`.
+//! `BenchRow`, and every simulated table's driver live in
+//! `resoftmax_core::experiments`; the one table printer, which pivots a
+//! bin's rows, in `resoftmax_core::format`.
 //!
 //! The driver runs one experiment per invocation, or all of them:
 //!

@@ -11,8 +11,10 @@
 //! experiment takes `--smoke`; `--out` and `--numerics` only where the
 //! registry lists them. Standard output is a table for people; `--out`
 //! writes `{bin, config, metric, value}` rows, the schema of every
-//! checked-in `BENCH_*.json` (`export_trace` writes a chrome trace). Each
-//! paper figure is printed by `figures` alone, from its rows. An unknown
+//! checked-in `BENCH_*.json` (`export_trace` writes a chrome trace). Every
+//! simulated table of the paper, the ablations and the extensions is
+//! computed and printed by `figures` alone, one table per bin of its rows,
+//! and `grid_sweep` prints its rows the same way. An unknown
 //! experiment, selector, or a flag the experiment does not take is a usage
 //! error (exit 2); a failed experiment exits 1. When `RESOFTMAX_TRACE` is
 //! set, the merged chrome-trace of the run is written after the experiment.
@@ -24,8 +26,6 @@
 
 #![forbid(unsafe_code)]
 
-mod ablations;
-mod extensions;
 mod paper;
 mod serving;
 mod tools;
@@ -46,19 +46,7 @@ type Experiment = fn(&BenchArgs) -> Result<(), Error>;
 const EXPERIMENTS: &[(&str, &str, &[&str], Experiment)] = &[
     ("verify", "Eq. 1/2/3, fusion and online softmax checked numerically", &[], paper::verify),
     ("table1_specs", "Table 1: the evaluation GPUs' specifications", &[], paper::table1_specs),
-    ("training_backward", "§6: Eq. 3 gradient check and the stash it avoids", &[], paper::training_backward),
-    ("figures", "Figs. 2/5/7/8/9 and §5.1: tables, rows → BENCH_figures.json, claims [device]", &["--out"], paper::figures),
-    ("ablation_tile_size", "sub-vector width T → BENCH_ablation_tile.json [device]", &["--out"], ablations::ablation_tile_size),
-    ("ablation_head_dim", "head size at fixed D_m [device]", &[], ablations::ablation_head_dim),
-    ("ablation_l2", "L2 capacity", &[], ablations::ablation_l2),
-    ("ablation_utilization", "the bandwidth-utilization mechanism behind SD", &[], ablations::ablation_utilization),
-    ("ablation_sensitivity", "calibration sensitivity [device]", &[], ablations::ablation_sensitivity),
-    ("roofline_report", "memory- vs compute-bound time per strategy [device]", &[], extensions::roofline_report),
-    ("extension_online_softmax", "SDF vs fully fused online softmax [device]", &[], extensions::extension_online_softmax),
-    ("extension_training", "§6 as a full training iteration [device]", &[], extensions::extension_training),
-    ("extension_decode", "autoregressive decode, where SDF is neutral [device]", &[], extensions::extension_decode),
-    ("extension_seq2seq", "encoder–decoder self- and cross-attention [device]", &[], extensions::extension_seq2seq),
-    ("extension_serving", "corpus serving: padding vs length buckets [device]", &[], extensions::extension_serving),
+    ("figures", "Figs. 2/5/7/8/9, §5.1, §6, ablations, extensions: tables, rows → BENCH_figures.json, claims [device]", &["--out"], paper::figures),
     ("serve_sim", "continuous-batching serving grid → BENCH_serve.json", &["--out"], serving::serve_sim),
     ("fleet_sim", "fleet SLO knee and scenarios → BENCH_fleet.json", &["--out"], serving::fleet_sim),
     ("ctrl_sim", "adaptive control plane vs static fleets → BENCH_ctrl.json", &["--out"], serving::ctrl_sim),

@@ -1,40 +1,97 @@
-//! The paper's own evidence: Table 1, Figs. 2/5/7/8/9, §5.1 and §6, the
-//! numeric verification of Eq. 1/2/3, and `BENCH_figures.json`, which pins
-//! the figures' numbers bit for bit.
+//! The paper's own evidence: Table 1, the numeric verification of Eq.
+//! 1/2/3, and `figures`, the one view of every simulated table: Figs.
+//! 2/5/7/8/9, §5.1, §6, the ablations and the extensions, whose numbers
+//! `BENCH_figures.json` pins bit for bit.
 
 use resoftmax_bench::{determinism_gate, write_file, write_report, BenchArgs, Error};
 use resoftmax_core::claims::{self, Outcome};
-use resoftmax_core::experiments::{figure_rows, BenchRow, PAPER_SEQ_LEN};
-use resoftmax_core::format::{gb, num, render_table};
-use resoftmax_core::verify::{verify_backward, verify_decomposition, verify_fusion, verify_online};
+use resoftmax_core::experiments::{figure_rows, PAPER_SEQ_LEN};
+use resoftmax_core::format::{bin_tables, render_table};
+use resoftmax_core::verify::{
+    derived_fp16_tolerances, derived_fusion_tolerance, verify_backward, verify_decomposition,
+    verify_fusion, verify_online,
+};
 use resoftmax_gpusim::DeviceSpec;
-use resoftmax_kernels::costs::AttnDims;
 
 /// Numeric verification of the decomposition (Eq. 1/2), the fused
 /// pipeline (Fig. 6), the backward pass (Eq. 3) and online softmax against
-/// their references.
+/// their references: prints each measured error with its bound, the bound
+/// `core::verify`'s tests hold it to (the binary16 ones derived from the
+/// certified error bound), and fails when one exceeds its bound.
 pub fn verify(args: &BenchArgs) -> Result<(), Error> {
     args.accept_positionals(|_| false)?;
-    let eq = verify_decomposition(16, 1024, 64, 2026);
-    println!(
-        "decomposed vs monolithic softmax: f64 |Δ|max {:.1e}, f32 {:.1e}, fp16 {:.1e} ({} ULP)",
-        eq.max_abs_f64, eq.max_abs_f32, eq.max_abs_fp16, eq.max_ulp_fp16
-    );
+    let (l, t) = (1024, 64);
+    let eq = verify_decomposition(16, l, t, 2026);
+    let fp16 = derived_fp16_tolerances(l, t);
     let fu = verify_fusion(256, 64, 64, 2027);
-    println!(
-        "fused pipeline vs unfused attention: f64 |Δ|max {:.1e}, fp16 {:.1e}",
-        fu.max_abs_f64, fu.max_abs_fp16
-    );
-    println!(
-        "Eq. 3 backward vs finite differences: |Δ|max {:.1e}",
-        verify_backward(4, 64, 2028)
-    );
     let online = verify_online(256, 64, 64, 2029);
-    println!(
-        "online softmax vs references: dense |Δ|max {:.1e}, block-sparse {:.1e}",
-        online.dense_max_abs, online.sparse_max_abs
+    let checks = [
+        ("decomposed softmax, f64", eq.max_abs_f64, 1e-13),
+        ("decomposed softmax, f32", eq.max_abs_f32, 1e-6),
+        ("decomposed softmax, fp16", eq.max_abs_fp16, fp16.abs),
+        (
+            "decomposed softmax, fp16 ULP",
+            f64::from(eq.max_ulp_fp16),
+            f64::from(fp16.ulps),
+        ),
+        (
+            "decomposed softmax, fp16 |row sum - 1|",
+            eq.max_row_sum_err_fp16,
+            fp16.row_sum,
+        ),
+        ("fused pipeline, f64", fu.max_abs_f64, 1e-5),
+        (
+            "fused pipeline, fp16",
+            fu.max_abs_fp16,
+            derived_fusion_tolerance(256, 64),
+        ),
+        (
+            "Eq. 3 backward vs finite differences",
+            verify_backward(4, 64, 2028),
+            1e-5,
+        ),
+        ("online softmax, dense", online.dense_max_abs, 1e-5),
+        ("online softmax, block-sparse", online.sparse_max_abs, 1e-5),
+    ];
+    // Errors in scientific notation, ULP counts as integers.
+    let show = |x: f64| {
+        if x >= 1.0 {
+            x.to_string()
+        } else {
+            format!("{x:.1e}")
+        }
+    };
+    let table: Vec<Vec<String>> = checks
+        .iter()
+        .map(|&(what, measured, bound)| {
+            let verdict = if measured <= bound {
+                "ok"
+            } else {
+                "OVER BOUND"
+            };
+            vec![
+                what.to_owned(),
+                show(measured),
+                show(bound),
+                verdict.to_owned(),
+            ]
+        })
+        .collect();
+    println!("The largest error of each pipeline against its reference, and its bound:\n");
+    print!(
+        "{}",
+        render_table(&["check", "measured", "bound", "verdict"], &table)
     );
-    Ok(())
+    let over = checks
+        .iter()
+        .filter(|(_, measured, bound)| measured > bound);
+    match over.count() {
+        0 => Ok(()),
+        n => Err(Error::failed(format!(
+            "{n} of {} measured errors exceed their bounds",
+            checks.len()
+        ))),
+    }
 }
 
 /// Table 1: specifications of the GPUs used in the evaluation.
@@ -75,65 +132,11 @@ pub fn table1_specs(args: &BenchArgs) -> Result<(), Error> {
     Ok(())
 }
 
-/// §6 (Discussion): applying softmax recomposition to training.
-///
-/// The paper's argument: Eq. 3 expresses the softmax backward pass purely
-/// in terms of the *output* `Y`, so the forward pass never needs to store
-/// the softmax *input* off-chip — recomposition (which avoids exactly that
-/// store) stays legal in training. This demonstrates both halves: the
-/// gradient check, and the traffic a naive input-stashing forward pass
-/// would have added.
-pub fn training_backward(args: &BenchArgs) -> Result<(), Error> {
-    args.accept_positionals(|_| false)?;
-    println!("§6: Softmax recomposition in training\n");
-
-    // 1. Eq. 3 is correct: backward-from-output matches finite differences.
-    let worst = verify_backward(4, 64, 2026);
-    println!(
-        "Eq. 3 gradient check (backward from Y only) max |Δ| vs finite differences: {worst:.2e}"
-    );
-    assert!(worst < 1e-5, "gradient check failed");
-    println!("=> the softmax input is never needed by the backward pass\n");
-
-    // 2. What that saves: a forward pass that stashed softmax inputs would
-    // write (and the backward re-read) one attention matrix per layer.
-    let mut rows = Vec::new();
-    for (model, layers, d_head, heads) in [
-        ("BERT-large", 24usize, 64usize, 16usize),
-        ("GPT-Neo-1.3B", 24, 128, 16),
-    ] {
-        let dims = AttnDims::new(PAPER_SEQ_LEN, d_head, heads, 1);
-        let per_layer = dims.attn_bytes() as f64;
-        let stash = per_layer * layers as f64;
-        rows.push(vec![
-            model.to_owned(),
-            gb(per_layer),
-            gb(stash),
-            gb(2.0 * stash),
-        ]);
-    }
-    print!(
-        "{}",
-        render_table(
-            &[
-                "model",
-                "softmax input / layer",
-                "stash per fwd pass",
-                "fwd write + bwd read avoided"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "\n(L=4096, batch 1, FP16 — the storage the recomposed forward pass never materializes)"
-    );
-    Ok(())
-}
-
-/// Figs. 2/5/7/8/9 and §5.1 on the device named (the A100 when none is):
-/// writes their rows, one per number, by the output rule, so a `git diff`
-/// after `reproduce` pins every figure bit for bit, and prints them as one
-/// table per `bin`. The paper's claims in `core::claims` are the A100's, so
+/// Figs. 2/5/7/8/9, §5.1, §6, the ablations and the extensions on the
+/// device named (the A100 when none is): writes their rows, one per
+/// number, by the output rule, so a `git diff` after `reproduce` pins
+/// every table bit for bit, and prints them as one table per `bin`. The
+/// claims in `core::claims` are the A100's, so
 /// only an A100 run goes on: it prints the paper and the measured value of
 /// every claim, and fails when a claim is out of its band or reads a row
 /// that does not exist. The run that writes the checked-in file (full
@@ -160,17 +163,13 @@ pub fn figures(args: &BenchArgs) -> Result<(), Error> {
     };
     write_report(&args.out_path("BENCH_figures.json"), &rows)?;
     println!(
-        "\nThe figures on the {} (L={PAPER_SEQ_LEN}, batch 1, unless a config says otherwise):",
+        "\nThe tables on the {} (L={PAPER_SEQ_LEN}, batch 1, unless a config says otherwise):",
         device.name
     );
-    for bin in rows.chunk_by(|a, b| a.bin == b.bin) {
-        let (headers, table) = pivot(bin);
-        println!("\n{}\n", bin[0].bin);
-        print!("{}", render_table(&headers, &table));
-    }
+    print!("{}", bin_tables(&rows));
     if device != DeviceSpec::a100() {
         println!(
-            "\nThe paper's claims (core::claims) are the A100's: none is checked on the {}.",
+            "\nThe claims (core::claims) are the A100's: none is checked on the {}.",
             device.name
         );
         return Ok(());
@@ -178,7 +177,7 @@ pub fn figures(args: &BenchArgs) -> Result<(), Error> {
 
     let outcomes = claims::check(claims::CLAIMS, &rows);
     let table: Vec<Vec<String>> = outcomes.iter().map(|o| o.cells().to_vec()).collect();
-    println!("\nThe paper's claims on these rows (core::claims):\n");
+    println!("\nThe claims on these rows (core::claims):\n");
     print!("{}", render_table(&claims::HEADERS, &table));
     if args.out.is_none() && !args.smoke {
         for doc in ["EXPERIMENTS.md", "README.md"] {
@@ -188,28 +187,10 @@ pub fn figures(args: &BenchArgs) -> Result<(), Error> {
     match outcomes.iter().filter(|o| !o.holds()).count() {
         0 => Ok(()),
         failed => Err(Error::failed(format!(
-            "{failed} of {} paper claims do not hold",
+            "{failed} of {} claims do not hold",
             outcomes.len()
         ))),
     }
-}
-
-/// One bin's rows as a table: a line per `config`, in row order, with
-/// `config` and then each row's value under its `metric`. Every record that
-/// `rows_of` flattens into a bin has the same metrics in the same order.
-fn pivot(bin: &[BenchRow]) -> (Vec<&str>, Vec<Vec<String>>) {
-    let lines: Vec<&[BenchRow]> = bin.chunk_by(|a, b| a.config == b.config).collect();
-    let mut headers = vec!["config"];
-    headers.extend(lines[0].iter().map(|r| r.metric.as_str()));
-    let table = lines
-        .iter()
-        .map(|line| {
-            std::iter::once(line[0].config.clone())
-                .chain(line.iter().map(|r| num(r.value)))
-                .collect()
-        })
-        .collect();
-    (headers, table)
 }
 
 /// Rewrites the claim tables of the markdown file `path`: the text between
@@ -267,40 +248,56 @@ fn write_claim_tables(path: &str, outcomes: &[Outcome]) -> Result<(), Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use resoftmax_core::format::{num, pivot};
 
-    /// `figures` prints each bin once, in row order, and every row of
-    /// `figure_rows` as one cell: on its config's line, under its metric.
+    /// On every preset, `figures` prints each bin once, in row order, and
+    /// every row of `figure_rows` as one cell: on its config's line, under
+    /// its metric.
     #[test]
     fn every_figure_row_is_one_printed_cell() {
-        let rows = figure_rows(&DeviceSpec::a100()).expect("figure rows");
-        let mut bins = Vec::new();
-        let mut cells = 0;
-        for bin in rows.chunk_by(|a, b| a.bin == b.bin) {
-            bins.push(bin[0].bin.as_str());
-            let (headers, table) = pivot(bin);
-            for r in bin {
-                let line = table.iter().find(|l| l[0] == r.config).expect("a line");
-                let column = headers
-                    .iter()
-                    .position(|&h| h == r.metric)
-                    .expect("a column");
-                assert_eq!(line[column], num(r.value), "{:?}", r.key());
+        for device in DeviceSpec::all_presets() {
+            let rows = figure_rows(&device).expect("figure rows");
+            let mut bins = Vec::new();
+            let mut cells = 0;
+            for bin in rows.chunk_by(|a, b| a.bin == b.bin) {
+                bins.push(bin[0].bin.as_str());
+                let (headers, table) = pivot(bin);
+                for r in bin {
+                    let line = table.iter().find(|l| l[0] == r.config).expect("a line");
+                    let column = headers
+                        .iter()
+                        .position(|&h| h == r.metric)
+                        .expect("a column");
+                    assert_eq!(line[column], num(r.value), "{:?}", r.key());
+                }
+                cells += table.iter().map(|line| line.len() - 1).sum::<usize>();
             }
-            cells += table.iter().map(|line| line.len() - 1).sum::<usize>();
+            assert_eq!(cells, rows.len());
+            assert_eq!(bins, BINS, "{}", device.name);
         }
-        assert_eq!(cells, rows.len());
-        assert_eq!(
-            bins,
-            [
-                "fig2_breakdown",
-                "fig5_sublayers",
-                "fig7_libraries",
-                "fig8_sd_sdf",
-                "fig9_seq_sweep",
-                "fig9_batch_sweep",
-                "gpu_speedup_matrix",
-                "fig8_stacks"
-            ]
-        );
     }
+
+    /// The bins of `figure_rows`, in order.
+    const BINS: [&str; 20] = [
+        "fig2_breakdown",
+        "fig5_sublayers",
+        "fig7_libraries",
+        "fig8_sd_sdf",
+        "fig9_seq_sweep",
+        "fig9_batch_sweep",
+        "gpu_speedup_matrix",
+        "fig8_stacks",
+        "training_stash",
+        "ablation_tile_size",
+        "ablation_head_dim",
+        "ablation_l2",
+        "ablation_utilization",
+        "ablation_sensitivity",
+        "roofline_report",
+        "extension_online_softmax",
+        "extension_training",
+        "extension_decode",
+        "extension_seq2seq",
+        "extension_serving",
+    ];
 }

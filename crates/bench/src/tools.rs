@@ -8,7 +8,7 @@ use resoftmax_bench::{analysis_grid, device_named, write_file, write_report, Ben
 use resoftmax_core::experiments::{
     full_grid_sweep, rows_of, FIG9_BATCHES, FIG9_SEQ_LENS, PAPER_SEQ_LEN,
 };
-use resoftmax_core::format::{gb, ms, pct, render_table};
+use resoftmax_core::format::bin_tables;
 use resoftmax_gpusim::chrome_trace::to_chrome_trace;
 use resoftmax_gpusim::DeviceSpec;
 use resoftmax_model::{build_and_check_schedule, ModelConfig, RunParams, Session, SoftmaxStrategy};
@@ -130,9 +130,9 @@ pub fn analyze(args: &BenchArgs) -> Result<(), Error> {
 }
 
 /// Full design-space sweep: every model × strategy × L × batch on the
-/// chosen device, or on every device with `all`, as a table; with
-/// `--out PATH` also as rows, the raw material for regenerating any figure
-/// externally. `--smoke` shrinks the sweep.
+/// chosen device, or on every device with `all`, printed as its rows'
+/// table; with `--out PATH` also written as rows, the raw material for
+/// regenerating any figure externally. `--smoke` shrinks the sweep.
 pub fn grid_sweep(args: &BenchArgs) -> Result<(), Error> {
     let devices: Vec<DeviceSpec> = if args.positionals.iter().any(|a| a == "all") {
         args.accept_positionals(|a| a == "all" || device_named(a).is_some())?;
@@ -157,31 +157,10 @@ pub fn grid_sweep(args: &BenchArgs) -> Result<(), Error> {
         ],
     )?;
 
-    let table: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.device.clone(),
-                p.model.clone(),
-                p.strategy.clone(),
-                p.seq_len.to_string(),
-                p.batch.to_string(),
-                ms(p.total_ms),
-                gb(p.dram_gb * 1e9),
-                format!("{:.4} J", p.energy_j),
-                pct(p.softmax_frac),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            &["device", "model", "strategy", "L", "batch", "latency", "DRAM", "energy", "softmax"],
-            &table
-        )
-    );
+    let rows = rows_of("grid_sweep", &points)?;
+    print!("{}", bin_tables(&rows));
     match &args.out {
-        Some(path) => write_report(path, &rows_of("grid_sweep", &points)?),
+        Some(path) => write_report(path, &rows),
         None => Ok(()),
     }
 }

@@ -1,5 +1,6 @@
-//! The paper's claims as data: each number of Figs. 2/5/7/8/9 and §5.1
-//! that this repository reproduces is written once, in [`CLAIMS`], with its
+//! The claims as data: each number of Figs. 2/5/7/8/9 and §5.1 that this
+//! repository reproduces, and each number EXPERIMENTS.md states for §6, the
+//! ablations and the extensions, is written once, in [`CLAIMS`], with its
 //! band. A [`Claim`] reads rows of `BENCH_figures.json`
 //! ([`figure_rows`](crate::experiments::figure_rows)) by their `(bin,
 //! config, metric)` key ([`Measure`]); [`check`] measures every claim on a
@@ -53,7 +54,8 @@ impl Measure {
 /// One claim of the paper, with the band this repository holds it to.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Claim {
-    /// The paper's figure or section (`"Fig. 8"`, `"§5.1"`).
+    /// The paper's figure or section (`"Fig. 8"`, `"§5.1"`), or
+    /// `"Ablations"` or `"Extensions"`, the experiments beyond the paper.
     pub section: &'static str,
     /// What is claimed, in one line.
     pub statement: &'static str,
@@ -97,11 +99,24 @@ const BB: &str = "BigBird-large";
 const LF: &str = "Longformer-large";
 const SDF: &str = "sdf_speedup";
 const SHARE: &str = "softmax_frac";
+const STASH: &str = "training_stash";
+const TILE: &str = "ablation_tile_size";
+const L2: &str = "ablation_l2";
+const UTIL: &str = "ablation_utilization";
+const HEAD: &str = "ablation_head_dim";
+const SENS: &str = "ablation_sensitivity";
+const ONLINE: &str = "extension_online_softmax";
+const TRAIN: &str = "extension_training";
+const DECODE: &str = "extension_decode";
+const S2S: &str = "extension_seq2seq";
+const ROOF: &str = "roofline_report";
+const SERVE: &str = "extension_serving";
 
-/// Every claim, in the paper's order. All at the A100, L = 4096, batch 1,
-/// unless the statement says otherwise. The measures: Fig. 2 and Fig. 9
-/// shares are of baseline time; Fig. 7 ratios are of latency; speedups are
-/// over the baseline.
+/// Every claim, in the paper's order, then the ablations and the
+/// extensions. All at the A100, L = 4096, batch 1, unless the statement
+/// says otherwise. The measures: Fig. 2, Fig. 9 and decode shares are of
+/// baseline time; Fig. 7 ratios are of latency; speedups are over the
+/// baseline. None beyond §5.1 has a paper value.
 #[rustfmt::skip]
 pub const CLAIMS: &[Claim] = &[
     claim("Fig. 2", "BERT-large: softmax share of time", Row((F2, BERT, SHARE)), Some(0.36), 0.31, 0.41),
@@ -181,6 +196,65 @@ pub const CLAIMS: &[Claim] = &[
     claim("§5.1", "RTX 3090: BigBird-large's SDF speedup over BERT-large's", Ratio((GPU, "RTX 3090/BigBird-large", SDF), (GPU, "RTX 3090/BERT-large", SDF)), None, 1.0, INF),
     claim("§5.1", "T4: BigBird-large's SDF speedup over BERT-large's", Ratio((GPU, "T4/BigBird-large", SDF), (GPU, "T4/BERT-large", SDF)), None, 1.0, INF),
     claim("§5.1", "BERT-large: RTX 3090's SDF speedup over A100's", Ratio((GPU, "RTX 3090/BERT-large", SDF), (GPU, "A100/BERT-large", SDF)), None, -INF, 1.0),
+    claim("§6", "BERT-large: softmax inputs a stashing forward pass writes, and its backward reads back, GB", Row((STASH, BERT, "stash_gb")), None, 12.8, 13.0),
+    claim("Ablations", "BERT-large: SDF speedup at T = 16", Row((TILE, "BERT-large/A100/T16", SDF)), None, 1.10, 1.16),
+    claim("Ablations", "BERT-large: SDF speedup at T = 64", Row((TILE, "BERT-large/A100/T64", SDF)), None, 1.23, 1.29),
+    claim("Ablations", "BERT-large: SDF speedup at T = 256", Row((TILE, "BERT-large/A100/T256", SDF)), None, 1.25, 1.30),
+    claim("Ablations", "BERT-large: SDF speedup at T = 256 over T = 64 (saturates at T >= 64)", Ratio((TILE, "BERT-large/A100/T256", SDF), (TILE, "BERT-large/A100/T64", SDF)), None, 1.0, 1.02),
+    claim("Ablations", "BERT-large: SDF speedup with 256 MB of L2 over 4 MB (flat)", Ratio((L2, "BERT-large/l2_mb=256", SDF), (L2, "BERT-large/l2_mb=4", SDF)), None, 0.98, 1.03),
+    claim("Ablations", "BERT-large: SDF speedup with 1 GB of L2", Row((L2, "BERT-large/l2_mb=1024", SDF)), None, 1.05, 1.15),
+    claim("Ablations", "BERT-large: baseline traffic with 1 GB of L2 over 40 MB", Ratio((L2, "BERT-large/l2_mb=1024", "baseline_gb"), (L2, "BERT-large/l2_mb=40", "baseline_gb")), None, 0.45, 0.6),
+    claim("Ablations", "BigBird-large: SD speedup, utilization modelled", Row((UTIL, BB, "sd_speedup")), None, 1.40, 1.55),
+    claim("Ablations", "Longformer-large: SD speedup, utilization modelled", Row((UTIL, LF, "sd_speedup")), None, 1.33, 1.47),
+    claim("Ablations", "BigBird-large: SD speedup at full bandwidth", Row((UTIL, BB, "sd_speedup_full_bandwidth")), None, 0.95, 1.0),
+    claim("Ablations", "Longformer-large: SD speedup at full bandwidth", Row((UTIL, LF, "sd_speedup_full_bandwidth")), None, 0.95, 1.0),
+    claim("Ablations", "D_head = 32 (32 heads at D_m = 1024): softmax share of time", Row((HEAD, "dense-32x32/seq_len=4096/batch=1", SHARE)), None, 0.38, 0.44),
+    claim("Ablations", "D_head = 256 (4 heads at D_m = 1024): softmax share of time", Row((HEAD, "dense-4x256/seq_len=4096/batch=1", SHARE)), None, 0.14, 0.18),
+    claim("Ablations", "D_head = 32 (32 heads at D_m = 1024): SDF speedup", Row((HEAD, "dense-32x32/seq_len=4096/batch=1", SDF)), None, 1.27, 1.34),
+    claim("Ablations", "D_head = 256 (4 heads at D_m = 1024): SDF speedup", Row((HEAD, "dense-4x256/seq_len=4096/batch=1", SDF)), None, 1.0, 1.06),
+    claim("Ablations", "Saturation threads x0.5: GPT-Neo-1.3B still gains", Row((SENS, "mem_saturation_threads x0.5/GPT-Neo-1.3B", SDF)), None, 1.0, INF),
+    claim("Ablations", "Saturation threads x0.5: GPT-Neo-1.3B's SDF speedup over BERT-large's", Ratio((SENS, "mem_saturation_threads x0.5/GPT-Neo-1.3B", SDF), (SENS, "mem_saturation_threads x0.5/BERT-large", SDF)), None, -INF, 1.0),
+    claim("Ablations", "Saturation threads x0.5: GPT-Neo-1.3B's SDF speedup over BigBird-large's", Ratio((SENS, "mem_saturation_threads x0.5/GPT-Neo-1.3B", SDF), (SENS, "mem_saturation_threads x0.5/BigBird-large", SDF)), None, -INF, 1.0),
+    claim("Ablations", "Saturation threads x0.5: GPT-Neo-1.3B's SDF speedup over Longformer-large's", Ratio((SENS, "mem_saturation_threads x0.5/GPT-Neo-1.3B", SDF), (SENS, "mem_saturation_threads x0.5/Longformer-large", SDF)), None, -INF, 1.0),
+    claim("Ablations", "Saturation threads x2: GPT-Neo-1.3B still gains", Row((SENS, "mem_saturation_threads x2/GPT-Neo-1.3B", SDF)), None, 1.0, INF),
+    claim("Ablations", "Saturation threads x2: GPT-Neo-1.3B's SDF speedup over BERT-large's", Ratio((SENS, "mem_saturation_threads x2/GPT-Neo-1.3B", SDF), (SENS, "mem_saturation_threads x2/BERT-large", SDF)), None, -INF, 1.0),
+    claim("Ablations", "Saturation threads x2: GPT-Neo-1.3B's SDF speedup over BigBird-large's", Ratio((SENS, "mem_saturation_threads x2/GPT-Neo-1.3B", SDF), (SENS, "mem_saturation_threads x2/BigBird-large", SDF)), None, -INF, 1.0),
+    claim("Ablations", "Saturation threads x2: GPT-Neo-1.3B's SDF speedup over Longformer-large's", Ratio((SENS, "mem_saturation_threads x2/GPT-Neo-1.3B", SDF), (SENS, "mem_saturation_threads x2/Longformer-large", SDF)), None, -INF, 1.0),
+    claim("Ablations", "Launch overhead 0 us: GPT-Neo-1.3B still gains", Row((SENS, "launch_overhead_us=0/GPT-Neo-1.3B", SDF)), None, 1.0, INF),
+    claim("Ablations", "Launch overhead 0 us: GPT-Neo-1.3B's SDF speedup over BERT-large's", Ratio((SENS, "launch_overhead_us=0/GPT-Neo-1.3B", SDF), (SENS, "launch_overhead_us=0/BERT-large", SDF)), None, -INF, 1.0),
+    claim("Ablations", "Launch overhead 0 us: GPT-Neo-1.3B's SDF speedup over BigBird-large's", Ratio((SENS, "launch_overhead_us=0/GPT-Neo-1.3B", SDF), (SENS, "launch_overhead_us=0/BigBird-large", SDF)), None, -INF, 1.0),
+    claim("Ablations", "Launch overhead 0 us: GPT-Neo-1.3B's SDF speedup over Longformer-large's", Ratio((SENS, "launch_overhead_us=0/GPT-Neo-1.3B", SDF), (SENS, "launch_overhead_us=0/Longformer-large", SDF)), None, -INF, 1.0),
+    claim("Ablations", "Launch overhead 16 us: GPT-Neo-1.3B still gains", Row((SENS, "launch_overhead_us=16/GPT-Neo-1.3B", SDF)), None, 1.0, INF),
+    claim("Ablations", "Launch overhead 16 us: GPT-Neo-1.3B's SDF speedup over BERT-large's", Ratio((SENS, "launch_overhead_us=16/GPT-Neo-1.3B", SDF), (SENS, "launch_overhead_us=16/BERT-large", SDF)), None, -INF, 1.0),
+    claim("Ablations", "Launch overhead 16 us: GPT-Neo-1.3B's SDF speedup over BigBird-large's", Ratio((SENS, "launch_overhead_us=16/GPT-Neo-1.3B", SDF), (SENS, "launch_overhead_us=16/BigBird-large", SDF)), None, -INF, 1.0),
+    claim("Ablations", "Launch overhead 16 us: GPT-Neo-1.3B's SDF speedup over Longformer-large's", Ratio((SENS, "launch_overhead_us=16/GPT-Neo-1.3B", SDF), (SENS, "launch_overhead_us=16/Longformer-large", SDF)), None, -INF, 1.0),
+    claim("Ablations", "BigBird-large: SDF speedup, saturation threads x2 over x0.5 (tracks the constant)", Ratio((SENS, "mem_saturation_threads x2/BigBird-large", SDF), (SENS, "mem_saturation_threads x0.5/BigBird-large", SDF)), None, 1.0, INF),
+    claim("Ablations", "Longformer-large: SDF speedup, saturation threads x2 over x0.5 (tracks the constant)", Ratio((SENS, "mem_saturation_threads x2/Longformer-large", SDF), (SENS, "mem_saturation_threads x0.5/Longformer-large", SDF)), None, 1.0, INF),
+    claim("Extensions", "BERT-large: online-softmax speedup", Row((ONLINE, "BERT-large/seq_len=4096", "online_speedup")), None, 1.85, 2.05),
+    claim("Extensions", "BERT-large: SDF speedup, next to online softmax", Row((ONLINE, "BERT-large/seq_len=4096", SDF)), None, 1.23, 1.29),
+    claim("Extensions", "BERT-large: online-softmax traffic over baseline", Row((ONLINE, "BERT-large/seq_len=4096", "online_traffic")), None, 0.0, 0.08),
+    claim("Extensions", "BERT-large at L = 1024: online-softmax speedup over SDF's (within 10%)", Ratio((ONLINE, "BERT-large/seq_len=1024", "online_speedup"), (ONLINE, "BERT-large/seq_len=1024", SDF)), None, 1.0, 1.1),
+    claim("Extensions", "BERT-large: training speedup", Row((TRAIN, BERT, "train_speedup")), None, 1.08, 1.14),
+    claim("Extensions", "GPT-Neo-1.3B: training speedup", Row((TRAIN, NEO, "train_speedup")), None, 1.03, 1.08),
+    claim("Extensions", "BigBird-large: training speedup", Row((TRAIN, BB, "train_speedup")), None, 1.40, 1.52),
+    claim("Extensions", "Longformer-large: training speedup", Row((TRAIN, LF, "train_speedup")), None, 1.37, 1.49),
+    claim("Extensions", "BERT-large: training traffic saved per iteration, GB", Row((TRAIN, BERT, "traffic_saved_gb")), None, 23.0, 26.0),
+    claim("Extensions", "GPT-Neo-1.3B: training traffic saved per iteration, GB", Row((TRAIN, NEO, "traffic_saved_gb")), None, 23.0, 26.0),
+    claim("Extensions", "GPT-Neo-1.3B decode at context 512: softmax share of time", Row((DECODE, "GPT-Neo-1.3B/context=512", SHARE)), None, -INF, 0.01),
+    claim("Extensions", "GPT-Neo-1.3B decode at context 2048: softmax share of time", Row((DECODE, "GPT-Neo-1.3B/context=2048", SHARE)), None, -INF, 0.01),
+    claim("Extensions", "GPT-Neo-1.3B decode at context 8192: softmax share of time", Row((DECODE, "GPT-Neo-1.3B/context=8192", SHARE)), None, -INF, 0.01),
+    claim("Extensions", "GPT-Neo-1.3B decode at context 512: SDF speedup (neutral)", Row((DECODE, "GPT-Neo-1.3B/context=512", SDF)), None, 0.99, 1.01),
+    claim("Extensions", "GPT-Neo-1.3B decode at context 2048: SDF speedup (neutral)", Row((DECODE, "GPT-Neo-1.3B/context=2048", SDF)), None, 0.99, 1.01),
+    claim("Extensions", "GPT-Neo-1.3B decode at context 8192: SDF speedup (neutral)", Row((DECODE, "GPT-Neo-1.3B/context=8192", SDF)), None, 0.99, 1.01),
+    claim("Extensions", "Transformer-big at 4096/4096: SDF speedup", Row((S2S, "Transformer-big/src_len=4096/tgt_len=4096", SDF)), None, 1.24, 1.32),
+    claim("Extensions", "Transformer-big at 4096/4096: online-softmax speedup", Row((S2S, "Transformer-big/src_len=4096/tgt_len=4096", "online_speedup")), None, 1.95, 2.15),
+    claim("Extensions", "Transformer-big at 4096/4096: baseline latency, ms", Row((S2S, "Transformer-big/src_len=4096/tgt_len=4096", "baseline_ms")), None, 55.0, 58.0),
+    claim("Extensions", "BERT-large baseline: memory-bound share of time", Row((ROOF, "BERT-large/Baseline", "memory_bound_frac")), None, 0.70, 0.78),
+    claim("Extensions", "BERT-large SDF: memory-bound share of time", Row((ROOF, "BERT-large/SDF", "memory_bound_frac")), None, 0.63, 0.71),
+    claim("Extensions", "GPT-Neo-1.3B baseline: memory-bound share of time", Row((ROOF, "GPT-Neo-1.3B/Baseline", "memory_bound_frac")), None, 0.18, 0.25),
+    claim("Extensions", "GPT-Neo-1.3B SDF: memory-bound share of time", Row((ROOF, "GPT-Neo-1.3B/SDF", "memory_bound_frac")), None, 0.0, 0.03),
+    claim("Extensions", "Corpus serving, baseline: padded time over bucketed", Ratio((SERVE, "BERT-large/batch=8/padded/Baseline", "corpus_s"), (SERVE, "BERT-large/batch=8/bucketed/Baseline", "corpus_s")), None, 2.1, 2.3),
+    claim("Extensions", "Corpus serving: padded baseline time over bucketed SDF", Ratio((SERVE, "BERT-large/batch=8/padded/Baseline", "corpus_s"), (SERVE, "BERT-large/batch=8/bucketed/SDF", "corpus_s")), None, 2.7, 2.95),
 ];
 
 /// A claim measured on a row set.

@@ -1,14 +1,20 @@
-//! Experiment drivers: one function per table/figure of the paper.
+//! Experiment drivers: one function per simulated table — each figure of
+//! the paper, §5.1 and §6, each ablation and each extension.
 //!
 //! Each driver runs the simulated experiments and returns typed records;
 //! [`rows_of`] flattens records into the `{bin, config, metric, value}`
-//! [`BenchRow`]s of every `BENCH_*.json`, and [`figure_rows`] gives the
-//! figures' rows on one device: on the A100, those of `BENCH_figures.json`,
-//! which [`claims`](crate::claims) holds to the paper's numbers.
+//! [`BenchRow`]s of every `BENCH_*.json`, and [`figure_rows`] gives every
+//! driver's rows on one device, one `bin` per driver: on the A100, those of
+//! `BENCH_figures.json`, which [`claims`](crate::claims) holds to the
+//! paper's numbers and to the findings EXPERIMENTS.md states. The bench
+//! driver's `figures` subcommand prints them, one table per bin.
 
+use resoftmax_gpusim::roofline::classify_timeline;
 use resoftmax_gpusim::{DeviceSpec, KernelCategory};
+use resoftmax_kernels::costs::{AttnDims, TileConfig};
 use resoftmax_model::{
-    Error, LibraryProfile, ModelConfig, RunParams, RunReport, Session, SoftmaxStrategy,
+    run_seq2seq, AttentionKind, Error, LibraryProfile, ModelConfig, RunParams, RunReport,
+    Seq2SeqConfig, Session, SoftmaxStrategy, Workload, WorkloadConfig,
 };
 use resoftmax_parallel::parallel_map;
 use serde::{Deserialize, Serialize, Value};
@@ -415,6 +421,381 @@ pub fn gpu_speedup_matrix(seq_len: usize) -> Result<Vec<GpuSpeedupRow>, Error> {
     .collect()
 }
 
+/// `training_stash` (§6): the softmax inputs a BERT-large training forward
+/// pass would stash for the backward pass, in binary16 at batch 1. Eq. 3
+/// needs only the output `Y`, so the recomposed forward pass stores none.
+#[derive(Serialize)]
+struct StashRow {
+    model: String,
+    /// One attention matrix per layer, in GB: written by the forward pass
+    /// and read back once by the backward pass.
+    stash_gb: f64,
+}
+
+fn training_stash(seq_len: usize) -> StashRow {
+    let m = ModelConfig::bert_large();
+    let per_layer = AttnDims::new(seq_len, m.d_head(), m.heads, 1).attn_bytes() as f64;
+    StashRow {
+        stash_gb: per_layer * m.layers as f64 / 1e9,
+        model: m.name,
+    }
+}
+
+/// One line of `ablation_tile_size`: BERT-large under SDF at sub-vector
+/// width `T` (`T{width}`), over the baseline. §3.3 makes `T` the MatMul
+/// output-tile width; IR's intermediates scale as `1/T`. A width whose
+/// thread block does not fit on the device's SMs (`T = 16` on the T4)
+/// has no line.
+#[derive(Serialize)]
+struct TileRow {
+    model: String,
+    device: String,
+    tile: String,
+    sdf_speedup: f64,
+    /// SDF's off-chip traffic over the baseline's.
+    traffic_ratio: f64,
+}
+
+fn ablation_tile_size(device: &DeviceSpec, seq_len: usize) -> Result<Vec<TileRow>, Error> {
+    let model = ModelConfig::bert_large();
+    let base = run(&model, &RunParams::new(seq_len), device)?;
+    let sdf = RunParams::new(seq_len).strategy(SoftmaxStrategy::Recomposed);
+    let mut rows = Vec::new();
+    for t in [16, 32, 64, 128, 256] {
+        let r = match run(&model, &sdf.clone().tile(TileConfig::new(64, t)), device) {
+            Err(Error::Launch(_)) => continue,
+            r => r?,
+        };
+        rows.push(TileRow {
+            model: model.name.clone(),
+            device: device.name.clone(),
+            tile: format!("T{t}"),
+            sdf_speedup: base.total_time_s() / r.total_time_s(),
+            traffic_ratio: r.total_dram_bytes() / base.total_dram_bytes(),
+        });
+    }
+    Ok(rows)
+}
+
+/// `ablation_head_dim`: a 24-layer dense encoder at `D_m = 1024` split
+/// into `heads × D_head` (model `dense-{heads}x{D_head}`). A larger head
+/// gives the attention MatMuls more FLOPs per attention-matrix element,
+/// which dilutes the softmax share: GPT-Neo's `D_head = 128`.
+fn ablation_head_dim(device: &DeviceSpec, seq_len: usize) -> Result<Vec<SweepPoint>, Error> {
+    [32, 16, 8, 4]
+        .into_iter()
+        .map(|heads| {
+            let model = ModelConfig {
+                name: format!("dense-{heads}x{}", 1024 / heads),
+                layers: 24,
+                d_model: 1024,
+                heads,
+                d_ff: 4096,
+                attention: AttentionKind::Dense { causal: false },
+            };
+            sweep_point(device, &model, seq_len, 1)
+        })
+        .collect()
+}
+
+/// One line of `ablation_l2`: BERT-large on the device with `l2_mb` of
+/// L2. §2.3's traffic argument holds while the attention matrix dwarfs
+/// the L2.
+#[derive(Serialize)]
+struct L2Row {
+    model: String,
+    l2_mb: usize,
+    /// The baseline's off-chip traffic in GB.
+    baseline_gb: f64,
+    sdf_speedup: f64,
+}
+
+fn ablation_l2(device: &DeviceSpec, seq_len: usize) -> Result<Vec<L2Row>, Error> {
+    let model = ModelConfig::bert_large();
+    [4, 40, 256, 1024]
+        .into_iter()
+        .map(|l2_mb| {
+            let mut device = device.clone();
+            device.l2_mb = l2_mb as f64;
+            let base = run(&model, &RunParams::new(seq_len), &device)?;
+            let sdf = run(
+                &model,
+                &RunParams::new(seq_len).strategy(SoftmaxStrategy::Recomposed),
+                &device,
+            )?;
+            Ok(L2Row {
+                model: model.name.clone(),
+                l2_mb,
+                baseline_gb: base.total_dram_bytes() / 1e9,
+                sdf_speedup: base.total_time_s() / sdf.total_time_s(),
+            })
+        })
+        .collect()
+}
+
+/// One line of `ablation_utilization`: a sparse model's SD speedup with
+/// the bandwidth-utilization model (§5.1's mechanism) and without it, where
+/// a saturation point of one thread gives every kernel full bandwidth.
+#[derive(Serialize)]
+struct UtilizationRow {
+    model: String,
+    sd_speedup: f64,
+    sd_speedup_full_bandwidth: f64,
+}
+
+fn ablation_utilization(device: &DeviceSpec, seq_len: usize) -> Result<Vec<UtilizationRow>, Error> {
+    let mut full = device.clone();
+    full.mem_saturation_threads = 1.0;
+    let sd_speedup = |model: &ModelConfig, device: &DeviceSpec| -> Result<f64, Error> {
+        let base = run(model, &RunParams::new(seq_len), device)?;
+        let sd = RunParams::new(seq_len).strategy(SoftmaxStrategy::Decomposed);
+        Ok(base.total_time_s() / run(model, &sd, device)?.total_time_s())
+    };
+    [
+        ModelConfig::bigbird_large(),
+        ModelConfig::longformer_large(),
+    ]
+    .iter()
+    .map(|model| {
+        Ok(UtilizationRow {
+            model: model.name.clone(),
+            sd_speedup: sd_speedup(model, device)?,
+            sd_speedup_full_bandwidth: sd_speedup(model, &full)?,
+        })
+    })
+    .collect()
+}
+
+/// One line of `ablation_sensitivity`: a model's SDF speedup on the device
+/// with one calibration constant perturbed, as the perturbation names it:
+/// the fitted saturation point halved and doubled, the launch overhead
+/// zeroed and at 16 µs.
+#[derive(Serialize)]
+struct SensitivityRow {
+    perturbation: String,
+    model: String,
+    sdf_speedup: f64,
+}
+
+fn ablation_sensitivity(device: &DeviceSpec, seq_len: usize) -> Result<Vec<SensitivityRow>, Error> {
+    let mut perturbed = Vec::new();
+    for scale in [0.5, 2.0] {
+        let mut d = device.clone();
+        d.mem_saturation_threads *= scale;
+        perturbed.push((format!("mem_saturation_threads x{scale}"), d));
+    }
+    for us in [0.0, 16.0] {
+        let mut d = device.clone();
+        d.kernel_launch_overhead_us = us;
+        perturbed.push((format!("launch_overhead_us={us}"), d));
+    }
+    let mut rows = Vec::new();
+    for (perturbation, device) in &perturbed {
+        for model in ModelConfig::all_eval_models() {
+            rows.push(SensitivityRow {
+                perturbation: perturbation.clone(),
+                sdf_speedup: sweep_point(device, &model, seq_len, 1)?.sdf_speedup,
+                model: model.name,
+            });
+        }
+    }
+    Ok(rows)
+}
+
+/// One line of `roofline_report` (§3.1): the share of a run's time in
+/// memory-bound kernels.
+#[derive(Serialize)]
+struct RooflineRow {
+    model: String,
+    strategy: &'static str,
+    memory_bound_frac: f64,
+}
+
+fn roofline_report(device: &DeviceSpec, seq_len: usize) -> Result<Vec<RooflineRow>, Error> {
+    let mut rows = Vec::new();
+    for model in ModelConfig::all_eval_models() {
+        for strategy in [SoftmaxStrategy::Baseline, SoftmaxStrategy::Recomposed] {
+            let r = run(&model, &RunParams::new(seq_len).strategy(strategy), device)?;
+            rows.push(RooflineRow {
+                model: model.name.clone(),
+                strategy: strategy.label(),
+                memory_bound_frac: classify_timeline(device, &r.timeline).memory_bound_fraction(),
+            });
+        }
+    }
+    Ok(rows)
+}
+
+/// One line of `extension_online_softmax`: SDF against fully fused online
+/// softmax (later FlashAttention), which keeps the attention matrix on chip.
+#[derive(Serialize)]
+struct OnlineRow {
+    model: String,
+    seq_len: usize,
+    sdf_speedup: f64,
+    online_speedup: f64,
+    /// Online softmax's off-chip traffic over the baseline's.
+    online_traffic: f64,
+}
+
+fn extension_online_softmax(device: &DeviceSpec) -> Result<Vec<OnlineRow>, Error> {
+    let mut rows = Vec::new();
+    for model in ModelConfig::all_eval_models() {
+        for seq_len in [1024, 4096, 8192] {
+            let p = RunParams::new(seq_len);
+            let base = run(&model, &p, device)?;
+            let sdf = run(
+                &model,
+                &p.clone().strategy(SoftmaxStrategy::Recomposed),
+                device,
+            )?;
+            let online = run(&model, &p.strategy(SoftmaxStrategy::OnlineFused), device)?;
+            rows.push(OnlineRow {
+                model: model.name.clone(),
+                seq_len,
+                sdf_speedup: base.total_time_s() / sdf.total_time_s(),
+                online_speedup: base.total_time_s() / online.total_time_s(),
+                online_traffic: online.total_dram_bytes() / base.total_dram_bytes(),
+            });
+        }
+    }
+    Ok(rows)
+}
+
+/// One line of `extension_training`: §6 carried to a full training
+/// iteration (forward and backward), recomposed over baseline. The
+/// backward's row dot is decomposed like the forward normalizer.
+#[derive(Serialize)]
+struct TrainingRow {
+    model: String,
+    train_speedup: f64,
+    /// The off-chip traffic recomposition saves per iteration, in GB.
+    traffic_saved_gb: f64,
+}
+
+fn extension_training(device: &DeviceSpec, seq_len: usize) -> Result<Vec<TrainingRow>, Error> {
+    ModelConfig::all_eval_models()
+        .into_iter()
+        .map(|model| {
+            let p = RunParams::new(seq_len);
+            let base = Session::new(&model, &p, device)?.train()?;
+            let sdf = p.strategy(SoftmaxStrategy::Recomposed);
+            let sdf = Session::new(&model, &sdf, device)?.train()?;
+            Ok(TrainingRow {
+                train_speedup: base.total_time_s() / sdf.total_time_s(),
+                traffic_saved_gb: (base.total_dram_bytes() - sdf.total_dram_bytes()) / 1e9,
+                model: model.name,
+            })
+        })
+        .collect()
+}
+
+/// One line of `extension_decode`: one GPT-Neo-1.3B decode step with a KV
+/// cache of `context` tokens. Its attention is one L2-resident row per
+/// head, so recomposition has no off-chip softmax traffic to remove.
+#[derive(Serialize)]
+struct DecodeRow {
+    model: String,
+    context: usize,
+    /// The softmax share of the baseline step's time.
+    softmax_frac: f64,
+    sdf_speedup: f64,
+}
+
+fn extension_decode(device: &DeviceSpec) -> Result<Vec<DecodeRow>, Error> {
+    let model = ModelConfig::gpt_neo_1_3b();
+    [512, 2048, 8192]
+        .into_iter()
+        .map(|context| {
+            let p = RunParams::new(context);
+            let base = Session::new(&model, &p, device)?.decode_step(context)?;
+            let sdf = p.strategy(SoftmaxStrategy::Recomposed);
+            let sdf = Session::new(&model, &sdf, device)?.decode_step(context)?;
+            Ok(DecodeRow {
+                model: model.name.clone(),
+                context,
+                softmax_frac: base.softmax_time_fraction(),
+                sdf_speedup: base.total_time_s() / sdf.total_time_s(),
+            })
+        })
+        .collect()
+}
+
+/// One line of `extension_seq2seq`: an encoder–decoder transformer (§2.1),
+/// whose decoder layers recompose both the causal self-attention and the
+/// rectangular `tgt_len × src_len` cross-attention.
+#[derive(Serialize)]
+struct Seq2SeqRow {
+    model: String,
+    src_len: usize,
+    tgt_len: usize,
+    baseline_ms: f64,
+    sdf_speedup: f64,
+    online_speedup: f64,
+}
+
+fn extension_seq2seq(device: &DeviceSpec) -> Result<Vec<Seq2SeqRow>, Error> {
+    let cfg = Seq2SeqConfig::vanilla_transformer_big();
+    [(1024, 1024), (4096, 1024), (4096, 4096)]
+        .into_iter()
+        .map(|(src_len, tgt_len)| {
+            let run = |strategy| {
+                let p = RunParams::new(src_len).strategy(strategy);
+                run_seq2seq(&cfg, src_len, tgt_len, &p, device.clone()).map(|r| r.total_time_s())
+            };
+            let base = run(SoftmaxStrategy::Baseline)?;
+            Ok(Seq2SeqRow {
+                model: cfg.name.clone(),
+                src_len,
+                tgt_len,
+                baseline_ms: base * 1e3,
+                sdf_speedup: base / run(SoftmaxStrategy::Recomposed)?,
+                online_speedup: base / run(SoftmaxStrategy::OnlineFused)?,
+            })
+        })
+        .collect()
+}
+
+/// One line of `extension_serving`: the simulated time to serve the
+/// synthetic long-document corpus ([`Workload`]) in batches of 8 on
+/// BERT-large, every batch `padded` to the longest bucket or `bucketed` by
+/// length ([`Workload::bucketed_iterations`]), under a softmax strategy.
+#[derive(Serialize)]
+struct ServingRow {
+    model: String,
+    batch: usize,
+    batching: &'static str,
+    strategy: &'static str,
+    corpus_s: f64,
+}
+
+fn extension_serving(device: &DeviceSpec) -> Result<Vec<ServingRow>, Error> {
+    let corpus = Workload::generate(&WorkloadConfig::default());
+    let model = ModelConfig::bert_large();
+    let batch = 8;
+    let buckets = [512, 1024, 2048, 4096, 8192];
+    let padded = vec![(buckets[buckets.len() - 1], corpus.iterations(batch))];
+    let bucketed = corpus.bucketed_iterations(&buckets, batch);
+    let mut rows = Vec::new();
+    for (batching, plan) in [("padded", &padded), ("bucketed", &bucketed)] {
+        for strategy in [SoftmaxStrategy::Baseline, SoftmaxStrategy::Recomposed] {
+            let mut corpus_s = 0.0;
+            for &(l, iterations) in plan {
+                let p = RunParams::new(l).batch(batch).strategy(strategy);
+                corpus_s += run(&model, &p, device)?.total_time_s() * iterations as f64;
+            }
+            rows.push(ServingRow {
+                model: model.name.clone(),
+                batch,
+                batching,
+                strategy: strategy.label(),
+                corpus_s,
+            });
+        }
+    }
+    Ok(rows)
+}
+
 /// One row of a machine-readable benchmark report — the schema of every
 /// `BENCH_*.json` file and of every `--out` report but a chrome trace, so
 /// downstream tooling can concatenate them without per-experiment parsers.
@@ -489,11 +870,14 @@ pub fn rows_of<T: Serialize>(bin: &str, records: &[T]) -> Result<Vec<BenchRow>, 
     Ok(rows)
 }
 
-/// The rows of Figs. 2/5/7/8/9 and §5.1 on `device` at L = 4096 (the
-/// sweeps at [`FIG9_SEQ_LENS`] and [`FIG9_BATCHES`]; §5.1 on every preset),
-/// flattened by [`rows_of`], one `bin` per driver, with Fig. 8(a)'s stacks
-/// last as `fig8_stacks`; or the [`Error`] of the first run that fails. On
-/// the A100 they are `BENCH_figures.json`.
+/// The rows of Figs. 2/5/7/8/9, §5.1, §6, the ablations and the extensions
+/// on `device` at L = 4096 (the sweeps at [`FIG9_SEQ_LENS`] and
+/// [`FIG9_BATCHES`]; §5.1 on every preset), flattened by [`rows_of`], one
+/// `bin` per driver: the figures first, with Fig. 8(a)'s stacks last among
+/// them as `fig8_stacks`, then `training_stash`, the five `ablation_*`
+/// bins, `roofline_report` and the five `extension_*` bins; or the
+/// [`Error`] of the first run that fails. On the A100 they are
+/// `BENCH_figures.json`.
 pub fn figure_rows(device: &DeviceSpec) -> Result<Vec<BenchRow>, Error> {
     let l = PAPER_SEQ_LEN;
     let (fig8, stacks) = fig8_sd_sdf(device, l, 1)?;
@@ -509,6 +893,21 @@ pub fn figure_rows(device: &DeviceSpec) -> Result<Vec<BenchRow>, Error> {
         )?,
         rows_of("gpu_speedup_matrix", &gpu_speedup_matrix(l)?)?,
         rows_of("fig8_stacks", &stacks)?,
+        rows_of("training_stash", &[training_stash(l)])?,
+        rows_of("ablation_tile_size", &ablation_tile_size(device, l)?)?,
+        rows_of("ablation_head_dim", &ablation_head_dim(device, l)?)?,
+        rows_of("ablation_l2", &ablation_l2(device, l)?)?,
+        rows_of("ablation_utilization", &ablation_utilization(device, l)?)?,
+        rows_of("ablation_sensitivity", &ablation_sensitivity(device, l)?)?,
+        rows_of("roofline_report", &roofline_report(device, l)?)?,
+        rows_of(
+            "extension_online_softmax",
+            &extension_online_softmax(device)?,
+        )?,
+        rows_of("extension_training", &extension_training(device, l)?)?,
+        rows_of("extension_decode", &extension_decode(device)?)?,
+        rows_of("extension_seq2seq", &extension_seq2seq(device)?)?,
+        rows_of("extension_serving", &extension_serving(device)?)?,
     ]
     .concat())
 }

@@ -1,5 +1,7 @@
 //! Plain-text table rendering for the `resoftmax-bench` subcommands.
 
+use crate::experiments::BenchRow;
+
 /// Renders rows as a fixed-width text table with a header and rule.
 ///
 /// # Example
@@ -47,30 +49,45 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// A value with at most four decimals and no trailing zeros: the one format
-/// of the claim tables and of the figure tables `figures` prints.
+/// of the claim tables and of every [`bin_tables`] table.
 pub fn num(x: f64) -> String {
     let s = format!("{x:.4}");
     s.trim_end_matches('0').trim_end_matches('.').to_owned()
 }
 
-/// Formats a fraction as a percentage with one decimal.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
+/// One bin's rows as a table: a line per `config`, in row order, with
+/// `config` and then each row's value, in [`num`]'s format, under its
+/// `metric`. Every record that
+/// [`rows_of`](crate::experiments::rows_of) flattens into a bin has the
+/// same metrics in the same order, so the first line's metrics head every
+/// line.
+pub fn pivot(bin: &[BenchRow]) -> (Vec<&str>, Vec<Vec<String>>) {
+    let lines: Vec<&[BenchRow]> = bin.chunk_by(|a, b| a.config == b.config).collect();
+    let mut headers = vec!["config"];
+    headers.extend(lines[0].iter().map(|r| r.metric.as_str()));
+    let table = lines
+        .iter()
+        .map(|line| {
+            std::iter::once(line[0].config.clone())
+                .chain(line.iter().map(|r| num(r.value)))
+                .collect()
+        })
+        .collect();
+    (headers, table)
 }
 
-/// Formats a speedup factor.
-pub fn speedup(x: f64) -> String {
-    format!("{x:.2}x")
-}
-
-/// Formats milliseconds.
-pub fn ms(x: f64) -> String {
-    format!("{x:.2} ms")
-}
-
-/// Formats bytes as GB with two decimals.
-pub fn gb(bytes: f64) -> String {
-    format!("{:.2} GB", bytes / 1e9)
+/// `rows` as one [`pivot`]ed table per `bin`, in row order, each under its
+/// bin's name.
+pub fn bin_tables(rows: &[BenchRow]) -> String {
+    let mut out = String::new();
+    for bin in rows.chunk_by(|a, b| a.bin == b.bin) {
+        let (headers, table) = pivot(bin);
+        out.push('\n');
+        out.push_str(&bin[0].bin);
+        out.push_str("\n\n");
+        out.push_str(&render_table(&headers, &table));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -104,10 +121,6 @@ mod tests {
 
     #[test]
     fn formatters() {
-        assert_eq!(pct(0.361), "36.1%");
-        assert_eq!(speedup(1.254), "1.25x");
-        assert_eq!(ms(12.345), "12.35 ms");
-        assert_eq!(gb(2.5e9), "2.50 GB");
         assert_eq!(num(140.068_138_756), "140.0681");
         assert_eq!(num(0.5), "0.5");
         assert_eq!(num(2.0), "2");

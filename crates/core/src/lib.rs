@@ -13,11 +13,12 @@
 //!   simulated GPU.
 //! * **Verification** ([`verify`]): measured error of every mathematical
 //!   claim (decomposition exactness, fusion exactness, the Eq. 3 backward).
-//! * **Experiments** ([`experiments`]): one driver per table/figure of the
-//!   paper's evaluation, and the `{bin, config, metric, value}` rows of
-//!   every `BENCH_*.json`.
+//! * **Experiments** ([`experiments`]): one driver per simulated table —
+//!   the paper's figures, §5.1 and §6, the ablations and the extensions —
+//!   and the `{bin, config, metric, value}` rows of every `BENCH_*.json`.
 //! * **Claims** ([`claims`]): each paper number of Figs. 2/5/7/8/9 and
-//!   §5.1, written once with its band, checked against the figure rows.
+//!   §5.1, and each finding of §6, the ablations and the extensions,
+//!   written once with its band, checked against the rows.
 //!
 //! # Quickstart
 //!

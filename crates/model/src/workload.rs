@@ -122,7 +122,8 @@ impl Workload {
     ///
     /// Buckets must be sorted ascending. This is the standard serving
     /// technique for avoiding max-length padding waste; the
-    /// `extension_serving` experiment prices it against flat padding.
+    /// `extension_serving` bin of `resoftmax_core::experiments::figure_rows`
+    /// prices it against flat padding.
     ///
     /// # Panics
     ///

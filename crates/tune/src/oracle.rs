@@ -170,8 +170,8 @@ fn invalid_config(e: resoftmax_model::Error) -> Skip {
 /// and returns it, so a caller that goes on to price the candidate builds
 /// nothing more. The tuner's search
 /// prunes with it; [`crate::SessionTuneExt::tuned`] rechecks tuned knobs
-/// against the exact workload with it, and `resoftmax-bench`'s `tune` and
-/// `ablation_tile_size` subcommands check their grid points with it.
+/// against the exact workload with it, and `resoftmax-bench`'s `tune`
+/// subcommand checks its grid points with it.
 pub fn precheck(model: &ModelConfig, params: &RunParams) -> Result<Schedule, Skip> {
     check_ls_split(params)?;
     check_numerics(static_error_bound(model, params))?;

@@ -8,7 +8,7 @@ use resoftmax::core::claims;
 use resoftmax::prelude::*;
 
 /// Asserts that every claim of `section` in `core::claims` holds on the
-/// figure rows, which are computed once for all the tests of this file; the
+/// rows of `figure_rows`, which are computed once for all the tests of this file; the
 /// failure lists each claim out of its band with its paper value, measured
 /// value and band.
 fn assert_claims_hold(section: &str) {
@@ -54,6 +54,9 @@ claim_tests! {
     fig9a_claims_hold: "Fig. 9(a)",
     fig9b_claims_hold: "Fig. 9(b)",
     section_5_1_claims_hold: "§5.1",
+    section_6_claims_hold: "§6",
+    ablation_claims_hold: "Ablations",
+    extension_claims_hold: "Extensions",
 }
 
 /// The numerics behind it all, exercised through the umbrella prelude.
