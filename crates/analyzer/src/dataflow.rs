@@ -26,7 +26,8 @@
 
 use crate::diagnostic::{Diagnostic, Rule};
 use crate::spec::ScheduleSpec;
-use resoftmax_gpusim::{BufferId, KernelDesc, Scope};
+use crate::view::ScheduleView;
+use resoftmax_gpusim::{BufferId, Scope};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -162,17 +163,21 @@ impl Hasher for FxHasher {
 /// Uses are grouped by typed id. Each buffer's diagnostics are then emitted
 /// in the order of the buffers' rendered names, so a report reads the same
 /// whatever order the kernels first touched them in.
-pub fn check(spec: &ScheduleSpec, kernels: &[KernelDesc], diags: &mut Vec<Diagnostic>) {
-    let n_uses = kernels.iter().map(|k| k.reads.len() + k.writes.len()).sum();
+pub(crate) fn check(spec: &ScheduleSpec, kernels: ScheduleView<'_>, diags: &mut Vec<Diagnostic>) {
+    let n_uses = kernels
+        .iter()
+        .map(|(_, k)| k.reads.len() + k.writes.len())
+        .sum();
     let mut slots: HashMap<BufferId, usize, BuildHasherDefault<FxHasher>> =
         HashMap::with_capacity_and_hasher(n_uses, BuildHasherDefault::default());
     let mut ids = Vec::new();
     let mut events = Vec::with_capacity(n_uses);
-    for (kernel, k) in kernels.iter().enumerate() {
+    for (kernel, (offset, k)) in kernels.iter().enumerate() {
         let uses = (k.reads.iter().map(|b| (b, false))).chain(k.writes.iter().map(|b| (b, true)));
         for (b, is_write) in uses {
-            let slot = *slots.entry(b.id).or_insert_with(|| {
-                ids.push(b.id);
+            let id = b.id.layers_later(offset);
+            let slot = *slots.entry(id).or_insert_with(|| {
+                ids.push(id);
                 ids.len() - 1
             });
             events.push(Event {
@@ -207,7 +212,7 @@ pub fn check(spec: &ScheduleSpec, kernels: &[KernelDesc], diags: &mut Vec<Diagno
 }
 
 fn check_def_use(
-    kernels: &[KernelDesc],
+    kernels: ScheduleView<'_>,
     id: BufferId,
     role: Option<&str>,
     events: &[Event],
@@ -226,7 +231,7 @@ fn check_def_use(
                     reader,
                     format!(
                         "`{}` reads `{id}`, an attention intermediate no kernel writes",
-                        kernels[reader].name
+                        kernels.get(reader).1.name
                     ),
                 ));
             }
@@ -240,7 +245,9 @@ fn check_def_use(
                         e.kernel,
                         format!(
                             "`{}` reads `{id}` before its first writer (`{}`, kernel #{}) runs",
-                            kernels[e.kernel].name, kernels[w.kernel].name, w.kernel
+                            kernels.get(e.kernel).1.name,
+                            kernels.get(w.kernel).1.name,
+                            w.kernel
                         ),
                     ));
                 }
@@ -261,7 +268,7 @@ fn check_def_use(
             k,
             format!(
                 "`{}` writes `{id}` but no later kernel reads it",
-                kernels[k].name
+                kernels.get(k).1.name
             ),
         ));
     }
@@ -278,7 +285,9 @@ fn check_def_use(
                         format!(
                             "`{}` overwrites `{id}` though nothing read the value \
                              `{}` (kernel #{}) wrote",
-                            kernels[e.kernel].name, kernels[prev.kernel].name, prev.kernel
+                            kernels.get(e.kernel).1.name,
+                            kernels.get(prev.kernel).1.name,
+                            prev.kernel
                         ),
                     ));
                 }
@@ -323,6 +332,11 @@ mod tests {
     use super::*;
     use crate::spec::ScheduleSpec;
     use resoftmax_gpusim::{KernelCategory, KernelDesc};
+
+    /// The def-use checks over a flat sequence.
+    fn check(spec: &ScheduleSpec, kernels: &[KernelDesc], diags: &mut Vec<Diagnostic>) {
+        super::check(spec, ScheduleView::flat(kernels), diags);
+    }
 
     fn spec() -> ScheduleSpec {
         let mut s = ScheduleSpec::dense_test(1024, 1);

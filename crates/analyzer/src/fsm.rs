@@ -17,6 +17,7 @@
 
 use crate::diagnostic::{Diagnostic, Rule};
 use crate::spec::{ScheduleSpec, StrategyKind};
+use crate::view::ScheduleView;
 use resoftmax_gpusim::{KernelCategory, KernelDesc};
 
 /// One state of the SDA grammar.
@@ -132,12 +133,12 @@ pub fn expected_pattern(spec: &ScheduleSpec) -> Vec<SdaState> {
 }
 
 /// Checks the schedule's SDA kernels against the cyclic grammar.
-pub fn check(spec: &ScheduleSpec, kernels: &[KernelDesc], diags: &mut Vec<Diagnostic>) {
+pub(crate) fn check(spec: &ScheduleSpec, kernels: ScheduleView<'_>, diags: &mut Vec<Diagnostic>) {
     let pattern = expected_pattern(spec);
     let sda: Vec<(usize, SdaState)> = kernels
         .iter()
         .enumerate()
-        .filter_map(|(i, k)| classify(k).map(|s| (i, s)))
+        .filter_map(|(i, (_, k))| classify(k).map(|s| (i, s)))
         .collect();
 
     let expected_len = pattern.len() * spec.layers;
@@ -162,7 +163,7 @@ pub fn check(spec: &ScheduleSpec, kernels: &[KernelDesc], diags: &mut Vec<Diagno
                 idx,
                 format!(
                     "`{}`: SDA sequence position {} of layer {} should be {} but is {}",
-                    kernels[idx].name,
+                    kernels.get(idx).1.name,
                     pos % pattern.len(),
                     pos / pattern.len(),
                     want.label(),
@@ -180,6 +181,11 @@ mod tests {
     use super::*;
     use crate::spec::ScheduleSpec;
     use resoftmax_gpusim::KernelDesc;
+
+    /// The grammar check over a flat sequence.
+    fn check(spec: &ScheduleSpec, kernels: &[KernelDesc], diags: &mut Vec<Diagnostic>) {
+        super::check(spec, ScheduleView::flat(kernels), diags);
+    }
 
     fn mk(cat: KernelCategory) -> KernelDesc {
         KernelDesc::builder("k", cat).build()

@@ -16,6 +16,7 @@
 
 use crate::diagnostic::{Diagnostic, Rule};
 use crate::spec::{ScheduleSpec, StrategyKind};
+use crate::view::ScheduleView;
 use resoftmax_gpusim::{KernelCategory, KernelDesc};
 
 fn reads_role(k: &KernelDesc, role: &str) -> bool {
@@ -33,7 +34,7 @@ pub fn expected_sub_vector(spec: &ScheduleSpec) -> usize {
 }
 
 /// Runs the tile-width and GS-placement checks.
-pub fn check(spec: &ScheduleSpec, kernels: &[KernelDesc], diags: &mut Vec<Diagnostic>) {
+pub(crate) fn check(spec: &ScheduleSpec, kernels: ScheduleView<'_>, diags: &mut Vec<Diagnostic>) {
     let t_expected = expected_sub_vector(spec);
     let kv_len = spec.seq_len;
     // Batched decode keys by per-row context lengths, not `seq_len`, and its
@@ -52,7 +53,7 @@ pub fn check(spec: &ScheduleSpec, kernels: &[KernelDesc], diags: &mut Vec<Diagno
     }
 
     let mut last_qk_tile_n: Option<usize> = None;
-    for (i, k) in kernels.iter().enumerate() {
+    for (i, (offset, k)) in kernels.iter().enumerate() {
         // Warp alignment: hardware launches whole warps, so a thread-block
         // size that is not a multiple of 32 misstates occupancy.
         if !(k.shape.threads as usize).is_multiple_of(32) {
@@ -134,7 +135,7 @@ pub fn check(spec: &ScheduleSpec, kernels: &[KernelDesc], diags: &mut Vec<Diagno
                 }
             }
             KernelCategory::MatMulPv => check_pv_gs(spec, i, k, diags),
-            KernelCategory::GlobalScaling => check_standalone_gs(i, k, kernels, diags),
+            KernelCategory::GlobalScaling => check_standalone_gs(i, offset, k, kernels, diags),
             _ => {}
         }
     }
@@ -210,10 +211,12 @@ fn check_pv_gs(spec: &ScheduleSpec, i: usize, k: &KernelDesc, diags: &mut Vec<Di
 
 /// Standalone GS (the SD configuration): an elementwise, shape-preserving
 /// rescale whose output is exactly what the following `P·V` consumes.
+/// `offset` is kernel `i`'s layer offset.
 fn check_standalone_gs(
     i: usize,
+    offset: usize,
     k: &KernelDesc,
-    kernels: &[KernelDesc],
+    kernels: ScheduleView<'_>,
     diags: &mut Vec<Diagnostic>,
 ) {
     if !reads_role(k, "x_prime") || !reads_role(k, "r_prime") {
@@ -239,18 +242,23 @@ fn check_standalone_gs(
     }
     // The next P·V must consume this GS's output (the scaled probabilities).
     if let Some(out) = out {
-        if let Some(pv) = kernels[i..]
-            .iter()
-            .find(|n| n.category == KernelCategory::MatMulPv)
+        let out_id = out.id.layers_later(offset);
+        if let Some((pv_offset, pv)) = (i..kernels.len())
+            .map(|j| kernels.get(j))
+            .find(|(_, n)| n.category == KernelCategory::MatMulPv)
         {
-            if !pv.reads.iter().any(|b| b.id == out.id) {
+            if !pv
+                .reads
+                .iter()
+                .any(|b| b.id.layers_later(pv_offset) == out_id)
+            {
                 diags.push(Diagnostic::error(
                     Rule::FusionGsPlacement,
                     i,
                     format!(
-                        "`{}` writes `{}` but the following P·V (`{}`) does not read it; \
+                        "`{}` writes `{out_id}` but the following P·V (`{}`) does not read it; \
                          GS must feed the P·V LHS",
-                        k.name, out.id, pv.name
+                        k.name, pv.name
                     ),
                 ));
             }
@@ -263,6 +271,11 @@ mod tests {
     use super::*;
     use crate::spec::{ScheduleSpec, SparseSpec};
     use resoftmax_gpusim::{KernelCategory, KernelDesc, KernelMeta, TbWork};
+
+    /// The fusion checks over a flat sequence.
+    fn check(spec: &ScheduleSpec, kernels: &[KernelDesc], diags: &mut Vec<Diagnostic>) {
+        super::check(spec, ScheduleView::flat(kernels), diags);
+    }
 
     #[test]
     fn matching_tiles_pass() {

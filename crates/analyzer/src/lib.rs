@@ -68,6 +68,7 @@ pub mod periodic;
 pub mod report;
 pub mod spec;
 pub mod traffic;
+mod view;
 
 pub use diagnostic::{Diagnostic, Rule, Severity};
 pub use error_model::{ErrorBound, CERT_BUDGET_REL};
@@ -76,12 +77,31 @@ pub use report::Report;
 pub use spec::{DecodeSpec, ScheduleSpec, SparseSpec, StrategyKind};
 
 use resoftmax_gpusim::KernelDesc;
+use view::ScheduleView;
 
 /// Runs all five rule families over a schedule.
 ///
 /// Diagnostics are returned sorted by severity (errors first), then by
 /// kernel index. An empty vector means the schedule passed every check.
 pub fn analyze(spec: &ScheduleSpec, kernels: &[KernelDesc]) -> Vec<Diagnostic> {
+    check(spec, ScheduleView::flat(kernels)).0
+}
+
+/// Runs [`analyze`] and attaches the certified numeric bound to the report:
+/// the every-kernel pass, which [`analyze_periodic`] equals.
+pub fn analyze_certified(spec: &ScheduleSpec, kernels: &[KernelDesc]) -> Report {
+    certify(spec, ScheduleView::flat(kernels))
+}
+
+/// [`analyze_certified`] on the kernels `kernels` views.
+fn certify(spec: &ScheduleSpec, kernels: ScheduleView<'_>) -> Report {
+    let (diags, bound) = check(spec, kernels);
+    Report::new(diags).with_bound(bound)
+}
+
+/// The rule families over `kernels`: the diagnostics, sorted as [`analyze`]
+/// returns them, and the certified numeric bound.
+fn check(spec: &ScheduleSpec, kernels: ScheduleView<'_>) -> (Vec<Diagnostic>, Option<ErrorBound>) {
     let _span = resoftmax_obs::span!("analyze", "analyzer");
     let mut diags = Vec::new();
     fsm::check(spec, kernels, &mut diags);
@@ -89,22 +109,14 @@ pub fn analyze(spec: &ScheduleSpec, kernels: &[KernelDesc]) -> Vec<Diagnostic> {
     dataflow::check(spec, kernels, &mut diags);
     traffic::check(spec, kernels, &mut diags);
     parallel::check(kernels, &mut diags);
-    numerics::check(spec, kernels, &mut diags);
+    let bound = numerics::check(spec, kernels, &mut diags);
     diags.sort_by_key(|d| {
         (
             std::cmp::Reverse(d.severity),
             d.kernel.unwrap_or(usize::MAX),
         )
     });
-    diags
-}
-
-/// Runs [`analyze`] and attaches the certified numeric bound to the report:
-/// the every-kernel pass, which [`analyze_periodic`] falls back to and
-/// equals.
-pub fn analyze_certified(spec: &ScheduleSpec, kernels: &[KernelDesc]) -> Report {
-    let diags = analyze(spec, kernels);
-    Report::new(diags).with_bound(numerics::certified_bound(spec, kernels))
+    (diags, bound)
 }
 
 #[cfg(test)]

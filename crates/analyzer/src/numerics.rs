@@ -32,6 +32,7 @@
 use crate::diagnostic::{Diagnostic, Rule, Severity};
 use crate::error_model::{self, ErrorBound, CERT_BUDGET_REL};
 use crate::spec::ScheduleSpec;
+use crate::view::ScheduleView;
 use resoftmax_gpusim::{AccumFormat, KernelCategory, KernelDesc};
 
 /// What a kernel contributes to the softmax error pipeline.
@@ -67,23 +68,18 @@ fn worst(a: AccumFormat, b: AccumFormat) -> AccumFormat {
     }
 }
 
-/// Runs the numerics pass, appending findings to `diags`.
-pub fn check(spec: &ScheduleSpec, kernels: &[KernelDesc], diags: &mut Vec<Diagnostic>) {
-    let (_, mut found) = evaluate(spec, kernels);
-    diags.append(&mut found);
-}
-
-/// The certified worst-case bound of a schedule, when the pass applies
-/// (dense, at least one softmax-family kernel); `None` otherwise. The bound
-/// is reported even when it exceeds the budget — the accompanying
+/// Runs the numerics pass, appending findings to `diags`, and returns the
+/// certified worst-case bound of the schedule when the pass applies (dense,
+/// at least one softmax-family kernel); `None` otherwise. The bound is
+/// returned even when it exceeds the budget — the accompanying
 /// `numerics/tolerance` error carries the rejection.
-pub fn certified_bound(spec: &ScheduleSpec, kernels: &[KernelDesc]) -> Option<ErrorBound> {
-    evaluate(spec, kernels).0
-}
-
-fn evaluate(spec: &ScheduleSpec, kernels: &[KernelDesc]) -> (Option<ErrorBound>, Vec<Diagnostic>) {
+pub(crate) fn check(
+    spec: &ScheduleSpec,
+    kernels: ScheduleView<'_>,
+    diags: &mut Vec<Diagnostic>,
+) -> Option<ErrorBound> {
     if spec.sparse.is_some() || kernels.is_empty() {
-        return (None, Vec::new());
+        return None;
     }
     // Worst context any probability row spans: the longest decode row, or
     // the full sequence length.
@@ -93,16 +89,15 @@ fn evaluate(spec: &ScheduleSpec, kernels: &[KernelDesc]) -> (Option<ErrorBound>,
         .and_then(|d| d.ctxs.iter().copied().max())
         .unwrap_or(spec.seq_len);
     if ctx == 0 {
-        return (None, Vec::new());
+        return None;
     }
     let t = spec.tile_n.max(1);
 
-    let mut diags = Vec::new();
     let mut assumed = 0usize;
     // Worst declared accumulator format per role, where present.
     let (mut mono, mut ls, mut ir, mut fused) = (None, None, None, None);
     let mut classified: Vec<(usize, Role, AccumFormat)> = Vec::new();
-    for (i, k) in kernels.iter().enumerate() {
+    for (i, (_, k)) in kernels.iter().enumerate() {
         let Some(role) = role_of(k) else { continue };
         let accum = k.meta.accum.unwrap_or_else(|| {
             assumed += 1;
@@ -132,7 +127,7 @@ fn evaluate(spec: &ScheduleSpec, kernels: &[KernelDesc]) -> (Option<ErrorBound>,
                 format!(
                     "'{}' accumulates a length-{ctx} softmax sum in fp16 with no \
                      rescaling stage; certified error grows as (ctx-1)·2⁻¹¹",
-                    kernels[i].name
+                    kernels.get(i).1.name
                 ),
             )),
             Role::LocalSoftmax if !has_ir => diags.push(Diagnostic::error(
@@ -141,7 +136,7 @@ fn evaluate(spec: &ScheduleSpec, kernels: &[KernelDesc]) -> (Option<ErrorBound>,
                 format!(
                     "'{}' accumulates fp16 Local Softmax partials but the schedule \
                      has no Inter-Reduction rescale to renormalize them",
-                    kernels[i].name
+                    kernels.get(i).1.name
                 ),
             )),
             Role::LocalSoftmax | Role::InterReduction => {}
@@ -194,7 +189,7 @@ fn evaluate(spec: &ScheduleSpec, kernels: &[KernelDesc]) -> (Option<ErrorBound>,
             ),
         });
     }
-    (bound, diags)
+    bound
 }
 
 #[cfg(test)]
@@ -213,8 +208,12 @@ mod tests {
 
     fn diags_of(spec: &ScheduleSpec, kernels: &[KernelDesc]) -> Vec<Diagnostic> {
         let mut d = Vec::new();
-        check(spec, kernels, &mut d);
+        check(spec, ScheduleView::flat(kernels), &mut d);
         d
+    }
+
+    fn certified_bound(spec: &ScheduleSpec, kernels: &[KernelDesc]) -> Option<ErrorBound> {
+        check(spec, ScheduleView::flat(kernels), &mut Vec::new())
     }
 
     #[test]

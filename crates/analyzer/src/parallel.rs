@@ -27,7 +27,8 @@
 //! [`ReductionAxis`]: resoftmax_gpusim::ParallelSplit::ReductionAxis
 
 use crate::diagnostic::{Diagnostic, Rule};
-use resoftmax_gpusim::{KernelCategory, KernelDesc, ParallelSplit};
+use crate::view::ScheduleView;
+use resoftmax_gpusim::{KernelCategory, ParallelSplit};
 
 /// The splits that keep results independent of parallelism for a category.
 fn legal_splits(category: KernelCategory) -> &'static [ParallelSplit] {
@@ -50,8 +51,8 @@ fn legal_splits(category: KernelCategory) -> &'static [ParallelSplit] {
 }
 
 /// Flags kernels whose declared parallel split crosses a reduction axis.
-pub fn check(kernels: &[KernelDesc], diags: &mut Vec<Diagnostic>) {
-    for (i, k) in kernels.iter().enumerate() {
+pub(crate) fn check(kernels: ScheduleView<'_>, diags: &mut Vec<Diagnostic>) {
+    for (i, (_, k)) in kernels.iter().enumerate() {
         let Some(split) = k.meta.split else {
             continue;
         };
@@ -99,7 +100,7 @@ mod tests {
 
     fn run(kernels: &[KernelDesc]) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
-        check(kernels, &mut diags);
+        check(ScheduleView::flat(kernels), &mut diags);
         diags
     }
 

@@ -6,9 +6,12 @@
 //! layer ([`BufferId::next_layer`](resoftmax_gpusim::BufferId::next_layer):
 //! `l3.q` → `l4.q`, other scopes unchanged), which a [`Schedule`] holds as
 //! built. [`analyze_periodic`] takes that form and returns exactly the
-//! [`Report`] [`analyze_certified`] gives on the expanded schedule
-//! ([`Schedule::expand`]), while running the rule families over the
-//! prologue and the first two layers only, under `layers: 2`. It returns
+//! [`Report`] [`analyze_certified`](crate::analyze_certified) gives on the
+//! expanded schedule ([`Schedule::expand`]), while running the rule
+//! families over the prologue and the first two layers only, under
+//! `layers: 2`. The families read those layers in place: layer 0's kernels,
+//! the second time with every buffer id they read advanced one layer, and
+//! numbered as in the expanded schedule, so no layer is copied. It returns
 //! that two-layer report when five premises hold:
 //!
 //! 0. the schedule runs its layer `spec.layers` times;
@@ -19,9 +22,10 @@
 //!    `a + Lb = Lp` in `L` only when the prologue's `a` is zero);
 //! 4. the two-layer report has no diagnostic of any severity.
 //!
-//! Otherwise it expands the schedule and runs every rule family over every
-//! kernel, as [`analyze_certified`] does. A schedule of no layers
-//! ([`Schedule::from`] a flat sequence) always takes that path.
+//! Otherwise it runs every rule family over every kernel, reading every
+//! layer in place, as [`analyze_certified`](crate::analyze_certified) does
+//! on the expanded schedule. A schedule of no layers ([`Schedule::from`] a
+//! flat sequence) always takes that path.
 //!
 //! Why the premises suffice, for `L > 2` layers. Under 1 and 2, buffer
 //! `l{m}` with `1 ≤ m < L` sees the events of layer `m − 1` then layer `m`,
@@ -44,7 +48,8 @@
 
 use crate::report::Report;
 use crate::spec::ScheduleSpec;
-use crate::{analyze_certified, fsm};
+use crate::view::ScheduleView;
+use crate::{certify, fsm};
 use resoftmax_gpusim::{KernelDesc, Schedule, Scope};
 
 /// `true` when every buffer id of `kernels` is outside the layer scopes or
@@ -60,8 +65,9 @@ fn touches_layers_up_to(kernels: &[KernelDesc], max: u32) -> bool {
 }
 
 /// Analyzes `schedule` against `spec`: the same [`Report`] as
-/// [`analyze_certified`] on [`Schedule::expand`], from the prologue and
-/// two layers where the module's premises hold.
+/// [`analyze_certified`](crate::analyze_certified) on
+/// [`Schedule::expand`], from the prologue and two layers where the
+/// module's premises hold. No kernel is copied.
 pub fn analyze_periodic(spec: &ScheduleSpec, schedule: &Schedule) -> Report {
     let (prologue, layer) = (schedule.prologue(), schedule.layer());
     if spec.layers > 2
@@ -74,19 +80,19 @@ pub fn analyze_periodic(spec: &ScheduleSpec, schedule: &Schedule) -> Report {
             layers: 2,
             ..spec.clone()
         };
-        let report = analyze_certified(&two, &schedule.expand_to(2));
+        let report = certify(&two, ScheduleView::new(prologue, layer, 2));
         if report.diagnostics.is_empty() {
             return report;
         }
     }
-    analyze_certified(spec, &schedule.expand())
+    certify(spec, ScheduleView::new(prologue, layer, schedule.layers()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::StrategyKind;
-    use crate::{Rule, Severity};
+    use crate::{analyze_certified, Rule, Severity};
     use resoftmax_gpusim::{AccumFormat, KernelCategory, KernelMeta, TbWork};
 
     /// BERT-large-like dimensions at L = 1024 over four layers, one fused

@@ -18,6 +18,7 @@
 
 use crate::diagnostic::{Diagnostic, Rule, Severity};
 use crate::spec::{ScheduleSpec, SparseSpec};
+use crate::view::ScheduleView;
 use resoftmax_gpusim::{KernelCategory, KernelDesc};
 
 const FP16_BYTES: f64 = 2.0;
@@ -367,8 +368,8 @@ fn close(actual: f64, expected: f64) -> bool {
 }
 
 /// Runs the traffic-conservation and attribution checks.
-pub fn check(spec: &ScheduleSpec, kernels: &[KernelDesc], diags: &mut Vec<Diagnostic>) {
-    for (i, k) in kernels.iter().enumerate() {
+pub(crate) fn check(spec: &ScheduleSpec, kernels: ScheduleView<'_>, diags: &mut Vec<Diagnostic>) {
+    for (i, (_, k)) in kernels.iter().enumerate() {
         let overhead = spec.work_overhead(k);
         let declared_read = k.tbs.total_read_bytes() / overhead;
         let declared_write = k.tbs.total_write_bytes() / overhead;
@@ -482,7 +483,7 @@ mod tests {
             common::layernorm(1024, 1024, L0.id("proj"), L0.id("ln1")),
         ];
         let mut diags = Vec::new();
-        check(&spec(), &ks, &mut diags);
+        check(&spec(), ScheduleView::flat(&ks), &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -496,7 +497,7 @@ mod tests {
             work.dram_write_bytes *= 1.4;
         }
         let mut diags = Vec::new();
-        check(&s, &[k], &mut diags);
+        check(&s, ScheduleView::flat(&[k]), &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -507,7 +508,7 @@ mod tests {
             work.dram_read_bytes *= 1.5;
         }
         let mut diags = Vec::new();
-        check(&spec(), &[k], &mut diags);
+        check(&spec(), ScheduleView::flat(&[k]), &mut diags);
         assert!(diags
             .iter()
             .any(|d| d.rule == Rule::TrafficFormula && d.severity == Severity::Error));
@@ -521,7 +522,7 @@ mod tests {
         // keep the formula side quiet by inflating nothing else: the declared
         // totals stay correct, only the attribution exceeds them.
         let mut diags = Vec::new();
-        check(&spec(), &[k], &mut diags);
+        check(&spec(), ScheduleView::flat(&[k]), &mut diags);
         assert!(diags.iter().any(|d| d.rule == Rule::TrafficAttribution));
         assert!(!diags.iter().any(|d| d.rule == Rule::TrafficFormula));
     }
@@ -532,7 +533,7 @@ mod tests {
             .uniform(1, TbWork::memory(100.0, 100.0))
             .build();
         let mut diags = Vec::new();
-        check(&spec(), &[k], &mut diags);
+        check(&spec(), ScheduleView::flat(&[k]), &mut diags);
         assert!(diags
             .iter()
             .any(|d| d.rule == Rule::TrafficFormula && d.severity == Severity::Warning));
@@ -564,7 +565,7 @@ mod tests {
             sparse::bs_fused_mha_online(&layout, &d, L0),
         ];
         let mut diags = Vec::new();
-        check(&s, &ks, &mut diags);
+        check(&s, ScheduleView::flat(&ks), &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
     }
 }

@@ -121,7 +121,7 @@ impl BufferId {
 
     /// [`Self::next_layer`] applied `layers` times: `l3.q` → `l{3+layers}.q`.
     /// An index stops at `u32::MAX`.
-    pub(crate) fn layers_later(self, layers: usize) -> BufferId {
+    pub fn layers_later(self, layers: usize) -> BufferId {
         match self.scope {
             Scope::Layer(k) => BufferId {
                 scope: Scope::Layer(k.saturating_add(u32::try_from(layers).unwrap_or(u32::MAX))),

@@ -62,15 +62,9 @@ impl Schedule {
     /// The flat kernels: the prologue, then each layer with its ids
     /// advanced.
     pub fn expand(&self) -> Vec<KernelDesc> {
-        self.expand_to(self.layers)
-    }
-
-    /// The flat kernels of the prologue and the first `layers` layers
-    /// (layers past [`Self::layers`] continue the renaming).
-    pub fn expand_to(&self, layers: usize) -> Vec<KernelDesc> {
-        let mut kernels = Vec::with_capacity(self.prologue.len() + layers * self.layer.len());
+        let mut kernels = Vec::with_capacity(self.len());
         kernels.extend_from_slice(&self.prologue);
-        for l in 0..layers {
+        for l in 0..self.layers {
             let start = kernels.len();
             kernels.extend_from_slice(&self.layer);
             for k in &mut kernels[start..] {
@@ -93,7 +87,6 @@ impl From<Vec<KernelDesc>> for Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::Scope;
     use crate::kernel::{KernelCategory, TbWork};
 
     fn kernel(name: &str, read: &'static str, write: &'static str) -> KernelDesc {
@@ -128,11 +121,6 @@ mod tests {
                 "l2.x>l2.y",
                 "l2.y>l3.x"
             ]
-        );
-        assert_eq!(schedule.expand_to(1), flat[..3]);
-        assert_eq!(
-            schedule.expand_to(4)[7].reads[0].id,
-            Scope::layer(3).id("x")
         );
     }
 

@@ -123,17 +123,17 @@ impl Timeline {
 
     /// Total simulated time in seconds.
     pub fn total_time_s(&self) -> f64 {
-        self.kernels().map(|k| k.time_s).sum()
+        sum(self.kernels().map(|k| k.time_s))
     }
 
     /// Total DRAM traffic in bytes.
     pub fn total_dram_bytes(&self) -> f64 {
-        self.kernels().map(KernelStats::dram_bytes).sum()
+        sum(self.kernels().map(KernelStats::dram_bytes))
     }
 
     /// Total energy in joules.
     pub fn total_energy_j(&self) -> f64 {
-        self.kernels().map(|k| k.energy_j).sum()
+        sum(self.kernels().map(|k| k.energy_j))
     }
 
     /// Records the last `period` records `times` more times, without
@@ -251,6 +251,13 @@ impl CategoryTotals {
     }
 }
 
+/// The sum of `xs`, from `+0.0`: [`Iterator::sum`] starts from `−0.0`, so
+/// an empty sum, such as the softmax time of a run with no softmax kernel
+/// or the total of an empty timeline, would read `−0.0`.
+fn sum(xs: impl Iterator<Item = f64>) -> f64 {
+    xs.fold(0.0, |total, x| total + x)
+}
+
 /// A per-category aggregation of a [`Timeline`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Breakdown {
@@ -261,57 +268,57 @@ pub struct Breakdown {
 impl Breakdown {
     /// Total time over all categories.
     pub fn total_time_s(&self) -> f64 {
-        self.categories.iter().map(|c| c.time_s).sum()
+        sum(self.categories.iter().map(|c| c.time_s))
     }
 
     /// Total DRAM traffic over all categories.
     pub fn total_dram_bytes(&self) -> f64 {
-        self.categories.iter().map(CategoryTotals::dram_bytes).sum()
+        sum(self.categories.iter().map(CategoryTotals::dram_bytes))
     }
 
     /// Time attributed to one category (0 if absent).
     pub fn time_of(&self, category: KernelCategory) -> f64 {
-        self.categories
+        sum(self
+            .categories
             .iter()
             .filter(|c| c.category == category)
-            .map(|c| c.time_s)
-            .sum()
+            .map(|c| c.time_s))
     }
 
     /// DRAM traffic attributed to one category.
     pub fn dram_of(&self, category: KernelCategory) -> f64 {
-        self.categories
+        sum(self
+            .categories
             .iter()
             .filter(|c| c.category == category)
-            .map(CategoryTotals::dram_bytes)
-            .sum()
+            .map(CategoryTotals::dram_bytes))
     }
 
     /// Time attributed to the softmax family (monolithic + LS/IR/GS).
     pub fn softmax_time_s(&self) -> f64 {
-        self.categories
+        sum(self
+            .categories
             .iter()
             .filter(|c| c.category.is_softmax_family())
-            .map(|c| c.time_s)
-            .sum()
+            .map(|c| c.time_s))
     }
 
     /// DRAM traffic of the softmax family.
     pub fn softmax_dram_bytes(&self) -> f64 {
-        self.categories
+        sum(self
+            .categories
             .iter()
             .filter(|c| c.category.is_softmax_family())
-            .map(CategoryTotals::dram_bytes)
-            .sum()
+            .map(CategoryTotals::dram_bytes))
     }
 
     /// Time attributed to the SDA block.
     pub fn sda_time_s(&self) -> f64 {
-        self.categories
+        sum(self
+            .categories
             .iter()
             .filter(|c| c.category.in_sda())
-            .map(|c| c.time_s)
-            .sum()
+            .map(|c| c.time_s))
     }
 
     /// Fraction of total time used by one category.

@@ -184,13 +184,23 @@ pub fn reference_attention<T: Scalar>(
     mask: Option<&[bool]>,
 ) -> Result<Matrix<T>, ShapeError> {
     use crate::softmax::{apply_mask, softmax_rows};
-    use resoftmax_tensor::{matmul_transpose_b, scale as scale_op};
+    use resoftmax_tensor::matmul_transpose_b;
 
     let _span = resoftmax_obs::span!("reference_attention", "kernels");
     check_v(v, k.rows())?;
     check_mask(mask, q.rows() * k.rows())?;
-    let scores = matmul_transpose_b(q, k)?;
-    let scaled = scale_op(&scores, scale);
+    let mut scaled = matmul_transpose_b(q, k)?;
+    // The scale, in place and a row per task on the pool, with
+    // `tensor::scale`'s two roundings: the product in `f64`, then to `T`.
+    let cols = scaled.cols();
+    scaled
+        .as_mut_slice()
+        .par_chunks_mut(cols.max(1))
+        .for_each(|row| {
+            for x in row {
+                *x = T::from_f64(x.to_f64() * scale);
+            }
+        });
     let masked = match mask {
         Some(m) => apply_mask(&scaled, m)?,
         None => scaled,

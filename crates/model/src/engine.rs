@@ -146,4 +146,17 @@ mod tests {
         );
         assert!(sdf.total_energy_j() < base.total_energy_j());
     }
+
+    /// An online run has no softmax-family kernel: its softmax time and
+    /// share are `+0.0`, not the `−0.0` an empty float sum starts from.
+    #[test]
+    fn online_softmax_share_is_positive_zero() {
+        let online = run(
+            &ModelConfig::bert_large(),
+            &RunParams::new(1024).strategy(SoftmaxStrategy::OnlineFused),
+        );
+        assert_eq!(online.breakdown().softmax_time_s().to_bits(), 0);
+        assert_eq!(online.softmax_time_fraction().to_bits(), 0);
+        assert_eq!(online.time_of(KernelCategory::Softmax).to_bits(), 0);
+    }
 }

@@ -7,9 +7,11 @@
 //! here from 24 to 48, for a fleet step (`price_batched_decode` on a
 //! GPT-Neo decode mix beside a 256-position prefill chunk) and for what the
 //! benchmark's `paper_pipeline` does per schedule (`build_schedule`,
-//! `check_schedule` and `Gpu::run` on BERT-large SDF at L = 4096).
-//! Allocations are counted per thread by a counting global allocator, with
-//! one pool worker, each measurement after emptying the pricing memo.
+//! `check_schedule` and `Gpu::run` on BERT-large and BigBird-large SDF at
+//! L = 4096). The check reads the two layers it analyzes in place, so it
+//! allocates fewer times than they have kernels. Allocations are counted
+//! per thread by a counting global allocator, with one pool worker, each
+//! measurement after emptying the pricing memo.
 
 // Debug builds expand every layer on purpose, for their checks.
 #![cfg(not(debug_assertions))]
@@ -99,18 +101,34 @@ fn pricing_allocates_nothing_per_layer() {
     });
     assert_eq!(step[0], step[1], "a fleet step at 24 and at 48 layers");
 
-    let params = RunParams::new(4096).strategy(SoftmaxStrategy::Recomposed);
-    let pipeline = at_24_and_48_layers(&ModelConfig::bert_large(), |model| {
-        let schedule = build_schedule(model, &params);
-        let report = check_schedule(model, &params, &schedule);
-        assert!(!report.has_errors(), "{}", report.render());
-        let mut gpu = Gpu::new(device.clone());
-        gpu.run(&schedule).unwrap();
-        assert_eq!(gpu.timeline().len(), schedule.len());
-    });
-    assert_eq!(
-        pipeline[0], pipeline[1],
-        "build, check and run at 24 and at 48 layers"
-    );
+    for model in [ModelConfig::bert_large(), ModelConfig::bigbird_large()] {
+        let pipeline = at_24_and_48_layers(&model, |model| {
+            let schedule = build_schedule(model, &params);
+            let report = check_schedule(model, &params, &schedule);
+            assert!(!report.has_errors(), "{}", report.render());
+            let mut gpu = Gpu::new(device.clone());
+            gpu.run(&schedule).unwrap();
+            assert_eq!(gpu.timeline().len(), schedule.len());
+        });
+        assert_eq!(
+            pipeline[0], pipeline[1],
+            "{}: build, check and run at 24 and at 48 layers",
+            model.name
+        );
+
+        // The check reads its two layers in place: copying each of their
+        // kernels would take at least one allocation per kernel.
+        let schedule = build_schedule(&model, &params);
+        let check = allocations(|| {
+            let report = check_schedule(&model, &params, &schedule);
+            assert!(report.diagnostics.is_empty(), "{}", report.render());
+        });
+        let kernels = 2 * schedule.layer().len();
+        assert!(
+            check < kernels,
+            "{}: check_schedule allocates {check} times, its two layers have {kernels} kernels",
+            model.name
+        );
+    }
     resoftmax_parallel::set_thread_override(None);
 }

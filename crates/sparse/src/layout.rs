@@ -5,6 +5,7 @@
 //! block is dense inside and tensor-core friendly.
 
 use core::fmt;
+use core::ops::Range;
 
 /// Error for inconsistent layout construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,11 +58,6 @@ impl BlockLayout {
                 n_blocks
             )));
         }
-        Ok(BlockLayout::counted(block, n_blocks, mask))
-    }
-
-    /// Wraps a validated mask, counting each block-row once.
-    fn counted(block: usize, n_blocks: usize, mask: Vec<bool>) -> Self {
         let row_counts = (0..n_blocks)
             .map(|br| {
                 mask[br * n_blocks..(br + 1) * n_blocks]
@@ -70,12 +66,12 @@ impl BlockLayout {
                     .count()
             })
             .collect();
-        BlockLayout {
+        Ok(BlockLayout {
             block,
             n_blocks,
             mask,
             row_counts,
-        }
+        })
     }
 
     /// Fully dense layout for an `L × L` matrix.
@@ -162,6 +158,20 @@ impl BlockLayout {
         }
     }
 
+    /// Retains blocks `cols` of block-row `br`, counting the ones not yet
+    /// retained.
+    ///
+    /// # Panics
+    ///
+    /// Panics if out of the block grid.
+    pub(crate) fn retain_run(&mut self, br: usize, cols: Range<usize>) {
+        let n = self.n_blocks;
+        for cell in &mut self.mask[br * n..(br + 1) * n][cols] {
+            self.row_counts[br] += usize::from(!*cell);
+            *cell = true;
+        }
+    }
+
     /// Number of retained blocks.
     pub fn nnz_blocks(&self) -> usize {
         self.row_counts.iter().sum()
@@ -238,13 +248,11 @@ impl BlockLayout {
     pub fn union(&self, other: &BlockLayout) -> BlockLayout {
         assert_eq!(self.block, other.block, "block size mismatch");
         assert_eq!(self.n_blocks, other.n_blocks, "grid mismatch");
-        let mask = self
-            .mask
-            .iter()
-            .zip(&other.mask)
-            .map(|(&a, &b)| a || b)
-            .collect();
-        BlockLayout::counted(self.block, self.n_blocks, mask)
+        let mut out = self.clone();
+        for (br, bc) in other.iter_blocks() {
+            out.set(br, bc, true);
+        }
+        out
     }
 
     /// Keeps only blocks on or below the diagonal (autoregressive masking, in

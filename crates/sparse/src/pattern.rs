@@ -13,10 +13,10 @@
 //!   patterns.
 
 use crate::layout::BlockLayout;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Parameters of the BigBird block-sparse pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,11 +81,7 @@ pub fn sliding_window(seq_len: usize, block: usize, half_width_blocks: usize) ->
     let mut l = BlockLayout::empty(seq_len, block);
     let n = l.n_blocks();
     for r in 0..n {
-        let lo = r.saturating_sub(half_width_blocks);
-        let hi = (r + half_width_blocks).min(n - 1);
-        for c in lo..=hi {
-            l.set(r, c, true);
-        }
+        l.retain_run(r, window(r, half_width_blocks, n));
     }
     l
 }
@@ -98,16 +94,23 @@ pub fn sliding_window(seq_len: usize, block: usize, half_width_blocks: usize) ->
 /// Panics if `seq_len` is not a multiple of `block`.
 pub fn global(seq_len: usize, block: usize, global_blocks: usize) -> BlockLayout {
     let mut l = BlockLayout::empty(seq_len, block);
+    retain_global(&mut l, global_blocks);
+    l
+}
+
+/// The columns of block-row `r`'s window of `half_width_blocks` either side
+/// of the diagonal, in a grid of `n` blocks.
+fn window(r: usize, half_width_blocks: usize, n: usize) -> Range<usize> {
+    r.saturating_sub(half_width_blocks)..r.saturating_add(half_width_blocks).min(n - 1) + 1
+}
+
+/// Retains the first `global_blocks` block-rows and block-columns of `l`.
+fn retain_global(l: &mut BlockLayout, global_blocks: usize) {
     let n = l.n_blocks();
     let g = global_blocks.min(n);
     for r in 0..n {
-        for c in 0..n {
-            if r < g || c < g {
-                l.set(r, c, true);
-            }
-        }
+        l.retain_run(r, 0..if r < g { n } else { g });
     }
-    l
 }
 
 /// BigBird: global ∪ window ∪ random.
@@ -120,17 +123,26 @@ pub fn global(seq_len: usize, block: usize, global_blocks: usize) -> BlockLayout
 /// Panics if `seq_len` is not a multiple of `cfg.block`.
 pub fn bigbird(seq_len: usize, cfg: &BigBirdConfig) -> BlockLayout {
     let window_half = cfg.window_blocks / 2;
-    let mut l = sliding_window(seq_len, cfg.block, window_half).union(&global(
-        seq_len,
-        cfg.block,
-        cfg.global_blocks,
-    ));
+    let mut l = sliding_window(seq_len, cfg.block, window_half);
+    retain_global(&mut l, cfg.global_blocks);
     let n = l.n_blocks();
+    let g = cfg.global_blocks.min(n);
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    for r in 0..n {
-        let candidates: Vec<usize> = (0..n).filter(|&c| !l.is_set(r, c)).collect();
-        for &c in candidates.choose_multiple(&mut rng, cfg.random_blocks.min(candidates.len())) {
-            l.set(r, c, true);
+    // The row's columns outside the window and the globals, ascending (a
+    // global row has none). The random blocks are the draws of
+    // `SliceRandom::choose_multiple` over them, a partial Fisher–Yates,
+    // replayed on this buffer: the same values in the same order, so the
+    // same blocks for a seed.
+    let mut candidates = Vec::with_capacity(n);
+    for r in g..n {
+        let w = window(r, window_half, n);
+        candidates.clear();
+        candidates.extend(g..w.start);
+        candidates.extend(w.end..n);
+        for i in 0..cfg.random_blocks.min(candidates.len()) {
+            let j = i + (rng.next_u64() % (candidates.len() - i) as u64) as usize;
+            candidates.swap(i, j);
+            l.set(r, candidates[i], true);
         }
     }
     l
@@ -143,12 +155,9 @@ pub fn bigbird(seq_len: usize, cfg: &BigBirdConfig) -> BlockLayout {
 /// Panics if `seq_len` is not a multiple of `cfg.block`.
 pub fn longformer(seq_len: usize, cfg: &LongformerConfig) -> BlockLayout {
     let half_blocks = (cfg.window / 2).div_ceil(cfg.block);
-    let global_blocks = cfg.global_tokens.div_ceil(cfg.block);
-    sliding_window(seq_len, cfg.block, half_blocks).union(&global(
-        seq_len,
-        cfg.block,
-        global_blocks,
-    ))
+    let mut l = sliding_window(seq_len, cfg.block, half_blocks);
+    retain_global(&mut l, cfg.global_tokens.div_ceil(cfg.block));
+    l
 }
 
 /// Sparse Transformer strided pattern: local window of `local_blocks` plus

@@ -121,7 +121,7 @@ where
 }
 
 /// Tiled matrix multiply with the GPU outer-product dataflow and `f32`
-/// accumulators.
+/// accumulators. Each operand is widened to `f32` once.
 ///
 /// The output is divided into `tiles.h x tiles.w` tiles; within each tile the
 /// reduction dimension is traversed in order, accumulating rank-1 updates —
@@ -146,6 +146,7 @@ pub fn matmul_tiled<T: Scalar>(
         )));
     }
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let (a_wide, b_wide) = (a.map(Scalar::to_f32), b.map(Scalar::to_f32));
     let mut out = Matrix::zeros(m, n);
     // One band of tile-rows per chunk: every tile is computed by exactly one
     // worker with its own accumulator, in the same within-tile order as the
@@ -163,10 +164,11 @@ pub fn matmul_tiled<T: Scalar>(
                 for p in 0..k {
                     // One LHS column fragment and RHS row fragment: rank-1
                     // update.
-                    for r in 0..th {
-                        let av = a.get(tr + r, p).to_f32();
-                        for c in 0..tw {
-                            acc[r * tw + c] += av * b.get(p, tc + c).to_f32();
+                    let b_row = &b_wide.row(p)[tc..tc + tw];
+                    for (r, acc_row) in acc.chunks_exact_mut(tw).enumerate() {
+                        let av = a_wide.get(tr + r, p);
+                        for (s, &bv) in acc_row.iter_mut().zip(b_row) {
+                            *s += av * bv;
                         }
                     }
                 }

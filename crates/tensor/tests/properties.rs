@@ -1,10 +1,49 @@
 //! Property-based tests for matrix operations.
 
 use proptest::prelude::*;
+use resoftmax_fp16::F16;
 use resoftmax_tensor::{
     add, matmul, matmul_tiled, matmul_transpose_b, max_abs_diff, row_max, row_sum, scale,
-    transpose, Matrix, TileDims, TileIter,
+    transpose, Matrix, Scalar, TileDims, TileIter,
 };
+
+/// `matmul_tiled`'s loop before it widened its operands once per call,
+/// verbatim but serial (each band of tile-rows is independent): it decodes
+/// both operands inside the rank-1 update.
+fn tiled_per_element<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, tiles: TileDims) -> Matrix<T> {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let mut out = Matrix::zeros(m, n);
+    out.as_mut_slice()
+        .chunks_mut((tiles.h * n).max(1))
+        .enumerate()
+        .for_each(|(strip, band)| {
+            let tr = strip * tiles.h;
+            let th = band.len().checked_div(n).unwrap_or(0);
+            for tc in (0..n).step_by(tiles.w) {
+                let tw = tiles.w.min(n - tc);
+                let mut acc = vec![0.0f32; th * tw];
+                for p in 0..k {
+                    for r in 0..th {
+                        let av = a.get(tr + r, p).to_f32();
+                        for c in 0..tw {
+                            acc[r * tw + c] += av * b.get(p, tc + c).to_f32();
+                        }
+                    }
+                }
+                for r in 0..th {
+                    for c in 0..tw {
+                        band[r * n + tc + c] = T::from_f32(acc[r * tw + c]);
+                    }
+                }
+            }
+        });
+    out
+}
+
+/// The raw bits of every element, widened exactly to `f64`.
+fn bits<T: Scalar>(m: &Matrix<T>) -> Vec<u64> {
+    m.as_slice().iter().map(|x| x.to_f64().to_bits()).collect()
+}
 
 /// Strategy for a small random f64 matrix with bounded entries.
 fn matrix_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix<f64>> {
@@ -33,6 +72,34 @@ proptest! {
         let tiled = matmul_tiled(&a, &b, TileDims::new(th, tw)).unwrap();
         // f32 accumulators in the tiled path: tolerance scales with k
         prop_assert!(max_abs_diff(&naive, &tiled) < 1e-3 * k as f64);
+    }
+
+    /// The tiled matmul keeps the bits of its per-element loop at every
+    /// precision, tile shape and edge tile.
+    #[test]
+    fn tiled_matmul_keeps_the_per_element_bits(
+        (m, k, n) in dims(),
+        th in 1usize..8,
+        tw in 1usize..8,
+        seed in 0u64..1000,
+    ) {
+        let a = resoftmax_tensor::randn_matrix::<f64>(m, k, 4.0, seed);
+        let b = resoftmax_tensor::randn_matrix::<f64>(k, n, 4.0, seed + 1);
+        let tiles = TileDims::new(th, tw);
+        let (a16, b16): (Matrix<F16>, Matrix<F16>) = (a.cast(), b.cast());
+        prop_assert_eq!(
+            bits(&matmul_tiled(&a16, &b16, tiles).unwrap()),
+            bits(&tiled_per_element(&a16, &b16, tiles))
+        );
+        let (a32, b32): (Matrix<f32>, Matrix<f32>) = (a.cast(), b.cast());
+        prop_assert_eq!(
+            bits(&matmul_tiled(&a32, &b32, tiles).unwrap()),
+            bits(&tiled_per_element(&a32, &b32, tiles))
+        );
+        prop_assert_eq!(
+            bits(&matmul_tiled(&a, &b, tiles).unwrap()),
+            bits(&tiled_per_element(&a, &b, tiles))
+        );
     }
 
     /// A·Bᵀ via the fused-layout function equals the explicit transpose.
